@@ -21,6 +21,7 @@ use crate::pt2pt::{inject, SendOpts};
 use crate::request::{check_peer, wait_loop};
 use litempi_datatype::MpiPrimitive;
 use litempi_trace::{event::coll_op, EventKind};
+use std::sync::Arc;
 
 /// RAII span emitting `CollBegin`/`CollEnd` around one collective when
 /// tracing is on (one branch when off). Drop-based so error returns still
@@ -60,52 +61,121 @@ pub(crate) fn ft_gate(comm: &Communicator) -> MpiResult<()> {
     Ok(())
 }
 
-/// Internal collective-channel send: fire-and-forget, eager or rendezvous.
-pub(crate) fn csend(comm: &Communicator, dest: usize, tag: i32, data: &[u8]) {
-    let proc = &comm.proc;
-    let bits = match_bits::encode(comm.context_id().collective(), comm.rank, tag);
-    let dest_world = comm.world_rank_of(dest);
-    let fabric = proc.endpoint.fabric();
-    let vci = proc.vci_of_bits(bits);
-    let max_eager = fabric.profile().caps.max_eager;
-    let payload = if data.len() <= max_eager {
-        proto::eager_payload(fabric, vci, data)
-    } else {
-        litempi_instr::note_alloc(1);
-        let (rndv_id, _done) = proc.univ.alloc_rndv(data.to_vec());
-        proto::rts_payload(fabric, vci, rndv_id, data.len())
-    };
-    inject(proc, dest_world, bits, payload, &SendOpts::default());
+/// One collective-channel message body, built once however many peers it
+/// goes to: the pooled wire buffer of an eager message, or the pooled
+/// staging buffer a rendezvous exposes for the receivers to pull.
+#[derive(Clone)]
+enum Staged {
+    Eager(bytes::Bytes),
+    Rndv(Arc<Vec<u8>>),
 }
 
-/// Internal collective-channel receive from a specific peer. Returns a
-/// zero-copy view of the delivered data: the eager case slices past the
-/// envelope byte in place, the rendezvous case shares the staged table
-/// payload — no `to_vec` on either path.
+impl Staged {
+    /// The wire payload for one destination: the eager bytes themselves,
+    /// or a fresh 17-byte RTS naming a new table entry over the shared
+    /// staging buffer.
+    fn into_wire(self, proc: &ProcInner, vci: usize) -> bytes::Bytes {
+        match self {
+            Staged::Eager(wire) => wire,
+            Staged::Rndv(data) => {
+                let len = data.len();
+                let rndv_id = proc.univ.expose_rndv(data);
+                proto::rts_payload(proc.endpoint.fabric(), vci, rndv_id, len)
+            }
+        }
+    }
+}
+
+/// Fire-and-forget send of `data` under `bits` to every world rank in
+/// `dests`, in order: one pool lease and one copy of `data` in total, one
+/// injection per destination. All but the last injection share the body
+/// by `Arc` clone; the last one moves it, so the sender keeps no handle
+/// and whichever receiver releases last finds the storage unique and
+/// recycles it (`PayloadPool::release`'s gate). The blocking collectives
+/// and the schedule engine's `Send` vertices both come through here.
+pub(crate) fn send_staged(
+    proc: &ProcInner,
+    bits: u64,
+    data: &[u8],
+    dests: impl IntoIterator<Item = usize>,
+) {
+    let mut dests = dests.into_iter();
+    let Some(mut dest) = dests.next() else {
+        return;
+    };
+    let fabric = proc.endpoint.fabric();
+    let vci = proc.vci_of_bits(bits);
+    let staged = if data.len() <= fabric.profile().caps.max_eager {
+        Staged::Eager(proto::eager_payload(fabric, vci, data))
+    } else {
+        Staged::Rndv(proto::stage_rndv(fabric, vci, data))
+    };
+    let opts = SendOpts::default();
+    for next in dests {
+        inject(proc, dest, bits, staged.clone().into_wire(proc, vci), &opts);
+        dest = next;
+    }
+    inject(proc, dest, bits, staged.into_wire(proc, vci), &opts);
+}
+
+/// Internal collective-channel send of one payload to several peers
+/// (communicator ranks) — a binomial node's children, a leader's node
+/// members. See [`send_staged`].
+pub(crate) fn csend_all(
+    comm: &Communicator,
+    dests: impl IntoIterator<Item = usize>,
+    tag: i32,
+    data: &[u8],
+) {
+    let bits = match_bits::encode(comm.context_id().collective(), comm.rank, tag);
+    let dests = dests.into_iter().map(|d| comm.world_rank_of(d));
+    send_staged(&comm.proc, bits, data, dests);
+}
+
+/// Internal collective-channel send: fire-and-forget, eager or rendezvous.
+pub(crate) fn csend(comm: &Communicator, dest: usize, tag: i32, data: &[u8]) {
+    csend_all(comm, [dest], tag, data);
+}
+
+/// A received collective payload. Derefs to the message bytes — the eager
+/// case reads past the envelope byte in place, the rendezvous case reads
+/// the sender's staging buffer, no copy on either path — and hands the
+/// storage back to its home-VCI pool when dropped, which is what keeps the
+/// collective channel allocation-free: every lease a sender takes comes
+/// back through here.
+pub(crate) struct Lease<'a> {
+    proc: &'a ProcInner,
+    bits: u64,
+    /// `Some` until drop moves it into the pool.
+    storage: Option<bytes::Bytes>,
+    /// Where the message starts in `storage` (1 past an eager envelope).
+    off: usize,
+}
+
+impl std::ops::Deref for Lease<'_> {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        self.storage.as_ref().map_or(&[], |s| &s[self.off..])
+    }
+}
+
+impl Drop for Lease<'_> {
+    fn drop(&mut self) {
+        if let Some(storage) = self.storage.take() {
+            self.proc.pool_release(self.bits, storage);
+        }
+    }
+}
+
+/// Internal collective-channel receive from a specific peer.
 ///
 /// Fallible: over a lossy fabric the sender can die mid-collective, and a
 /// damaged or replayed RTS descriptor can name a rendezvous entry that no
 /// longer exists. Both surface as comm-failure `MpiError`s routed through
 /// the communicator's errhandler, so `MPI_ERRORS_RETURN` gets an `Err`
 /// and `MPI_ERRORS_ARE_FATAL` panics — never an unconditional panic.
-pub(crate) fn crecv(comm: &Communicator, src: usize, tag: i32) -> MpiResult<bytes::Bytes> {
-    let proc = &comm.proc;
-    let bits = match_bits::encode(comm.context_id().collective(), src, tag);
-    let payload = comm.handle_error(recv_raw(
-        proc,
-        bits,
-        Some(comm.world_rank_of(src)),
-        Some(comm.context_id().0),
-    ))?;
-    if let DecodedPayload::Rts { rndv_id, .. } = proto::decode(&payload).1 {
-        let data = comm.handle_error(proc.univ.pull_rndv(rndv_id).ok_or(MpiError::Integrity(
-            "rendezvous entry vanished (damaged or replayed RTS descriptor)",
-        )))?;
-        // The 17-byte RTS envelope is consumed: recycle it.
-        proc.pool_release(bits, payload);
-        return Ok(bytes::Bytes::from_storage(data));
-    }
-    Ok(proto::eager_view(&payload))
+pub(crate) fn crecv(comm: &Communicator, src: usize, tag: i32) -> MpiResult<Lease<'_>> {
+    comm.handle_error(crecv_gated(comm, src, tag, Some(comm.context_id().0)))
 }
 
 /// FT-internal receive for the agreement protocol ([`crate::ft`]): like
@@ -113,18 +183,60 @@ pub(crate) fn crecv(comm: &Communicator, src: usize, tag: i32) -> MpiResult<byte
 /// work on a revoked communicator) and never routed through the
 /// communicator's errhandler — the protocol turns peer death into
 /// protocol state (a dead-mask bit), not an application error.
-pub(crate) fn crecv_ft(comm: &Communicator, src: usize, tag: i32) -> MpiResult<bytes::Bytes> {
-    let proc = &comm.proc;
-    let bits = match_bits::encode(comm.context_id().collective(), src, tag);
-    let payload = recv_raw(proc, bits, Some(comm.world_rank_of(src)), None)?;
-    if let DecodedPayload::Rts { rndv_id, .. } = proto::decode(&payload).1 {
-        let data = proc.univ.pull_rndv(rndv_id).ok_or(MpiError::Integrity(
-            "rendezvous entry vanished (damaged or replayed RTS descriptor)",
-        ))?;
-        proc.pool_release(bits, payload);
-        return Ok(bytes::Bytes::from_storage(data));
+pub(crate) fn crecv_ft(comm: &Communicator, src: usize, tag: i32) -> MpiResult<Lease<'_>> {
+    crecv_gated(comm, src, tag, None)
+}
+
+/// [`crecv`] straight into `dst`. A message of any other length is
+/// `MPI_ERR_TRUNCATE`, not a slice-length panic.
+pub(crate) fn crecv_into(
+    comm: &Communicator,
+    src: usize,
+    tag: i32,
+    dst: &mut [u8],
+) -> MpiResult<()> {
+    let data = crecv(comm, src, tag)?;
+    if data.len() != dst.len() {
+        return Err(MpiError::Truncate {
+            message: data.len(),
+            buffer: dst.len(),
+        });
     }
-    Ok(proto::eager_view(&payload))
+    dst.copy_from_slice(&data);
+    Ok(())
+}
+
+fn crecv_gated(
+    comm: &Communicator,
+    src: usize,
+    tag: i32,
+    revoke_ctx: Option<u16>,
+) -> MpiResult<Lease<'_>> {
+    let proc = &*comm.proc;
+    let bits = match_bits::encode(comm.context_id().collective(), src, tag);
+    let payload = recv_raw(proc, bits, Some(comm.world_rank_of(src)), revoke_ctx)?;
+    let (storage, off) = match proto::try_decode(&payload)?.1 {
+        DecodedPayload::Eager(_) => (payload, 1),
+        DecodedPayload::Rts { rndv_id, .. } => {
+            let staged = proc.univ.pull_rndv(rndv_id).ok_or(MpiError::Integrity(
+                "rendezvous entry vanished (damaged or replayed RTS descriptor)",
+            ))?;
+            // The 17-byte RTS envelope is consumed: recycle it.
+            proc.pool_release(bits, payload);
+            (bytes::Bytes::from_storage(staged), 0)
+        }
+        DecodedPayload::RtsRma { .. } => {
+            return Err(MpiError::Integrity(
+                "rdma-rendezvous descriptor on the collective channel",
+            ))
+        }
+    };
+    Ok(Lease {
+        proc,
+        bits,
+        storage: Some(storage),
+        off,
+    })
 }
 
 /// Blocking matched receive on the collective channel. `peer` is the
@@ -179,7 +291,7 @@ fn recv_raw(
 /// byte- and charge-identical to [`barrier_flat`].
 pub fn barrier(comm: &Communicator) -> MpiResult<()> {
     if let Some(plan) = hier::plan(comm) {
-        return hier::barrier(comm, &plan);
+        return hier::barrier(comm, plan);
     }
     barrier_flat(comm)
 }
@@ -217,7 +329,7 @@ pub const BCAST_LONG_MSG_BYTES: usize = 32 * 1024;
 /// multiple multi-rank nodes, otherwise the flat size-selected algorithm.
 pub fn bcast<T: MpiPrimitive>(comm: &Communicator, buf: &mut [T], root: usize) -> MpiResult<()> {
     if let Some(plan) = hier::plan(comm) {
-        return hier::bcast(comm, &plan, buf, root);
+        return hier::bcast(comm, plan, buf, root);
     }
     bcast_flat(comm, buf, root)
 }
@@ -266,16 +378,11 @@ pub fn bcast_binomial<T: MpiPrimitive>(
     if vrank != 0 {
         let parent = parent_of(vrank);
         let src = (parent + root) % size;
-        let data = crecv(comm, src, tag)?;
-        T::as_bytes_mut(buf).copy_from_slice(&data);
+        crecv_into(comm, src, tag, T::as_bytes_mut(buf))?;
     }
-    // Send to children.
-    let mut k = next_pow2_at_least(vrank + 1);
-    while vrank + k < size {
-        let child = (vrank + k + root) % size;
-        csend(comm, child, tag, T::as_bytes(buf));
-        k <<= 1;
-    }
+    // Send to children: one staged payload, one injection per child.
+    let children = binomial_children(vrank, size).map(|c| (c + root) % size);
+    csend_all(comm, children, tag, T::as_bytes(buf));
     Ok(())
 }
 
@@ -289,8 +396,18 @@ pub(crate) fn parent_of(vrank: usize) -> usize {
     vrank - (1 << high)
 }
 
-pub(crate) fn next_pow2_at_least(n: usize) -> usize {
-    n.next_power_of_two()
+/// `n` elements of `T` with all-zero wire bytes: a typed buffer a receive
+/// is about to overwrite.
+pub(crate) fn zeroed<T: MpiPrimitive>(n: usize) -> Vec<T> {
+    vec![T::from_wire(&[0u8; 16][..T::PREDEFINED.size()]); n]
+}
+
+/// Binomial-tree children of virtual rank `v` among `g` ranks, nearest
+/// first: `v + 2^k` for every `2^k` above `v`'s highest set bit.
+pub(crate) fn binomial_children(v: usize, g: usize) -> impl Iterator<Item = usize> {
+    std::iter::successors(Some((v + 1).next_power_of_two()), |k| Some(k << 1))
+        .map(move |k| v + k)
+        .take_while(move |&c| c < g)
 }
 
 /// Long-message broadcast (van de Geijn): scatter the payload's blocks
@@ -347,7 +464,7 @@ pub fn reduce<T: MpiPrimitive>(
     root: usize,
 ) -> MpiResult<Option<Vec<T>>> {
     if let Some(plan) = hier::plan(comm) {
-        return hier::reduce(comm, &plan, sendbuf, op, root);
+        return hier::reduce(comm, plan, sendbuf, op, root);
     }
     reduce_flat(comm, sendbuf, op, root)
 }
@@ -365,7 +482,9 @@ pub fn reduce_flat<T: MpiPrimitive>(
     let size = comm.size();
     let rank = comm.rank();
     let tag = comm.next_coll_tag();
-    let mut acc: Vec<u8> = T::as_bytes(sendbuf).to_vec();
+    // Fold in the buffer the root returns: no separate accumulator.
+    let mut out = sendbuf.to_vec();
+    let acc = T::as_bytes_mut(&mut out);
     let vrank = (rank + size - root) % size;
     // Gather up the binomial tree: at step k, vranks with bit k set send
     // their partial to vrank - 2^k and drop out.
@@ -373,23 +492,17 @@ pub fn reduce_flat<T: MpiPrimitive>(
     while k < size {
         if vrank & k != 0 {
             let dst = ((vrank - k) + root) % size;
-            csend(comm, dst, tag, &acc);
+            csend(comm, dst, tag, acc);
             break;
         } else if vrank + k < size {
             let src = ((vrank + k) + root) % size;
             let data = crecv(comm, src, tag)?;
             // Reduction order: accumulate the child's contribution.
-            op.apply(&T::DATATYPE, &mut acc, &data)?;
+            op.apply(&T::DATATYPE, acc, &data)?;
         }
         k <<= 1;
     }
-    if rank == root {
-        let mut out = vec![sendbuf[0]; sendbuf.len()];
-        T::as_bytes_mut(&mut out).copy_from_slice(&acc);
-        Ok(Some(out))
-    } else {
-        Ok(None)
-    }
+    Ok((rank == root).then_some(out))
 }
 
 /// `MPI_ALLREDUCE`: hierarchical (node-aware) when the topology spans
@@ -401,7 +514,7 @@ pub fn allreduce<T: MpiPrimitive>(
     op: &Op,
 ) -> MpiResult<Vec<T>> {
     if let Some(plan) = hier::plan(comm) {
-        return hier::allreduce(comm, &plan, sendbuf, op);
+        return hier::allreduce(comm, plan, sendbuf, op);
     }
     allreduce_flat(comm, sendbuf, op)
 }
@@ -421,23 +534,22 @@ pub fn allreduce_flat<T: MpiPrimitive>(
     let rank = comm.rank();
     if size.is_power_of_two() && size > 1 {
         let tag = comm.next_coll_tag();
-        let mut acc: Vec<u8> = T::as_bytes(sendbuf).to_vec();
+        let mut out = sendbuf.to_vec();
+        let acc = T::as_bytes_mut(&mut out);
         let mut k = 1usize;
         while k < size {
             let partner = rank ^ k;
-            csend(comm, partner, tag, &acc);
+            csend(comm, partner, tag, acc);
             let data = crecv(comm, partner, tag)?;
-            op.apply(&T::DATATYPE, &mut acc, &data)?;
+            op.apply(&T::DATATYPE, acc, &data)?;
             k <<= 1;
         }
-        let mut out = vec![sendbuf[0]; sendbuf.len()];
-        T::as_bytes_mut(&mut out).copy_from_slice(&acc);
         Ok(out)
     } else {
-        let reduced = reduce_flat(comm, sendbuf, op, 0)?;
-        let mut out = match reduced {
+        // Non-roots receive the result over their own contribution.
+        let mut out = match reduce_flat(comm, sendbuf, op, 0)? {
             Some(v) => v,
-            None => vec![sendbuf[0]; sendbuf.len()],
+            None => sendbuf.to_vec(),
         };
         bcast_flat(comm, &mut out, 0)?;
         Ok(out)
@@ -457,13 +569,12 @@ pub fn gather<T: MpiPrimitive>(
     let rank = comm.rank();
     let tag = comm.next_coll_tag();
     if rank == root {
-        let mut out = vec![sendbuf[0]; sendbuf.len() * size];
         let block = sendbuf.len();
-        out[root * block..(root + 1) * block].copy_from_slice(sendbuf);
+        // My block in every slot; every other slot is overwritten below.
+        let mut out = sendbuf.repeat(size);
         for src in (0..size).filter(|&r| r != root) {
-            let data = crecv(comm, src, tag)?;
             let dst = &mut out[src * block..(src + 1) * block];
-            T::as_bytes_mut(dst).copy_from_slice(&data);
+            crecv_into(comm, src, tag, T::as_bytes_mut(dst))?;
         }
         Ok(Some(out))
     } else {
@@ -486,20 +597,27 @@ pub fn gatherv<T: MpiPrimitive>(
     let rank = comm.rank();
     let tag = comm.next_coll_tag();
     if rank == root {
-        let mut blocks: Vec<bytes::Bytes> = vec![bytes::Bytes::new(); size];
-        blocks[root] = bytes::Bytes::copy_from_slice(T::as_bytes(sendbuf));
-        for src in (0..size).filter(|&r| r != root) {
-            blocks[src] = crecv(comm, src, tag)?;
+        // Sizes are only known on arrival: hold every peer's lease (`None`
+        // stands for the root's own block) until the output can be sized.
+        let mut blocks: Vec<Option<Lease<'_>>> = Vec::with_capacity(size);
+        for src in 0..size {
+            blocks.push(if src == root {
+                None
+            } else {
+                Some(crecv(comm, src, tag)?)
+            });
         }
-        let counts: Vec<usize> = blocks
+        let blocks = blocks
             .iter()
+            .map(|b| b.as_deref().unwrap_or(T::as_bytes(sendbuf)));
+        let counts: Vec<usize> = blocks
+            .clone()
             .map(|b| b.len() / T::PREDEFINED.size())
             .collect();
-        let total: usize = counts.iter().sum();
-        let mut out: Vec<T> = vec![T::from_wire(&vec![0u8; T::PREDEFINED.size()]); total];
+        let mut out = zeroed::<T>(counts.iter().sum());
         let bytes = T::as_bytes_mut(&mut out);
         let mut cursor = 0;
-        for b in &blocks {
+        for b in blocks {
             bytes[cursor..cursor + b.len()].copy_from_slice(b);
             cursor += b.len();
         }
@@ -546,9 +664,8 @@ pub fn scatter<T: MpiPrimitive>(
         }
         Ok(send[root * block..(root + 1) * block].to_vec())
     } else {
-        let data = crecv(comm, root, tag)?;
-        let mut out = vec![T::from_wire(&vec![0u8; T::PREDEFINED.size()]); block];
-        T::as_bytes_mut(&mut out).copy_from_slice(&data);
+        let mut out = zeroed::<T>(block);
+        crecv_into(comm, root, tag, T::as_bytes_mut(&mut out))?;
         Ok(out)
     }
 }
@@ -577,8 +694,8 @@ pub fn allgather_recursive_doubling<T: MpiPrimitive>(
     let rank = comm.rank();
     let tag = comm.next_coll_tag();
     let block = sendbuf.len();
-    let mut out = vec![sendbuf[0]; block * size];
-    out[rank * block..(rank + 1) * block].copy_from_slice(sendbuf);
+    // My block in every slot; every other slot is overwritten below.
+    let mut out = sendbuf.repeat(size);
     let mut k = 1usize;
     while k < size {
         let partner = rank ^ k;
@@ -587,9 +704,8 @@ pub fn allgather_recursive_doubling<T: MpiPrimitive>(
         let partner_base = (partner / k) * k;
         let send_range = my_base * block..(my_base + k) * block;
         csend(comm, partner, tag, T::as_bytes(&out[send_range]));
-        let data = crecv(comm, partner, tag)?;
         let dst = &mut out[partner_base * block..(partner_base + k) * block];
-        T::as_bytes_mut(dst).copy_from_slice(&data);
+        crecv_into(comm, partner, tag, T::as_bytes_mut(dst))?;
         k <<= 1;
     }
     Ok(out)
@@ -602,8 +718,8 @@ pub fn allgather_ring<T: MpiPrimitive>(comm: &Communicator, sendbuf: &[T]) -> Mp
     let rank = comm.rank();
     let tag = comm.next_coll_tag();
     let block = sendbuf.len();
-    let mut out = vec![sendbuf[0]; block * size];
-    out[rank * block..(rank + 1) * block].copy_from_slice(sendbuf);
+    // My block in every slot; every other slot is overwritten below.
+    let mut out = sendbuf.repeat(size);
     if size == 1 {
         return Ok(out);
     }
@@ -620,9 +736,8 @@ pub fn allgather_ring<T: MpiPrimitive>(comm: &Communicator, sendbuf: &[T]) -> Mp
             tag,
             T::as_bytes(&out[send_origin * block..(send_origin + 1) * block]),
         );
-        let data = crecv(comm, left, tag)?;
         let dst = &mut out[recv_origin * block..(recv_origin + 1) * block];
-        T::as_bytes_mut(dst).copy_from_slice(&data);
+        crecv_into(comm, left, tag, T::as_bytes_mut(dst))?;
     }
     Ok(out)
 }
@@ -665,9 +780,7 @@ pub fn alltoall<T: MpiPrimitive>(
 ) -> MpiResult<Vec<T>> {
     ft_gate(comm)?;
     let _span = CollSpan::begin(comm, coll_op::ALLTOALL);
-    let node_aware = hier::plan(comm).is_some();
-    let slots = hier::alltoall_slots(comm, node_aware);
-    alltoall_windowed(comm, sendbuf, block, &slots)
+    alltoall_windowed(comm, sendbuf, block, hier::alltoall_slots(comm))
 }
 
 /// Flat `MPI_ALLTOALL`: the classic single-pass pairwise schedule,
@@ -680,7 +793,7 @@ pub fn alltoall_flat<T: MpiPrimitive>(
 ) -> MpiResult<Vec<T>> {
     ft_gate(comm)?;
     let _span = CollSpan::begin(comm, coll_op::ALLTOALL);
-    let slots = hier::alltoall_slots(comm, false);
+    let slots = hier::pairwise_slots(comm.size(), comm.rank());
     alltoall_windowed(comm, sendbuf, block, &slots)
 }
 
@@ -698,7 +811,6 @@ fn alltoall_windowed<T: MpiPrimitive>(
     slots: &[hier::ExchangeSlot],
 ) -> MpiResult<Vec<T>> {
     let size = comm.size();
-    let rank = comm.rank();
     if sendbuf.len() != block * size {
         return Err(MpiError::BufferTooSmall {
             needed: block * size * T::PREDEFINED.size(),
@@ -707,9 +819,8 @@ fn alltoall_windowed<T: MpiPrimitive>(
     }
     let tag = comm.next_coll_tag();
     let w = issue_window(comm, block * T::PREDEFINED.size());
-    let mut out = vec![sendbuf[0]; block * size];
-    out[rank * block..(rank + 1) * block]
-        .copy_from_slice(&sendbuf[rank * block..(rank + 1) * block]);
+    // Every block but my own is overwritten by its sender's.
+    let mut out = sendbuf.to_vec();
     let mut next_send = 0usize;
     for (i, slot) in slots.iter().enumerate() {
         while next_send < (i + w).min(slots.len()) {
@@ -724,9 +835,8 @@ fn alltoall_windowed<T: MpiPrimitive>(
             next_send += 1;
         }
         if let Some(from) = slot.recv_from {
-            let data = crecv(comm, from, tag)?;
             let dst = &mut out[from * block..(from + 1) * block];
-            T::as_bytes_mut(dst).copy_from_slice(&data);
+            crecv_into(comm, from, tag, T::as_bytes_mut(dst))?;
         }
     }
     Ok(out)
@@ -739,22 +849,23 @@ pub fn scan<T: MpiPrimitive>(comm: &Communicator, sendbuf: &[T], op: &Op) -> Mpi
     let size = comm.size();
     let rank = comm.rank();
     let tag = comm.next_coll_tag();
-    let mut acc: Vec<u8> = T::as_bytes(sendbuf).to_vec();
-    if rank > 0 {
-        let prev = crecv(comm, rank - 1, tag)?;
+    let mine = T::as_bytes(sendbuf);
+    // Rank 0's prefix is its own contribution; everyone else folds into
+    // the received prefix, placed directly in the buffer returned.
+    let out = if rank > 0 {
+        let mut out = zeroed::<T>(sendbuf.len());
+        let acc = T::as_bytes_mut(&mut out);
+        crecv_into(comm, rank - 1, tag, acc)?;
         // acc = prefix(0..rank-1) OP mine — order matters for
         // non-commutative user ops: previous prefix first.
-        // scan mutates the received prefix in place, so this is the one
-        // consumer that genuinely needs an owned copy of the wire data.
-        let mut prefix = prev.to_vec();
-        op.apply(&T::DATATYPE, &mut prefix, &acc)?;
-        acc = prefix;
-    }
+        op.apply(&T::DATATYPE, acc, mine)?;
+        out
+    } else {
+        sendbuf.to_vec()
+    };
     if rank + 1 < size {
-        csend(comm, rank + 1, tag, &acc);
+        csend(comm, rank + 1, tag, T::as_bytes(&out));
     }
-    let mut out = vec![sendbuf[0]; sendbuf.len()];
-    T::as_bytes_mut(&mut out).copy_from_slice(&acc);
     Ok(out)
 }
 
@@ -769,29 +880,27 @@ pub fn exscan<T: MpiPrimitive>(
     let size = comm.size();
     let rank = comm.rank();
     let tag = comm.next_coll_tag();
-    // Receive the exclusive prefix, then forward prefix OP mine.
+    let mine = T::as_bytes(sendbuf);
+    // Receive the exclusive prefix straight into the buffer returned, then
+    // forward prefix OP mine (rank 0 forwards its contribution as is).
     let prefix = if rank > 0 {
-        Some(crecv(comm, rank - 1, tag)?)
+        let mut out = zeroed::<T>(sendbuf.len());
+        crecv_into(comm, rank - 1, tag, T::as_bytes_mut(&mut out))?;
+        Some(out)
     } else {
         None
     };
     if rank + 1 < size {
-        let mut fwd = match &prefix {
+        match &prefix {
             Some(p) => {
-                let mut f = p.to_vec();
-                op.apply(&T::DATATYPE, &mut f, T::as_bytes(sendbuf))?;
-                f
+                let mut fwd = p.clone();
+                op.apply(&T::DATATYPE, T::as_bytes_mut(&mut fwd), mine)?;
+                csend(comm, rank + 1, tag, T::as_bytes(&fwd));
             }
-            None => T::as_bytes(sendbuf).to_vec(),
-        };
-        csend(comm, rank + 1, tag, &fwd);
-        fwd.clear();
+            None => csend(comm, rank + 1, tag, mine),
+        }
     }
-    Ok(prefix.map(|p| {
-        let mut out = vec![sendbuf[0]; sendbuf.len()];
-        T::as_bytes_mut(&mut out).copy_from_slice(&p);
-        out
-    }))
+    Ok(prefix)
 }
 
 /// `MPI_REDUCE_SCATTER_BLOCK` (pairwise exchange): in step d each rank
@@ -812,7 +921,8 @@ pub fn reduce_scatter_block<T: MpiPrimitive>(
     let block = sendbuf.len() / size;
     let rank = comm.rank();
     let tag = comm.next_coll_tag();
-    let mut acc: Vec<u8> = T::as_bytes(&sendbuf[rank * block..(rank + 1) * block]).to_vec();
+    let mut out = sendbuf[rank * block..(rank + 1) * block].to_vec();
+    let acc = T::as_bytes_mut(&mut out);
     for d in 1..size {
         let to = (rank + d) % size;
         let from = (rank + size - d) % size;
@@ -823,10 +933,8 @@ pub fn reduce_scatter_block<T: MpiPrimitive>(
             T::as_bytes(&sendbuf[to * block..(to + 1) * block]),
         );
         let data = crecv(comm, from, tag)?;
-        op.apply(&T::DATATYPE, &mut acc, &data)?;
+        op.apply(&T::DATATYPE, acc, &data)?;
     }
-    let mut out = vec![sendbuf[0]; block];
-    T::as_bytes_mut(&mut out).copy_from_slice(&acc);
     Ok(out)
 }
 
@@ -1294,6 +1402,37 @@ mod tests {
         let mid = window_on(ProviderProfile::ofi(), 4096);
         assert!((1..=COLL_ISSUE_WINDOW).contains(&mid));
         assert!(mid <= window_on(ProviderProfile::ofi(), 512));
+    }
+
+    #[test]
+    fn peeked_fanout_payload_is_never_recycled() {
+        // Rank 0 fans ONE staged payload out to ranks 1..4. Rank 1 holds a
+        // peek clone of its copy (what `iprobe` takes) across every lease
+        // drop and a churn of same-class traffic: had any release recycled
+        // the shared storage, the churn would have overwritten it.
+        let data = [0xABu8; 200];
+        Universe::run_default(4, move |proc| {
+            let world = proc.world();
+            let rank = world.rank();
+            let tag = world.next_coll_tag();
+            let mut peek = None;
+            if rank == 0 {
+                csend_all(&world, 1..4, tag, &data);
+            } else {
+                if rank == 1 {
+                    let bits = match_bits::encode(world.context_id().collective(), 0, tag);
+                    peek = Some(wait_loop(&world.proc, || world.proc.endpoint.tpeek(bits, 0)).data);
+                }
+                assert_eq!(crecv(&world, 0, tag).unwrap()[..], data);
+            }
+            world.barrier().unwrap();
+            for _ in 0..8 {
+                world.allgather(&[rank as u8; 200]).unwrap();
+            }
+            if let Some(peek) = peek {
+                assert_eq!(peek[1..], data, "peeked storage was reused");
+            }
+        });
     }
 
     #[test]

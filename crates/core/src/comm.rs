@@ -14,11 +14,12 @@
 
 use crate::error::{MpiError, MpiResult};
 use crate::group::Group;
+use crate::hier::{ExchangeSlot, HierPlan};
 use crate::match_bits::ContextId;
 use crate::process::{ProcInner, Process, NUM_PREDEF_COMMS};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// State shared by all ranks of one communicator.
 pub(crate) struct CommShared {
@@ -131,6 +132,12 @@ pub struct Communicator {
     /// keys the protocol's tag space so overlapping agreements (and
     /// retries after a coordinator death) cannot cross-match.
     pub(crate) agree_seq: AtomicU64,
+    /// Node-aware collective plan (`None` inside: the flat algorithms
+    /// run), built by the first collective that asks — see `hier::plan`.
+    /// Membership and topology never change under a handle.
+    pub(crate) hier_plan: OnceLock<Option<HierPlan>>,
+    /// This rank's alltoall exchange order — see `hier::alltoall_slots`.
+    pub(crate) alltoall_slots: OnceLock<Vec<ExchangeSlot>>,
 }
 
 impl Errhandler {
@@ -167,6 +174,8 @@ impl Communicator {
             errhandler: AtomicU8::new(Errhandler::default().to_u8()),
             acked_failures: AtomicU64::new(0),
             agree_seq: AtomicU64::new(0),
+            hier_plan: OnceLock::new(),
+            alltoall_slots: OnceLock::new(),
         }
     }
 
@@ -191,6 +200,8 @@ impl Communicator {
             errhandler: AtomicU8::new(Errhandler::default().to_u8()),
             acked_failures: AtomicU64::new(0),
             agree_seq: AtomicU64::new(0),
+            hier_plan: OnceLock::new(),
+            alltoall_slots: OnceLock::new(),
         }
     }
 

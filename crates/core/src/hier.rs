@@ -34,7 +34,9 @@
 //! the equivalence suite pins. All predefined ops are commutative;
 //! user-defined ops are assumed commutative (see [`crate::op`]).
 
-use crate::coll::{crecv, csend, ft_gate, next_pow2_at_least, parent_of, CollSpan};
+use crate::coll::{
+    binomial_children, crecv, crecv_into, csend, csend_all, ft_gate, parent_of, CollSpan,
+};
 use crate::comm::Communicator;
 use crate::error::{MpiError, MpiResult};
 use crate::op::Op;
@@ -43,9 +45,9 @@ use litempi_fabric::NetAddr;
 use litempi_trace::event::coll_op;
 
 /// Node-aware execution plan for one communicator, derived from the
-/// fabric topology. Built per collective call (one `O(size)` scan, no
-/// allocation proportional to anything but the communicator size — the
-/// same order as the collective's own argument checking).
+/// fabric topology. Membership and topology are immutable, so the plan is
+/// built once per communicator handle (one `O(size)` scan, on the first
+/// collective that asks) and borrowed by every call after that.
 pub(crate) struct HierPlan {
     /// Communicator ranks on my node, ascending. `members[0]` is the
     /// node's leader.
@@ -67,10 +69,14 @@ impl HierPlan {
     }
 }
 
-/// Build the hierarchical plan, or `None` when the flat algorithms should
-/// run (single node, one rank per node, or a tiny communicator). See the
-/// module docs for the cost-model argument.
-pub(crate) fn plan(comm: &Communicator) -> Option<HierPlan> {
+/// The communicator's hierarchical plan, or `None` when the flat
+/// algorithms should run (single node, one rank per node, or a tiny
+/// communicator). See the module docs for the cost-model argument.
+pub(crate) fn plan(comm: &Communicator) -> Option<&HierPlan> {
+    comm.hier_plan.get_or_init(|| build_plan(comm)).as_ref()
+}
+
+fn build_plan(comm: &Communicator) -> Option<HierPlan> {
     let size = comm.size();
     if size < 3 {
         return None;
@@ -173,14 +179,10 @@ fn bcast_subset(
     let v = (my_idx + g - root_idx) % g;
     if v != 0 {
         let parent = parent_of(v);
-        let data = crecv(comm, ranks[(parent + root_idx) % g], tag)?;
-        buf.copy_from_slice(&data);
+        crecv_into(comm, ranks[(parent + root_idx) % g], tag, buf)?;
     }
-    let mut k = next_pow2_at_least(v + 1);
-    while v + k < g {
-        csend(comm, ranks[((v + k) + root_idx) % g], tag, buf);
-        k <<= 1;
-    }
+    let children = binomial_children(v, g).map(|c| ranks[(c + root_idx) % g]);
+    csend_all(comm, children, tag, buf);
     Ok(())
 }
 
@@ -210,9 +212,7 @@ pub(crate) fn barrier(comm: &Communicator, plan: &HierPlan) -> MpiResult<()> {
         crecv(comm, plan.leaders[(li + g - k) % g], tag)?;
         k <<= 1;
     }
-    for &m in &plan.members[1..] {
-        csend(comm, m, tag, &[]);
-    }
+    csend_all(comm, plan.members[1..].iter().copied(), tag, &[]);
     Ok(())
 }
 
@@ -229,30 +229,26 @@ pub(crate) fn allreduce<T: MpiPrimitive>(
     let _span = CollSpan::begin(comm, coll_op::ALLREDUCE);
     let tag = comm.next_coll_tag();
     let ty = T::DATATYPE;
-    let mut acc: Vec<u8> = T::as_bytes(sendbuf).to_vec();
+    // Fold in the buffer returned; members receive the result into it.
+    let mut out = sendbuf.to_vec();
+    let acc = T::as_bytes_mut(&mut out);
     if plan.my_slot == 0 {
         for &m in &plan.members[1..] {
             let data = crecv(comm, m, tag)?;
-            op.apply(&ty, &mut acc, &data)?;
+            op.apply(&ty, acc, &data)?;
         }
     } else {
-        csend(comm, plan.leader(), tag, &acc);
+        csend(comm, plan.leader(), tag, acc);
     }
     if let Some(li) = plan.leader_slot {
-        reduce_subset(comm, &plan.leaders, li, 0, op, &ty, &mut acc, tag)?;
-        bcast_subset(comm, &plan.leaders, li, 0, &mut acc, tag)?;
+        reduce_subset(comm, &plan.leaders, li, 0, op, &ty, acc, tag)?;
+        bcast_subset(comm, &plan.leaders, li, 0, acc, tag)?;
     }
     if plan.my_slot == 0 {
-        for &m in &plan.members[1..] {
-            csend(comm, m, tag, &acc);
-        }
+        csend_all(comm, plan.members[1..].iter().copied(), tag, acc);
     } else {
-        let data = crecv(comm, plan.leader(), tag)?;
-        acc.clear();
-        acc.extend_from_slice(&data);
+        crecv_into(comm, plan.leader(), tag, acc)?;
     }
-    let mut out = vec![sendbuf[0]; sendbuf.len()];
-    T::as_bytes_mut(&mut out).copy_from_slice(&acc);
     Ok(out)
 }
 
@@ -278,14 +274,15 @@ pub(crate) fn reduce<T: MpiPrimitive>(
     let tag = comm.next_coll_tag();
     let ty = T::DATATYPE;
     let me = comm.rank();
-    let mut acc: Vec<u8> = T::as_bytes(sendbuf).to_vec();
+    let mut out = sendbuf.to_vec();
+    let acc = T::as_bytes_mut(&mut out);
     if plan.my_slot == 0 {
         for &m in &plan.members[1..] {
             let data = crecv(comm, m, tag)?;
-            op.apply(&ty, &mut acc, &data)?;
+            op.apply(&ty, acc, &data)?;
         }
     } else {
-        csend(comm, plan.leader(), tag, &acc);
+        csend(comm, plan.leader(), tag, acc);
     }
     let root_leader = plan.leader_of[root];
     if let Some(li) = plan.leader_slot {
@@ -294,24 +291,16 @@ pub(crate) fn reduce<T: MpiPrimitive>(
             .iter()
             .position(|&l| l == root_leader)
             .expect("root's leader is a leader");
-        reduce_subset(comm, &plan.leaders, li, root_slot, op, &ty, &mut acc, tag)?;
+        reduce_subset(comm, &plan.leaders, li, root_slot, op, &ty, acc, tag)?;
     }
     if root != root_leader {
         if me == root_leader {
-            csend(comm, root, tag, &acc);
+            csend(comm, root, tag, acc);
         } else if me == root {
-            let data = crecv(comm, root_leader, tag)?;
-            acc.clear();
-            acc.extend_from_slice(&data);
+            crecv_into(comm, root_leader, tag, acc)?;
         }
     }
-    if me == root {
-        let mut out = vec![sendbuf[0]; sendbuf.len()];
-        T::as_bytes_mut(&mut out).copy_from_slice(&acc);
-        Ok(Some(out))
-    } else {
-        Ok(None)
-    }
+    Ok((me == root).then_some(out))
 }
 
 /// Hierarchical `MPI_BCAST`: root hands its payload to its node leader,
@@ -339,8 +328,7 @@ pub(crate) fn bcast<T: MpiPrimitive>(
         if me == root {
             csend(comm, root_leader, tag, T::as_bytes(buf));
         } else if me == root_leader {
-            let data = crecv(comm, root, tag)?;
-            T::as_bytes_mut(buf).copy_from_slice(&data);
+            crecv_into(comm, root, tag, T::as_bytes_mut(buf))?;
         }
     }
     if let Some(li) = plan.leader_slot {
@@ -359,12 +347,10 @@ pub(crate) fn bcast<T: MpiPrimitive>(
         )?;
     }
     if plan.my_slot == 0 {
-        for &m in plan.members[1..].iter().filter(|&&m| m != root) {
-            csend(comm, m, tag, T::as_bytes(buf));
-        }
+        let members = plan.members[1..].iter().copied().filter(|&m| m != root);
+        csend_all(comm, members, tag, T::as_bytes(buf));
     } else if me != root {
-        let data = crecv(comm, plan.leader(), tag)?;
-        T::as_bytes_mut(buf).copy_from_slice(&data);
+        crecv_into(comm, plan.leader(), tag, T::as_bytes_mut(buf))?;
     }
     Ok(())
 }
@@ -379,13 +365,25 @@ pub(crate) struct ExchangeSlot {
     pub recv_from: Option<usize>,
 }
 
-/// The pairwise-exchange slot sequence for this rank's alltoall.
+/// The classic pairwise schedule: one pass over offsets `1..size` — send
+/// to `rank+p`, receive from `rank−p`.
+pub(crate) fn pairwise_slots(size: usize, rank: usize) -> Vec<ExchangeSlot> {
+    (1..size)
+        .map(|p| ExchangeSlot {
+            send_to: Some((rank + p) % size),
+            recv_from: Some((rank + size - p) % size),
+        })
+        .collect()
+}
+
+/// The pairwise-exchange slot sequence for this rank's alltoall, computed
+/// once per communicator handle (like [`plan`], it depends only on the
+/// immutable membership and topology).
 ///
-/// Flat: one pass over offsets `1..size` — send to `rank+p`, receive from
-/// `rank−p` — exactly the classic pairwise schedule.
+/// Flat (no [`plan`]): [`pairwise_slots`].
 ///
-/// Node-aware (`node_aware = true`): two passes over the same offsets,
-/// intra-node pairs first, then inter-node pairs. The skip test is
+/// Node-aware (the communicator has a [`plan`]): two passes over the same
+/// offsets, intra-node pairs first, then inter-node pairs. The skip test is
 /// `same_node` on the *pair*, which both endpoints evaluate identically,
 /// so every rank walks the same global `(pass, offset)` sequence and the
 /// windowed pipeline in the callers cannot deadlock: the send for slot
@@ -396,16 +394,15 @@ pub(crate) struct ExchangeSlot {
 /// fire-and-forget sends. The message set is identical to the flat
 /// schedule (each pair exchanges exactly once), so results and injection
 /// charges are unchanged; only the order puts cheap shmmod traffic first.
-pub(crate) fn alltoall_slots(comm: &Communicator, node_aware: bool) -> Vec<ExchangeSlot> {
+pub(crate) fn alltoall_slots(comm: &Communicator) -> &[ExchangeSlot] {
+    comm.alltoall_slots.get_or_init(|| build_slots(comm))
+}
+
+fn build_slots(comm: &Communicator) -> Vec<ExchangeSlot> {
     let size = comm.size();
     let rank = comm.rank();
-    if !node_aware {
-        return (1..size)
-            .map(|p| ExchangeSlot {
-                send_to: Some((rank + p) % size),
-                recv_from: Some((rank + size - p) % size),
-            })
-            .collect();
+    if plan(comm).is_none() {
+        return pairwise_slots(size, rank);
     }
     let fabric = comm.proc.endpoint.fabric();
     let topo = fabric.topology();
@@ -486,7 +483,8 @@ mod tests {
         // Nodes interleaved: {0, 2} on node 7, {1, 3} on node 9.
         let topo = Topology::from_nodes(vec![NodeId(7), NodeId(9), NodeId(7), NodeId(9)]);
         let out = run_on(4, topo, |proc| {
-            let p = plan(&proc.world()).expect("2 nodes x 2 ranks");
+            let world = proc.world();
+            let p = plan(&world).expect("2 nodes x 2 ranks");
             (p.members.clone(), p.leaders.clone(), p.leader())
         });
         assert_eq!(out[0].0, vec![0, 2]);
@@ -500,7 +498,12 @@ mod tests {
     fn alltoall_slots_cover_every_pair_once() {
         for node_aware in [false, true] {
             let out = run_on(6, Topology::blocked(6, 3), move |proc| {
-                alltoall_slots(&proc.world(), node_aware)
+                let world = proc.world();
+                if node_aware {
+                    alltoall_slots(&world).to_vec()
+                } else {
+                    pairwise_slots(world.size(), world.rank())
+                }
             });
             for (r, slots) in out.iter().enumerate() {
                 let mut sends: Vec<usize> = slots.iter().filter_map(|s| s.send_to).collect();
@@ -519,7 +522,7 @@ mod tests {
         let out = run_on(6, Topology::blocked(6, 3), |proc| {
             let world = proc.world();
             let rank = world.rank();
-            let local: Vec<bool> = alltoall_slots(&world, true)
+            let local: Vec<bool> = alltoall_slots(&world)
                 .iter()
                 .filter_map(|s| s.send_to)
                 .map(|q| q / 3 == rank / 3)

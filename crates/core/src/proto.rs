@@ -10,6 +10,7 @@ use crate::error::{MpiError, MpiResult};
 use bytes::{BufMut, Bytes, BytesMut};
 use litempi_datatype::{pack, Datatype};
 use litempi_fabric::{CopyMode, Fabric};
+use std::sync::Arc;
 
 /// Payload kind for tagged messages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,6 +108,27 @@ pub fn rts_payload(fabric: &Fabric, vci: usize, rndv_id: u64, len: usize) -> Byt
             buf.freeze()
         }
         CopyMode::Legacy => rts(rndv_id, len),
+    }
+}
+
+/// Stage `data` for a pull rendezvous under `fabric`'s copy mode: the one
+/// copy a collective message above the eager ceiling pays. The pooled
+/// pipeline leases the staging buffer from `vci`'s arena — no envelope
+/// byte, the storage goes into the rendezvous table as is — and the
+/// receiver's lease recycles it, so large collective traffic allocates
+/// nothing once the pool is warm. Several destinations share one staging
+/// (`Arc` clones); the last reader to release it is the recycler.
+pub fn stage_rndv(fabric: &Fabric, vci: usize, data: &[u8]) -> Arc<Vec<u8>> {
+    match fabric.profile().copy_mode {
+        CopyMode::Pooled => {
+            let mut buf = fabric.pool_vci(vci).take(data.len());
+            buf.put_slice(data);
+            buf.freeze().into_storage()
+        }
+        CopyMode::Legacy => {
+            litempi_instr::note_alloc(2);
+            Arc::new(data.to_vec())
+        }
     }
 }
 
@@ -384,6 +406,20 @@ mod tests {
             other => panic!("{other:?}"),
         }
         drop(p2);
+    }
+
+    #[test]
+    fn staged_rendezvous_storage_recycles_through_the_pool() {
+        use litempi_fabric::{ProviderProfile, Topology};
+        let fabric = Fabric::new(1, ProviderProfile::infinite(), Topology::single_node(1));
+        let staged = stage_rndv(&fabric, 0, &[5u8; 40_000]);
+        assert_eq!(staged[..], [5u8; 40_000], "no envelope byte, data only");
+        // What a receiver's lease does once it has copied the data out.
+        fabric.pool().release(Bytes::from_storage(staged));
+        litempi_instr::reset();
+        let again = stage_rndv(&fabric, 0, &[6u8; 40_000]);
+        assert_eq!(litempi_instr::alloc_count(), 0, "warm pool: no allocation");
+        assert_eq!(again[..], [6u8; 40_000]);
     }
 
     #[test]

@@ -721,22 +721,35 @@ impl<'buf> Request<'buf> {
     }
 }
 
-/// Park a multi-request wait loop (`waitany`/`waitsome`) between sweeps:
-/// bounded spin first, then sleep on the event epoch of the first pending
-/// request's endpoint. All requests in one call belong to the same rank in
-/// practice; the sleep timeout keeps the loop live even if one doesn't.
-fn park_between_sweeps(reqs: &[Request<'_>], spins: &mut u32) {
-    *spins = spins.wrapping_add(1);
-    if *spins < WAIT_SPINS {
-        std::thread::yield_now();
-        return;
-    }
-    match reqs.iter().find_map(|r| r.proc()) {
-        Some(proc) => {
-            let seen = proc.endpoint.event_epoch();
-            proc.endpoint.wait_event(seen, PARK_TIMEOUT);
+/// Drive a multi-request wait loop (`waitany`/`waitsome`): `sweep` tests
+/// the requests and returns `Some` once it has a completion to report.
+/// Between fruitless sweeps: bounded spin first, then sleep on the event
+/// epoch of the first pending request's endpoint. The epoch is read
+/// *before* the sweep it guards (as in [`wait_loop`]), so a completion
+/// that lands during or after the sweep has moved it and the sleep
+/// returns at once instead of riding out `PARK_TIMEOUT`. All requests in
+/// one call belong to the same rank in practice; the timeout keeps the
+/// loop live even if one doesn't.
+fn sweep_until<'b, T>(
+    reqs: &mut Vec<Request<'b>>,
+    mut sweep: impl FnMut(&mut Vec<Request<'b>>) -> MpiResult<Option<T>>,
+) -> MpiResult<T> {
+    let mut spins = 0u32;
+    loop {
+        let parked_on = if spins < WAIT_SPINS {
+            None
+        } else {
+            (reqs.iter().find_map(|r| r.proc()))
+                .map(|proc| (proc.clone(), proc.endpoint.event_epoch()))
+        };
+        if let Some(v) = sweep(reqs)? {
+            return Ok(v);
         }
-        None => std::thread::yield_now(),
+        spins = spins.wrapping_add(1);
+        match parked_on {
+            Some((proc, seen)) => proc.endpoint.wait_event(seen, PARK_TIMEOUT),
+            None => std::thread::yield_now(),
+        }
     }
 }
 
@@ -762,18 +775,13 @@ pub fn waitall(reqs: Vec<Request<'_>>) -> MpiResult<Vec<Status>> {
 
 /// `MPI_WAITANY`: complete one request; returns (index, status, rest).
 /// The remaining requests are returned so callers can keep waiting.
+/// An empty list is `MPI_ERR_COUNT`: nothing could ever complete.
 pub fn waitany<'b>(mut reqs: Vec<Request<'b>>) -> MpiResult<(usize, Status, Vec<Request<'b>>)> {
-    assert!(!reqs.is_empty(), "waitany on empty request list");
-    let mut spins = 0u32;
-    loop {
-        for (i, r) in reqs.iter_mut().enumerate() {
-            if let Some(s) = r.test()? {
-                let _done = reqs.remove(i);
-                return Ok((i, s, reqs));
-            }
-        }
-        park_between_sweeps(&reqs, &mut spins);
+    if reqs.is_empty() {
+        return Err(MpiError::InvalidCount(0));
     }
+    let (i, s) = sweep_until(&mut reqs, |reqs| Ok(sweep_complete(reqs, true)?.pop()))?;
+    Ok((i, s, reqs))
 }
 
 /// `MPI_TESTALL`: `Some(statuses)` iff *every* request is complete;
@@ -843,14 +851,10 @@ pub fn waitsome(reqs: &mut Vec<Request<'_>>) -> MpiResult<Vec<(usize, Status)>> 
     if reqs.is_empty() {
         return Ok(Vec::new());
     }
-    let mut spins = 0u32;
-    loop {
+    sweep_until(reqs, |reqs| {
         let done = sweep_complete(reqs, false)?;
-        if !done.is_empty() {
-            return Ok(done);
-        }
-        park_between_sweeps(reqs, &mut spins);
-    }
+        Ok((!done.is_empty()).then_some(done))
+    })
 }
 
 #[cfg(test)]

@@ -23,13 +23,13 @@
 //! schedule issues still charge their own injection categories, and the
 //! calibrated blocking totals (221/215/59/253) are untouched.
 
+use crate::coll::binomial_children;
 use crate::comm::{Communicator, Errhandler};
 use crate::error::{MpiError, MpiResult};
 use crate::match_bits::{self, ContextId};
 use crate::op::Op;
 use crate::process::{CoreSlot, ProcInner};
 use crate::proto::{self, DecodedPayload};
-use crate::pt2pt::{inject, SendOpts};
 use crate::request::{check_peer, Request};
 use crate::status::Status;
 use bytes::Bytes;
@@ -52,7 +52,7 @@ enum Buf {
 }
 
 /// A byte range inside one of the schedule's buffers.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Span {
     buf: Buf,
     start: usize,
@@ -88,7 +88,8 @@ impl Span {
 enum Vertex {
     /// Inject a message (eager or rendezvous). `src: None` sends an empty
     /// payload (barrier). The payload is materialized at issue time, so a
-    /// later phase may freely mutate the source span.
+    /// later phase may freely mutate the source span. Adjacent sends of
+    /// one span (a fan-out) share one staged payload.
     Send {
         peer: usize,
         tag: i32,
@@ -106,6 +107,21 @@ enum Vertex {
     Reduce { src: Span, dst: Span },
     /// Local copy between buffers (alltoall's self block).
     Copy { src: Span, dst: Span },
+}
+
+impl Vertex {
+    /// The peer of a `Send` of exactly this tag and span: the test that
+    /// extends a fan-out run in `issue_phase`.
+    fn fan_out_peer(&self, tag: i32, src: Option<Span>) -> Option<usize> {
+        match self {
+            Vertex::Send {
+                peer,
+                tag: t,
+                src: s,
+            } if (*t, *s) == (tag, src) => Some(*peer),
+            _ => None,
+        }
+    }
 }
 
 /// An issued, not-yet-completed receive vertex.
@@ -284,15 +300,25 @@ impl Schedule {
         if self.traced {
             litempi_trace::emit(EventKind::SchedPhaseBegin, self.op_id, self.cur as u64);
         }
-        let phase = std::mem::take(&mut self.phases[self.cur]);
-        for v in phase {
+        let mut phase = std::mem::take(&mut self.phases[self.cur])
+            .into_iter()
+            .peekable();
+        while let Some(v) = phase.next() {
             charge(Category::Schedule, cost::schedule::VERTEX_ISSUE);
             match v {
                 Vertex::Send { peer, tag, src } => {
-                    match &src {
-                        Some(s) => self.issue_send(proc, peer, tag, self.span(s)),
-                        None => self.issue_send(proc, peer, tag, &[]),
-                    };
+                    // Mirror of `coll::csend_all`: this send plus the run
+                    // of sends of the same span that follows it.
+                    let run = std::iter::from_fn(|| {
+                        let peer = phase.peek()?.fan_out_peer(tag, src)?;
+                        phase.next();
+                        charge(Category::Schedule, cost::schedule::VERTEX_ISSUE);
+                        Some(peer)
+                    });
+                    let dests = std::iter::once(peer).chain(run).map(|p| self.world[p]);
+                    let bits = match_bits::encode(self.ctx, self.rank, tag);
+                    let data = src.as_ref().map_or(&[][..], |s| self.span(s));
+                    crate::coll::send_staged(proc, bits, data, dests);
                 }
                 Vertex::Recv { peer, tag, dst } => {
                     let bits = match_bits::encode(self.ctx, peer, tag);
@@ -331,24 +357,6 @@ impl Schedule {
         }
         self.issued = true;
         Ok(())
-    }
-
-    /// Mirror of `coll::csend`: fire-and-forget, eager or rendezvous —
-    /// both capture the payload at issue time.
-    fn issue_send(&self, proc: &ProcInner, peer: usize, tag: i32, data: &[u8]) {
-        let bits = match_bits::encode(self.ctx, self.rank, tag);
-        let dest_world = self.world[peer];
-        let fabric = proc.endpoint.fabric();
-        let vci = proc.vci_of_bits(bits);
-        let max_eager = fabric.profile().caps.max_eager;
-        let payload = if data.len() <= max_eager {
-            proto::eager_payload(fabric, vci, data)
-        } else {
-            litempi_instr::note_alloc(1);
-            let (rndv_id, _done) = proc.univ.alloc_rndv(data.to_vec());
-            proto::rts_payload(fabric, vci, rndv_id, data.len())
-        };
-        inject(proc, dest_world, bits, payload, &SendOpts::default());
     }
 
     fn poll_entry(&self, i: usize) -> Option<(u64, Bytes)> {
@@ -393,8 +401,10 @@ impl Schedule {
         Ok(())
     }
 
-    /// Decode a matched payload (eager or rendezvous) into its destination
-    /// span and recycle the wire envelope (back to its home-VCI arena).
+    /// Copy a matched message (eager or rendezvous) from its wire or
+    /// staging buffer straight into its destination span, then recycle
+    /// what carried it: the envelope and, for a rendezvous, the sender's
+    /// staging buffer (both back to their home-VCI arena).
     fn deliver(
         &mut self,
         proc: &ProcInner,
@@ -402,51 +412,39 @@ impl Schedule {
         payload: Bytes,
         dst: Option<Span>,
     ) -> MpiResult<()> {
-        let (_, decoded) = proto::try_decode(&payload)?;
-        match decoded {
-            DecodedPayload::Eager(data) => {
-                if let Some(s) = &dst {
-                    if data.len() != s.len {
-                        return Err(MpiError::Truncate {
-                            message: data.len(),
-                            buffer: s.len,
-                        });
-                    }
-                    let data = data.to_vec();
-                    self.span_mut(s).copy_from_slice(&data);
-                }
-            }
+        match proto::try_decode(&payload)?.1 {
+            DecodedPayload::Eager(data) => self.fill(dst, data)?,
             DecodedPayload::Rts { rndv_id, .. } => {
-                let data = proc.univ.pull_rndv(rndv_id).ok_or(MpiError::Integrity(
+                let staged = proc.univ.pull_rndv(rndv_id).ok_or(MpiError::Integrity(
                     "rendezvous entry vanished (damaged or replayed RTS descriptor)",
                 ))?;
-                if let Some(s) = &dst {
-                    if data.len() != s.len {
-                        return Err(MpiError::Truncate {
-                            message: data.len(),
-                            buffer: s.len,
-                        });
-                    }
-                    self.span_mut(s).copy_from_slice(&data);
-                }
+                self.fill(dst, &staged)?;
+                proc.pool_release(bits, Bytes::from_storage(staged));
             }
             DecodedPayload::RtsRma { rndv_id, len, key } => {
                 // Schedule sends stage through the pull table today; handle
                 // the RDMA descriptor anyway so a mixed-path schedule stays
                 // correct.
                 let data = crate::request::fetch_rndv_rma(proc, rndv_id, len, key)?;
-                if let Some(s) = &dst {
-                    if data.len() != s.len {
-                        return Err(MpiError::Truncate {
-                            message: data.len(),
-                            buffer: s.len,
-                        });
-                    }
-                    self.span_mut(s).copy_from_slice(&data);
-                }
+                self.fill(dst, &data)?;
             }
         }
         proc.pool_release(bits, payload);
+        Ok(())
+    }
+
+    /// `dst` (when the vertex keeps its payload) takes exactly `data`.
+    fn fill(&mut self, dst: Option<Span>, data: &[u8]) -> MpiResult<()> {
+        let Some(s) = dst else {
+            return Ok(());
+        };
+        if data.len() != s.len {
+            return Err(MpiError::Truncate {
+                message: data.len(),
+                buffer: s.len,
+            });
+        }
+        self.span_mut(&s).copy_from_slice(data);
         Ok(())
     }
 }
@@ -517,7 +515,7 @@ impl<T> CollOutput<T> {
 fn bytes_to_vec<T: MpiPrimitive>(bytes: &[u8]) -> Vec<T> {
     let elem = T::PREDEFINED.size();
     debug_assert!(bytes.len().is_multiple_of(elem));
-    let mut out: Vec<T> = vec![T::from_wire(&vec![0u8; elem]); bytes.len() / elem];
+    let mut out = crate::coll::zeroed::<T>(bytes.len() / elem);
     T::as_bytes_mut(&mut out).copy_from_slice(bytes);
     out
 }
@@ -566,7 +564,7 @@ pub fn ibarrier(comm: &Communicator) -> MpiResult<CollRequest<()>> {
     if size > 1 {
         let tag = comm.next_coll_tag();
         if let Some(plan) = crate::hier::plan(comm) {
-            push_hier_barrier(&mut s, &plan, tag);
+            push_hier_barrier(&mut s, plan, tag);
         } else {
             let mut k = 1usize;
             while k < size {
@@ -612,7 +610,7 @@ pub fn ibcast<T: MpiPrimitive>(
     if size > 1 {
         let tag = comm.next_coll_tag();
         if let Some(plan) = crate::hier::plan(comm) {
-            push_hier_bcast(&mut s, &plan, root, tag, n, rank);
+            push_hier_bcast(&mut s, plan, root, tag, n, rank);
         } else {
             let full = Span::acc(0, n);
             let vrank = (rank + size - root) % size;
@@ -624,19 +622,8 @@ pub fn ibcast<T: MpiPrimitive>(
                     dst: Some(full),
                 }]);
             }
-            let mut sends = Vec::new();
-            let mut k = crate::coll::next_pow2_at_least(vrank + 1);
-            while vrank + k < size {
-                sends.push(Vertex::Send {
-                    peer: (vrank + k + root) % size,
-                    tag,
-                    src: Some(full),
-                });
-                k <<= 1;
-            }
-            if !sends.is_empty() {
-                s.phases.push(sends);
-            }
+            let children = binomial_children(vrank, size).map(|c| (c + root) % size);
+            push_fan_out(&mut s, children, tag, full);
         }
     }
     begin_request(comm, s, |acc, _| bytes_to_vec::<T>(&acc))
@@ -664,10 +651,10 @@ pub fn ireduce<T: MpiPrimitive>(
     let tag = comm.next_coll_tag();
     s.acc = T::as_bytes(sendbuf).to_vec();
     let n = s.acc.len();
-    s.tmp = vec![0u8; n * plan.as_ref().map_or(1, |p| (p.members.len() - 1).max(1))];
+    s.tmp = vec![0u8; n * plan.map_or(1, |p| (p.members.len() - 1).max(1))];
     s.op = Some((op.clone(), T::DATATYPE));
     s.produce_output = rank == root;
-    if let Some(plan) = &plan {
+    if let Some(plan) = plan {
         push_hier_fan_in(&mut s, plan, tag, n);
         let root_leader = plan.leader_of[root];
         if let Some(li) = plan.leader_slot {
@@ -701,6 +688,21 @@ pub fn ireduce<T: MpiPrimitive>(
     begin_request(comm, s, |acc, produced| {
         produced.then(|| bytes_to_vec::<T>(&acc))
     })
+}
+
+/// One phase sending `src` to every rank in `peers` (no peers, no phase).
+/// The engine stages the span once for the whole run — see `issue_phase`.
+fn push_fan_out(s: &mut Schedule, peers: impl Iterator<Item = usize>, tag: i32, src: Span) {
+    let sends: Vec<Vertex> = peers
+        .map(|peer| Vertex::Send {
+            peer,
+            tag,
+            src: Some(src),
+        })
+        .collect();
+    if !sends.is_empty() {
+        s.phases.push(sends);
+    }
 }
 
 /// Binomial reduce-to-root phases, shared by `ireduce` and the non-power-
@@ -782,18 +784,7 @@ fn push_hier_fan_in(s: &mut Schedule, plan: &crate::hier::HierPlan, tag: i32, n:
 fn push_hier_fan_out(s: &mut Schedule, plan: &crate::hier::HierPlan, tag: i32, n: usize) {
     let acc = Span::acc(0, n);
     if plan.my_slot == 0 {
-        if plan.members.len() > 1 {
-            s.phases.push(
-                plan.members[1..]
-                    .iter()
-                    .map(|&m| Vertex::Send {
-                        peer: m,
-                        tag,
-                        src: Some(acc),
-                    })
-                    .collect(),
-            );
-        }
+        push_fan_out(s, plan.members[1..].iter().copied(), tag, acc);
     } else {
         s.phases.push(vec![Vertex::Recv {
             peer: plan.leader(),
@@ -862,19 +853,8 @@ fn push_subset_bcast(
             dst: Some(full),
         }]);
     }
-    let mut sends = Vec::new();
-    let mut k = crate::coll::next_pow2_at_least(v + 1);
-    while v + k < g {
-        sends.push(Vertex::Send {
-            peer: ranks[((v + k) + root_idx) % g],
-            tag,
-            src: Some(full),
-        });
-        k <<= 1;
-    }
-    if !sends.is_empty() {
-        s.phases.push(sends);
-    }
+    let children = binomial_children(v, g).map(|c| ranks[(c + root_idx) % g]);
+    push_fan_out(s, children, tag, full);
 }
 
 /// Hierarchical `MPI_IBARRIER` phases: members check in with their node
@@ -975,18 +955,8 @@ fn push_hier_bcast(
         push_subset_bcast(s, &plan.leaders, li, root_slot, tag, n);
     }
     if plan.my_slot == 0 {
-        let sends: Vec<Vertex> = plan.members[1..]
-            .iter()
-            .filter(|&&m| m != root)
-            .map(|&m| Vertex::Send {
-                peer: m,
-                tag,
-                src: Some(full),
-            })
-            .collect();
-        if !sends.is_empty() {
-            s.phases.push(sends);
-        }
+        let members = plan.members[1..].iter().copied().filter(|&m| m != root);
+        push_fan_out(s, members, tag, full);
     } else if me != root {
         s.phases.push(vec![Vertex::Recv {
             peer: plan.leader(),
@@ -1012,11 +982,11 @@ pub fn iallreduce<T: MpiPrimitive>(
     let n = s.acc.len();
     // The hierarchical fan-in receives all node members in parallel, one
     // tmp slot each; every other shape needs a single slot.
-    s.tmp = vec![0u8; n * plan.as_ref().map_or(1, |p| (p.members.len() - 1).max(1))];
+    s.tmp = vec![0u8; n * plan.map_or(1, |p| (p.members.len() - 1).max(1))];
     s.op = Some((op.clone(), T::DATATYPE));
     let acc = Span::acc(0, n);
     let tmp = Span::tmp(0, n);
-    if let Some(plan) = &plan {
+    if let Some(plan) = plan {
         let tag = comm.next_coll_tag();
         push_hier_fan_in(&mut s, plan, tag, n);
         if let Some(li) = plan.leader_slot {
@@ -1059,19 +1029,7 @@ pub fn iallreduce<T: MpiPrimitive>(
                     dst: Some(acc),
                 }]);
             }
-            let mut sends = Vec::new();
-            let mut k = crate::coll::next_pow2_at_least(rank + 1);
-            while rank + k < size {
-                sends.push(Vertex::Send {
-                    peer: rank + k,
-                    tag: t2,
-                    src: Some(acc),
-                });
-                k <<= 1;
-            }
-            if !sends.is_empty() {
-                s.phases.push(sends);
-            }
+            push_fan_out(&mut s, binomial_children(rank, size), t2, acc);
         }
     }
     begin_request(comm, s, |acc, _| bytes_to_vec::<T>(&acc))
@@ -1160,8 +1118,7 @@ pub fn ialltoall<T: MpiPrimitive>(
     let blockb = block * T::PREDEFINED.size();
     s.input = T::as_bytes(sendbuf).to_vec();
     s.acc = vec![0u8; blockb * size];
-    let node_aware = crate::hier::plan(comm).is_some();
-    let slots = crate::hier::alltoall_slots(comm, node_aware);
+    let slots = crate::hier::alltoall_slots(comm);
     let w = crate::coll::issue_window(comm, blockb);
     let mut phase = vec![Vertex::Copy {
         src: Span::input(rank * blockb, blockb),

@@ -17,10 +17,11 @@ use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A rendezvous-table entry: data exposed by a sender for the receiver to
-/// pull (RDMA-read rendezvous), plus the sender's completion flag.
+/// pull (RDMA-read rendezvous), plus the sender's completion flag — absent
+/// for fire-and-forget collective sends, which never look at it.
 pub(crate) struct RndvEntry {
     pub data: Arc<Vec<u8>>,
-    pub done: Arc<AtomicBool>,
+    pub done: Option<Arc<AtomicBool>>,
 }
 
 /// An RDMA-rendezvous entry: the sender staged the wire bytes in a
@@ -119,29 +120,37 @@ impl UnivShared {
     /// Park `data` in the rendezvous table until the receiver pulls it.
     /// Takes the payload by move — the table holds the only copy.
     pub(crate) fn alloc_rndv(&self, data: Vec<u8>) -> (u64, Arc<AtomicBool>) {
-        let id = self.next_rndv.fetch_add(1, Ordering::Relaxed);
         let done = Arc::new(AtomicBool::new(false));
         // The shared handle for the staged payload.
         litempi_instr::note_alloc(1);
-        self.rndv.lock().insert(
-            id,
-            RndvEntry {
-                data: Arc::new(data),
-                done: done.clone(),
-            },
-        );
+        let id = self.park_rndv(Arc::new(data), Some(done.clone()));
         (id, done)
     }
 
-    /// Receiver side of the rendezvous pull: share the staged data (no
-    /// copy), signal the sender, drop the table entry. Returns `None` when
-    /// no entry exists — a damaged or replayed RTS descriptor, which the
+    /// Expose already-staged storage (see `proto::stage_rndv`) for one
+    /// receiver to pull, fire-and-forget: no completion flag, and nothing
+    /// allocated here — a fan-out calls this once per destination with
+    /// clones of one staging buffer.
+    pub(crate) fn expose_rndv(&self, data: Arc<Vec<u8>>) -> u64 {
+        self.park_rndv(data, None)
+    }
+
+    fn park_rndv(&self, data: Arc<Vec<u8>>, done: Option<Arc<AtomicBool>>) -> u64 {
+        let id = self.next_rndv.fetch_add(1, Ordering::Relaxed);
+        self.rndv.lock().insert(id, RndvEntry { data, done });
+        id
+    }
+
+    /// Receiver side of the rendezvous pull: take the staged data out of
+    /// the table (no copy), signal the sender. Returns `None` when no
+    /// entry exists — a damaged or replayed RTS descriptor, which the
     /// receive path surfaces as an integrity error rather than a panic.
     pub(crate) fn pull_rndv(&self, id: u64) -> Option<Arc<Vec<u8>>> {
         let entry = self.rndv.lock().remove(&id)?;
-        let data = entry.data.clone();
-        entry.done.store(true, Ordering::Release);
-        Some(data)
+        if let Some(done) = entry.done {
+            done.store(true, Ordering::Release);
+        }
+        Some(entry.data)
     }
 
     /// Park a registered region holding staged wire bytes in the
@@ -331,6 +340,15 @@ mod tests {
             assert_eq!(&*data, &vec![1, 2, 3]);
             assert!(done.load(Ordering::Acquire));
             assert!(univ.pull_rndv(id).is_none(), "pull consumes the entry");
+            // A fan-out exposes one staging buffer under an id per reader;
+            // the last handle standing is unique again (recyclable).
+            let staged = Arc::new(vec![7u8; 4]);
+            let (a, b) = (univ.expose_rndv(staged.clone()), univ.expose_rndv(staged));
+            let first = univ.pull_rndv(a).expect("first reader");
+            let mut last = univ.pull_rndv(b).expect("second reader");
+            assert!(Arc::ptr_eq(&first, &last));
+            drop(first);
+            assert!(Arc::get_mut(&mut last).is_some());
             true
         });
         assert!(out[0]);

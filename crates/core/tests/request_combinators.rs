@@ -4,7 +4,7 @@
 //! position each request held in the vector passed to that call) while
 //! deflating completed entries out of the vector.
 
-use litempi_core::{testall, testany, waitall, waitsome, Request, Universe};
+use litempi_core::{testall, testany, waitall, waitany, waitsome, MpiError, Request, Universe};
 
 #[test]
 fn empty_request_lists_complete_immediately() {
@@ -15,6 +15,14 @@ fn empty_request_lists_complete_immediately() {
     assert!(waitall(Vec::new()).unwrap().is_empty());
     assert_eq!(testall(&mut []).unwrap(), Some(Vec::new()));
     assert!(testany(&mut none).unwrap().is_none());
+}
+
+/// `MPI_WAITANY` must name one completed request, which an empty list
+/// cannot supply: `MPI_ERR_COUNT`, where it used to `assert!`-panic.
+#[test]
+fn waitany_on_an_empty_list_is_an_error() {
+    let e = waitany(Vec::new()).unwrap_err();
+    assert!(matches!(e, MpiError::InvalidCount(0)));
 }
 
 /// Three posted receives completed out of order by the peer, driven one

@@ -20,10 +20,15 @@
 //! [`PayloadPool::release`] quietly drops storage that still has readers
 //! (an `iprobe` peek clone, an in-flight wildcard receive), and
 //! [`PayloadBuf`] writes through `Arc::get_mut`, which the type system
-//! guarantees cannot alias another in-flight message. Buffers handed to
-//! consumers that never release them (e.g. zero-copy collective views that
-//! the application drops) are simply freed by the last `Arc` drop — the
-//! pool never requires a release.
+//! guarantees cannot alias another in-flight message. One buffer may have
+//! several readers — a collective fan-out injects `Arc` clones of a single
+//! staged payload to every destination — and each of them releases: all
+//! but the last find the storage shared and back off, the last finds it
+//! unique and recycles it. Every channel releases what it consumes (pt2pt
+//! receive completion, the collective channel's receive lease, schedule
+//! vertices, rendezvous staging buffers included), which is what makes the
+//! steady state allocation-free; but the pool never *requires* a release —
+//! storage dropped without one is simply freed by its last `Arc`.
 
 use bytes::{BufMut, Bytes};
 use litempi_trace::EventKind;
