@@ -6,20 +6,26 @@
 //! *collective context* — a twin context id that isolates internal traffic
 //! from user point-to-point traffic on the same communicator.
 //!
-//! Algorithms: dissemination barrier, binomial-tree bcast/reduce/gather,
-//! recursive-doubling allreduce (power-of-two) with reduce+bcast fallback,
-//! ring allgather, pairwise-exchange alltoall, linear scan/exscan.
+//! Barrier, bcast, reduce, allreduce, allgather and alltoall have one
+//! encoding each: the schedule compiled in [`crate::sched`], which the
+//! entry points here run inline (`Schedule::run`) and the `MPI_I*` entry
+//! points defer. The rest are written out below over the channel's
+//! `csend`/`crecv`: linear gather/gatherv/scatter, chained scan/exscan,
+//! pairwise reduce_scatter_block, and the long-message (scatter +
+//! allgather) bcast.
 
 use crate::comm::Communicator;
 use crate::error::{MpiError, MpiResult};
 use crate::hier;
 use crate::match_bits;
 use crate::op::Op;
-use crate::process::ProcInner;
+use crate::process::{CoreSlot, ProcInner};
 use crate::proto::{self, DecodedPayload};
 use crate::pt2pt::{inject, SendOpts};
 use crate::request::{check_peer, wait_loop};
+use crate::sched::Schedule;
 use litempi_datatype::MpiPrimitive;
+use litempi_fabric::endpoint::RecvHandle;
 use litempi_trace::{event::coll_op, EventKind};
 use std::sync::Arc;
 
@@ -49,9 +55,10 @@ impl Drop for CollSpan {
     }
 }
 
-/// ULFM gate at the head of every blocking collective: an operation on a
-/// revoked communicator fails with `Revoked` (through the errhandler)
-/// instead of deadlocking against ranks that already know. Uncharged — in
+/// ULFM gate at the head of every collective written out in this module
+/// (a schedule carries its own): an operation on a revoked communicator
+/// fails with `Revoked` (through the errhandler) instead of deadlocking
+/// against ranks that already know. Uncharged — in
 /// the fault-free case this is one relaxed load, so the paper's calibrated
 /// charge totals are untouched.
 pub(crate) fn ft_gate(comm: &Communicator) -> MpiResult<()> {
@@ -137,32 +144,72 @@ pub(crate) fn csend(comm: &Communicator, dest: usize, tag: i32, data: &[u8]) {
     csend_all(comm, [dest], tag, data);
 }
 
-/// A received collective payload. Derefs to the message bytes — the eager
-/// case reads past the envelope byte in place, the rendezvous case reads
-/// the sender's staging buffer, no copy on either path — and hands the
-/// storage back to its home-VCI pool when dropped, which is what keeps the
-/// collective channel allocation-free: every lease a sender takes comes
-/// back through here.
-pub(crate) struct Lease<'a> {
-    proc: &'a ProcInner,
+/// A matched collective-channel message, opened: the eager case reads past
+/// the envelope byte in place, the rendezvous case reads the sender's
+/// staging buffer, no copy on either path. Whoever is done with it hands
+/// the storage back to its home-VCI pool with [`Payload::release`], which
+/// is what keeps the collective channel allocation-free: every lease a
+/// sender takes comes back through here.
+pub(crate) struct Payload {
     bits: u64,
-    /// `Some` until drop moves it into the pool.
-    storage: Option<bytes::Bytes>,
+    storage: bytes::Bytes,
     /// Where the message starts in `storage` (1 past an eager envelope).
     off: usize,
+}
+
+impl Payload {
+    /// Decode the wire payload matched under `bits`. A damaged or replayed
+    /// RTS descriptor can name a rendezvous entry that no longer exists —
+    /// an `Integrity` error, never a panic.
+    pub(crate) fn open(proc: &ProcInner, bits: u64, wire: bytes::Bytes) -> MpiResult<Payload> {
+        let (storage, off) = match proto::try_decode(&wire)?.1 {
+            DecodedPayload::Eager(_) => (wire, 1),
+            DecodedPayload::Rts { rndv_id, .. } => {
+                let staged = proc.univ.pull_rndv(rndv_id).ok_or(MpiError::Integrity(
+                    "rendezvous entry vanished (damaged or replayed RTS descriptor)",
+                ))?;
+                // The 17-byte RTS envelope is consumed: recycle it.
+                proc.pool_release(bits, wire);
+                (bytes::Bytes::from_storage(staged), 0)
+            }
+            DecodedPayload::RtsRma { .. } => {
+                return Err(MpiError::Integrity(
+                    "rdma-rendezvous descriptor on the collective channel",
+                ))
+            }
+        };
+        Ok(Payload { bits, storage, off })
+    }
+
+    /// The message bytes.
+    pub(crate) fn bytes(&self) -> &[u8] {
+        &self.storage[self.off..]
+    }
+
+    pub(crate) fn release(self, proc: &ProcInner) {
+        proc.pool_release(self.bits, self.storage);
+    }
+}
+
+/// A received [`Payload`] that derefs to the message bytes and releases
+/// itself when dropped.
+pub(crate) struct Lease<'a> {
+    proc: &'a ProcInner,
+    /// `Some` until drop releases it.
+    payload: Option<Payload>,
 }
 
 impl std::ops::Deref for Lease<'_> {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        self.storage.as_ref().map_or(&[], |s| &s[self.off..])
+        self.payload.as_ref().map_or(&[], Payload::bytes)
     }
 }
 
 impl Drop for Lease<'_> {
     fn drop(&mut self) {
-        if let Some(storage) = self.storage.take() {
-            self.proc.pool_release(self.bits, storage);
+        if let Some(payload) = self.payload.take() {
+            payload.release(self.proc);
         }
     }
 }
@@ -214,29 +261,48 @@ fn crecv_gated(
 ) -> MpiResult<Lease<'_>> {
     let proc = &*comm.proc;
     let bits = match_bits::encode(comm.context_id().collective(), src, tag);
-    let payload = recv_raw(proc, bits, Some(comm.world_rank_of(src)), revoke_ctx)?;
-    let (storage, off) = match proto::try_decode(&payload)?.1 {
-        DecodedPayload::Eager(_) => (payload, 1),
-        DecodedPayload::Rts { rndv_id, .. } => {
-            let staged = proc.univ.pull_rndv(rndv_id).ok_or(MpiError::Integrity(
-                "rendezvous entry vanished (damaged or replayed RTS descriptor)",
-            ))?;
-            // The 17-byte RTS envelope is consumed: recycle it.
-            proc.pool_release(bits, payload);
-            (bytes::Bytes::from_storage(staged), 0)
-        }
-        DecodedPayload::RtsRma { .. } => {
-            return Err(MpiError::Integrity(
-                "rdma-rendezvous descriptor on the collective channel",
-            ))
-        }
-    };
+    let wire = recv_raw(proc, bits, Some(comm.world_rank_of(src)), revoke_ctx)?;
     Ok(Lease {
         proc,
-        bits,
-        storage: Some(storage),
-        off,
+        payload: Some(Payload::open(proc, bits, wire)?),
     })
+}
+
+/// A receive posted on the collective channel: to the fabric's native
+/// tagged matching, or to the CH4 core matcher on an AM-only provider.
+pub(crate) enum Posted {
+    Fabric(RecvHandle),
+    Core(Arc<CoreSlot>),
+}
+
+impl Posted {
+    pub(crate) fn post(proc: &ProcInner, bits: u64) -> Posted {
+        if proc.endpoint.fabric().profile().caps.native_tagged {
+            Posted::Fabric(proc.endpoint.trecv_post(bits, 0))
+        } else {
+            Posted::Core(proc.core_match.post(bits, 0))
+        }
+    }
+
+    /// The matched message, once: its match bits and wire payload.
+    pub(crate) fn poll(&self) -> Option<(u64, bytes::Bytes)> {
+        match self {
+            Posted::Fabric(handle) => handle.poll().map(|m| (m.match_bits, m.data)),
+            Posted::Core(slot) => slot.filled.lock().take().map(|m| (m.bits, m.payload)),
+        }
+    }
+
+    /// Withdraw it, so the posted slot can't swallow later traffic.
+    pub(crate) fn cancel(self, proc: &ProcInner) {
+        match self {
+            Posted::Fabric(handle) => {
+                handle.cancel();
+            }
+            Posted::Core(slot) => {
+                proc.core_match.cancel(&slot);
+            }
+        }
+    }
 }
 
 /// Blocking matched receive on the collective channel. `peer` is the
@@ -251,139 +317,48 @@ fn recv_raw(
     peer: Option<usize>,
     revoke_ctx: Option<u16>,
 ) -> MpiResult<bytes::Bytes> {
-    if proc.endpoint.fabric().profile().caps.native_tagged {
-        let handle = proc.endpoint.trecv_post(bits, 0);
-        let r = wait_loop(proc, || {
-            if let Some(m) = handle.poll() {
-                return Some(Ok(m.data));
-            }
-            check_peer(proc, peer, false, revoke_ctx).err().map(Err)
-        });
-        if r.is_err() {
-            // Death may race an in-flight delivery: take it if it landed.
-            if let Some(m) = handle.poll() {
-                return Ok(m.data);
-            }
-            handle.cancel();
+    let posted = Posted::post(proc, bits);
+    let r = wait_loop(proc, || {
+        if let Some((_, wire)) = posted.poll() {
+            return Some(Ok(wire));
         }
-        r
-    } else {
-        let slot = proc.core_match.post(bits, 0);
-        let r = wait_loop(proc, || {
-            if let Some(m) = slot.filled.lock().take() {
-                return Some(Ok(m.payload));
-            }
-            check_peer(proc, peer, false, revoke_ctx).err().map(Err)
-        });
-        if r.is_err() {
-            if let Some(m) = slot.filled.lock().take() {
-                return Ok(m.payload);
-            }
-            proc.core_match.cancel(&slot);
+        check_peer(proc, peer, false, revoke_ctx).err().map(Err)
+    });
+    if r.is_err() {
+        // Death may race an in-flight delivery: take it if it landed.
+        if let Some((_, wire)) = posted.poll() {
+            return Ok(wire);
         }
-        r
+        posted.cancel(proc);
     }
+    r
 }
 
-/// `MPI_BARRIER`: hierarchical (node-aware) when the topology spans
-/// multiple multi-rank nodes, flat dissemination otherwise. See the
-/// `hier` module for the selection rule — on a single node this is
-/// byte- and charge-identical to [`barrier_flat`].
+/// `MPI_BARRIER` — see `Schedule::barrier`.
 pub fn barrier(comm: &Communicator) -> MpiResult<()> {
-    if let Some(plan) = hier::plan(comm) {
-        return hier::barrier(comm, plan);
-    }
-    barrier_flat(comm)
+    Schedule::barrier(comm).run(comm, &mut [], &[])
 }
 
-/// Flat `MPI_BARRIER`: dissemination algorithm — ⌈log₂ P⌉ rounds, each
-/// rank sending to `rank + 2^k` and receiving from `rank - 2^k`. Kept
-/// public as the hierarchy-equivalence reference.
-pub fn barrier_flat(comm: &Communicator) -> MpiResult<()> {
-    ft_gate(comm)?;
-    let size = comm.size();
-    if size == 1 {
-        return Ok(());
-    }
-    let _span = CollSpan::begin(comm, coll_op::BARRIER);
-    let rank = comm.rank();
-    let tag = comm.next_coll_tag();
-    let mut k = 1usize;
-    while k < size {
-        let to = (rank + k) % size;
-        let from = (rank + size - k) % size;
-        csend(comm, to, tag, &[]);
-        crecv(comm, from, tag)?;
-        k <<= 1;
-    }
-    Ok(())
-}
-
-/// Message-size threshold (bytes) above which `bcast` switches from the
-/// binomial tree (latency-optimal, but sends the full payload log P
+/// Message-size threshold (bytes) above which a flat `bcast` switches from
+/// the binomial tree (latency-optimal, but sends the full payload log P
 /// times) to scatter+allgather (bandwidth-optimal, van de Geijn). MPICH
 /// uses the same structure with a similar crossover.
 pub const BCAST_LONG_MSG_BYTES: usize = 32 * 1024;
 
-/// `MPI_BCAST`: hierarchical (node-aware) when the topology spans
-/// multiple multi-rank nodes, otherwise the flat size-selected algorithm.
+/// `MPI_BCAST`: [`bcast_scatter_allgather`] for a long, block-divisible
+/// payload on a topology without a node hierarchy, otherwise the tree of
+/// `Schedule::bcast`.
 pub fn bcast<T: MpiPrimitive>(comm: &Communicator, buf: &mut [T], root: usize) -> MpiResult<()> {
-    if let Some(plan) = hier::plan(comm) {
-        return hier::bcast(comm, plan, buf, root);
-    }
-    bcast_flat(comm, buf, root)
-}
-
-/// Flat `MPI_BCAST`: algorithm selected by payload size — binomial tree
-/// for short messages, scatter + ring allgather for long ones. Kept
-/// public as the hierarchy-equivalence reference.
-pub fn bcast_flat<T: MpiPrimitive>(
-    comm: &Communicator,
-    buf: &mut [T],
-    root: usize,
-) -> MpiResult<()> {
-    ft_gate(comm)?;
-    let _span = CollSpan::begin(comm, coll_op::BCAST);
     let bytes = std::mem::size_of_val(buf);
-    if bytes > BCAST_LONG_MSG_BYTES && comm.size() > 2 && buf.len().is_multiple_of(comm.size()) {
-        bcast_scatter_allgather(comm, buf, root)
-    } else {
-        bcast_binomial(comm, buf, root)
+    if bytes > BCAST_LONG_MSG_BYTES
+        && comm.size() > 2
+        && buf.len().is_multiple_of(comm.size())
+        && hier::plan(comm).is_none()
+    {
+        let _span = CollSpan::begin(comm, coll_op::BCAST);
+        return bcast_scatter_allgather(comm, buf, root);
     }
-}
-
-/// Binomial-tree broadcast (the short-message algorithm).
-pub fn bcast_binomial<T: MpiPrimitive>(
-    comm: &Communicator,
-    buf: &mut [T],
-    root: usize,
-) -> MpiResult<()> {
-    ft_gate(comm)?;
-    let size = comm.size();
-    // Real validation, not `debug_assert!`: an out-of-range root in a
-    // release build must be `MPI_ERR_RANK`, not a silent mis-rooted tree.
-    if root >= size {
-        return Err(MpiError::InvalidRank {
-            rank: root as i32,
-            size,
-        });
-    }
-    if size == 1 {
-        return Ok(());
-    }
-    let rank = comm.rank();
-    let tag = comm.next_coll_tag();
-    let vrank = (rank + size - root) % size;
-    // Receive from the binomial-tree parent.
-    if vrank != 0 {
-        let parent = parent_of(vrank);
-        let src = (parent + root) % size;
-        crecv_into(comm, src, tag, T::as_bytes_mut(buf))?;
-    }
-    // Send to children: one staged payload, one injection per child.
-    let children = binomial_children(vrank, size).map(|c| (c + root) % size);
-    csend_all(comm, children, tag, T::as_bytes(buf));
-    Ok(())
+    Schedule::bcast(comm, bytes, root)?.run(comm, T::as_bytes_mut(buf), &[])
 }
 
 /// Binomial-tree parent of a (nonzero) virtual rank:
@@ -411,7 +386,7 @@ pub(crate) fn binomial_children(v: usize, g: usize) -> impl Iterator<Item = usiz
 }
 
 /// Long-message broadcast (van de Geijn): scatter the payload's blocks
-/// down a binomial tree's natural block ownership, then ring-allgather the
+/// down a binomial tree's natural block ownership, then allgather the
 /// blocks. Moves ~2x the data of one tree *level* instead of log P copies
 /// of the whole payload. Requires `buf.len() % size == 0` (the selector
 /// guarantees it).
@@ -421,13 +396,8 @@ pub fn bcast_scatter_allgather<T: MpiPrimitive>(
     root: usize,
 ) -> MpiResult<()> {
     ft_gate(comm)?;
+    comm.group().check_rank(root as i32)?;
     let size = comm.size();
-    if root >= size {
-        return Err(MpiError::InvalidRank {
-            rank: root as i32,
-            size,
-        });
-    }
     if size == 1 {
         return Ok(());
     }
@@ -448,112 +418,37 @@ pub fn bcast_scatter_allgather<T: MpiPrimitive>(
         };
         scatter(comm, send, block, root)?
     };
-    // Phase 2: ring allgather of the blocks back into everyone's buffer.
-    let gathered = allgather_ring(comm, &my_block)?;
+    // Phase 2: allgather the blocks back into everyone's buffer.
+    let gathered = allgather(comm, &my_block)?;
     buf.copy_from_slice(&gathered);
     Ok(())
 }
 
-/// `MPI_REDUCE`: hierarchical (node-aware) when the topology spans
-/// multiple multi-rank nodes, flat binomial tree otherwise. Returns
-/// `Some(result)` at `root`, `None` elsewhere.
+/// `MPI_REDUCE` — see `Schedule::reduce`. Returns `Some(result)` at
+/// `root`, `None` elsewhere.
 pub fn reduce<T: MpiPrimitive>(
     comm: &Communicator,
     sendbuf: &[T],
     op: &Op,
     root: usize,
 ) -> MpiResult<Option<Vec<T>>> {
-    if let Some(plan) = hier::plan(comm) {
-        return hier::reduce(comm, plan, sendbuf, op, root);
-    }
-    reduce_flat(comm, sendbuf, op, root)
-}
-
-/// Flat `MPI_REDUCE` (binomial tree). Kept public as the
-/// hierarchy-equivalence reference.
-pub fn reduce_flat<T: MpiPrimitive>(
-    comm: &Communicator,
-    sendbuf: &[T],
-    op: &Op,
-    root: usize,
-) -> MpiResult<Option<Vec<T>>> {
-    ft_gate(comm)?;
-    let _span = CollSpan::begin(comm, coll_op::REDUCE);
-    let size = comm.size();
-    let rank = comm.rank();
-    let tag = comm.next_coll_tag();
+    let sched = Schedule::reduce(comm, std::mem::size_of_val(sendbuf), op, T::DATATYPE, root)?;
     // Fold in the buffer the root returns: no separate accumulator.
     let mut out = sendbuf.to_vec();
-    let acc = T::as_bytes_mut(&mut out);
-    let vrank = (rank + size - root) % size;
-    // Gather up the binomial tree: at step k, vranks with bit k set send
-    // their partial to vrank - 2^k and drop out.
-    let mut k = 1usize;
-    while k < size {
-        if vrank & k != 0 {
-            let dst = ((vrank - k) + root) % size;
-            csend(comm, dst, tag, acc);
-            break;
-        } else if vrank + k < size {
-            let src = ((vrank + k) + root) % size;
-            let data = crecv(comm, src, tag)?;
-            // Reduction order: accumulate the child's contribution.
-            op.apply(&T::DATATYPE, acc, &data)?;
-        }
-        k <<= 1;
-    }
-    Ok((rank == root).then_some(out))
+    sched.run(comm, T::as_bytes_mut(&mut out), &[])?;
+    Ok((comm.rank() == root).then_some(out))
 }
 
-/// `MPI_ALLREDUCE`: hierarchical (node-aware) when the topology spans
-/// multiple multi-rank nodes, otherwise recursive doubling for
-/// power-of-two sizes with a reduce+bcast fallback.
+/// `MPI_ALLREDUCE` — see `Schedule::allreduce`.
 pub fn allreduce<T: MpiPrimitive>(
     comm: &Communicator,
     sendbuf: &[T],
     op: &Op,
 ) -> MpiResult<Vec<T>> {
-    if let Some(plan) = hier::plan(comm) {
-        return hier::allreduce(comm, plan, sendbuf, op);
-    }
-    allreduce_flat(comm, sendbuf, op)
-}
-
-/// Flat `MPI_ALLREDUCE`: recursive doubling for power-of-two sizes,
-/// otherwise reduce-to-zero + broadcast (both levels flat, so this is a
-/// pure reference for the hierarchy-equivalence tests even on multi-node
-/// topologies).
-pub fn allreduce_flat<T: MpiPrimitive>(
-    comm: &Communicator,
-    sendbuf: &[T],
-    op: &Op,
-) -> MpiResult<Vec<T>> {
-    ft_gate(comm)?;
-    let _span = CollSpan::begin(comm, coll_op::ALLREDUCE);
-    let size = comm.size();
-    let rank = comm.rank();
-    if size.is_power_of_two() && size > 1 {
-        let tag = comm.next_coll_tag();
-        let mut out = sendbuf.to_vec();
-        let acc = T::as_bytes_mut(&mut out);
-        let mut k = 1usize;
-        while k < size {
-            let partner = rank ^ k;
-            csend(comm, partner, tag, acc);
-            let data = crecv(comm, partner, tag)?;
-            op.apply(&T::DATATYPE, acc, &data)?;
-            k <<= 1;
-        }
-        Ok(out)
-    } else {
-        // Non-roots receive the result over their own contribution.
-        let mut out = match reduce_flat(comm, sendbuf, op, 0)? {
-            Some(v) => v,
-            None => sendbuf.to_vec(),
-        };
-        bcast_flat(comm, &mut out, 0)?;
-        Ok(out)
-    }
+    let sched = Schedule::allreduce(comm, std::mem::size_of_val(sendbuf), op, T::DATATYPE);
+    let mut out = sendbuf.to_vec();
+    sched.run(comm, T::as_bytes_mut(&mut out), &[])?;
+    Ok(out)
 }
 
 /// `MPI_GATHER` (linear): root receives `sendbuf` from every rank,
@@ -564,6 +459,7 @@ pub fn gather<T: MpiPrimitive>(
     root: usize,
 ) -> MpiResult<Option<Vec<T>>> {
     ft_gate(comm)?;
+    comm.group().check_rank(root as i32)?;
     let _span = CollSpan::begin(comm, coll_op::GATHER);
     let size = comm.size();
     let rank = comm.rank();
@@ -592,6 +488,7 @@ pub fn gatherv<T: MpiPrimitive>(
     root: usize,
 ) -> MpiResult<Option<(Vec<T>, Vec<usize>)>> {
     ft_gate(comm)?;
+    comm.group().check_rank(root as i32)?;
     let _span = CollSpan::begin(comm, coll_op::GATHER);
     let size = comm.size();
     let rank = comm.rank();
@@ -637,6 +534,7 @@ pub fn scatter<T: MpiPrimitive>(
     root: usize,
 ) -> MpiResult<Vec<T>> {
     ft_gate(comm)?;
+    comm.group().check_rank(root as i32)?;
     let _span = CollSpan::begin(comm, coll_op::SCATTER);
     let size = comm.size();
     let rank = comm.rank();
@@ -670,75 +568,12 @@ pub fn scatter<T: MpiPrimitive>(
     }
 }
 
-/// `MPI_ALLGATHER`: recursive doubling for power-of-two communicator
-/// sizes (log P steps), ring otherwise (P-1 steps, bandwidth-friendly).
+/// `MPI_ALLGATHER` — see `Schedule::allgather`.
 pub fn allgather<T: MpiPrimitive>(comm: &Communicator, sendbuf: &[T]) -> MpiResult<Vec<T>> {
-    ft_gate(comm)?;
-    let _span = CollSpan::begin(comm, coll_op::ALLGATHER);
-    if comm.size().is_power_of_two() && comm.size() > 1 {
-        allgather_recursive_doubling(comm, sendbuf)
-    } else {
-        allgather_ring(comm, sendbuf)
-    }
-}
-
-/// Recursive-doubling allgather: at step k, partners `rank ^ 2^k` swap
-/// their accumulated 2^k-block runs.
-pub fn allgather_recursive_doubling<T: MpiPrimitive>(
-    comm: &Communicator,
-    sendbuf: &[T],
-) -> MpiResult<Vec<T>> {
-    ft_gate(comm)?;
-    let size = comm.size();
-    debug_assert!(size.is_power_of_two());
-    let rank = comm.rank();
-    let tag = comm.next_coll_tag();
-    let block = sendbuf.len();
-    // My block in every slot; every other slot is overwritten below.
-    let mut out = sendbuf.repeat(size);
-    let mut k = 1usize;
-    while k < size {
-        let partner = rank ^ k;
-        // I own the run of k blocks starting at my k-aligned base.
-        let my_base = (rank / k) * k;
-        let partner_base = (partner / k) * k;
-        let send_range = my_base * block..(my_base + k) * block;
-        csend(comm, partner, tag, T::as_bytes(&out[send_range]));
-        let dst = &mut out[partner_base * block..(partner_base + k) * block];
-        crecv_into(comm, partner, tag, T::as_bytes_mut(dst))?;
-        k <<= 1;
-    }
-    Ok(out)
-}
-
-/// Ring allgather: every rank ends with all blocks in rank order.
-pub fn allgather_ring<T: MpiPrimitive>(comm: &Communicator, sendbuf: &[T]) -> MpiResult<Vec<T>> {
-    ft_gate(comm)?;
-    let size = comm.size();
-    let rank = comm.rank();
-    let tag = comm.next_coll_tag();
-    let block = sendbuf.len();
-    // My block in every slot; every other slot is overwritten below.
-    let mut out = sendbuf.repeat(size);
-    if size == 1 {
-        return Ok(out);
-    }
-    let right = (rank + 1) % size;
-    let left = (rank + size - 1) % size;
-    // Ring: in step s we forward the block that originated at
-    // (rank - s + size) % size.
-    for s in 0..size - 1 {
-        let send_origin = (rank + size - s) % size;
-        let recv_origin = (rank + size - s - 1) % size;
-        csend(
-            comm,
-            right,
-            tag,
-            T::as_bytes(&out[send_origin * block..(send_origin + 1) * block]),
-        );
-        let dst = &mut out[recv_origin * block..(recv_origin + 1) * block];
-        crecv_into(comm, left, tag, T::as_bytes_mut(dst))?;
-    }
+    let sched = Schedule::allgather(comm, std::mem::size_of_val(sendbuf));
+    // My block in every slot; every other slot is overwritten.
+    let mut out = sendbuf.repeat(comm.size());
+    sched.run(comm, T::as_bytes_mut(&mut out), &[])?;
     Ok(out)
 }
 
@@ -748,7 +583,7 @@ pub fn allgather_ring<T: MpiPrimitive>(comm: &Communicator, sendbuf: &[T]) -> Mp
 /// sends per rank and an O(ranks) matching queue at every receiver, which
 /// is exactly the unbounded-posting bug this bounds. 16 keeps the pipe
 /// full at BDP for small blocks on every calibrated provider profile
-/// while pinning per-rank outstanding traffic to O(1).
+/// while pinning per-rank outstanding traffic to O(window).
 pub const COLL_ISSUE_WINDOW: usize = 16;
 
 /// Cost-model-tuned issue window for a pairwise exchange of `msg_bytes`
@@ -766,79 +601,18 @@ pub(crate) fn issue_window(comm: &Communicator, msg_bytes: usize) -> usize {
     slots.clamp(1, COLL_ISSUE_WINDOW)
 }
 
-/// `MPI_ALLTOALL` (windowed pairwise exchange): `sendbuf` holds `size`
-/// blocks of `block` elements; block `i` goes to rank `i`. On multi-node
-/// topologies the slot order is node-aware (intra-node pairs first); in
-/// all cases sends are issued at most [`COLL_ISSUE_WINDOW`] slots (fewer
-/// when the provider's bandwidth-delay product needs less) ahead of the
-/// oldest outstanding receive, so per-rank posted depth is O(window), not
-/// O(ranks).
+/// `MPI_ALLTOALL`: `sendbuf` holds `size` blocks of `block` elements;
+/// block `i` goes to rank `i` — see `Schedule::alltoall`.
 pub fn alltoall<T: MpiPrimitive>(
     comm: &Communicator,
     sendbuf: &[T],
     block: usize,
 ) -> MpiResult<Vec<T>> {
-    ft_gate(comm)?;
-    let _span = CollSpan::begin(comm, coll_op::ALLTOALL);
-    alltoall_windowed(comm, sendbuf, block, hier::alltoall_slots(comm))
-}
-
-/// Flat `MPI_ALLTOALL`: the classic single-pass pairwise schedule,
-/// ignoring the topology (still windowed). Kept public as the
-/// locality-equivalence reference.
-pub fn alltoall_flat<T: MpiPrimitive>(
-    comm: &Communicator,
-    sendbuf: &[T],
-    block: usize,
-) -> MpiResult<Vec<T>> {
-    ft_gate(comm)?;
-    let _span = CollSpan::begin(comm, coll_op::ALLTOALL);
-    let slots = hier::pairwise_slots(comm.size(), comm.rank());
-    alltoall_windowed(comm, sendbuf, block, &slots)
-}
-
-/// The windowed pairwise-exchange engine shared by [`alltoall`] and
-/// [`alltoall_flat`]. Before completing the receive at slot `i`, every
-/// send in slots `< i + W` has been issued — so up to `W` exchanges
-/// overlap, and because all ranks walk the same global slot sequence
-/// (see [`hier::alltoall_slots`]) the pipeline cannot deadlock: the send
-/// matching any rank's oldest outstanding receive is at most `W` slots
-/// behind its issuer's own receive frontier.
-fn alltoall_windowed<T: MpiPrimitive>(
-    comm: &Communicator,
-    sendbuf: &[T],
-    block: usize,
-    slots: &[hier::ExchangeSlot],
-) -> MpiResult<Vec<T>> {
-    let size = comm.size();
-    if sendbuf.len() != block * size {
-        return Err(MpiError::BufferTooSmall {
-            needed: block * size * T::PREDEFINED.size(),
-            provided: sendbuf.len() * T::PREDEFINED.size(),
-        });
-    }
-    let tag = comm.next_coll_tag();
-    let w = issue_window(comm, block * T::PREDEFINED.size());
+    let send = T::as_bytes(sendbuf);
+    let sched = Schedule::alltoall(comm, send.len(), block * T::PREDEFINED.size())?;
     // Every block but my own is overwritten by its sender's.
     let mut out = sendbuf.to_vec();
-    let mut next_send = 0usize;
-    for (i, slot) in slots.iter().enumerate() {
-        while next_send < (i + w).min(slots.len()) {
-            if let Some(to) = slots[next_send].send_to {
-                csend(
-                    comm,
-                    to,
-                    tag,
-                    T::as_bytes(&sendbuf[to * block..(to + 1) * block]),
-                );
-            }
-            next_send += 1;
-        }
-        if let Some(from) = slot.recv_from {
-            let dst = &mut out[from * block..(from + 1) * block];
-            crecv_into(comm, from, tag, T::as_bytes_mut(dst))?;
-        }
-    }
+    sched.run(comm, T::as_bytes_mut(&mut out), send)?;
     Ok(out)
 }
 
@@ -960,9 +734,8 @@ pub fn reduce_scatter_block_naive<T: MpiPrimitive>(
 ///
 /// Bounded-issue by construction: both [`allgather`] algorithms
 /// (recursive doubling and ring) keep at most one send and one receive
-/// outstanding per step, so unlike the old unbounded pairwise alltoall
-/// this never posts O(ranks) requests — the depth-pin test in
-/// `coll_window.rs` holds it to that.
+/// outstanding per step, so this never posts O(ranks) requests — the
+/// depth-pin test in `coll_window.rs` holds it to that.
 pub(crate) fn allgather_plain(comm: &Communicator, mine: &[i32]) -> MpiResult<Vec<i32>> {
     allgather(comm, mine)
 }
@@ -1297,30 +1070,29 @@ mod tests {
     }
 
     #[test]
-    fn bcast_algorithms_agree() {
+    fn bcast_delivers_the_root_buffer_on_both_sides_of_the_selection() {
+        // Per rank count: 4 u64s (tree) and 1024 u64s — 24 KiB total at
+        // n = 3, the tree still; 32 KiB at 4 is not *above* the threshold;
+        // 40 and 64 KiB at 5 and 8 take scatter + allgather.
         for n in [3, 4, 5, 8] {
             for root in [0, n - 1] {
-                let out = Universe::run_default(n, move |proc| {
-                    let world = proc.world();
-                    let make = |seed: u64| -> Vec<u64> {
-                        (0..n as u64 * 4).map(|i| seed * 1000 + i).collect()
-                    };
-                    let mut a = if proc.rank() == root {
-                        make(7)
-                    } else {
-                        vec![0; n * 4]
-                    };
-                    super::bcast_binomial(&world, &mut a, root).unwrap();
-                    let mut b = if proc.rank() == root {
-                        make(7)
-                    } else {
-                        vec![0; n * 4]
-                    };
-                    super::bcast_scatter_allgather(&world, &mut b, root).unwrap();
-                    (a, b)
-                });
-                for (a, b) in out {
-                    assert_eq!(a, b, "n={n} root={root}");
+                for per_rank in [4, 1024] {
+                    let len = n * per_rank;
+                    let want: Vec<u64> = (0..len as u64).map(|i| 7000 + i).collect();
+                    let expect = want.clone();
+                    let out = Universe::run_default(n, move |proc| {
+                        let world = proc.world();
+                        let mut buf = if proc.rank() == root {
+                            want.clone()
+                        } else {
+                            vec![0; len]
+                        };
+                        world.bcast(&mut buf, root).unwrap();
+                        buf
+                    });
+                    for got in out {
+                        assert_eq!(got, expect, "n={n} root={root} len={len}");
+                    }
                 }
             }
         }
@@ -1346,17 +1118,17 @@ mod tests {
     }
 
     #[test]
-    fn allgather_algorithms_agree() {
-        for n in [2, 4, 8] {
+    fn allgather_is_rank_ordered_on_both_sides_of_the_selection() {
+        // Power-of-two sizes take recursive doubling, the rest the ring.
+        for n in [2, 3, 4, 6, 8] {
             let out = Universe::run_default(n, |proc| {
                 let world = proc.world();
                 let mine = [proc.rank() as u64 * 3 + 1, proc.rank() as u64];
-                let rd = super::allgather_recursive_doubling(&world, &mine).unwrap();
-                let ring = super::allgather_ring(&world, &mine).unwrap();
-                (rd, ring)
+                world.allgather(&mine).unwrap()
             });
-            for (rd, ring) in out {
-                assert_eq!(rd, ring, "n={n}");
+            let expect: Vec<u64> = (0..n as u64).flat_map(|r| [r * 3 + 1, r]).collect();
+            for got in out {
+                assert_eq!(got, expect, "n={n}");
             }
         }
     }

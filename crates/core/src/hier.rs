@@ -1,48 +1,44 @@
-//! Hierarchical (node-aware) collectives.
+//! Node-aware plans for the collective compilers.
 //!
-//! The flat algorithms in [`crate::coll`] treat every peer as equidistant,
-//! but the fabric's [`Topology`](litempi_fabric::Topology) says otherwise:
-//! intra-node traffic rides the shmmod (~250 ns latency in the shm cost
-//! table) while inter-node traffic pays the netmod's microsecond-class
-//! latency. At 1024 ranks spread over dozens of nodes, a flat
-//! recursive-doubling allreduce sends `P·log P` messages across the
-//! network; the leader-based hierarchy here sends `P − N` cheap intra-node
-//! messages plus `N·log N` network messages (`N` = node count) — the
-//! classic MPICH/SMP-aware structure.
+//! A flat algorithm treats every peer as equidistant, but the fabric's
+//! [`Topology`](litempi_fabric::Topology) says otherwise: intra-node
+//! traffic rides the shmmod (~250 ns latency in the shm cost table) while
+//! inter-node traffic pays the netmod's microsecond-class latency. At 1024
+//! ranks spread over dozens of nodes, a flat recursive-doubling allreduce
+//! sends `P·log P` messages across the network; a leader-based hierarchy
+//! sends `P − N` cheap intra-node messages plus `N·log N` network messages
+//! (`N` = node count) — the classic MPICH/SMP-aware structure.
+//!
+//! This module only *describes* that structure: [`plan`] groups a
+//! communicator's ranks by node and names one leader per node, and
+//! [`alltoall_slots`] orders the pairwise exchange so intra-node pairs go
+//! first. The schedule compilers in [`crate::sched`] turn either into
+//! messages.
 //!
 //! ## Cost model / selection
 //!
 //! [`plan`] keys on the topology's node map. The hierarchy is selected
 //! exactly when `1 < n_nodes < size`: with one node everything is shmmod
-//! traffic and the flat algorithm is already optimal (and must stay
-//! byte- and charge-identical — `plan` returns `None` without charging
-//! anything); with one rank per node there is no intra-node level to
-//! exploit. In between, both levels shrink: the intra-node fan-in/fan-out
-//! replaces `log P` network rounds per member with one shm round-trip,
-//! and the inter-node phase runs on `N ≪ P` leaders.
+//! traffic and the flat algorithm is already optimal (`plan` returns `None`
+//! without charging anything); with one rank per node there is no
+//! intra-node level to exploit. In between, both levels shrink: the
+//! intra-node fan-in/fan-out replaces `log P` network rounds per member
+//! with one shm round-trip, and the inter-node phase runs on `N ≪ P`
+//! leaders.
 //!
 //! ## Determinism
 //!
-//! Every algorithm here folds reduction operands in a fixed order
-//! (ascending member order within a node, binomial child order across
-//! leaders), so repeated runs are bitwise-identical, and the schedule
-//! compiler in [`crate::sched`] emits the same order — nonblocking
-//! hierarchical collectives are bitwise-identical to these blocking ones,
-//! including for floating point. Against the *flat* algorithms the fold
-//! order differs, so equality holds for the commutative-and-exact cases
-//! (integers, bitwise ops, exactly representable floats) — which is what
-//! the equivalence suite pins. All predefined ops are commutative;
-//! user-defined ops are assumed commutative (see [`crate::op`]).
+//! A node-aware reduction folds its operands in a fixed order (ascending
+//! member order within a node, binomial child order across leaders), so
+//! repeated runs are bitwise-identical, floating point included. Against a
+//! flat tree the fold order differs, so the two agree on the
+//! commutative-and-exact cases (integers, bitwise ops, exactly
+//! representable floats) — which is what the equivalence suite pins with
+//! its sequential oracle. All predefined ops are commutative; user-defined
+//! ops are assumed commutative (see [`crate::op`]).
 
-use crate::coll::{
-    binomial_children, crecv, crecv_into, csend, csend_all, ft_gate, parent_of, CollSpan,
-};
 use crate::comm::Communicator;
-use crate::error::{MpiError, MpiResult};
-use crate::op::Op;
-use litempi_datatype::{Datatype, MpiPrimitive};
 use litempi_fabric::NetAddr;
-use litempi_trace::event::coll_op;
 
 /// Node-aware execution plan for one communicator, derived from the
 /// fabric topology. Membership and topology are immutable, so the plan is
@@ -66,6 +62,13 @@ impl HierPlan {
     /// My node's leader.
     pub fn leader(&self) -> usize {
         self.members[0]
+    }
+
+    /// Position in `leaders` of the leader of `rank`'s node.
+    pub fn leader_slot_of(&self, rank: usize) -> usize {
+        self.leaders
+            .binary_search(&self.leader_of[rank])
+            .expect("every node's leader is in `leaders`")
     }
 }
 
@@ -129,232 +132,6 @@ fn build_plan(comm: &Communicator) -> Option<HierPlan> {
     })
 }
 
-// ------------------------------------------------------- subset building blocks
-
-/// Binomial-tree reduce over an explicit rank subset to
-/// `ranks[root_idx]`, accumulating into `acc`. Fold order matches the
-/// flat binomial reduce restricted to the subset (child at distance
-/// `2^k` folded at step `k`), which the schedule compiler mirrors.
-#[allow(clippy::too_many_arguments)]
-fn reduce_subset(
-    comm: &Communicator,
-    ranks: &[usize],
-    my_idx: usize,
-    root_idx: usize,
-    op: &Op,
-    ty: &Datatype,
-    acc: &mut [u8],
-    tag: i32,
-) -> MpiResult<()> {
-    let g = ranks.len();
-    let v = (my_idx + g - root_idx) % g;
-    let mut k = 1usize;
-    while k < g {
-        if v & k != 0 {
-            csend(comm, ranks[((v - k) + root_idx) % g], tag, acc);
-            break;
-        } else if v + k < g {
-            let data = crecv(comm, ranks[((v + k) + root_idx) % g], tag)?;
-            op.apply(ty, acc, &data)?;
-        }
-        k <<= 1;
-    }
-    Ok(())
-}
-
-/// Binomial-tree broadcast over an explicit rank subset, rooted at
-/// `ranks[root_idx]`.
-fn bcast_subset(
-    comm: &Communicator,
-    ranks: &[usize],
-    my_idx: usize,
-    root_idx: usize,
-    buf: &mut [u8],
-    tag: i32,
-) -> MpiResult<()> {
-    let g = ranks.len();
-    if g <= 1 {
-        return Ok(());
-    }
-    let v = (my_idx + g - root_idx) % g;
-    if v != 0 {
-        let parent = parent_of(v);
-        crecv_into(comm, ranks[(parent + root_idx) % g], tag, buf)?;
-    }
-    let children = binomial_children(v, g).map(|c| ranks[(c + root_idx) % g]);
-    csend_all(comm, children, tag, buf);
-    Ok(())
-}
-
-// --------------------------------------------------------------- collectives
-
-/// Hierarchical `MPI_BARRIER`: members check in with their node leader,
-/// leaders run a dissemination barrier among themselves, leaders release
-/// their members. `log N + 2` rounds of network-visible latency instead
-/// of `log P`.
-pub(crate) fn barrier(comm: &Communicator, plan: &HierPlan) -> MpiResult<()> {
-    ft_gate(comm)?;
-    let _span = CollSpan::begin(comm, coll_op::BARRIER);
-    let tag = comm.next_coll_tag();
-    if plan.my_slot != 0 {
-        csend(comm, plan.leader(), tag, &[]);
-        crecv(comm, plan.leader(), tag)?;
-        return Ok(());
-    }
-    for &m in &plan.members[1..] {
-        crecv(comm, m, tag)?;
-    }
-    let li = plan.leader_slot.expect("members[0] is the leader");
-    let g = plan.leaders.len();
-    let mut k = 1usize;
-    while k < g {
-        csend(comm, plan.leaders[(li + k) % g], tag, &[]);
-        crecv(comm, plan.leaders[(li + g - k) % g], tag)?;
-        k <<= 1;
-    }
-    csend_all(comm, plan.members[1..].iter().copied(), tag, &[]);
-    Ok(())
-}
-
-/// Hierarchical `MPI_ALLREDUCE`: intra-node fan-in to the leader
-/// (ascending member order), binomial reduce + broadcast across leaders,
-/// intra-node fan-out.
-pub(crate) fn allreduce<T: MpiPrimitive>(
-    comm: &Communicator,
-    plan: &HierPlan,
-    sendbuf: &[T],
-    op: &Op,
-) -> MpiResult<Vec<T>> {
-    ft_gate(comm)?;
-    let _span = CollSpan::begin(comm, coll_op::ALLREDUCE);
-    let tag = comm.next_coll_tag();
-    let ty = T::DATATYPE;
-    // Fold in the buffer returned; members receive the result into it.
-    let mut out = sendbuf.to_vec();
-    let acc = T::as_bytes_mut(&mut out);
-    if plan.my_slot == 0 {
-        for &m in &plan.members[1..] {
-            let data = crecv(comm, m, tag)?;
-            op.apply(&ty, acc, &data)?;
-        }
-    } else {
-        csend(comm, plan.leader(), tag, acc);
-    }
-    if let Some(li) = plan.leader_slot {
-        reduce_subset(comm, &plan.leaders, li, 0, op, &ty, acc, tag)?;
-        bcast_subset(comm, &plan.leaders, li, 0, acc, tag)?;
-    }
-    if plan.my_slot == 0 {
-        csend_all(comm, plan.members[1..].iter().copied(), tag, acc);
-    } else {
-        crecv_into(comm, plan.leader(), tag, acc)?;
-    }
-    Ok(out)
-}
-
-/// Hierarchical `MPI_REDUCE`: intra-node fan-in everywhere, binomial
-/// reduce across leaders rooted at the *root's* node leader, then a final
-/// hand-off to the root if it is not its node's leader.
-pub(crate) fn reduce<T: MpiPrimitive>(
-    comm: &Communicator,
-    plan: &HierPlan,
-    sendbuf: &[T],
-    op: &Op,
-    root: usize,
-) -> MpiResult<Option<Vec<T>>> {
-    ft_gate(comm)?;
-    let _span = CollSpan::begin(comm, coll_op::REDUCE);
-    let size = comm.size();
-    if root >= size {
-        return Err(MpiError::InvalidRank {
-            rank: root as i32,
-            size,
-        });
-    }
-    let tag = comm.next_coll_tag();
-    let ty = T::DATATYPE;
-    let me = comm.rank();
-    let mut out = sendbuf.to_vec();
-    let acc = T::as_bytes_mut(&mut out);
-    if plan.my_slot == 0 {
-        for &m in &plan.members[1..] {
-            let data = crecv(comm, m, tag)?;
-            op.apply(&ty, acc, &data)?;
-        }
-    } else {
-        csend(comm, plan.leader(), tag, acc);
-    }
-    let root_leader = plan.leader_of[root];
-    if let Some(li) = plan.leader_slot {
-        let root_slot = plan
-            .leaders
-            .iter()
-            .position(|&l| l == root_leader)
-            .expect("root's leader is a leader");
-        reduce_subset(comm, &plan.leaders, li, root_slot, op, &ty, acc, tag)?;
-    }
-    if root != root_leader {
-        if me == root_leader {
-            csend(comm, root, tag, acc);
-        } else if me == root {
-            crecv_into(comm, root_leader, tag, acc)?;
-        }
-    }
-    Ok((me == root).then_some(out))
-}
-
-/// Hierarchical `MPI_BCAST`: root hands its payload to its node leader,
-/// leaders run a binomial broadcast among themselves, each leader fans
-/// out to its members (skipping the root, which already has the data).
-pub(crate) fn bcast<T: MpiPrimitive>(
-    comm: &Communicator,
-    plan: &HierPlan,
-    buf: &mut [T],
-    root: usize,
-) -> MpiResult<()> {
-    ft_gate(comm)?;
-    let _span = CollSpan::begin(comm, coll_op::BCAST);
-    let size = comm.size();
-    if root >= size {
-        return Err(MpiError::InvalidRank {
-            rank: root as i32,
-            size,
-        });
-    }
-    let tag = comm.next_coll_tag();
-    let me = comm.rank();
-    let root_leader = plan.leader_of[root];
-    if root != root_leader {
-        if me == root {
-            csend(comm, root_leader, tag, T::as_bytes(buf));
-        } else if me == root_leader {
-            crecv_into(comm, root, tag, T::as_bytes_mut(buf))?;
-        }
-    }
-    if let Some(li) = plan.leader_slot {
-        let root_slot = plan
-            .leaders
-            .iter()
-            .position(|&l| l == root_leader)
-            .expect("root's leader is a leader");
-        bcast_subset(
-            comm,
-            &plan.leaders,
-            li,
-            root_slot,
-            T::as_bytes_mut(buf),
-            tag,
-        )?;
-    }
-    if plan.my_slot == 0 {
-        let members = plan.members[1..].iter().copied().filter(|&m| m != root);
-        csend_all(comm, members, tag, T::as_bytes(buf));
-    } else if me != root {
-        crecv_into(comm, plan.leader(), tag, T::as_bytes_mut(buf))?;
-    }
-    Ok(())
-}
-
 // ------------------------------------------------- windowed pairwise exchange
 
 /// One step of the windowed pairwise exchange: at most one send and one
@@ -367,7 +144,7 @@ pub(crate) struct ExchangeSlot {
 
 /// The classic pairwise schedule: one pass over offsets `1..size` — send
 /// to `rank+p`, receive from `rank−p`.
-pub(crate) fn pairwise_slots(size: usize, rank: usize) -> Vec<ExchangeSlot> {
+fn pairwise_slots(size: usize, rank: usize) -> Vec<ExchangeSlot> {
     (1..size)
         .map(|p| ExchangeSlot {
             send_to: Some((rank + p) % size),
@@ -386,9 +163,10 @@ pub(crate) fn pairwise_slots(size: usize, rank: usize) -> Vec<ExchangeSlot> {
 /// offsets, intra-node pairs first, then inter-node pairs. The skip test is
 /// `same_node` on the *pair*, which both endpoints evaluate identically,
 /// so every rank walks the same global `(pass, offset)` sequence and the
-/// windowed pipeline in the callers cannot deadlock: the send for slot
-/// position `t` is issued once its sender has completed receives through
-/// position `t − W`, which induction over `t` shows always happens.
+/// windowed schedule ([`crate::sched::Schedule::alltoall`]) cannot
+/// deadlock: the send for slot position `t` is issued once its sender has
+/// completed receives through position `t − W`, which induction over `t`
+/// shows always happens.
 /// Slots empty for this rank are dropped — that only *advances* its sends
 /// relative to the global schedule, which is always safe for
 /// fire-and-forget sends. The message set is identical to the flat

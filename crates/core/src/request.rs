@@ -512,11 +512,7 @@ impl<'buf> Request<'buf> {
                         }
                     }
                     ReqInner::Coll { proc, sched, fatal } => {
-                        let r = wait_loop(&proc, || match sched.inner.lock().progress(&proc) {
-                            Ok(Some(s)) => Some(Ok(s)),
-                            Ok(None) => None,
-                            Err(e) => Some(Err(e)),
-                        });
+                        let r = wait_loop(&proc, || sched.progress(&proc).transpose());
                         fatal_filter(r, fatal)
                     }
                     ReqInner::Rma {
@@ -644,8 +640,7 @@ impl<'buf> Request<'buf> {
             }
             ReqInner::Coll { proc, sched, fatal } => {
                 proc.progress();
-                let polled = sched.inner.lock().progress(&proc);
-                match polled {
+                match sched.progress(&proc) {
                     Ok(Some(s)) => {
                         self.inner = ReqInner::Done(s);
                         Ok(Some(s))

@@ -2,7 +2,7 @@
 //! real (not `debug_assert!`), and comm failures under `MPI_ERRORS_RETURN`
 //! that surface as `Err` instead of a hang or an unconditional panic.
 
-use litempi_core::{BuildConfig, Errhandler, MpiError, Universe};
+use litempi_core::{BuildConfig, Errhandler, MpiError, Op, Universe};
 use litempi_fabric::{FaultPlan, ProviderProfile, Topology};
 
 #[test]
@@ -16,13 +16,53 @@ fn bcast_out_of_range_root_is_invalid_rank() {
 }
 
 #[test]
-fn bcast_binomial_validates_root_directly() {
-    Universe::run_default(2, |proc| {
-        let world = proc.world();
-        let mut buf = [0u32; 2];
-        let e = litempi_core::coll::bcast_binomial(&world, &mut buf, 9).unwrap_err();
-        assert!(matches!(e, MpiError::InvalidRank { rank: 9, size: 2 }));
-    });
+fn bcast_validates_root_on_a_node_aware_plan_too() {
+    Universe::run(
+        6,
+        BuildConfig::ch4_default(),
+        ProviderProfile::infinite(),
+        Topology::blocked(6, 3),
+        |proc| {
+            let world = proc.world();
+            let mut buf = [0u32; 2];
+            let e = world.bcast(&mut buf, 9).unwrap_err();
+            assert!(matches!(e, MpiError::InvalidRank { rank: 9, size: 6 }));
+            let e = world.ibcast(&buf, 6).err().unwrap();
+            assert!(matches!(e, MpiError::InvalidRank { rank: 6, size: 6 }));
+        },
+    );
+}
+
+/// Every rooted collective rejects `root >= size` with `MPI_ERR_RANK`, on
+/// every rank and before any traffic: a root taken modulo the size used to
+/// drop the reduction's result on all ranks, and at size 1 `reduce` and
+/// `gather` overflowed or indexed out of range instead.
+#[test]
+fn out_of_range_root_is_invalid_rank_in_every_rooted_collective() {
+    for n in [1usize, 2] {
+        Universe::run_default(n, move |proc| {
+            let world = proc.world();
+            let bad = n + 5;
+            let is_bad_root = |e: MpiError| matches!(e, MpiError::InvalidRank { rank, size } if rank == bad as i32 && size == n);
+            assert!(is_bad_root(
+                world.reduce(&[1u64], &Op::Sum, bad).unwrap_err()
+            ));
+            assert!(is_bad_root(
+                world.ireduce(&[1u64], &Op::Sum, bad).err().unwrap()
+            ));
+            assert!(is_bad_root(world.gather(&[1u8], bad).unwrap_err()));
+            assert!(is_bad_root(world.gatherv(&[1u8], bad).unwrap_err()));
+            let send = vec![0u8; n];
+            assert!(is_bad_root(
+                world.scatter(Some(&send[..]), 1, bad).unwrap_err()
+            ));
+            // Nothing was sent: the communicator is still in step.
+            assert_eq!(
+                world.reduce(&[1u64], &Op::Sum, n - 1).unwrap(),
+                (world.rank() == n - 1).then(|| vec![n as u64])
+            );
+        });
+    }
 }
 
 #[test]

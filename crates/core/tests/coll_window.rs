@@ -1,8 +1,8 @@
 //! Bounded-issue pins for the windowed collectives.
 //!
-//! The old pairwise alltoall posted all `N − 1` exchanges up front: at
-//! `N` ranks that is an O(ranks) posted-receive queue at every endpoint
-//! and O(ranks) in-flight sends per rank. The windowed issue path caps
+//! A pairwise alltoall that posts all `N − 1` exchanges up front has, at
+//! `N` ranks, an O(ranks) posted-receive queue at every endpoint and
+//! O(ranks) in-flight sends per rank. The schedule's windowed phases cap
 //! both at the cost-model window (≤ `COLL_ISSUE_WINDOW`). These tests pin
 //! the cap through `EndpointStats::max_posted_depth` — with a regression
 //! margin far below the old `N − 1` behaviour — and verify the results
@@ -17,67 +17,45 @@ use litempi_fabric::{ProviderProfile, Topology};
 const DEPTH_SLACK: u64 = 4;
 
 #[test]
-fn ialltoall_posted_depth_is_pinned_to_the_window() {
-    // 48 ranks: the unbounded compiler posted 47 receives per rank in one
-    // phase. The windowed compiler must stay at O(window).
+fn alltoall_posted_depth_is_pinned_to_the_window() {
+    // 48 ranks: one wide phase would post 47 receives per rank. The
+    // schedule's chunked phases must stay at O(window) — through the
+    // blocking and the nonblocking entry point, which run the same one.
     let n = 48;
-    let depths = Universe::run(
-        n,
-        BuildConfig::ch4_default(),
-        ProviderProfile::infinite(),
-        Topology::single_node(n),
-        |proc| {
-            let world = proc.world();
-            let rank = world.rank();
-            let send: Vec<i32> = (0..n as i32).map(|j| rank as i32 * 100 + j).collect();
-            let out = world.ialltoall(&send, 1).unwrap().wait().unwrap();
-            let expect: Vec<i32> = (0..n as i32).map(|j| j * 100 + rank as i32).collect();
-            assert_eq!(out, expect, "rank {rank} transpose");
-            proc.comm_stats().max_posted_depth
-        },
-    );
     let cap = COLL_ISSUE_WINDOW as u64 + DEPTH_SLACK;
-    for (r, d) in depths.iter().enumerate() {
-        assert!(
-            *d <= cap,
-            "rank {r}: posted depth {d} exceeds window cap {cap}"
+    for nonblocking in [false, true] {
+        let depths = Universe::run(
+            n,
+            BuildConfig::ch4_default(),
+            ProviderProfile::infinite(),
+            Topology::single_node(n),
+            move |proc| {
+                let world = proc.world();
+                let rank = world.rank();
+                let send: Vec<i32> = (0..n as i32).map(|j| rank as i32 * 100 + j).collect();
+                let out = if nonblocking {
+                    world.ialltoall(&send, 1).unwrap().wait().unwrap()
+                } else {
+                    world.alltoall(&send, 1).unwrap()
+                };
+                let expect: Vec<i32> = (0..n as i32).map(|j| j * 100 + rank as i32).collect();
+                assert_eq!(out, expect, "rank {rank} transpose");
+                proc.comm_stats().max_posted_depth
+            },
         );
-        assert!(
-            *d < (n - 1) as u64,
-            "rank {r}: posted depth {d} regressed to the unbounded O(ranks) behaviour"
-        );
-    }
-}
-
-#[test]
-fn blocking_alltoall_posted_depth_stays_o1() {
-    // The blocking engine posts one receive at a time regardless of the
-    // send window, so its posted depth is O(1) even at 48 ranks.
-    let n = 48;
-    let depths = Universe::run(
-        n,
-        BuildConfig::ch4_default(),
-        ProviderProfile::infinite(),
-        Topology::single_node(n),
-        |proc| {
-            let world = proc.world();
-            let rank = world.rank();
-            let send: Vec<i32> = (0..n as i32).map(|j| rank as i32 * 100 + j).collect();
-            let out = world.alltoall(&send, 1).unwrap();
-            let expect: Vec<i32> = (0..n as i32).map(|j| j * 100 + rank as i32).collect();
-            assert_eq!(out, expect, "rank {rank} transpose");
-            proc.comm_stats().max_posted_depth
-        },
-    );
-    for (r, d) in depths.iter().enumerate() {
-        assert!(*d <= DEPTH_SLACK, "rank {r}: blocking depth {d} not O(1)");
+        for (r, d) in depths.iter().enumerate() {
+            assert!(
+                *d <= cap,
+                "rank {r}: posted depth {d} exceeds window cap {cap} (nonblocking: {nonblocking})"
+            );
+        }
     }
 }
 
 #[test]
 fn comm_split_allgather_is_bounded_issue() {
-    // `comm_split`'s internal allgather_plain delegates to the RD/ring
-    // allgather, which keeps one exchange outstanding per step — the
+    // `comm_split`'s internal allgather_plain is the RD/ring allgather
+    // schedule, which keeps one exchange outstanding per step — the
     // depth pin documents that it never regresses to unbounded posting.
     let n = 48;
     let depths = Universe::run(

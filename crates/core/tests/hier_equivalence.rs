@@ -1,121 +1,119 @@
-//! Hierarchical-vs-flat collective equivalence.
+//! Node-aware collectives against the oracle.
 //!
-//! The node-aware collectives (`hier` module) must produce byte-identical
-//! results to the flat reference algorithms on every topology, for the
-//! blocking AND the schedule-compiled (NBC) paths — under clean fabrics,
-//! jittered fabrics, and lossy chaos fabrics alike. Reduction data is
-//! exact (integers, and floats holding small integers, whose sums are
-//! exactly representable), so fold-order differences between the flat and
-//! hierarchical trees cannot excuse a byte difference.
+//! On a multi-node topology the compilers emit the leader-based hierarchy
+//! (`hier` module). Its results must be the oracle's bytes (`common`) on
+//! every topology, through the blocking AND the nonblocking entry point —
+//! under clean fabrics, jittered fabrics, and lossy chaos fabrics alike.
+//! Reduction data is exact (integers, and floats holding small integers,
+//! whose sums are exactly representable), so the hierarchy's fold order
+//! cannot excuse a byte difference from the oracle's left-to-right fold.
 //!
-//! Blocking-vs-NBC comparisons additionally hold for *inexact* float
-//! data: the schedule compiler mirrors the blocking hierarchy's fold
-//! order (ascending members, then binomial leaders), so those two paths
-//! are bitwise-identical even when arithmetic rounds.
+//! For *inexact* float data no order-free oracle exists; there the suite
+//! holds the hierarchy to its determinism contract instead: ascending
+//! members, then binomial leaders, fixed at compile time — so two runs, and
+//! the two entry points, are bitwise-identical even when arithmetic rounds.
 
-use litempi_core::coll;
+mod common;
+
+use common::{bits, fold, gathered, transposed};
 use litempi_core::{BuildConfig, Op, Process, Universe};
 use litempi_fabric::{FaultPlan, FaultSpec, NodeId, ProviderProfile, Topology};
 use proptest::prelude::*;
 
-/// One full sweep: every hierarchical collective against its flat
-/// reference, then every NBC against its blocking twin.
-fn check_hier_vs_flat(proc: &Process, len: usize) {
+/// One full sweep: every collective the hierarchy touches, through both
+/// entry points, against the oracle.
+fn check_against_oracle(proc: &Process, len: usize) {
     let world = proc.world();
     let n = world.size();
     let rank = world.rank();
-    let ints: Vec<i64> = (0..len as i64).map(|i| rank as i64 * 131 + i * 7).collect();
+    let ints = |r: usize| -> Vec<i64> { (0..len as i64).map(|i| r as i64 * 131 + i * 7).collect() };
     // Small integers in f64: sums across <= a few hundred ranks are exact,
-    // so flat and hierarchical fold orders must agree bitwise.
-    let floats: Vec<f64> = ints.iter().map(|&v| v as f64).collect();
+    // so every fold order must agree bitwise.
+    let floats = |r: usize| -> Vec<f64> { ints(r).iter().map(|&v| v as f64).collect() };
 
     // --- allreduce ---
-    let hier = world.allreduce(&ints, &Op::Sum).unwrap();
-    let flat = coll::allreduce_flat(&world, &ints, &Op::Sum).unwrap();
-    assert_eq!(hier, flat, "allreduce i64 diverged");
-    let hier_f = world.allreduce(&floats, &Op::Sum).unwrap();
-    let flat_f = coll::allreduce_flat(&world, &floats, &Op::Sum).unwrap();
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    assert_eq!(bits(&hier_f), bits(&flat_f), "allreduce f64 diverged");
-    for op in [Op::Min, Op::Max, Op::Band, Op::Bxor] {
-        let hier = world.allreduce(&ints, &op).unwrap();
-        let flat = coll::allreduce_flat(&world, &ints, &op).unwrap();
-        assert_eq!(hier, flat, "allreduce {op:?} diverged");
+    type Fold = fn(i64, i64) -> i64;
+    let ops: [(Op, Fold); 5] = [
+        (Op::Sum, |a, b| a + b),
+        (Op::Min, i64::min),
+        (Op::Max, i64::max),
+        (Op::Band, |a, b| a & b),
+        (Op::Bxor, |a, b| a ^ b),
+    ];
+    for (op, f) in ops {
+        let want = fold(n, ints, f);
+        assert_eq!(world.allreduce(&ints(rank), &op).unwrap(), want, "{op:?}");
+        let nbc = world.iallreduce(&ints(rank), &op).unwrap();
+        assert_eq!(nbc.wait().unwrap(), want, "i{op:?}");
     }
+    let want = bits(&fold(n, floats, |a, b| a + b));
+    let sum = world.allreduce(&floats(rank), &Op::Sum).unwrap();
+    assert_eq!(bits(&sum), want, "allreduce f64 diverged");
+    let nbc = world.iallreduce(&floats(rank), &Op::Sum).unwrap();
+    assert_eq!(bits(&nbc.wait().unwrap()), want, "iallreduce f64 diverged");
 
-    // --- reduce, at three roots ---
+    // --- reduce and bcast, at three roots ---
+    let sum = fold(n, ints, |a, b| a + b);
     for root in [0, n / 2, n - 1] {
-        let hier = world.reduce(&ints, &Op::Sum, root).unwrap();
-        let flat = coll::reduce_flat(&world, &ints, &Op::Sum, root).unwrap();
-        assert_eq!(hier, flat, "reduce to {root} diverged");
+        let at_root = (rank == root).then(|| sum.clone());
+        let got = world.reduce(&ints(rank), &Op::Sum, root).unwrap();
+        assert_eq!(got, at_root, "reduce to {root} diverged");
+        let nbc = world.ireduce(&ints(rank), &Op::Sum, root).unwrap();
+        assert_eq!(nbc.wait().unwrap(), at_root, "ireduce to {root} diverged");
+
+        let mut buf = ints(rank);
+        world.bcast(&mut buf, root).unwrap();
+        assert_eq!(buf, ints(root), "bcast from {root} diverged");
+        let nbc = world.ibcast(&ints(rank), root).unwrap();
+        assert_eq!(
+            nbc.wait().unwrap(),
+            ints(root),
+            "ibcast from {root} diverged"
+        );
     }
 
-    // --- bcast, at three roots ---
-    for root in [0, n / 2, n - 1] {
-        let seed: Vec<u64> = (0..len as u64).map(|i| i * 1009 + 77).collect();
-        let mut hier = if rank == root {
-            seed.clone()
-        } else {
-            vec![0; len]
-        };
-        world.bcast(&mut hier, root).unwrap();
-        let mut flat = if rank == root { seed } else { vec![0; len] };
-        coll::bcast_flat(&world, &mut flat, root).unwrap();
-        assert_eq!(hier, flat, "bcast from {root} diverged");
-    }
-
-    // --- barrier (must complete on both paths) ---
+    // --- barrier (must complete through both) ---
     world.barrier().unwrap();
-    coll::barrier_flat(&world).unwrap();
+    world.ibarrier().unwrap().wait().unwrap();
 
-    // --- alltoall: node-aware slot order vs flat pairwise ---
+    // --- allgather (topology-blind, but split() rides on it) ---
+    let all = gathered(n, ints);
+    assert_eq!(world.allgather(&ints(rank)).unwrap(), all);
+    let nbc = world.iallgather(&ints(rank)).unwrap();
+    assert_eq!(nbc.wait().unwrap(), all, "iallgather diverged");
+
+    // --- alltoall: the node-aware slot order is still a transpose ---
     let block = len.max(1);
-    let send: Vec<i32> = (0..n * block)
-        .map(|j| (rank * 100_000 + j) as i32)
-        .collect();
-    let hier = world.alltoall(&send, block).unwrap();
-    let flat = coll::alltoall_flat(&world, &send, block).unwrap();
-    assert_eq!(hier, flat, "alltoall diverged");
+    let send =
+        |r: usize| -> Vec<i32> { (0..n * block).map(|j| (r * 100_000 + j) as i32).collect() };
+    let want = transposed(n, rank, block, send);
+    assert_eq!(world.alltoall(&send(rank), block).unwrap(), want);
+    let nbc = world.ialltoall(&send(rank), block).unwrap();
+    assert_eq!(nbc.wait().unwrap(), want, "ialltoall diverged");
 
-    // --- NBC twins: byte-identical to blocking, including inexact floats
-    //     (the compiler preserves the hierarchy's fold order) ---
+    // --- inexact floats: same bits run to run and entry point to entry
+    //     point (the fold order is compiled, not arrival-driven) ---
     let inexact: Vec<f64> = (0..len)
         .map(|i| 0.1 * (rank + 1) as f64 + i as f64 * 0.3)
         .collect();
-    let blocking = world.allreduce(&inexact, &Op::Sum).unwrap();
-    let nbc = world
-        .iallreduce(&inexact, &Op::Sum)
-        .unwrap()
-        .wait()
-        .unwrap();
-    assert_eq!(bits(&blocking), bits(&nbc), "iallreduce fp order diverged");
+    let first = bits(&world.allreduce(&inexact, &Op::Sum).unwrap());
+    assert_eq!(bits(&world.allreduce(&inexact, &Op::Sum).unwrap()), first);
+    let nbc = world.iallreduce(&inexact, &Op::Sum).unwrap();
+    assert_eq!(
+        bits(&nbc.wait().unwrap()),
+        first,
+        "iallreduce fp order diverged"
+    );
 
     let root = n - 1;
-    let blocking = world.reduce(&inexact, &Op::Sum, root).unwrap();
-    let nbc = world
-        .ireduce(&inexact, &Op::Sum, root)
-        .unwrap()
-        .wait()
-        .unwrap();
-    match (blocking, nbc) {
-        (Some(b), Some(c)) => assert_eq!(bits(&b), bits(&c), "ireduce fp order diverged"),
-        (None, None) => {}
-        _ => panic!("ireduce produced output at the wrong rank"),
-    }
-
-    let mut buf: Vec<u64> = if rank == 0 {
-        (0..len as u64).map(|i| i * 31 + 5).collect()
-    } else {
-        vec![0; len]
-    };
-    let nbc = world.ibcast(&buf, 0).unwrap().wait().unwrap();
-    world.bcast(&mut buf, 0).unwrap();
-    assert_eq!(nbc, buf, "ibcast diverged");
-
-    world.ibarrier().unwrap().wait().unwrap();
-
-    let nbc = world.ialltoall(&send, block).unwrap().wait().unwrap();
-    assert_eq!(nbc, hier, "ialltoall diverged");
+    let first = world.reduce(&inexact, &Op::Sum, root).unwrap();
+    assert_eq!(first.is_some(), rank == root);
+    let first = first.map(|v| bits(&v));
+    let again = world.reduce(&inexact, &Op::Sum, root).unwrap();
+    assert_eq!(again.map(|v| bits(&v)), first, "reduce fp order diverged");
+    let nbc = world.ireduce(&inexact, &Op::Sum, root).unwrap();
+    let nbc = nbc.wait().unwrap();
+    assert_eq!(nbc.map(|v| bits(&v)), first, "ireduce fp order diverged");
 }
 
 /// Deterministic pseudo-random node assignment (splitmix64 over the seed)
@@ -136,20 +134,20 @@ fn random_topology(n: usize, n_nodes: usize, seed: u64) -> Topology {
 }
 
 #[test]
-fn hier_matches_flat_on_blocked_topologies() {
+fn hier_matches_the_oracle_on_blocked_topologies() {
     for (n, rpn) in [(6, 2), (8, 4), (12, 3), (9, 3), (15, 4)] {
         Universe::run(
             n,
             BuildConfig::ch4_default(),
             ProviderProfile::infinite(),
             Topology::blocked(n, rpn),
-            |proc| check_hier_vs_flat(&proc, 5),
+            |proc| check_against_oracle(&proc, 5),
         );
     }
 }
 
 #[test]
-fn hier_matches_flat_under_coffee_chaos() {
+fn hier_matches_the_oracle_under_coffee_chaos() {
     // The fixed chaos seed from the issue: lossy, duplicating, reordering
     // links on the reliable transport must not change any result.
     let plan = FaultPlan::uniform(0xC0FFEE, FaultSpec::percent(20, 10, 30, 0));
@@ -159,7 +157,7 @@ fn hier_matches_flat_under_coffee_chaos() {
         BuildConfig::ch4_default(),
         profile,
         Topology::blocked(6, 2),
-        |proc| check_hier_vs_flat(&proc, 4),
+        |proc| check_against_oracle(&proc, 4),
     );
 }
 
@@ -178,8 +176,8 @@ fn hier_collectives_on_split_subcommunicators() {
             let mine = [sub.rank() as i64 + 1];
             let sum = sub.allreduce(&mine, &Op::Sum).unwrap();
             assert_eq!(sum[0], (1..=sub.size() as i64).sum::<i64>());
-            let flat = coll::allreduce_flat(&sub, &mine, &Op::Sum).unwrap();
-            assert_eq!(sum, flat);
+            let nbc = sub.iallreduce(&mine, &Op::Sum).unwrap();
+            assert_eq!(nbc.wait().unwrap(), sum);
         },
     );
 }
@@ -212,13 +210,13 @@ proptest! {
             profile = profile.with_jitter(seed);
         }
         Universe::run(n, BuildConfig::ch4_default(), profile, topo, move |proc| {
-            check_hier_vs_flat(&proc, len);
+            check_against_oracle(&proc, len);
         });
     }
 
     /// Random chaos seeds on a multi-node topology: the reliable
-    /// transport under loss/duplication/reordering still yields
-    /// flat-identical bytes on every hierarchical path.
+    /// transport under loss/duplication/reordering still yields the
+    /// oracle's bytes on every hierarchical path.
     #[test]
     fn hier_equivalence_under_chaos_randomized(seed in any::<u64>()) {
         let plan = FaultPlan::uniform(seed, FaultSpec::percent(20, 10, 30, 0));
@@ -228,7 +226,7 @@ proptest! {
             BuildConfig::ch4_default(),
             profile,
             Topology::blocked(6, 3),
-            |proc| check_hier_vs_flat(&proc, 3),
+            |proc| check_against_oracle(&proc, 3),
         );
     }
 }

@@ -1,10 +1,14 @@
-//! Nonblocking collectives must be *byte-identical* to their blocking
-//! counterparts: the schedule engine compiles the same algorithms, so the
-//! same inputs must give the same outputs on every rank — on the clean
-//! fabric, under cross-source delivery jitter, and under packet chaos on
-//! the reliable transport. Completion style (wait immediately, test-poll
-//! loop, out-of-order waits) must not change results either.
+//! The blocking and the nonblocking entry point of a collective run one
+//! compiled schedule, so on the same inputs both must produce the oracle's
+//! bytes (`common`) on every rank — on the clean fabric, under
+//! cross-source delivery jitter, and under packet chaos on the reliable
+//! transport. Completion style (wait immediately, test-poll loop,
+//! out-of-order waits, split + combinators) must not change results
+//! either.
 
+mod common;
+
+use common::{bits, fold, gathered, transposed};
 use litempi_core::{BuildConfig, CollRequest, Op, Universe};
 use litempi_fabric::{FaultPlan, FaultSpec, ProviderProfile, Topology};
 use proptest::prelude::*;
@@ -31,59 +35,79 @@ fn finish<T>(req: CollRequest<T>, mode: Mode) -> T {
     }
 }
 
-/// Run every NBC next to its blocking twin on one communicator and assert
-/// byte equality. Sequential blocking/nonblocking calls advance the
-/// collective tag identically on every rank, so the two families can
-/// interleave freely on the same communicator.
+/// Run every collective through both entry points on one communicator and
+/// hold each result to the oracle. Sequential blocking/nonblocking calls
+/// advance the collective tag identically on every rank, so the two
+/// families can interleave freely on the same communicator.
 fn check_all_ops(proc: &litempi_core::Process, len: usize, root: usize, mode: Mode) {
     let world = proc.world();
     let rank = world.rank();
     let n = world.size();
-    let data: Vec<u64> = (0..len as u64).map(|i| rank as u64 * 1000 + i).collect();
+    let data = |r: usize| -> Vec<u64> { (0..len as u64).map(|i| r as u64 * 1000 + i).collect() };
+    let mine = data(rank);
 
+    world.barrier().unwrap();
     finish(world.ibarrier().unwrap(), mode);
 
-    let mut blocking = data.clone();
-    world.bcast(&mut blocking, root).unwrap();
-    assert_eq!(finish(world.ibcast(&data, root).unwrap(), mode), blocking);
+    let mut buf = mine.clone();
+    world.bcast(&mut buf, root).unwrap();
+    assert_eq!(buf, data(root), "bcast");
+    assert_eq!(finish(world.ibcast(&mine, root).unwrap(), mode), data(root));
 
-    assert_eq!(
-        finish(world.ireduce(&data, &Op::Sum, root).unwrap(), mode),
-        world.reduce(&data, &Op::Sum, root).unwrap()
-    );
+    let sum = fold(n, data, |a, b| a + b);
+    let at_root = (rank == root).then(|| sum.clone());
+    assert_eq!(world.reduce(&mine, &Op::Sum, root).unwrap(), at_root);
+    let nbc = world.ireduce(&mine, &Op::Sum, root).unwrap();
+    assert_eq!(finish(nbc, mode), at_root);
 
-    assert_eq!(
-        finish(world.iallreduce(&data, &Op::Sum).unwrap(), mode),
-        world.allreduce(&data, &Op::Sum).unwrap()
-    );
+    assert_eq!(world.allreduce(&mine, &Op::Sum).unwrap(), sum);
+    let nbc = world.iallreduce(&mine, &Op::Sum).unwrap();
+    assert_eq!(finish(nbc, mode), sum);
 
-    assert_eq!(
-        finish(world.iallgather(&data).unwrap(), mode),
-        world.allgather(&data).unwrap()
-    );
+    let all = gathered(n, data);
+    assert_eq!(world.allgather(&mine).unwrap(), all);
+    assert_eq!(finish(world.iallgather(&mine).unwrap(), mode), all);
 
-    let a2a: Vec<u64> = (0..(len * n) as u64)
-        .map(|i| rank as u64 * 100_000 + i)
-        .collect();
-    assert_eq!(
-        finish(world.ialltoall(&a2a, len).unwrap(), mode),
-        world.alltoall(&a2a, len).unwrap()
-    );
+    let a2a = |r: usize| -> Vec<u64> {
+        (0..(len * n) as u64)
+            .map(|i| r as u64 * 100_000 + i)
+            .collect()
+    };
+    let transpose = transposed(n, rank, len, a2a);
+    assert_eq!(world.alltoall(&a2a(rank), len).unwrap(), transpose);
+    let nbc = world.ialltoall(&a2a(rank), len).unwrap();
+    assert_eq!(finish(nbc, mode), transpose);
 
     // Floating point is sensitive to reduction *order*, not just operand
-    // sets — bit-compare to prove the schedule folds in the same order as
-    // the blocking tree.
-    let fdata: Vec<f64> = (0..len)
+    // sets. The order is fixed when the schedule is compiled, never by
+    // arrival, so inexact sums repeat bit for bit from run to run and
+    // across the two entry points...
+    let inexact: Vec<f64> = (0..len)
         .map(|i| (rank + 1) as f64 * 0.1 + i as f64 * 1e-7)
         .collect();
-    let fb = world.allreduce(&fdata, &Op::Sum).unwrap();
-    let fnb = finish(world.iallreduce(&fdata, &Op::Sum).unwrap(), mode);
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    assert_eq!(bits(&fnb), bits(&fb), "fp reduction order diverged");
+    let first = bits(&world.allreduce(&inexact, &Op::Sum).unwrap());
+    assert_eq!(bits(&world.allreduce(&inexact, &Op::Sum).unwrap()), first);
+    for _ in 0..2 {
+        let nbc = world.iallreduce(&inexact, &Op::Sum).unwrap();
+        assert_eq!(
+            bits(&finish(nbc, mode)),
+            first,
+            "fp reduction order diverged"
+        );
+    }
+    // ...and on exactly representable values any order gives the oracle's.
+    let exact = |r: usize| -> Vec<f64> { data(r).iter().map(|&v| v as f64).collect() };
+    let want = bits(&fold(n, exact, |a, b| a + b));
+    assert_eq!(
+        bits(&world.allreduce(&exact(rank), &Op::Sum).unwrap()),
+        want
+    );
+    let nbc = world.iallreduce(&exact(rank), &Op::Sum).unwrap();
+    assert_eq!(bits(&finish(nbc, mode)), want);
 }
 
 #[test]
-fn nbc_matches_blocking_all_sizes() {
+fn both_entry_points_match_the_oracle_at_all_sizes() {
     // 2 and 4 exercise the power-of-two paths (recursive doubling), 3 the
     // non-power-of-two ones (ring allgather, reduce+bcast allreduce), 1
     // the trivial early-outs.
@@ -95,7 +119,7 @@ fn nbc_matches_blocking_all_sizes() {
 }
 
 #[test]
-fn nbc_matches_blocking_under_jitter() {
+fn both_entry_points_match_the_oracle_under_jitter() {
     let profile = ProviderProfile::infinite().with_jitter(0xBEEF);
     for n in [3usize, 4] {
         let p = profile;
@@ -112,7 +136,7 @@ fn nbc_matches_blocking_under_jitter() {
 }
 
 #[test]
-fn nbc_matches_blocking_under_chaos() {
+fn both_entry_points_match_the_oracle_under_chaos() {
     // Same fixed seeds and fault mix the reliability chaos tests pin.
     for seed in [0xC0FFEE_u64, 0x5EED] {
         let plan = FaultPlan::uniform(seed, FaultSpec::percent(20, 10, 30, 0));
@@ -138,16 +162,17 @@ fn nbc_large_payload_takes_rendezvous_path() {
     Universe::run_default(2, |proc| {
         let world = proc.world();
         let rank = world.rank();
-        let data: Vec<u64> = (0..10_000u64)
-            .map(|i| rank as u64 * 1_000_000 + i)
-            .collect();
-        let mut blocking = data.clone();
-        world.bcast(&mut blocking, 0).unwrap();
-        assert_eq!(world.ibcast(&data, 0).unwrap().wait().unwrap(), blocking);
-        assert_eq!(
-            world.iallreduce(&data, &Op::Max).unwrap().wait().unwrap(),
-            world.allreduce(&data, &Op::Max).unwrap()
-        );
+        let data =
+            |r: usize| -> Vec<u64> { (0..10_000u64).map(|i| r as u64 * 1_000_000 + i).collect() };
+        let mine = data(rank);
+        let mut buf = mine.clone();
+        world.bcast(&mut buf, 0).unwrap();
+        assert_eq!(buf, data(0));
+        assert_eq!(world.ibcast(&mine, 0).unwrap().wait().unwrap(), data(0));
+        let max = fold(2, data, u64::max);
+        assert_eq!(world.allreduce(&mine, &Op::Max).unwrap(), max);
+        let nbc = world.iallreduce(&mine, &Op::Max).unwrap();
+        assert_eq!(nbc.wait().unwrap(), max);
     });
 }
 
@@ -159,12 +184,12 @@ fn nbc_out_of_order_wait() {
     Universe::run_default(4, |proc| {
         let world = proc.world();
         let rank = world.rank();
-        let data: Vec<u64> = (0..8u64).map(|i| rank as u64 * 7 + i).collect();
-        let expect_red = world.allreduce(&data, &Op::Sum).unwrap();
-        let expect_gat = world.allgather(&data).unwrap();
+        let data = |r: usize| -> Vec<u64> { (0..8u64).map(|i| r as u64 * 7 + i).collect() };
+        let expect_red = fold(4, data, |a, b| a + b);
+        let expect_gat = gathered(4, data);
 
-        let red = world.iallreduce(&data, &Op::Sum).unwrap();
-        let gat = world.iallgather(&data).unwrap();
+        let red = world.iallreduce(&data(rank), &Op::Sum).unwrap();
+        let gat = world.iallgather(&data(rank)).unwrap();
         // Second first.
         assert_eq!(gat.wait().unwrap(), expect_gat);
         assert_eq!(red.wait().unwrap(), expect_red);
@@ -178,9 +203,10 @@ fn nbc_split_drives_through_combinators() {
     Universe::run_default(4, |proc| {
         let world = proc.world();
         let rank = world.rank();
-        let data: Vec<u64> = (0..6u64).map(|i| rank as u64 * 31 + i).collect();
-        let expect_red = world.allreduce(&data, &Op::Sum).unwrap();
-        let expect_gat = world.allgather(&data).unwrap();
+        let contrib = |r: usize| -> Vec<u64> { (0..6u64).map(|i| r as u64 * 31 + i).collect() };
+        let data = contrib(rank);
+        let expect_red = fold(4, contrib, |a, b| a + b);
+        let expect_gat = gathered(4, contrib);
 
         let (r1, o1) = world.iallreduce(&data, &Op::Sum).unwrap().split();
         let (r2, o2) = world.iallgather(&data).unwrap().split();
@@ -199,10 +225,7 @@ fn nbc_split_drives_through_combinators() {
             completions += litempi_core::waitsome(&mut reqs).unwrap().len();
         }
         assert_eq!(completions, 2);
-        assert_eq!(
-            o1.take().unwrap(),
-            world.allreduce(&data, &Op::Max).unwrap()
-        );
+        assert_eq!(o1.take().unwrap(), fold(4, contrib, u64::max));
         o2.take().unwrap();
     });
 }
@@ -230,8 +253,8 @@ fn coll_output_before_completion_is_invalid_request() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Random sizes, payload lengths, roots, and jitter seeds: every NBC
-    /// stays byte-identical to its blocking twin.
+    /// Random sizes, payload lengths, roots, and jitter seeds: both entry
+    /// points of every collective stay on the oracle.
     #[test]
     fn nbc_equivalence_randomized(
         n in 2usize..=4,
