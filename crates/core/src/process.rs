@@ -166,11 +166,9 @@ pub struct ProcInner {
     pub(crate) n_vcis: usize,
     /// CH4-core matching queues (AM-only providers).
     pub(crate) core_match: CoreMatcher,
-    /// Windows this rank participates in, by window id (progress needs
-    /// them to apply incoming one-sided AMs).
-    pub(crate) my_windows: Mutex<HashMap<u64, Arc<crate::rma::WinShared>>>,
-    /// AM RMA ops applied locally, per window (fence completion counting).
-    pub(crate) win_applied: Mutex<HashMap<u64, u64>>,
+    /// This rank's side of the windows it participates in, by window id
+    /// (progress applies incoming one-sided AMs there and counts them).
+    pub(crate) my_windows: Mutex<HashMap<u64, Arc<crate::rma::WinTarget>>>,
     /// PSCW notification counters per window.
     pub(crate) pscw: Mutex<HashMap<u64, PscwCounters>>,
     /// Outstanding get/get_accumulate replies, by op id.
@@ -231,7 +229,6 @@ impl ProcInner {
             n_vcis,
             core_match: CoreMatcher::default(),
             my_windows: Mutex::new(HashMap::new()),
-            win_applied: Mutex::new(HashMap::new()),
             pscw: Mutex::new(HashMap::new()),
             pending_replies: Mutex::new(HashMap::new()),
             next_op_id: AtomicU64::new(1),
@@ -332,12 +329,9 @@ impl ProcInner {
             proto::AM_RMA_PUT => {
                 // h0=win, h1=offset, h2=len, h3=ack op id (0 = no ack).
                 let win = self.window(h0);
-                self.endpoint
-                    .fabric()
-                    .region(win.local_key(self.rank))
-                    .write(h1 as usize, &am.data);
+                win.region.write(h1 as usize, &am.data);
                 debug_assert_eq!(h2 as usize, am.data.len());
-                self.note_applied(h0);
+                win.applied.fetch_add(1, Ordering::AcqRel);
                 if h3 != 0 {
                     self.endpoint.am_send(
                         am.src,
@@ -352,30 +346,23 @@ impl ProcInner {
                 let win = self.window(h0);
                 let (op_code, type_idx) = proto::decode_acc(h3);
                 let (op, ty) = decode_acc_op(op_code, type_idx);
-                self.endpoint
-                    .fabric()
-                    .region(win.local_key(self.rank))
-                    .update(h1 as usize, h2 as usize, |dst| {
-                        op.apply(&ty, dst, &am.data)
-                            .expect("acc op legality checked at origin");
-                    });
-                self.note_applied(h0);
+                win.region.update(h1 as usize, h2 as usize, |dst| {
+                    op.apply(&ty, dst, &am.data)
+                        .expect("acc op legality checked at origin");
+                });
+                win.applied.fetch_add(1, Ordering::AcqRel);
             }
             proto::AM_RMA_GET_REQ => {
                 // h0=win, h1=offset, h2=len, h3=op id.
                 let win = self.window(h0);
-                let data = self
-                    .endpoint
-                    .fabric()
-                    .region(win.local_key(self.rank))
-                    .read(h1 as usize, h2 as usize);
+                let data = win.region.read(h1 as usize, h2 as usize);
                 self.endpoint.am_send(
                     am.src,
                     proto::AM_RMA_GET_REPLY,
                     proto::header(h3, 0, 0, 0),
                     Bytes::from(data),
                 );
-                self.note_applied(h0);
+                win.applied.fetch_add(1, Ordering::AcqRel);
             }
             proto::AM_RMA_GETACC_REQ => {
                 // h0=win, h1=offset, h2=len, h3 low=op id; operand type and
@@ -386,21 +373,18 @@ impl ProcInner {
                 let (op, ty) = decode_acc_op(op_code, type_idx);
                 let operand = &am.data[8..];
                 let mut old = Vec::new();
-                self.endpoint
-                    .fabric()
-                    .region(win.local_key(self.rank))
-                    .update(h1 as usize, h2 as usize, |dst| {
-                        old = dst.to_vec();
-                        op.apply(&ty, dst, operand)
-                            .expect("acc op legality checked at origin");
-                    });
+                win.region.update(h1 as usize, h2 as usize, |dst| {
+                    old = dst.to_vec();
+                    op.apply(&ty, dst, operand)
+                        .expect("acc op legality checked at origin");
+                });
                 self.endpoint.am_send(
                     am.src,
                     proto::AM_RMA_GET_REPLY,
                     proto::header(h3, 0, 0, 0),
                     Bytes::from(old),
                 );
-                self.note_applied(h0);
+                win.applied.fetch_add(1, Ordering::AcqRel);
             }
             proto::AM_RMA_GET_REPLY => {
                 let slot = self
@@ -435,16 +419,12 @@ impl ProcInner {
         }
     }
 
-    fn window(&self, id: u64) -> Arc<crate::rma::WinShared> {
+    fn window(&self, id: u64) -> Arc<crate::rma::WinTarget> {
         self.my_windows
             .lock()
             .get(&id)
             .expect("AM for unknown window")
             .clone()
-    }
-
-    fn note_applied(&self, win_id: u64) {
-        *self.win_applied.lock().entry(win_id).or_insert(0) += 1;
     }
 
     /// Run `f` inside `vci`'s critical section if this build grants

@@ -26,10 +26,11 @@ use std::sync::Arc;
 /// completion-event condvar.
 const WAIT_SPINS: u32 = 64;
 
-/// Upper bound on one parked sleep. Completions are normally announced by
-/// an event-epoch bump on this rank's endpoint; the timeout covers the few
-/// that are signalled elsewhere (e.g. a rendezvous done flag set by the
-/// remote rank's pull) so no waiter can hang on a missed notification.
+/// Upper bound on one parked sleep. Completions are announced by an
+/// event-epoch bump on this rank's endpoint (a rendezvous pull by the
+/// remote rank bumps it through `signal_peer`); the timeout covers the few
+/// flags that are set without one, so no waiter can hang on a missed
+/// notification.
 const PARK_TIMEOUT: std::time::Duration = std::time::Duration::from_micros(200);
 
 /// Drive a completion poll, interleaving progress: bounded spin first (the
@@ -92,21 +93,19 @@ impl RecvDest<'_> {
     }
 }
 
-/// Resolve a matched message (eager or rendezvous) into the destination
-/// buffer, producing the receive status. Consumes the wire payload so its
-/// storage can be recycled through the fabric's buffer pool — the step
-/// that keeps the eager pipeline allocation-free in steady state.
 /// Receiver side of the RDMA rendezvous: claim the table entry, validate
-/// the descriptor against it, RDMA-read the staged wire bytes, return the
-/// region to the origin's registration cache, and signal the sender.
-/// Descriptor damage (missing entry, key mismatch, oversize length)
-/// surfaces as [`MpiError::Integrity`], never a panic.
+/// the descriptor against it, RDMA-read the staged wire bytes straight
+/// into `dest`, return the region to the origin's registration cache, and
+/// signal the sender. Returns the delivered byte count. Descriptor damage
+/// (missing entry, key mismatch, oversize length) surfaces as
+/// [`MpiError::Integrity`], never a panic.
 pub(crate) fn fetch_rndv_rma(
     proc: &ProcInner,
     rndv_id: u64,
     len: usize,
     key: u64,
-) -> MpiResult<Vec<u8>> {
+    dest: &mut RecvDest<'_>,
+) -> MpiResult<usize> {
     use litempi_instr::{charge, cost, Category};
     let entry = proc.univ.take_rndv_rma(rndv_id).ok_or(MpiError::Integrity(
         "rdma-rendezvous entry vanished (damaged or replayed RTS descriptor)",
@@ -123,9 +122,11 @@ pub(crate) fn fetch_rndv_rma(
     }
     let origin_addr = proc.addr_of_world(entry.origin);
     charge(Category::Rma, cost::rma::RNDV_GET);
-    let data = proc
+    let delivered = proc
         .endpoint
-        .rdma_get(origin_addr, entry.region.key(), 0, len);
+        .rdma_get(origin_addr, &entry.region, 0, len, |wire| {
+            dest.deliver(wire)
+        });
     // Lease back to the *origin's* pin-down cache, keyed by this rank (the
     // peer the origin acquired it for), so the sender's next large message
     // to us is a registration-cache hit.
@@ -134,9 +135,24 @@ pub(crate) fn fetch_rndv_rma(
         .endpoint(origin_addr)
         .reg_release(proc.addr_of_world(proc.rank), entry.region);
     entry.done.store(true, Ordering::Release);
-    Ok(data)
+    release_sender(proc, origin_addr);
+    delivered
 }
 
+/// A rendezvous pull just set `sender`'s done flag. Raise the completion
+/// event on its endpoint — nothing else announces the flag, and a sender
+/// parked on it would sleep out `PARK_TIMEOUT` — and let it run: it has
+/// waited since its RTS, and on a shared CPU it would otherwise wait on
+/// until this rank next blocks, however much this rank computes first.
+fn release_sender(proc: &ProcInner, sender: litempi_fabric::NetAddr) {
+    proc.endpoint.signal_peer(sender);
+    std::thread::yield_now();
+}
+
+/// Resolve a matched message (eager or rendezvous) into the destination
+/// buffer, producing the receive status. Consumes the wire payload so its
+/// storage can be recycled through the fabric's buffer pool — the step
+/// that keeps the eager pipeline allocation-free in steady state.
 pub(crate) fn complete_recv(
     proc: &ProcInner,
     bits: u64,
@@ -159,11 +175,12 @@ pub(crate) fn complete_recv(
             let data = proc.univ.pull_rndv(rndv_id).ok_or(MpiError::Integrity(
                 "rendezvous entry vanished (damaged or replayed RTS descriptor)",
             ))?;
-            dest.deliver(&data)?
+            let delivered = dest.deliver(&data);
+            release_sender(proc, proc.addr_of_world(fabric_src_world));
+            delivered?
         }
         DecodedPayload::RtsRma { rndv_id, len, key } => {
-            let data = fetch_rndv_rma(proc, rndv_id, len, key)?;
-            dest.deliver(&data)?
+            fetch_rndv_rma(proc, rndv_id, len, key, dest)?
         }
     };
     proc.pool_release(bits, payload);

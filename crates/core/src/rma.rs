@@ -7,6 +7,16 @@
 //! `original` device *always* emulates RMA over active messages, which is
 //! precisely why the paper measures 1342 instructions for CH3's `MPI_PUT`.
 //!
+//! Synchronization is built the way foMPI builds it. Every rank's region
+//! handle is resolved once, at window creation, so no operation looks a
+//! key up. A passive-target operation goes at the target's region when it
+//! is issued, straight from the user buffer — MPI-3.1 §11.5 *guarantees*
+//! completion at `flush`/`unlock` and forbids nothing earlier — so
+//! `flush`/`unlock` are a check of two per-target counters
+//! (`TargetEpoch`), a lock is one atomic word per target
+//! (`TargetLock`), and a fence whose epoch used only native operations
+//! is a single `allreduce` ([`Window::fence`]).
+//!
 //! §3.2's proposal is implemented as the `*_virtual_addr` operations on
 //! [`VirtAddr`] handles (usable on *all* window kinds, removing the dynamic
 //! -window disadvantage the paper describes); §3.3's precreated-handle idea
@@ -15,18 +25,19 @@
 use crate::coll;
 use crate::comm::{Communicator, Errhandler};
 use crate::error::{MpiError, MpiResult};
-use crate::group::Group;
 use crate::match_bits::PROC_NULL;
 use crate::op::Op;
-use crate::process::{acc_code_of, ProcInner};
+use crate::process::{acc_code_of, ProcInner, PscwCounters, ReplySlot};
 use crate::proto;
 use crate::request::{wait_loop, RecvDest, Request};
 use crate::status::Status;
 use bytes::Bytes;
 use litempi_datatype::{pack, Datatype, MpiPrimitive};
-use litempi_fabric::{MemoryRegion, RegionKey};
+use litempi_fabric::{MemoryRegion, NetAddr, RegionKey};
 use litempi_instr::{charge, cost, Category};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
+use std::borrow::Cow;
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -79,54 +90,62 @@ pub enum LockType {
     Exclusive,
 }
 
-/// Passive-target lock state for one target rank.
+/// Passive-target lock word of one target rank, in foMPI's layout: the top
+/// bit is the exclusive holder, the bits below count the shared holders.
+/// Acquiring is one atomic on the word — a compare-and-swap from zero for
+/// exclusive, a fetch-and-add (withdrawn if the writer bit was set) for
+/// shared — retried inside [`wait_loop`], so a waiter keeps driving progress
+/// and sees a dead or revoked target as an error.
 #[derive(Debug, Default)]
-pub(crate) struct TargetLock {
-    state: Mutex<LockSt>,
-    cv: Condvar,
-}
-
-#[derive(Debug, Default)]
-struct LockSt {
-    exclusive: bool,
-    shared: usize,
-}
+pub(crate) struct TargetLock(AtomicU64);
 
 impl TargetLock {
-    fn acquire(&self, kind: LockType) {
-        let mut st = self.state.lock();
+    const WRITER: u64 = 1 << 63;
+
+    fn try_acquire(&self, kind: LockType) -> bool {
         match kind {
-            LockType::Exclusive => {
-                while st.exclusive || st.shared > 0 {
-                    self.cv.wait(&mut st);
-                }
-                st.exclusive = true;
-            }
+            LockType::Exclusive => self
+                .0
+                .compare_exchange(0, Self::WRITER, Ordering::Acquire, Ordering::Relaxed)
+                .is_ok(),
             LockType::Shared => {
-                while st.exclusive {
-                    self.cv.wait(&mut st);
+                if self.0.fetch_add(1, Ordering::Acquire) & Self::WRITER == 0 {
+                    return true;
                 }
-                st.shared += 1;
+                // Never held, so nothing to publish. (The moment between
+                // the two can fail an exclusive attempt that would have
+                // succeeded; it retries.)
+                self.0.fetch_sub(1, Ordering::Relaxed);
+                false
             }
         }
     }
 
     fn release(&self, kind: LockType) {
-        let mut st = self.state.lock();
-        match kind {
-            LockType::Exclusive => {
-                debug_assert!(st.exclusive);
-                st.exclusive = false;
-            }
-            LockType::Shared => {
-                debug_assert!(st.shared > 0);
-                st.shared -= 1;
-            }
-        }
-        drop(st);
-        self.cv.notify_all();
+        let held = match kind {
+            LockType::Exclusive => Self::WRITER,
+            LockType::Shared => 1,
+        };
+        let before = self.0.fetch_sub(held, Ordering::Release);
+        debug_assert!(match kind {
+            LockType::Exclusive => before & Self::WRITER != 0,
+            LockType::Shared => before & !Self::WRITER != 0,
+        });
     }
 }
+
+thread_local! {
+    /// Passive-target locks the calling thread holds, as (window handle,
+    /// target, kind). A lock epoch belongs to the thread that opened it:
+    /// injector threads sharing one [`Window`] each lock, issue and unlock
+    /// on their own, and a second thread asking for a target its sibling
+    /// holds waits for it like any other origin.
+    static HELD: RefCell<Vec<(u64, usize, LockType)>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Names a [`Window`] handle in [`HELD`]; unique for the process lifetime,
+/// so an entry left behind by a dropped window can never match a new one.
+static NEXT_HANDLE: AtomicU64 = AtomicU64::new(0);
 
 /// Window kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,32 +156,29 @@ enum WinKind {
     Dynamic,
 }
 
-/// State shared by all ranks of a window.
+/// State shared by all ranks of a window. Every rank's region handle is
+/// resolved here once, at creation, so no operation looks a key up.
 pub(crate) struct WinShared {
     pub id: u64,
-    pub keys: Vec<RegionKey>,
+    pub regions: Vec<MemoryRegion>,
     pub lens: Vec<usize>,
     pub disp_units: Vec<usize>,
-    pub group: Group,
     pub locks: Vec<TargetLock>,
 }
 
-impl WinShared {
-    /// The region key exposed by the process with the given *world* rank
-    /// (used by the AM progress engine, which only knows world identities).
-    pub fn local_key(&self, world: usize) -> RegionKey {
-        let local = self
-            .group
-            .local_rank(world)
-            .expect("AM target not in window group");
-        self.keys[local]
-    }
+/// One rank's side of a window as its AM progress engine sees it: the
+/// memory it exposes and how many AM-fallback ops it has applied there
+/// (what `fence` waits on).
+pub(crate) struct WinTarget {
+    pub region: MemoryRegion,
+    pub applied: AtomicU64,
 }
 
-/// Which access epoch an operation is issued under (used to route the AM
-/// fallback: exposure-driven epochs deliver true AMs; passive epochs queue
-/// at the origin and complete at flush, modeling a device-offloaded
-/// handler with foMPI-style deferred completion).
+/// Which access epoch an operation is issued under. It routes the AM
+/// fallback: in an exposure-driven epoch (`Fence`, `Start`) a non-native op
+/// travels as an active message the target applies; in a `Passive` epoch
+/// the target may never enter the library, so every op goes straight at its
+/// region — a device-offloaded handler, in the model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EpochKind {
     Fence,
@@ -170,63 +186,57 @@ enum EpochKind {
     Passive,
 }
 
-/// Per-target epoch words: lock-free issued/completed counters that give
-/// passive-target synchronization its completion condition (`flush` blocks
-/// until `completed` catches up with `issued` for that target) without any
-/// shared lock on the injection path.
+/// Per-target epoch words, lock-free: `issued` counts the puts and
+/// accumulates issued under a passive-target epoch, `completed` is the
+/// watermark `flush`/`unlock` raise to it — so a flush is a counter check:
+/// read one word, raise the other, retire the difference. (Everything
+/// else — gets, fetching atomics, active-target ops — is complete when its
+/// call returns and has no business here.)
 #[derive(Debug, Default)]
 struct TargetEpoch {
     issued: AtomicU64,
     completed: AtomicU64,
 }
 
-/// A passive-target operation staged at issue and applied at flush.
-/// The origin buffer is captured at issue (so `flush_local` semantics are
-/// trivially satisfied); the target's memory changes only at `flush` /
-/// `unlock`, which is the observable MPI-3 completion point.
-enum PendingOp {
-    Put {
-        key: RegionKey,
-        byte: usize,
-        data: Vec<u8>,
-    },
-    Acc {
-        key: RegionKey,
-        byte: usize,
-        op: Op,
-        ty: Datatype,
-        data: Vec<u8>,
-    },
+/// Where an operation lands, as resolved by the prologue.
+struct Access<'w> {
+    /// Target rank in the window and its fabric address.
+    t: usize,
+    dst: NetAddr,
+    /// The window-resident handle, or the one looked up for an address
+    /// that names some other region (dynamic windows).
+    region: Cow<'w, MemoryRegion>,
+    byte: usize,
+    epoch: EpochKind,
 }
 
 /// An RMA window.
 ///
 /// `Window` is `Sync`: passive-target operations may be injected from
 /// multiple threads (one per VCI-bound injector) through one handle. All
-/// synchronization state is either atomic (epoch flags and counters) or
-/// behind short-lived mutexes that are never held across fabric calls.
+/// synchronization state is either atomic (lock words, epoch flags and
+/// counters), thread-local (which locks the caller holds) or behind
+/// short-lived mutexes that are never held across fabric calls.
 pub struct Window {
     shared: Arc<WinShared>,
+    mine: Arc<WinTarget>,
     comm: Communicator,
     /// Context id of the communicator the window was created over. The
     /// window runs on a private dup, but ULFM revocation of the parent
     /// must still poison the window's epochs.
     parent_ctx: u16,
     kind: WinKind,
+    /// This handle's name in [`HELD`].
+    handle: u64,
     fence_active: AtomicBool,
     start_group: Mutex<Option<Vec<usize>>>,
     post_group: Mutex<Option<Vec<usize>>>,
-    locks_held: Mutex<Vec<(usize, LockType)>>,
     lock_all: AtomicBool,
     /// AM ops sent per target since the last fence (fence completion).
     sent_am: Vec<AtomicU64>,
-    /// Applied-op baseline at the last fence.
-    applied_seen: AtomicU64,
-    /// Per-target issued/completed epoch words (passive target).
+    /// Per-target epoch words.
     epochs: Vec<TargetEpoch>,
-    /// Passive-target operations staged at issue, applied at flush.
-    pending: Vec<Mutex<Vec<PendingOp>>>,
-    /// My own attached regions (dynamic windows).
+    /// Regions attached after creation (dynamic windows).
     attached: Mutex<Vec<MemoryRegion>>,
 }
 
@@ -264,37 +274,35 @@ impl Window {
         let mine = [region.key().0, len as u64, disp_unit as u64];
         let all = coll::allgather(&wcomm, &mine)?;
         let size = wcomm.size();
-        let keys: Vec<RegionKey> = (0..size).map(|r| RegionKey(all[3 * r])).collect();
-        let lens: Vec<usize> = (0..size).map(|r| all[3 * r + 1] as usize).collect();
-        let disp_units: Vec<usize> = (0..size).map(|r| all[3 * r + 2] as usize).collect();
-        let group = wcomm.group().clone();
         let univ = &proc.univ;
         let ctx = wcomm.context_id().0;
         let shared = univ.meet.meet((ctx, u64::MAX, 0), size, || WinShared {
-            id: univ
-                .next_win
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-            keys,
-            lens,
-            disp_units,
-            group,
+            id: univ.next_win.fetch_add(1, Ordering::Relaxed),
+            regions: (0..size)
+                .map(|r| univ.fabric.region(RegionKey(all[3 * r])))
+                .collect(),
+            lens: (0..size).map(|r| all[3 * r + 1] as usize).collect(),
+            disp_units: (0..size).map(|r| all[3 * r + 2] as usize).collect(),
             locks: (0..size).map(|_| TargetLock::default()).collect(),
         });
-        proc.my_windows.lock().insert(shared.id, shared.clone());
+        let mine = Arc::new(WinTarget {
+            region,
+            applied: AtomicU64::new(0),
+        });
+        proc.my_windows.lock().insert(shared.id, mine.clone());
         let win = Window {
             shared,
+            mine,
             parent_ctx: comm.context_id().0,
             kind,
+            handle: NEXT_HANDLE.fetch_add(1, Ordering::Relaxed),
             fence_active: AtomicBool::new(false),
             start_group: Mutex::new(None),
             post_group: Mutex::new(None),
-            locks_held: Mutex::new(Vec::new()),
             lock_all: AtomicBool::new(false),
             sent_am: (0..size).map(|_| AtomicU64::new(0)).collect(),
-            applied_seen: AtomicU64::new(0),
             epochs: (0..size).map(|_| TargetEpoch::default()).collect(),
-            pending: (0..size).map(|_| Mutex::new(Vec::new())).collect(),
-            attached: Mutex::new(vec![region]),
+            attached: Mutex::new(Vec::new()),
             comm: wcomm,
         };
         // Ensure every rank has registered the window with its progress
@@ -308,8 +316,7 @@ impl Window {
         coll::barrier(&self.comm)?;
         let proc = self.proc().clone();
         proc.my_windows.lock().remove(&self.shared.id);
-        let my = self.comm.rank();
-        proc.endpoint.deregister(self.shared.keys[my]);
+        proc.endpoint.deregister(self.mine.region.key());
         Ok(())
     }
 
@@ -337,7 +344,7 @@ impl Window {
     /// application can store these and use address-based operations).
     pub fn base_addr(&self, rank: usize) -> VirtAddr {
         VirtAddr {
-            key: self.shared.keys[rank],
+            key: self.shared.regions[rank].key(),
             byte: 0,
         }
     }
@@ -359,26 +366,27 @@ impl Window {
 
     /// Read my own exposed memory (the target side of a test).
     pub fn read_local(&self, offset: usize, len: usize) -> Vec<u8> {
-        let key = self.shared.keys[self.comm.rank()];
-        self.proc().endpoint.fabric().region(key).read(offset, len)
+        self.mine.region.read(offset, len)
     }
 
     /// Write my own exposed memory directly (initialization).
     pub fn write_local(&self, offset: usize, data: &[u8]) {
-        let key = self.shared.keys[self.comm.rank()];
-        self.proc()
-            .endpoint
-            .fabric()
-            .region(key)
-            .write(offset, data);
+        self.mine.region.write(offset, data);
     }
 
     // ------------------------------------------------------------- epochs
 
+    /// The lock the calling thread holds on `target` through this handle.
+    fn held(&self, target: usize) -> Option<LockType> {
+        HELD.with_borrow(|h| {
+            h.iter()
+                .find(|&&(w, t, _)| w == self.handle && t == target)
+                .map(|&(_, _, kind)| kind)
+        })
+    }
+
     fn epoch_for(&self, target: usize) -> Option<EpochKind> {
-        if self.lock_all.load(Ordering::Acquire)
-            || self.locks_held.lock().iter().any(|&(t, _)| t == target)
-        {
+        if self.lock_all.load(Ordering::Acquire) || self.held(target).is_some() {
             Some(EpochKind::Passive)
         } else if self
             .start_group
@@ -394,27 +402,36 @@ impl Window {
         }
     }
 
-    /// `MPI_WIN_FENCE`: close the previous fence epoch (waiting for every
-    /// AM-fallback op targeting this rank to be applied) and open the next.
+    /// `MPI_WIN_FENCE`: close the previous fence epoch and open the next,
+    /// in one collective when the epoch's ops were all native.
+    ///
+    /// Summing every rank's per-target AM-op counts is both the barrier
+    /// (nobody leaves before everybody arrived, and a native op is applied
+    /// when its call returns) and the count exchange: my column of the sum
+    /// is how many AM-fallback ops were sent at me. Only when some rank
+    /// sent one is there more to do — wait until mine are applied, then a
+    /// barrier, because a rank that left now could start the next epoch
+    /// with a native put that overtakes an AM op still on its way to the
+    /// same target.
     pub fn fence(&self) -> MpiResult<()> {
-        // Exchange per-target AM-op counts; then wait until the expected
-        // number of incoming ops has been applied locally.
-        let counts: Vec<u64> = self
+        let sent: Vec<u64> = self
             .sent_am
             .iter()
             .map(|c| c.swap(0, Ordering::AcqRel))
             .collect();
-        let incoming = coll::alltoall(&self.comm, &counts, 1)?;
-        let expected: u64 = incoming.iter().sum();
-        let target_total = self.applied_seen.load(Ordering::Acquire) + expected;
-        let proc = self.proc().clone();
-        let id = self.shared.id;
-        wait_loop(&proc, || {
-            let applied = proc.win_applied.lock().get(&id).copied().unwrap_or(0);
-            (applied >= target_total).then_some(())
-        });
-        self.applied_seen.store(target_total, Ordering::Release);
-        coll::barrier(&self.comm)?;
+        let sent = coll::allreduce(&self.comm, &sent, &Op::Sum)?;
+        if sent.iter().any(|&n| n != 0) {
+            let due = sent[self.comm.rank()];
+            let applied = &self.mine.applied;
+            wait_loop(self.proc(), || {
+                if applied.load(Ordering::Acquire) >= due {
+                    return Some(Ok(()));
+                }
+                self.check_target_alive(self.comm.rank()).err().map(Err)
+            })?;
+            applied.fetch_sub(due, Ordering::AcqRel);
+            coll::barrier(&self.comm)?;
+        }
         self.fence_active.store(true, Ordering::Release);
         Ok(())
     }
@@ -425,18 +442,38 @@ impl Window {
         if self.post_group.lock().is_some() {
             return Err(MpiError::RmaSync("post inside an exposure epoch"));
         }
+        self.notify(origins, proto::AM_PSCW_POST);
+        *self.post_group.lock() = Some(origins.to_vec());
+        Ok(())
+    }
+
+    /// Send a PSCW notice (post or complete) to each of `peers`.
+    fn notify(&self, peers: &[usize], handler: u16) {
         let proc = self.proc();
-        for &o in origins {
-            let world = self.comm.world_rank_of(o);
+        for &p in peers {
             proc.endpoint.am_send(
-                proc.addr_of_world(world),
-                proto::AM_PSCW_POST,
+                proc.addr_of_world(self.comm.world_rank_of(p)),
+                handler,
                 proto::header(self.shared.id, 0, 0, self.comm.rank() as u64),
                 Bytes::new(),
             );
         }
-        *self.post_group.lock() = Some(origins.to_vec());
-        Ok(())
+    }
+
+    /// Wait on this window's PSCW counters until `ready` consumes what it
+    /// was waiting for; a dead or revoked peer among `peers` ends the wait.
+    fn pscw_wait(
+        &self,
+        peers: &[usize],
+        mut ready: impl FnMut(&mut PscwCounters) -> bool,
+    ) -> MpiResult<()> {
+        let proc = self.proc();
+        wait_loop(proc, || {
+            if ready(proc.pscw.lock().entry(self.shared.id).or_default()) {
+                return Some(Ok(()));
+            }
+            (peers.iter().find_map(|&p| self.check_target_alive(p).err())).map(Err)
+        })
     }
 
     /// `MPI_WIN_START`: open an access epoch toward `targets`, waiting for
@@ -445,21 +482,14 @@ impl Window {
         if self.start_group.lock().is_some() {
             return Err(MpiError::RmaSync("start inside an access epoch"));
         }
-        let proc = self.proc().clone();
-        let id = self.shared.id;
-        let want: Vec<usize> = targets.to_vec();
-        wait_loop(&proc, || {
-            let pscw = proc.pscw.lock();
-            let posts = pscw.get(&id).map(|c| c.posts.clone()).unwrap_or_default();
-            want.iter().all(|t| posts.contains(t)).then_some(())
-        });
-        // Consume the posts we waited for.
-        let mut pscw = proc.pscw.lock();
-        if let Some(c) = pscw.get_mut(&id) {
-            c.posts.retain(|r| !want.contains(r));
-        }
-        drop(pscw);
-        *self.start_group.lock() = Some(want);
+        self.pscw_wait(targets, |c| {
+            let all = targets.iter().all(|t| c.posts.contains(t));
+            if all {
+                c.posts.retain(|r| !targets.contains(r));
+            }
+            all
+        })?;
+        *self.start_group.lock() = Some(targets.to_vec());
         Ok(())
     }
 
@@ -471,16 +501,7 @@ impl Window {
             .lock()
             .take()
             .ok_or(MpiError::RmaSync("complete without start"))?;
-        let proc = self.proc();
-        for t in targets {
-            let world = self.comm.world_rank_of(t);
-            proc.endpoint.am_send(
-                proc.addr_of_world(world),
-                proto::AM_PSCW_COMPLETE,
-                proto::header(self.shared.id, 0, 0, self.comm.rank() as u64),
-                Bytes::new(),
-            );
-        }
+        self.notify(&targets, proto::AM_PSCW_COMPLETE);
         Ok(())
     }
 
@@ -493,47 +514,51 @@ impl Window {
             .take()
             .ok_or(MpiError::RmaSync("wait without post"))?;
         let n = origins.len();
-        let proc = self.proc().clone();
-        let id = self.shared.id;
-        wait_loop(&proc, || {
-            let pscw = proc.pscw.lock();
-            (pscw.get(&id).map(|c| c.completes).unwrap_or(0) >= n).then_some(())
-        });
-        let mut pscw = proc.pscw.lock();
-        if let Some(c) = pscw.get_mut(&id) {
-            c.completes -= n;
-        }
-        Ok(())
+        self.pscw_wait(&origins, |c| {
+            let all = c.completes >= n;
+            if all {
+                c.completes -= n;
+            }
+            all
+        })
     }
 
-    /// `MPI_WIN_LOCK`.
+    /// Take `target`'s lock word, or learn why that cannot happen.
+    fn acquire(&self, target: usize, kind: LockType) -> MpiResult<()> {
+        let word = &self.shared.locks[target];
+        wait_loop(self.proc(), || match self.check_target_alive(target) {
+            Ok(()) => word.try_acquire(kind).then_some(Ok(())),
+            Err(e) => Some(Err(e)),
+        })
+    }
+
+    /// `MPI_WIN_LOCK`. A thread that asks again for a target it already
+    /// holds is in error; one whose sibling holds it waits its turn.
     pub fn lock(&self, kind: LockType, target: usize) -> MpiResult<()> {
         if self.lock_all.load(Ordering::Acquire) {
             return Err(MpiError::RmaSync("lock inside lock_all"));
         }
-        if self.locks_held.lock().iter().any(|&(t, _)| t == target) {
+        if self.held(target).is_some() {
             return Err(MpiError::RmaSync("lock already held for target"));
         }
-        self.check_target_alive(target)?;
-        self.shared.locks[target].acquire(kind);
-        self.locks_held.lock().push((target, kind));
+        self.acquire(target, kind)?;
+        HELD.with_borrow_mut(|h| h.push((self.handle, target, kind)));
         Ok(())
     }
 
-    /// `MPI_WIN_UNLOCK`: complete every queued passive op at the target,
+    /// `MPI_WIN_UNLOCK`: complete the epoch's operations at the target,
     /// *then* release the lock — another origin acquiring it next must see
     /// our updates (MPI-3 §11.5.3).
     pub fn unlock(&self, target: usize) -> MpiResult<()> {
-        let kind = {
-            let mut held = self.locks_held.lock();
-            let pos = held
-                .iter()
-                .position(|&(t, _)| t == target)
-                .ok_or(MpiError::RmaSync("unlock without lock"))?;
-            let (_, kind) = held.remove(pos);
-            kind
-        };
-        self.apply_pending(target);
+        let kind = HELD
+            .with_borrow_mut(|h| {
+                let pos = h
+                    .iter()
+                    .position(|&(w, t, _)| w == self.handle && t == target)?;
+                Some(h.swap_remove(pos).2)
+            })
+            .ok_or(MpiError::RmaSync("unlock without lock"))?;
+        self.retire(target);
         self.shared.locks[target].release(kind);
         Ok(())
     }
@@ -543,84 +568,86 @@ impl Window {
         if self.lock_all.load(Ordering::Acquire) {
             return Err(MpiError::RmaSync("lock_all inside lock_all"));
         }
-        if !self.locks_held.lock().is_empty() {
+        if HELD.with_borrow(|h| h.iter().any(|&(w, ..)| w == self.handle)) {
             return Err(MpiError::RmaSync("lock_all inside lock"));
         }
         for t in 0..self.size() {
-            self.check_target_alive(t)?;
-        }
-        for t in 0..self.size() {
-            self.shared.locks[t].acquire(LockType::Shared);
+            if let Err(e) = self.acquire(t, LockType::Shared) {
+                for word in &self.shared.locks[..t] {
+                    word.release(LockType::Shared);
+                }
+                return Err(e);
+            }
         }
         self.lock_all.store(true, Ordering::Release);
         Ok(())
     }
 
-    /// `MPI_WIN_UNLOCK_ALL`: complete all queued ops, then release.
+    /// `MPI_WIN_UNLOCK_ALL`: complete every target's operations, then
+    /// release.
     pub fn unlock_all(&self) -> MpiResult<()> {
         if !self.lock_all.load(Ordering::Acquire) {
             return Err(MpiError::RmaSync("unlock_all without lock_all"));
         }
         for t in 0..self.size() {
-            self.apply_pending(t);
+            self.retire(t);
         }
-        for t in 0..self.size() {
-            self.shared.locks[t].release(LockType::Shared);
+        for word in &self.shared.locks {
+            word.release(LockType::Shared);
         }
         self.lock_all.store(false, Ordering::Release);
         Ok(())
     }
 
-    /// `MPI_WIN_FLUSH`: complete all outstanding operations to `target`,
-    /// at both origin and target. Passive-target puts/accumulates queue at
-    /// issue and are applied here; the per-target epoch words advance to
-    /// `issued == completed`.
-    pub fn flush(&self, target: usize) -> MpiResult<()> {
-        self.check_target_alive(target)?;
-        self.apply_pending(target);
+    /// The fixed part of every flush call.
+    fn flush_base(&self) {
         charge(Category::Rma, cost::rma::FLUSH_BASE);
         self.proc().endpoint.note_win_flush();
         self.proc().progress();
+    }
+
+    /// `MPI_WIN_FLUSH`: complete all outstanding operations to `target`,
+    /// at both origin and target — make the target's epoch words meet.
+    pub fn flush(&self, target: usize) -> MpiResult<()> {
+        self.check_target_alive(target)?;
+        self.retire(target);
+        self.flush_base();
         Ok(())
     }
 
     /// `MPI_WIN_FLUSH_ALL`.
     pub fn flush_all(&self) -> MpiResult<()> {
         for t in 0..self.size() {
-            self.apply_pending(t);
+            self.retire(t);
         }
-        charge(Category::Rma, cost::rma::FLUSH_BASE);
-        self.proc().endpoint.note_win_flush();
-        self.proc().progress();
+        self.flush_base();
         Ok(())
     }
 
     /// `MPI_WIN_FLUSH_LOCAL`: complete outstanding operations to `target`
-    /// at the *origin* only. Passive ops capture the origin buffer when
-    /// they are staged, so local completion holds as soon as the call
-    /// charges its synchronization cost (remote completion still waits for
-    /// [`Window::flush`] / [`Window::unlock`]).
+    /// at the *origin* only. An operation has read its origin buffer by
+    /// the time its call returns, so only the synchronization cost is
+    /// left; retiring the epoch's ops stays with [`Window::flush`] /
+    /// [`Window::unlock`].
     pub fn flush_local(&self, target: usize) -> MpiResult<()> {
         self.check_target_alive(target)?;
-        charge(Category::Rma, cost::rma::FLUSH_BASE);
-        self.proc().endpoint.note_win_flush();
-        self.proc().progress();
+        self.flush_base();
         Ok(())
     }
 
     /// `MPI_WIN_FLUSH_LOCAL_ALL`.
     pub fn flush_local_all(&self) -> MpiResult<()> {
-        charge(Category::Rma, cost::rma::FLUSH_BASE);
-        self.proc().endpoint.note_win_flush();
-        self.proc().progress();
+        self.flush_base();
         Ok(())
     }
 
-    /// Number of passive-target operations queued toward `target` but not
-    /// yet completed by a flush (exposed for tests and diagnostics).
+    /// Number of passive-target puts and accumulates issued toward
+    /// `target` that no flush has retired yet (exposed for tests and
+    /// diagnostics). Zero after a flush.
     pub fn pending_ops(&self, target: usize) -> u64 {
         let e = &self.epochs[target];
-        e.issued.load(Ordering::Acquire) - e.completed.load(Ordering::Acquire)
+        let completed = e.completed.load(Ordering::Acquire);
+        e.issued.load(Ordering::Acquire).saturating_sub(completed)
     }
 
     // ------------------------------------------------- passive-target core
@@ -640,62 +667,42 @@ impl Window {
         Ok(())
     }
 
-    /// Stage one passive-target op: bump the target's epoch word and queue
-    /// the captured operation for the next flush.
-    fn queue_op(&self, target: usize, op: PendingOp) {
-        charge(Category::Rma, cost::rma::OP_QUEUE);
-        self.proc().endpoint.note_win_ops_issued(1);
-        self.epochs[target].issued.fetch_add(1, Ordering::AcqRel);
-        self.pending[target].lock().push(op);
+    /// The completion point of `flush`/`unlock` toward `target`. Every
+    /// store is in the target's memory when its call returns, so there is
+    /// nothing to wait for (a fabric with asynchronous writes would wait
+    /// on its completion counter here): raise the watermark to what was
+    /// issued and retire the difference. `fetch_max` hands each op to
+    /// exactly one of several sibling threads flushing at once.
+    fn retire(&self, target: usize) {
+        let e = &self.epochs[target];
+        let issued = e.issued.load(Ordering::Acquire);
+        let n = issued.saturating_sub(e.completed.fetch_max(issued, Ordering::AcqRel));
+        if n > 0 {
+            charge(Category::Rma, n * cost::rma::FLUSH_OP);
+            self.proc().endpoint.note_win_ops_completed(n);
+        }
     }
 
-    /// Drain and apply `target`'s queued ops (the flush/unlock completion
-    /// point). The queue is detached under its mutex and applied outside
-    /// it, so injector threads can keep staging while the fabric works.
-    fn apply_pending(&self, target: usize) {
-        let ops: Vec<PendingOp> = std::mem::take(&mut *self.pending[target].lock());
-        if ops.is_empty() {
-            return;
-        }
-        let proc = self.proc();
-        let world = self.comm.world_rank_of(target);
-        let dst = proc.addr_of_world(world);
-        let n = ops.len() as u64;
-        for op in ops {
-            charge(Category::Rma, cost::rma::FLUSH_OP);
-            match op {
-                PendingOp::Put { key, byte, data } => {
-                    proc.endpoint.rdma_put(dst, key, byte, &data);
-                }
-                PendingOp::Acc {
-                    key,
-                    byte,
-                    op,
-                    ty,
-                    data,
-                } => {
-                    proc.endpoint
-                        .rdma_update(dst, key, byte, data.len(), |dstb| {
-                            // Predefined-op application cannot fail; the
-                            // operand was validated at issue.
-                            let _ = op.apply(&ty, dstb, &data);
-                        });
-                }
-            }
-        }
-        self.epochs[target].completed.fetch_add(n, Ordering::AcqRel);
-        proc.endpoint.note_win_ops_completed(n);
-    }
-
-    /// Account one synchronous (completes-at-issue) one-sided op in the
-    /// per-target epoch words and endpoint counters. Stats only — no
-    /// instruction charge, so the calibrated injection pins are untouched.
-    fn note_sync_op(&self, target: usize) {
-        self.epochs[target].issued.fetch_add(1, Ordering::AcqRel);
-        self.epochs[target].completed.fetch_add(1, Ordering::AcqRel);
+    /// Account one one-sided op that is complete when its call returns.
+    /// Stats only — no instruction charge, so the calibrated injection
+    /// pins are untouched.
+    fn note_sync_op(&self) {
         let ep = &self.proc().endpoint;
         ep.note_win_ops_issued(1);
         ep.note_win_ops_completed(1);
+    }
+
+    /// Account one put or accumulate. Under a passive-target epoch it
+    /// carries the model's issue charge and stays outstanding until a
+    /// flush retires it (and is charged for that); otherwise it is done.
+    fn note_store(&self, a: &Access<'_>) {
+        if a.epoch == EpochKind::Passive {
+            charge(Category::Rma, cost::rma::OP_QUEUE);
+            self.epochs[a.t].issued.fetch_add(1, Ordering::AcqRel);
+            self.proc().endpoint.note_win_ops_issued(1);
+        } else {
+            self.note_sync_op();
+        }
     }
 
     // ---------------------------------------------------------- prologue
@@ -713,7 +720,7 @@ impl Window {
         vaddr: Option<VirtAddr>,
         skip_checks: bool,
         static_type: bool,
-    ) -> MpiResult<Option<(usize, VirtAddr, EpochKind)>> {
+    ) -> MpiResult<Option<Access<'_>>> {
         let proc = self.proc();
         // Build-config overheads (Table 1 rows 1–4) apply to every put-
         // family entry point; `skip_checks` (the §3.7 fused path) removes
@@ -760,26 +767,26 @@ impl Window {
                 cost::put::COMM_RANK_TRANSLATION,
             );
         }
-        let addr = match vaddr {
+        let checked = proc.config.error_checking && !skip_checks;
+        let beyond = || MpiError::InvalidWin("access beyond exposed window");
+        let resident = &self.shared.regions[t];
+        let (region, byte, extent) = match vaddr {
+            // §3.2 pre-translated address into the window's own region.
+            Some(a) if a.key == resident.key() => {
+                (Cow::Borrowed(resident), a.byte, self.shared.lens[t])
+            }
+            // An address naming some other region (attached to a dynamic
+            // window): the one place an operation looks a key up.
             Some(a) => {
-                // §3.2 pre-translated address: still range-check it against
-                // the named region's extent (the NIC would fault here; we
-                // return `MPI_ERR_WIN` instead of wrapping or panicking).
-                if proc.config.error_checking && !skip_checks {
-                    let end = a
-                        .byte
-                        .checked_add(bytes)
-                        .ok_or(MpiError::InvalidWin("access beyond exposed window"))?;
-                    let extent = proc
-                        .endpoint
-                        .fabric()
-                        .region_len(a.key)
-                        .ok_or(MpiError::InvalidWin("RMA through a stale region key"))?;
-                    if end > extent {
-                        return Err(MpiError::InvalidWin("access beyond exposed window"));
+                let fabric = proc.endpoint.fabric();
+                let extent = match fabric.region_len(a.key) {
+                    Some(len) => len,
+                    None if checked => {
+                        return Err(MpiError::InvalidWin("RMA through a stale region key"))
                     }
-                }
-                a
+                    None => 0,
+                };
+                (Cow::Owned(fabric.region(a.key)), a.byte, extent)
             }
             None => {
                 if self.kind == WinKind::Dynamic {
@@ -794,24 +801,27 @@ impl Window {
                         cost::put::WIN_OFFSET_TRANSLATION,
                     );
                 }
-                if proc.config.error_checking && !skip_checks {
-                    let byte = disp
-                        .checked_mul(self.shared.disp_units[t])
-                        .ok_or(MpiError::InvalidWin("access beyond exposed window"))?;
-                    let end = byte
-                        .checked_add(bytes)
-                        .ok_or(MpiError::InvalidWin("access beyond exposed window"))?;
-                    if end > self.shared.lens[t] {
-                        return Err(MpiError::InvalidWin("access beyond exposed window"));
-                    }
-                }
-                VirtAddr {
-                    key: self.shared.keys[t],
-                    byte: disp * self.shared.disp_units[t],
-                }
+                let unit = self.shared.disp_units[t];
+                let byte = if checked {
+                    disp.checked_mul(unit).ok_or_else(beyond)?
+                } else {
+                    disp * unit
+                };
+                (Cow::Borrowed(resident), byte, self.shared.lens[t])
             }
         };
-        Ok(Some((t, addr, epoch)))
+        // Range-check against the region's extent (the NIC would fault
+        // here; we return `MPI_ERR_WIN` instead of wrapping or panicking).
+        if checked && byte.checked_add(bytes).is_none_or(|end| end > extent) {
+            return Err(beyond());
+        }
+        Ok(Some(Access {
+            t,
+            dst: proc.addr_of_world(self.comm.world_rank_of(t)),
+            region,
+            byte,
+            epoch,
+        }))
     }
 
     /// Netmod decision: native RDMA fast path vs AM fallback, with the
@@ -834,6 +844,58 @@ impl Window {
         } else {
             charge(Category::NetmodIssue, cost::put::AM_FALLBACK);
         }
+    }
+
+    // ------------------------------------------------------- AM fallback
+
+    /// Send an AM the target answers (get, get-accumulate, acknowledged
+    /// put): register the reply slot under a fresh op id, send, and count
+    /// the op for the next fence.
+    fn am_request(&self, a: &Access<'_>, handler: u16, len: usize, payload: Bytes) -> ReplySlot {
+        let proc = self.proc();
+        let op_id = proc.next_op_id.fetch_add(1, Ordering::Relaxed);
+        let slot: ReplySlot = Arc::new(Mutex::new(None));
+        proc.pending_replies.lock().insert(op_id, slot.clone());
+        proc.endpoint.am_send(
+            a.dst,
+            handler,
+            proto::header(self.shared.id, a.byte as u64, len as u64, op_id),
+            payload,
+        );
+        self.sent_am[a.t].fetch_add(1, Ordering::AcqRel);
+        slot
+    }
+
+    /// Block for the answer to [`Window::am_request`]. A target that dies
+    /// first ends the wait; the slot stays registered, so a reply that
+    /// raced the verdict is absorbed.
+    fn await_reply(&self, a: &Access<'_>, slot: &ReplySlot) -> MpiResult<Vec<u8>> {
+        wait_loop(self.proc(), || {
+            let reply = slot.lock().take();
+            match reply {
+                Some(wire) => Some(Ok(wire)),
+                None => self.check_target_alive(a.t).err().map(Err),
+            }
+        })
+    }
+
+    /// The request that completes when the target answers `slot`; a
+    /// fetching op's reply lands in `dest`.
+    fn reply_request<'buf>(
+        &self,
+        a: &Access<'_>,
+        slot: ReplySlot,
+        dest: Option<RecvDest<'buf>>,
+    ) -> Request<'buf> {
+        self.proc().endpoint.note_win_ops_issued(1);
+        Request::rma(
+            self.proc().clone(),
+            slot,
+            dest,
+            Some(self.comm.world_rank_of(a.t)),
+            self.comm.errhandler() == Errhandler::ErrorsAreFatal,
+            self.comm.context_id().0,
+        )
     }
 
     // -------------------------------------------------------------- ops
@@ -864,43 +926,24 @@ impl Window {
         static_type: bool,
     ) -> MpiResult<()> {
         let bytes = pack::packed_size(ty, count);
-        let Some((t, addr, epoch)) =
+        let Some(a) =
             self.rma_prologue(target, disp, bytes, ty, vaddr, skip_checks, static_type)?
         else {
             return Ok(());
         };
-        let proc = self.proc();
+        let ep = &self.proc().endpoint;
         let native = self.native_path(ty);
         self.charge_netmod(native);
-        let world = self.comm.world_rank_of(t);
-        if epoch == EpochKind::Passive {
-            // Passive target: stage the origin buffer and complete at
-            // flush/unlock (foMPI-style deferred completion) — regardless
-            // of whether the provider would take the native descriptor
-            // path, since the *completion* point is what MPI-3 defines.
-            litempi_instr::note_alloc(1);
-            let packed = if ty.is_contiguous() {
-                buf[..bytes].to_vec()
+        if native || a.epoch == EpochKind::Passive {
+            // One descriptor, no target involvement, straight from the
+            // user buffer; a strided layout packs into the region itself.
+            if ty.is_contiguous() {
+                ep.rdma_put(a.dst, &a.region, a.byte, &buf[..bytes]);
             } else {
-                pack::pack(ty, count, buf)
-            };
-            self.queue_op(
-                t,
-                PendingOp::Put {
-                    key: addr.key,
-                    byte: addr.byte,
-                    data: packed,
-                },
-            );
-        } else if native {
-            // Contiguous fast path: one descriptor, no target involvement.
-            proc.endpoint.rdma_put(
-                proc.addr_of_world(world),
-                addr.key,
-                addr.byte,
-                &buf[..bytes],
-            );
-            self.note_sync_op(t);
+                ep.rdma_update(a.dst, &a.region, a.byte, bytes, |dst| {
+                    pack::pack_into(ty, count, buf, dst);
+                });
+            }
         } else {
             // AM put stages one wire buffer; `Bytes::from` then moves it
             // (no second copy).
@@ -910,15 +953,15 @@ impl Window {
             } else {
                 pack::pack(ty, count, buf)
             };
-            proc.endpoint.am_send(
-                proc.addr_of_world(world),
+            ep.am_send(
+                a.dst,
                 proto::AM_RMA_PUT,
-                proto::header(self.shared.id, addr.byte as u64, packed.len() as u64, 0),
+                proto::header(self.shared.id, a.byte as u64, bytes as u64, 0),
                 Bytes::from(packed),
             );
-            self.sent_am[t].fetch_add(1, Ordering::AcqRel);
-            self.note_sync_op(t);
+            self.sent_am[a.t].fetch_add(1, Ordering::AcqRel);
         }
+        self.note_store(&a);
         Ok(())
     }
 
@@ -962,47 +1005,25 @@ impl Window {
         static_type: bool,
     ) -> MpiResult<()> {
         let bytes = pack::packed_size(ty, count);
-        let Some((t, addr, epoch)) =
+        let Some(a) =
             self.rma_prologue(target, disp, bytes, ty, vaddr, skip_checks, static_type)?
         else {
             return Ok(());
         };
-        let proc = self.proc();
         let native = self.native_path(ty);
         self.charge_netmod(native);
-        let world = self.comm.world_rank_of(t);
-        let wire: Vec<u8> = if native || epoch == EpochKind::Passive {
-            if epoch == EpochKind::Passive {
-                // Program order within the epoch: a get observes every
-                // earlier queued op from this origin.
-                self.apply_pending(t);
-            }
-            let wire =
-                proc.endpoint
-                    .rdma_get(proc.addr_of_world(world), addr.key, addr.byte, bytes);
-            self.note_sync_op(t);
-            wire
+        if native || a.epoch == EpochKind::Passive {
+            // Region → user buffer, the one copy.
+            let ep = &self.proc().endpoint;
+            ep.rdma_get(a.dst, &a.region, a.byte, bytes, |wire| {
+                unpack_into(ty, count, wire, buf)
+            });
+            self.note_sync_op();
         } else {
             // AM get: request/reply through the target's progress engine.
-            let op_id = proc
-                .next_op_id
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let slot = Arc::new(Mutex::new(None));
-            proc.pending_replies.lock().insert(op_id, slot.clone());
-            proc.endpoint.am_send(
-                proc.addr_of_world(world),
-                proto::AM_RMA_GET_REQ,
-                proto::header(self.shared.id, addr.byte as u64, bytes as u64, op_id),
-                Bytes::new(),
-            );
-            self.sent_am[t].fetch_add(1, Ordering::AcqRel);
-            self.note_sync_op(t);
-            wait_loop(proc, || slot.lock().take())
-        };
-        if ty.is_contiguous() {
-            buf[..bytes].copy_from_slice(&wire);
-        } else {
-            pack::unpack(ty, count, &wire, buf);
+            let slot = self.am_request(&a, proto::AM_RMA_GET_REQ, bytes, Bytes::new());
+            self.note_sync_op();
+            unpack_into(ty, count, &self.await_reply(&a, &slot)?, buf);
         }
         Ok(())
     }
@@ -1022,6 +1043,20 @@ impl Window {
         )
     }
 
+    /// Checks shared by the accumulate family. A zero-count accumulate has
+    /// no defined target element to touch; the AM/reply machinery (and
+    /// `fetch_and_op`'s single-element contract) would otherwise index
+    /// into an empty operand.
+    fn check_acc<T: MpiPrimitive>(&self, data: &[T], op: &Op) -> MpiResult<()> {
+        if data.is_empty() {
+            return Err(MpiError::InvalidCount(0));
+        }
+        if self.proc().config.error_checking && !op.legal_on(T::PREDEFINED) {
+            return Err(MpiError::InvalidOp("op not defined for this datatype"));
+        }
+        Ok(())
+    }
+
     /// `MPI_ACCUMULATE` (element-wise atomic at the target).
     pub fn accumulate<T: MpiPrimitive>(
         &self,
@@ -1031,77 +1066,93 @@ impl Window {
         op: &Op,
     ) -> MpiResult<()> {
         let ty = T::DATATYPE;
-        // A zero-count accumulate has no defined target element to touch;
-        // the AM/reply machinery (and `fetch_and_op`'s single-element
-        // contract) would otherwise index into an empty operand.
-        if data.is_empty() {
-            return Err(MpiError::InvalidCount(0));
-        }
-        let bytes = pack::packed_size(&ty, data.len());
-        if self.proc().config.error_checking && !op.legal_on(T::PREDEFINED) {
-            return Err(MpiError::InvalidOp("op not defined for this datatype"));
-        }
-        let Some((t, addr, epoch)) =
-            self.rma_prologue(target, disp, bytes, &ty, None, false, true)?
-        else {
+        self.check_acc(data, op)?;
+        let wire = T::as_bytes(data);
+        let Some(a) = self.rma_prologue(target, disp, wire.len(), &ty, None, false, true)? else {
             return Ok(());
         };
-        let proc = self.proc();
+        let ep = &self.proc().endpoint;
         let native = self.native_path(&ty);
         self.charge_netmod(native);
-        let world = self.comm.world_rank_of(t);
-        let wire = T::as_bytes(data);
-        if epoch == EpochKind::Passive {
-            // Stage the operand; the element-wise atomic applies at flush.
-            litempi_instr::note_alloc(1);
-            self.queue_op(
-                t,
-                PendingOp::Acc {
-                    key: addr.key,
-                    byte: addr.byte,
-                    op: op.clone(),
-                    ty: ty.clone(),
-                    data: wire.to_vec(),
-                },
-            );
-            Ok(())
-        } else if native {
+        if native || a.epoch == EpochKind::Passive {
             // Element-wise atomic under the region lock ("hardware"
             // atomics / offloaded handler).
-            let op = op.clone();
-            let ty2 = ty.clone();
             let mut res = Ok(());
-            proc.endpoint.rdma_update(
-                proc.addr_of_world(world),
-                addr.key,
-                addr.byte,
-                bytes,
-                |dst| res = op.apply(&ty2, dst, wire),
-            );
-            self.note_sync_op(t);
-            res
-        } else {
-            let code = acc_code_of(op).ok_or(MpiError::InvalidOp(
-                "user-defined op not supported on the AM path",
-            ))?;
-            let type_idx = predef_index::<T>();
-            // One staged operand buffer for the AM handler.
-            litempi_instr::note_alloc(1);
-            proc.endpoint.am_send(
-                proc.addr_of_world(world),
-                proto::AM_RMA_ACC,
-                proto::header(
-                    self.shared.id,
-                    addr.byte as u64,
-                    bytes as u64,
-                    proto::encode_acc(code, type_idx),
-                ),
-                Bytes::copy_from_slice(wire),
-            );
-            self.sent_am[t].fetch_add(1, Ordering::AcqRel);
-            self.note_sync_op(t);
-            Ok(())
+            ep.rdma_update(a.dst, &a.region, a.byte, wire.len(), |dst| {
+                res = op.apply(&ty, dst, wire)
+            });
+            self.note_store(&a);
+            return res;
         }
+        let code = acc_code_of(op).ok_or(MpiError::InvalidOp(
+            "user-defined op not supported on the AM path",
+        ))?;
+        // One staged operand buffer for the AM handler.
+        litempi_instr::note_alloc(1);
+        ep.am_send(
+            a.dst,
+            proto::AM_RMA_ACC,
+            proto::header(
+                self.shared.id,
+                a.byte as u64,
+                wire.len() as u64,
+                proto::encode_acc(code, predef_index::<T>()),
+            ),
+            Bytes::copy_from_slice(wire),
+        );
+        self.sent_am[a.t].fetch_add(1, Ordering::AcqRel);
+        self.note_store(&a);
+        Ok(())
+    }
+
+    /// Fetch-then-apply at the target's region, atomically under its lock;
+    /// the pre-op bytes land in `fetched`.
+    fn fetch_apply(
+        &self,
+        a: &Access<'_>,
+        op: &Op,
+        ty: &Datatype,
+        operand: &[u8],
+        fetched: &mut [u8],
+    ) -> MpiResult<()> {
+        let mut res = Ok(());
+        let ep = &self.proc().endpoint;
+        ep.rdma_update(a.dst, &a.region, a.byte, operand.len(), |dst| {
+            fetched.copy_from_slice(dst);
+            res = op.apply(ty, dst, operand);
+        });
+        res?;
+        self.note_sync_op();
+        Ok(())
+    }
+
+    /// The body of `get_accumulate` and `fetch_and_op`: the pre-op target
+    /// values land in `fetched` (left alone for `MPI_PROC_NULL`).
+    fn fetch_op<T: MpiPrimitive>(
+        &self,
+        data: &[T],
+        fetched: &mut [T],
+        target: i32,
+        disp: usize,
+        op: &Op,
+    ) -> MpiResult<()> {
+        let ty = T::DATATYPE;
+        self.check_acc(data, op)?;
+        let wire = T::as_bytes(data);
+        let Some(a) = self.rma_prologue(target, disp, wire.len(), &ty, None, false, true)? else {
+            return Ok(());
+        };
+        let native = self.native_path(&ty);
+        self.charge_netmod(native);
+        let fetched = T::as_bytes_mut(fetched);
+        if native || a.epoch == EpochKind::Passive {
+            return self.fetch_apply(&a, op, &ty, wire, fetched);
+        }
+        let payload = getacc_payload::<T>(op, wire)?;
+        let slot = self.am_request(&a, proto::AM_RMA_GETACC_REQ, wire.len(), payload);
+        self.note_sync_op();
+        fetched.copy_from_slice(&self.await_reply(&a, &slot)?);
+        Ok(())
     }
 
     /// `MPI_GET_ACCUMULATE`: fetch the target data, then apply `op`.
@@ -1113,75 +1164,9 @@ impl Window {
         disp: usize,
         op: &Op,
     ) -> MpiResult<Vec<T>> {
-        let ty = T::DATATYPE;
-        // Zero-count get_accumulate has no element to fetch — reject
-        // instead of panicking on an empty result template.
-        if data.is_empty() {
-            return Err(MpiError::InvalidCount(0));
-        }
-        let bytes = pack::packed_size(&ty, data.len());
-        if self.proc().config.error_checking && !op.legal_on(T::PREDEFINED) {
-            return Err(MpiError::InvalidOp("op not defined for this datatype"));
-        }
-        let Some((t, addr, epoch)) =
-            self.rma_prologue(target, disp, bytes, &ty, None, false, true)?
-        else {
-            return Ok(data.to_vec());
-        };
-        let proc = self.proc();
-        let native = self.native_path(&ty);
-        self.charge_netmod(native);
-        let world = self.comm.world_rank_of(t);
-        let wire = T::as_bytes(data);
-        let old_bytes: Vec<u8> = if native || epoch == EpochKind::Passive {
-            if epoch == EpochKind::Passive {
-                // Program order: the fetch observes earlier queued ops.
-                self.apply_pending(t);
-            }
-            let op = op.clone();
-            let ty2 = ty.clone();
-            let mut old = Vec::new();
-            let mut res = Ok(());
-            proc.endpoint.rdma_update(
-                proc.addr_of_world(world),
-                addr.key,
-                addr.byte,
-                bytes,
-                |dst| {
-                    old = dst.to_vec();
-                    res = op.apply(&ty2, dst, wire);
-                },
-            );
-            res?;
-            self.note_sync_op(t);
-            old
-        } else {
-            let code = acc_code_of(op).ok_or(MpiError::InvalidOp(
-                "user-defined op not supported on the AM path",
-            ))?;
-            let type_idx = predef_index::<T>();
-            let op_id = proc
-                .next_op_id
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let slot = Arc::new(Mutex::new(None));
-            proc.pending_replies.lock().insert(op_id, slot.clone());
-            // One staged request buffer, moved into `Bytes` below.
-            litempi_instr::note_alloc(1);
-            let mut payload = proto::encode_acc(code, type_idx).to_le_bytes().to_vec();
-            payload.extend_from_slice(wire);
-            proc.endpoint.am_send(
-                proc.addr_of_world(world),
-                proto::AM_RMA_GETACC_REQ,
-                proto::header(self.shared.id, addr.byte as u64, bytes as u64, op_id),
-                Bytes::from(payload),
-            );
-            self.sent_am[t].fetch_add(1, Ordering::AcqRel);
-            self.note_sync_op(t);
-            wait_loop(proc, || slot.lock().take())
-        };
-        let mut out = vec![data[0]; data.len()];
-        T::as_bytes_mut(&mut out).copy_from_slice(&old_bytes);
-        Ok(out)
+        let mut fetched = data.to_vec();
+        self.fetch_op(data, &mut fetched, target, disp, op)?;
+        Ok(fetched)
     }
 
     /// `MPI_FETCH_AND_OP` (single element).
@@ -1192,10 +1177,9 @@ impl Window {
         disp: usize,
         op: &Op,
     ) -> MpiResult<T> {
-        self.get_accumulate(&[value], target, disp, op)?
-            .first()
-            .copied()
-            .ok_or(MpiError::InvalidCount(0))
+        let mut fetched = [value];
+        self.fetch_op(&[value], &mut fetched, target, disp, op)?;
+        Ok(fetched[0])
     }
 
     /// `MPI_COMPARE_AND_SWAP` (single element): stores `new` iff the target
@@ -1208,53 +1192,28 @@ impl Window {
         disp: usize,
     ) -> MpiResult<T> {
         let ty = T::DATATYPE;
-        let bytes = ty.size();
-        let Some((t, addr, epoch)) =
-            self.rma_prologue(target, disp, bytes, &ty, None, false, true)?
-        else {
+        let Some(a) = self.rma_prologue(target, disp, ty.size(), &ty, None, false, true)? else {
             return Ok(compare);
         };
-        let proc = self.proc();
         self.charge_netmod(true);
-        let world = self.comm.world_rank_of(t);
-        if epoch == EpochKind::Passive {
-            // Program order: the swap observes earlier queued ops.
-            self.apply_pending(t);
-        }
-        let new_wire = new.to_le_vec();
-        let cmp_wire = compare.to_le_vec();
-        let mut old = Vec::new();
-        proc.endpoint.rdma_update(
-            proc.addr_of_world(world),
-            addr.key,
-            addr.byte,
-            bytes,
-            |dst| {
-                old = dst.to_vec();
-                if dst == &cmp_wire[..] {
-                    dst.copy_from_slice(&new_wire);
-                }
-            },
-        );
-        self.note_sync_op(t);
-        Ok(T::from_wire(&old))
+        let mut old = [compare];
+        let ep = &self.proc().endpoint;
+        ep.rdma_update(a.dst, &a.region, a.byte, ty.size(), |dst| {
+            T::as_bytes_mut(&mut old).copy_from_slice(dst);
+            if *dst == *T::as_bytes(&[compare]) {
+                dst.copy_from_slice(T::as_bytes(&[new]));
+            }
+        });
+        self.note_sync_op();
+        Ok(old[0])
     }
 
     // ------------------------------------------------- request-based RMA
 
-    /// Snapshot of the errhandler + context for a new RMA request.
-    fn req_env(&self) -> (bool, u16) {
-        (
-            self.comm.errhandler() == Errhandler::ErrorsAreFatal,
-            self.comm.context_id().0,
-        )
-    }
-
     /// `MPI_RPUT`: put with a per-operation request. The request completes
     /// when the target has applied the data (stronger than the standard's
     /// local-completion minimum). Request-based ops carry their own
-    /// completion unit and therefore bypass the passive-target flush
-    /// queue.
+    /// completion unit: a flush is not charged for retiring them.
     pub fn rput<T: MpiPrimitive>(
         &self,
         data: &[T],
@@ -1262,52 +1221,24 @@ impl Window {
         disp: usize,
     ) -> MpiResult<Request<'static>> {
         let ty = T::DATATYPE;
-        let buf = T::as_bytes(data);
-        let bytes = pack::packed_size(&ty, data.len());
-        let Some((t, addr, epoch)) =
-            self.rma_prologue(target, disp, bytes, &ty, None, false, true)?
-        else {
+        let wire = T::as_bytes(data);
+        let Some(a) = self.rma_prologue(target, disp, wire.len(), &ty, None, false, true)? else {
             return Ok(Request::done(Status::send()));
         };
-        let proc = self.proc();
         let native = self.native_path(&ty);
         self.charge_netmod(native);
         charge(Category::RequestManagement, cost::isend::REQUEST_MANAGEMENT);
-        let world = self.comm.world_rank_of(t);
-        if native || epoch == EpochKind::Passive {
-            proc.endpoint.rdma_put(
-                proc.addr_of_world(world),
-                addr.key,
-                addr.byte,
-                &buf[..bytes],
-            );
-            self.note_sync_op(t);
+        if native || a.epoch == EpochKind::Passive {
+            let ep = &self.proc().endpoint;
+            ep.rdma_put(a.dst, &a.region, a.byte, wire);
+            self.note_sync_op();
             return Ok(Request::done(Status::send()));
         }
         // AM path: the target acknowledges once the put is applied.
-        let op_id = proc
-            .next_op_id
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let slot: crate::process::ReplySlot = Arc::new(Mutex::new(None));
-        proc.pending_replies.lock().insert(op_id, slot.clone());
         litempi_instr::note_alloc(1);
-        proc.endpoint.am_send(
-            proc.addr_of_world(world),
-            proto::AM_RMA_PUT,
-            proto::header(self.shared.id, addr.byte as u64, bytes as u64, op_id),
-            Bytes::copy_from_slice(&buf[..bytes]),
-        );
-        self.sent_am[t].fetch_add(1, Ordering::AcqRel);
-        proc.endpoint.note_win_ops_issued(1);
-        let (fatal, ctx) = self.req_env();
-        Ok(Request::rma(
-            proc.clone(),
-            slot,
-            None,
-            Some(world),
-            fatal,
-            ctx,
-        ))
+        let payload = Bytes::copy_from_slice(wire);
+        let slot = self.am_request(&a, proto::AM_RMA_PUT, wire.len(), payload);
+        Ok(self.reply_request(&a, slot, None))
     }
 
     /// `MPI_RGET`: get with a per-operation request; the request's
@@ -1320,63 +1251,32 @@ impl Window {
     ) -> MpiResult<Request<'buf>> {
         let ty = T::DATATYPE;
         let count = buf.len();
-        let bytes = pack::packed_size(&ty, count);
-        let Some((t, addr, epoch)) =
-            self.rma_prologue(target, disp, bytes, &ty, None, false, true)?
-        else {
+        let buf = T::as_bytes_mut(buf);
+        let bytes = buf.len();
+        let Some(a) = self.rma_prologue(target, disp, bytes, &ty, None, false, true)? else {
             return Ok(Request::done(Status {
                 source: PROC_NULL,
                 tag: 0,
                 bytes: 0,
             }));
         };
-        let proc = self.proc();
         let native = self.native_path(&ty);
         self.charge_netmod(native);
         charge(Category::RequestManagement, cost::isend::REQUEST_MANAGEMENT);
-        let world = self.comm.world_rank_of(t);
-        if native || epoch == EpochKind::Passive {
-            if epoch == EpochKind::Passive {
-                // Program order: the get observes earlier queued ops.
-                self.apply_pending(t);
-            }
-            let wire =
-                proc.endpoint
-                    .rdma_get(proc.addr_of_world(world), addr.key, addr.byte, bytes);
-            T::as_bytes_mut(buf).copy_from_slice(&wire);
-            self.note_sync_op(t);
+        if native || a.epoch == EpochKind::Passive {
+            let ep = &self.proc().endpoint;
+            ep.rdma_get(a.dst, &a.region, a.byte, bytes, |wire| {
+                buf.copy_from_slice(wire)
+            });
+            self.note_sync_op();
             return Ok(Request::done(Status {
-                source: t as i32,
+                source: a.t as i32,
                 tag: 0,
                 bytes,
             }));
         }
-        let op_id = proc
-            .next_op_id
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let slot: crate::process::ReplySlot = Arc::new(Mutex::new(None));
-        proc.pending_replies.lock().insert(op_id, slot.clone());
-        proc.endpoint.am_send(
-            proc.addr_of_world(world),
-            proto::AM_RMA_GET_REQ,
-            proto::header(self.shared.id, addr.byte as u64, bytes as u64, op_id),
-            Bytes::new(),
-        );
-        self.sent_am[t].fetch_add(1, Ordering::AcqRel);
-        proc.endpoint.note_win_ops_issued(1);
-        let (fatal, ctx) = self.req_env();
-        Ok(Request::rma(
-            proc.clone(),
-            slot,
-            Some(RecvDest {
-                buf: T::as_bytes_mut(buf),
-                ty,
-                count,
-            }),
-            Some(world),
-            fatal,
-            ctx,
-        ))
+        let slot = self.am_request(&a, proto::AM_RMA_GET_REQ, bytes, Bytes::new());
+        Ok(self.reply_request(&a, slot, Some(RecvDest { buf, ty, count })))
     }
 
     /// `MPI_RACCUMULATE`: accumulate with a per-operation request.
@@ -1388,70 +1288,29 @@ impl Window {
         op: &Op,
     ) -> MpiResult<Request<'static>> {
         let ty = T::DATATYPE;
-        if data.is_empty() {
-            return Err(MpiError::InvalidCount(0));
-        }
-        let bytes = pack::packed_size(&ty, data.len());
-        if self.proc().config.error_checking && !op.legal_on(T::PREDEFINED) {
-            return Err(MpiError::InvalidOp("op not defined for this datatype"));
-        }
-        let Some((t, addr, epoch)) =
-            self.rma_prologue(target, disp, bytes, &ty, None, false, true)?
-        else {
+        self.check_acc(data, op)?;
+        let wire = T::as_bytes(data);
+        let Some(a) = self.rma_prologue(target, disp, wire.len(), &ty, None, false, true)? else {
             return Ok(Request::done(Status::send()));
         };
-        let proc = self.proc();
         let native = self.native_path(&ty);
         self.charge_netmod(native);
         charge(Category::RequestManagement, cost::isend::REQUEST_MANAGEMENT);
-        let world = self.comm.world_rank_of(t);
-        let wire = T::as_bytes(data);
-        if native || epoch == EpochKind::Passive {
-            let op = op.clone();
-            let ty2 = ty.clone();
+        if native || a.epoch == EpochKind::Passive {
             let mut res = Ok(());
-            proc.endpoint.rdma_update(
-                proc.addr_of_world(world),
-                addr.key,
-                addr.byte,
-                bytes,
-                |dst| res = op.apply(&ty2, dst, wire),
-            );
+            let ep = &self.proc().endpoint;
+            ep.rdma_update(a.dst, &a.region, a.byte, wire.len(), |dst| {
+                res = op.apply(&ty, dst, wire)
+            });
             res?;
-            self.note_sync_op(t);
+            self.note_sync_op();
             return Ok(Request::done(Status::send()));
         }
         // AM path: ride the get-accumulate request/reply so the target's
         // application is acknowledged; the fetched payload is discarded.
-        let code = acc_code_of(op).ok_or(MpiError::InvalidOp(
-            "user-defined op not supported on the AM path",
-        ))?;
-        let type_idx = predef_index::<T>();
-        let op_id = proc
-            .next_op_id
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let slot: crate::process::ReplySlot = Arc::new(Mutex::new(None));
-        proc.pending_replies.lock().insert(op_id, slot.clone());
-        litempi_instr::note_alloc(1);
-        let mut payload = proto::encode_acc(code, type_idx).to_le_bytes().to_vec();
-        payload.extend_from_slice(wire);
-        proc.endpoint.am_send(
-            proc.addr_of_world(world),
-            proto::AM_RMA_GETACC_REQ,
-            proto::header(self.shared.id, addr.byte as u64, bytes as u64, op_id),
-            Bytes::from(payload),
-        );
-        self.sent_am[t].fetch_add(1, Ordering::AcqRel);
-        proc.endpoint.note_win_ops_issued(1);
-        let (fatal, ctx) = self.req_env();
-        Ok(Request::rma(
-            proc.clone(),
-            slot,
-            None,
-            Some(world),
-            fatal,
-            ctx,
-        ))
+        let payload = getacc_payload::<T>(op, wire)?;
+        let slot = self.am_request(&a, proto::AM_RMA_GETACC_REQ, wire.len(), payload);
+        Ok(self.reply_request(&a, slot, None))
     }
 
     /// `MPI_RGET_ACCUMULATE`: get-accumulate with a per-operation request;
@@ -1465,90 +1324,59 @@ impl Window {
         op: &Op,
     ) -> MpiResult<Request<'buf>> {
         let ty = T::DATATYPE;
-        if data.is_empty() || result.len() != data.len() {
+        if result.len() != data.len() {
             return Err(MpiError::InvalidCount(result.len() as i64));
         }
-        let bytes = pack::packed_size(&ty, data.len());
-        if self.proc().config.error_checking && !op.legal_on(T::PREDEFINED) {
-            return Err(MpiError::InvalidOp("op not defined for this datatype"));
-        }
-        let Some((t, addr, epoch)) =
-            self.rma_prologue(target, disp, bytes, &ty, None, false, true)?
-        else {
+        self.check_acc(data, op)?;
+        let count = data.len();
+        let wire = T::as_bytes(data);
+        let bytes = wire.len();
+        let Some(a) = self.rma_prologue(target, disp, bytes, &ty, None, false, true)? else {
             return Ok(Request::done(Status {
                 source: PROC_NULL,
                 tag: 0,
                 bytes: 0,
             }));
         };
-        let proc = self.proc();
         let native = self.native_path(&ty);
         self.charge_netmod(native);
         charge(Category::RequestManagement, cost::isend::REQUEST_MANAGEMENT);
-        let world = self.comm.world_rank_of(t);
-        let wire = T::as_bytes(data);
-        if native || epoch == EpochKind::Passive {
-            if epoch == EpochKind::Passive {
-                self.apply_pending(t);
-            }
-            let op = op.clone();
-            let ty2 = ty.clone();
-            let mut old = Vec::new();
-            let mut res = Ok(());
-            proc.endpoint.rdma_update(
-                proc.addr_of_world(world),
-                addr.key,
-                addr.byte,
-                bytes,
-                |dst| {
-                    old = dst.to_vec();
-                    res = op.apply(&ty2, dst, wire);
-                },
-            );
-            res?;
-            T::as_bytes_mut(result).copy_from_slice(&old);
-            self.note_sync_op(t);
+        let buf = T::as_bytes_mut(result);
+        if native || a.epoch == EpochKind::Passive {
+            self.fetch_apply(&a, op, &ty, wire, buf)?;
             return Ok(Request::done(Status {
-                source: t as i32,
+                source: a.t as i32,
                 tag: 0,
                 bytes,
             }));
         }
-        let code = acc_code_of(op).ok_or(MpiError::InvalidOp(
-            "user-defined op not supported on the AM path",
-        ))?;
-        let type_idx = predef_index::<T>();
-        let op_id = proc
-            .next_op_id
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let slot: crate::process::ReplySlot = Arc::new(Mutex::new(None));
-        proc.pending_replies.lock().insert(op_id, slot.clone());
-        litempi_instr::note_alloc(1);
-        let mut payload = proto::encode_acc(code, type_idx).to_le_bytes().to_vec();
-        payload.extend_from_slice(wire);
-        proc.endpoint.am_send(
-            proc.addr_of_world(world),
-            proto::AM_RMA_GETACC_REQ,
-            proto::header(self.shared.id, addr.byte as u64, bytes as u64, op_id),
-            Bytes::from(payload),
-        );
-        self.sent_am[t].fetch_add(1, Ordering::AcqRel);
-        proc.endpoint.note_win_ops_issued(1);
-        let count = data.len();
-        let (fatal, ctx) = self.req_env();
-        Ok(Request::rma(
-            proc.clone(),
-            slot,
-            Some(RecvDest {
-                buf: T::as_bytes_mut(result),
-                ty,
-                count,
-            }),
-            Some(world),
-            fatal,
-            ctx,
-        ))
+        let payload = getacc_payload::<T>(op, wire)?;
+        let slot = self.am_request(&a, proto::AM_RMA_GETACC_REQ, bytes, payload);
+        Ok(self.reply_request(&a, slot, Some(RecvDest { buf, ty, count })))
     }
+}
+
+/// Land `count` elements of `ty` arriving as packed `wire` bytes in `buf`.
+fn unpack_into(ty: &Datatype, count: usize, wire: &[u8], buf: &mut [u8]) {
+    if ty.is_contiguous() {
+        buf[..wire.len()].copy_from_slice(wire);
+    } else {
+        pack::unpack(ty, count, wire, buf);
+    }
+}
+
+/// The get-accumulate AM request body: op and type code, then the operand.
+fn getacc_payload<T: MpiPrimitive>(op: &Op, operand: &[u8]) -> MpiResult<Bytes> {
+    let code = acc_code_of(op).ok_or(MpiError::InvalidOp(
+        "user-defined op not supported on the AM path",
+    ))?;
+    // One staged request buffer, moved into `Bytes`.
+    litempi_instr::note_alloc(1);
+    let mut payload = proto::encode_acc(code, predef_index::<T>())
+        .to_le_bytes()
+        .to_vec();
+    payload.extend_from_slice(operand);
+    Ok(Bytes::from(payload))
 }
 
 /// Index of `T`'s predefined type in `Predefined::ALL` (AM encoding).
@@ -1584,7 +1412,7 @@ impl SharedWindow {
         let topo = comm.proc.endpoint.fabric().topology();
         let me = comm.proc.endpoint.addr();
         for r in 0..comm.size() {
-            let peer = litempi_fabric::NetAddr(comm.world_rank_of(r) as u32);
+            let peer = NetAddr(comm.world_rank_of(r) as u32);
             if !topo.same_node(me, peer) {
                 return Err(MpiError::InvalidWin(
                     "win_allocate_shared requires a single-node communicator",
@@ -1605,24 +1433,12 @@ impl SharedWindow {
     /// segment as a CPU store (no epoch needed; pair with
     /// [`SharedWindow::sync`] + a barrier, as with real shared memory).
     pub fn write_direct(&self, rank: usize, offset: usize, data: &[u8]) {
-        let key = self.win.shared.keys[rank];
-        self.win
-            .proc()
-            .endpoint
-            .fabric()
-            .region(key)
-            .write(offset, data);
+        self.win.shared.regions[rank].write(offset, data);
     }
 
     /// Direct load from `rank`'s segment.
     pub fn read_direct(&self, rank: usize, offset: usize, len: usize) -> Vec<u8> {
-        let key = self.win.shared.keys[rank];
-        self.win
-            .proc()
-            .endpoint
-            .fabric()
-            .region(key)
-            .read(offset, len)
+        self.win.shared.regions[rank].read(offset, len)
     }
 
     /// `MPI_WIN_SYNC`: memory barrier between direct accesses. Our region

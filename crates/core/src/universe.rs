@@ -13,6 +13,7 @@ use litempi_fabric::{Fabric, NetAddr, ProviderProfile, Topology};
 use parking_lot::Mutex;
 use std::any::Any;
 use std::collections::HashMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -192,7 +193,9 @@ pub struct Universe;
 impl Universe {
     /// Run `f` on `n` ranks with full control over build configuration,
     /// provider, and placement. Returns each rank's result, in rank order.
-    /// A panic on any rank tears the job down and propagates.
+    /// A panic on any rank aborts the job (`MPI_ABORT`): its peers' waits
+    /// end in `ProcessFailed` / `MPI_ERRORS_ARE_FATAL` instead of hanging,
+    /// and the panic that happened first propagates.
     pub fn run<T, F>(
         n: usize,
         config: BuildConfig,
@@ -218,17 +221,27 @@ impl Universe {
 
         let f = &f;
         let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
+        // The first panic in time: the ones after it are its peers tripping
+        // over the abort.
+        let first_panic: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
         std::thread::scope(|scope| {
             let handles: Vec<_> = results
                 .iter_mut()
                 .enumerate()
                 .map(|(rank, slot)| {
-                    let univ = univ.clone();
+                    let (univ, first_panic) = (univ.clone(), &first_panic);
                     let endpoint = univ.fabric.endpoint(NetAddr(rank as u32));
                     scope.spawn(move || {
                         let inner = Arc::new(ProcInner::new(rank, n, endpoint, config, univ));
                         let proc = Process::new(inner.clone());
-                        *slot = Some(f(proc));
+                        match catch_unwind(AssertUnwindSafe(|| f(proc))) {
+                            Ok(v) => *slot = Some(v),
+                            Err(p) => {
+                                first_panic.lock().get_or_insert(p);
+                                inner.endpoint.fabric().abort_job();
+                                return;
+                            }
+                        }
                         // MPI's delivery guarantee: a locally-completed eager
                         // send must still arrive. With the reliability layer
                         // on, the rank's fire-and-forget traffic may still be
@@ -237,16 +250,19 @@ impl Universe {
                     })
                 })
                 .collect();
-            let mut panic: Option<Box<dyn Any + Send>> = None;
+            // Join each thread rather than let the scope wait for the
+            // closures: a joined thread has given its allocator arena
+            // back, so the next job on this process reuses it (measured:
+            // +0.8 to +4 MiB peak RSS over five jobs otherwise).
             for h in handles {
                 if let Err(p) = h.join() {
-                    panic.get_or_insert(p);
+                    first_panic.lock().get_or_insert(p);
                 }
             }
-            if let Some(p) = panic {
-                std::panic::resume_unwind(p);
-            }
         });
+        if let Some(p) = first_panic.into_inner() {
+            resume_unwind(p);
+        }
         results
             .into_iter()
             .map(|r| r.expect("rank produced no result"))
@@ -299,6 +315,52 @@ mod tests {
             if proc.rank() == 2 {
                 panic!("rank 2 exploded");
             }
+        });
+    }
+
+    /// Run a 4-rank job in which rank 2 panics with "rank 2 exploded"
+    /// while its peers wait on it: the job must come down with *that*
+    /// panic — not a peer's secondary `MPI_ERRORS_ARE_FATAL` — and soon.
+    fn expect_abort_by_rank_2(f: impl Fn(Process) + Send + Sync) {
+        let t0 = std::time::Instant::now();
+        let panic = catch_unwind(AssertUnwindSafe(|| Universe::run_default(4, f)))
+            .expect_err("the job must not survive a panicking rank");
+        assert_eq!(panic.downcast_ref::<&str>(), Some(&"rank 2 exploded"));
+        assert!(t0.elapsed() < std::time::Duration::from_secs(2), "hung");
+    }
+
+    #[test]
+    fn rank_panic_aborts_peers_waiting_in_a_barrier() {
+        expect_abort_by_rank_2(|proc| {
+            if proc.rank() == 2 {
+                std::thread::sleep(std::time::Duration::from_millis(10));
+                panic!("rank 2 exploded");
+            }
+            proc.world().barrier().unwrap();
+        });
+    }
+
+    #[test]
+    fn rank_panic_aborts_a_peer_waiting_for_its_lock() {
+        use crate::rma::{LockType, Window};
+        expect_abort_by_rank_2(|proc| {
+            let world = proc.world();
+            let win = Window::create(&world, 8, 1).unwrap();
+            if proc.rank() == 2 {
+                win.lock(LockType::Exclusive, 1).unwrap();
+            }
+            world.barrier().unwrap();
+            match proc.rank() {
+                // Blocks on the word rank 2 holds; the abort frees it with
+                // an error (which this `unwrap` turns into a later panic).
+                0 => win.lock(LockType::Exclusive, 1).unwrap(),
+                2 => {
+                    std::thread::sleep(std::time::Duration::from_millis(10));
+                    panic!("rank 2 exploded");
+                }
+                _ => {}
+            }
+            world.barrier().unwrap();
         });
     }
 

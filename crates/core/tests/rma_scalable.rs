@@ -111,7 +111,11 @@ fn request_based_rma_under_passive_lock() {
 // --------------------------------------------- passive-target flush rules
 
 #[test]
-fn passive_ops_complete_at_flush_not_at_issue() {
+fn passive_ops_are_complete_by_flush() {
+    // What MPI-3.1 §11.5 guarantees — not when the library happens to
+    // move the bytes: after `flush`, under the lock, a `get` sees the last
+    // put and nothing is outstanding; after `unlock` and a barrier the
+    // target's own loads see it.
     Universe::run_default(2, |proc| {
         let world = proc.world();
         let win = Window::create(&world, 8, 1).unwrap();
@@ -121,11 +125,8 @@ fn passive_ops_complete_at_flush_not_at_issue() {
             win.put(&[1u64], 1, 0).unwrap();
             win.put(&[2u64], 1, 0).unwrap();
             win.put(&[3u64], 1, 0).unwrap();
-            assert_eq!(win.pending_ops(1), 3, "puts are queued, not applied");
             win.flush(1).unwrap();
-            assert_eq!(win.pending_ops(1), 0, "flush completes queued ops");
-            // After flush (and still under the lock) the target's memory
-            // holds the last put.
+            assert_eq!(win.pending_ops(1), 0, "flush leaves nothing outstanding");
             let mut v = [0u64; 1];
             win.get(&mut v, 1, 0).unwrap();
             assert_eq!(v[0], 3);
@@ -449,6 +450,64 @@ fn rma_rendezvous_reads_remote_and_reuses_registrations() {
 
 // ------------------------------------------- concurrent passive target
 
+/// One locked read-modify-write of the counter at rank 1's word 0.
+fn locked_increment(win: &Window) {
+    let mut cur = [0u64; 1];
+    win.get(&mut cur, 1, 0).unwrap();
+    win.put(&[cur[0] + 1], 1, 0).unwrap();
+}
+
+/// The root cause of the intermittent hang of the proptest below: a thread
+/// asking for a target its sibling holds through the same handle got
+/// `RmaSync("lock already held")`, its `unwrap` killed rank 0, and rank 1
+/// sat in the barrier forever. The sibling must wait, as any origin would.
+#[test]
+fn sibling_thread_waits_for_a_held_lock() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let out = Universe::run(
+        2,
+        BuildConfig::ch4_thread_multiple(),
+        ProviderProfile::infinite(),
+        Topology::single_node(2),
+        |proc| {
+            let world = proc.world();
+            let win = Window::create(&world, 8, 1).unwrap();
+            world.barrier().unwrap();
+            if proc.rank() == 0 {
+                let (held, is_held) = std::sync::mpsc::channel();
+                let released = AtomicBool::new(false);
+                let (win, released) = (&win, &released);
+                std::thread::scope(|s| {
+                    s.spawn(move || {
+                        win.lock(LockType::Exclusive, 1).unwrap();
+                        held.send(()).unwrap();
+                        locked_increment(win);
+                        std::thread::sleep(Duration::from_millis(5));
+                        released.store(true, Ordering::SeqCst);
+                        win.unlock(1).unwrap();
+                    });
+                    s.spawn(move || {
+                        is_held.recv().unwrap();
+                        win.lock(LockType::Exclusive, 1)
+                            .expect("a sibling's lock is waited for, not an error");
+                        assert!(
+                            released.load(Ordering::SeqCst),
+                            "got the lock while the sibling still held it"
+                        );
+                        locked_increment(win);
+                        win.unlock(1).unwrap();
+                    });
+                });
+            }
+            world.barrier().unwrap();
+            let v = u64::from_le_bytes(win.read_local(0, 8).try_into().unwrap());
+            world.barrier().unwrap();
+            v
+        },
+    );
+    assert_eq!(out[1], 2);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -478,9 +537,7 @@ proptest! {
                             s.spawn(move || {
                                 for step in &ops {
                                     winref.lock(LockType::Exclusive, 1).unwrap();
-                                    let mut cur = [0u64; 1];
-                                    winref.get(&mut cur, 1, 0).unwrap();
-                                    winref.put(&[cur[0] + 1], 1, 0).unwrap();
+                                    locked_increment(winref);
                                     match step {
                                         0 => winref.flush(1).unwrap(),
                                         1 => winref.flush_local(1).unwrap(),

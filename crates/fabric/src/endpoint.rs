@@ -276,7 +276,7 @@ impl EndpointShared {
 
     /// Wake every VCI's waiters (used for endpoint-global state changes
     /// such as a peer being declared dead).
-    fn bump_event_all(&self) {
+    pub(crate) fn bump_event_all(&self) {
         for vci in 0..self.n_vcis {
             self.bump_event(vci);
         }
@@ -965,6 +965,14 @@ impl Endpoint {
         self.shared(self.addr).wait_event(seen, timeout);
     }
 
+    /// Raise a completion event on `peer`'s endpoint: this rank finished,
+    /// one-sidedly, something `peer` may be parked on (the RDMA read that
+    /// completes `peer`'s rendezvous send). The initiator-side completion a
+    /// NIC delivers for it; without it the waiter sleeps out its timeout.
+    pub fn signal_peer(&self, peer: NetAddr) {
+        self.shared(peer).bump_event(0);
+    }
+
     // ---------------------------------------------------------------- tagged
 
     /// Inject a tagged message toward `dst`. Fire-and-forget: eager
@@ -1082,12 +1090,13 @@ impl Endpoint {
     }
 
     /// Has the reliability layer, the failure detector, or the fabric's
-    /// kill switch declared `peer` unreachable from this endpoint? Always
-    /// `false` on a perfect fabric. With sharded reliability domains, a
-    /// peer whose retry budget expired on *any* VCI is unreachable — death
-    /// is per peer, not per channel.
+    /// kill switch declared `peer` unreachable from this endpoint — or has
+    /// the job been aborted ([`Fabric::abort_job`]), which makes every peer
+    /// unreachable? Always `false` on a perfect fabric in a healthy job.
+    /// With sharded reliability domains, a peer whose retry budget expired
+    /// on *any* VCI is unreachable — death is per peer, not per channel.
     pub fn peer_unreachable(&self, peer: NetAddr) -> bool {
-        if self.fabric.endpoint_killed(peer) {
+        if self.fabric.job_aborted() || self.fabric.endpoint_killed(peer) {
             return true;
         }
         let my = self.shared(self.addr);
@@ -1146,6 +1155,10 @@ impl Endpoint {
             return;
         }
         loop {
+            if self.fabric.job_aborted() {
+                // Nobody is left to acknowledge anything.
+                return;
+            }
             tick_relia_all(&self.fabric, self.addr, self.fabric.now_us());
             let busy = my.vcis.iter().any(|v| {
                 let st = v.relia.lock();
@@ -1252,8 +1265,8 @@ impl Endpoint {
         EndpointStats::bump(&self.shared(self.addr).stats.win_ops_issued, n);
     }
 
-    /// Record one-sided window operations completed (at flush/unlock for
-    /// passive target).
+    /// Record one-sided window operations completed (passive-target puts
+    /// and accumulates: when a flush/unlock retires them).
     pub fn note_win_ops_completed(&self, n: u64) {
         EndpointStats::bump(&self.shared(self.addr).stats.win_ops_completed, n);
     }
@@ -1263,32 +1276,43 @@ impl Endpoint {
         EndpointStats::bump(&self.shared(self.addr).stats.win_flushes, 1);
     }
 
-    /// One-sided write into a remote region. `dst` is the owning endpoint
-    /// (for accounting; routing is by key, like a real rkey).
-    pub fn rdma_put(&self, _dst: NetAddr, key: RegionKey, offset: usize, data: &[u8]) {
+    /// One-sided write into a remote region. The initiator holds the
+    /// region handle — resolved once from its key ([`Fabric::region`]), the
+    /// way a real initiator caches the rkey and address handle it was sent
+    /// — so the operation itself looks nothing up. `dst` is the owning
+    /// endpoint (for accounting).
+    pub fn rdma_put(&self, _dst: NetAddr, region: &MemoryRegion, offset: usize, data: &[u8]) {
         let my = self.shared(self.addr);
         EndpointStats::bump(&my.stats.rdma_puts, 1);
         EndpointStats::bump(&my.stats.rdma_bytes, data.len() as u64);
         if my.trace_enabled {
-            litempi_trace::emit(EventKind::PutBegin, key.0, data.len() as u64);
+            litempi_trace::emit(EventKind::PutBegin, region.key().0, data.len() as u64);
         }
-        self.fabric.region(key).write(offset, data);
+        region.write(offset, data);
         if my.trace_enabled {
-            litempi_trace::emit(EventKind::PutComplete, key.0, 0);
+            litempi_trace::emit(EventKind::PutComplete, region.key().0, 0);
         }
     }
 
-    /// One-sided read from a remote region.
-    pub fn rdma_get(&self, _dst: NetAddr, key: RegionKey, offset: usize, len: usize) -> Vec<u8> {
+    /// One-sided read from a remote region: `f` is lent the bytes and
+    /// places them (copy, unpack) where they belong.
+    pub fn rdma_get<R>(
+        &self,
+        _dst: NetAddr,
+        region: &MemoryRegion,
+        offset: usize,
+        len: usize,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> R {
         let my = self.shared(self.addr);
         EndpointStats::bump(&my.stats.rdma_gets, 1);
         EndpointStats::bump(&my.stats.rdma_bytes, len as u64);
         if my.trace_enabled {
-            litempi_trace::emit(EventKind::GetBegin, key.0, len as u64);
+            litempi_trace::emit(EventKind::GetBegin, region.key().0, len as u64);
         }
-        let out = self.fabric.region(key).read(offset, len);
+        let out = region.read_with(offset, len, f);
         if my.trace_enabled {
-            litempi_trace::emit(EventKind::GetComplete, key.0, 0);
+            litempi_trace::emit(EventKind::GetComplete, region.key().0, 0);
         }
         out
     }
@@ -1298,7 +1322,7 @@ impl Endpoint {
     pub fn rdma_update(
         &self,
         _dst: NetAddr,
-        key: RegionKey,
+        region: &MemoryRegion,
         offset: usize,
         len: usize,
         f: impl FnOnce(&mut [u8]),
@@ -1306,14 +1330,14 @@ impl Endpoint {
         let my = self.shared(self.addr);
         EndpointStats::bump(&my.stats.rdma_atomics, 1);
         EndpointStats::bump(&my.stats.rdma_bytes, len as u64);
-        self.fabric.region(key).update(offset, len, f);
+        region.update(offset, len, f);
     }
 
     /// One-sided 8-byte atomic; returns the previous value.
     pub fn rdma_atomic(
         &self,
         _dst: NetAddr,
-        key: RegionKey,
+        region: &MemoryRegion,
         offset: usize,
         op: RdmaAtomicOp,
         operand: u64,
@@ -1322,7 +1346,7 @@ impl Endpoint {
         let my = self.shared(self.addr);
         EndpointStats::bump(&my.stats.rdma_atomics, 1);
         EndpointStats::bump(&my.stats.rdma_bytes, 8);
-        self.fabric.region(key).atomic(offset, op, operand, compare)
+        region.atomic(offset, op, operand, compare)
     }
 }
 
@@ -1525,8 +1549,11 @@ mod tests {
         let a = f.endpoint(NetAddr(0));
         let b = f.endpoint(NetAddr(1));
         let region = b.register(64);
-        a.rdma_put(NetAddr(1), region.key(), 8, &[9, 9, 9]);
-        assert_eq!(a.rdma_get(NetAddr(1), region.key(), 8, 3), vec![9, 9, 9]);
+        a.rdma_put(NetAddr(1), &region, 8, &[9, 9, 9]);
+        assert_eq!(
+            a.rdma_get(NetAddr(1), &region, 8, 3, <[u8]>::to_vec),
+            vec![9, 9, 9]
+        );
         // Target sees it too, with no target-side code having run.
         assert_eq!(region.read(8, 3), vec![9, 9, 9]);
     }
@@ -1580,6 +1607,20 @@ mod tests {
         // full timeout.
         let t0 = std::time::Instant::now();
         b.wait_event(before, Duration::from_secs(5));
+        assert!(t0.elapsed() < Duration::from_secs(1));
+    }
+
+    #[test]
+    fn signal_peer_moves_the_peers_event_epoch_only() {
+        let f = fabric(2);
+        let a = f.endpoint(NetAddr(0));
+        let b = f.endpoint(NetAddr(1));
+        let (mine, theirs) = (a.event_epoch(), b.event_epoch());
+        a.signal_peer(NetAddr(1));
+        assert_eq!(a.event_epoch(), mine);
+        assert!(b.event_epoch() > theirs);
+        let t0 = std::time::Instant::now();
+        b.wait_event(theirs, Duration::from_secs(5));
         assert!(t0.elapsed() < Duration::from_secs(1));
     }
 

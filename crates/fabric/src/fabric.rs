@@ -35,6 +35,8 @@ pub struct Fabric {
     kill_count: AtomicU64,
     /// Set once the kill switch has fired (the victim is off the fabric).
     kill_tripped: AtomicBool,
+    /// Set by [`Fabric::abort_job`]: the whole job is going down.
+    aborted: AtomicBool,
     /// Hoisted from `profile.trace.enabled`, same as the endpoint's
     /// reliability/jitter flags: a disabled trace costs one predictable
     /// branch at each event site.
@@ -63,6 +65,7 @@ impl Fabric {
             t0: Instant::now(),
             kill_count: AtomicU64::new(0),
             kill_tripped: AtomicBool::new(false),
+            aborted: AtomicBool::new(false),
             trace_enabled: profile.trace.enabled,
         })
     }
@@ -126,6 +129,21 @@ impl Fabric {
             Some(k) => addr.0 == k.endpoint && self.kill_tripped.load(Ordering::Acquire),
             None => false,
         }
+    }
+
+    /// `MPI_ABORT`: take the whole job down. Every endpoint then reports
+    /// every peer unreachable, and every endpoint's event epoch moves so
+    /// that parked waiters re-poll at once and see it. Idempotent.
+    pub fn abort_job(&self) {
+        self.aborted.store(true, Ordering::Release);
+        for ep in self.endpoints.iter() {
+            ep.bump_event_all();
+        }
+    }
+
+    /// Has [`Fabric::abort_job`] been called?
+    pub(crate) fn job_aborted(&self) -> bool {
+        self.aborted.load(Ordering::Acquire)
     }
 
     /// Number of endpoints.

@@ -87,8 +87,15 @@ impl MemoryRegion {
         mem[offset..end].copy_from_slice(data);
     }
 
-    /// One-sided read of `len` bytes at `offset`.
+    /// One-sided read of `len` bytes at `offset`, copied out.
     pub fn read(&self, offset: usize, len: usize) -> Vec<u8> {
+        self.read_with(offset, len, <[u8]>::to_vec)
+    }
+
+    /// One-sided read of `len` bytes at `offset`, lent to `f` under the
+    /// region lock: the initiator copies (or unpacks) them straight to
+    /// where they go, with no buffer in between.
+    pub fn read_with<R>(&self, offset: usize, len: usize, f: impl FnOnce(&[u8]) -> R) -> R {
         let mem = self.inner.mem.lock();
         let end = offset.checked_add(len).expect("rdma read overflow");
         assert!(
@@ -96,7 +103,7 @@ impl MemoryRegion {
             "rdma read out of registered range ({end} > {})",
             mem.len()
         );
-        mem[offset..end].to_vec()
+        f(&mem[offset..end])
     }
 
     /// Read-modify-write under `f`, holding the region lock for the whole
@@ -224,6 +231,12 @@ mod tests {
         r.write(4, &[1, 2, 3, 4]);
         assert_eq!(r.read(4, 4), vec![1, 2, 3, 4]);
         assert_eq!(r.read(0, 4), vec![0, 0, 0, 0]);
+        let mut out = [0u8; 2];
+        let n = r.read_with(5, 2, |b| {
+            out.copy_from_slice(b);
+            b.len()
+        });
+        assert_eq!((n, out), (2, [2, 3]));
     }
 
     #[test]

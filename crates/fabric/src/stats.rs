@@ -57,9 +57,9 @@ pub struct EndpointStats {
     pub peers_recovered: AtomicU64,
     /// Window (one-sided) operations issued into an access epoch.
     pub win_ops_issued: AtomicU64,
-    /// Window operations completed (at flush/unlock for passive target,
-    /// at issue for active target — real flush semantics make the two
-    /// counters diverge between issue and synchronization).
+    /// Window operations completed: a passive-target put or accumulate
+    /// when a flush/unlock retires it, everything else at issue — so the
+    /// two counters diverge between issue and synchronization.
     pub win_ops_completed: AtomicU64,
     /// `flush`/`flush_local`/`flush_all` synchronization calls.
     pub win_flushes: AtomicU64,

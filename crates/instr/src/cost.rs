@@ -281,10 +281,11 @@ pub mod rma {
     /// done flag. One step regardless of size — the point of bypassing
     /// the tag-match engine.
     pub const RNDV_GET: u64 = 22;
-    /// Queue one passive-target op into the per-window pending set
-    /// (deferred to flush — foMPI batches and completes at flush).
+    /// Issue one passive-target put or accumulate: bump the target's
+    /// epoch word, hand the descriptor over. (Named for the queue such an
+    /// op once waited in until the flush; the modelled cost is the same.)
     pub const OP_QUEUE: u64 = 7;
-    /// Per-op completion work at `flush`/`unlock`: pop, apply, retire.
+    /// Per-op completion work at `flush`/`unlock`: check it off, retire.
     pub const FLUSH_OP: u64 = 9;
     /// Fixed `flush`/`flush_all` entry cost: epoch-word reads + fence.
     pub const FLUSH_BASE: u64 = 11;
