@@ -22,7 +22,7 @@ use crate::op::Op;
 use crate::process::{CoreSlot, ProcInner};
 use crate::proto::{self, DecodedPayload};
 use crate::pt2pt::{inject, SendOpts};
-use crate::request::{check_peer, wait_loop};
+use crate::request::{poll_or_death, wait_loop};
 use crate::sched::Schedule;
 use litempi_datatype::MpiPrimitive;
 use litempi_fabric::endpoint::RecvHandle;
@@ -319,16 +319,11 @@ fn recv_raw(
 ) -> MpiResult<bytes::Bytes> {
     let posted = Posted::post(proc, bits);
     let r = wait_loop(proc, || {
-        if let Some((_, wire)) = posted.poll() {
-            return Some(Ok(wire));
-        }
-        check_peer(proc, peer, false, revoke_ctx).err().map(Err)
+        poll_or_death(proc, peer, false, revoke_ctx, || {
+            posted.poll().map(|(_, wire)| wire)
+        })
     });
     if r.is_err() {
-        // Death may race an in-flight delivery: take it if it landed.
-        if let Some((_, wire)) = posted.poll() {
-            return Ok(wire);
-        }
         posted.cancel(proc);
     }
     r

@@ -22,44 +22,18 @@ use litempi_fabric::endpoint::RecvHandle;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// Completion polls before a blocking loop parks on the endpoint's
-/// completion-event condvar.
-const WAIT_SPINS: u32 = 64;
-
-/// Upper bound on one parked sleep. Completions are announced by an
-/// event-epoch bump on this rank's endpoint (a rendezvous pull by the
-/// remote rank bumps it through `signal_peer`); the timeout covers the few
-/// flags that are set without one, so no waiter can hang on a missed
-/// notification.
-const PARK_TIMEOUT: std::time::Duration = std::time::Duration::from_micros(200);
-
-/// Drive a completion poll, interleaving progress: bounded spin first (the
-/// common case completes within a few polls), then park on the endpoint's
-/// completion-event epoch instead of burning a core. On a real machine this
-/// is the MPICH progress-wait loop with its spin-then-yield replaced by
-/// spin-then-park.
-pub(crate) fn wait_loop<T>(proc: &ProcInner, mut poll: impl FnMut() -> Option<T>) -> T {
-    let mut spins = 0u32;
-    loop {
-        if let Some(v) = poll() {
-            return v;
-        }
-        proc.progress();
-        spins = spins.wrapping_add(1);
-        if spins < WAIT_SPINS {
-            if spins & 0x3 == 0 {
-                std::thread::yield_now();
-            }
-            continue;
-        }
-        // Read the epoch, re-poll (a completion may have landed between the
-        // poll above and here), then sleep until the epoch moves.
-        let seen = proc.endpoint.event_epoch();
-        if let Some(v) = poll() {
-            return v;
-        }
-        proc.endpoint.wait_event(seen, PARK_TIMEOUT);
-    }
+/// Drive a completion poll with this rank's progress engine between
+/// polls. How long to spin and when to sleep is the fabric's one blocking
+/// policy ([`Endpoint::wait_until`](litempi_fabric::Endpoint::wait_until)):
+/// on a real machine the MPICH progress-wait loop with its spin-then-yield
+/// replaced by spin-then-park.
+pub(crate) fn wait_loop<T>(proc: &ProcInner, poll: impl FnMut() -> Option<T>) -> T {
+    proc.endpoint.wait_until(
+        || {
+            proc.progress();
+        },
+        poll,
+    )
 }
 
 /// Where a receive lands: the user buffer and how to interpret it.
@@ -141,7 +115,7 @@ pub(crate) fn fetch_rndv_rma(
 
 /// A rendezvous pull just set `sender`'s done flag. Raise the completion
 /// event on its endpoint — nothing else announces the flag, and a sender
-/// parked on it would sleep out `PARK_TIMEOUT` — and let it run: it has
+/// parked on it would sleep out the park time-out — and let it run: it has
 /// waited since its RTS, and on a shared CPU it would otherwise wait on
 /// until this rank next blocks, however much this rank computes first.
 fn release_sender(proc: &ProcInner, sender: litempi_fabric::NetAddr) {
@@ -264,51 +238,58 @@ enum ReqInner<'buf> {
     Consumed,
 }
 
-/// Dead-peer and revocation check shared by every pending-request poll
-/// site. A revoked communicator (`revoke_ctx` names its context; `None`
-/// exempts FT-internal traffic) fails the request with `Revoked`. Under
-/// `MPI_ERRORS_ARE_FATAL` (the snapshot taken at request creation) an
-/// unreachable peer aborts the rank; under `MPI_ERRORS_RETURN` it surfaces
-/// as `Err(PeerUnreachable)` so wait/test return instead of hanging.
-pub(crate) fn check_peer(
-    proc: &ProcInner,
-    peer: Option<usize>,
-    fatal: bool,
-    revoke_ctx: Option<u16>,
-) -> MpiResult<()> {
-    if let Some(ctx) = revoke_ctx {
-        if proc.is_ctx_revoked(ctx) {
-            let e = MpiError::Revoked;
-            if fatal {
-                panic!("MPI_ERRORS_ARE_FATAL: {e}");
-            }
-            return Err(e);
-        }
+/// Dead-peer and revocation check behind every pending-request poll
+/// ([`poll_or_death`]). A revoked communicator (`revoke_ctx` names its
+/// context; `None` exempts FT-internal traffic) is `Revoked`; an
+/// unreachable peer is `PeerUnreachable`, so wait/test return instead of
+/// hanging.
+fn check_peer(proc: &ProcInner, peer: Option<usize>, revoke_ctx: Option<u16>) -> MpiResult<()> {
+    if revoke_ctx.is_some_and(|ctx| proc.is_ctx_revoked(ctx)) {
+        return Err(MpiError::Revoked);
     }
     // Self-death check: when this rank's *own* kill switch has fired, its
     // pending operations fail too. A real dead process is simply gone; the
     // in-process harness simulates that by erroring the victim's blocking
     // calls so its rank thread can unwind instead of waiting on peers that
     // have (correctly) stopped talking to a corpse.
-    if proc
-        .endpoint
-        .peer_unreachable(proc.addr_of_world(proc.rank))
-    {
-        let e = MpiError::PeerUnreachable { peer: proc.rank };
-        if fatal {
-            panic!("MPI_ERRORS_ARE_FATAL: {e}");
-        }
-        return Err(e);
+    let unreachable = |rank: usize| proc.endpoint.peer_unreachable(proc.addr_of_world(rank));
+    if unreachable(proc.rank) {
+        return Err(MpiError::PeerUnreachable { peer: proc.rank });
     }
-    let Some(p) = peer else { return Ok(()) };
-    if proc.endpoint.peer_unreachable(proc.addr_of_world(p)) {
-        let e = MpiError::PeerUnreachable { peer: p };
-        if fatal {
-            panic!("MPI_ERRORS_ARE_FATAL: {e}");
-        }
-        return Err(e);
+    match peer {
+        Some(peer) if unreachable(peer) => Err(MpiError::PeerUnreachable { peer }),
+        _ => Ok(()),
     }
-    Ok(())
+}
+
+/// One poll of a completion a peer's death can strand: the completion if
+/// it is there, else the death ([`check_peer`]) if there is one — after
+/// one more look, because the two race. The message that trips a kill
+/// switch is still delivered, and a rank that polled just before it landed
+/// and checked liveness just after would otherwise fail a receive whose
+/// message sits in its slot. Under `MPI_ERRORS_ARE_FATAL` (`fatal`, the
+/// snapshot taken at request creation) a death aborts the rank; under
+/// `MPI_ERRORS_RETURN` it is the `Err`.
+pub(crate) fn poll_or_death<M>(
+    proc: &ProcInner,
+    peer: Option<usize>,
+    fatal: bool,
+    revoke_ctx: Option<u16>,
+    mut poll: impl FnMut() -> Option<M>,
+) -> Option<MpiResult<M>> {
+    if let Some(m) = poll() {
+        return Some(Ok(m));
+    }
+    let death = check_peer(proc, peer, revoke_ctx).err()?;
+    // On the AM-only provider the message may still sit in the AM queue.
+    proc.progress();
+    if let Some(m) = poll() {
+        return Some(Ok(m));
+    }
+    if fatal {
+        panic!("MPI_ERRORS_ARE_FATAL: {death}");
+    }
+    Some(Err(death))
 }
 
 /// Apply the errhandler snapshot to a completed receive: communication
@@ -465,10 +446,9 @@ impl<'buf> Request<'buf> {
                         ctx,
                     } => {
                         wait_loop(&proc, || {
-                            if done.load(Ordering::Acquire) {
-                                return Some(Ok(()));
-                            }
-                            check_peer(&proc, peer, fatal, Some(ctx)).err().map(Err)
+                            poll_or_death(&proc, peer, fatal, Some(ctx), || {
+                                done.load(Ordering::Acquire).then_some(())
+                            })
                         })?;
                         Ok(Status::send())
                     }
@@ -481,10 +461,7 @@ impl<'buf> Request<'buf> {
                         ctx,
                     } => {
                         let msg = wait_loop(&proc, || {
-                            if let Some(m) = handle.poll() {
-                                return Some(Ok(m));
-                            }
-                            check_peer(&proc, peer, fatal, Some(ctx)).err().map(Err)
+                            poll_or_death(&proc, peer, fatal, Some(ctx), || handle.poll())
                         });
                         match msg {
                             Ok(m) => fatal_filter(
@@ -512,10 +489,9 @@ impl<'buf> Request<'buf> {
                         ctx,
                     } => {
                         let msg = wait_loop(&proc, || {
-                            if let Some(m) = slot.filled.lock().take() {
-                                return Some(Ok(m));
-                            }
-                            check_peer(&proc, peer, fatal, Some(ctx)).err().map(Err)
+                            poll_or_death(&proc, peer, fatal, Some(ctx), || {
+                                slot.filled.lock().take()
+                            })
                         });
                         match msg {
                             Ok(m) => fatal_filter(
@@ -540,13 +516,9 @@ impl<'buf> Request<'buf> {
                         fatal,
                         ctx,
                     } => {
-                        let r = wait_loop(&proc, || {
-                            if let Some(d) = slot.lock().take() {
-                                return Some(Ok(d));
-                            }
-                            check_peer(&proc, peer, fatal, Some(ctx)).err().map(Err)
-                        });
-                        let data = r?;
+                        let data = wait_loop(&proc, || {
+                            poll_or_death(&proc, peer, fatal, Some(ctx), || slot.lock().take())
+                        })?;
                         Self::finish_rma(&proc, data, &mut dest, peer, fatal)
                     }
                     ReqInner::Done(s) => Ok(s),
@@ -574,22 +546,28 @@ impl<'buf> Request<'buf> {
                 ctx,
             } => {
                 proc.progress();
-                if done.load(Ordering::Acquire) {
-                    let s = Status::send();
-                    self.inner = ReqInner::Done(s);
-                    Ok(Some(s))
-                } else {
+                let polled = poll_or_death(&proc, peer, fatal, Some(ctx), || {
+                    done.load(Ordering::Acquire).then_some(())
+                });
+                match polled {
+                    Some(Ok(())) => {
+                        let s = Status::send();
+                        self.inner = ReqInner::Done(s);
+                        Ok(Some(s))
+                    }
                     // A dead peer errors the request (it stays Consumed —
                     // drained, per FT semantics) instead of pending forever.
-                    check_peer(&proc, peer, fatal, Some(ctx))?;
-                    self.inner = ReqInner::SendRndv {
-                        proc,
-                        done,
-                        peer,
-                        fatal,
-                        ctx,
-                    };
-                    Ok(None)
+                    Some(Err(e)) => Err(e),
+                    None => {
+                        self.inner = ReqInner::SendRndv {
+                            proc,
+                            done,
+                            peer,
+                            fatal,
+                            ctx,
+                        };
+                        Ok(None)
+                    }
                 }
             }
             ReqInner::RecvFabric {
@@ -601,26 +579,36 @@ impl<'buf> Request<'buf> {
                 ctx,
             } => {
                 proc.progress();
-                if let Some(msg) = handle.poll() {
-                    let s = fatal_filter(
-                        complete_recv(&proc, msg.match_bits, msg.src.index(), msg.data, &mut dest),
-                        fatal,
-                    )?;
-                    self.inner = ReqInner::Done(s);
-                    Ok(Some(s))
-                } else if let Err(e) = check_peer(&proc, peer, fatal, Some(ctx)) {
-                    handle.cancel();
-                    Err(e)
-                } else {
-                    self.inner = ReqInner::RecvFabric {
-                        proc,
-                        handle,
-                        dest,
-                        peer,
-                        fatal,
-                        ctx,
-                    };
-                    Ok(None)
+                match poll_or_death(&proc, peer, fatal, Some(ctx), || handle.poll()) {
+                    Some(Ok(msg)) => {
+                        let s = fatal_filter(
+                            complete_recv(
+                                &proc,
+                                msg.match_bits,
+                                msg.src.index(),
+                                msg.data,
+                                &mut dest,
+                            ),
+                            fatal,
+                        )?;
+                        self.inner = ReqInner::Done(s);
+                        Ok(Some(s))
+                    }
+                    Some(Err(e)) => {
+                        handle.cancel();
+                        Err(e)
+                    }
+                    None => {
+                        self.inner = ReqInner::RecvFabric {
+                            proc,
+                            handle,
+                            dest,
+                            peer,
+                            fatal,
+                            ctx,
+                        };
+                        Ok(None)
+                    }
                 }
             }
             ReqInner::RecvCore {
@@ -632,27 +620,30 @@ impl<'buf> Request<'buf> {
                 ctx,
             } => {
                 proc.progress();
-                let taken = slot.filled.lock().take();
-                if let Some(msg) = taken {
-                    let s = fatal_filter(
-                        complete_recv(&proc, msg.bits, msg.src_world, msg.payload, &mut dest),
-                        fatal,
-                    )?;
-                    self.inner = ReqInner::Done(s);
-                    Ok(Some(s))
-                } else if let Err(e) = check_peer(&proc, peer, fatal, Some(ctx)) {
-                    proc.core_match.cancel(&slot);
-                    Err(e)
-                } else {
-                    self.inner = ReqInner::RecvCore {
-                        proc,
-                        slot,
-                        dest,
-                        peer,
-                        fatal,
-                        ctx,
-                    };
-                    Ok(None)
+                match poll_or_death(&proc, peer, fatal, Some(ctx), || slot.filled.lock().take()) {
+                    Some(Ok(msg)) => {
+                        let s = fatal_filter(
+                            complete_recv(&proc, msg.bits, msg.src_world, msg.payload, &mut dest),
+                            fatal,
+                        )?;
+                        self.inner = ReqInner::Done(s);
+                        Ok(Some(s))
+                    }
+                    Some(Err(e)) => {
+                        proc.core_match.cancel(&slot);
+                        Err(e)
+                    }
+                    None => {
+                        self.inner = ReqInner::RecvCore {
+                            proc,
+                            slot,
+                            dest,
+                            peer,
+                            fatal,
+                            ctx,
+                        };
+                        Ok(None)
+                    }
                 }
             }
             ReqInner::Coll { proc, sched, fatal } => {
@@ -680,25 +671,26 @@ impl<'buf> Request<'buf> {
                 ctx,
             } => {
                 proc.progress();
-                let taken = slot.lock().take();
-                if let Some(data) = taken {
-                    let s = Self::finish_rma(&proc, data, &mut dest, peer, fatal)?;
-                    self.inner = ReqInner::Done(s);
-                    Ok(Some(s))
-                } else if let Err(e) = check_peer(&proc, peer, fatal, Some(ctx)) {
+                match poll_or_death(&proc, peer, fatal, Some(ctx), || slot.lock().take()) {
+                    Some(Ok(data)) => {
+                        let s = Self::finish_rma(&proc, data, &mut dest, peer, fatal)?;
+                        self.inner = ReqInner::Done(s);
+                        Ok(Some(s))
+                    }
                     // The reply slot stays registered (see the variant doc):
                     // a racing reply is absorbed, never a protocol fault.
-                    Err(e)
-                } else {
-                    self.inner = ReqInner::Rma {
-                        proc,
-                        slot,
-                        dest,
-                        peer,
-                        fatal,
-                        ctx,
-                    };
-                    Ok(None)
+                    Some(Err(e)) => Err(e),
+                    None => {
+                        self.inner = ReqInner::Rma {
+                            proc,
+                            slot,
+                            dest,
+                            peer,
+                            fatal,
+                            ctx,
+                        };
+                        Ok(None)
+                    }
                 }
             }
             ReqInner::Consumed => Err(MpiError::InvalidRequest("request already consumed")),
@@ -735,34 +727,22 @@ impl<'buf> Request<'buf> {
 
 /// Drive a multi-request wait loop (`waitany`/`waitsome`): `sweep` tests
 /// the requests and returns `Some` once it has a completion to report.
-/// Between fruitless sweeps: bounded spin first, then sleep on the event
-/// epoch of the first pending request's endpoint. The epoch is read
-/// *before* the sweep it guards (as in [`wait_loop`]), so a completion
-/// that lands during or after the sweep has moved it and the sleep
-/// returns at once instead of riding out `PARK_TIMEOUT`. All requests in
-/// one call belong to the same rank in practice; the timeout keeps the
-/// loop live even if one doesn't.
+/// Fruitless sweeps are [`wait_loop`] polls on the endpoint of the first
+/// pending request. All requests in one call belong to the same rank in
+/// practice; the park time-out keeps the loop live even if one doesn't.
 fn sweep_until<'b, T>(
     reqs: &mut Vec<Request<'b>>,
     mut sweep: impl FnMut(&mut Vec<Request<'b>>) -> MpiResult<Option<T>>,
 ) -> MpiResult<T> {
-    let mut spins = 0u32;
-    loop {
-        let parked_on = if spins < WAIT_SPINS {
-            None
-        } else {
-            (reqs.iter().find_map(|r| r.proc()))
-                .map(|proc| (proc.clone(), proc.endpoint.event_epoch()))
-        };
-        if let Some(v) = sweep(reqs)? {
-            return Ok(v);
-        }
-        spins = spins.wrapping_add(1);
-        match parked_on {
-            Some((proc, seen)) => proc.endpoint.wait_event(seen, PARK_TIMEOUT),
-            None => std::thread::yield_now(),
-        }
+    if let Some(v) = sweep(reqs)? {
+        return Ok(v);
     }
+    // A settled request would have been reported (or have failed the
+    // sweep), so one of them is still pending.
+    let proc = (reqs.iter().find_map(|r| r.proc()))
+        .expect("a fruitless sweep leaves a pending request")
+        .clone();
+    wait_loop(&proc, || sweep(reqs).transpose())
 }
 
 impl std::fmt::Debug for Request<'_> {
@@ -884,6 +864,56 @@ mod tests {
         assert!(r.is_done());
         assert_eq!(r.test().unwrap(), Some(s));
         assert_eq!(r.wait().unwrap(), s);
+    }
+
+    #[test]
+    fn a_completion_that_raced_the_death_notice_wins() {
+        use crate::comm::Errhandler;
+        use crate::config::BuildConfig;
+        use crate::universe::Universe;
+        use litempi_fabric::{FaultPlan, ProviderProfile, Topology};
+        // Rank 1's only packet trips its kill switch. Rank 0 waits until it
+        // sees the death — the message is in by then — and polls a source
+        // that comes up empty on the first look, as a receive slot does
+        // when the delivery lands between the poll and the liveness check.
+        let profile = ProviderProfile::infinite().with_faults(FaultPlan::none().with_kill(1, 1));
+        Universe::run(
+            2,
+            BuildConfig::ch4_default(),
+            profile,
+            Topology::single_node(2),
+            |proc| {
+                let world = proc.world();
+                if proc.rank() == 1 {
+                    world.send(&[9u8], 0, 0).unwrap();
+                    return;
+                }
+                let p = &world.proc;
+                let ctx = world.context_id().0;
+                while !p.endpoint.peer_unreachable(p.addr_of_world(1)) {
+                    std::thread::yield_now();
+                }
+                for fatal in [false, true] {
+                    let mut looks = 0;
+                    let got = poll_or_death(p, Some(1), fatal, Some(ctx), || {
+                        looks += 1;
+                        (looks == 2).then_some(looks)
+                    });
+                    assert!(matches!(got, Some(Ok(2))), "fatal={fatal}: {got:?}");
+                }
+                // The message the victim got out before it died is received.
+                world.set_errhandler(Errhandler::ErrorsReturn);
+                let mut buf = [0u8; 1];
+                world.recv_into(&mut buf, 1, 0).unwrap();
+                assert_eq!(buf, [9]);
+                // With nothing to take, the death is the answer.
+                let got = poll_or_death(p, Some(1), false, Some(ctx), || None::<()>);
+                assert!(matches!(
+                    got,
+                    Some(Err(MpiError::PeerUnreachable { peer: 1 }))
+                ));
+            },
+        );
     }
 
     #[test]

@@ -39,7 +39,7 @@ use crate::hier::{self, HierPlan};
 use crate::match_bits::{self, ContextId};
 use crate::op::Op;
 use crate::process::ProcInner;
-use crate::request::{check_peer, wait_loop, Request};
+use crate::request::{poll_or_death, wait_loop, Request};
 use crate::status::Status;
 use bytes::Bytes;
 use litempi_datatype::{Datatype, MpiPrimitive};
@@ -405,19 +405,11 @@ impl Schedule {
     fn poll_live(&mut self, proc: &ProcInner, mem: &mut Mem<'_>) -> MpiResult<()> {
         let mut i = 0;
         while i < self.live.len() {
-            let mut arrived = self.live[i].post.poll();
-            if arrived.is_none() {
-                let peer = Some(self.live[i].peer);
-                if let Err(e) = check_peer(proc, peer, false, Some(self.ctx.0)) {
-                    // Death may race an in-flight delivery: take it if it
-                    // landed.
-                    arrived = self.live[i].post.poll();
-                    if arrived.is_none() {
-                        return Err(e);
-                    }
-                }
-            }
-            let Some((bits, wire)) = arrived else {
+            let live = &self.live[i];
+            let arrived = poll_or_death(proc, Some(live.peer), false, Some(self.ctx.0), || {
+                live.post.poll()
+            });
+            let Some((bits, wire)) = arrived.transpose()? else {
                 i += 1;
                 continue;
             };

@@ -43,17 +43,29 @@
 //!
 //! ## Completion events
 //!
-//! Blocked waiters park instead of spinning: every action that can complete
-//! an operation (tagged delivery, AM arrival) bumps a per-VCI event epoch
-//! and notifies a condvar. Waiters spin briefly, then sleep until the
-//! epoch moves (or a short timeout, covering completions that are signalled
-//! on other endpoints — e.g. a rendezvous done flag). A receive handle
-//! parks precisely on its own VCI's condvar; endpoint-wide waiters (the
-//! progress loops above) watch the summed epoch and park on VCI 0, which
-//! multi-VCI bumps also notify so no wakeup is lost.
+//! Every action that can complete an operation — a tagged delivery, an AM
+//! arrival, a peer declared dead, a remote rank finishing a rendezvous pull
+//! ([`Endpoint::signal_peer`]) — bumps the event count (`event_count.rs`)
+//! of the VCI it happened on: an epoch and a count of sleepers. A bump that
+//! finds no sleeper is an atomic add and a load; only one that finds a
+//! sleeper takes a lock and makes the wake-up system call
+//! ([`StatsSnapshot::event_wakes`] counts those). No message-passing
+//! workload of the repo benchmark parks, so a delivery enters the kernel
+//! for nobody.
+//!
+//! Every blocking call of the stack waits in one function,
+//! [`Endpoint::wait_until`]: poll, drive progress, and after
+//! `WAIT_SPINS` fruitless polls read the epoch, poll once more and sleep
+//! until the epoch moves or `PARK_TIMEOUT` passes. The time-out is the
+//! backstop for the completion sources that still set a flag without
+//! raising an event (an RMA lock word freed by a remote `unlock`, the PSCW
+//! post/complete words). A receive handle sleeps on the VCI it was posted
+//! on; endpoint-wide waiters watch the summed epoch and sleep on VCI 0,
+//! which a bump on any other VCI also notifies, so no wake-up is lost.
 
 use crate::addr::NetAddr;
-use crate::fabric::Fabric;
+use crate::event_count::EventCount;
+use crate::fabric::{Fabric, KillVerdict};
 use crate::health::{HealthAction, HealthMonitor, HealthState};
 use crate::matching::MatchEngine;
 use crate::packet::{AmMessage, PostedRecv, RecvSlot, TaggedMessage};
@@ -63,9 +75,8 @@ use crate::stats::{EndpointStats, StatsSnapshot};
 use bytes::Bytes;
 use litempi_instr::{charge, cost as icost, Category};
 use litempi_trace::EventKind;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -85,11 +96,9 @@ struct VciState {
     tag: Mutex<MatchEngine>,
     /// Jitter-mode deferred-delivery state.
     jitter: Mutex<JitterState>,
-    /// Completion-event epoch; bumped on every delivery/arrival on this VCI.
-    events: AtomicU64,
-    /// Parking lot for epoch waiters ([`Endpoint::wait_event`]).
-    event_lock: Mutex<()>,
-    event_cv: Condvar,
+    /// Completion events: the epoch bumped on every delivery/arrival on
+    /// this VCI, and the waiters parked on it.
+    events: EventCount,
     /// Lossy/reliable-path state (fault RNGs, link state machines). Empty
     /// and never locked when `routed` is false.
     relia: Mutex<ReliaState>,
@@ -109,8 +118,6 @@ pub(crate) struct EndpointShared {
     /// Pending active messages, in arrival order. Endpoint-wide: AMs carry
     /// RMA/PSCW control traffic whose FIFO must not be sharded.
     am: Mutex<VecDeque<AmMessage>>,
-    /// Precise wakeups for [`Endpoint::am_wait`].
-    am_cv: Condvar,
     /// Cached `profile.jitter_seed.is_some()` — the hoisted check that
     /// keeps jitter bookkeeping entirely off the non-jitter fast path.
     jitter_enabled: bool,
@@ -178,6 +185,14 @@ impl JitterState {
     }
 }
 
+/// Fruitless polls before a blocked caller parks ([`Endpoint::wait_until`]).
+const WAIT_SPINS: u32 = 64;
+
+/// Upper bound on one parked sleep. Completions are announced by an
+/// event-epoch bump on the waiter's endpoint; the time-out covers the few
+/// flags that are still set without one, so no waiter can hang on them.
+const PARK_TIMEOUT: Duration = Duration::from_micros(200);
+
 impl EndpointShared {
     pub(crate) fn new(profile: &ProviderProfile, addr: NetAddr, n: usize, n_vcis: usize) -> Self {
         let n_vcis = n_vcis.max(1);
@@ -203,9 +218,7 @@ impl EndpointShared {
                         deferred: Vec::new(),
                         rng,
                     }),
-                    events: AtomicU64::new(0),
-                    event_lock: Mutex::new(()),
-                    event_cv: Condvar::new(),
+                    events: EventCount::new(),
                     relia: Mutex::new(ReliaState::new_vci(profile, addr, vci)),
                 }
             })
@@ -215,7 +228,6 @@ impl EndpointShared {
             n_vcis,
             multi_vci: n_vcis > 1,
             am: Mutex::new(VecDeque::new()),
-            am_cv: Condvar::new(),
             jitter_enabled: profile.jitter_seed.is_some(),
             relia_enabled,
             lossy_enabled,
@@ -258,19 +270,14 @@ impl EndpointShared {
 
     /// Announce that something completion-worthy happened on `vci`.
     fn bump_event(&self, vci: usize) {
-        let st = &self.vcis[vci];
-        st.events.fetch_add(1, Ordering::Release);
-        // Serialize against waiters between their epoch check and their
-        // sleep, so the notify cannot be lost.
-        let _guard = st.event_lock.lock();
-        st.event_cv.notify_all();
-        drop(_guard);
+        let mut wakes = u64::from(self.vcis[vci].events.bump());
         if self.multi_vci && vci != 0 {
             // Endpoint-wide waiters (progress loops watching the summed
-            // epoch) park on VCI 0's condvar; wake them too.
-            let st0 = &self.vcis[0];
-            let _guard = st0.event_lock.lock();
-            st0.event_cv.notify_all();
+            // epoch) park on VCI 0; wake them too.
+            wakes += u64::from(self.vcis[0].events.notify());
+        }
+        if wakes != 0 {
+            EndpointStats::bump(&self.stats.event_wakes, wakes);
         }
     }
 
@@ -287,35 +294,59 @@ impl EndpointShared {
     /// each per-VCI epoch only grows).
     fn event_epoch(&self) -> u64 {
         if !self.multi_vci {
-            return self.vcis[0].events.load(Ordering::Acquire);
+            return self.vcis[0].events.epoch();
         }
-        self.vcis
-            .iter()
-            .map(|v| v.events.load(Ordering::Acquire))
-            .sum()
+        self.vcis.iter().map(|v| v.events.epoch()).sum()
     }
 
-    /// Sleep until the endpoint-wide event epoch moves past `seen`, or
-    /// `timeout` elapses. Parks on VCI 0's condvar, which every multi-VCI
-    /// bump also notifies.
-    fn wait_event(&self, seen: u64, timeout: Duration) {
-        let st = &self.vcis[0];
-        let mut guard = st.event_lock.lock();
-        if self.event_epoch() != seen {
-            return;
+    /// The epoch a waiter watches: `vci`'s own (a receive handle, whose
+    /// message can only arrive on the shard it was posted on) or, for
+    /// `None`, the endpoint-wide one.
+    fn epoch_of(&self, vci: Option<usize>) -> u64 {
+        match vci {
+            Some(vci) => self.vcis[vci].events.epoch(),
+            None => self.event_epoch(),
         }
-        let _ = st.event_cv.wait_for(&mut guard, timeout);
     }
 
-    /// Sleep until `vci`'s own epoch moves past `seen`, or `timeout`
-    /// elapses (precise parking for receive handles).
-    fn wait_event_vci(&self, vci: usize, seen: u64, timeout: Duration) {
-        let st = &self.vcis[vci];
-        let mut guard = st.event_lock.lock();
-        if st.events.load(Ordering::Acquire) != seen {
-            return;
+    /// Sleep until the epoch `vci` names ([`Self::epoch_of`]) moves past
+    /// `seen`, or `timeout` elapses. Endpoint-wide waiters park on VCI 0,
+    /// which every multi-VCI bump also notifies.
+    fn wait_event(&self, vci: Option<usize>, seen: u64, timeout: Duration) {
+        self.vcis[vci.unwrap_or(0)]
+            .events
+            .park(|| self.epoch_of(vci) == seen, timeout);
+    }
+
+    /// The one blocking policy of the stack — see [`Endpoint::wait_until`],
+    /// which is this on the endpoint-wide epoch.
+    fn wait_until<T>(
+        &self,
+        vci: Option<usize>,
+        mut progress: impl FnMut(),
+        mut poll: impl FnMut() -> Option<T>,
+    ) -> T {
+        let mut spins = 0u32;
+        loop {
+            if let Some(v) = poll() {
+                return v;
+            }
+            progress();
+            if spins < WAIT_SPINS {
+                spins += 1;
+                if spins & 0x3 == 0 {
+                    std::thread::yield_now();
+                }
+                continue;
+            }
+            // Read the epoch, poll again (a completion may have landed
+            // since the poll above), then sleep until the epoch moves.
+            let seen = self.epoch_of(vci);
+            if let Some(v) = poll() {
+                return v;
+            }
+            self.wait_event(vci, seen, PARK_TIMEOUT);
         }
-        let _ = st.event_cv.wait_for(&mut guard, timeout);
     }
 
     /// Deliver `vci`'s jitter-deferred messages from `src` (or all). No-op
@@ -419,7 +450,6 @@ impl EndpointShared {
     /// AM packets travel on).
     fn deliver_am(&self, msg: AmMessage) {
         self.am.lock().push_back(msg);
-        self.am_cv.notify_all();
         self.bump_event(0);
     }
 }
@@ -498,11 +528,21 @@ fn send_packet(fabric: &Fabric, src: NetAddr, dst: NetAddr, vci: usize, body: Pa
 /// Fault layer: decide this packet's fate with the sender's per-(VCI,link)
 /// RNG, then deliver whatever survives.
 fn transmit(fabric: &Fabric, src: NetAddr, dst: NetAddr, pkt: WirePacket) {
-    let sender = fabric.shared(src);
-    if fabric.kill_packet(src, dst) {
-        EndpointStats::bump(&sender.stats.faults_dropped, 1);
-        return;
+    match fabric.kill_packet(src, dst) {
+        KillVerdict::Pass => transmit_live(fabric, src, dst, pkt),
+        KillVerdict::Last => {
+            transmit_live(fabric, src, dst, pkt);
+            fabric.trip_kill();
+        }
+        KillVerdict::Dead => {
+            EndpointStats::bump(&fabric.shared(src).stats.faults_dropped, 1);
+        }
     }
+}
+
+/// [`transmit`] past the kill switch.
+fn transmit_live(fabric: &Fabric, src: NetAddr, dst: NetAddr, pkt: WirePacket) {
+    let sender = fabric.shared(src);
     if !sender.lossy_enabled {
         deliver_packet(fabric, dst, pkt);
         return;
@@ -962,7 +1002,20 @@ impl Endpoint {
     /// previously read with [`Self::event_epoch`]) or `timeout` elapses.
     /// The timeout keeps waiters live for completions signalled elsewhere.
     pub fn wait_event(&self, seen: u64, timeout: Duration) {
-        self.shared(self.addr).wait_event(seen, timeout);
+        self.shared(self.addr).wait_event(None, seen, timeout);
+    }
+
+    /// Block until `poll` yields a value, calling `progress` after every
+    /// fruitless poll. The one spin-then-park policy of the stack: the
+    /// first `WAIT_SPINS` polls only yield the CPU now and then (the common
+    /// case completes within a few polls, and on a shared CPU the yield is
+    /// what lets the peer produce the completion); after that the caller
+    /// sleeps on this endpoint's completion-event epoch between polls, for
+    /// at most `PARK_TIMEOUT` at a time. `poll` must look at everything
+    /// that can complete the wait, including the reasons to give up (a
+    /// dead peer, a revoked communicator).
+    pub fn wait_until<T>(&self, progress: impl FnMut(), poll: impl FnMut() -> Option<T>) -> T {
+        self.shared(self.addr).wait_until(None, progress, poll)
     }
 
     /// Raise a completion event on `peer`'s endpoint: this rank finished,
@@ -1208,16 +1261,11 @@ impl Endpoint {
         self.shared(self.addr).am.lock().pop_front()
     }
 
-    /// Block until an active message arrives.
+    /// Block until an active message arrives (its completion event lands
+    /// on VCI 0, like the packet).
     pub fn am_wait(&self) -> AmMessage {
-        let peer = self.shared(self.addr);
-        let mut queue = peer.am.lock();
-        loop {
-            if let Some(m) = queue.pop_front() {
-                return m;
-            }
-            peer.am_cv.wait(&mut queue);
-        }
+        self.shared(self.addr)
+            .wait_until(Some(0), || {}, || self.am_poll())
     }
 
     // ------------------------------------------------------------------ RDMA
@@ -1372,9 +1420,6 @@ impl std::fmt::Debug for RecvHandle {
     }
 }
 
-/// Polls before a waiter parks on the event condvar.
-const WAIT_SPINS: u32 = 64;
-
 impl RecvHandle {
     /// Nonblocking: take the message if it has arrived.
     pub fn poll(&self) -> Option<TaggedMessage> {
@@ -1390,16 +1435,12 @@ impl RecvHandle {
         self.slot.is_filled()
     }
 
-    /// Block until the message arrives: bounded spin, then park on the
-    /// posting VCI's completion-event epoch (a message that can match this
-    /// receive always completes on the same shard it was posted on).
+    /// Block until the message arrives, parking on the posting VCI's
+    /// completion-event epoch (a message that can match this receive
+    /// always completes on the same shard it was posted on).
     pub fn wait(self) -> TaggedMessage {
         let shared = self.fabric.shared(self.addr);
-        let mut spins = 0u32;
-        loop {
-            if let Some(m) = self.poll() {
-                return m;
-            }
+        let progress = || {
             shared.flush_deferred(self.vci, None);
             if shared.routed {
                 // Drive every shard: this thread may be the only one
@@ -1409,17 +1450,8 @@ impl RecvHandle {
             if shared.health_enabled {
                 tick_health(&self.fabric, self.addr, self.fabric.now_us());
             }
-            spins = spins.wrapping_add(1);
-            if spins < WAIT_SPINS {
-                std::thread::yield_now();
-                continue;
-            }
-            let seen = shared.vcis[self.vci].events.load(Ordering::Acquire);
-            if let Some(m) = self.poll() {
-                return m;
-            }
-            shared.wait_event_vci(self.vci, seen, Duration::from_micros(200));
-        }
+        };
+        shared.wait_until(Some(self.vci), progress, || self.poll())
     }
 
     /// Cancel the posted receive. Returns `true` if it was cancelled before
@@ -1622,6 +1654,62 @@ mod tests {
         let t0 = std::time::Instant::now();
         b.wait_event(theirs, Duration::from_secs(5));
         assert!(t0.elapsed() < Duration::from_secs(1));
+    }
+
+    // A delivery to an endpoint nobody sleeps on notifies nobody — no lock,
+    // no system call — and the counter that proves it stays put.
+
+    #[test]
+    fn event_wakes_is_zero_over_tagged_messages_nobody_parks_for() {
+        let f = fabric(2);
+        let a = f.endpoint(NetAddr(0));
+        let b = f.endpoint(NetAddr(1));
+        for i in 0..10_000u64 {
+            let h = b.trecv_post(i, 0);
+            a.tsend(NetAddr(1), i, Bytes::new());
+            assert_eq!(h.wait().match_bits, i);
+        }
+        assert_eq!(b.event_epoch(), 10_000, "every delivery is an event");
+        assert_eq!(b.stats().event_wakes, 0);
+        assert_eq!(a.stats().event_wakes, 0);
+    }
+
+    #[test]
+    fn event_wakes_is_zero_over_active_messages_nobody_parks_for() {
+        let f = fabric(2);
+        let a = f.endpoint(NetAddr(0));
+        let b = f.endpoint(NetAddr(1));
+        for _ in 0..1_000 {
+            a.am_send(NetAddr(1), 4, [0u8; 32], Bytes::new());
+            assert!(b.am_poll().is_some());
+        }
+        assert_eq!(b.event_epoch(), 1_000, "every arrival is an event");
+        assert_eq!(b.stats().event_wakes, 0);
+    }
+
+    #[test]
+    fn event_wakes_counts_the_delivery_that_finds_a_parked_waiter() {
+        let f = fabric(2);
+        let a = f.endpoint(NetAddr(0));
+        let b = f.endpoint(NetAddr(1));
+        let seen = b.event_epoch();
+        let waiter = {
+            let b = b.clone();
+            std::thread::spawn(move || {
+                let t0 = std::time::Instant::now();
+                b.wait_event(seen, Duration::from_secs(5));
+                t0.elapsed()
+            })
+        };
+        while f.shared(NetAddr(1)).vcis[0].events.waiters() == 0 {
+            std::thread::yield_now();
+        }
+        a.tsend(NetAddr(1), 1, Bytes::new());
+        let slept = waiter.join().unwrap();
+        assert!(slept < Duration::from_secs(5), "the waiter was not woken");
+        assert_eq!(b.stats().event_wakes, 1);
+        // The sender's own endpoint saw no event at all.
+        assert_eq!(a.stats().event_wakes, 0);
     }
 
     #[test]
@@ -2174,7 +2262,9 @@ mod tests {
         let f2 = f.clone();
         let t = std::thread::spawn(move || {
             let a = f2.endpoint(NetAddr(0));
-            std::thread::sleep(std::time::Duration::from_millis(10));
+            while f2.shared(NetAddr(1)).vcis[0].events.waiters() == 0 {
+                std::thread::yield_now();
+            }
             // ctx 3 hashes off VCI 0 at 4 shards; the bump must still wake
             // an endpoint-wide waiter parked on the summed epoch.
             a.tsend(NetAddr(1), mb(3, 0, 0), Bytes::new());
@@ -2186,5 +2276,6 @@ mod tests {
         }
         assert!(b.event_epoch() > before);
         t.join().unwrap();
+        assert_eq!(b.stats().event_wakes, 1, "the cross-shard notify");
     }
 }

@@ -43,6 +43,18 @@ pub struct Fabric {
     trace_enabled: bool,
 }
 
+/// What the kill switch says about one packet ([`Fabric::kill_packet`]).
+pub(crate) enum KillVerdict {
+    /// Not the victim's, or the victim still has packets to live.
+    Pass,
+    /// The victim's last packet: it still goes through, and death starts
+    /// once it has been delivered ([`Fabric::trip_kill`]) — not before, so
+    /// that whoever sees the death can also see the message.
+    Last,
+    /// The victim is dead; the packet vanishes.
+    Dead,
+}
+
 impl Fabric {
     /// Build a fabric with `n` endpoints.
     pub fn new(n: usize, profile: ProviderProfile, topology: Topology) -> Arc<Fabric> {
@@ -101,24 +113,29 @@ impl Fabric {
         self.trace_enabled
     }
 
-    /// Account one packet against the kill switch. Returns `true` when the
-    /// packet must vanish because the victim endpoint is dead.
-    pub(crate) fn kill_packet(&self, src: NetAddr, dst: NetAddr) -> bool {
+    /// Account one packet against the kill switch.
+    pub(crate) fn kill_packet(&self, src: NetAddr, dst: NetAddr) -> KillVerdict {
         let Some(k) = self.profile.faults.kill else {
-            return false;
+            return KillVerdict::Pass;
         };
         if src.0 != k.endpoint && dst.0 != k.endpoint {
-            return false;
+            return KillVerdict::Pass;
         }
         if self.kill_tripped.load(Ordering::Acquire) {
-            return true;
+            return KillVerdict::Dead;
         }
         let n = self.kill_count.fetch_add(1, Ordering::AcqRel) + 1;
         if n >= k.after_packets {
-            self.kill_tripped.store(true, Ordering::Release);
+            KillVerdict::Last
+        } else {
+            KillVerdict::Pass
         }
-        // The k-th packet itself still goes through; death starts after.
-        false
+    }
+
+    /// The packet [`KillVerdict::Last`] was said of has been handed over:
+    /// the victim is dead from here on.
+    pub(crate) fn trip_kill(&self) {
+        self.kill_tripped.store(true, Ordering::Release);
     }
 
     /// Has the kill switch fired for `addr`? Modeled as a fabric-wide

@@ -36,6 +36,7 @@
 pub mod addr;
 pub mod cost;
 pub mod endpoint;
+mod event_count;
 pub mod fabric;
 pub mod fault;
 pub mod health;

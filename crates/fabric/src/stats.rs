@@ -67,6 +67,10 @@ pub struct EndpointStats {
     pub reg_cache_hits: AtomicU64,
     /// Registration-cache misses (fresh pin-down registration).
     pub reg_cache_misses: AtomicU64,
+    /// Completion events on this endpoint that found somebody parked and
+    /// had to notify (lock + wake-up system call). An event nobody sleeps
+    /// on — every delivery to a rank that is still polling — is not one.
+    pub event_wakes: AtomicU64,
     /// Per-VCI lock acquisitions (critical section + tag engine). Only
     /// bumped when the endpoint runs more than one VCI, so the single-VCI
     /// fast path pays nothing for them.
@@ -114,6 +118,7 @@ impl EndpointStats {
             win_flushes: self.win_flushes.load(Ordering::Relaxed),
             reg_cache_hits: self.reg_cache_hits.load(Ordering::Relaxed),
             reg_cache_misses: self.reg_cache_misses.load(Ordering::Relaxed),
+            event_wakes: self.event_wakes.load(Ordering::Relaxed),
             unexpected: matching.unexpected,
             bucket_hits: matching.bucket_hits,
             wildcard_matches: matching.wildcard_matches,
@@ -169,6 +174,7 @@ pub struct StatsSnapshot {
     pub win_flushes: u64,
     pub reg_cache_hits: u64,
     pub reg_cache_misses: u64,
+    pub event_wakes: u64,
     pub unexpected: u64,
     pub bucket_hits: u64,
     pub wildcard_matches: u64,
@@ -211,6 +217,7 @@ impl StatsSnapshot {
             win_flushes: self.win_flushes - earlier.win_flushes,
             reg_cache_hits: self.reg_cache_hits - earlier.reg_cache_hits,
             reg_cache_misses: self.reg_cache_misses - earlier.reg_cache_misses,
+            event_wakes: self.event_wakes - earlier.event_wakes,
             unexpected: self.unexpected - earlier.unexpected,
             bucket_hits: self.bucket_hits - earlier.bucket_hits,
             wildcard_matches: self.wildcard_matches - earlier.wildcard_matches,

@@ -11,6 +11,7 @@
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::PoisonError;
 use std::time::Duration;
 
@@ -96,8 +97,20 @@ impl<'a, T: ?Sized> DerefMut for MutexGuard<'a, T> {
 }
 
 /// A condition variable paired with [`Mutex`] (`parking_lot::Condvar` API).
+///
+/// Like the crate it stands in for, a notify that finds nobody waiting is
+/// one load: `std`'s futex condvar enters the kernel on every notify, so
+/// the shim counts its waiters and asks first.
 #[derive(Default)]
-pub struct Condvar(std::sync::Condvar);
+pub struct Condvar {
+    inner: std::sync::Condvar,
+    /// Threads inside `wait` / `wait_for`. Raised while the caller still
+    /// holds its guard and lowered after the wait has it back, so a
+    /// notifier that changed the shared state under the same mutex either
+    /// ran before the waiter looked (the waiter sees the change and does
+    /// not wait) or reads a count that includes it.
+    waiters: AtomicUsize,
+}
 
 /// Result of a timed wait: reports whether the wait timed out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,13 +128,21 @@ impl Condvar {
     /// Create a condition variable.
     #[inline]
     pub const fn new() -> Self {
-        Condvar(std::sync::Condvar::new())
+        Condvar {
+            inner: std::sync::Condvar::new(),
+            waiters: AtomicUsize::new(0),
+        }
     }
 
     /// Block until notified, releasing the guard's mutex while parked.
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         let inner = guard.inner.take().expect("nested condvar wait");
-        let inner = self.0.wait(inner).unwrap_or_else(PoisonError::into_inner);
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+        let inner = self
+            .inner
+            .wait(inner)
+            .unwrap_or_else(PoisonError::into_inner);
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         guard.inner = Some(inner);
     }
 
@@ -132,24 +153,30 @@ impl Condvar {
         timeout: Duration,
     ) -> WaitTimeoutResult {
         let inner = guard.inner.take().expect("nested condvar wait");
+        self.waiters.fetch_add(1, Ordering::SeqCst);
         let (inner, result) = self
-            .0
+            .inner
             .wait_timeout(inner, timeout)
             .unwrap_or_else(PoisonError::into_inner);
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         guard.inner = Some(inner);
         WaitTimeoutResult(result.timed_out())
     }
 
-    /// Wake one parked waiter.
+    /// Wake one parked waiter. One load when nobody waits.
     #[inline]
     pub fn notify_one(&self) {
-        self.0.notify_one();
+        if self.waiters.load(Ordering::SeqCst) != 0 {
+            self.inner.notify_one();
+        }
     }
 
-    /// Wake every parked waiter.
+    /// Wake every parked waiter. One load when nobody waits.
     #[inline]
     pub fn notify_all(&self) {
-        self.0.notify_all();
+        if self.waiters.load(Ordering::SeqCst) != 0 {
+            self.inner.notify_all();
+        }
     }
 }
 
@@ -260,6 +287,41 @@ mod tests {
         let mut g = m.lock();
         let r = cv.wait_for(&mut g, Duration::from_millis(5));
         assert!(r.timed_out());
+    }
+
+    #[test]
+    fn notify_without_a_waiter_is_not_stored() {
+        let m = Mutex::new(());
+        let cv = Condvar::new();
+        cv.notify_one();
+        cv.notify_all();
+        let mut g = m.lock();
+        assert!(cv.wait_for(&mut g, Duration::from_millis(5)).timed_out());
+        assert_eq!(cv.waiters.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn parked_waiter_is_counted_and_woken() {
+        let pair = Arc::new((Mutex::new(false), Condvar::new()));
+        let p2 = pair.clone();
+        let t = std::thread::spawn(move || {
+            let (m, cv) = &*p2;
+            let mut g = m.lock();
+            while !*g {
+                let r = cv.wait_for(&mut g, Duration::from_secs(5));
+                assert!(!r.timed_out(), "the notify was skipped or lost");
+            }
+        });
+        let (m, cv) = &*pair;
+        // The count is raised under the waiter's guard, so once it reads 1
+        // and the mutex can be taken, the waiter is inside the wait.
+        while cv.waiters.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
+        *m.lock() = true;
+        cv.notify_one();
+        t.join().unwrap();
+        assert_eq!(cv.waiters.load(Ordering::SeqCst), 0);
     }
 
     #[test]
