@@ -110,10 +110,9 @@ fn bench_wildcard_vs_exact(c: &mut Criterion) {
     g.finish();
 }
 
-/// Matcher ablation: time the *deliver* side of `tsend` while `depth`
-/// standing decoy receives (distinct exact tags, never matched) clog the
-/// posted queue. The linear matcher scans past every decoy on each
-/// delivery; the bucketed matcher hashes straight to the live tag's
+/// Time the *deliver* side of `tsend` while `depth` standing decoy
+/// receives (distinct exact tags, never matched) clog the posted queue.
+/// The endpoint's bucketed matcher hashes straight to the live tag's
 /// bucket, so its cost should be flat in `depth`.
 ///
 /// This drives the fabric endpoints directly from one thread (no MPI
@@ -121,17 +120,12 @@ fn bench_wildcard_vs_exact(c: &mut Criterion) {
 /// completion drain *outside* the timed region, so the measured delta is
 /// the matcher walk itself — the `q·P` term the paper's Fig 8 model
 /// charges — not spin/park overhead.
-fn matcher_posted_depth(kind: MatcherKind, depth: usize, iters: u64) -> Duration {
-    let fabric = Fabric::new(
-        2,
-        ProviderProfile::infinite().with_matcher(kind),
-        Topology::single_node(2),
-    );
+fn matcher_posted_depth(depth: usize, iters: u64) -> Duration {
+    let fabric = Fabric::new(2, ProviderProfile::infinite(), Topology::single_node(2));
     let tx = fabric.endpoint(NetAddr(0));
     let rx = fabric.endpoint(NetAddr(1));
     // Decoys occupy a disjoint tag range so the timed traffic never
-    // matches them; holding the handles keeps them posted. They are
-    // posted first, so every linear delivery scans past all of them.
+    // matches them; holding the handles keeps them posted.
     const DECOY_BASE: u64 = 1 << 40;
     const LIVE: u64 = 7;
     const BATCH: u64 = 64;
@@ -230,21 +224,15 @@ fn bench_matcher_ablation(c: &mut Criterion) {
     g.finish();
 }
 
-/// The same sweep through the full endpoint path (`tsend` → lock → deliver
-/// → event): shows the matcher delta as seen by real traffic, where the
-/// fixed per-message cost amortizes the data-structure difference.
+/// The same depths through the full endpoint path (`tsend` → lock → deliver
+/// → event), as real traffic sees the matcher.
 fn bench_tsend_posted_depth(c: &mut Criterion) {
     let mut g = c.benchmark_group("tsend_path_posted_depth");
     g.sample_size(10).measurement_time(Duration::from_secs(1));
     for depth in [1usize, 16, 256, 4096] {
-        for (label, kind) in [
-            ("bucketed", MatcherKind::Bucketed),
-            ("linear", MatcherKind::Linear),
-        ] {
-            g.bench_function(BenchmarkId::new(label, depth), |b| {
-                b.iter_custom(|iters| matcher_posted_depth(kind, depth, iters));
-            });
-        }
+        g.bench_function(BenchmarkId::new("bucketed", depth), |b| {
+            b.iter_custom(|iters| matcher_posted_depth(depth, iters));
+        });
     }
     g.finish();
 }

@@ -19,13 +19,12 @@ use crate::error::{MpiError, MpiResult};
 use crate::hier;
 use crate::match_bits;
 use crate::op::Op;
-use crate::process::{CoreSlot, ProcInner};
+use crate::process::{Posted, ProcInner};
 use crate::proto::{self, DecodedPayload};
 use crate::pt2pt::{inject, SendOpts};
 use crate::request::{poll_or_death, wait_loop};
 use crate::sched::Schedule;
 use litempi_datatype::MpiPrimitive;
-use litempi_fabric::endpoint::RecvHandle;
 use litempi_trace::{event::coll_op, EventKind};
 use std::sync::Arc;
 
@@ -268,43 +267,6 @@ fn crecv_gated(
     })
 }
 
-/// A receive posted on the collective channel: to the fabric's native
-/// tagged matching, or to the CH4 core matcher on an AM-only provider.
-pub(crate) enum Posted {
-    Fabric(RecvHandle),
-    Core(Arc<CoreSlot>),
-}
-
-impl Posted {
-    pub(crate) fn post(proc: &ProcInner, bits: u64) -> Posted {
-        if proc.endpoint.fabric().profile().caps.native_tagged {
-            Posted::Fabric(proc.endpoint.trecv_post(bits, 0))
-        } else {
-            Posted::Core(proc.core_match.post(bits, 0))
-        }
-    }
-
-    /// The matched message, once: its match bits and wire payload.
-    pub(crate) fn poll(&self) -> Option<(u64, bytes::Bytes)> {
-        match self {
-            Posted::Fabric(handle) => handle.poll().map(|m| (m.match_bits, m.data)),
-            Posted::Core(slot) => slot.filled.lock().take().map(|m| (m.bits, m.payload)),
-        }
-    }
-
-    /// Withdraw it, so the posted slot can't swallow later traffic.
-    pub(crate) fn cancel(self, proc: &ProcInner) {
-        match self {
-            Posted::Fabric(handle) => {
-                handle.cancel();
-            }
-            Posted::Core(slot) => {
-                proc.core_match.cancel(&slot);
-            }
-        }
-    }
-}
-
 /// Blocking matched receive on the collective channel. `peer` is the
 /// expected sender's world rank: the poll closure checks it for death on
 /// every pass, so a kill-switch firing mid-collective turns the wait into
@@ -317,10 +279,10 @@ fn recv_raw(
     peer: Option<usize>,
     revoke_ctx: Option<u16>,
 ) -> MpiResult<bytes::Bytes> {
-    let posted = Posted::post(proc, bits);
+    let posted = Posted::post(proc, bits, 0);
     let r = wait_loop(proc, || {
         poll_or_death(proc, peer, false, revoke_ctx, || {
-            posted.poll().map(|(_, wire)| wire)
+            posted.poll().map(|m| m.data)
         })
     });
     if r.is_err() {

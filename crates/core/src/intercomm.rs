@@ -10,14 +10,13 @@
 //! the restriction the paper could only state in prose: there is no
 //! `isend_global` on an intercommunicator.
 
+use crate::coll::Payload;
 use crate::comm::Communicator;
 use crate::error::{MpiError, MpiResult};
 use crate::group::Group;
 use crate::match_bits::{self, ContextId};
-use crate::process::ProcInner;
-use crate::proto::{self, DecodedPayload};
-use crate::pt2pt::{inject, SendOpts};
-use crate::request::wait_loop;
+use crate::process::{Posted, ProcInner};
+use crate::request::{wait_loop, RecvDest};
 use crate::status::Status;
 use litempi_datatype::MpiPrimitive;
 use std::sync::atomic::Ordering;
@@ -168,29 +167,7 @@ impl InterComm {
         // Sender encodes its *local* rank: that is the rank by which the
         // receiver (whose remote group is our local group) names us.
         let bits = match_bits::encode(self.shared.ctx, self.local_rank, tag);
-        let bytes = T::as_bytes(data);
-        let fabric = self.proc.endpoint.fabric();
-        let vci = self.proc.vci_of_bits(bits);
-        let max_eager = fabric.profile().caps.max_eager;
-        if bytes.len() <= max_eager {
-            inject(
-                &self.proc,
-                dest_world,
-                bits,
-                proto::eager_payload(fabric, vci, bytes),
-                &SendOpts::default(),
-            );
-        } else {
-            litempi_instr::note_alloc(1);
-            let (rndv_id, _done) = self.proc.univ.alloc_rndv(bytes.to_vec());
-            inject(
-                &self.proc,
-                dest_world,
-                bits,
-                proto::rts_payload(fabric, vci, rndv_id, bytes.len()),
-                &SendOpts::default(),
-            );
-        }
+        crate::coll::send_staged(&self.proc, bits, T::as_bytes(data), [dest_world]);
         Ok(())
     }
 
@@ -209,42 +186,22 @@ impl InterComm {
             }
         }
         let (bits, ignore) = match_bits::recv_bits(self.shared.ctx, source, tag);
-        let proc = &self.proc;
-        let payload = if proc.endpoint.fabric().profile().caps.native_tagged {
-            let handle = proc.endpoint.trecv_post(bits, ignore);
-            let msg = wait_loop(proc, || handle.poll());
-            (msg.match_bits, msg.data)
-        } else {
-            let slot = proc.core_match.post(bits, ignore);
-            let msg = wait_loop(proc, || slot.filled.lock().take());
-            (msg.bits, msg.payload)
+        let proc = &*self.proc;
+        let posted = Posted::post(proc, bits, ignore);
+        let msg = wait_loop(proc, || posted.poll());
+        let payload = Payload::open(proc, msg.match_bits, msg.data)?;
+        let count = buf.len();
+        let mut dest = RecvDest {
+            buf: T::as_bytes_mut(buf),
+            ty: T::DATATYPE,
+            count,
         };
-        let (mbits, data) = payload;
-        // Zero-copy view of the wire data: slice past the eager envelope
-        // in place, or share the staged rendezvous payload.
-        let wire: bytes::Bytes = if let DecodedPayload::Rts { rndv_id, .. } = proto::decode(&data).1
-        {
-            let staged = proc
-                .univ
-                .pull_rndv(rndv_id)
-                .expect("rendezvous entry vanished");
-            proc.pool_release(mbits, data);
-            bytes::Bytes::from_storage(staged)
-        } else {
-            proto::eager_view(&data)
-        };
-        let dst = T::as_bytes_mut(buf);
-        if wire.len() > dst.len() {
-            return Err(MpiError::Truncate {
-                message: wire.len(),
-                buffer: dst.len(),
-            });
-        }
-        dst[..wire.len()].copy_from_slice(&wire);
+        let delivered = dest.deliver(payload.bytes());
+        payload.release(proc);
         Ok(Status {
-            source: match_bits::decode_src(mbits) as i32,
-            tag: match_bits::decode_tag(mbits),
-            bytes: wire.len(),
+            source: match_bits::decode_src(msg.match_bits) as i32,
+            tag: match_bits::decode_tag(msg.match_bits),
+            bytes: delivered?,
         })
     }
 

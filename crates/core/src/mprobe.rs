@@ -13,20 +13,21 @@ use crate::comm::Communicator;
 use crate::error::MpiResult;
 use crate::match_bits::{self, ANY_SOURCE, PROC_NULL};
 use crate::process::ProcInner;
-use crate::proto::{self, DecodedPayload};
+use crate::proto;
 use crate::request::{wait_loop, RecvDest};
 use crate::status::Status;
 use bytes::Bytes;
 use litempi_datatype::MpiPrimitive;
+use litempi_fabric::{NetAddr, TaggedMessage};
 use litempi_instr::{charge, cost, Category};
 use std::sync::Arc;
 
 /// A message claimed by `improbe`/`mprobe`, awaiting its `mrecv`.
 pub struct MatchedMessage {
     proc: Arc<ProcInner>,
-    bits: u64,
-    src_world: usize,
-    payload: Bytes,
+    msg: TaggedMessage,
+    /// The message's length, decoded when it was claimed.
+    bytes: usize,
 }
 
 impl std::fmt::Debug for MatchedMessage {
@@ -40,14 +41,10 @@ impl std::fmt::Debug for MatchedMessage {
 impl MatchedMessage {
     /// The message's envelope, without receiving it.
     pub fn status(&self) -> Status {
-        let bytes = match proto::decode(&self.payload).1 {
-            DecodedPayload::Eager(d) => d.len(),
-            DecodedPayload::Rts { len, .. } | DecodedPayload::RtsRma { len, .. } => len,
-        };
         Status {
-            source: match_bits::decode_src(self.bits) as i32,
-            tag: match_bits::decode_tag(self.bits),
-            bytes,
+            source: match_bits::decode_src(self.msg.match_bits) as i32,
+            tag: match_bits::decode_tag(self.msg.match_bits),
+            bytes: self.bytes,
         }
     }
 
@@ -59,19 +56,15 @@ impl MatchedMessage {
             ty: T::DATATYPE,
             count,
         };
-        crate::request::complete_recv(
-            &self.proc,
-            self.bits,
-            self.src_world,
-            self.payload,
-            &mut dest,
-        )
+        crate::request::complete_recv(&self.proc, self.msg, &mut dest)
     }
 }
 
 impl Communicator {
     /// `MPI_IMPROBE`: nonblocking matched probe. On a hit, the message is
     /// removed from the matching queues and owned by the returned handle.
+    /// A message whose envelope arrived damaged is consumed too, and is
+    /// `MpiError::Integrity` through the communicator's error handler.
     pub fn improbe(&self, source: i32, tag: i32) -> MpiResult<Option<MatchedMessage>> {
         if self.proc.config.error_checking {
             match_bits::check_recv_tag(tag)?;
@@ -83,9 +76,13 @@ impl Communicator {
             // The standard: a PROC_NULL improbe "matches" a null message.
             return Ok(Some(MatchedMessage {
                 proc: self.proc.clone(),
-                bits: match_bits::encode(self.context_id(), 0, 0),
-                src_world: 0,
-                payload: proto::eager(&[]),
+                msg: TaggedMessage {
+                    src: NetAddr(0),
+                    match_bits: match_bits::encode(self.context_id(), 0, 0),
+                    // An empty eager payload: the envelope byte alone.
+                    data: Bytes::from_static(&[0]),
+                },
+                bytes: 0,
             }));
         }
         self.proc.progress();
@@ -94,23 +91,14 @@ impl Communicator {
         // per poll, like a real matching-queue walk).
         charge(Category::MatchBits, cost::isend::MATCH_BITS);
         let (bits, ignore) = match_bits::recv_bits(self.context_id(), source, tag);
-        let native = self.proc.endpoint.fabric().profile().caps.native_tagged;
-        let found = if native {
-            self.proc
-                .endpoint
-                .tdequeue(bits, ignore)
-                .map(|m| (m.match_bits, m.src.index(), m.data))
-        } else {
-            self.proc
-                .core_match
-                .dequeue(bits, ignore)
-                .map(|m| (m.bits, m.src_world, m.payload))
+        let Some(msg) = self.proc.dequeue_unexpected(bits, ignore) else {
+            return Ok(None);
         };
-        Ok(found.map(|(bits, src_world, payload)| MatchedMessage {
+        let bytes = self.handle_error(proto::message_len(&msg.data))?;
+        Ok(Some(MatchedMessage {
             proc: self.proc.clone(),
-            bits,
-            src_world,
-            payload,
+            msg,
+            bytes,
         }))
     }
 

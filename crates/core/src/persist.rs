@@ -12,16 +12,15 @@
 //! standard change can unlock (the per-`start` request management and the
 //! heavier generic netmod path remain).
 
-use crate::comm::Communicator;
+use crate::comm::{Communicator, Errhandler};
 use crate::error::{MpiError, MpiResult};
 use crate::match_bits;
-use crate::process::{CoreSlot, ProcInner};
+use crate::process::{Posted, ProcInner};
 use crate::proto;
 use crate::pt2pt::{inject, SendOpts};
-use crate::request::{complete_recv, wait_loop, RecvDest};
+use crate::request::{finish_recv, poll_or_death, wait_loop, RecvDest};
 use crate::status::Status;
 use litempi_datatype::{pack, Datatype, MpiPrimitive};
-use litempi_fabric::endpoint::RecvHandle;
 use litempi_instr::{charge, cost, Category};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -31,8 +30,7 @@ enum Armed {
     Idle,
     /// Started; eager sends complete immediately (`None` flag).
     SendInFlight(Option<Arc<AtomicBool>>),
-    RecvFabric(RecvHandle),
-    RecvCore(Arc<CoreSlot>),
+    Recv(Posted),
 }
 
 /// A persistent send (`MPI_SEND_INIT`). Borrows the user buffer for its
@@ -46,6 +44,10 @@ pub struct PersistentSend<'a> {
     dest_world: Option<usize>, // None = MPI_PROC_NULL
     bits: u64,
     max_eager: usize,
+    /// Snapshot of `MPI_ERRORS_ARE_FATAL` at init.
+    fatal: bool,
+    /// Context id of the owning communicator, for revocation checks.
+    ctx: u16,
     state: Armed,
 }
 
@@ -57,8 +59,14 @@ pub struct PersistentRecv<'a> {
     ty: Datatype,
     count: usize,
     proc_null: bool,
+    /// The source's world rank; `None` for `MPI_ANY_SOURCE`.
+    peer: Option<usize>,
     bits: u64,
     ignore: u64,
+    /// Snapshot of `MPI_ERRORS_ARE_FATAL` at init.
+    fatal: bool,
+    /// Context id of the owning communicator, for revocation checks.
+    ctx: u16,
     state: Armed,
 }
 
@@ -102,6 +110,8 @@ impl Communicator {
             dest_world,
             bits,
             max_eager: proc.endpoint.fabric().profile().caps.max_eager,
+            fatal: self.errhandler() == Errhandler::ErrorsAreFatal,
+            ctx: self.context_id().0,
             state: Armed::Idle,
         })
     }
@@ -136,8 +146,11 @@ impl Communicator {
             ty: T::DATATYPE,
             count,
             proc_null: source == match_bits::PROC_NULL,
+            peer: (source >= 0).then(|| self.world_rank_of(source as usize)),
             bits,
             ignore,
+            fatal: self.errhandler() == Errhandler::ErrorsAreFatal,
+            ctx: self.context_id().0,
             state: Armed::Idle,
         })
     }
@@ -204,7 +217,12 @@ impl PersistentSend<'_> {
         match std::mem::replace(&mut self.state, Armed::Idle) {
             Armed::SendInFlight(None) => Ok(Status::send()),
             Armed::SendInFlight(Some(done)) => {
-                wait_loop(&self.proc, || done.load(Ordering::Acquire).then_some(()));
+                let ctx = Some(self.ctx);
+                wait_loop(&self.proc, || {
+                    poll_or_death(&self.proc, self.dest_world, self.fatal, ctx, || {
+                        done.load(Ordering::Acquire).then_some(())
+                    })
+                })?;
                 Ok(Status::send())
             }
             Armed::Idle => Err(MpiError::InvalidRequest(
@@ -245,11 +263,7 @@ impl PersistentRecv<'_> {
                 return Ok(());
             }
             charge(Category::NetmodIssue, cost::isend::NETMOD_ISSUE);
-            if proc.endpoint.fabric().profile().caps.native_tagged {
-                self.state = Armed::RecvFabric(proc.endpoint.trecv_post(self.bits, self.ignore));
-            } else {
-                self.state = Armed::RecvCore(proc.core_match.post(self.bits, self.ignore));
-            }
+            self.state = Armed::Recv(Posted::post(proc, self.bits, self.ignore));
             Ok(())
         })
     }
@@ -263,19 +277,12 @@ impl PersistentRecv<'_> {
             count: self.count,
         };
         match state {
-            Armed::RecvFabric(handle) => {
-                let msg = wait_loop(&self.proc, || handle.poll());
-                complete_recv(
-                    &self.proc,
-                    msg.match_bits,
-                    msg.src.index(),
-                    msg.data,
-                    &mut dest,
-                )
-            }
-            Armed::RecvCore(slot) => {
-                let msg = wait_loop(&self.proc, || slot.filled.lock().take());
-                complete_recv(&self.proc, msg.bits, msg.src_world, msg.payload, &mut dest)
+            Armed::Recv(posted) => {
+                let ctx = Some(self.ctx);
+                let polled = wait_loop(&self.proc, || {
+                    poll_or_death(&self.proc, self.peer, self.fatal, ctx, || posted.poll())
+                });
+                finish_recv(&self.proc, &posted, polled, &mut dest, self.fatal)
             }
             Armed::SendInFlight(None) => Ok(Status::proc_null()),
             Armed::Idle => Err(MpiError::InvalidRequest(

@@ -13,9 +13,12 @@ use crate::proto;
 use crate::universe::UnivShared;
 use bytes::Bytes;
 use litempi_datatype::{Datatype, Predefined};
-use litempi_fabric::{AmMessage, Endpoint, NetAddr};
+use litempi_fabric::endpoint::RecvHandle;
+use litempi_fabric::matching::MatchEngine;
+use litempi_fabric::packet::{PostedRecv, RecvSlot};
+use litempi_fabric::{AmMessage, Endpoint, MatcherKind, NetAddr, TaggedMessage};
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -26,111 +29,52 @@ pub const NUM_PREDEF_COMMS: usize = 8;
 /// Slot an AM get/get_accumulate reply lands in (filled by progress).
 pub(crate) type ReplySlot = Arc<Mutex<Option<Vec<u8>>>>;
 
-// --------------------------------------------------------- core matching
+// ------------------------------------------------------ posted receives
 
-/// A pt2pt message delivered over the AM fallback, awaiting core matching.
-#[derive(Debug, Clone)]
-pub(crate) struct CoreMsg {
-    pub bits: u64,
-    pub src_world: usize,
-    pub payload: Bytes,
+/// A posted receive: the one place a rank's pending receives live, and the
+/// one receive-side reader of `caps.native_tagged`. A netmod that matches
+/// takes the receive itself; for one that cannot, "it simply falls back to
+/// the active-message-based implementation provided by the ch4 core"
+/// (paper §2) — the core's own [`MatchEngine`], which `AM_PT2PT` deliveries
+/// feed and which completes the same lock-free slot the fabric uses.
+pub(crate) enum Posted {
+    /// In the netmod's matching queues.
+    Fabric(RecvHandle),
+    /// In the core's engine, or already filled from its unexpected queue.
+    Core(Arc<RecvSlot>),
 }
 
-#[derive(Debug, Default)]
-pub(crate) struct CoreSlot {
-    pub filled: Mutex<Option<CoreMsg>>,
-}
-
-pub(crate) struct CorePosted {
-    pub bits: u64,
-    pub ignore: u64,
-    pub slot: Arc<CoreSlot>,
-}
-
-impl CorePosted {
-    fn matches(&self, incoming: u64) -> bool {
-        (incoming | self.ignore) == (self.bits | self.ignore)
-    }
-}
-
-/// The CH4 core's own matching engine, used when the provider lacks native
-/// tagged matching (paper §2: "it simply falls back to the active-message-
-/// based implementation provided by the ch4 core").
-#[derive(Default)]
-pub(crate) struct CoreMatcher {
-    pub unexpected: Mutex<VecDeque<CoreMsg>>,
-    pub posted: Mutex<Vec<CorePosted>>,
-}
-
-impl CoreMatcher {
-    /// Deliver an incoming AM pt2pt message: match or queue.
-    fn deliver(&self, msg: CoreMsg) {
-        let mut posted = self.posted.lock();
-        if let Some(pos) = posted.iter().position(|p| p.matches(msg.bits)) {
-            let p = posted.remove(pos);
-            *p.slot.filled.lock() = Some(msg);
-        } else {
-            self.unexpected.lock().push_back(msg);
+impl Posted {
+    pub(crate) fn post(proc: &ProcInner, bits: u64, ignore: u64) -> Posted {
+        if proc.native_tagged() {
+            return Posted::Fabric(proc.endpoint.trecv_post(bits, ignore));
         }
-    }
-
-    /// Post a receive: satisfy from the unexpected queue or enqueue.
-    pub(crate) fn post(&self, bits: u64, ignore: u64) -> Arc<CoreSlot> {
-        let slot = Arc::new(CoreSlot::default());
-        let probe = CorePosted {
-            bits,
+        let slot = Arc::new(RecvSlot::default());
+        let hit = proc.core_match.lock().post(PostedRecv {
+            match_bits: bits,
             ignore,
             slot: slot.clone(),
-        };
-        // Hold the posted lock across the unexpected scan so a concurrent
-        // deliver cannot slip a matching message into `unexpected` after we
-        // scanned it but before we post.
-        let mut posted = self.posted.lock();
-        let mut unexpected = self.unexpected.lock();
-        if let Some(pos) = unexpected.iter().position(|m| probe.matches(m.bits)) {
-            let msg = unexpected.remove(pos).expect("position valid");
-            *slot.filled.lock() = Some(msg);
-        } else {
-            posted.push(probe);
+        });
+        if let Some(msg) = hit {
+            slot.fill(msg);
         }
-        slot
+        Posted::Core(slot)
     }
 
-    /// Remove and return the first matching unexpected message (the AM-
-    /// path substrate for `MPI_MPROBE`).
-    pub(crate) fn dequeue(&self, bits: u64, ignore: u64) -> Option<CoreMsg> {
-        let probe = CorePosted {
-            bits,
-            ignore,
-            slot: Arc::new(CoreSlot::default()),
-        };
-        let mut unexpected = self.unexpected.lock();
-        let pos = unexpected.iter().position(|m| probe.matches(m.bits))?;
-        unexpected.remove(pos)
+    /// The matched message, once.
+    pub(crate) fn poll(&self) -> Option<TaggedMessage> {
+        match self {
+            Posted::Fabric(handle) => handle.poll(),
+            Posted::Core(slot) => slot.take(),
+        }
     }
 
-    /// Peek without consuming (IPROBE over the AM path).
-    pub(crate) fn peek(&self, bits: u64, ignore: u64) -> Option<CoreMsg> {
-        let probe = CorePosted {
-            bits,
-            ignore,
-            slot: Arc::new(CoreSlot::default()),
-        };
-        self.unexpected
-            .lock()
-            .iter()
-            .find(|m| probe.matches(m.bits))
-            .cloned()
-    }
-
-    /// Cancel a posted receive (true if it had not yet matched).
-    pub(crate) fn cancel(&self, slot: &Arc<CoreSlot>) -> bool {
-        let mut posted = self.posted.lock();
-        if let Some(pos) = posted.iter().position(|p| Arc::ptr_eq(&p.slot, slot)) {
-            posted.remove(pos);
-            true
-        } else {
-            false
+    /// Withdraw it, so the posted slot can't swallow later traffic. `true`
+    /// if it had not matched yet.
+    pub(crate) fn cancel(&self, proc: &ProcInner) -> bool {
+        match self {
+            Posted::Fabric(handle) => handle.cancel(),
+            Posted::Core(slot) => proc.core_match.lock().cancel(slot),
         }
     }
 }
@@ -164,8 +108,8 @@ pub struct ProcInner {
     pub(crate) crit: Box<[Mutex<()>]>,
     /// The fabric's VCI count, hoisted (consulted on every operation).
     pub(crate) n_vcis: usize,
-    /// CH4-core matching queues (AM-only providers).
-    pub(crate) core_match: CoreMatcher,
+    /// The CH4 core's matching engine (AM-only providers); see [`Posted`].
+    pub(crate) core_match: Mutex<MatchEngine>,
     /// This rank's side of the windows it participates in, by window id
     /// (progress applies incoming one-sided AMs there and counts them).
     pub(crate) my_windows: Mutex<HashMap<u64, Arc<crate::rma::WinTarget>>>,
@@ -227,7 +171,7 @@ impl ProcInner {
             univ,
             crit: (0..n_vcis).map(|_| Mutex::new(())).collect(),
             n_vcis,
-            core_match: CoreMatcher::default(),
+            core_match: Mutex::new(MatchEngine::new(MatcherKind::Bucketed)),
             my_windows: Mutex::new(HashMap::new()),
             pscw: Mutex::new(HashMap::new()),
             pending_replies: Mutex::new(HashMap::new()),
@@ -247,6 +191,31 @@ impl ProcInner {
             return false;
         }
         self.revoked.lock().contains(&ctx)
+    }
+
+    #[inline]
+    fn native_tagged(&self) -> bool {
+        self.endpoint.fabric().profile().caps.native_tagged
+    }
+
+    /// The oldest unexpected message matching `(bits, ignore)`, left in
+    /// place (`MPI_IPROBE`).
+    pub(crate) fn peek_unexpected(&self, bits: u64, ignore: u64) -> Option<TaggedMessage> {
+        if self.native_tagged() {
+            self.endpoint.tpeek(bits, ignore)
+        } else {
+            self.core_match.lock().peek(bits, ignore).cloned()
+        }
+    }
+
+    /// The same, removed from the queues so no receive can claim it
+    /// (`MPI_IMPROBE`).
+    pub(crate) fn dequeue_unexpected(&self, bits: u64, ignore: u64) -> Option<TaggedMessage> {
+        if self.native_tagged() {
+            self.endpoint.tdequeue(bits, ignore)
+        } else {
+            self.core_match.lock().dequeue(bits, ignore)
+        }
     }
 
     /// Mark a communicator (by user-channel context id) revoked on this
@@ -320,10 +289,10 @@ impl ProcInner {
         let (h0, h1, h2, h3) = proto::parse_header(&am.header);
         match am.handler {
             proto::AM_PT2PT => {
-                self.core_match.deliver(CoreMsg {
-                    bits: h0,
-                    src_world: h3 as usize,
-                    payload: am.data,
+                self.core_match.lock().deliver(TaggedMessage {
+                    src: am.src,
+                    match_bits: h0,
+                    data: am.data,
                 });
             }
             proto::AM_RMA_PUT => {
@@ -640,80 +609,5 @@ impl std::fmt::Debug for Process {
             .field("rank", &self.inner.rank)
             .field("size", &self.inner.size)
             .finish()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn core_matcher_matches_in_post_order() {
-        let m = CoreMatcher::default();
-        let s1 = m.post(5, 0);
-        let s2 = m.post(5, 0);
-        m.deliver(CoreMsg {
-            bits: 5,
-            src_world: 0,
-            payload: Bytes::from_static(b"a"),
-        });
-        m.deliver(CoreMsg {
-            bits: 5,
-            src_world: 0,
-            payload: Bytes::from_static(b"b"),
-        });
-        assert_eq!(&s1.filled.lock().as_ref().unwrap().payload[..], b"a");
-        assert_eq!(&s2.filled.lock().as_ref().unwrap().payload[..], b"b");
-    }
-
-    #[test]
-    fn core_matcher_unexpected_then_post() {
-        let m = CoreMatcher::default();
-        m.deliver(CoreMsg {
-            bits: 9,
-            src_world: 0,
-            payload: Bytes::from_static(b"early"),
-        });
-        let s = m.post(9, 0);
-        assert_eq!(&s.filled.lock().as_ref().unwrap().payload[..], b"early");
-    }
-
-    #[test]
-    fn core_matcher_wildcard_ignore() {
-        let m = CoreMatcher::default();
-        m.deliver(CoreMsg {
-            bits: 0xAB,
-            src_world: 0,
-            payload: Bytes::new(),
-        });
-        let s = m.post(0x00, 0xFF);
-        assert!(s.filled.lock().is_some());
-    }
-
-    #[test]
-    fn core_matcher_cancel() {
-        let m = CoreMatcher::default();
-        let s = m.post(1, 0);
-        assert!(m.cancel(&s));
-        m.deliver(CoreMsg {
-            bits: 1,
-            src_world: 0,
-            payload: Bytes::new(),
-        });
-        // Cancelled receive must not consume the message.
-        assert!(s.filled.lock().is_none());
-        assert!(m.peek(1, 0).is_some());
-    }
-
-    #[test]
-    fn core_matcher_peek_does_not_consume() {
-        let m = CoreMatcher::default();
-        m.deliver(CoreMsg {
-            bits: 2,
-            src_world: 0,
-            payload: Bytes::new(),
-        });
-        assert!(m.peek(2, 0).is_some());
-        assert!(m.peek(2, 0).is_some());
     }
 }

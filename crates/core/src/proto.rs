@@ -7,9 +7,9 @@
 //! the RDMA-read rendezvous protocol used by modern MPI stacks.
 
 use crate::error::{MpiError, MpiResult};
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 use litempi_datatype::{pack, Datatype};
-use litempi_fabric::{CopyMode, Fabric};
+use litempi_fabric::Fabric;
 use std::sync::Arc;
 
 /// Payload kind for tagged messages.
@@ -26,144 +26,64 @@ pub enum PayloadKind {
     RtsRma,
 }
 
-/// Encode an eager payload (the legacy copying path: stages into a fresh
-/// wire buffer). The pooled pipeline goes through [`eager_payload`] /
-/// [`eager_packed`] instead.
-pub fn eager(data: &[u8]) -> Bytes {
-    // One allocation for the wire buffer, one for its shared handle.
-    litempi_instr::note_alloc(2);
-    let mut buf = BytesMut::with_capacity(1 + data.len());
+/// Build an eager payload for contiguous `data`, leasing the wire buffer
+/// from `vci`'s arena (arena 0 unless the fabric runs multiple VCIs): the
+/// envelope byte, then the user data copied in exactly once — zero heap
+/// allocations when the pool is warm.
+pub fn eager_payload(fabric: &Fabric, vci: usize, data: &[u8]) -> Bytes {
+    let mut buf = fabric.pool_vci(vci).take(1 + data.len());
     buf.put_u8(0);
     buf.put_slice(data);
     buf.freeze()
 }
 
-/// Encode an RTS payload (legacy path; see [`rts_payload`]).
-pub fn rts(rndv_id: u64, len: usize) -> Bytes {
-    litempi_instr::note_alloc(2);
-    let mut buf = BytesMut::with_capacity(17);
+/// Build an eager payload for `count` elements of `ty` at `buf`,
+/// packing a non-contiguous layout directly into the wire buffer
+/// (single copy).
+pub fn eager_packed(fabric: &Fabric, vci: usize, ty: &Datatype, count: usize, buf: &[u8]) -> Bytes {
+    let wire_len = pack::packed_size(ty, count);
+    if ty.is_contiguous() {
+        return eager_payload(fabric, vci, &buf[..wire_len]);
+    }
+    let mut wire = fabric.pool_vci(vci).take(1 + wire_len);
+    wire.put_u8(0);
+    // The SIMD gather fills the pooled window in place, no per-segment
+    // sink dispatch.
+    pack::pack_into(ty, count, buf, wire.put_zeroed(wire_len));
+    wire.freeze()
+}
+
+/// Build an RTS payload. The 17-byte envelope is pooled too: rendezvous
+/// control traffic recycles like eager data.
+pub fn rts_payload(fabric: &Fabric, vci: usize, rndv_id: u64, len: usize) -> Bytes {
+    let mut buf = fabric.pool_vci(vci).take(17);
     buf.put_u8(1);
     buf.put_u64_le(rndv_id);
     buf.put_u64_le(len as u64);
     buf.freeze()
 }
 
-/// Build an eager payload for contiguous `data` under `fabric`'s copy
-/// mode, leasing the wire buffer from `vci`'s arena (arena 0 unless the
-/// fabric runs multiple VCIs). The pooled pipeline leases a recycled wire
-/// buffer, writes the envelope byte, and copies the user data into it
-/// exactly once — zero heap allocations when the pool is warm. The legacy
-/// mode reproduces the original stage-then-copy behaviour for the
-/// ablation.
-pub fn eager_payload(fabric: &Fabric, vci: usize, data: &[u8]) -> Bytes {
-    match fabric.profile().copy_mode {
-        CopyMode::Pooled => {
-            let mut buf = fabric.pool_vci(vci).take(1 + data.len());
-            buf.put_u8(0);
-            buf.put_slice(data);
-            buf.freeze()
-        }
-        CopyMode::Legacy => {
-            // Staging copy the pooled pipeline exists to eliminate.
-            litempi_instr::note_alloc(1);
-            let staged = data.to_vec();
-            eager(&staged)
-        }
-    }
-}
-
-/// Build an eager payload for `count` elements of `ty` at `buf`,
-/// packing a non-contiguous layout directly into the wire buffer
-/// (single copy) on the pooled path.
-pub fn eager_packed(fabric: &Fabric, vci: usize, ty: &Datatype, count: usize, buf: &[u8]) -> Bytes {
-    let wire_len = pack::packed_size(ty, count);
-    if ty.is_contiguous() {
-        return eager_payload(fabric, vci, &buf[..wire_len]);
-    }
-    match fabric.profile().copy_mode {
-        CopyMode::Pooled => {
-            let mut wire = fabric.pool_vci(vci).take(1 + wire_len);
-            wire.put_u8(0);
-            // Single copy: the SIMD gather fills the pooled window in
-            // place, no per-segment sink dispatch.
-            pack::pack_into(ty, count, buf, wire.put_zeroed(wire_len));
-            wire.freeze()
-        }
-        CopyMode::Legacy => {
-            litempi_instr::note_alloc(1);
-            eager(&pack::pack(ty, count, buf))
-        }
-    }
-}
-
-/// Build an RTS payload under `fabric`'s copy mode. The 17-byte envelope
-/// is pooled too: rendezvous control traffic recycles like eager data.
-pub fn rts_payload(fabric: &Fabric, vci: usize, rndv_id: u64, len: usize) -> Bytes {
-    match fabric.profile().copy_mode {
-        CopyMode::Pooled => {
-            let mut buf = fabric.pool_vci(vci).take(17);
-            buf.put_u8(1);
-            buf.put_u64_le(rndv_id);
-            buf.put_u64_le(len as u64);
-            buf.freeze()
-        }
-        CopyMode::Legacy => rts(rndv_id, len),
-    }
-}
-
-/// Stage `data` for a pull rendezvous under `fabric`'s copy mode: the one
-/// copy a collective message above the eager ceiling pays. The pooled
-/// pipeline leases the staging buffer from `vci`'s arena — no envelope
-/// byte, the storage goes into the rendezvous table as is — and the
-/// receiver's lease recycles it, so large collective traffic allocates
-/// nothing once the pool is warm. Several destinations share one staging
-/// (`Arc` clones); the last reader to release it is the recycler.
+/// Stage `data` for a pull rendezvous: the one copy a collective message
+/// above the eager ceiling pays. The staging buffer is leased from `vci`'s
+/// arena — no envelope byte, the storage goes into the rendezvous table as
+/// is — and the receiver's lease recycles it, so large collective traffic
+/// allocates nothing once the pool is warm. Several destinations share one
+/// staging (`Arc` clones); the last reader to release it is the recycler.
 pub fn stage_rndv(fabric: &Fabric, vci: usize, data: &[u8]) -> Arc<Vec<u8>> {
-    match fabric.profile().copy_mode {
-        CopyMode::Pooled => {
-            let mut buf = fabric.pool_vci(vci).take(data.len());
-            buf.put_slice(data);
-            buf.freeze().into_storage()
-        }
-        CopyMode::Legacy => {
-            litempi_instr::note_alloc(2);
-            Arc::new(data.to_vec())
-        }
-    }
+    let mut buf = fabric.pool_vci(vci).take(data.len());
+    buf.put_slice(data);
+    buf.freeze().into_storage()
 }
 
-/// Encode an RDMA-rendezvous RTS (legacy path; see [`rts_rma_payload`]).
-pub fn rts_rma(rndv_id: u64, len: usize, key: u64) -> Bytes {
-    litempi_instr::note_alloc(2);
-    let mut buf = BytesMut::with_capacity(25);
+/// Build an RDMA-rendezvous RTS payload: the 25-byte descriptor names the
+/// registered region (`key`) the receiver reads the message body from.
+pub fn rts_rma_payload(fabric: &Fabric, vci: usize, rndv_id: u64, len: usize, key: u64) -> Bytes {
+    let mut buf = fabric.pool_vci(vci).take(25);
     buf.put_u8(2);
     buf.put_u64_le(rndv_id);
     buf.put_u64_le(len as u64);
     buf.put_u64_le(key);
     buf.freeze()
-}
-
-/// Build an RDMA-rendezvous RTS payload under `fabric`'s copy mode: the
-/// 25-byte descriptor names the registered region (`key`) the receiver
-/// reads the message body from.
-pub fn rts_rma_payload(fabric: &Fabric, vci: usize, rndv_id: u64, len: usize, key: u64) -> Bytes {
-    match fabric.profile().copy_mode {
-        CopyMode::Pooled => {
-            let mut buf = fabric.pool_vci(vci).take(25);
-            buf.put_u8(2);
-            buf.put_u64_le(rndv_id);
-            buf.put_u64_le(len as u64);
-            buf.put_u64_le(key);
-            buf.freeze()
-        }
-        CopyMode::Legacy => rts_rma(rndv_id, len, key),
-    }
-}
-
-/// Zero-copy view of an eager payload's data: the delivered buffer minus
-/// its envelope byte, sharing storage with `payload`.
-pub fn eager_view(payload: &Bytes) -> Bytes {
-    payload.slice(1..)
 }
 
 /// Decode a tagged payload, surfacing damage as [`MpiError::Integrity`]
@@ -196,10 +116,13 @@ pub fn try_decode(payload: &Bytes) -> MpiResult<(PayloadKind, DecodedPayload<'_>
     }
 }
 
-/// Decode a tagged payload. Panics on a damaged envelope (protection-error
-/// semantics for paths that must never see one, e.g. local loopback).
-pub fn decode(payload: &Bytes) -> (PayloadKind, DecodedPayload<'_>) {
-    try_decode(payload).unwrap_or_else(|e| panic!("corrupt payload envelope: {e}"))
+/// Length of the message a tagged payload carries (eager) or announces
+/// (rendezvous) — what a probe reports.
+pub(crate) fn message_len(payload: &Bytes) -> MpiResult<usize> {
+    Ok(match try_decode(payload)?.1 {
+        DecodedPayload::Eager(data) => data.len(),
+        DecodedPayload::Rts { len, .. } | DecodedPayload::RtsRma { len, .. } => len,
+    })
 }
 
 /// Decoded view of a tagged payload.
@@ -320,6 +243,36 @@ pub fn decode_acc(h3: u64) -> (u64, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
+
+    /// A wire payload built on the heap: what the pooled builders produce,
+    /// without a fabric to lease from.
+    fn framed(kind: u8, words: &[u64], data: &[u8]) -> Bytes {
+        let mut buf = BytesMut::with_capacity(1 + 8 * words.len() + data.len());
+        buf.put_u8(kind);
+        for &w in words {
+            buf.put_u64_le(w);
+        }
+        buf.put_slice(data);
+        buf.freeze()
+    }
+
+    fn eager(data: &[u8]) -> Bytes {
+        framed(0, &[], data)
+    }
+
+    fn rts(rndv_id: u64, len: usize) -> Bytes {
+        framed(1, &[rndv_id, len as u64], &[])
+    }
+
+    fn rts_rma(rndv_id: u64, len: usize, key: u64) -> Bytes {
+        framed(2, &[rndv_id, len as u64, key], &[])
+    }
+
+    /// [`try_decode`] for payloads a test built itself.
+    fn decode(payload: &Bytes) -> (PayloadKind, DecodedPayload<'_>) {
+        try_decode(payload).unwrap_or_else(|e| panic!("corrupt payload envelope: {e}"))
+    }
 
     #[test]
     fn eager_roundtrip() {
@@ -387,14 +340,6 @@ mod tests {
             (PayloadKind::Eager, DecodedPayload::Eager(d)) => assert_eq!(d, b"data"),
             other => panic!("{other:?}"),
         }
-        let view = eager_view(&p);
-        assert_eq!(&view[..], b"data");
-        assert_eq!(
-            view.as_ref().as_ptr(),
-            p[1..].as_ptr(),
-            "view shares storage"
-        );
-        drop(view);
         fabric.pool().release(p);
         let p2 = eager_payload(&fabric, 0, b"next");
         assert_eq!(fabric.pool().stats().hits, 1, "second build reuses storage");
@@ -420,28 +365,6 @@ mod tests {
         let again = stage_rndv(&fabric, 0, &[6u8; 40_000]);
         assert_eq!(litempi_instr::alloc_count(), 0, "warm pool: no allocation");
         assert_eq!(again[..], [6u8; 40_000]);
-    }
-
-    #[test]
-    fn legacy_mode_notes_staging_allocations() {
-        use litempi_fabric::{CopyMode, ProviderProfile, Topology};
-        let fabric = Fabric::new(
-            1,
-            ProviderProfile::infinite().with_copy_mode(CopyMode::Legacy),
-            Topology::single_node(1),
-        );
-        litempi_instr::reset();
-        let p = eager_payload(&fabric, 0, b"data");
-        assert_eq!(litempi_instr::alloc_count(), 3, "stage + wire + handle");
-        assert_eq!(&p[1..], b"data");
-        assert_eq!(fabric.pool().stats().takes, 0, "legacy path bypasses pool");
-    }
-
-    #[test]
-    #[should_panic(expected = "corrupt payload")]
-    fn bad_kind_panics() {
-        let p = Bytes::from_static(&[9, 9, 9]);
-        let _ = decode(&p);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use crate::comm::Communicator;
 use crate::error::{MpiError, MpiResult};
 use crate::match_bits::{self, ANY_SOURCE, PROC_NULL};
-use crate::process::ProcInner;
+use crate::process::{Posted, ProcInner};
 use crate::proto;
 use crate::request::{wait_loop, RecvDest, Request};
 use crate::status::Status;
@@ -406,8 +406,7 @@ pub(crate) fn isend_impl(
             } else {
                 pack::pack(ty, count, buf)
             };
-            let caps = fabric.profile();
-            let (done, payload) = if caps.rma_rendezvous && caps.caps.native_rdma {
+            let (done, payload) = if fabric.profile().caps.native_rdma {
                 // foMPI-style RDMA rendezvous: stage the wire bytes in a
                 // registered region leased from the per-peer pin-down
                 // cache; the receiver RDMA-reads them at match time, no
@@ -532,28 +531,14 @@ pub(crate) fn irecv_impl<'buf>(
             Some(comm.group().world_rank(source as usize))
         };
         let fatal = comm.errhandler() == crate::comm::Errhandler::ErrorsAreFatal;
-        let native_tagged = proc.endpoint.fabric().profile().caps.native_tagged;
-        if native_tagged {
-            let handle = proc.endpoint.trecv_post(bits, ignore);
-            Ok(Request::recv_fabric(
-                proc.clone(),
-                handle,
-                dest,
-                peer,
-                fatal,
-                comm.context_id().0,
-            ))
-        } else {
-            let slot = proc.core_match.post(bits, ignore);
-            Ok(Request::recv_core(
-                proc.clone(),
-                slot,
-                dest,
-                peer,
-                fatal,
-                comm.context_id().0,
-            ))
-        }
+        Ok(Request::recv(
+            proc.clone(),
+            Posted::post(proc, bits, ignore),
+            dest,
+            peer,
+            fatal,
+            comm.context_id().0,
+        ))
     })
 }
 
@@ -802,29 +787,15 @@ impl Communicator {
         // per poll, exactly like repeated matching-queue walks in MPICH.
         charge(Category::MatchBits, cost::isend::MATCH_BITS);
         let (bits, ignore) = match_bits::recv_bits(self.context_id(), source, tag);
-        let native = self.proc.endpoint.fabric().profile().caps.native_tagged;
-        let found = if native {
-            self.proc
-                .endpoint
-                .tpeek(bits, ignore)
-                .map(|m| (m.match_bits, m.data))
-        } else {
-            self.proc
-                .core_match
-                .peek(bits, ignore)
-                .map(|m| (m.bits, m.payload))
+        let Some(msg) = self.proc.peek_unexpected(bits, ignore) else {
+            return Ok(None);
         };
-        Ok(found.map(|(mbits, payload)| {
-            let bytes = match proto::decode(&payload).1 {
-                proto::DecodedPayload::Eager(d) => d.len(),
-                proto::DecodedPayload::Rts { len, .. }
-                | proto::DecodedPayload::RtsRma { len, .. } => len,
-            };
-            Status {
-                source: match_bits::decode_src(mbits) as i32,
-                tag: match_bits::decode_tag(mbits),
-                bytes,
-            }
+        // Wire bytes: a damaged envelope is an error, not a panic.
+        let bytes = self.handle_error(proto::message_len(&msg.data))?;
+        Ok(Some(Status {
+            source: match_bits::decode_src(msg.match_bits) as i32,
+            tag: match_bits::decode_tag(msg.match_bits),
+            bytes,
         }))
     }
 

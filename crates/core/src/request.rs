@@ -13,12 +13,11 @@
 
 use crate::error::{MpiError, MpiResult};
 use crate::match_bits;
-use crate::process::{CoreSlot, ProcInner};
+use crate::process::{Posted, ProcInner};
 use crate::proto::{self, DecodedPayload};
 use crate::status::Status;
-use bytes::Bytes;
 use litempi_datatype::{pack, Datatype};
-use litempi_fabric::endpoint::RecvHandle;
+use litempi_fabric::TaggedMessage;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -46,7 +45,7 @@ pub(crate) struct RecvDest<'buf> {
 impl RecvDest<'_> {
     /// Deliver wire bytes into the user buffer, honoring the datatype
     /// layout. Returns the delivered byte count.
-    fn deliver(&mut self, wire: &[u8]) -> MpiResult<usize> {
+    pub(crate) fn deliver(&mut self, wire: &[u8]) -> MpiResult<usize> {
         let capacity = pack::packed_size(&self.ty, self.count);
         if wire.len() > capacity {
             return Err(MpiError::Truncate {
@@ -129,12 +128,11 @@ fn release_sender(proc: &ProcInner, sender: litempi_fabric::NetAddr) {
 /// that keeps the eager pipeline allocation-free in steady state.
 pub(crate) fn complete_recv(
     proc: &ProcInner,
-    bits: u64,
-    fabric_src_world: usize,
-    payload: Bytes,
+    msg: TaggedMessage,
     dest: &mut RecvDest<'_>,
 ) -> MpiResult<Status> {
-    let (_, decoded) = proto::try_decode(&payload)?;
+    let bits = msg.match_bits;
+    let (_, decoded) = proto::try_decode(&msg.data)?;
     let bytes = match decoded {
         DecodedPayload::Eager(data) => dest.deliver(data)?,
         DecodedPayload::Rts { rndv_id, len, .. } => {
@@ -150,18 +148,18 @@ pub(crate) fn complete_recv(
                 "rendezvous entry vanished (damaged or replayed RTS descriptor)",
             ))?;
             let delivered = dest.deliver(&data);
-            release_sender(proc, proc.addr_of_world(fabric_src_world));
+            release_sender(proc, msg.src);
             delivered?
         }
         DecodedPayload::RtsRma { rndv_id, len, key } => {
             fetch_rndv_rma(proc, rndv_id, len, key, dest)?
         }
     };
-    proc.pool_release(bits, payload);
+    proc.pool_release(bits, msg.data);
     let source = if match_bits::is_nomatch(bits) {
         // No source bits on the nomatch channel; report the physical
         // sender's world rank (documented extension semantics).
-        fabric_src_world as i32
+        msg.src.index() as i32
     } else {
         match_bits::decode_src(bits) as i32
     };
@@ -187,22 +185,12 @@ enum ReqInner<'buf> {
         /// Context id of the owning communicator, for revocation checks.
         ctx: u16,
     },
-    /// Receive posted to the fabric's native matching.
-    RecvFabric {
+    /// A posted receive.
+    Recv {
         proc: Arc<ProcInner>,
-        handle: RecvHandle,
+        posted: Posted,
         dest: RecvDest<'buf>,
         /// `None` for wildcard (`MPI_ANY_SOURCE`) receives.
-        peer: Option<usize>,
-        fatal: bool,
-        /// Context id of the owning communicator, for revocation checks.
-        ctx: u16,
-    },
-    /// Receive posted to the CH4 core matcher (AM-only provider).
-    RecvCore {
-        proc: Arc<ProcInner>,
-        slot: Arc<CoreSlot>,
-        dest: RecvDest<'buf>,
         peer: Option<usize>,
         fatal: bool,
         /// Context id of the owning communicator, for revocation checks.
@@ -305,6 +293,25 @@ fn fatal_filter(r: MpiResult<Status>, fatal: bool) -> MpiResult<Status> {
     r
 }
 
+/// Settle a posted receive whose [`poll_or_death`] came back: deliver the
+/// message into `dest`, or — the peer died or the communicator was revoked
+/// — withdraw the receive and pass the error on.
+pub(crate) fn finish_recv(
+    proc: &ProcInner,
+    posted: &Posted,
+    polled: MpiResult<TaggedMessage>,
+    dest: &mut RecvDest<'_>,
+    fatal: bool,
+) -> MpiResult<Status> {
+    match polled {
+        Ok(msg) => fatal_filter(complete_recv(proc, msg, dest), fatal),
+        Err(e) => {
+            posted.cancel(proc);
+            Err(e)
+        }
+    }
+}
+
 /// A nonblocking-operation handle.
 pub struct Request<'buf> {
     inner: ReqInner<'buf>,
@@ -335,38 +342,18 @@ impl<'buf> Request<'buf> {
         }
     }
 
-    pub(crate) fn recv_fabric(
+    pub(crate) fn recv(
         proc: Arc<ProcInner>,
-        handle: RecvHandle,
+        posted: Posted,
         dest: RecvDest<'buf>,
         peer: Option<usize>,
         fatal: bool,
         ctx: u16,
     ) -> Request<'buf> {
         Request {
-            inner: ReqInner::RecvFabric {
+            inner: ReqInner::Recv {
                 proc,
-                handle,
-                dest,
-                peer,
-                fatal,
-                ctx,
-            },
-        }
-    }
-
-    pub(crate) fn recv_core(
-        proc: Arc<ProcInner>,
-        slot: Arc<CoreSlot>,
-        dest: RecvDest<'buf>,
-        peer: Option<usize>,
-        fatal: bool,
-        ctx: u16,
-    ) -> Request<'buf> {
-        Request {
-            inner: ReqInner::RecvCore {
-                proc,
-                slot,
+                posted,
                 dest,
                 peer,
                 fatal,
@@ -452,57 +439,18 @@ impl<'buf> Request<'buf> {
                         })?;
                         Ok(Status::send())
                     }
-                    ReqInner::RecvFabric {
+                    ReqInner::Recv {
                         proc,
-                        handle,
+                        posted,
                         mut dest,
                         peer,
                         fatal,
                         ctx,
                     } => {
-                        let msg = wait_loop(&proc, || {
-                            poll_or_death(&proc, peer, fatal, Some(ctx), || handle.poll())
+                        let polled = wait_loop(&proc, || {
+                            poll_or_death(&proc, peer, fatal, Some(ctx), || posted.poll())
                         });
-                        match msg {
-                            Ok(m) => fatal_filter(
-                                complete_recv(
-                                    &proc,
-                                    m.match_bits,
-                                    m.src.index(),
-                                    m.data,
-                                    &mut dest,
-                                ),
-                                fatal,
-                            ),
-                            Err(e) => {
-                                handle.cancel();
-                                Err(e)
-                            }
-                        }
-                    }
-                    ReqInner::RecvCore {
-                        proc,
-                        slot,
-                        mut dest,
-                        peer,
-                        fatal,
-                        ctx,
-                    } => {
-                        let msg = wait_loop(&proc, || {
-                            poll_or_death(&proc, peer, fatal, Some(ctx), || {
-                                slot.filled.lock().take()
-                            })
-                        });
-                        match msg {
-                            Ok(m) => fatal_filter(
-                                complete_recv(&proc, m.bits, m.src_world, m.payload, &mut dest),
-                                fatal,
-                            ),
-                            Err(e) => {
-                                proc.core_match.cancel(&slot);
-                                Err(e)
-                            }
-                        }
+                        finish_recv(&proc, &posted, polled, &mut dest, fatal)
                     }
                     ReqInner::Coll { proc, sched, fatal } => {
                         let r = wait_loop(&proc, || sched.progress(&proc).transpose());
@@ -570,73 +518,25 @@ impl<'buf> Request<'buf> {
                     }
                 }
             }
-            ReqInner::RecvFabric {
+            ReqInner::Recv {
                 proc,
-                handle,
+                posted,
                 mut dest,
                 peer,
                 fatal,
                 ctx,
             } => {
                 proc.progress();
-                match poll_or_death(&proc, peer, fatal, Some(ctx), || handle.poll()) {
-                    Some(Ok(msg)) => {
-                        let s = fatal_filter(
-                            complete_recv(
-                                &proc,
-                                msg.match_bits,
-                                msg.src.index(),
-                                msg.data,
-                                &mut dest,
-                            ),
-                            fatal,
-                        )?;
+                match poll_or_death(&proc, peer, fatal, Some(ctx), || posted.poll()) {
+                    Some(polled) => {
+                        let s = finish_recv(&proc, &posted, polled, &mut dest, fatal)?;
                         self.inner = ReqInner::Done(s);
                         Ok(Some(s))
                     }
-                    Some(Err(e)) => {
-                        handle.cancel();
-                        Err(e)
-                    }
                     None => {
-                        self.inner = ReqInner::RecvFabric {
+                        self.inner = ReqInner::Recv {
                             proc,
-                            handle,
-                            dest,
-                            peer,
-                            fatal,
-                            ctx,
-                        };
-                        Ok(None)
-                    }
-                }
-            }
-            ReqInner::RecvCore {
-                proc,
-                slot,
-                mut dest,
-                peer,
-                fatal,
-                ctx,
-            } => {
-                proc.progress();
-                match poll_or_death(&proc, peer, fatal, Some(ctx), || slot.filled.lock().take()) {
-                    Some(Ok(msg)) => {
-                        let s = fatal_filter(
-                            complete_recv(&proc, msg.bits, msg.src_world, msg.payload, &mut dest),
-                            fatal,
-                        )?;
-                        self.inner = ReqInner::Done(s);
-                        Ok(Some(s))
-                    }
-                    Some(Err(e)) => {
-                        proc.core_match.cancel(&slot);
-                        Err(e)
-                    }
-                    None => {
-                        self.inner = ReqInner::RecvCore {
-                            proc,
-                            slot,
+                            posted,
                             dest,
                             peer,
                             fatal,
@@ -700,8 +600,7 @@ impl<'buf> Request<'buf> {
     /// `MPI_CANCEL` (receives only): `true` if cancelled before matching.
     pub fn cancel(self) -> bool {
         match self.inner {
-            ReqInner::RecvFabric { handle, .. } => handle.cancel(),
-            ReqInner::RecvCore { proc, slot, .. } => proc.core_match.cancel(&slot),
+            ReqInner::Recv { proc, posted, .. } => posted.cancel(&proc),
             _ => false,
         }
     }
@@ -716,8 +615,7 @@ impl<'buf> Request<'buf> {
     fn proc(&self) -> Option<&Arc<ProcInner>> {
         match &self.inner {
             ReqInner::SendRndv { proc, .. }
-            | ReqInner::RecvFabric { proc, .. }
-            | ReqInner::RecvCore { proc, .. }
+            | ReqInner::Recv { proc, .. }
             | ReqInner::Coll { proc, .. }
             | ReqInner::Rma { proc, .. } => Some(proc),
             ReqInner::Done(_) | ReqInner::Consumed => None,
@@ -750,8 +648,7 @@ impl std::fmt::Debug for Request<'_> {
         let state = match &self.inner {
             ReqInner::Done(_) => "done",
             ReqInner::SendRndv { .. } => "send-rndv",
-            ReqInner::RecvFabric { .. } => "recv-fabric",
-            ReqInner::RecvCore { .. } => "recv-core",
+            ReqInner::Recv { .. } => "recv",
             ReqInner::Coll { .. } => "coll",
             ReqInner::Rma { .. } => "rma",
             ReqInner::Consumed => "consumed",

@@ -31,14 +31,14 @@
 //! schedule issues charge their own injection categories, so the calibrated
 //! totals (221/215/59/253) are untouched.
 
-use crate::coll::{binomial_children, issue_window, parent_of, send_staged, Payload, Posted};
+use crate::coll::{binomial_children, issue_window, parent_of, send_staged, Payload};
 use crate::comm::{CommShared, Communicator, Errhandler};
 use crate::error::{MpiError, MpiResult};
 use crate::group::Group;
 use crate::hier::{self, HierPlan};
 use crate::match_bits::{self, ContextId};
 use crate::op::Op;
-use crate::process::ProcInner;
+use crate::process::{Posted, ProcInner};
 use crate::request::{poll_or_death, wait_loop, Request};
 use crate::status::Status;
 use bytes::Bytes;
@@ -379,7 +379,7 @@ impl Schedule {
                 Vertex::Recv { peer, tag, dst } => {
                     let bits = match_bits::encode(self.ctx, peer, tag);
                     self.live.push(LiveRecv {
-                        post: Posted::post(proc, bits),
+                        post: Posted::post(proc, bits, 0),
                         dst,
                         peer: mem.group.world_rank(peer),
                     });
@@ -409,13 +409,13 @@ impl Schedule {
             let arrived = poll_or_death(proc, Some(live.peer), false, Some(self.ctx.0), || {
                 live.post.poll()
             });
-            let Some((bits, wire)) = arrived.transpose()? else {
+            let Some(msg) = arrived.transpose()? else {
                 i += 1;
                 continue;
             };
             let dst = self.live.swap_remove(i).dst;
             self.charge(cost::schedule::VERTEX_COMPLETE);
-            self.deliver(proc, mem, bits, wire, dst)?;
+            self.deliver(proc, mem, msg.match_bits, msg.data, dst)?;
         }
         Ok(())
     }

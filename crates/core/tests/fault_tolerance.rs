@@ -113,6 +113,43 @@ fn revoke_fails_a_nonblocking_collective_schedule() {
 }
 
 #[test]
+fn killed_peer_fails_persistent_waits_instead_of_hanging() {
+    // Rank 1's two warm-up packets trip its kill switch; it never answers
+    // what rank 0 starts next. `ofi`: 64 KiB is above the eager ceiling, so
+    // the persistent send waits on a pull that will not come.
+    let profile = ProviderProfile::ofi().with_faults(FaultPlan::none().with_kill(1, 2));
+    let out = Universe::run(
+        2,
+        BuildConfig::ch4_default(),
+        profile,
+        Topology::single_node(2),
+        |proc| {
+            let world = proc.world();
+            if proc.rank() == 1 {
+                world.send(&[1u8], 0, 0).unwrap();
+                world.send(&[2u8], 0, 1).unwrap();
+                return Vec::new();
+            }
+            world.set_errhandler(Errhandler::ErrorsReturn);
+            let mut buf = [0u8; 1];
+            world.recv_into(&mut buf, 1, 0).unwrap();
+            world.recv_into(&mut buf, 1, 1).unwrap();
+            let mut recv = world.recv_init(&mut buf, 1, 2).unwrap();
+            recv.start().unwrap();
+            let recv_err = recv.wait().unwrap_err();
+            let big = vec![3u8; 64 * 1024];
+            let mut send = world.send_init(&big, 1, 3).unwrap();
+            send.start().unwrap();
+            vec![recv_err, send.wait().unwrap_err()]
+        },
+    );
+    assert_eq!(out[0].len(), 2);
+    for e in &out[0] {
+        assert!(matches!(e, MpiError::PeerUnreachable { peer: 1 }), "{e}");
+    }
+}
+
+#[test]
 fn agree_reports_unacked_failure_uniformly_then_converges_after_ack() {
     // Rank 2 dies after its two warm-up packets. Both survivors' first
     // agree must fail with MPI_ERR_PROC_FAILED naming rank 2 — on *both*

@@ -256,6 +256,62 @@ fn corruption_with_crc_off_surfaces_integrity_errors() {
 }
 
 #[test]
+fn probes_over_corrupted_envelopes_surface_integrity_errors() {
+    // Same link as above. The probes read the envelope too: `iprobe` leaves
+    // a damaged message queued (the receive then reports it as well),
+    // `mprobe` consumes it.
+    let plan = FaultPlan::uniform(99, FaultSpec::percent(0, 0, 0, 100));
+    let profile = ProviderProfile::infinite()
+        .with_faults(plan)
+        .with_reliability(ReliabilityConfig::on().with_crc(false));
+    let out = Universe::run(
+        2,
+        BuildConfig::ch4_default(),
+        profile,
+        Topology::single_node(2),
+        |proc| {
+            let world = proc.world();
+            if proc.rank() == 0 {
+                for i in 0..20i32 {
+                    world.send(&[7u8], 1, i).unwrap();
+                }
+                return 0;
+            }
+            world.set_errhandler(Errhandler::ErrorsReturn);
+            let mut integrity = 0;
+            let mut note = |r: Result<litempi_core::Status, MpiError>| match r {
+                Ok(_) => {}
+                Err(MpiError::Integrity(_)) => integrity += 1,
+                Err(e) => panic!("unexpected error class: {e}"),
+            };
+            for i in 0..20i32 {
+                let mut buf = [0u8; 1];
+                if i % 2 == 0 {
+                    let probed = loop {
+                        match world.iprobe(0, i).transpose() {
+                            Some(r) => break r,
+                            None => std::thread::yield_now(),
+                        }
+                    };
+                    note(probed);
+                    note(world.recv_into(&mut buf, 0, i));
+                } else {
+                    note(world.mprobe(0, i).and_then(|m| {
+                        assert_eq!(m.status().tag, i);
+                        m.mrecv(&mut buf)
+                    }));
+                }
+            }
+            integrity
+        },
+    );
+    assert!(
+        out[1] >= 1,
+        "20 fully-corrupted envelopes produced no integrity error"
+    );
+}
+
+#[test]
 fn errhandler_is_inherited_by_derived_communicators() {
     Universe::run_default(2, |proc| {
         let world = proc.world();

@@ -402,7 +402,8 @@ fn large_roundtrip(profile: ProviderProfile) -> Vec<Vec<u8>> {
 #[test]
 fn rma_rendezvous_is_byte_identical_to_pull_rendezvous() {
     let rdma = large_roundtrip(ProviderProfile::ofi());
-    let pull = large_roundtrip(ProviderProfile::ofi().with_rma_rendezvous(false));
+    // No native RDMA: the pull protocol, matched by the core's own engine.
+    let pull = large_roundtrip(ProviderProfile::am_only());
     assert_eq!(rdma, pull);
     assert_eq!(rdma[0], vec![0xA1u8; LARGE]);
     assert_eq!(rdma[1], vec![0xB2u8; LARGE]);

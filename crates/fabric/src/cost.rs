@@ -60,8 +60,9 @@ impl ProviderKind {
     }
 }
 
-/// Which tag-matching engine an endpoint runs (see the `matching` module
-/// for the two implementations).
+/// Which tag-matching engine a [`MatchEngine`](crate::matching::MatchEngine)
+/// runs (see the `matching` module for the two implementations). Endpoints
+/// always run the bucketed one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MatcherKind {
     /// Hash-bucketed O(1) matching with a sequence-arbitrated wildcard
@@ -71,22 +72,6 @@ pub enum MatcherKind {
     /// The original linear-scan matcher, kept as an ablation baseline for
     /// the depth-sweep benchmarks.
     Linear,
-}
-
-/// Which payload-construction pipeline the layers above the fabric run
-/// (see the `pool` module). A runtime ablation switch, mirroring
-/// [`MatcherKind`]: the pooled single-copy pipeline is the default, the
-/// legacy copying path is kept selectable for the `eager_copy_ablation`
-/// benchmark and the equivalence tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum CopyMode {
-    /// Single-copy pipeline: user buffer → pooled wire buffer, recycled
-    /// through the fabric's [`PayloadPool`](crate::pool::PayloadPool).
-    #[default]
-    Pooled,
-    /// The original double-copy path: stage the user data in a fresh
-    /// `Vec`, then copy it again into a freshly allocated wire buffer.
-    Legacy,
 }
 
 /// Per-message / per-byte hardware costs of a provider, used analytically.
@@ -152,10 +137,6 @@ pub struct ProviderProfile {
     /// Seed for cross-source delivery jitter; `None` disables jitter
     /// (the default — jitter is a matching-stress mode for tests).
     pub jitter_seed: Option<u64>,
-    /// Which tag-matching engine endpoints run.
-    pub matcher: MatcherKind,
-    /// Which payload-construction pipeline senders run.
-    pub copy_mode: CopyMode,
     /// Deterministic fault-injection plan; [`FaultPlan::NONE`] (the
     /// default) leaves delivery byte- and charge-identical to a fabric
     /// without fault support.
@@ -177,11 +158,6 @@ pub struct ProviderProfile {
     /// construction, where the `LITEMPI_VCIS` environment variable (when
     /// set) overrides this field.
     pub num_vcis: usize,
-    /// Route large-message (rendezvous-size) sends over RDMA get instead
-    /// of the tag-match pull protocol. On by default wherever the provider
-    /// has native RDMA; switched off for the tag-match ablation baseline
-    /// (and forced off on AM-only providers, which have no RDMA engine).
-    pub rma_rendezvous: bool,
 }
 
 impl ProviderProfile {
@@ -204,14 +180,11 @@ impl ProviderProfile {
                 bandwidth_gib_s: 11.0,
             },
             jitter_seed: None,
-            matcher: MatcherKind::Bucketed,
-            copy_mode: CopyMode::Pooled,
             faults: FaultPlan::NONE,
             reliability: ReliabilityConfig::OFF,
             health: HealthConfig::OFF,
             trace: TraceConfig::OFF,
             num_vcis: 1,
-            rma_rendezvous: true,
         }
     }
 
@@ -232,14 +205,11 @@ impl ProviderProfile {
                 bandwidth_gib_s: 11.3,
             },
             jitter_seed: None,
-            matcher: MatcherKind::Bucketed,
-            copy_mode: CopyMode::Pooled,
             faults: FaultPlan::NONE,
             reliability: ReliabilityConfig::OFF,
             health: HealthConfig::OFF,
             trace: TraceConfig::OFF,
             num_vcis: 1,
-            rma_rendezvous: true,
         }
     }
 
@@ -262,14 +232,11 @@ impl ProviderProfile {
                 bandwidth_gib_s: 1.8,
             },
             jitter_seed: None,
-            matcher: MatcherKind::Bucketed,
-            copy_mode: CopyMode::Pooled,
             faults: FaultPlan::NONE,
             reliability: ReliabilityConfig::OFF,
             health: HealthConfig::OFF,
             trace: TraceConfig::OFF,
             num_vcis: 1,
-            rma_rendezvous: true,
         }
     }
 
@@ -286,14 +253,11 @@ impl ProviderProfile {
             },
             cost: NetCost::ZERO,
             jitter_seed: None,
-            matcher: MatcherKind::Bucketed,
-            copy_mode: CopyMode::Pooled,
             faults: FaultPlan::NONE,
             reliability: ReliabilityConfig::OFF,
             health: HealthConfig::OFF,
             trace: TraceConfig::OFF,
             num_vcis: 1,
-            rma_rendezvous: true,
         }
     }
 
@@ -314,14 +278,11 @@ impl ProviderProfile {
                 bandwidth_gib_s: 40.0,
             },
             jitter_seed: None,
-            matcher: MatcherKind::Bucketed,
-            copy_mode: CopyMode::Pooled,
             faults: FaultPlan::NONE,
             reliability: ReliabilityConfig::OFF,
             health: HealthConfig::OFF,
             trace: TraceConfig::OFF,
             num_vcis: 1,
-            rma_rendezvous: true,
         }
     }
 
@@ -343,33 +304,17 @@ impl ProviderProfile {
                 bandwidth_gib_s: 11.0,
             },
             jitter_seed: None,
-            matcher: MatcherKind::Bucketed,
-            copy_mode: CopyMode::Pooled,
             faults: FaultPlan::NONE,
             reliability: ReliabilityConfig::OFF,
             health: HealthConfig::OFF,
             trace: TraceConfig::OFF,
             num_vcis: 1,
-            rma_rendezvous: false,
         }
     }
 
     /// Copy of this profile with cross-source delivery jitter enabled.
     pub fn with_jitter(mut self, seed: u64) -> Self {
         self.jitter_seed = Some(seed);
-        self
-    }
-
-    /// Copy of this profile running the given tag-matching engine.
-    pub fn with_matcher(mut self, matcher: MatcherKind) -> Self {
-        self.matcher = matcher;
-        self
-    }
-
-    /// Copy of this profile running the given payload-construction
-    /// pipeline.
-    pub fn with_copy_mode(mut self, copy_mode: CopyMode) -> Self {
-        self.copy_mode = copy_mode;
         self
     }
 
@@ -417,14 +362,6 @@ impl ProviderProfile {
     /// communication interfaces.
     pub fn with_vcis(mut self, n: usize) -> Self {
         self.num_vcis = n;
-        self
-    }
-
-    /// Copy of this profile with the RDMA-backed rendezvous protocol
-    /// toggled — `false` selects the tag-match pull baseline (the RMA
-    /// ablation's control arm).
-    pub fn with_rma_rendezvous(mut self, on: bool) -> Self {
-        self.rma_rendezvous = on;
         self
     }
 }
@@ -480,20 +417,6 @@ mod tests {
     }
 
     #[test]
-    fn matcher_defaults_to_bucketed() {
-        assert_eq!(ProviderProfile::ofi().matcher, MatcherKind::Bucketed);
-        let p = ProviderProfile::ofi().with_matcher(MatcherKind::Linear);
-        assert_eq!(p.matcher, MatcherKind::Linear);
-    }
-
-    #[test]
-    fn copy_mode_defaults_to_pooled() {
-        assert_eq!(ProviderProfile::ofi().copy_mode, CopyMode::Pooled);
-        let p = ProviderProfile::ofi().with_copy_mode(CopyMode::Legacy);
-        assert_eq!(p.copy_mode, CopyMode::Legacy);
-    }
-
-    #[test]
     fn faults_and_reliability_default_off() {
         let p = ProviderProfile::ofi();
         assert!(p.faults.is_none());
@@ -507,9 +430,6 @@ mod tests {
         assert!(!q.faults.is_none());
         assert!(q.reliability.enabled);
         assert!(q.reliability.crc);
-        // Builders compose with the existing ones.
-        let r = q.with_matcher(MatcherKind::Linear);
-        assert!(r.reliability.enabled);
     }
 
     #[test]
@@ -532,23 +452,6 @@ mod tests {
         assert_eq!(ProviderProfile::ofi().num_vcis, 1);
         let p = ProviderProfile::ofi().with_vcis(4).reliable();
         assert_eq!(p.num_vcis, 4);
-        assert!(p.reliability.enabled);
-    }
-
-    #[test]
-    fn rma_rendezvous_follows_native_rdma_and_toggles() {
-        for p in [
-            ProviderProfile::ofi(),
-            ProviderProfile::ucx(),
-            ProviderProfile::bgq(),
-            ProviderProfile::infinite(),
-            ProviderProfile::shm(),
-        ] {
-            assert!(p.rma_rendezvous);
-        }
-        assert!(!ProviderProfile::am_only().rma_rendezvous);
-        let p = ProviderProfile::ofi().with_rma_rendezvous(false).reliable();
-        assert!(!p.rma_rendezvous);
         assert!(p.reliability.enabled);
     }
 

@@ -80,7 +80,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::cost::ProviderProfile;
+use crate::cost::{MatcherKind, ProviderProfile};
 
 /// Upper bound on registrations the per-endpoint pin-down cache holds
 /// (bounded pinned-memory footprint, as in real registration caches).
@@ -213,7 +213,7 @@ impl EndpointShared {
                     (base_rng ^ (vci as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1
                 };
                 VciState {
-                    tag: Mutex::new(MatchEngine::new(profile.matcher)),
+                    tag: Mutex::new(MatchEngine::new(MatcherKind::Bucketed)),
                     jitter: Mutex::new(JitterState {
                         deferred: Vec::new(),
                         rng,
@@ -1466,7 +1466,7 @@ impl RecvHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::{MatcherKind, ProviderProfile};
+    use crate::cost::ProviderProfile;
     use crate::topology::Topology;
 
     fn fabric(n: usize) -> Arc<Fabric> {
@@ -1736,10 +1736,9 @@ mod tests {
         assert!(b.tdequeue(0xAB00, 0xFF).is_some());
     }
 
-    fn jitter_fifo_roundtrip(matcher: MatcherKind) {
-        let profile = ProviderProfile::infinite()
-            .with_jitter(0xFEED)
-            .with_matcher(matcher);
+    #[test]
+    fn jitter_preserves_pair_fifo() {
+        let profile = ProviderProfile::infinite().with_jitter(0xFEED);
         let f = Fabric::new(2, profile, Topology::single_node(2));
         let a = f.endpoint(NetAddr(0));
         let b = f.endpoint(NetAddr(1));
@@ -1756,12 +1755,6 @@ mod tests {
             let m = b.trecv_blocking(100 + i, 0);
             assert_eq!(u64::from_le_bytes(m.data[..].try_into().unwrap()), i);
         }
-    }
-
-    #[test]
-    fn jitter_preserves_pair_fifo() {
-        jitter_fifo_roundtrip(MatcherKind::Bucketed);
-        jitter_fifo_roundtrip(MatcherKind::Linear);
     }
 
     #[test]
@@ -1783,18 +1776,6 @@ mod tests {
         let mut expect: Vec<u64> = (0..20).chain(1000..1020).collect();
         expect.sort_unstable();
         assert_eq!(seen, expect);
-    }
-
-    #[test]
-    fn linear_matcher_end_to_end() {
-        let profile = ProviderProfile::infinite().with_matcher(MatcherKind::Linear);
-        let f = Fabric::new(2, profile, Topology::single_node(2));
-        let a = f.endpoint(NetAddr(0));
-        let b = f.endpoint(NetAddr(1));
-        a.tsend(NetAddr(1), 1, Bytes::from_static(b"first"));
-        a.tsend(NetAddr(1), 2, Bytes::from_static(b"second"));
-        assert_eq!(&b.trecv_blocking(0, u64::MAX).data[..], b"first");
-        assert_eq!(&b.trecv_blocking(2, 0).data[..], b"second");
     }
 
     // ------------------------------------------------------- lossy/reliable

@@ -50,7 +50,7 @@ pub mod topology;
 pub mod vci;
 
 pub use addr::NetAddr;
-pub use cost::{CopyMode, MatcherKind, NetCost, ProviderKind, ProviderProfile};
+pub use cost::{MatcherKind, NetCost, ProviderKind, ProviderProfile};
 pub use endpoint::Endpoint;
 pub use fabric::Fabric;
 pub use fault::{FaultPlan, FaultSpec, KillSwitch, LinkFlap, LinkOverride};

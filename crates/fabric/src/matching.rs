@@ -16,9 +16,9 @@
 //!   numbers — one counter for posts, one for arrivals — arbitrate between
 //!   a bucket hit and an older wildcard entry, so MPI's matching order is
 //!   bit-for-bit identical to the linear scan.
-//! * [`LinearMatcher`] — the original O(depth) scan, kept as an ablation
-//!   baseline (select with
-//!   [`ProviderProfile::with_matcher`](crate::cost::ProviderProfile::with_matcher)).
+//! * [`LinearMatcher`] — the original O(depth) scan: the reference the
+//!   equivalence tests hold the bucketed engine to and the engine-level
+//!   bench sweeps against. No endpoint runs it.
 //!
 //! ## Why bucket removal is O(1)
 //!

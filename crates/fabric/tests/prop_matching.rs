@@ -3,15 +3,14 @@
 //! posted-before/after symmetry under random interleavings.
 
 use bytes::Bytes;
-use litempi_fabric::{Fabric, MatcherKind, NetAddr, ProviderProfile, Topology};
+use litempi_fabric::matching::MatchEngine;
+use litempi_fabric::packet::{PostedRecv, RecvSlot};
+use litempi_fabric::{Fabric, MatcherKind, NetAddr, ProviderProfile, TaggedMessage, Topology};
 use proptest::prelude::*;
+use std::sync::Arc;
 
-fn fabric(n: usize, jitter: Option<u64>) -> std::sync::Arc<Fabric> {
-    fabric_with(n, MatcherKind::Bucketed, jitter)
-}
-
-fn fabric_with(n: usize, kind: MatcherKind, jitter: Option<u64>) -> std::sync::Arc<Fabric> {
-    let mut profile = ProviderProfile::infinite().with_matcher(kind);
+fn fabric(n: usize, jitter: Option<u64>) -> Arc<Fabric> {
+    let mut profile = ProviderProfile::infinite();
     if let Some(seed) = jitter {
         profile = profile.with_jitter(seed);
     }
@@ -105,51 +104,51 @@ proptest! {
     }
 
     /// The bucketed engine is a drop-in replacement for the linear scan:
-    /// any interleaving of exact and wildcard posts with sends — including
-    /// under deterministic delivery jitter, which reorders cross-source
-    /// traffic and defers deliveries — produces the *identical* match
-    /// assignment and the identical leftover unexpected queue. This is the
-    /// MPI matching-order contract the bucket/seq arbitration must uphold
-    /// bit-for-bit.
+    /// any interleaving of exact and wildcard posts with deliveries produces
+    /// the *identical* match assignment and the identical leftover
+    /// unexpected queue. This is the MPI matching-order contract the
+    /// bucket/seq arbitration must uphold bit-for-bit. (Delivery jitter
+    /// only permutes the order of `deliver` calls, which the generated
+    /// sequence already ranges over.)
     #[test]
     fn bucketed_matches_linear_exactly(
         ops in proptest::collection::vec((0u64..6, any::<bool>(), 0u8..3), 1..48),
-        jitter in proptest::option::of(any::<u64>()),
     ) {
         const CTX: u64 = 0xC0FF_EE00;
-        // Replay the same op sequence against each engine. All jitter
-        // decisions come from a seeded per-endpoint RNG advanced in call
-        // order, so both runs see identical delivery schedules.
+        let value = |m: TaggedMessage| u64::from_le_bytes(m.data[..].try_into().unwrap());
+        // Replay the same op sequence against each engine.
         let run = |kind: MatcherKind| {
-            let f = fabric_with(2, kind, jitter);
-            let tx = f.endpoint(NetAddr(0));
-            let rx = f.endpoint(NetAddr(1));
-            let mut handles = Vec::new();
+            let mut engine = MatchEngine::new(kind);
+            let mut slots = Vec::new();
             let mut seq = 0u64;
             for &(tag, is_send, recv_kind) in &ops {
                 if is_send {
-                    tx.tsend(NetAddr(1), CTX | tag, Bytes::copy_from_slice(&seq.to_le_bytes()));
+                    engine.deliver(TaggedMessage {
+                        src: NetAddr(0),
+                        match_bits: CTX | tag,
+                        data: Bytes::copy_from_slice(&seq.to_le_bytes()),
+                    });
                     seq += 1;
                 } else {
-                    let (bits, ignore) = match recv_kind {
+                    let (match_bits, ignore) = match recv_kind {
                         0 => (CTX | tag, 0),          // exact
                         1 => (CTX, 0x7),              // tag-wildcard
                         _ => (0, u64::MAX),           // full wildcard
                     };
-                    handles.push(rx.trecv_post(bits, ignore));
+                    let slot = Arc::new(RecvSlot::default());
+                    let probe = PostedRecv { match_bits, ignore, slot: slot.clone() };
+                    if let Some(msg) = engine.post(probe) {
+                        slot.fill(msg);
+                    }
+                    slots.push(slot);
                 }
             }
-            // Flush any jitter-deferred deliveries, then observe the final
-            // state: which message (by send seq) each posted receive got,
-            // and the arrival order of the unmatched leftovers.
-            rx.pump();
-            let matched: Vec<Option<u64>> = handles
-                .iter()
-                .map(|h| h.poll().map(|m| u64::from_le_bytes(m.data[..].try_into().unwrap())))
-                .collect();
+            // Which message (by send seq) each posted receive got, and the
+            // arrival order of the unmatched leftovers.
+            let matched: Vec<Option<u64>> = slots.iter().map(|s| s.take().map(value)).collect();
             let mut leftover = Vec::new();
-            while let Some(m) = rx.tdequeue(0, u64::MAX) {
-                leftover.push(u64::from_le_bytes(m.data[..].try_into().unwrap()));
+            while let Some(m) = engine.dequeue(0, u64::MAX) {
+                leftover.push(value(m));
             }
             (matched, leftover)
         };

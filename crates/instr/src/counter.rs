@@ -34,8 +34,8 @@ pub fn charge(category: Category, n: u64) {
 
 /// Record `n` heap allocations made while building a wire payload on the
 /// current thread (rank). Charged by the payload pipeline's slow paths:
-/// pool misses, the legacy copying path, and rendezvous staging buffers.
-/// The pooled fast path charges nothing in steady state.
+/// pool misses and point-to-point rendezvous staging buffers. The pooled
+/// fast path charges nothing in steady state.
 #[inline]
 pub fn note_alloc(n: u64) {
     PAYLOAD_ALLOCS.with(|c| c.set(c.get() + n));
