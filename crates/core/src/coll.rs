@@ -20,13 +20,12 @@ use crate::hier;
 use crate::match_bits;
 use crate::op::Op;
 use crate::process::{Posted, ProcInner};
-use crate::proto::{self, DecodedPayload};
-use crate::pt2pt::{inject, SendOpts};
+use crate::proto::{self, Opened};
+use crate::pt2pt::{inject, SendMode, SendOpts};
 use crate::request::{poll_or_death, wait_loop};
 use crate::sched::Schedule;
-use litempi_datatype::MpiPrimitive;
+use litempi_datatype::{Datatype, MpiPrimitive};
 use litempi_trace::{event::coll_op, EventKind};
-use std::sync::Arc;
 
 /// RAII span emitting `CollBegin`/`CollEnd` around one collective when
 /// tracing is on (one branch when off). Drop-based so error returns still
@@ -67,38 +66,11 @@ pub(crate) fn ft_gate(comm: &Communicator) -> MpiResult<()> {
     Ok(())
 }
 
-/// One collective-channel message body, built once however many peers it
-/// goes to: the pooled wire buffer of an eager message, or the pooled
-/// staging buffer a rendezvous exposes for the receivers to pull.
-#[derive(Clone)]
-enum Staged {
-    Eager(bytes::Bytes),
-    Rndv(Arc<Vec<u8>>),
-}
-
-impl Staged {
-    /// The wire payload for one destination: the eager bytes themselves,
-    /// or a fresh 17-byte RTS naming a new table entry over the shared
-    /// staging buffer.
-    fn into_wire(self, proc: &ProcInner, vci: usize) -> bytes::Bytes {
-        match self {
-            Staged::Eager(wire) => wire,
-            Staged::Rndv(data) => {
-                let len = data.len();
-                let rndv_id = proc.univ.expose_rndv(data);
-                proto::rts_payload(proc.endpoint.fabric(), vci, rndv_id, len)
-            }
-        }
-    }
-}
-
 /// Fire-and-forget send of `data` under `bits` to every world rank in
-/// `dests`, in order: one pool lease and one copy of `data` in total, one
-/// injection per destination. All but the last injection share the body
-/// by `Arc` clone; the last one moves it, so the sender keeps no handle
-/// and whichever receiver releases last finds the storage unique and
-/// recycles it (`PayloadPool::release`'s gate). The blocking collectives
-/// and the schedule engine's `Send` vertices both come through here.
+/// `dests`, in order: staged once ([`proto::stage`] — one pool lease and
+/// one copy of `data` in total, eager or rendezvous), one injection per
+/// destination. The blocking collectives, the schedule engine's `Send`
+/// vertices and the inter-communicator all come through here.
 pub(crate) fn send_staged(
     proc: &ProcInner,
     bits: u64,
@@ -109,13 +81,9 @@ pub(crate) fn send_staged(
     let Some(mut dest) = dests.next() else {
         return;
     };
-    let fabric = proc.endpoint.fabric();
     let vci = proc.vci_of_bits(bits);
-    let staged = if data.len() <= fabric.profile().caps.max_eager {
-        Staged::Eager(proto::eager_payload(fabric, vci, data))
-    } else {
-        Staged::Rndv(proto::stage_rndv(fabric, vci, data))
-    };
+    let (ty, mode) = (Datatype::BYTE, SendMode::Standard);
+    let staged = proto::stage(proc, vci, &ty, data.len(), data, mode, None);
     let opts = SendOpts::default();
     for next in dests {
         inject(proc, dest, bits, staged.clone().into_wire(proc, vci), &opts);
@@ -143,84 +111,15 @@ pub(crate) fn csend(comm: &Communicator, dest: usize, tag: i32, data: &[u8]) {
     csend_all(comm, [dest], tag, data);
 }
 
-/// A matched collective-channel message, opened: the eager case reads past
-/// the envelope byte in place, the rendezvous case reads the sender's
-/// staging buffer, no copy on either path. Whoever is done with it hands
-/// the storage back to its home-VCI pool with [`Payload::release`], which
-/// is what keeps the collective channel allocation-free: every lease a
-/// sender takes comes back through here.
-pub(crate) struct Payload {
-    bits: u64,
-    storage: bytes::Bytes,
-    /// Where the message starts in `storage` (1 past an eager envelope).
-    off: usize,
-}
-
-impl Payload {
-    /// Decode the wire payload matched under `bits`. A damaged or replayed
-    /// RTS descriptor can name a rendezvous entry that no longer exists —
-    /// an `Integrity` error, never a panic.
-    pub(crate) fn open(proc: &ProcInner, bits: u64, wire: bytes::Bytes) -> MpiResult<Payload> {
-        let (storage, off) = match proto::try_decode(&wire)?.1 {
-            DecodedPayload::Eager(_) => (wire, 1),
-            DecodedPayload::Rts { rndv_id, .. } => {
-                let staged = proc.univ.pull_rndv(rndv_id).ok_or(MpiError::Integrity(
-                    "rendezvous entry vanished (damaged or replayed RTS descriptor)",
-                ))?;
-                // The 17-byte RTS envelope is consumed: recycle it.
-                proc.pool_release(bits, wire);
-                (bytes::Bytes::from_storage(staged), 0)
-            }
-            DecodedPayload::RtsRma { .. } => {
-                return Err(MpiError::Integrity(
-                    "rdma-rendezvous descriptor on the collective channel",
-                ))
-            }
-        };
-        Ok(Payload { bits, storage, off })
-    }
-
-    /// The message bytes.
-    pub(crate) fn bytes(&self) -> &[u8] {
-        &self.storage[self.off..]
-    }
-
-    pub(crate) fn release(self, proc: &ProcInner) {
-        proc.pool_release(self.bits, self.storage);
-    }
-}
-
-/// A received [`Payload`] that derefs to the message bytes and releases
-/// itself when dropped.
-pub(crate) struct Lease<'a> {
-    proc: &'a ProcInner,
-    /// `Some` until drop releases it.
-    payload: Option<Payload>,
-}
-
-impl std::ops::Deref for Lease<'_> {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        self.payload.as_ref().map_or(&[], Payload::bytes)
-    }
-}
-
-impl Drop for Lease<'_> {
-    fn drop(&mut self) {
-        if let Some(payload) = self.payload.take() {
-            payload.release(self.proc);
-        }
-    }
-}
-
-/// Internal collective-channel receive from a specific peer.
+/// Internal collective-channel receive from a specific peer: the message,
+/// opened, for the caller to [`read`](Opened::read).
 ///
 /// Fallible: over a lossy fabric the sender can die mid-collective, and a
-/// damaged or replayed RTS descriptor can name a rendezvous entry that no
-/// longer exists. Both surface as comm-failure `MpiError`s routed through
+/// damaged or replayed RTS descriptor can name a rendezvous entry that is
+/// not there. Both surface as comm-failure `MpiError`s routed through
 /// the communicator's errhandler, so `MPI_ERRORS_RETURN` gets an `Err`
 /// and `MPI_ERRORS_ARE_FATAL` panics — never an unconditional panic.
-pub(crate) fn crecv(comm: &Communicator, src: usize, tag: i32) -> MpiResult<Lease<'_>> {
+pub(crate) fn crecv(comm: &Communicator, src: usize, tag: i32) -> MpiResult<Opened> {
     comm.handle_error(crecv_gated(comm, src, tag, Some(comm.context_id().0)))
 }
 
@@ -229,66 +128,56 @@ pub(crate) fn crecv(comm: &Communicator, src: usize, tag: i32) -> MpiResult<Leas
 /// work on a revoked communicator) and never routed through the
 /// communicator's errhandler — the protocol turns peer death into
 /// protocol state (a dead-mask bit), not an application error.
-pub(crate) fn crecv_ft(comm: &Communicator, src: usize, tag: i32) -> MpiResult<Lease<'_>> {
+pub(crate) fn crecv_ft(comm: &Communicator, src: usize, tag: i32) -> MpiResult<Opened> {
     crecv_gated(comm, src, tag, None)
 }
 
-/// [`crecv`] straight into `dst`. A message of any other length is
+/// Copy a message into `dst`. A message of any other length is
 /// `MPI_ERR_TRUNCATE`, not a slice-length panic.
-pub(crate) fn crecv_into(
-    comm: &Communicator,
-    src: usize,
-    tag: i32,
-    dst: &mut [u8],
-) -> MpiResult<()> {
-    let data = crecv(comm, src, tag)?;
+pub(crate) fn copy_exact(data: &[u8], dst: &mut [u8]) -> MpiResult<()> {
     if data.len() != dst.len() {
         return Err(MpiError::Truncate {
             message: data.len(),
             buffer: dst.len(),
         });
     }
-    dst.copy_from_slice(&data);
+    dst.copy_from_slice(data);
     Ok(())
 }
 
+/// [`crecv`] straight into `dst`.
+pub(crate) fn crecv_into(
+    comm: &Communicator,
+    src: usize,
+    tag: i32,
+    dst: &mut [u8],
+) -> MpiResult<()> {
+    crecv(comm, src, tag)?.read(&comm.proc, |data| copy_exact(data, dst))
+}
+
+/// Blocking matched receive on the collective channel. The poll closure
+/// checks the sender's world rank for death on every pass, so a
+/// kill-switch firing mid-collective turns the wait into `PeerUnreachable`
+/// instead of a hang. `revoke_ctx` (the owning communicator's user-channel
+/// context, or `None` for FT-internal traffic) additionally turns a
+/// revocation into `Revoked`.
 fn crecv_gated(
     comm: &Communicator,
     src: usize,
     tag: i32,
     revoke_ctx: Option<u16>,
-) -> MpiResult<Lease<'_>> {
+) -> MpiResult<Opened> {
     let proc = &*comm.proc;
     let bits = match_bits::encode(comm.context_id().collective(), src, tag);
-    let wire = recv_raw(proc, bits, Some(comm.world_rank_of(src)), revoke_ctx)?;
-    Ok(Lease {
-        proc,
-        payload: Some(Payload::open(proc, bits, wire)?),
-    })
-}
-
-/// Blocking matched receive on the collective channel. `peer` is the
-/// expected sender's world rank: the poll closure checks it for death on
-/// every pass, so a kill-switch firing mid-collective turns the wait into
-/// `PeerUnreachable` instead of a hang. `revoke_ctx` (the owning
-/// communicator's user-channel context, or `None` for FT-internal
-/// traffic) additionally turns a revocation into `Revoked`.
-fn recv_raw(
-    proc: &ProcInner,
-    bits: u64,
-    peer: Option<usize>,
-    revoke_ctx: Option<u16>,
-) -> MpiResult<bytes::Bytes> {
+    let peer = Some(comm.world_rank_of(src));
     let posted = Posted::post(proc, bits, 0);
-    let r = wait_loop(proc, || {
-        poll_or_death(proc, peer, false, revoke_ctx, || {
-            posted.poll().map(|m| m.data)
-        })
+    let polled = wait_loop(proc, || {
+        poll_or_death(proc, peer, false, revoke_ctx, || posted.poll())
     });
-    if r.is_err() {
+    if polled.is_err() {
         posted.cancel(proc);
     }
-    r
+    proto::open(proc, polled?)
 }
 
 /// `MPI_BARRIER` — see `Schedule::barrier`.
@@ -451,9 +340,10 @@ pub fn gatherv<T: MpiPrimitive>(
     let rank = comm.rank();
     let tag = comm.next_coll_tag();
     if rank == root {
-        // Sizes are only known on arrival: hold every peer's lease (`None`
-        // stands for the root's own block) until the output can be sized.
-        let mut blocks: Vec<Option<Lease<'_>>> = Vec::with_capacity(size);
+        // Sizes are only known on arrival: hold every peer's message,
+        // unread (`None` stands for the root's own block), until the output
+        // can be sized.
+        let mut blocks: Vec<Option<Opened>> = Vec::with_capacity(size);
         for src in 0..size {
             blocks.push(if src == root {
                 None
@@ -461,19 +351,19 @@ pub fn gatherv<T: MpiPrimitive>(
                 Some(crecv(comm, src, tag)?)
             });
         }
-        let blocks = blocks
-            .iter()
-            .map(|b| b.as_deref().unwrap_or(T::as_bytes(sendbuf)));
-        let counts: Vec<usize> = blocks
-            .clone()
-            .map(|b| b.len() / T::PREDEFINED.size())
+        let (mine, elem) = (T::as_bytes(sendbuf), T::PREDEFINED.size());
+        let counts: Vec<usize> = (blocks.iter())
+            .map(|b| b.as_ref().map_or(mine.len(), Opened::len) / elem)
             .collect();
         let mut out = zeroed::<T>(counts.iter().sum());
-        let bytes = T::as_bytes_mut(&mut out);
-        let mut cursor = 0;
-        for b in blocks {
-            bytes[cursor..cursor + b.len()].copy_from_slice(b);
-            cursor += b.len();
+        let mut rest = T::as_bytes_mut(&mut out);
+        for (b, n) in blocks.into_iter().zip(&counts) {
+            let (dst, tail) = rest.split_at_mut(n * elem);
+            match b {
+                None => dst.copy_from_slice(mine),
+                Some(b) => b.read(&comm.proc, |data| copy_exact(data, dst))?,
+            }
+            rest = tail;
         }
         Ok(Some((out, counts)))
     } else {
@@ -663,8 +553,7 @@ pub fn reduce_scatter_block<T: MpiPrimitive>(
             tag,
             T::as_bytes(&sendbuf[to * block..(to + 1) * block]),
         );
-        let data = crecv(comm, from, tag)?;
-        op.apply(&T::DATATYPE, acc, &data)?;
+        crecv(comm, from, tag)?.read(&comm.proc, |data| op.apply(&T::DATATYPE, acc, data))?;
     }
     Ok(out)
 }
@@ -1152,7 +1041,8 @@ mod tests {
                     let bits = match_bits::encode(world.context_id().collective(), 0, tag);
                     peek = Some(wait_loop(&world.proc, || world.proc.endpoint.tpeek(bits, 0)).data);
                 }
-                assert_eq!(crecv(&world, 0, tag).unwrap()[..], data);
+                let got = crecv(&world, 0, tag).unwrap();
+                got.read(&world.proc, |got| assert_eq!(got, data));
             }
             world.barrier().unwrap();
             for _ in 0..8 {

@@ -259,7 +259,7 @@ impl Communicator {
                     }
                     match crecv_ft(self, r, tag) {
                         Ok(c) => {
-                            let (f, m, a) = decode_contrib(&c)?;
+                            let (f, m, a) = c.read(&self.proc, decode_contrib)?;
                             out &= f;
                             mask |= m;
                             acked_all &= a;
@@ -282,7 +282,7 @@ impl Communicator {
             // directions cannot cross-match.
             csend(self, coord, tag, &encode_contrib(flag, known_dead, acked));
             match crecv_ft(self, coord, tag) {
-                Ok(c) => return decode_contrib(&c),
+                Ok(c) => return c.read(&self.proc, decode_contrib),
                 Err(_) => {
                     // Coordinator died mid-agreement: record it and rerun
                     // under the next-lowest survivor (fresh tag, so any

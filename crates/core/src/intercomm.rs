@@ -10,13 +10,12 @@
 //! the restriction the paper could only state in prose: there is no
 //! `isend_global` on an intercommunicator.
 
-use crate::coll::Payload;
-use crate::comm::Communicator;
+use crate::comm::{Communicator, Errhandler};
 use crate::error::{MpiError, MpiResult};
 use crate::group::Group;
 use crate::match_bits::{self, ContextId};
 use crate::process::{Posted, ProcInner};
-use crate::request::{wait_loop, RecvDest};
+use crate::request::{finish_recv, poll_or_death, wait_loop, RecvDest};
 use crate::status::Status;
 use litempi_datatype::MpiPrimitive;
 use std::sync::atomic::Ordering;
@@ -38,6 +37,9 @@ pub struct InterComm {
     side: usize,
     /// My rank within my local group.
     local_rank: usize,
+    /// `MPI_ERRORS_ARE_FATAL`, inherited from the local communicator when
+    /// the intercommunicator was created.
+    fatal: bool,
 }
 
 impl Communicator {
@@ -133,6 +135,7 @@ impl Communicator {
             shared,
             side,
             local_rank: self.rank(),
+            fatal: self.errhandler() == Errhandler::ErrorsAreFatal,
         })
     }
 }
@@ -187,22 +190,21 @@ impl InterComm {
         }
         let (bits, ignore) = match_bits::recv_bits(self.shared.ctx, source, tag);
         let proc = &*self.proc;
-        let posted = Posted::post(proc, bits, ignore);
-        let msg = wait_loop(proc, || posted.poll());
-        let payload = Payload::open(proc, msg.match_bits, msg.data)?;
         let count = buf.len();
         let mut dest = RecvDest {
             buf: T::as_bytes_mut(buf),
             ty: T::DATATYPE,
             count,
         };
-        let delivered = dest.deliver(payload.bytes());
-        payload.release(proc);
-        Ok(Status {
-            source: match_bits::decode_src(msg.match_bits) as i32,
-            tag: match_bits::decode_tag(msg.match_bits),
-            bytes: delivered?,
-        })
+        // A wildcard receive has no single peer to watch, as in `irecv`.
+        let peer = (source != match_bits::ANY_SOURCE)
+            .then(|| self.remote_group().world_rank(source as usize));
+        let ctx = Some(self.shared.ctx.0);
+        let posted = Posted::post(proc, bits, ignore);
+        let polled = wait_loop(proc, || {
+            poll_or_death(proc, peer, self.fatal, ctx, || posted.poll())
+        });
+        finish_recv(proc, &posted, polled, &mut dest, self.fatal)
     }
 
     /// `MPI_INTERCOMM_MERGE`: fuse both groups into one intracommunicator.

@@ -17,10 +17,10 @@ use crate::error::{MpiError, MpiResult};
 use crate::match_bits;
 use crate::process::{Posted, ProcInner};
 use crate::proto;
-use crate::pt2pt::{inject, SendOpts};
+use crate::pt2pt::{charge_rndv_send, inject, SendMode, SendOpts};
 use crate::request::{finish_recv, poll_or_death, wait_loop, RecvDest};
 use crate::status::Status;
-use litempi_datatype::{pack, Datatype, MpiPrimitive};
+use litempi_datatype::{Datatype, MpiPrimitive};
 use litempi_instr::{charge, cost, Category};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -43,7 +43,6 @@ pub struct PersistentSend<'a> {
     count: usize,
     dest_world: Option<usize>, // None = MPI_PROC_NULL
     bits: u64,
-    max_eager: usize,
     /// Snapshot of `MPI_ERRORS_ARE_FATAL` at init.
     fatal: bool,
     /// Context id of the owning communicator, for revocation checks.
@@ -109,7 +108,6 @@ impl Communicator {
             count: data.len(),
             dest_world,
             bits,
-            max_eager: proc.endpoint.fabric().profile().caps.max_eager,
             fatal: self.errhandler() == Errhandler::ErrorsAreFatal,
             ctx: self.context_id().0,
             state: Armed::Idle,
@@ -179,35 +177,19 @@ impl PersistentSend<'_> {
                 self.state = Armed::SendInFlight(None);
                 return Ok(());
             };
-            let wire_len = pack::packed_size(&self.ty, self.count);
-            if wire_len <= self.max_eager {
-                let payload = proto::eager_packed(
-                    proc.endpoint.fabric(),
-                    vci,
-                    &self.ty,
-                    self.count,
-                    self.buf,
-                );
-                inject(proc, dest_world, self.bits, payload, &SendOpts::default());
-                self.state = Armed::SendInFlight(None);
-            } else {
-                litempi_instr::note_alloc(1);
-                let data: Vec<u8> = if self.ty.is_contiguous() {
-                    self.buf[..wire_len].to_vec()
-                } else {
-                    pack::pack(&self.ty, self.count, self.buf)
-                };
-                // Moved into the rendezvous table, never cloned.
-                let (rndv_id, done) = proc.univ.alloc_rndv(data);
-                inject(
-                    proc,
-                    dest_world,
-                    self.bits,
-                    proto::rts_payload(proc.endpoint.fabric(), vci, rndv_id, wire_len),
-                    &SendOpts::default(),
-                );
-                self.state = Armed::SendInFlight(Some(done));
-            }
+            let staged = proto::stage(
+                proc,
+                vci,
+                &self.ty,
+                self.count,
+                self.buf,
+                SendMode::Standard,
+                Some(dest_world),
+            );
+            let done = charge_rndv_send(&staged);
+            let wire = staged.into_wire(proc, vci);
+            inject(proc, dest_world, self.bits, wire, &SendOpts::default());
+            self.state = Armed::SendInFlight(done);
             Ok(())
         })
     }

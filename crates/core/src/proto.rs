@@ -1,15 +1,32 @@
-//! Wire protocol: payload envelopes, active-message handler ids, and
-//! header encodings shared by the devices.
+//! Wire protocol: how a message body travels, active-message handler ids,
+//! and header encodings shared by the devices.
 //!
-//! Two-sided payloads start with a one-byte kind: eager data travels
-//! inline; large or synchronous-mode sends travel as an RTS (ready-to-send)
-//! descriptor whose data the receiver *pulls* from the rendezvous table —
-//! the RDMA-read rendezvous protocol used by modern MPI stacks.
+//! Every two-sided payload starts with a one-byte kind. Eager data travels
+//! inline behind it. A large or synchronous-mode send travels as a 25-byte
+//! RTS (ready-to-send) descriptor, `[rndv_id][len][key]`, naming an entry
+//! of the one rendezvous table (`UnivShared::rndv`) where the body waits
+//! for the receiver — the RDMA-read rendezvous of modern MPI stacks.
+//!
+//! This module is the only one that knows the rest. [`stage`] is the send
+//! side: it decides eager or rendezvous and copies (or packs) the user
+//! buffer exactly once, into the pooled wire buffer or into rendezvous
+//! storage. [`open`] is the receive side: it checks a descriptor against
+//! the entry it names before consuming it, and [`Opened::read`] lends the
+//! bytes to the caller, then recycles the storage and releases the sender.
+//! Rendezvous storage is one of two kinds, chosen from what `stage` can
+//! observe: a registered region from the per-peer pin-down cache when the
+//! provider has RDMA and the body goes to one peer that tracks it (the
+//! receiver reads it one-sidedly and returns it to that cache), a pooled
+//! staging buffer otherwise (a fan-out shares one by `Arc`).
 
 use crate::error::{MpiError, MpiResult};
+use crate::process::ProcInner;
+use crate::pt2pt::SendMode;
+use crate::universe::{RndvEntry, Storage};
 use bytes::{BufMut, Bytes};
 use litempi_datatype::{pack, Datatype};
-use litempi_fabric::Fabric;
+use litempi_fabric::{NetAddr, PayloadBuf, TaggedMessage};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Payload kind for tagged messages.
@@ -17,74 +34,120 @@ use std::sync::Arc;
 pub enum PayloadKind {
     /// Inline eager data.
     Eager,
-    /// Rendezvous RTS: payload is `[rndv_id: u64][len: u64]`.
+    /// Rendezvous RTS: payload is `[rndv_id: u64][len: u64][key: u64]`.
     Rts,
-    /// RDMA rendezvous RTS: payload is `[rndv_id: u64][len: u64][key: u64]`.
-    /// The sender has staged the wire bytes in a registered region (`key`);
-    /// the receiver RDMA-reads them directly, bypassing the pull-based
-    /// rendezvous table (foMPI-style one-sided rendezvous).
-    RtsRma,
 }
 
-/// Build an eager payload for contiguous `data`, leasing the wire buffer
-/// from `vci`'s arena (arena 0 unless the fabric runs multiple VCIs): the
-/// envelope byte, then the user data copied in exactly once — zero heap
-/// allocations when the pool is warm.
-pub fn eager_payload(fabric: &Fabric, vci: usize, data: &[u8]) -> Bytes {
-    let mut buf = fabric.pool_vci(vci).take(1 + data.len());
-    buf.put_u8(0);
-    buf.put_slice(data);
-    buf.freeze()
+// ------------------------------------------------------------------ send
+
+/// One message body, on either side of the wire: what [`stage`] built for
+/// any number of destinations, what [`open`] claimed for this rank.
+#[derive(Clone)]
+pub(crate) enum Body {
+    /// The pooled wire buffer: envelope byte, then the data.
+    Eager(Bytes),
+    /// A rendezvous entry: parked in the table once per destination,
+    /// taken from it by the receiver its descriptor went to.
+    Rndv(RndvEntry),
 }
 
-/// Build an eager payload for `count` elements of `ty` at `buf`,
-/// packing a non-contiguous layout directly into the wire buffer
-/// (single copy).
-pub fn eager_packed(fabric: &Fabric, vci: usize, ty: &Datatype, count: usize, buf: &[u8]) -> Bytes {
-    let wire_len = pack::packed_size(ty, count);
+/// Append `count` elements of `ty` at `buf` to a pooled buffer: the one
+/// copy a pooled body costs, a gather for a non-contiguous layout.
+fn fill(dst: &mut PayloadBuf, ty: &Datatype, count: usize, buf: &[u8], len: usize) {
     if ty.is_contiguous() {
-        return eager_payload(fabric, vci, &buf[..wire_len]);
+        dst.put_slice(&buf[..len]);
+    } else {
+        pack::pack_into(ty, count, buf, dst.put_zeroed(len));
     }
-    let mut wire = fabric.pool_vci(vci).take(1 + wire_len);
-    wire.put_u8(0);
-    // The SIMD gather fills the pooled window in place, no per-segment
-    // sink dispatch.
-    pack::pack_into(ty, count, buf, wire.put_zeroed(wire_len));
-    wire.freeze()
 }
 
-/// Build an RTS payload. The 17-byte envelope is pooled too: rendezvous
-/// control traffic recycles like eager data.
-pub fn rts_payload(fabric: &Fabric, vci: usize, rndv_id: u64, len: usize) -> Bytes {
-    let mut buf = fabric.pool_vci(vci).take(17);
-    buf.put_u8(1);
-    buf.put_u64_le(rndv_id);
-    buf.put_u64_le(len as u64);
-    buf.freeze()
+/// Stage `count` elements of `ty` at `buf` for sending in `mode`: eager
+/// (buffered mode always — the library owns a copy; otherwise up to the
+/// provider's eager ceiling, unless synchronous mode must observe the
+/// match) or rendezvous. `tracked_peer` is the destination's world rank
+/// when the body goes to that one peer and the sender waits for it to be
+/// taken (the entry then carries a completion flag); `None` is
+/// fire-and-forget, to any number of peers. Either way the user data is
+/// copied once and, with a warm pool and registration cache, nothing is
+/// allocated but that flag.
+pub(crate) fn stage(
+    proc: &ProcInner,
+    vci: usize,
+    ty: &Datatype,
+    count: usize,
+    buf: &[u8],
+    mode: SendMode,
+    tracked_peer: Option<usize>,
+) -> Body {
+    let fabric = proc.endpoint.fabric();
+    let caps = &fabric.profile().caps;
+    let len = pack::packed_size(ty, count);
+    if mode == SendMode::Buffered || (len <= caps.max_eager && mode != SendMode::Synchronous) {
+        let mut wire = fabric.pool_vci(vci).take(1 + len);
+        wire.put_u8(0);
+        fill(&mut wire, ty, count, buf, len);
+        return Body::Eager(wire.freeze());
+    }
+    let storage = match tracked_peer {
+        Some(peer) if caps.native_rdma => {
+            let region = proc.endpoint.reg_acquire(proc.addr_of_world(peer), len);
+            if ty.is_contiguous() {
+                region.write(0, &buf[..len]);
+            } else {
+                region.update(0, len, |dst| {
+                    pack::pack_into(ty, count, buf, dst);
+                });
+            }
+            Storage::Region(region)
+        }
+        _ => {
+            let mut staging = fabric.pool_vci(vci).take(len);
+            fill(&mut staging, ty, count, buf, len);
+            Storage::Pooled(staging.freeze().into_storage())
+        }
+    };
+    let done = tracked_peer.map(|_| {
+        litempi_instr::note_alloc(1);
+        Arc::new(AtomicBool::new(false))
+    });
+    Body::Rndv(RndvEntry { storage, len, done })
 }
 
-/// Stage `data` for a pull rendezvous: the one copy a collective message
-/// above the eager ceiling pays. The staging buffer is leased from `vci`'s
-/// arena — no envelope byte, the storage goes into the rendezvous table as
-/// is — and the receiver's lease recycles it, so large collective traffic
-/// allocates nothing once the pool is warm. Several destinations share one
-/// staging (`Arc` clones); the last reader to release it is the recycler.
-pub fn stage_rndv(fabric: &Fabric, vci: usize, data: &[u8]) -> Arc<Vec<u8>> {
-    let mut buf = fabric.pool_vci(vci).take(data.len());
-    buf.put_slice(data);
-    buf.freeze().into_storage()
+impl Body {
+    /// The wire payload for one destination: the eager bytes themselves,
+    /// or a fresh RTS naming a new table entry over the staged body. A
+    /// fan-out clones for all destinations but the last and moves for
+    /// that one, so the sender keeps no handle and whichever receiver
+    /// releases last finds the storage unique and recycles it.
+    pub(crate) fn into_wire(self, proc: &ProcInner, vci: usize) -> Bytes {
+        match self {
+            Body::Eager(wire) => wire,
+            Body::Rndv(entry) => {
+                let (len, key) = (entry.len, entry.key());
+                let rndv_id = proc.univ.park_rndv(entry);
+                // The descriptor is pooled too: rendezvous control traffic
+                // recycles like eager data.
+                let mut rts = proc.endpoint.fabric().pool_vci(vci).take(25);
+                rts.put_u8(1);
+                rts.put_u64_le(rndv_id);
+                rts.put_u64_le(len as u64);
+                rts.put_u64_le(key);
+                rts.freeze()
+            }
+        }
+    }
+
+    /// The rendezvous entry, if the body travels by rendezvous — what a
+    /// call site prices its half of the protocol by.
+    pub(crate) fn rndv(&self) -> Option<&RndvEntry> {
+        match self {
+            Body::Eager(_) => None,
+            Body::Rndv(entry) => Some(entry),
+        }
+    }
 }
 
-/// Build an RDMA-rendezvous RTS payload: the 25-byte descriptor names the
-/// registered region (`key`) the receiver reads the message body from.
-pub fn rts_rma_payload(fabric: &Fabric, vci: usize, rndv_id: u64, len: usize, key: u64) -> Bytes {
-    let mut buf = fabric.pool_vci(vci).take(25);
-    buf.put_u8(2);
-    buf.put_u64_le(rndv_id);
-    buf.put_u64_le(len as u64);
-    buf.put_u64_le(key);
-    buf.freeze()
-}
+// --------------------------------------------------------------- receive
 
 /// Decode a tagged payload, surfacing damage as [`MpiError::Integrity`]
 /// instead of panicking — the entry point the reliability-aware receive
@@ -93,24 +156,14 @@ pub fn try_decode(payload: &Bytes) -> MpiResult<(PayloadKind, DecodedPayload<'_>
     match payload.first() {
         Some(0) => Ok((PayloadKind::Eager, DecodedPayload::Eager(&payload[1..]))),
         Some(1) => {
-            if payload.len() < 17 {
-                return Err(MpiError::Integrity("rts header shorter than 17 bytes"));
-            }
-            let rndv_id = u64::from_le_bytes(payload[1..9].try_into().expect("len checked"));
-            let len = u64::from_le_bytes(payload[9..17].try_into().expect("len checked")) as usize;
-            Ok((PayloadKind::Rts, DecodedPayload::Rts { rndv_id, len }))
-        }
-        Some(2) => {
             if payload.len() < 25 {
-                return Err(MpiError::Integrity("rts-rma header shorter than 25 bytes"));
+                return Err(MpiError::Integrity("rts header shorter than 25 bytes"));
             }
-            let rndv_id = u64::from_le_bytes(payload[1..9].try_into().expect("len checked"));
-            let len = u64::from_le_bytes(payload[9..17].try_into().expect("len checked")) as usize;
-            let key = u64::from_le_bytes(payload[17..25].try_into().expect("len checked"));
-            Ok((
-                PayloadKind::RtsRma,
-                DecodedPayload::RtsRma { rndv_id, len, key },
-            ))
+            let word = |at: usize| {
+                u64::from_le_bytes(payload[at..at + 8].try_into().expect("len checked"))
+            };
+            let (rndv_id, len, key) = (word(1), word(9) as usize, word(17));
+            Ok((PayloadKind::Rts, DecodedPayload::Rts { rndv_id, len, key }))
         }
         _ => Err(MpiError::Integrity("unknown payload envelope kind")),
     }
@@ -121,7 +174,7 @@ pub fn try_decode(payload: &Bytes) -> MpiResult<(PayloadKind, DecodedPayload<'_>
 pub(crate) fn message_len(payload: &Bytes) -> MpiResult<usize> {
     Ok(match try_decode(payload)?.1 {
         DecodedPayload::Eager(data) => data.len(),
-        DecodedPayload::Rts { len, .. } | DecodedPayload::RtsRma { len, .. } => len,
+        DecodedPayload::Rts { len, .. } => len,
     })
 }
 
@@ -136,18 +189,92 @@ pub enum DecodedPayload<'a> {
         rndv_id: u64,
         /// Full message length.
         len: usize,
-    },
-    /// RDMA-rendezvous descriptor: the receiver reads `len` bytes from the
-    /// sender's registered region `key`, then acknowledges via the
-    /// rendezvous table entry `rndv_id`.
-    RtsRma {
-        /// Rendezvous-table key (completion tracking at the sender).
-        rndv_id: u64,
-        /// Full message length.
-        len: usize,
-        /// Sender-side registered-region key holding the wire bytes.
+        /// Remote key of the registered region holding the body; 0 when it
+        /// waits in a pooled staging buffer.
         key: u64,
     },
+}
+
+/// A matched message whose body this rank now owns: the eager wire buffer,
+/// or the rendezvous entry its descriptor named.
+pub(crate) struct Opened {
+    bits: u64,
+    src: NetAddr,
+    pub(crate) body: Body,
+}
+
+/// Open a matched message. An RTS descriptor is checked against the table
+/// entry it names before that entry is claimed: damage (short header,
+/// unknown kind, unknown id, wrong key, wrong length) is
+/// [`MpiError::Integrity`], never a panic, and consumes nothing.
+pub(crate) fn open(proc: &ProcInner, msg: TaggedMessage) -> MpiResult<Opened> {
+    let body = match try_decode(&msg.data)?.1 {
+        DecodedPayload::Eager(_) => Body::Eager(msg.data),
+        DecodedPayload::Rts { rndv_id, len, key } => {
+            let entry = proc.univ.take_rndv(rndv_id, key, len)?;
+            // The descriptor is consumed: recycle its wire buffer.
+            proc.pool_release(msg.match_bits, msg.data);
+            Body::Rndv(entry)
+        }
+    };
+    Ok(Opened {
+        bits: msg.match_bits,
+        src: msg.src,
+        body,
+    })
+}
+
+impl Opened {
+    /// The message length in bytes.
+    pub(crate) fn len(&self) -> usize {
+        match &self.body {
+            Body::Eager(wire) => wire.len() - 1,
+            Body::Rndv(entry) => entry.len,
+        }
+    }
+
+    /// Lend the message bytes to `f` where they lie — the wire buffer, the
+    /// staging buffer, or the sender's region through one RDMA read — then
+    /// finish the message: pooled storage goes back to its home-VCI pool
+    /// (which is what keeps every channel allocation-free), a region back
+    /// to the *origin's* pin-down cache, keyed by this rank, so the
+    /// sender's next large message to us is a registration-cache hit; and
+    /// a sender that tracks the body is told.
+    pub(crate) fn read<R>(self, proc: &ProcInner, f: impl FnOnce(&[u8]) -> R) -> R {
+        let RndvEntry { storage, len, done } = match self.body {
+            Body::Eager(wire) => {
+                let out = f(&wire[1..]);
+                proc.pool_release(self.bits, wire);
+                return out;
+            }
+            Body::Rndv(entry) => entry,
+        };
+        let out = match storage {
+            Storage::Pooled(data) => {
+                let out = f(&data);
+                proc.pool_release(self.bits, Bytes::from_storage(data));
+                out
+            }
+            Storage::Region(region) => {
+                let out = proc.endpoint.rdma_get(self.src, &region, 0, len, f);
+                (proc.endpoint.fabric().endpoint(self.src))
+                    .reg_release(proc.addr_of_world(proc.rank), region);
+                out
+            }
+        };
+        if let Some(done) = done {
+            done.store(true, Ordering::Release);
+            // Raise the completion event on the sender's endpoint — nothing
+            // else announces the flag, and a sender parked on it would
+            // sleep out the park time-out — and let it run: it has waited
+            // since its RTS, and on a shared CPU it would otherwise wait on
+            // until this rank next blocks, however much this rank computes
+            // first.
+            proc.endpoint.signal_peer(self.src);
+            std::thread::yield_now();
+        }
+        out
+    }
 }
 
 // ------------------------------------------------------------------ AM ids
@@ -243,10 +370,13 @@ pub fn decode_acc(h3: u64) -> (u64, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::BuildConfig;
+    use crate::universe::Universe;
     use bytes::BytesMut;
+    use litempi_fabric::{ProviderProfile, Topology};
 
-    /// A wire payload built on the heap: what the pooled builders produce,
-    /// without a fabric to lease from.
+    /// A wire payload built on the heap: what [`stage`] produces, without
+    /// a fabric to lease from.
     fn framed(kind: u8, words: &[u64], data: &[u8]) -> Bytes {
         let mut buf = BytesMut::with_capacity(1 + 8 * words.len() + data.len());
         buf.put_u8(kind);
@@ -261,122 +391,178 @@ mod tests {
         framed(0, &[], data)
     }
 
-    fn rts(rndv_id: u64, len: usize) -> Bytes {
-        framed(1, &[rndv_id, len as u64], &[])
+    fn rts(rndv_id: u64, len: usize, key: u64) -> Bytes {
+        framed(1, &[rndv_id, len as u64, key], &[])
     }
 
-    fn rts_rma(rndv_id: u64, len: usize, key: u64) -> Bytes {
-        framed(2, &[rndv_id, len as u64, key], &[])
+    /// The fields of an RTS descriptor a test built or staged itself.
+    fn rts_fields(payload: &Bytes) -> (u64, usize, u64) {
+        match try_decode(payload) {
+            Ok((PayloadKind::Rts, DecodedPayload::Rts { rndv_id, len, key })) => {
+                (rndv_id, len, key)
+            }
+            other => panic!("not an RTS descriptor: {other:?}"),
+        }
     }
 
-    /// [`try_decode`] for payloads a test built itself.
-    fn decode(payload: &Bytes) -> (PayloadKind, DecodedPayload<'_>) {
-        try_decode(payload).unwrap_or_else(|e| panic!("corrupt payload envelope: {e}"))
+    /// Run `f` as the one rank of a job on `profile`.
+    fn on_one_rank(profile: ProviderProfile, f: impl Fn(&ProcInner) + Send + Sync) {
+        let config = BuildConfig::ch4_default();
+        Universe::run(1, config, profile, Topology::single_node(1), |proc| {
+            f(&proc.inner)
+        });
     }
 
-    #[test]
-    fn eager_roundtrip() {
-        let p = eager(b"payload");
-        match decode(&p) {
-            (PayloadKind::Eager, DecodedPayload::Eager(d)) => assert_eq!(d, b"payload"),
-            other => panic!("{other:?}"),
+    /// [`stage`] for a byte slice in standard mode.
+    fn stage_bytes(proc: &ProcInner, data: &[u8], tracked_peer: Option<usize>) -> Body {
+        let mode = SendMode::Standard;
+        stage(
+            proc,
+            0,
+            &Datatype::BYTE,
+            data.len(),
+            data,
+            mode,
+            tracked_peer,
+        )
+    }
+
+    /// A message from this rank to itself, as the matching engine hands it
+    /// to a receive.
+    fn matched(data: Bytes) -> TaggedMessage {
+        TaggedMessage {
+            src: NetAddr(0),
+            match_bits: 0,
+            data,
         }
     }
 
     #[test]
-    fn empty_eager() {
-        let p = eager(b"");
-        match decode(&p) {
-            (PayloadKind::Eager, DecodedPayload::Eager(d)) => assert!(d.is_empty()),
-            other => panic!("{other:?}"),
+    fn eager_roundtrip() {
+        for data in [&b"payload"[..], b""] {
+            match try_decode(&eager(data)) {
+                Ok((PayloadKind::Eager, DecodedPayload::Eager(d))) => assert_eq!(d, data),
+                other => panic!("{other:?}"),
+            }
         }
     }
 
     #[test]
     fn rts_roundtrip() {
-        let p = rts(0xDEAD_BEEF, 1 << 20);
-        match decode(&p) {
-            (PayloadKind::Rts, DecodedPayload::Rts { rndv_id, len }) => {
-                assert_eq!(rndv_id, 0xDEAD_BEEF);
-                assert_eq!(len, 1 << 20);
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn rts_rma_roundtrip() {
-        let p = rts_rma(0xC0FFEE, 1 << 16, 0xABCD);
-        match decode(&p) {
-            (PayloadKind::RtsRma, DecodedPayload::RtsRma { rndv_id, len, key }) => {
-                assert_eq!((rndv_id, len, key), (0xC0FFEE, 1 << 16, 0xABCD));
-            }
-            other => panic!("{other:?}"),
-        }
-        // Truncated descriptor degrades to an integrity error, not a panic.
-        let e = try_decode(&Bytes::from_static(&[2, 1, 2, 3])).unwrap_err();
-        assert!(matches!(e, MpiError::Integrity(_)));
-    }
-
-    #[test]
-    fn pooled_rts_rma_round_trips() {
-        use litempi_fabric::{ProviderProfile, Topology};
-        let fabric = Fabric::new(1, ProviderProfile::infinite(), Topology::single_node(1));
-        let p = rts_rma_payload(&fabric, 0, 11, 4096, 77);
-        match decode(&p) {
-            (PayloadKind::RtsRma, DecodedPayload::RtsRma { rndv_id, len, key }) => {
-                assert_eq!((rndv_id, len, key), (11, 4096, 77));
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn pooled_builders_round_trip_and_recycle() {
-        use litempi_fabric::{ProviderProfile, Topology};
-        let fabric = Fabric::new(1, ProviderProfile::infinite(), Topology::single_node(1));
-        let p = eager_payload(&fabric, 0, b"data");
-        match decode(&p) {
-            (PayloadKind::Eager, DecodedPayload::Eager(d)) => assert_eq!(d, b"data"),
-            other => panic!("{other:?}"),
-        }
-        fabric.pool().release(p);
-        let p2 = eager_payload(&fabric, 0, b"next");
-        assert_eq!(fabric.pool().stats().hits, 1, "second build reuses storage");
-        let r = rts_payload(&fabric, 0, 7, 99);
-        match decode(&r) {
-            (PayloadKind::Rts, DecodedPayload::Rts { rndv_id, len }) => {
-                assert_eq!((rndv_id, len), (7, 99));
-            }
-            other => panic!("{other:?}"),
-        }
-        drop(p2);
-    }
-
-    #[test]
-    fn staged_rendezvous_storage_recycles_through_the_pool() {
-        use litempi_fabric::{ProviderProfile, Topology};
-        let fabric = Fabric::new(1, ProviderProfile::infinite(), Topology::single_node(1));
-        let staged = stage_rndv(&fabric, 0, &[5u8; 40_000]);
-        assert_eq!(staged[..], [5u8; 40_000], "no envelope byte, data only");
-        // What a receiver's lease does once it has copied the data out.
-        fabric.pool().release(Bytes::from_storage(staged));
-        litempi_instr::reset();
-        let again = stage_rndv(&fabric, 0, &[6u8; 40_000]);
-        assert_eq!(litempi_instr::alloc_count(), 0, "warm pool: no allocation");
-        assert_eq!(again[..], [6u8; 40_000]);
+        let p = rts(0xC0FFEE, 1 << 16, 0xABCD);
+        assert_eq!(rts_fields(&p), (0xC0FFEE, 1 << 16, 0xABCD));
+        assert_eq!(message_len(&p).unwrap(), 1 << 16);
     }
 
     #[test]
     fn try_decode_reports_damage_as_integrity_errors() {
-        // Unknown envelope kind byte (e.g. corrupted in flight, CRC off).
-        let e = try_decode(&Bytes::from_static(&[9, 9, 9])).unwrap_err();
-        assert!(matches!(e, MpiError::Integrity(_)));
+        // Unknown envelope kind byte (e.g. corrupted in flight, CRC off) —
+        // the retired second RTS kind included.
+        for bad in [&[9u8, 9, 9][..], &[2; 25]] {
+            let e = try_decode(&Bytes::copy_from_slice(bad)).unwrap_err();
+            assert!(matches!(e, MpiError::Integrity(_)));
+        }
         // RTS kind byte with a truncated descriptor.
-        let e = try_decode(&Bytes::from_static(&[1, 0, 0])).unwrap_err();
+        let e = try_decode(&Bytes::from_static(&[1; 24])).unwrap_err();
         assert!(matches!(e, MpiError::Integrity(_)));
         // Intact payloads still decode.
         assert!(try_decode(&eager(b"ok")).is_ok());
+    }
+
+    #[test]
+    fn staged_eager_bodies_round_trip_and_recycle() {
+        on_one_rank(ProviderProfile::ofi(), |proc| {
+            let before = proc.endpoint.fabric().pool().stats().hits;
+            for data in [&b"data"[..], b"next"] {
+                let Body::Eager(wire) = stage_bytes(proc, data, Some(0)) else {
+                    panic!("four bytes are eager")
+                };
+                let opened = open(proc, matched(wire)).unwrap();
+                assert!(opened.body.rndv().is_none());
+                assert_eq!(opened.len(), 4);
+                opened.read(proc, |got| assert_eq!(got, data));
+            }
+            let hits = proc.endpoint.fabric().pool().stats().hits - before;
+            assert_eq!(hits, 1, "the second build reuses the first's storage");
+            // Synchronous mode must see the match, whatever the size;
+            // buffered mode never waits for one.
+            let (ty, data) = (Datatype::BYTE, [7u8; 20_000]);
+            let sync = stage(proc, 0, &ty, 4, &data, SendMode::Synchronous, Some(0));
+            assert!(matches!(sync, Body::Rndv(_)));
+            let buffered = stage(proc, 0, &ty, data.len(), &data, SendMode::Buffered, Some(0));
+            assert!(matches!(buffered, Body::Eager(_)));
+        });
+    }
+
+    #[test]
+    fn a_fan_out_shares_one_staging_buffer_and_its_last_reader_recycles_it() {
+        on_one_rank(ProviderProfile::ofi(), |proc| {
+            let data = [5u8; 40_000];
+            let fan_out = |data: &[u8]| {
+                let staged = stage_bytes(proc, data, None);
+                [staged.clone().into_wire(proc, 0), staged.into_wire(proc, 0)]
+            };
+            let read_all = |wires: [Bytes; 2], want: &[u8]| {
+                for wire in wires {
+                    let opened = open(proc, matched(wire)).unwrap();
+                    let entry = opened.body.rndv().expect("above the eager ceiling");
+                    // Untracked: pooled even where the provider has RDMA.
+                    assert!(matches!(entry.storage, Storage::Pooled(_)) && entry.done.is_none());
+                    opened.read(proc, |got| assert_eq!(got, want));
+                }
+            };
+            let wires = fan_out(&data);
+            let (a, b) = (rts_fields(&wires[0]), rts_fields(&wires[1]));
+            assert_ne!(a.0, b.0, "one table entry per destination");
+            assert_eq!((a.1, a.2), (40_000, 0));
+            read_all(wires, &data);
+            assert!(proc.univ.rndv.lock().is_empty());
+            // Staging buffer and both descriptors came back to the pool.
+            litempi_instr::reset();
+            read_all(fan_out(&[6u8; 40_000]), &[6u8; 40_000]);
+            assert_eq!(litempi_instr::alloc_count(), 0, "warm pool: no allocation");
+        });
+    }
+
+    #[test]
+    fn a_damaged_descriptor_consumes_nothing() {
+        // A tracked body waits in a registered region where the provider has
+        // RDMA, in a pooled staging buffer where it does not.
+        for (profile, in_region) in [
+            (ProviderProfile::ofi(), true),
+            (ProviderProfile::am_only(), false),
+        ] {
+            on_one_rank(profile, |proc| {
+                let data: Vec<u8> = (0..50_000u32).map(|i| i as u8).collect();
+                let staged = stage_bytes(proc, &data, Some(0));
+                let entry = staged.rndv().expect("above the eager ceiling");
+                assert_eq!(matches!(entry.storage, Storage::Region(_)), in_region);
+                let done = entry.done.clone().expect("a tracked body carries a flag");
+                let wire = staged.into_wire(proc, 0);
+                let (id, len, key) = rts_fields(&wire);
+                assert_eq!((len, key != 0), (data.len(), in_region));
+                for damaged in [
+                    rts(id, len, key ^ 1),
+                    rts(id, 1 << 20, key),
+                    rts(id, len - 1, key),
+                    rts(id + 99, len, key),
+                ] {
+                    let e = open(proc, matched(damaged)).err();
+                    assert!(matches!(e, Some(MpiError::Integrity(_))), "{e:?}");
+                    assert!(proc.univ.rndv.lock().contains_key(&id), "entry consumed");
+                    assert!(!done.load(Ordering::Acquire));
+                }
+                // The rightful receiver still completes, and tells the sender.
+                let opened = open(proc, matched(wire)).unwrap();
+                assert_eq!(opened.len(), data.len());
+                opened.read(proc, |got| assert_eq!(got, data));
+                assert!(done.load(Ordering::Acquire));
+                assert!(proc.univ.rndv.lock().is_empty());
+                // A replayed descriptor finds nothing.
+                let e = open(proc, matched(rts(id, len, key))).err();
+                assert!(matches!(e, Some(MpiError::Integrity(_))));
+            });
+        }
     }
 
     #[test]

@@ -21,12 +21,15 @@ use crate::comm::Communicator;
 use crate::error::{MpiError, MpiResult};
 use crate::match_bits::{self, ANY_SOURCE, PROC_NULL};
 use crate::process::{Posted, ProcInner};
-use crate::proto;
+use crate::proto::{self, Body};
 use crate::request::{wait_loop, RecvDest, Request};
 use crate::status::Status;
+use crate::universe::Storage;
 use bytes::Bytes;
 use litempi_datatype::{pack, Datatype, MpiPrimitive};
 use litempi_instr::{charge, cost, Category};
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
 
 /// Send mode (`MPI_SEND` family).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -382,77 +385,46 @@ pub(crate) fn isend_impl(
         }
 
         // ---- protocol ------------------------------------------------------
-        let fabric = proc.endpoint.fabric();
-        let wire_len = pack::packed_size(ty, count);
-        let max_eager = fabric.profile().caps.max_eager;
-        // Buffered mode always completes locally (the library owns a copy);
-        // synchronous mode must rendezvous to observe the match.
-        let eager_ok =
-            mode == SendMode::Buffered || (wire_len <= max_eager && mode != SendMode::Synchronous);
-
-        if eager_ok {
-            // Single-copy pipeline: user buffer straight into the (pooled)
-            // wire buffer, no staging Vec.
-            let payload = proto::eager_packed(fabric, vci, ty, count, buf);
-            inject(proc, dest_world, bits, payload, &opts);
-            if opts.no_request || opts.all_opts {
-                comm.noreq.lock().issued += 1;
-            }
-            Ok(Request::done(Status::send()))
-        } else {
-            litempi_instr::note_alloc(1);
-            let data: Vec<u8> = if ty.is_contiguous() {
-                buf[..wire_len].to_vec()
-            } else {
-                pack::pack(ty, count, buf)
-            };
-            let (done, payload) = if fabric.profile().caps.native_rdma {
-                // foMPI-style RDMA rendezvous: stage the wire bytes in a
-                // registered region leased from the per-peer pin-down
-                // cache; the receiver RDMA-reads them at match time, no
-                // pull-table round trip through the progress engine.
-                charge(Category::Rma, cost::rma::RNDV_EXPOSE);
-                let region = proc
-                    .endpoint
-                    .reg_acquire(proc.addr_of_world(dest_world), wire_len);
-                region.write(0, &data);
-                let key = region.key().0;
-                let (rndv_id, done) = proc.univ.alloc_rndv_rma(region, proc.rank);
-                (
-                    done,
-                    proto::rts_rma_payload(fabric, vci, rndv_id, wire_len, key),
-                )
-            } else {
-                // Pull-based rendezvous: the payload drains through
-                // eager-sized bounce chunks. The sender pays the RTS plus
-                // one serve step per chunk; the receiver pays its half
-                // (request + deliver per chunk) at match time.
-                charge(
-                    Category::Progress,
-                    (1 + cost::progress::rndv_chunks(wire_len)) * cost::progress::RNDV_STEP,
-                );
-                // The rendezvous table takes ownership — moved, never cloned.
-                let (rndv_id, done) = proc.univ.alloc_rndv(data);
-                (done, proto::rts_payload(fabric, vci, rndv_id, wire_len))
-            };
-            inject(proc, dest_world, bits, payload, &opts);
-            if opts.no_request || opts.all_opts {
-                let mut state = comm.noreq.lock();
-                state.issued += 1;
-                state.pending.push(done);
-                Ok(Request::done(Status::send()))
-            } else {
-                let fatal = comm.errhandler() == crate::comm::Errhandler::ErrorsAreFatal;
-                Ok(Request::send_rndv(
-                    proc.clone(),
-                    done,
-                    Some(dest_world),
-                    fatal,
-                    comm.context_id().0,
-                ))
-            }
+        let staged = proto::stage(proc, vci, ty, count, buf, mode, Some(dest_world));
+        let done = charge_rndv_send(&staged);
+        inject(proc, dest_world, bits, staged.into_wire(proc, vci), &opts);
+        if opts.no_request || opts.all_opts {
+            let mut state = comm.noreq.lock();
+            state.issued += 1;
+            state.pending.extend(done);
+            return Ok(Request::done(Status::send()));
         }
+        Ok(match done {
+            None => Request::done(Status::send()),
+            Some(done) => Request::send_rndv(
+                proc.clone(),
+                done,
+                Some(dest_world),
+                comm.errhandler() == crate::comm::Errhandler::ErrorsAreFatal,
+                comm.context_id().0,
+            ),
+        })
     })
+}
+
+/// Charge the sender's half of a rendezvous, by where [`proto::stage`] put
+/// the body, and return the completion flag the receiver will set (`None`:
+/// the send was eager and is complete). A registered region is the
+/// foMPI-style RDMA rendezvous: the receiver reads it at match time, no
+/// round trip through the progress engine. A pooled staging buffer drains
+/// through eager-sized bounce chunks: the RTS plus one serve step per
+/// chunk here, the receiver's half (request + deliver per chunk) at match
+/// time.
+pub(crate) fn charge_rndv_send(staged: &Body) -> Option<Arc<AtomicBool>> {
+    let entry = staged.rndv()?;
+    match entry.storage {
+        Storage::Region(_) => charge(Category::Rma, cost::rma::RNDV_EXPOSE),
+        Storage::Pooled(_) => charge(
+            Category::Progress,
+            (1 + cost::progress::rndv_chunks(entry.len)) * cost::progress::RNDV_STEP,
+        ),
+    }
+    entry.done.clone()
 }
 
 // -------------------------------------------------------------- recv path

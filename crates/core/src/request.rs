@@ -14,8 +14,9 @@
 use crate::error::{MpiError, MpiResult};
 use crate::match_bits;
 use crate::process::{Posted, ProcInner};
-use crate::proto::{self, DecodedPayload};
+use crate::proto;
 use crate::status::Status;
+use crate::universe::Storage;
 use litempi_datatype::{pack, Datatype};
 use litempi_fabric::TaggedMessage;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -66,100 +67,33 @@ impl RecvDest<'_> {
     }
 }
 
-/// Receiver side of the RDMA rendezvous: claim the table entry, validate
-/// the descriptor against it, RDMA-read the staged wire bytes straight
-/// into `dest`, return the region to the origin's registration cache, and
-/// signal the sender. Returns the delivered byte count. Descriptor damage
-/// (missing entry, key mismatch, oversize length) surfaces as
-/// [`MpiError::Integrity`], never a panic.
-pub(crate) fn fetch_rndv_rma(
-    proc: &ProcInner,
-    rndv_id: u64,
-    len: usize,
-    key: u64,
-    dest: &mut RecvDest<'_>,
-) -> MpiResult<usize> {
-    use litempi_instr::{charge, cost, Category};
-    let entry = proc.univ.take_rndv_rma(rndv_id).ok_or(MpiError::Integrity(
-        "rdma-rendezvous entry vanished (damaged or replayed RTS descriptor)",
-    ))?;
-    if entry.region.key().0 != key {
-        return Err(MpiError::Integrity(
-            "rdma-rendezvous descriptor names the wrong region",
-        ));
-    }
-    if len > entry.region.len() {
-        return Err(MpiError::Integrity(
-            "rdma-rendezvous length exceeds the staged region",
-        ));
-    }
-    let origin_addr = proc.addr_of_world(entry.origin);
-    charge(Category::Rma, cost::rma::RNDV_GET);
-    let delivered = proc
-        .endpoint
-        .rdma_get(origin_addr, &entry.region, 0, len, |wire| {
-            dest.deliver(wire)
-        });
-    // Lease back to the *origin's* pin-down cache, keyed by this rank (the
-    // peer the origin acquired it for), so the sender's next large message
-    // to us is a registration-cache hit.
-    proc.endpoint
-        .fabric()
-        .endpoint(origin_addr)
-        .reg_release(proc.addr_of_world(proc.rank), entry.region);
-    entry.done.store(true, Ordering::Release);
-    release_sender(proc, origin_addr);
-    delivered
-}
-
-/// A rendezvous pull just set `sender`'s done flag. Raise the completion
-/// event on its endpoint — nothing else announces the flag, and a sender
-/// parked on it would sleep out the park time-out — and let it run: it has
-/// waited since its RTS, and on a shared CPU it would otherwise wait on
-/// until this rank next blocks, however much this rank computes first.
-fn release_sender(proc: &ProcInner, sender: litempi_fabric::NetAddr) {
-    proc.endpoint.signal_peer(sender);
-    std::thread::yield_now();
-}
-
 /// Resolve a matched message (eager or rendezvous) into the destination
-/// buffer, producing the receive status. Consumes the wire payload so its
-/// storage can be recycled through the fabric's buffer pool — the step
-/// that keeps the eager pipeline allocation-free in steady state.
+/// buffer, producing the receive status.
 pub(crate) fn complete_recv(
     proc: &ProcInner,
     msg: TaggedMessage,
     dest: &mut RecvDest<'_>,
 ) -> MpiResult<Status> {
-    let bits = msg.match_bits;
-    let (_, decoded) = proto::try_decode(&msg.data)?;
-    let bytes = match decoded {
-        DecodedPayload::Eager(data) => dest.deliver(data)?,
-        DecodedPayload::Rts { rndv_id, len, .. } => {
-            // Receiver's half of the pull protocol: one request and one
-            // deliver step per eager-sized bounce chunk, through the
-            // progress engine.
-            litempi_instr::charge(
-                litempi_instr::Category::Progress,
-                2 * litempi_instr::cost::progress::rndv_chunks(len)
-                    * litempi_instr::cost::progress::RNDV_STEP,
-            );
-            let data = proc.univ.pull_rndv(rndv_id).ok_or(MpiError::Integrity(
-                "rendezvous entry vanished (damaged or replayed RTS descriptor)",
-            ))?;
-            let delivered = dest.deliver(&data);
-            release_sender(proc, msg.src);
-            delivered?
-        }
-        DecodedPayload::RtsRma { rndv_id, len, key } => {
-            fetch_rndv_rma(proc, rndv_id, len, key, dest)?
-        }
-    };
-    proc.pool_release(bits, msg.data);
+    use litempi_instr::{charge, cost, Category};
+    let (bits, src) = (msg.match_bits, msg.src);
+    let opened = proto::open(proc, msg)?;
+    // The receiver's half of a rendezvous, by where the body waits: one
+    // RDMA read whatever the size, or the pull protocol — one request and
+    // one deliver step per eager-sized bounce chunk, through the progress
+    // engine.
+    match opened.body.rndv().map(|entry| &entry.storage) {
+        None => {}
+        Some(Storage::Region(_)) => charge(Category::Rma, cost::rma::RNDV_GET),
+        Some(Storage::Pooled(_)) => charge(
+            Category::Progress,
+            2 * cost::progress::rndv_chunks(opened.len()) * cost::progress::RNDV_STEP,
+        ),
+    }
+    let bytes = opened.read(proc, |wire| dest.deliver(wire))?;
     let source = if match_bits::is_nomatch(bits) {
         // No source bits on the nomatch channel; report the physical
         // sender's world rank (documented extension semantics).
-        msg.src.index() as i32
+        src.index() as i32
     } else {
         match_bits::decode_src(bits) as i32
     };
@@ -392,99 +326,17 @@ impl<'buf> Request<'buf> {
         }
     }
 
-    /// Resolve a completed RMA reply into the request's status: fetching
-    /// ops deliver the payload into the caller's buffer; acknowledged
-    /// stores complete with send-status semantics.
-    fn finish_rma(
-        proc: &ProcInner,
-        data: Vec<u8>,
-        dest: &mut Option<RecvDest<'_>>,
-        peer: Option<usize>,
-        fatal: bool,
-    ) -> MpiResult<Status> {
-        proc.endpoint.note_win_ops_completed(1);
-        match dest {
-            Some(d) => fatal_filter(
-                d.deliver(&data).map(|bytes| Status {
-                    source: peer.map_or(0, |p| p as i32),
-                    tag: 0,
-                    bytes,
-                }),
-                fatal,
-            ),
-            None => Ok(Status::send()),
-        }
-    }
-
-    /// `MPI_WAIT`: block until the operation completes.
-    pub fn wait(mut self) -> MpiResult<Status> {
-        match self.test()? {
-            Some(status) => Ok(status),
-            None => {
-                // Re-enter the blocking path on the remaining variants. Each
-                // poll checks completion first, then peer liveness, so a
-                // message that raced ahead of the death notice still lands.
-                match std::mem::replace(&mut self.inner, ReqInner::Consumed) {
-                    ReqInner::SendRndv {
-                        proc,
-                        done,
-                        peer,
-                        fatal,
-                        ctx,
-                    } => {
-                        wait_loop(&proc, || {
-                            poll_or_death(&proc, peer, fatal, Some(ctx), || {
-                                done.load(Ordering::Acquire).then_some(())
-                            })
-                        })?;
-                        Ok(Status::send())
-                    }
-                    ReqInner::Recv {
-                        proc,
-                        posted,
-                        mut dest,
-                        peer,
-                        fatal,
-                        ctx,
-                    } => {
-                        let polled = wait_loop(&proc, || {
-                            poll_or_death(&proc, peer, fatal, Some(ctx), || posted.poll())
-                        });
-                        finish_recv(&proc, &posted, polled, &mut dest, fatal)
-                    }
-                    ReqInner::Coll { proc, sched, fatal } => {
-                        let r = wait_loop(&proc, || sched.progress(&proc).transpose());
-                        fatal_filter(r, fatal)
-                    }
-                    ReqInner::Rma {
-                        proc,
-                        slot,
-                        mut dest,
-                        peer,
-                        fatal,
-                        ctx,
-                    } => {
-                        let data = wait_loop(&proc, || {
-                            poll_or_death(&proc, peer, fatal, Some(ctx), || slot.lock().take())
-                        })?;
-                        Self::finish_rma(&proc, data, &mut dest, peer, fatal)
-                    }
-                    ReqInner::Done(s) => Ok(s),
-                    ReqInner::Consumed => Err(MpiError::InvalidRequest("request already consumed")),
-                }
-            }
-        }
-    }
-
-    /// `MPI_TEST`: nonblocking completion check. On completion the request
-    /// transitions to `Done` and subsequent `wait`/`test` return the same
-    /// status.
-    pub fn test(&mut self) -> MpiResult<Option<Status>> {
-        let inner = std::mem::replace(&mut self.inner, ReqInner::Consumed);
-        match inner {
-            ReqInner::Done(s) => {
-                self.inner = ReqInner::Done(s);
-                Ok(Some(s))
+    /// One look at the operation: `None` while it is pending, else its
+    /// outcome, which also settles the request — a completed one stays
+    /// `Done` (later `wait`/`test` calls return the same status), an
+    /// errored one stays `Consumed` (drained, per FT semantics). Each
+    /// variant checks completion first, then peer liveness, so a message
+    /// that raced ahead of the death notice still lands.
+    fn poll(&mut self) -> Option<MpiResult<Status>> {
+        let outcome = match &mut self.inner {
+            ReqInner::Done(s) => return Some(Ok(*s)),
+            ReqInner::Consumed => {
+                return Some(Err(MpiError::InvalidRequest("request already consumed")))
             }
             ReqInner::SendRndv {
                 proc,
@@ -492,109 +344,84 @@ impl<'buf> Request<'buf> {
                 peer,
                 fatal,
                 ctx,
-            } => {
-                proc.progress();
-                let polled = poll_or_death(&proc, peer, fatal, Some(ctx), || {
-                    done.load(Ordering::Acquire).then_some(())
-                });
-                match polled {
-                    Some(Ok(())) => {
-                        let s = Status::send();
-                        self.inner = ReqInner::Done(s);
-                        Ok(Some(s))
-                    }
-                    // A dead peer errors the request (it stays Consumed —
-                    // drained, per FT semantics) instead of pending forever.
-                    Some(Err(e)) => Err(e),
-                    None => {
-                        self.inner = ReqInner::SendRndv {
-                            proc,
-                            done,
-                            peer,
-                            fatal,
-                            ctx,
-                        };
-                        Ok(None)
-                    }
-                }
-            }
+            } => poll_or_death(proc, *peer, *fatal, Some(*ctx), || {
+                done.load(Ordering::Acquire).then_some(())
+            })?
+            .map(|()| Status::send()),
             ReqInner::Recv {
                 proc,
                 posted,
-                mut dest,
+                dest,
                 peer,
                 fatal,
                 ctx,
             } => {
-                proc.progress();
-                match poll_or_death(&proc, peer, fatal, Some(ctx), || posted.poll()) {
-                    Some(polled) => {
-                        let s = finish_recv(&proc, &posted, polled, &mut dest, fatal)?;
-                        self.inner = ReqInner::Done(s);
-                        Ok(Some(s))
-                    }
-                    None => {
-                        self.inner = ReqInner::Recv {
-                            proc,
-                            posted,
-                            dest,
-                            peer,
-                            fatal,
-                            ctx,
-                        };
-                        Ok(None)
-                    }
-                }
+                let polled = poll_or_death(proc, *peer, *fatal, Some(*ctx), || posted.poll())?;
+                finish_recv(proc, posted, polled, dest, *fatal)
             }
+            // A failed schedule has latched the error and cancelled its
+            // receives.
             ReqInner::Coll { proc, sched, fatal } => {
-                proc.progress();
-                match sched.progress(&proc) {
-                    Ok(Some(s)) => {
-                        self.inner = ReqInner::Done(s);
-                        Ok(Some(s))
-                    }
-                    Ok(None) => {
-                        self.inner = ReqInner::Coll { proc, sched, fatal };
-                        Ok(None)
-                    }
-                    // The schedule latched the error and cancelled its
-                    // receives; the request stays Consumed (drained).
-                    Err(e) => fatal_filter(Err(e), fatal).map(|_| None),
-                }
+                fatal_filter(sched.progress(proc).transpose()?, *fatal)
             }
+            // On an error the reply slot stays registered (see the variant
+            // doc): a racing reply is absorbed, never a protocol fault.
             ReqInner::Rma {
                 proc,
                 slot,
-                mut dest,
+                dest,
                 peer,
                 fatal,
                 ctx,
             } => {
-                proc.progress();
-                match poll_or_death(&proc, peer, fatal, Some(ctx), || slot.lock().take()) {
-                    Some(Ok(data)) => {
-                        let s = Self::finish_rma(&proc, data, &mut dest, peer, fatal)?;
-                        self.inner = ReqInner::Done(s);
-                        Ok(Some(s))
-                    }
-                    // The reply slot stays registered (see the variant doc):
-                    // a racing reply is absorbed, never a protocol fault.
-                    Some(Err(e)) => Err(e),
-                    None => {
-                        self.inner = ReqInner::Rma {
-                            proc,
-                            slot,
-                            dest,
-                            peer,
-                            fatal,
-                            ctx,
-                        };
-                        Ok(None)
-                    }
-                }
+                let reply = poll_or_death(proc, *peer, *fatal, Some(*ctx), || slot.lock().take())?;
+                reply.and_then(|data| {
+                    proc.endpoint.note_win_ops_completed(1);
+                    // Fetching ops deliver the reply into the caller's
+                    // buffer; acknowledged stores complete like a send.
+                    let Some(dest) = dest else {
+                        return Ok(Status::send());
+                    };
+                    let status = dest.deliver(&data).map(|bytes| Status {
+                        source: peer.map_or(0, |p| p as i32),
+                        tag: 0,
+                        bytes,
+                    });
+                    fatal_filter(status, *fatal)
+                })
             }
-            ReqInner::Consumed => Err(MpiError::InvalidRequest("request already consumed")),
+        };
+        self.inner = match outcome {
+            Ok(s) => ReqInner::Done(s),
+            Err(_) => ReqInner::Consumed,
+        };
+        Some(outcome)
+    }
+
+    /// `MPI_WAIT`: block until the operation completes. Waiting on a
+    /// pending operation drives progress before the first look, found
+    /// complete or not: a rank whose messages have always arrived by the
+    /// time it waits would otherwise never run its retransmit timers or
+    /// answer an active message (`p2p_lossy` reads +26 % without it).
+    pub fn wait(mut self) -> MpiResult<Status> {
+        if let Some(status) = self.test()? {
+            return Ok(status);
         }
+        let proc = self
+            .proc()
+            .expect("a pending request has a process")
+            .clone();
+        wait_loop(&proc, || self.poll())
+    }
+
+    /// `MPI_TEST`: nonblocking completion check. On completion the request
+    /// transitions to `Done` and subsequent `wait`/`test` return the same
+    /// status.
+    pub fn test(&mut self) -> MpiResult<Option<Status>> {
+        if let Some(proc) = self.proc() {
+            proc.progress();
+        }
+        self.poll().transpose()
     }
 
     /// `MPI_CANCEL` (receives only): `true` if cancelled before matching.

@@ -31,7 +31,7 @@
 //! schedule issues charge their own injection categories, so the calibrated
 //! totals (221/215/59/253) are untouched.
 
-use crate::coll::{binomial_children, issue_window, parent_of, send_staged, Payload};
+use crate::coll::{binomial_children, copy_exact, issue_window, parent_of, send_staged};
 use crate::comm::{CommShared, Communicator, Errhandler};
 use crate::error::{MpiError, MpiResult};
 use crate::group::Group;
@@ -39,10 +39,11 @@ use crate::hier::{self, HierPlan};
 use crate::match_bits::{self, ContextId};
 use crate::op::Op;
 use crate::process::{Posted, ProcInner};
+use crate::proto::{self, Opened};
 use crate::request::{poll_or_death, wait_loop, Request};
 use crate::status::Status;
-use bytes::Bytes;
 use litempi_datatype::{Datatype, MpiPrimitive};
+use litempi_fabric::TaggedMessage;
 use litempi_instr::{charge, cost, Category};
 use litempi_trace::{event::coll_op, EventKind};
 use parking_lot::Mutex;
@@ -201,7 +202,7 @@ pub(crate) struct Schedule {
     cur: usize,
     issued: bool,
     /// Reduction operands received (`Sink::Hold`) and not yet folded.
-    held: Vec<Option<Payload>>,
+    held: Vec<Option<Opened>>,
     live: Vec<LiveRecv>,
     /// Bytes of result this rank ends up with (0 off-root for reduce).
     result_bytes: usize,
@@ -390,8 +391,7 @@ impl Schedule {
                         .take()
                         .expect("reduce vertex ahead of its receive");
                     let inout = &mut mem.acc[dst.start..dst.start + dst.len];
-                    op.apply(ty, inout, operand.bytes())?;
-                    operand.release(proc);
+                    operand.read(proc, |data| op.apply(ty, inout, data))?;
                 }
             }
             self.charge((next - i) as u64 * cost::schedule::VERTEX_ISSUE);
@@ -415,45 +415,36 @@ impl Schedule {
             };
             let dst = self.live.swap_remove(i).dst;
             self.charge(cost::schedule::VERTEX_COMPLETE);
-            self.deliver(proc, mem, msg.match_bits, msg.data, dst)?;
+            self.deliver(proc, mem, msg, dst)?;
         }
         Ok(())
     }
 
     /// Hand a matched message (eager or rendezvous) to its sink. A copying
-    /// sink reads the wire or staging buffer straight into its span and
-    /// recycles what carried the message; a holding sink keeps it for the
-    /// `Reduce` vertex, which recycles it after the fold.
+    /// sink reads the wire or staging buffer straight into its span; a
+    /// holding sink keeps the opened message, unread, for the `Reduce`
+    /// vertex to fold from.
     fn deliver(
         &mut self,
         proc: &ProcInner,
         mem: &mut Mem<'_>,
-        bits: u64,
-        wire: Bytes,
+        msg: TaggedMessage,
         dst: Sink,
     ) -> MpiResult<()> {
-        let msg = Payload::open(proc, bits, wire)?;
+        let msg = proto::open(proc, msg)?;
         match dst {
-            Sink::Discard => {}
-            Sink::Into(s) => {
-                if msg.bytes().len() != s.len {
-                    return Err(MpiError::Truncate {
-                        message: msg.bytes().len(),
-                        buffer: s.len,
-                    });
-                }
-                mem.acc[s.start..s.start + s.len].copy_from_slice(msg.bytes());
-            }
+            Sink::Discard => msg.read(proc, |_| Ok(())),
+            Sink::Into(s) => msg.read(proc, |data| {
+                copy_exact(data, &mut mem.acc[s.start..s.start + s.len])
+            }),
             Sink::Hold(slot) => {
                 if self.held.len() <= slot {
                     self.held.resize_with(slot + 1, || None);
                 }
                 self.held[slot] = Some(msg);
-                return Ok(());
+                Ok(())
             }
         }
-        msg.release(proc);
-        Ok(())
     }
 }
 

@@ -8,32 +8,48 @@
 //! [`UnivShared`] — see each field for the real-MPI mechanism it stands for.
 
 use crate::config::BuildConfig;
+use crate::error::{MpiError, MpiResult};
 use crate::process::{ProcInner, Process};
 use litempi_fabric::{Fabric, NetAddr, ProviderProfile, Topology};
 use parking_lot::Mutex;
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A rendezvous-table entry: data exposed by a sender for the receiver to
-/// pull (RDMA-read rendezvous), plus the sender's completion flag — absent
-/// for fire-and-forget collective sends, which never look at it.
+/// Where a rendezvous body waits for its receiver (`proto::stage` picks).
+#[derive(Clone)]
+pub(crate) enum Storage {
+    /// A registered region leased from the sender's per-peer pin-down
+    /// cache: the receiver RDMA-reads it and hands it back to that cache.
+    Region(litempi_fabric::MemoryRegion),
+    /// A pooled staging buffer the receiver reads in place and recycles; a
+    /// fan-out parks `Arc` clones of one buffer under an id per reader.
+    Pooled(Arc<Vec<u8>>),
+}
+
+/// A rendezvous-table entry: a body staged by a sender until the receiver
+/// its RTS descriptor went to opens it.
+#[derive(Clone)]
 pub(crate) struct RndvEntry {
-    pub data: Arc<Vec<u8>>,
+    pub storage: Storage,
+    /// Message length — a region is as long as its size class.
+    pub len: usize,
+    /// The sender's completion flag; absent for fire-and-forget
+    /// (collective-channel) sends, which never look at it.
     pub done: Option<Arc<AtomicBool>>,
 }
 
-/// An RDMA-rendezvous entry: the sender staged the wire bytes in a
-/// registered region and the receiver RDMA-reads them directly (foMPI-style
-/// one-sided rendezvous). The entry tracks the staged region so the
-/// receiver can return it to the *origin's* registration cache after the
-/// read, plus the sender's completion flag and the origin's world rank.
-pub(crate) struct RmaRndvEntry {
-    pub region: litempi_fabric::MemoryRegion,
-    pub done: Arc<AtomicBool>,
-    pub origin: usize,
+impl RndvEntry {
+    /// What the RTS descriptor carries beside id and length: the region's
+    /// remote key, 0 (no region has it) for a pooled body.
+    pub(crate) fn key(&self) -> u64 {
+        match &self.storage {
+            Storage::Region(region) => region.key().0,
+            Storage::Pooled(_) => 0,
+        }
+    }
 }
 
 /// Key for collective object creation: (parent context, per-communicator
@@ -103,12 +119,8 @@ pub(crate) struct UnivShared {
     /// uniqueness guarantee (allocation still happens inside a collective
     /// `meet`, so all members see the same id).
     pub next_ctx: AtomicU16,
-    /// Rendezvous (RTS/pull) table for large and synchronous sends.
+    /// Rendezvous table: the bodies of large and synchronous sends.
     pub rndv: Mutex<HashMap<u64, RndvEntry>>,
-    /// RDMA-rendezvous table: entries whose payload lives in a registered
-    /// region instead of a staged heap buffer (shares the id space with
-    /// `rndv` via `next_rndv`).
-    pub rndv_rma: Mutex<HashMap<u64, RmaRndvEntry>>,
     /// Rendezvous id allocator.
     pub next_rndv: AtomicU64,
     /// Window id allocator.
@@ -118,72 +130,36 @@ pub(crate) struct UnivShared {
 }
 
 impl UnivShared {
-    /// Park `data` in the rendezvous table until the receiver pulls it.
-    /// Takes the payload by move — the table holds the only copy.
-    pub(crate) fn alloc_rndv(&self, data: Vec<u8>) -> (u64, Arc<AtomicBool>) {
-        let done = Arc::new(AtomicBool::new(false));
-        // The shared handle for the staged payload.
-        litempi_instr::note_alloc(1);
-        let id = self.park_rndv(Arc::new(data), Some(done.clone()));
-        (id, done)
-    }
-
-    /// Expose already-staged storage (see `proto::stage_rndv`) for one
-    /// receiver to pull, fire-and-forget: no completion flag, and nothing
-    /// allocated here — a fan-out calls this once per destination with
-    /// clones of one staging buffer.
-    pub(crate) fn expose_rndv(&self, data: Arc<Vec<u8>>) -> u64 {
-        self.park_rndv(data, None)
-    }
-
-    fn park_rndv(&self, data: Arc<Vec<u8>>, done: Option<Arc<AtomicBool>>) -> u64 {
+    /// Park a staged body until its receiver takes it; the id goes into
+    /// the RTS descriptor.
+    pub(crate) fn park_rndv(&self, entry: RndvEntry) -> u64 {
         let id = self.next_rndv.fetch_add(1, Ordering::Relaxed);
-        self.rndv.lock().insert(id, RndvEntry { data, done });
+        self.rndv.lock().insert(id, entry);
         id
     }
 
-    /// Receiver side of the rendezvous pull: take the staged data out of
-    /// the table (no copy), signal the sender. Returns `None` when no
-    /// entry exists — a damaged or replayed RTS descriptor, which the
-    /// receive path surfaces as an integrity error rather than a panic.
-    pub(crate) fn pull_rndv(&self, id: u64) -> Option<Arc<Vec<u8>>> {
-        let entry = self.rndv.lock().remove(&id)?;
-        if let Some(done) = entry.done {
-            done.store(true, Ordering::Release);
+    /// Receiver side: claim the entry an RTS descriptor names — if the
+    /// descriptor describes it. A damaged or replayed descriptor (unknown
+    /// id, wrong key, wrong length) is an integrity error and consumes
+    /// nothing: the entry it happened to name stays for its own receiver.
+    pub(crate) fn take_rndv(&self, id: u64, key: u64, len: usize) -> MpiResult<RndvEntry> {
+        let mut table = self.rndv.lock();
+        let Entry::Occupied(slot) = table.entry(id) else {
+            return Err(MpiError::Integrity(
+                "rendezvous entry vanished (damaged or replayed RTS descriptor)",
+            ));
+        };
+        if slot.get().key() != key {
+            return Err(MpiError::Integrity(
+                "rendezvous descriptor names the wrong region",
+            ));
         }
-        Some(entry.data)
-    }
-
-    /// Park a registered region holding staged wire bytes in the
-    /// RDMA-rendezvous table. `origin` is the sender's world rank — the
-    /// receiver returns the region to that endpoint's registration cache
-    /// once the RDMA read completes.
-    pub(crate) fn alloc_rndv_rma(
-        &self,
-        region: litempi_fabric::MemoryRegion,
-        origin: usize,
-    ) -> (u64, Arc<AtomicBool>) {
-        let id = self.next_rndv.fetch_add(1, Ordering::Relaxed);
-        let done = Arc::new(AtomicBool::new(false));
-        litempi_instr::note_alloc(1);
-        self.rndv_rma.lock().insert(
-            id,
-            RmaRndvEntry {
-                region,
-                done: done.clone(),
-                origin,
-            },
-        );
-        (id, done)
-    }
-
-    /// Receiver side of the RDMA rendezvous: claim the entry naming the
-    /// sender's staged region. The caller performs the RDMA read, returns
-    /// the region to the origin's registration cache, and signals `done`.
-    /// `None` means a damaged or replayed descriptor — an integrity error
-    /// upstream, never a panic.
-    pub(crate) fn take_rndv_rma(&self, id: u64) -> Option<RmaRndvEntry> {
-        self.rndv_rma.lock().remove(&id)
+        if slot.get().len != len {
+            return Err(MpiError::Integrity(
+                "rendezvous descriptor length differs from the staged body",
+            ));
+        }
+        Ok(slot.remove())
     }
 }
 
@@ -213,7 +189,6 @@ impl Universe {
             fabric,
             next_ctx: AtomicU16::new(1), // 0 is MPI_COMM_WORLD
             rndv: Mutex::new(HashMap::new()),
-            rndv_rma: Mutex::new(HashMap::new()),
             next_rndv: AtomicU64::new(1),
             next_win: AtomicU64::new(1),
             meet: MeetTable::new(),
@@ -393,24 +368,21 @@ mod tests {
     }
 
     #[test]
-    fn rndv_alloc_and_pull() {
+    fn rndv_take_checks_the_descriptor_then_consumes_the_entry() {
         let out = Universe::run_default(1, |proc| {
             let univ = proc.univ();
-            let (id, done) = univ.alloc_rndv(vec![1, 2, 3]);
-            assert!(!done.load(Ordering::Acquire));
-            let data = univ.pull_rndv(id).expect("entry present");
-            assert_eq!(&*data, &vec![1, 2, 3]);
-            assert!(done.load(Ordering::Acquire));
-            assert!(univ.pull_rndv(id).is_none(), "pull consumes the entry");
-            // A fan-out exposes one staging buffer under an id per reader;
-            // the last handle standing is unique again (recyclable).
-            let staged = Arc::new(vec![7u8; 4]);
-            let (a, b) = (univ.expose_rndv(staged.clone()), univ.expose_rndv(staged));
-            let first = univ.pull_rndv(a).expect("first reader");
-            let mut last = univ.pull_rndv(b).expect("second reader");
-            assert!(Arc::ptr_eq(&first, &last));
-            drop(first);
-            assert!(Arc::get_mut(&mut last).is_some());
+            let id = univ.park_rndv(RndvEntry {
+                storage: Storage::Pooled(Arc::new(vec![1, 2, 3])),
+                len: 3,
+                done: None,
+            });
+            // Wrong key, wrong length, unknown id: errors, entry untouched.
+            assert!(univ.take_rndv(id, 9, 3).is_err());
+            assert!(univ.take_rndv(id, 0, 4).is_err());
+            assert!(univ.take_rndv(id + 1, 0, 3).is_err());
+            let entry = univ.take_rndv(id, 0, 3).expect("entry present");
+            assert!(matches!(entry.storage, Storage::Pooled(data) if *data == [1, 2, 3]));
+            assert!(univ.take_rndv(id, 0, 3).is_err(), "take consumes the entry");
             true
         });
         assert!(out[0]);

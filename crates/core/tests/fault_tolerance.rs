@@ -150,6 +150,54 @@ fn killed_peer_fails_persistent_waits_instead_of_hanging() {
 }
 
 #[test]
+fn killed_peer_fails_an_intercomm_receive_instead_of_hanging() {
+    // Rank 1 dies somewhere inside its stream of intercommunicator
+    // messages (the kill switch counts the packets that built the
+    // intercommunicator too); rank 0's receive of the first one that never
+    // left must return the death, not wait for it.
+    const STREAM: usize = 64;
+    let profile = ProviderProfile::infinite().with_faults(FaultPlan::none().with_kill(1, 24));
+    let out = Universe::run(
+        2,
+        BuildConfig::ch4_default(),
+        profile,
+        Topology::single_node(2),
+        |proc| {
+            let world = proc.world();
+            let me = proc.rank();
+            let alone = world.split(me as i32, 0).unwrap().unwrap();
+            // The intercommunicator inherits the handler.
+            alone.set_errhandler(Errhandler::ErrorsReturn);
+            let inter = alone.intercomm_create(0, &world, 1 - me, 9).unwrap();
+            let mut outcomes = Vec::new();
+            for k in 0..STREAM as u64 {
+                if me == 1 {
+                    inter.send(&[k], 0, 4).unwrap();
+                    continue;
+                }
+                let mut word = [u64::MAX];
+                let got = inter.recv_into(&mut word, 0, 4).map(|_| word[0]);
+                let failed = got.is_err();
+                outcomes.push(got);
+                if failed {
+                    break;
+                }
+            }
+            outcomes
+        },
+    );
+    let (last, delivered) = out[0].split_last().expect("rank 0 received");
+    assert!(!delivered.is_empty() && delivered.len() < STREAM);
+    for (k, got) in delivered.iter().enumerate() {
+        assert_eq!(got.as_ref().ok(), Some(&(k as u64)));
+    }
+    assert!(
+        matches!(last, Err(MpiError::PeerUnreachable { peer: 1 })),
+        "{last:?}"
+    );
+}
+
+#[test]
 fn agree_reports_unacked_failure_uniformly_then_converges_after_ack() {
     // Rank 2 dies after its two warm-up packets. Both survivors' first
     // agree must fail with MPI_ERR_PROC_FAILED naming rank 2 — on *both*

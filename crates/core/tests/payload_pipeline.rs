@@ -12,9 +12,20 @@
 //!    properties 1 and 2, as does the inter-communicator's channel, and a
 //!    payload staged once for several receivers stays byte-correct when
 //!    one receiver's copy is corrupted in flight.
+//! 4. **Large user sends too**: a warm rendezvous send — `isend` or a
+//!    persistent `start`, contiguous or strided, over a registered region
+//!    or a pooled staging buffer — allocates its completion flag and
+//!    nothing else, by a counting global allocator.
 
 use litempi_core::{BuildConfig, Op, Universe};
+use litempi_datatype::{Datatype, MpiPrimitive};
 use litempi_fabric::{FaultPlan, FaultSpec, ProviderProfile, Topology};
+
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
+
+#[global_allocator]
+static GLOBAL: counting_alloc::Counting = counting_alloc::Counting;
 
 #[test]
 fn warm_pool_eager_sends_allocate_nothing() {
@@ -200,6 +211,117 @@ fn warm_pool_large_intercomm_messages_allocate_nothing() {
         },
     );
     assert_eq!(allocs, vec![0, 0]);
+}
+
+#[test]
+fn warm_large_sends_stage_without_the_heap() {
+    // The benchmark's `p2p_large` rendezvous messages: 256 KiB contiguous
+    // and 64 KiB as 1024 blocks of 64 bytes in every other slot. `ofi`
+    // stages them in a registered region, `am_only` in a pooled buffer.
+    const CONTIG: usize = 256 << 10;
+    const SPAN: usize = 2 * 1024 * 64;
+    const KINDS: [&str; 3] = ["256 KiB isend", "64 KiB strided isend", "256 KiB start"];
+    const READY: i32 = 9;
+    const WARM_UP: u8 = 4;
+    const ROUNDS: u8 = 8;
+    /// Heap allocations this thread makes inside `f`.
+    fn count<T>(f: impl FnOnce() -> T) -> (u64, T) {
+        let before = counting_alloc::allocs();
+        let out = f();
+        (counting_alloc::allocs() - before, out)
+    }
+    for profile in [ProviderProfile::ofi(), ProviderProfile::am_only()] {
+        let name = profile.kind;
+        let worst = Universe::run(
+            2,
+            BuildConfig::ch4_default(),
+            profile,
+            Topology::one_per_node(2),
+            |proc| {
+                let world = proc.world();
+                let me = proc.rank();
+                let peer = 1 - me as i32;
+                let vector = Datatype::vector(1024, 64, 128, &u8::DATATYPE)
+                    .unwrap()
+                    .commit();
+                let fill = |from: usize, round: u8| from as u8 * 100 + round;
+                let fixed = vec![fill(me, 0); CONTIG];
+                let mut inbox_fixed = vec![0u8; CONTIG];
+                let mut psend = world.send_init(&fixed, peer, 3).unwrap();
+                let mut precv = world.recv_init(&mut inbox_fixed, peer, 3).unwrap();
+                let mut out = vec![0u8; CONTIG];
+                let mut inbox = vec![0u8; CONTIG];
+                let mut strided = vec![0u8; SPAN];
+                let mut inbox_strided = vec![0u8; SPAN];
+                // Worst allocation count per kind of message, of its send
+                // and of its receive.
+                let mut worst = [[0u64; 2]; 3];
+                for round in 0..WARM_UP + ROUNDS {
+                    out.fill(fill(me, round));
+                    strided.fill(fill(me, round));
+                    for (sender, kind) in [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)] {
+                        // The receive is posted before the message leaves
+                        // (the receiver says so), so the matching engine
+                        // queues the receive, on the receiver's thread, and
+                        // never the message, on the sender's.
+                        let allocs = if sender == me {
+                            world.recv_into(&mut [0u8], peer, READY).unwrap();
+                            let (allocs, status) = count(|| match kind {
+                                0 => world.isend(&out, peer, 1)?.wait(),
+                                1 => world.isend_bytes(&strided, &vector, 1, peer, 2)?.wait(),
+                                _ => psend.start().and_then(|()| psend.wait()),
+                            });
+                            status.unwrap();
+                            allocs
+                        } else {
+                            let (posting, req) = count(|| match kind {
+                                0 => world.irecv(&mut inbox, peer, 1).map(Some),
+                                1 => (world.irecv_bytes(&mut inbox_strided, &vector, 1, peer, 2))
+                                    .map(Some),
+                                _ => precv.start().map(|()| None),
+                            });
+                            let req = req.unwrap();
+                            world.send(&[0u8], peer, READY).unwrap();
+                            let (waiting, status) = count(|| match req {
+                                Some(req) => req.wait(),
+                                None => precv.wait(),
+                            });
+                            status.unwrap();
+                            posting + waiting
+                        };
+                        if round >= WARM_UP {
+                            let side = &mut worst[kind][(sender != me) as usize];
+                            *side = (*side).max(allocs);
+                        }
+                    }
+                    let want = fill(1 - me, round);
+                    assert!(inbox.iter().all(|&b| b == want), "{name:?} round {round}");
+                    // Only the strided blocks arrive; the gaps stay zero.
+                    assert!(inbox_strided
+                        .chunks(64)
+                        .enumerate()
+                        .all(|(slot, block)| block == [if slot % 2 == 0 { want } else { 0 }; 64]));
+                }
+                drop(precv);
+                assert!(
+                    inbox_fixed.iter().all(|&b| b == fill(1 - me, 0)),
+                    "{name:?}"
+                );
+                worst
+            },
+        );
+        for (rank, worst) in worst.into_iter().enumerate() {
+            for (kind, [send, recv]) in KINDS.into_iter().zip(worst) {
+                // The receive's two are the matching engine's: the slot the
+                // message lands in and the queue bucket the receive waits in.
+                assert!(
+                    send <= 1 && recv <= 2,
+                    "{name:?} rank {rank}, {kind}: a warm send made {send} allocations (its \
+                     completion flag only), its receive {recv} (posted slot and queue bucket)"
+                );
+            }
+        }
+    }
 }
 
 #[test]

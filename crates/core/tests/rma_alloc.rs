@@ -4,43 +4,14 @@
 //! payload-allocation counter and by a counting global allocator, which is
 //! why this test has a binary to itself.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use litempi_core::{BuildConfig, LockType, Op, Universe, Window};
 use litempi_fabric::{ProviderProfile, Topology};
 
-thread_local! {
-    /// Heap allocations made by this thread.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-// SAFETY: defers every request to `System` unchanged; the only addition is
-// a thread-local counter with a const initialiser and no destructor, which
-// never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller's contract, passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller's contract, passed through.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller's contract, passed through.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
 
 #[global_allocator]
-static GLOBAL: Counting = Counting;
+static GLOBAL: counting_alloc::Counting = counting_alloc::Counting;
 
 const KIB: usize = 128; // u64 words
 
@@ -75,9 +46,9 @@ fn warm_passive_epoch_allocates_nothing() {
                     epoch(&win, &kib, &mut got, 0);
                     epoch(&win, &kib, &mut got, 1);
                     let modelled = litempi_instr::alloc_count();
-                    let real = ALLOCS.with(Cell::get);
+                    let real = counting_alloc::allocs();
                     epoch(&win, &kib, &mut got, 2);
-                    let real = ALLOCS.with(Cell::get) - real;
+                    let real = counting_alloc::allocs() - real;
                     assert_eq!(litempi_instr::alloc_count() - modelled, 0);
                     assert_eq!(real, 0, "heap allocations in a warm passive epoch");
                     assert_eq!(got, kib);

@@ -369,44 +369,85 @@ fn passive_target_chaos_is_byte_identical() {
 
 const LARGE: usize = 50_000; // > ofi max_eager: forces rendezvous
 
-/// Ship two large messages and return what rank 1 received.
-fn large_roundtrip(profile: ProviderProfile) -> Vec<Vec<u8>> {
-    let out = Universe::run(
-        2,
-        BuildConfig::ch4_default(),
-        profile,
-        Topology::single_node(2),
-        |proc| {
-            let world = proc.world();
+/// `ofi`'s (and `am_only`'s) eager ceiling, and message sizes on both
+/// sides of it.
+const MAX_EAGER: usize = 16 * 1024;
+const SIZES: [usize; 4] = [MAX_EAGER - 1, MAX_EAGER, MAX_EAGER + 1, 256 * 1024];
+
+/// Ship every size once by `send` and once by a persistent `start`, then a
+/// synchronous 8-byte message (rendezvous whatever its size), and return
+/// what rank 1 received.
+fn large_roundtrip(config: BuildConfig, profile: ProviderProfile) -> Vec<Vec<u8>> {
+    let pattern = |len: usize, salt: u8| -> Vec<u8> {
+        (0..len)
+            .map(|i| (i % 251) as u8 ^ salt)
+            .collect::<Vec<u8>>()
+    };
+    let out = Universe::run(2, config, profile, Topology::single_node(2), |proc| {
+        let world = proc.world();
+        let mut got = Vec::new();
+        for (k, len) in SIZES.into_iter().enumerate() {
+            let tag = 10 * k as i32;
             if proc.rank() == 0 {
-                world.send(&vec![0xA1u8; LARGE], 1, 1).unwrap();
-                // Wait for the ack so the second send can observe a
-                // registration-cache hit.
-                let mut ack = [0u8; 1];
-                world.recv_into(&mut ack, 1, 2).unwrap();
-                world.send(&vec![0xB2u8; LARGE], 1, 3).unwrap();
-                None
+                world.send(&pattern(len, 0xA1), 1, tag).unwrap();
+                // Wait for the ack, so that the next large message finds the
+                // registration this one used back in the cache.
+                world.recv_into(&mut [0u8], 1, tag + 1).unwrap();
+                let data = pattern(len, 0xB2);
+                let mut send = world.send_init(&data, 1, tag + 2).unwrap();
+                send.start().unwrap();
+                send.wait().unwrap();
             } else {
-                let mut a = vec![0u8; LARGE];
-                world.recv_into(&mut a, 0, 1).unwrap();
-                world.send(&[1u8], 0, 2).unwrap();
-                let mut b = vec![0u8; LARGE];
-                world.recv_into(&mut b, 0, 3).unwrap();
-                Some(vec![a, b])
+                for (tag, persistent) in [(tag, false), (tag + 2, true)] {
+                    let mut buf = vec![0u8; len];
+                    if persistent {
+                        let mut recv = world.recv_init(&mut buf, 0, tag).unwrap();
+                        recv.start().unwrap();
+                        assert_eq!(recv.wait().unwrap().bytes, len);
+                    } else {
+                        world.recv_into(&mut buf, 0, tag).unwrap();
+                        world.send(&[1u8], 0, tag + 1).unwrap();
+                    }
+                    got.push(buf);
+                }
             }
-        },
-    );
-    out.into_iter().flatten().next().expect("rank 1 payloads")
+        }
+        if proc.rank() == 0 {
+            world.ssend(&[0xC3u8; 8], 1, 99).unwrap();
+        } else {
+            let mut buf = vec![0u8; 8];
+            world.recv_into(&mut buf, 0, 99).unwrap();
+            got.push(buf);
+        }
+        got
+    });
+    let got = out.into_iter().nth(1).expect("rank 1 payloads");
+    for (k, len) in SIZES.into_iter().enumerate() {
+        assert_eq!(got[2 * k], pattern(len, 0xA1), "send of {len} bytes");
+        assert_eq!(got[2 * k + 1], pattern(len, 0xB2), "start of {len} bytes");
+    }
+    assert_eq!(got[2 * SIZES.len()], [0xC3u8; 8]);
+    got
 }
 
 #[test]
 fn rma_rendezvous_is_byte_identical_to_pull_rendezvous() {
-    let rdma = large_roundtrip(ProviderProfile::ofi());
-    // No native RDMA: the pull protocol, matched by the core's own engine.
-    let pull = large_roundtrip(ProviderProfile::am_only());
-    assert_eq!(rdma, pull);
-    assert_eq!(rdma[0], vec![0xA1u8; LARGE]);
-    assert_eq!(rdma[1], vec![0xB2u8; LARGE]);
+    let ch4 = BuildConfig::ch4_default();
+    let rdma = large_roundtrip(ch4, ProviderProfile::ofi());
+    // No native RDMA: the pull protocol, matched by the core's own engine;
+    // no eager ceiling: nothing but the `ssend` is a rendezvous; and the
+    // CH3-like device over the RDMA rendezvous.
+    for (config, profile) in [
+        (ch4, ProviderProfile::am_only()),
+        (ch4, ProviderProfile::infinite()),
+        (BuildConfig::original(), ProviderProfile::ofi()),
+    ] {
+        assert!(
+            large_roundtrip(config, profile) == rdma,
+            "{:?}",
+            profile.kind
+        );
+    }
 }
 
 #[test]
@@ -418,34 +459,51 @@ fn rma_rendezvous_reads_remote_and_reuses_registrations() {
         Topology::single_node(2),
         |proc| {
             let world = proc.world();
+            let large = vec![7u8; LARGE];
+            // Each followed by a handshake, so that the registration is
+            // back in the cache, and the statistics are read, after it.
             if proc.rank() == 0 {
-                world.send(&vec![7u8; LARGE], 1, 1).unwrap();
                 let mut ack = [0u8; 1];
-                world.recv_into(&mut ack, 1, 2).unwrap();
-                world.send(&vec![8u8; LARGE], 1, 3).unwrap();
-                // Final handshake so stats are read after both transfers.
-                world.recv_into(&mut ack, 1, 4).unwrap();
+                let mut persistent = world.send_init(&large, 1, 1).unwrap();
+                for round in 0..2 {
+                    world.send(&large, 1, 1).unwrap();
+                    world.recv_into(&mut ack, 1, 2).unwrap();
+                    persistent.start().unwrap();
+                    persistent.wait().unwrap();
+                    world.recv_into(&mut ack, 1, 2).unwrap();
+                    world.ssend(&[round as u64], 1, 1).unwrap();
+                    world.recv_into(&mut ack, 1, 2).unwrap();
+                }
             } else {
                 let mut buf = vec![0u8; LARGE];
-                world.recv_into(&mut buf, 0, 1).unwrap();
-                world.send(&[1u8], 0, 2).unwrap();
-                world.recv_into(&mut buf, 0, 3).unwrap();
-                world.send(&[1u8], 0, 4).unwrap();
+                for round in 0..2 {
+                    for _ in 0..2 {
+                        world.recv_into(&mut buf, 0, 1).unwrap();
+                        assert_eq!(buf, vec![7u8; LARGE]);
+                        world.send(&[1u8], 0, 2).unwrap();
+                    }
+                    let mut word = [u64::MAX];
+                    world.recv_into(&mut word, 0, 1).unwrap();
+                    assert_eq!(word, [round]);
+                    world.send(&[1u8], 0, 2).unwrap();
+                }
             }
             proc.comm_stats()
         },
     );
-    // The receiver fetched both payloads with one-sided reads.
-    assert!(
-        stats[1].rdma_gets >= 2,
-        "rendezvous payloads must move via RDMA read, got {}",
-        stats[1].rdma_gets
+    // The receiver fetched all six bodies — a `send`, a persistent `start`
+    // and an 8-byte `ssend`, twice — with one-sided reads.
+    assert_eq!(
+        stats[1].rdma_gets, 6,
+        "every rendezvous body must move via RDMA read"
     );
-    // The sender's second staging acquisition hit the pin-down cache
-    // (the receiver returned the first region after its read).
-    assert!(
-        stats[0].reg_cache_hits >= 1,
-        "second large send must reuse the cached registration"
+    // The sender registered once per size class, for the first large and
+    // the first small body; the other four found the region their
+    // predecessor's receiver had handed back.
+    assert_eq!(
+        (stats[0].reg_cache_misses, stats[0].reg_cache_hits),
+        (2, 4),
+        "a later rendezvous must reuse the cached registration"
     );
 }
 

@@ -8,6 +8,7 @@
 
 use crate::flatten::{FlatLayout, Segment};
 use crate::predefined::Predefined;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Errors raised by type construction and use.
@@ -371,9 +372,16 @@ impl Datatype {
 
     /// The flat layout of one element.
     pub fn layout(&self) -> FlatLayout {
+        self.flat().into_owned()
+    }
+
+    /// [`Self::layout`] borrowed from a derived type, which caches it: the
+    /// per-message paths (size, extent, pack, unpack) read it in place
+    /// instead of copying a segment list as long as the type is strided.
+    pub(crate) fn flat(&self) -> Cow<'_, FlatLayout> {
         match &self.inner {
-            DatatypeRepr::Basic(p) => FlatLayout::contiguous(p.size()),
-            DatatypeRepr::Derived(inner) => inner.layout.clone(),
+            DatatypeRepr::Basic(p) => Cow::Owned(FlatLayout::contiguous(p.size())),
+            DatatypeRepr::Derived(inner) => Cow::Borrowed(&inner.layout),
         }
     }
 
@@ -381,7 +389,7 @@ impl Datatype {
     pub fn size(&self) -> usize {
         match &self.inner {
             DatatypeRepr::Basic(p) => p.size(),
-            _ => self.layout().size(),
+            _ => self.flat().size(),
         }
     }
 
@@ -389,7 +397,7 @@ impl Datatype {
     pub fn extent(&self) -> isize {
         match &self.inner {
             DatatypeRepr::Basic(p) => p.size() as isize,
-            _ => self.layout().extent,
+            _ => self.flat().extent,
         }
     }
 
@@ -397,7 +405,7 @@ impl Datatype {
     pub fn is_contiguous(&self) -> bool {
         match &self.inner {
             DatatypeRepr::Basic(_) => true,
-            _ => self.layout().is_contiguous(),
+            _ => self.flat().is_contiguous(),
         }
     }
 }

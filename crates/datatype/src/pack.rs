@@ -80,7 +80,7 @@ pub fn pack_into(ty: &Datatype, count: usize, src: &[u8], dst: &mut [u8]) -> usi
         need,
         "pack_into: destination must be exactly the packed size"
     );
-    let layout = ty.layout();
+    let layout = ty.flat();
     litempi_simd::pack::gather(
         litempi_simd::active(),
         src,
@@ -96,7 +96,7 @@ pub fn pack_into(ty: &Datatype, count: usize, src: &[u8], dst: &mut [u8]) -> usi
 ///
 /// Bounds requirements match [`pack`].
 pub fn pack_with(ty: &Datatype, count: usize, src: &[u8], mut sink: impl FnMut(&[u8])) {
-    let layout = ty.layout();
+    let layout = ty.flat();
     for i in 0..count {
         let base = i as isize * layout.extent;
         for seg in &layout.segments {
@@ -120,7 +120,7 @@ pub fn pack_with(ty: &Datatype, count: usize, src: &[u8], mut sink: impl FnMut(&
 /// Unpack a contiguous wire buffer into `count` elements of `ty` at `dst`.
 /// Returns the number of wire bytes consumed.
 pub fn unpack(ty: &Datatype, count: usize, wire: &[u8], dst: &mut [u8]) -> usize {
-    let layout = ty.layout();
+    let layout = ty.flat();
     // The scatter kernel never writes outside the yielded segments, so
     // the datatype's gaps in `dst` are preserved, as the standard
     // requires.
