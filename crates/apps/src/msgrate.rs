@@ -598,9 +598,10 @@ mod tests {
     #[test]
     fn nbc_overlap_charges_schedule_only_in_nonblocking_condition() {
         // `Category::Schedule` prices deferred execution. The blocking
-        // collectives run the same compiled schedules inline and charge
-        // none of it — flat algorithms (one node) or node-aware (two).
-        use litempi_core::Op;
+        // collectives — all fourteen — run the same compiled schedules
+        // inline and charge none of it, flat algorithms (one node) or
+        // node-aware (two).
+        use litempi_core::{CartComm, Op};
         for topo in [Topology::single_node(4), Topology::blocked(4, 2)] {
             let blocking_sched = Universe::run(
                 4,
@@ -609,6 +610,7 @@ mod tests {
                 topo,
                 |proc| {
                     let world = proc.world();
+                    let ring = CartComm::create(&world, &[4], &[true]).unwrap().unwrap();
                     counter::reset();
                     let probe = counter::probe();
                     world.barrier().unwrap();
@@ -617,6 +619,16 @@ mod tests {
                     world.allreduce(&[1u64, 2], &Op::Sum).unwrap();
                     world.allgather(&[1u64, 2]).unwrap();
                     world.alltoall(&[1u64; 8], 2).unwrap();
+                    world.gather(&[1u64, 2], 1).unwrap();
+                    world.gatherv(&[1u64, 2][..proc.rank() % 2], 1).unwrap();
+                    let dealt = (proc.rank() == 1).then_some([1u64; 8]);
+                    let dealt = dealt.as_ref().map(|d| &d[..]);
+                    world.scatter(dealt, 2, 1).unwrap();
+                    world.scan(&[1u64, 2], &Op::Sum).unwrap();
+                    world.exscan(&[1u64, 2], &Op::Sum).unwrap();
+                    world.reduce_scatter_block(&[1u64; 8], &Op::Sum).unwrap();
+                    ring.neighbor_allgather(&[1u64, 2]).unwrap();
+                    ring.neighbor_alltoall(&[1u64, 2], 1).unwrap();
                     probe.finish().get(Category::Schedule)
                 },
             );

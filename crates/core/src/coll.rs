@@ -6,17 +6,17 @@
 //! *collective context* — a twin context id that isolates internal traffic
 //! from user point-to-point traffic on the same communicator.
 //!
-//! Barrier, bcast, reduce, allreduce, allgather and alltoall have one
-//! encoding each: the schedule compiled in [`crate::sched`], which the
-//! entry points here run inline (`Schedule::run`) and the `MPI_I*` entry
-//! points defer. The rest are written out below over the channel's
-//! `csend`/`crecv`: linear gather/gatherv/scatter, chained scan/exscan,
-//! pairwise reduce_scatter_block, and the long-message (scatter +
-//! allgather) bcast.
+//! Every collective has one encoding: the schedule compiled in
+//! [`crate::sched`]. An entry point here validates what the compiler
+//! cannot see, sizes the result, compiles, and runs the schedule inline
+//! (`Schedule::run`) over the caller's buffers; the `MPI_I*` entry points
+//! in `sched` defer the same schedule. What is left in this module beside
+//! them is what a schedule is made of ([`send_staged`], the binomial-tree
+//! arithmetic, the issue window) and the fault-tolerance protocol's own
+//! send and receive ([`csend`], [`crecv_ft`]).
 
 use crate::comm::Communicator;
 use crate::error::{MpiError, MpiResult};
-use crate::hier;
 use crate::match_bits;
 use crate::op::Op;
 use crate::process::{Posted, ProcInner};
@@ -25,52 +25,12 @@ use crate::pt2pt::{inject, SendMode, SendOpts};
 use crate::request::{poll_or_death, wait_loop};
 use crate::sched::Schedule;
 use litempi_datatype::{Datatype, MpiPrimitive};
-use litempi_trace::{event::coll_op, EventKind};
-
-/// RAII span emitting `CollBegin`/`CollEnd` around one collective when
-/// tracing is on (one branch when off). Drop-based so error returns still
-/// close the span.
-pub(crate) struct CollSpan {
-    traced: bool,
-    op: u64,
-}
-
-impl CollSpan {
-    pub(crate) fn begin(comm: &Communicator, op: u64) -> CollSpan {
-        let traced = comm.proc.endpoint.fabric().trace_enabled();
-        if traced {
-            litempi_trace::emit(EventKind::CollBegin, op, 0);
-        }
-        CollSpan { traced, op }
-    }
-}
-
-impl Drop for CollSpan {
-    fn drop(&mut self) {
-        if self.traced {
-            litempi_trace::emit(EventKind::CollEnd, self.op, 0);
-        }
-    }
-}
-
-/// ULFM gate at the head of every collective written out in this module
-/// (a schedule carries its own): an operation on a revoked communicator
-/// fails with `Revoked` (through the errhandler) instead of deadlocking
-/// against ranks that already know. Uncharged — in
-/// the fault-free case this is one relaxed load, so the paper's calibrated
-/// charge totals are untouched.
-pub(crate) fn ft_gate(comm: &Communicator) -> MpiResult<()> {
-    if comm.proc.is_ctx_revoked(comm.context_id().0) {
-        return comm.handle_error(Err(MpiError::Revoked));
-    }
-    Ok(())
-}
 
 /// Fire-and-forget send of `data` under `bits` to every world rank in
 /// `dests`, in order: staged once ([`proto::stage`] — one pool lease and
 /// one copy of `data` in total, eager or rendezvous), one injection per
-/// destination. The blocking collectives, the schedule engine's `Send`
-/// vertices and the inter-communicator all come through here.
+/// destination. The schedule engine's `Send` vertices, the FT protocol and
+/// the inter-communicator all come through here.
 pub(crate) fn send_staged(
     proc: &ProcInner,
     bits: u64,
@@ -92,44 +52,34 @@ pub(crate) fn send_staged(
     inject(proc, dest, bits, staged.into_wire(proc, vci), &opts);
 }
 
-/// Internal collective-channel send of one payload to several peers
-/// (communicator ranks) — a binomial node's children, a leader's node
-/// members. See [`send_staged`].
-pub(crate) fn csend_all(
-    comm: &Communicator,
-    dests: impl IntoIterator<Item = usize>,
-    tag: i32,
-    data: &[u8],
-) {
-    let bits = match_bits::encode(comm.context_id().collective(), comm.rank, tag);
-    let dests = dests.into_iter().map(|d| comm.world_rank_of(d));
-    send_staged(&comm.proc, bits, data, dests);
-}
-
-/// Internal collective-channel send: fire-and-forget, eager or rendezvous.
+/// FT-internal collective-channel send for the agreement protocol
+/// ([`crate::ft`]): fire-and-forget, eager or rendezvous.
 pub(crate) fn csend(comm: &Communicator, dest: usize, tag: i32, data: &[u8]) {
-    csend_all(comm, [dest], tag, data);
+    let bits = match_bits::encode(comm.context_id().collective(), comm.rank, tag);
+    send_staged(&comm.proc, bits, data, [comm.world_rank_of(dest)]);
 }
 
-/// Internal collective-channel receive from a specific peer: the message,
-/// opened, for the caller to [`read`](Opened::read).
-///
-/// Fallible: over a lossy fabric the sender can die mid-collective, and a
-/// damaged or replayed RTS descriptor can name a rendezvous entry that is
-/// not there. Both surface as comm-failure `MpiError`s routed through
-/// the communicator's errhandler, so `MPI_ERRORS_RETURN` gets an `Err`
-/// and `MPI_ERRORS_ARE_FATAL` panics — never an unconditional panic.
-pub(crate) fn crecv(comm: &Communicator, src: usize, tag: i32) -> MpiResult<Opened> {
-    comm.handle_error(crecv_gated(comm, src, tag, Some(comm.context_id().0)))
-}
-
-/// FT-internal receive for the agreement protocol ([`crate::ft`]): like
-/// [`crecv`], but exempt from revocation gates (ULFM requires `agree` to
-/// work on a revoked communicator) and never routed through the
-/// communicator's errhandler — the protocol turns peer death into
-/// protocol state (a dead-mask bit), not an application error.
+/// FT-internal blocking receive from a specific peer on the collective
+/// channel: the message, opened, for the caller to [`read`](Opened::read).
+/// The agreement protocol's traffic is the one kind on this channel that is
+/// not a schedule: ULFM requires `agree` to work on a revoked communicator,
+/// so nothing here looks at the revocation flag, and nothing is routed
+/// through the communicator's errhandler — the protocol turns peer death
+/// (the poll checks the sender's world rank on every pass, so a kill
+/// switch ends the wait with `PeerUnreachable` instead of a hang) into
+/// protocol state, a dead-mask bit, not an application error.
 pub(crate) fn crecv_ft(comm: &Communicator, src: usize, tag: i32) -> MpiResult<Opened> {
-    crecv_gated(comm, src, tag, None)
+    let proc = &*comm.proc;
+    let bits = match_bits::encode(comm.context_id().collective(), src, tag);
+    let peer = Some(comm.world_rank_of(src));
+    let posted = Posted::post(proc, bits, 0);
+    let polled = wait_loop(proc, || {
+        poll_or_death(proc, peer, false, None, || posted.poll())
+    });
+    if polled.is_err() {
+        posted.cancel(proc);
+    }
+    proto::open(proc, polled?)
 }
 
 /// Copy a message into `dst`. A message of any other length is
@@ -145,67 +95,12 @@ pub(crate) fn copy_exact(data: &[u8], dst: &mut [u8]) -> MpiResult<()> {
     Ok(())
 }
 
-/// [`crecv`] straight into `dst`.
-pub(crate) fn crecv_into(
-    comm: &Communicator,
-    src: usize,
-    tag: i32,
-    dst: &mut [u8],
-) -> MpiResult<()> {
-    crecv(comm, src, tag)?.read(&comm.proc, |data| copy_exact(data, dst))
-}
-
-/// Blocking matched receive on the collective channel. The poll closure
-/// checks the sender's world rank for death on every pass, so a
-/// kill-switch firing mid-collective turns the wait into `PeerUnreachable`
-/// instead of a hang. `revoke_ctx` (the owning communicator's user-channel
-/// context, or `None` for FT-internal traffic) additionally turns a
-/// revocation into `Revoked`.
-fn crecv_gated(
-    comm: &Communicator,
-    src: usize,
-    tag: i32,
-    revoke_ctx: Option<u16>,
-) -> MpiResult<Opened> {
-    let proc = &*comm.proc;
-    let bits = match_bits::encode(comm.context_id().collective(), src, tag);
-    let peer = Some(comm.world_rank_of(src));
-    let posted = Posted::post(proc, bits, 0);
-    let polled = wait_loop(proc, || {
-        poll_or_death(proc, peer, false, revoke_ctx, || posted.poll())
-    });
-    if polled.is_err() {
-        posted.cancel(proc);
-    }
-    proto::open(proc, polled?)
-}
-
-/// `MPI_BARRIER` — see `Schedule::barrier`.
-pub fn barrier(comm: &Communicator) -> MpiResult<()> {
-    Schedule::barrier(comm).run(comm, &mut [], &[])
-}
-
 /// Message-size threshold (bytes) above which a flat `bcast` switches from
 /// the binomial tree (latency-optimal, but sends the full payload log P
-/// times) to scatter+allgather (bandwidth-optimal, van de Geijn). MPICH
-/// uses the same structure with a similar crossover.
+/// times) to scatter+allgather (bandwidth-optimal, van de Geijn) — read by
+/// `Schedule::bcast`. MPICH uses the same structure with a similar
+/// crossover.
 pub const BCAST_LONG_MSG_BYTES: usize = 32 * 1024;
-
-/// `MPI_BCAST`: [`bcast_scatter_allgather`] for a long, block-divisible
-/// payload on a topology without a node hierarchy, otherwise the tree of
-/// `Schedule::bcast`.
-pub fn bcast<T: MpiPrimitive>(comm: &Communicator, buf: &mut [T], root: usize) -> MpiResult<()> {
-    let bytes = std::mem::size_of_val(buf);
-    if bytes > BCAST_LONG_MSG_BYTES
-        && comm.size() > 2
-        && buf.len().is_multiple_of(comm.size())
-        && hier::plan(comm).is_none()
-    {
-        let _span = CollSpan::begin(comm, coll_op::BCAST);
-        return bcast_scatter_allgather(comm, buf, root);
-    }
-    Schedule::bcast(comm, bytes, root)?.run(comm, T::as_bytes_mut(buf), &[])
-}
 
 /// Binomial-tree parent of a (nonzero) virtual rank:
 /// `parent(v) = v - 2^⌊log₂ v⌋` (clear the highest set bit). Children of
@@ -231,201 +126,9 @@ pub(crate) fn binomial_children(v: usize, g: usize) -> impl Iterator<Item = usiz
         .take_while(move |&c| c < g)
 }
 
-/// Long-message broadcast (van de Geijn): scatter the payload's blocks
-/// down a binomial tree's natural block ownership, then allgather the
-/// blocks. Moves ~2x the data of one tree *level* instead of log P copies
-/// of the whole payload. Requires `buf.len() % size == 0` (the selector
-/// guarantees it).
-pub fn bcast_scatter_allgather<T: MpiPrimitive>(
-    comm: &Communicator,
-    buf: &mut [T],
-    root: usize,
-) -> MpiResult<()> {
-    ft_gate(comm)?;
-    comm.group().check_rank(root as i32)?;
-    let size = comm.size();
-    if size == 1 {
-        return Ok(());
-    }
-    let block = buf.len() / size;
-    // The `bcast` selector guarantees divisibility, but this algorithm is
-    // public API: a mismatched buffer must be `MPI_ERR_COUNT`, not a
-    // truncated release-mode broadcast.
-    if block * size != buf.len() {
-        return Err(MpiError::InvalidCount(buf.len() as i64));
-    }
-    // Phase 1: scatter blocks from root (linear scatter of the payload's
-    // `size` blocks; block i is destined to rank i).
-    let my_block = {
-        let send = if comm.rank() == root {
-            Some(&buf[..])
-        } else {
-            None
-        };
-        scatter(comm, send, block, root)?
-    };
-    // Phase 2: allgather the blocks back into everyone's buffer.
-    let gathered = allgather(comm, &my_block)?;
-    buf.copy_from_slice(&gathered);
-    Ok(())
-}
-
-/// `MPI_REDUCE` — see `Schedule::reduce`. Returns `Some(result)` at
-/// `root`, `None` elsewhere.
-pub fn reduce<T: MpiPrimitive>(
-    comm: &Communicator,
-    sendbuf: &[T],
-    op: &Op,
-    root: usize,
-) -> MpiResult<Option<Vec<T>>> {
-    let sched = Schedule::reduce(comm, std::mem::size_of_val(sendbuf), op, T::DATATYPE, root)?;
-    // Fold in the buffer the root returns: no separate accumulator.
-    let mut out = sendbuf.to_vec();
-    sched.run(comm, T::as_bytes_mut(&mut out), &[])?;
-    Ok((comm.rank() == root).then_some(out))
-}
-
-/// `MPI_ALLREDUCE` — see `Schedule::allreduce`.
-pub fn allreduce<T: MpiPrimitive>(
-    comm: &Communicator,
-    sendbuf: &[T],
-    op: &Op,
-) -> MpiResult<Vec<T>> {
-    let sched = Schedule::allreduce(comm, std::mem::size_of_val(sendbuf), op, T::DATATYPE);
-    let mut out = sendbuf.to_vec();
-    sched.run(comm, T::as_bytes_mut(&mut out), &[])?;
-    Ok(out)
-}
-
-/// `MPI_GATHER` (linear): root receives `sendbuf` from every rank,
-/// concatenated in rank order. Returns `Some` at root.
-pub fn gather<T: MpiPrimitive>(
-    comm: &Communicator,
-    sendbuf: &[T],
-    root: usize,
-) -> MpiResult<Option<Vec<T>>> {
-    ft_gate(comm)?;
-    comm.group().check_rank(root as i32)?;
-    let _span = CollSpan::begin(comm, coll_op::GATHER);
-    let size = comm.size();
-    let rank = comm.rank();
-    let tag = comm.next_coll_tag();
-    if rank == root {
-        let block = sendbuf.len();
-        // My block in every slot; every other slot is overwritten below.
-        let mut out = sendbuf.repeat(size);
-        for src in (0..size).filter(|&r| r != root) {
-            let dst = &mut out[src * block..(src + 1) * block];
-            crecv_into(comm, src, tag, T::as_bytes_mut(dst))?;
-        }
-        Ok(Some(out))
-    } else {
-        csend(comm, root, tag, T::as_bytes(sendbuf));
-        Ok(None)
-    }
-}
-
-/// `MPI_GATHERV` (linear, variable block sizes). Root receives each rank's
-/// slice; returns `Some((data, counts))` at root with per-rank element
-/// counts.
-pub fn gatherv<T: MpiPrimitive>(
-    comm: &Communicator,
-    sendbuf: &[T],
-    root: usize,
-) -> MpiResult<Option<(Vec<T>, Vec<usize>)>> {
-    ft_gate(comm)?;
-    comm.group().check_rank(root as i32)?;
-    let _span = CollSpan::begin(comm, coll_op::GATHER);
-    let size = comm.size();
-    let rank = comm.rank();
-    let tag = comm.next_coll_tag();
-    if rank == root {
-        // Sizes are only known on arrival: hold every peer's message,
-        // unread (`None` stands for the root's own block), until the output
-        // can be sized.
-        let mut blocks: Vec<Option<Opened>> = Vec::with_capacity(size);
-        for src in 0..size {
-            blocks.push(if src == root {
-                None
-            } else {
-                Some(crecv(comm, src, tag)?)
-            });
-        }
-        let (mine, elem) = (T::as_bytes(sendbuf), T::PREDEFINED.size());
-        let counts: Vec<usize> = (blocks.iter())
-            .map(|b| b.as_ref().map_or(mine.len(), Opened::len) / elem)
-            .collect();
-        let mut out = zeroed::<T>(counts.iter().sum());
-        let mut rest = T::as_bytes_mut(&mut out);
-        for (b, n) in blocks.into_iter().zip(&counts) {
-            let (dst, tail) = rest.split_at_mut(n * elem);
-            match b {
-                None => dst.copy_from_slice(mine),
-                Some(b) => b.read(&comm.proc, |data| copy_exact(data, dst))?,
-            }
-            rest = tail;
-        }
-        Ok(Some((out, counts)))
-    } else {
-        csend(comm, root, tag, T::as_bytes(sendbuf));
-        Ok(None)
-    }
-}
-
-/// `MPI_SCATTER` (linear): root distributes consecutive blocks of
-/// `sendbuf`; every rank returns its block. `sendbuf` is read at root only.
-pub fn scatter<T: MpiPrimitive>(
-    comm: &Communicator,
-    sendbuf: Option<&[T]>,
-    block: usize,
-    root: usize,
-) -> MpiResult<Vec<T>> {
-    ft_gate(comm)?;
-    comm.group().check_rank(root as i32)?;
-    let _span = CollSpan::begin(comm, coll_op::SCATTER);
-    let size = comm.size();
-    let rank = comm.rank();
-    let tag = comm.next_coll_tag();
-    if rank == root {
-        // User-argument validation: errors, not panics — a missing or
-        // short-sized root buffer is `MPI_ERR_BUFFER`, same as pt2pt.
-        let send = sendbuf.ok_or(MpiError::BufferTooSmall {
-            needed: block * size * T::PREDEFINED.size(),
-            provided: 0,
-        })?;
-        if send.len() != block * size {
-            return Err(MpiError::BufferTooSmall {
-                needed: block * size * T::PREDEFINED.size(),
-                provided: send.len() * T::PREDEFINED.size(),
-            });
-        }
-        for dst in (0..size).filter(|&r| r != root) {
-            csend(
-                comm,
-                dst,
-                tag,
-                T::as_bytes(&send[dst * block..(dst + 1) * block]),
-            );
-        }
-        Ok(send[root * block..(root + 1) * block].to_vec())
-    } else {
-        let mut out = zeroed::<T>(block);
-        crecv_into(comm, root, tag, T::as_bytes_mut(&mut out))?;
-        Ok(out)
-    }
-}
-
-/// `MPI_ALLGATHER` — see `Schedule::allgather`.
-pub fn allgather<T: MpiPrimitive>(comm: &Communicator, sendbuf: &[T]) -> MpiResult<Vec<T>> {
-    let sched = Schedule::allgather(comm, std::mem::size_of_val(sendbuf));
-    // My block in every slot; every other slot is overwritten.
-    let mut out = sendbuf.repeat(comm.size());
-    sched.run(comm, T::as_bytes_mut(&mut out), &[])?;
-    Ok(out)
-}
-
-/// Upper bound on the pairwise-exchange issue window: how many exchange
-/// slots a rank may run ahead of its oldest outstanding receive. The old
+/// Upper bound on the issue window: how many exchange slots of a pairwise
+/// exchange a rank may run ahead of its oldest outstanding receive, how
+/// many receives a linear root posts at once. The old
 /// code effectively used `size - 1` — at 1024 ranks that is 1023 posted
 /// sends per rank and an O(ranks) matching queue at every receiver, which
 /// is exactly the unbounded-posting bug this bounds. 16 keeps the pipe
@@ -433,7 +136,7 @@ pub fn allgather<T: MpiPrimitive>(comm: &Communicator, sendbuf: &[T]) -> MpiResu
 /// while pinning per-rank outstanding traffic to O(window).
 pub const COLL_ISSUE_WINDOW: usize = 16;
 
-/// Cost-model-tuned issue window for a pairwise exchange of `msg_bytes`
+/// Cost-model-tuned issue window for an exchange of `msg_bytes`
 /// messages: enough slots in flight to cover the provider's
 /// bandwidth-delay product, clamped to `1..=COLL_ISSUE_WINDOW`. Zero
 /// latency or unbounded bandwidth (the `infinite` profile) means the BDP
@@ -448,223 +151,170 @@ pub(crate) fn issue_window(comm: &Communicator, msg_bytes: usize) -> usize {
     slots.clamp(1, COLL_ISSUE_WINDOW)
 }
 
-/// `MPI_ALLTOALL`: `sendbuf` holds `size` blocks of `block` elements;
-/// block `i` goes to rank `i` — see `Schedule::alltoall`.
-pub fn alltoall<T: MpiPrimitive>(
-    comm: &Communicator,
-    sendbuf: &[T],
-    block: usize,
-) -> MpiResult<Vec<T>> {
-    let send = T::as_bytes(sendbuf);
-    let sched = Schedule::alltoall(comm, send.len(), block * T::PREDEFINED.size())?;
-    // Every block but my own is overwritten by its sender's.
-    let mut out = sendbuf.to_vec();
-    sched.run(comm, T::as_bytes_mut(&mut out), send)?;
-    Ok(out)
-}
-
-/// `MPI_SCAN` (inclusive prefix reduction, linear chain).
-pub fn scan<T: MpiPrimitive>(comm: &Communicator, sendbuf: &[T], op: &Op) -> MpiResult<Vec<T>> {
-    ft_gate(comm)?;
-    let _span = CollSpan::begin(comm, coll_op::SCAN);
-    let size = comm.size();
-    let rank = comm.rank();
-    let tag = comm.next_coll_tag();
-    let mine = T::as_bytes(sendbuf);
-    // Rank 0's prefix is its own contribution; everyone else folds into
-    // the received prefix, placed directly in the buffer returned.
-    let out = if rank > 0 {
-        let mut out = zeroed::<T>(sendbuf.len());
-        let acc = T::as_bytes_mut(&mut out);
-        crecv_into(comm, rank - 1, tag, acc)?;
-        // acc = prefix(0..rank-1) OP mine — order matters for
-        // non-commutative user ops: previous prefix first.
-        op.apply(&T::DATATYPE, acc, mine)?;
-        out
-    } else {
-        sendbuf.to_vec()
-    };
-    if rank + 1 < size {
-        csend(comm, rank + 1, tag, T::as_bytes(&out));
-    }
-    Ok(out)
-}
-
-/// `MPI_EXSCAN` (exclusive prefix): rank 0 gets `None`.
-pub fn exscan<T: MpiPrimitive>(
-    comm: &Communicator,
-    sendbuf: &[T],
-    op: &Op,
-) -> MpiResult<Option<Vec<T>>> {
-    ft_gate(comm)?;
-    let _span = CollSpan::begin(comm, coll_op::SCAN);
-    let size = comm.size();
-    let rank = comm.rank();
-    let tag = comm.next_coll_tag();
-    let mine = T::as_bytes(sendbuf);
-    // Receive the exclusive prefix straight into the buffer returned, then
-    // forward prefix OP mine (rank 0 forwards its contribution as is).
-    let prefix = if rank > 0 {
-        let mut out = zeroed::<T>(sendbuf.len());
-        crecv_into(comm, rank - 1, tag, T::as_bytes_mut(&mut out))?;
-        Some(out)
-    } else {
-        None
-    };
-    if rank + 1 < size {
-        match &prefix {
-            Some(p) => {
-                let mut fwd = p.clone();
-                op.apply(&T::DATATYPE, T::as_bytes_mut(&mut fwd), mine)?;
-                csend(comm, rank + 1, tag, T::as_bytes(&fwd));
-            }
-            None => csend(comm, rank + 1, tag, mine),
-        }
-    }
-    Ok(prefix)
-}
-
-/// `MPI_REDUCE_SCATTER_BLOCK` (pairwise exchange): in step d each rank
-/// sends its contribution to block `(rank+d) % P` and folds in the
-/// contribution it receives for its own block — P−1 small messages, no
-/// root bottleneck. Requires a commutative op (all predefined ops are).
-pub fn reduce_scatter_block<T: MpiPrimitive>(
-    comm: &Communicator,
-    sendbuf: &[T],
-    op: &Op,
-) -> MpiResult<Vec<T>> {
-    ft_gate(comm)?;
-    let _span = CollSpan::begin(comm, coll_op::REDUCE_SCATTER);
-    let size = comm.size();
-    if !sendbuf.len().is_multiple_of(size) {
-        return Err(MpiError::InvalidCount(sendbuf.len() as i64));
-    }
-    let block = sendbuf.len() / size;
-    let rank = comm.rank();
-    let tag = comm.next_coll_tag();
-    let mut out = sendbuf[rank * block..(rank + 1) * block].to_vec();
-    let acc = T::as_bytes_mut(&mut out);
-    for d in 1..size {
-        let to = (rank + d) % size;
-        let from = (rank + size - d) % size;
-        csend(
-            comm,
-            to,
-            tag,
-            T::as_bytes(&sendbuf[to * block..(to + 1) * block]),
-        );
-        crecv(comm, from, tag)?.read(&comm.proc, |data| op.apply(&T::DATATYPE, acc, data))?;
-    }
-    Ok(out)
-}
-
-/// Reference reduce-then-scatter implementation (kept for the algorithm-
-/// equivalence tests and as the non-commutative-op fallback).
-pub fn reduce_scatter_block_naive<T: MpiPrimitive>(
-    comm: &Communicator,
-    sendbuf: &[T],
-    op: &Op,
-) -> MpiResult<Vec<T>> {
-    let size = comm.size();
-    if !sendbuf.len().is_multiple_of(size) {
-        return Err(MpiError::InvalidCount(sendbuf.len() as i64));
-    }
-    let block = sendbuf.len() / size;
-    let reduced = reduce(comm, sendbuf, op, 0)?;
-    scatter(comm, reduced.as_deref(), block, 0)
-}
-
-/// Fixed-size `i32` allgather used internally by `comm_split`. Fallible:
-/// over a lossy fabric the exchange can observe a dead peer, and under
-/// `MPI_ERRORS_RETURN` the caller must see that, not a panic.
-///
-/// Bounded-issue by construction: both [`allgather`] algorithms
-/// (recursive doubling and ring) keep at most one send and one receive
-/// outstanding per step, so this never posts O(ranks) requests — the
-/// depth-pin test in `coll_window.rs` holds it to that.
-pub(crate) fn allgather_plain(comm: &Communicator, mine: &[i32]) -> MpiResult<Vec<i32>> {
-    allgather(comm, mine)
-}
-
-// --------------------------------------------------- Communicator methods
-
 impl Communicator {
-    /// `MPI_BARRIER`.
+    /// `MPI_BARRIER` — see `Schedule::barrier`.
     pub fn barrier(&self) -> MpiResult<()> {
-        barrier(self)
+        Schedule::barrier(self).run(self, &mut [], &[])
     }
 
-    /// `MPI_BCAST`.
+    /// `MPI_BCAST` — see `Schedule::bcast`.
     pub fn bcast<T: MpiPrimitive>(&self, buf: &mut [T], root: usize) -> MpiResult<()> {
-        bcast(self, buf, root)
+        let sched = Schedule::bcast(self, std::mem::size_of_val(buf), root)?;
+        sched.run(self, T::as_bytes_mut(buf), &[])
     }
 
-    /// `MPI_REDUCE`.
+    /// `MPI_REDUCE` — see `Schedule::reduce`. Returns `Some(result)` at
+    /// `root`, `None` elsewhere.
     pub fn reduce<T: MpiPrimitive>(
         &self,
         sendbuf: &[T],
         op: &Op,
         root: usize,
     ) -> MpiResult<Option<Vec<T>>> {
-        reduce(self, sendbuf, op, root)
+        let sched = Schedule::reduce(self, std::mem::size_of_val(sendbuf), op, T::DATATYPE, root)?;
+        // Fold in the buffer the root returns: no separate accumulator.
+        let mut out = sendbuf.to_vec();
+        sched.run(self, T::as_bytes_mut(&mut out), &[])?;
+        Ok((self.rank() == root).then_some(out))
     }
 
-    /// `MPI_ALLREDUCE`.
+    /// `MPI_ALLREDUCE` — see `Schedule::allreduce`.
     pub fn allreduce<T: MpiPrimitive>(&self, sendbuf: &[T], op: &Op) -> MpiResult<Vec<T>> {
-        allreduce(self, sendbuf, op)
+        let sched = Schedule::allreduce(self, std::mem::size_of_val(sendbuf), op, T::DATATYPE);
+        let mut out = sendbuf.to_vec();
+        sched.run(self, T::as_bytes_mut(&mut out), &[])?;
+        Ok(out)
     }
 
-    /// `MPI_GATHER`.
+    /// `MPI_GATHER` (linear): root receives `sendbuf` from every rank,
+    /// concatenated in rank order — see `Schedule::gather`. Returns `Some`
+    /// at root.
     pub fn gather<T: MpiPrimitive>(&self, sendbuf: &[T], root: usize) -> MpiResult<Option<Vec<T>>> {
-        gather(self, sendbuf, root)
+        let send = T::as_bytes(sendbuf);
+        let sched = Schedule::gather(self, send.len(), root, false)?;
+        let at_root = self.rank() == root;
+        // My block in every slot; every other slot is overwritten.
+        let mut out = sendbuf.repeat(if at_root { self.size() } else { 0 });
+        sched.run(self, T::as_bytes_mut(&mut out), send)?;
+        Ok(at_root.then_some(out))
     }
 
-    /// `MPI_GATHERV`.
+    /// `MPI_GATHERV` (linear, variable block sizes) — see
+    /// `Schedule::gather`. Root receives each rank's slice; returns
+    /// `Some((data, counts))` at root with per-rank element counts.
     pub fn gatherv<T: MpiPrimitive>(
         &self,
         sendbuf: &[T],
         root: usize,
     ) -> MpiResult<Option<(Vec<T>, Vec<usize>)>> {
-        gatherv(self, sendbuf, root)
+        let (mine, elem) = (T::as_bytes(sendbuf), T::PREDEFINED.size());
+        let sched = Schedule::gather(self, mine.len(), root, true)?;
+        // Sizes are only known on arrival: the schedule hands back every
+        // peer's message unread, in rank order (nothing in the root's own
+        // slot), and the output is sized by them.
+        let mut held = sched.run_holding(self, &mut [], mine)?;
+        if self.rank() != root {
+            return Ok(None);
+        }
+        held.resize_with(self.size(), || None);
+        let counts: Vec<usize> = (held.iter())
+            .map(|b| b.as_ref().map_or(mine.len(), Opened::len) / elem)
+            .collect();
+        let mut out = zeroed::<T>(counts.iter().sum());
+        let mut rest = T::as_bytes_mut(&mut out);
+        for (b, n) in held.into_iter().zip(&counts) {
+            let (dst, tail) = rest.split_at_mut(n * elem);
+            match b {
+                None => dst.copy_from_slice(mine),
+                Some(b) => self.handle_error(b.read(&self.proc, |data| copy_exact(data, dst)))?,
+            }
+            rest = tail;
+        }
+        Ok(Some((out, counts)))
     }
 
-    /// `MPI_SCATTER`.
+    /// `MPI_SCATTER` (linear): root distributes consecutive blocks of
+    /// `sendbuf`; every rank returns its block — see `Schedule::scatter`.
+    /// `sendbuf` is read at root only.
     pub fn scatter<T: MpiPrimitive>(
         &self,
         sendbuf: Option<&[T]>,
         block: usize,
         root: usize,
     ) -> MpiResult<Vec<T>> {
-        scatter(self, sendbuf, block, root)
+        let send = sendbuf.map_or(&[][..], T::as_bytes);
+        let sent = sendbuf.map(|_| send.len());
+        let sched = Schedule::scatter(self, sent, block * T::PREDEFINED.size(), root)?;
+        let mut out = match sendbuf {
+            Some(s) if self.rank() == root => s[root * block..(root + 1) * block].to_vec(),
+            _ => zeroed::<T>(block),
+        };
+        sched.run(self, T::as_bytes_mut(&mut out), send)?;
+        Ok(out)
     }
 
-    /// `MPI_ALLGATHER`.
+    /// `MPI_ALLGATHER` — see `Schedule::allgather`.
     pub fn allgather<T: MpiPrimitive>(&self, sendbuf: &[T]) -> MpiResult<Vec<T>> {
-        allgather(self, sendbuf)
+        let sched = Schedule::allgather(self, std::mem::size_of_val(sendbuf));
+        // My block in every slot; every other slot is overwritten.
+        let mut out = sendbuf.repeat(self.size());
+        sched.run(self, T::as_bytes_mut(&mut out), &[])?;
+        Ok(out)
     }
 
-    /// `MPI_ALLTOALL`.
+    /// `MPI_ALLTOALL`: `sendbuf` holds `size` blocks of `block` elements;
+    /// block `i` goes to rank `i` — see `Schedule::alltoall`.
     pub fn alltoall<T: MpiPrimitive>(&self, sendbuf: &[T], block: usize) -> MpiResult<Vec<T>> {
-        alltoall(self, sendbuf, block)
+        let send = T::as_bytes(sendbuf);
+        let sched = Schedule::alltoall(self, send.len(), block * T::PREDEFINED.size())?;
+        // Every block but my own is overwritten by its sender's.
+        let mut out = sendbuf.to_vec();
+        sched.run(self, T::as_bytes_mut(&mut out), send)?;
+        Ok(out)
     }
 
-    /// `MPI_SCAN`.
+    /// `MPI_SCAN` (inclusive prefix reduction, linear chain) — see
+    /// `Schedule::scan`.
     pub fn scan<T: MpiPrimitive>(&self, sendbuf: &[T], op: &Op) -> MpiResult<Vec<T>> {
-        scan(self, sendbuf, op)
+        let send = T::as_bytes(sendbuf);
+        let sched = Schedule::scan(self, send.len(), op, T::DATATYPE, false);
+        // Rank 0's prefix is its own contribution.
+        let mut out = sendbuf.to_vec();
+        sched.run(self, T::as_bytes_mut(&mut out), send)?;
+        Ok(out)
     }
 
-    /// `MPI_EXSCAN`.
+    /// `MPI_EXSCAN` (exclusive prefix): rank 0 gets `None` — see
+    /// `Schedule::scan`.
     pub fn exscan<T: MpiPrimitive>(&self, sendbuf: &[T], op: &Op) -> MpiResult<Option<Vec<T>>> {
-        exscan(self, sendbuf, op)
+        let send = T::as_bytes(sendbuf);
+        let sched = Schedule::scan(self, send.len(), op, T::DATATYPE, true);
+        // The prefix as received, then the copy of it that is folded with
+        // my contribution and sent on.
+        let mut out = zeroed::<T>(2 * sendbuf.len());
+        sched.run(self, T::as_bytes_mut(&mut out), send)?;
+        out.truncate(sendbuf.len());
+        Ok((self.rank() > 0).then_some(out))
     }
 
-    /// `MPI_REDUCE_SCATTER_BLOCK`.
+    /// `MPI_REDUCE_SCATTER_BLOCK` (pairwise exchange): `sendbuf` holds one
+    /// block per rank; rank `i` returns the reduction of everyone's block
+    /// `i` — see `Schedule::reduce_scatter_block`.
     pub fn reduce_scatter_block<T: MpiPrimitive>(
         &self,
         sendbuf: &[T],
         op: &Op,
     ) -> MpiResult<Vec<T>> {
-        reduce_scatter_block(self, sendbuf, op)
+        if !sendbuf.len().is_multiple_of(self.size()) {
+            return Err(MpiError::InvalidCount(sendbuf.len() as i64));
+        }
+        let block = sendbuf.len() / self.size();
+        let sched =
+            Schedule::reduce_scatter_block(self, block * T::PREDEFINED.size(), op, T::DATATYPE);
+        // Fold into my own block of my own contribution.
+        let mut out = sendbuf[self.rank() * block..(self.rank() + 1) * block].to_vec();
+        sched.run(self, T::as_bytes_mut(&mut out), T::as_bytes(sendbuf))?;
+        Ok(out)
     }
 }
 
@@ -980,7 +630,7 @@ mod tests {
     }
 
     #[test]
-    fn reduce_scatter_pairwise_matches_naive() {
+    fn reduce_scatter_matches_reduce_then_scatter() {
         for n in [2, 3, 4, 5] {
             let out = Universe::run_default(n, |proc| {
                 let world = proc.world();
@@ -988,7 +638,8 @@ mod tests {
                     .map(|j| proc.rank() as i64 * 10 + j)
                     .collect();
                 let pairwise = world.reduce_scatter_block(&send, &Op::Sum).unwrap();
-                let naive = super::reduce_scatter_block_naive(&world, &send, &Op::Sum).unwrap();
+                let reduced = world.reduce(&send, &Op::Sum, 0).unwrap();
+                let naive = world.scatter(reduced.as_deref(), 2, 0).unwrap();
                 (pairwise, naive)
             });
             for (p, q) in out {
@@ -1024,26 +675,26 @@ mod tests {
 
     #[test]
     fn peeked_fanout_payload_is_never_recycled() {
-        // Rank 0 fans ONE staged payload out to ranks 1..4. Rank 1 holds a
-        // peek clone of its copy (what `iprobe` takes) across every lease
-        // drop and a churn of same-class traffic: had any release recycled
-        // the shared storage, the churn would have overwritten it.
+        // Rank 0's broadcast fans ONE staged payload out to its binomial
+        // children, ranks 1 and 2. Rank 1 holds a peek clone of its copy
+        // (what `iprobe` takes) across every lease drop and a churn of
+        // same-class traffic: had any release recycled the shared storage,
+        // the churn would have overwritten it.
         let data = [0xABu8; 200];
         Universe::run_default(4, move |proc| {
             let world = proc.world();
             let rank = world.rank();
-            let tag = world.next_coll_tag();
             let mut peek = None;
-            if rank == 0 {
-                csend_all(&world, 1..4, tag, &data);
-            } else {
-                if rank == 1 {
-                    let bits = match_bits::encode(world.context_id().collective(), 0, tag);
-                    peek = Some(wait_loop(&world.proc, || world.proc.endpoint.tpeek(bits, 0)).data);
-                }
-                let got = crecv(&world, 0, tag).unwrap();
-                got.read(&world.proc, |got| assert_eq!(got, data));
+            if rank == 1 {
+                // The job's first collective-channel message from rank 0.
+                let ctx = world.context_id().collective();
+                let (bits, ignore) = match_bits::recv_bits(ctx, 0, match_bits::ANY_TAG);
+                let seen = wait_loop(&world.proc, || world.proc.endpoint.tpeek(bits, ignore));
+                peek = Some(seen.data);
             }
+            let mut got = if rank == 0 { data } else { [0; 200] };
+            world.bcast(&mut got, 0).unwrap();
+            assert_eq!(got, data);
             world.barrier().unwrap();
             for _ in 0..8 {
                 world.allgather(&[rank as u8; 200]).unwrap();

@@ -296,7 +296,7 @@ impl Communicator {
         let seq = self.next_derive_seq();
         // Exchange (color, key) with everyone — the collective part.
         let mine = [color, key];
-        let all: Vec<i32> = crate::coll::allgather_plain(self, &mine)?;
+        let all: Vec<i32> = self.allgather(&mine)?;
         if color < 0 {
             return Ok(None);
         }
@@ -352,7 +352,7 @@ impl Communicator {
         let member = group.local_rank(self.proc.rank).is_some();
         // Everyone participates in a barrier-like agreement so ordering
         // stays collective even for non-members.
-        crate::coll::barrier(self)?;
+        self.barrier()?;
         if !member {
             return Ok(None);
         }

@@ -86,9 +86,9 @@ impl Communicator {
         }
         // 2. Leader broadcasts the remote membership within the local comm.
         let mut remote_len = [remote_worlds.len() as u64];
-        crate::coll::bcast(self, &mut remote_len, local_leader)?;
+        self.bcast(&mut remote_len, local_leader)?;
         remote_worlds.resize(remote_len[0] as usize, 0);
-        crate::coll::bcast(self, &mut remote_worlds, local_leader)?;
+        self.bcast(&mut remote_worlds, local_leader)?;
 
         let remote_group =
             Group::from_world_ranks(&remote_worlds.iter().map(|&w| w as u32).collect::<Vec<_>>());

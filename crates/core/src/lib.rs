@@ -28,7 +28,7 @@
 //! | Paper component             | Module |
 //! |-----------------------------|--------|
 //! | MPI layer (checks, objects) | [`pt2pt`], [`rma`], [`comm`], [`error`] |
-//! | Machine-independent colls   | [`coll`] |
+//! | Machine-independent colls   | [`coll`], [`neighborhood`] over [`sched`] |
 //! | Derived datatypes           | `litempi-datatype` |
 //! | Group management            | [`group`] |
 //! | CH4 core + netmods/shmmods  | [`pt2pt`]/[`rma`] over `litempi-fabric` |
@@ -79,8 +79,6 @@ pub use process::Process;
 pub use pt2pt::SendMode;
 pub use request::{testall, testany, waitall, waitany, waitsome, Request};
 pub use rma::{LockType, SharedWindow, VirtAddr, Window};
-pub use sched::{
-    iallgather, iallreduce, ialltoall, ibarrier, ibcast, ireduce, CollOutput, CollRequest,
-};
+pub use sched::{CollOutput, CollRequest};
 pub use status::Status;
 pub use universe::Universe;

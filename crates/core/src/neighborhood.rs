@@ -2,15 +2,20 @@
 //! (`MPI_NEIGHBOR_ALLGATHER` / `MPI_NEIGHBOR_ALLTOALL`).
 //!
 //! MPI-3's neighborhood collectives express exactly the halo pattern the
-//! paper's stencil example uses, letting the implementation pre-plan the
-//! neighbor exchange. Our implementation translates the Cartesian
-//! neighbor ranks **once per call batch** and reuses them — the same
-//! hoisting the paper's §3.1 recommends applications do by hand.
+//! paper's stencil example uses, and hand the implementation the whole
+//! exchange at once. Here that is one compiled schedule
+//! (`Schedule::neighbor`): a single phase with a send to and a receive
+//! from every neighbour, on the Cartesian communicator's *collective*
+//! context — so no point-to-point receive the application has posted on
+//! that communicator, wildcard or not, can match a block of it — and
+//! through the device's injection path, not `MPI_Sendrecv`. The neighbour
+//! ranks are worked out per call ([`CartComm::neighbors`]).
 
 use crate::cart::CartComm;
-use crate::error::MpiResult;
+use crate::coll::zeroed;
+use crate::error::{MpiError, MpiResult};
 use crate::match_bits::PROC_NULL;
-use crate::status::Status;
+use crate::sched::Schedule;
 use litempi_datatype::MpiPrimitive;
 
 impl CartComm {
@@ -30,71 +35,43 @@ impl CartComm {
         &self,
         sendbuf: &[T],
     ) -> MpiResult<(Vec<T>, Vec<bool>)> {
-        let neighbors = self.neighbors();
-        let block = sendbuf.len();
-        let n = neighbors.len() * 2;
-        let mut out = vec![T::from_wire(&vec![0u8; T::PREDEFINED.size()]); block * n];
-        let mut present = vec![false; n];
-        let comm = self.comm();
-        // Per dimension: exchange with (negative, positive) neighbors.
-        for (d, &(src, dst)) in neighbors.iter().enumerate() {
-            let tag = 400 + d as i32;
-            // To the positive neighbor, from the negative neighbor...
-            let mut from_neg = vec![sendbuf[0]; block];
-            let mut from_pos = vec![sendbuf[0]; block];
-            let s1: Option<Status> = if dst != PROC_NULL || src != PROC_NULL {
-                // sendrecv handles PROC_NULL endpoints internally.
-                Some(comm.sendrecv(sendbuf, dst, tag, &mut from_neg, src, tag)?)
-            } else {
-                None
-            };
-            let _ = s1;
-            comm.sendrecv(sendbuf, src, tag + 100, &mut from_pos, dst, tag + 100)?;
-            if src != PROC_NULL {
-                out[(2 * d) * block..(2 * d + 1) * block].copy_from_slice(&from_neg);
-                present[2 * d] = true;
-            }
-            if dst != PROC_NULL {
-                out[(2 * d + 1) * block..(2 * d + 2) * block].copy_from_slice(&from_pos);
-                present[2 * d + 1] = true;
-            }
-        }
-        Ok((out, present))
+        self.neighbor_exchange(sendbuf, sendbuf.len(), false)
     }
 
     /// `MPI_NEIGHBOR_ALLTOALL`: block `i` of `sendbuf` goes to neighbor
     /// `i` (standard neighbor order); the result's block `i` comes from
-    /// neighbor `i`.
+    /// neighbor `i`. A `sendbuf` that is not one `block` per neighbor is
+    /// `MPI_ERR_BUFFER`.
     pub fn neighbor_alltoall<T: MpiPrimitive>(
         &self,
         sendbuf: &[T],
         block: usize,
     ) -> MpiResult<(Vec<T>, Vec<bool>)> {
-        let neighbors = self.neighbors();
-        let n = neighbors.len() * 2;
-        assert_eq!(sendbuf.len(), block * n, "need one block per neighbor");
-        let mut out = vec![T::from_wire(&vec![0u8; T::PREDEFINED.size()]); block * n];
-        let mut present = vec![false; n];
-        let comm = self.comm();
-        for (d, &(src, dst)) in neighbors.iter().enumerate() {
-            let tag = 600 + d as i32;
-            let to_neg = &sendbuf[(2 * d) * block..(2 * d + 1) * block];
-            let to_pos = &sendbuf[(2 * d + 1) * block..(2 * d + 2) * block];
-            let mut from_neg = vec![sendbuf[0]; block];
-            let mut from_pos = vec![sendbuf[0]; block];
-            // Send the positive-bound block to dst while receiving the
-            // negative neighbor's positive-bound block, and vice versa.
-            comm.sendrecv(to_pos, dst, tag, &mut from_neg, src, tag)?;
-            comm.sendrecv(to_neg, src, tag + 100, &mut from_pos, dst, tag + 100)?;
-            if src != PROC_NULL {
-                out[(2 * d) * block..(2 * d + 1) * block].copy_from_slice(&from_neg);
-                present[2 * d] = true;
-            }
-            if dst != PROC_NULL {
-                out[(2 * d + 1) * block..(2 * d + 2) * block].copy_from_slice(&from_pos);
-                present[2 * d + 1] = true;
-            }
+        let (elem, slots) = (T::PREDEFINED.size(), 2 * self.dims().len());
+        if sendbuf.len() != block * slots {
+            return Err(MpiError::BufferTooSmall {
+                needed: block * slots * elem,
+                provided: sendbuf.len() * elem,
+            });
         }
+        self.neighbor_exchange(sendbuf, block, true)
+    }
+
+    /// Both collectives: `block` elements from each neighbor, slot by slot.
+    fn neighbor_exchange<T: MpiPrimitive>(
+        &self,
+        sendbuf: &[T],
+        block: usize,
+        per_neighbor: bool,
+    ) -> MpiResult<(Vec<T>, Vec<bool>)> {
+        let neighbors = self.neighbors();
+        let present: Vec<bool> = (neighbors.iter())
+            .flat_map(|&(neg, pos)| [neg != PROC_NULL, pos != PROC_NULL])
+            .collect();
+        let bytes = block * T::PREDEFINED.size();
+        let sched = Schedule::neighbor(self.comm(), &neighbors, bytes, per_neighbor);
+        let mut out = zeroed::<T>(block * present.len());
+        sched.run(self.comm(), T::as_bytes_mut(&mut out), T::as_bytes(sendbuf))?;
         Ok((out, present))
     }
 }

@@ -22,7 +22,6 @@
 //! -window disadvantage the paper describes); §3.3's precreated-handle idea
 //! appears as the `all_opts` put variant in `ext.rs`.
 
-use crate::coll;
 use crate::comm::{Communicator, Errhandler};
 use crate::error::{MpiError, MpiResult};
 use crate::match_bits::PROC_NULL;
@@ -272,7 +271,7 @@ impl Window {
         let proc = wcomm.proc.clone();
         let region = proc.endpoint.register(len);
         let mine = [region.key().0, len as u64, disp_unit as u64];
-        let all = coll::allgather(&wcomm, &mine)?;
+        let all = wcomm.allgather(&mine)?;
         let size = wcomm.size();
         let univ = &proc.univ;
         let ctx = wcomm.context_id().0;
@@ -307,13 +306,13 @@ impl Window {
         };
         // Ensure every rank has registered the window with its progress
         // engine before anyone issues one-sided traffic at it.
-        coll::barrier(&win.comm)?;
+        win.comm.barrier()?;
         Ok(win)
     }
 
     /// `MPI_WIN_FREE` (collective).
     pub fn free(self) -> MpiResult<()> {
-        coll::barrier(&self.comm)?;
+        self.comm.barrier()?;
         let proc = self.proc().clone();
         proc.my_windows.lock().remove(&self.shared.id);
         proc.endpoint.deregister(self.mine.region.key());
@@ -419,7 +418,7 @@ impl Window {
             .iter()
             .map(|c| c.swap(0, Ordering::AcqRel))
             .collect();
-        let sent = coll::allreduce(&self.comm, &sent, &Op::Sum)?;
+        let sent = self.comm.allreduce(&sent, &Op::Sum)?;
         if sent.iter().any(|&n| n != 0) {
             let due = sent[self.comm.rank()];
             let applied = &self.mine.applied;
@@ -430,7 +429,7 @@ impl Window {
                 self.check_target_alive(self.comm.rank()).err().map(Err)
             })?;
             applied.fetch_sub(due, Ordering::AcqRel);
-            coll::barrier(&self.comm)?;
+            self.comm.barrier()?;
         }
         self.fence_active.store(true, Ordering::Release);
         Ok(())

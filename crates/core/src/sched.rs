@@ -1,28 +1,36 @@
-//! Collective schedules: the one encoding of barrier, bcast, reduce,
-//! allreduce, allgather and alltoall.
+//! Collective schedules: the one encoding of every collective — barrier,
+//! bcast, reduce, allreduce, allgather, alltoall, gather, gatherv, scatter,
+//! scan, exscan, reduce_scatter_block and the two neighbourhood
+//! collectives.
 //!
 //! A compiler (`Schedule::barrier`, `Schedule::bcast`, …) turns one
 //! collective call into a small DAG of vertices — send, receive, local
-//! reduce — grouped into *phases*: every vertex of phase `p` retires before
-//! phase `p+1` issues. Algorithm choice lives in the compilers and nowhere
-//! else: node-aware (`hier::plan`) or flat, recursive doubling or ring,
-//! power-of-two or not. This is the MPICH TSP-style generic scheduler
-//! architecture (see PAPERS.md) scaled to the algorithms litempi has.
+//! reduce, local copy — grouped into *phases*: every vertex of phase `p`
+//! retires before phase `p+1` issues. Algorithm choice lives in the
+//! compilers and nowhere else: node-aware (`hier::plan`) or flat,
+//! recursive doubling or ring, power-of-two or not, tree or scatter +
+//! allgather for a long broadcast. This is the MPICH TSP-style generic
+//! scheduler architecture (see PAPERS.md) scaled to the algorithms litempi
+//! has. No function outside this module posts a receive or injects a send
+//! for a collective; the one traffic on the collective channel that is not
+//! a schedule is the FT agreement protocol's ([`crate::ft`]), which has to
+//! run on a revoked communicator and a schedule refuses to.
 //!
 //! Two drivers run a compiled schedule over the same engine
 //! (`Schedule::progress`: issue the ready phase — sends inject at once,
 //! receives post to the fabric's native matching or the CH4 core matcher —
 //! drain completed receives, advance):
 //!
-//! * the blocking collectives in [`crate::coll`] run it *inline*
-//!   (`Schedule::run`): on the caller's stack, over the caller's buffers
-//!   (the result is folded in the vector that is returned), to completion
-//!   under the library's one wait loop;
-//! * the `MPI_I*` collectives below *defer* it: schedule and buffers move
-//!   behind a shared handle that `test`/`wait` on the returned
-//!   [`CollRequest`] drive. Phase 0 is issued at call time, so
-//!   communication is on the wire before the caller returns — that is what
-//!   makes communication/compute overlap possible.
+//! * the blocking collectives in [`crate::coll`] and
+//!   [`crate::neighborhood`] run it *inline* (`Schedule::run`): on the
+//!   caller's stack, over the caller's buffers (the result is folded in
+//!   the vector that is returned), to completion under the library's one
+//!   wait loop;
+//! * the `MPI_I*` collectives below (the first six have one) *defer* it:
+//!   schedule and buffers move behind a shared handle that `test`/`wait`
+//!   on the returned [`CollRequest`] drive. Phase 0 is issued at call
+//!   time, so communication is on the wire before the caller returns —
+//!   that is what makes communication/compute overlap possible.
 //!
 //! Both produce the same bytes, the same messages and, with tracing on, the
 //! same `SchedPhase*` events. Bookkeeping charges go to
@@ -31,12 +39,15 @@
 //! schedule issues charge their own injection categories, so the calibrated
 //! totals (221/215/59/253) are untouched.
 
-use crate::coll::{binomial_children, copy_exact, issue_window, parent_of, send_staged};
+use crate::coll::{
+    binomial_children, copy_exact, issue_window, parent_of, send_staged, zeroed,
+    BCAST_LONG_MSG_BYTES,
+};
 use crate::comm::{CommShared, Communicator, Errhandler};
 use crate::error::{MpiError, MpiResult};
 use crate::group::Group;
 use crate::hier::{self, HierPlan};
-use crate::match_bits::{self, ContextId};
+use crate::match_bits::{self, ContextId, PROC_NULL};
 use crate::op::Op;
 use crate::process::{Posted, ProcInner};
 use crate::proto::{self, Opened};
@@ -47,6 +58,7 @@ use litempi_fabric::TaggedMessage;
 use litempi_instr::{charge, cost, Category};
 use litempi_trace::{event::coll_op, EventKind};
 use parking_lot::Mutex;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A byte range of the accumulator — the result buffer, which starts as
@@ -61,6 +73,10 @@ impl Span {
     fn new(start: usize, len: usize) -> Span {
         Span { start, len }
     }
+
+    fn range(self) -> Range<usize> {
+        self.start..self.start + self.len
+    }
 }
 
 /// What a `Send` vertex sends.
@@ -69,7 +85,19 @@ enum Src {
     /// An empty payload (barrier).
     Nothing,
     Acc(Span),
-    /// A range of the caller's send buffer, read only (alltoall).
+    /// A range of the caller's send buffer, read only (alltoall, the
+    /// rooted and neighbourhood collectives).
+    Input(Span),
+}
+
+/// The second operand of a `Reduce` vertex.
+#[derive(Clone, Copy)]
+enum Operand {
+    /// The message a `Sink::Hold` receive left in this slot.
+    Held(usize),
+    /// A range of the caller's send buffer (scan: the prefix received into
+    /// the accumulator, folded with this rank's contribution — in that
+    /// order).
     Input(Span),
 }
 
@@ -82,7 +110,8 @@ enum Sink {
     Into(Span),
     /// Keep it, uncopied, in this operand slot until a `Reduce` vertex of
     /// a later phase folds it — the fold reads the wire or staging buffer
-    /// itself.
+    /// itself — or, never folded, until the run hands it back
+    /// (`Schedule::run_holding`: gatherv sizes its output by what arrived).
     Hold(usize),
 }
 
@@ -96,11 +125,15 @@ enum Vertex {
     Send { peer: usize, tag: i32, src: Src },
     /// Post a matched receive.
     Recv { peer: usize, tag: i32, dst: Sink },
-    /// `dst = dst OP held[src]` with the schedule's reduction op. Which
-    /// operand is folded when is fixed at compile time, never by arrival
-    /// order, so floating-point rounding repeats from run to run and is
-    /// the same inline and deferred.
-    Reduce { src: usize, dst: Span },
+    /// `dst = dst OP src` with the schedule's reduction op. Which operand
+    /// is folded when is fixed at compile time, never by arrival order, so
+    /// floating-point rounding repeats from run to run and is the same
+    /// inline and deferred.
+    Reduce { src: Operand, dst: Span },
+    /// Copy one span of the accumulator onto another (exscan: the prefix
+    /// received is both the result and what the forwarded value folds
+    /// from).
+    Copy { src: Span, dst: Span },
     /// Closes a phase: what follows issues once everything before it has
     /// retired.
     Fence,
@@ -137,8 +170,8 @@ enum SchedState {
 
 /// What a schedule runs over, lent for one `Schedule::progress` call:
 /// the communicator's group (rank → world rank), the accumulator its
-/// spans index and the send buffer. The inline driver lends the caller's own memory; a
-/// deferred schedule's handle owns all three.
+/// spans index and the send buffer. The inline driver lends the caller's
+/// own memory; a deferred schedule's handle owns all three.
 pub(crate) struct Mem<'a> {
     group: &'a Group,
     acc: &'a mut [u8],
@@ -149,8 +182,8 @@ impl Mem<'_> {
     fn bytes(&self, src: Src) -> &[u8] {
         match src {
             Src::Nothing => &[],
-            Src::Acc(s) => &self.acc[s.start..s.start + s.len],
-            Src::Input(s) => &self.input[s.start..s.start + s.len],
+            Src::Acc(s) => &self.acc[s.range()],
+            Src::Input(s) => &self.input[s.range()],
         }
     }
 }
@@ -204,7 +237,8 @@ pub(crate) struct Schedule {
     /// Reduction operands received (`Sink::Hold`) and not yet folded.
     held: Vec<Option<Opened>>,
     live: Vec<LiveRecv>,
-    /// Bytes of result this rank ends up with (0 off-root for reduce).
+    /// Bytes of result this rank ends up with (0 off-root for reduce):
+    /// what a deferred schedule's `Status` reports.
     result_bytes: usize,
     state: SchedState,
 }
@@ -264,12 +298,19 @@ impl Schedule {
     /// send buffer of a schedule that reads one (alltoall). A failure
     /// (dead peer, revocation, damaged descriptor) goes through the
     /// communicator's errhandler.
-    pub(crate) fn run(
+    pub(crate) fn run(self, comm: &Communicator, acc: &mut [u8], input: &[u8]) -> MpiResult<()> {
+        self.run_holding(comm, acc, input).map(drop)
+    }
+
+    /// [`run`](Schedule::run), handing back the operand slots: the messages
+    /// `Sink::Hold` receives matched and no `Reduce` vertex folded, opened
+    /// and unread.
+    pub(crate) fn run_holding(
         mut self,
         comm: &Communicator,
         acc: &mut [u8],
         input: &[u8],
-    ) -> MpiResult<()> {
+    ) -> MpiResult<Vec<Option<Opened>>> {
         let proc = &*comm.proc;
         self.begin(false);
         let mut mem = Mem {
@@ -278,7 +319,7 @@ impl Schedule {
             input,
         };
         let done = wait_loop(proc, || self.progress(proc, &mut mem).transpose());
-        comm.handle_error(done.map(drop))
+        comm.handle_error(done.map(|_| self.held))
     }
 
     fn status(&self) -> Status {
@@ -387,12 +428,16 @@ impl Schedule {
                 }
                 Vertex::Reduce { src, dst } => {
                     let (op, ty) = self.op.as_ref().expect("reduce vertex without op");
-                    let operand = self.held[src]
-                        .take()
-                        .expect("reduce vertex ahead of its receive");
-                    let inout = &mut mem.acc[dst.start..dst.start + dst.len];
-                    operand.read(proc, |data| op.apply(ty, inout, data))?;
+                    let inout = &mut mem.acc[dst.range()];
+                    match src {
+                        Operand::Held(slot) => self.held[slot]
+                            .take()
+                            .expect("reduce vertex ahead of its receive")
+                            .read(proc, |data| op.apply(ty, inout, data))?,
+                        Operand::Input(s) => op.apply(ty, inout, &mem.input[s.range()])?,
+                    }
                 }
+                Vertex::Copy { src, dst } => mem.acc.copy_within(src.range(), dst.start),
             }
             self.charge((next - i) as u64 * cost::schedule::VERTEX_ISSUE);
             i = next;
@@ -434,9 +479,7 @@ impl Schedule {
         let msg = proto::open(proc, msg)?;
         match dst {
             Sink::Discard => msg.read(proc, |_| Ok(())),
-            Sink::Into(s) => msg.read(proc, |data| {
-                copy_exact(data, &mut mem.acc[s.start..s.start + s.len])
-            }),
+            Sink::Into(s) => msg.read(proc, |data| copy_exact(data, &mut mem.acc[s.range()])),
             Sink::Hold(slot) => {
                 if self.held.len() <= slot {
                     self.held.resize_with(slot + 1, || None);
@@ -449,6 +492,20 @@ impl Schedule {
 }
 
 // ------------------------------------------------------------ the compilers
+
+fn send(peer: usize, tag: i32, src: Src) -> Vertex {
+    Vertex::Send { peer, tag, src }
+}
+
+fn recv(peer: usize, tag: i32, dst: Sink) -> Vertex {
+    Vertex::Recv { peer, tag, dst }
+}
+
+/// `dst = dst OP` the message held in `slot`.
+fn fold(slot: usize, dst: Span) -> Vertex {
+    let src = Operand::Held(slot);
+    Vertex::Reduce { src, dst }
+}
 
 impl Schedule {
     /// `MPI_BARRIER`: node-aware on a multi-node topology (members check in
@@ -465,16 +522,8 @@ impl Schedule {
             return s;
         };
         let members = plan.members[1..].iter().copied();
-        let recv_from = |peer| Vertex::Recv {
-            peer,
-            tag,
-            dst: Sink::Discard,
-        };
-        let send_to = |peer| Vertex::Send {
-            peer,
-            tag,
-            src: Src::Nothing,
-        };
+        let recv_from = |peer| recv(peer, tag, Sink::Discard);
+        let send_to = |peer| send(peer, tag, Src::Nothing);
         match plan.leader_slot {
             None => {
                 s.phase([send_to(plan.leader())]);
@@ -489,20 +538,34 @@ impl Schedule {
         s
     }
 
-    /// `MPI_BCAST` of `n` bytes from `root`: binomial tree — over the node
-    /// leaders, between a hand-off from the root to its leader and each
-    /// leader's fan-out to its members, on a multi-node topology.
+    /// `MPI_BCAST` of `n` bytes from `root`. On a multi-node topology a
+    /// binomial tree over the node leaders, between a hand-off from the root
+    /// to its leader and each leader's fan-out to its members. Otherwise a
+    /// binomial tree over the whole communicator (latency-optimal, but the
+    /// full payload travels log P times) or, for a payload longer than
+    /// [`BCAST_LONG_MSG_BYTES`] that divides into one block per rank, van
+    /// de Geijn's scatter + allgather (about twice the payload per rank in
+    /// total): the root deals block `i` to rank `i`, everyone allgathers.
     pub(crate) fn bcast(comm: &Communicator, n: usize, root: usize) -> MpiResult<Schedule> {
         comm.group().check_rank(root as i32)?;
         let mut s = Schedule::new(comm, coll_op::BCAST);
         s.result_bytes = n;
-        if comm.size() == 1 {
+        let size = comm.size();
+        if size == 1 {
             return Ok(s);
         }
         let tag = comm.next_coll_tag();
         let full = Span::new(0, n);
         let Some(plan) = hier::plan(comm) else {
-            s.push_tree_bcast(Ranks::All(comm.size()), s.rank, root, tag, n);
+            if n > BCAST_LONG_MSG_BYTES && size > 2 && n.is_multiple_of(size) {
+                let block = n / size;
+                let mine = Span::new(s.rank * block, block);
+                s.push_scatter(size, root, tag, block, Src::Acc, mine);
+                // Two patterns, two tags.
+                s.push_allgather(size, comm.next_coll_tag(), block);
+            } else {
+                s.push_tree_bcast(Ranks::All(size), s.rank, root, tag, n);
+            }
             return Ok(s);
         };
         s.push_hand_off(root, plan.leader_of[root], tag, full);
@@ -513,11 +576,7 @@ impl Schedule {
             let members = plan.members[1..].iter().copied().filter(|&m| m != root);
             s.push_fan_out(members, tag, full);
         } else if s.rank != root {
-            s.phase([Vertex::Recv {
-                peer: plan.leader(),
-                tag,
-                dst: Sink::Into(full),
-            }]);
+            s.phase([recv(plan.leader(), tag, Sink::Into(full))]);
         }
         Ok(s)
     }
@@ -570,11 +629,7 @@ impl Schedule {
                 s.push_tree_bcast(leaders, li, 0, tag, n);
                 s.push_fan_out(plan.members[1..].iter().copied(), tag, acc);
             } else {
-                s.phase([Vertex::Recv {
-                    peer: plan.leader(),
-                    tag,
-                    dst: Sink::Into(acc),
-                }]);
+                s.phase([recv(plan.leader(), tag, Sink::Into(acc))]);
             }
         } else if size.is_power_of_two() && size > 1 {
             let tag = comm.next_coll_tag();
@@ -582,18 +637,10 @@ impl Schedule {
             while k < size {
                 let partner = rank ^ k;
                 s.phase([
-                    Vertex::Send {
-                        peer: partner,
-                        tag,
-                        src: Src::Acc(acc),
-                    },
-                    Vertex::Recv {
-                        peer: partner,
-                        tag,
-                        dst: Sink::Hold(0),
-                    },
+                    send(partner, tag, Src::Acc(acc)),
+                    recv(partner, tag, Sink::Hold(0)),
                 ]);
-                s.phase([Vertex::Reduce { src: 0, dst: acc }]);
+                s.phase([fold(0, acc)]);
                 k <<= 1;
             }
         } else {
@@ -607,52 +654,13 @@ impl Schedule {
         s
     }
 
-    /// `MPI_ALLGATHER` of `block` bytes per rank: recursive doubling for
-    /// power-of-two sizes (log P steps; at step k, partners `rank ^ 2^k`
-    /// swap their accumulated 2^k-block runs), ring otherwise (P−1 steps,
-    /// bandwidth-friendly). Receives land in their rank-ordered output
-    /// slots; one send and one receive are outstanding per step.
+    /// `MPI_ALLGATHER` of `block` bytes per rank — see
+    /// [`push_allgather`](Schedule::push_allgather).
     pub(crate) fn allgather(comm: &Communicator, block: usize) -> Schedule {
         let size = comm.size();
         let mut s = Schedule::new(comm, coll_op::ALLGATHER);
         s.result_bytes = block * size;
-        let rank = s.rank;
-        let tag = comm.next_coll_tag();
-        // Runs of whole blocks of the rank-ordered output.
-        let blocks = |first: usize, count: usize| Span::new(first * block, count * block);
-        let swap = |to, send, from, recv| {
-            [
-                Vertex::Send {
-                    peer: to,
-                    tag,
-                    src: Src::Acc(send),
-                },
-                Vertex::Recv {
-                    peer: from,
-                    tag,
-                    dst: Sink::Into(recv),
-                },
-            ]
-        };
-        if size.is_power_of_two() {
-            let mut k = 1usize;
-            while k < size {
-                let partner = rank ^ k;
-                // Each side owns the run of k blocks at its k-aligned base.
-                let (mine, theirs) = (blocks(rank / k * k, k), blocks(partner / k * k, k));
-                s.phase(swap(partner, mine, partner, theirs));
-                k <<= 1;
-            }
-        } else {
-            // In step `step` forward the block that originated `step`
-            // ranks to the left.
-            let (right, left) = ((rank + 1) % size, (rank + size - 1) % size);
-            for step in 0..size - 1 {
-                let origin = (rank + size - step) % size;
-                let before = (origin + size - 1) % size;
-                s.phase(swap(right, blocks(origin, 1), left, blocks(before, 1)));
-            }
-        }
+        s.push_allgather(size, comm.next_coll_tag(), block);
         s
     }
 
@@ -682,22 +690,14 @@ impl Schedule {
         let mut s = Schedule::new(comm, coll_op::ALLTOALL);
         s.result_bytes = send_bytes;
         let tag = comm.next_coll_tag();
-        let w = issue_window(comm, block);
-        for chunk in hier::alltoall_slots(comm).chunks(w) {
+        let nth = |r: usize| Span::new(r * block, block);
+        for chunk in hier::alltoall_slots(comm).chunks(issue_window(comm, block)) {
             for slot in chunk {
                 if let Some(to) = slot.send_to {
-                    s.verts.push(Vertex::Send {
-                        peer: to,
-                        tag,
-                        src: Src::Input(Span::new(to * block, block)),
-                    });
+                    s.verts.push(send(to, tag, Src::Input(nth(to))));
                 }
                 if let Some(from) = slot.recv_from {
-                    s.verts.push(Vertex::Recv {
-                        peer: from,
-                        tag,
-                        dst: Sink::Into(Span::new(from * block, block)),
-                    });
+                    s.verts.push(recv(from, tag, Sink::Into(nth(from))));
                 }
             }
             s.fence();
@@ -705,14 +705,251 @@ impl Schedule {
         Ok(s)
     }
 
+    /// `MPI_GATHER` / `MPI_GATHERV` (linear) of this rank's `n` bytes to
+    /// `root`: everyone else sends its buffer, the root receives them in
+    /// phases of at most the issue window, so it never has O(ranks)
+    /// receives posted. `gather` lands rank `r`'s block at `r · n` of the
+    /// root's accumulator (its own is in place); `variable` (gatherv), where
+    /// only arrival tells a length, holds rank `r`'s message in operand slot
+    /// `r` for the caller to size its output by
+    /// ([`run_holding`](Schedule::run_holding)).
+    pub(crate) fn gather(
+        comm: &Communicator,
+        n: usize,
+        root: usize,
+        variable: bool,
+    ) -> MpiResult<Schedule> {
+        comm.group().check_rank(root as i32)?;
+        let mut s = Schedule::new(comm, coll_op::GATHER);
+        let tag = comm.next_coll_tag();
+        if s.rank != root {
+            s.phase([send(root, tag, Src::Input(Span::new(0, n)))]);
+            return Ok(s);
+        }
+        let sink = |r: usize| {
+            if variable {
+                Sink::Hold(r)
+            } else {
+                Sink::Into(Span::new(r * n, n))
+            }
+        };
+        let peers: Vec<usize> = (0..comm.size()).filter(|&r| r != root).collect();
+        for chunk in peers.chunks(issue_window(comm, n)) {
+            s.phase(chunk.iter().map(|&peer| recv(peer, tag, sink(peer))));
+        }
+        Ok(s)
+    }
+
+    /// `MPI_SCATTER` (linear) of `block`-byte blocks from `root`, whose
+    /// send buffer (`send_bytes` long; read at the root only) holds one per
+    /// rank: block `r` goes to rank `r`'s accumulator; the root's own is in
+    /// place. A missing or mis-sized root buffer is `MPI_ERR_BUFFER`, as in
+    /// point-to-point.
+    pub(crate) fn scatter(
+        comm: &Communicator,
+        send_bytes: Option<usize>,
+        block: usize,
+        root: usize,
+    ) -> MpiResult<Schedule> {
+        comm.group().check_rank(root as i32)?;
+        let size = comm.size();
+        let mut s = Schedule::new(comm, coll_op::SCATTER);
+        if s.rank == root && send_bytes != Some(block * size) {
+            return Err(MpiError::BufferTooSmall {
+                needed: block * size,
+                provided: send_bytes.unwrap_or(0),
+            });
+        }
+        let tag = comm.next_coll_tag();
+        s.push_scatter(size, root, tag, block, Src::Input, Span::new(0, block));
+        Ok(s)
+    }
+
+    /// `MPI_SCAN` / `MPI_EXSCAN` (`exclusive`) of `n` bytes, a chain: rank
+    /// `r` receives the prefix over ranks `0..r`, folds its own
+    /// contribution into it — prefix first, so a non-commutative op reads
+    /// left to right — and sends the result on. The accumulator starts as
+    /// this rank's contribution (rank 0's inclusive prefix). Inclusive, the
+    /// folded prefix is the result. Exclusive, the prefix as received is
+    /// (bytes `0..n`; rank 0 has none), so the fold works on a copy of it in
+    /// bytes `n..2n`.
+    pub(crate) fn scan(
+        comm: &Communicator,
+        n: usize,
+        op: &Op,
+        ty: Datatype,
+        exclusive: bool,
+    ) -> Schedule {
+        let mut s = Schedule::new(comm, coll_op::SCAN);
+        s.op = Some((op.clone(), ty));
+        let tag = comm.next_coll_tag();
+        let rank = s.rank;
+        let last = rank + 1 == comm.size();
+        let mine = Span::new(0, n);
+        let (prefix, folded) = (mine, Span::new(if exclusive { n } else { 0 }, n));
+        if rank > 0 {
+            s.phase([recv(rank - 1, tag, Sink::Into(prefix))]);
+            // The last rank of an exclusive scan has nobody to fold for.
+            if !(exclusive && last) {
+                let copy = Vertex::Copy {
+                    src: prefix,
+                    dst: folded,
+                };
+                let src = Operand::Input(mine);
+                s.verts.extend(exclusive.then_some(copy));
+                s.phase([Vertex::Reduce { src, dst: folded }]);
+            }
+        }
+        if !last {
+            let src = if rank > 0 {
+                Src::Acc(folded)
+            } else {
+                Src::Input(mine)
+            };
+            s.phase([send(rank + 1, tag, src)]);
+        }
+        s
+    }
+
+    /// `MPI_REDUCE_SCATTER_BLOCK` (pairwise exchange) of `block`-byte
+    /// blocks: at offset `d` a rank sends block `rank + d` of its send
+    /// buffer to that rank and folds the block it receives from `rank − d`
+    /// into the accumulator, which starts as its own block of its own
+    /// buffer — P − 1 block-sized messages per rank, no root. Offsets go out
+    /// a window at a time, each received block in an operand slot of its
+    /// own, and are folded in ascending `d` whatever order they arrived in.
+    /// Requires a commutative op (all predefined ops are).
+    pub(crate) fn reduce_scatter_block(
+        comm: &Communicator,
+        block: usize,
+        op: &Op,
+        ty: Datatype,
+    ) -> Schedule {
+        let size = comm.size();
+        let mut s = Schedule::new(comm, coll_op::REDUCE_SCATTER);
+        s.op = Some((op.clone(), ty));
+        let tag = comm.next_coll_tag();
+        let rank = s.rank;
+        let offsets: Vec<usize> = (1..size).collect();
+        for chunk in offsets.chunks(issue_window(comm, block)) {
+            s.phase(chunk.iter().enumerate().flat_map(|(slot, d)| {
+                let (to, from) = ((rank + d) % size, (rank + size - d) % size);
+                [
+                    send(to, tag, Src::Input(Span::new(to * block, block))),
+                    recv(from, tag, Sink::Hold(slot)),
+                ]
+            }));
+            s.phase((0..chunk.len()).map(|slot| fold(slot, Span::new(0, block))));
+        }
+        s
+    }
+
+    /// `MPI_NEIGHBOR_ALLGATHER` / `MPI_NEIGHBOR_ALLTOALL` (`per_neighbor`)
+    /// of `block` bytes on a Cartesian communicator: one phase, a send to
+    /// and a receive from each of the ≤ 2·ndims neighbours
+    /// (`neighbors[d]` = the negative and the positive one along dimension
+    /// `d`; a `PROC_NULL` one compiles to nothing). Slot `2d` of the
+    /// accumulator is the negative neighbour's block, `2d + 1` the positive
+    /// one's; allgather sends the whole send buffer each way, alltoall slot
+    /// `i` of it to neighbour `i`. Each direction of travel has a tag of
+    /// its own: along a periodic dimension of extent 2 both neighbours are
+    /// one rank (of extent 1, this rank), and only the direction says which
+    /// slot a block belongs in.
+    pub(crate) fn neighbor(
+        comm: &Communicator,
+        neighbors: &[(i32, i32)],
+        block: usize,
+        per_neighbor: bool,
+    ) -> Schedule {
+        let op_id = if per_neighbor {
+            coll_op::NEIGHBOR_ALLTOALL
+        } else {
+            coll_op::NEIGHBOR_ALLGATHER
+        };
+        let mut s = Schedule::new(comm, op_id);
+        for (d, &(neg, pos)) in neighbors.iter().enumerate() {
+            let (down, up) = (comm.next_coll_tag(), comm.next_coll_tag());
+            for (slot, peer, out_tag, in_tag) in
+                [(2 * d, neg, down, up), (2 * d + 1, pos, up, down)]
+            {
+                if peer == PROC_NULL {
+                    continue;
+                }
+                let here = Span::new(slot * block, block);
+                let out = if per_neighbor {
+                    here
+                } else {
+                    Span::new(0, block)
+                };
+                s.verts.push(send(peer as usize, out_tag, Src::Input(out)));
+                s.verts.push(recv(peer as usize, in_tag, Sink::Into(here)));
+            }
+        }
+        s.fence();
+        s
+    }
+
+    /// Linear scatter of `block`-byte blocks from `root`: the root sends
+    /// block `r` of `src` to every other rank `r`, which receives it into
+    /// `into`.
+    fn push_scatter(
+        &mut self,
+        size: usize,
+        root: usize,
+        tag: i32,
+        block: usize,
+        src: fn(Span) -> Src,
+        into: Span,
+    ) {
+        if self.rank != root {
+            self.phase([recv(root, tag, Sink::Into(into))]);
+            return;
+        }
+        let peers = (0..size).filter(|&r| r != root);
+        self.phase(peers.map(|r| send(r, tag, src(Span::new(r * block, block)))));
+    }
+
+    /// Allgather of the accumulator's `size` rank-ordered `block`-byte
+    /// blocks, this rank's own in place: recursive doubling for
+    /// power-of-two sizes (log P steps; at step k, partners `rank ^ 2^k`
+    /// swap their accumulated 2^k-block runs), ring otherwise (P−1 steps,
+    /// bandwidth-friendly). Receives land in their output slots; one send
+    /// and one receive are outstanding per step.
+    fn push_allgather(&mut self, size: usize, tag: i32, block: usize) {
+        let rank = self.rank;
+        // Runs of whole blocks of the rank-ordered output.
+        let blocks = |first: usize, count: usize| Span::new(first * block, count * block);
+        let swap = |to, out, from, into| {
+            [
+                send(to, tag, Src::Acc(out)),
+                recv(from, tag, Sink::Into(into)),
+            ]
+        };
+        if size.is_power_of_two() {
+            let mut k = 1usize;
+            while k < size {
+                let partner = rank ^ k;
+                // Each side owns the run of k blocks at its k-aligned base.
+                let (mine, theirs) = (blocks(rank / k * k, k), blocks(partner / k * k, k));
+                self.phase(swap(partner, mine, partner, theirs));
+                k <<= 1;
+            }
+        } else {
+            // In step `step` forward the block that originated `step`
+            // ranks to the left.
+            let (right, left) = ((rank + 1) % size, (rank + size - 1) % size);
+            for step in 0..size - 1 {
+                let origin = (rank + size - step) % size;
+                let before = (origin + size - 1) % size;
+                self.phase(swap(right, blocks(origin, 1), left, blocks(before, 1)));
+            }
+        }
+    }
+
     /// One phase sending `src` to every rank in `peers`. The engine stages
     /// the span once for the whole run — see `issue_phase`.
     fn push_fan_out(&mut self, peers: impl Iterator<Item = usize>, tag: i32, src: Span) {
-        self.phase(peers.map(|peer| Vertex::Send {
-            peer,
-            tag,
-            src: Src::Acc(src),
-        }));
+        self.phase(peers.map(|peer| send(peer, tag, Src::Acc(src))));
     }
 
     /// `span` moves from rank `from` to rank `to` when they differ (root
@@ -724,11 +961,7 @@ impl Schedule {
         if self.rank == from {
             self.push_fan_out(std::iter::once(to), tag, span);
         } else if self.rank == to {
-            self.phase([Vertex::Recv {
-                peer: from,
-                tag,
-                dst: Sink::Into(span),
-            }]);
+            self.phase([recv(from, tag, Sink::Into(span))]);
         }
     }
 
@@ -739,16 +972,8 @@ impl Schedule {
         let mut k = 1usize;
         while k < g {
             self.phase([
-                Vertex::Send {
-                    peer: ranks.at((my_idx + k) % g),
-                    tag,
-                    src: Src::Nothing,
-                },
-                Vertex::Recv {
-                    peer: ranks.at((my_idx + g - k) % g),
-                    tag,
-                    dst: Sink::Discard,
-                },
+                send(ranks.at((my_idx + k) % g), tag, Src::Nothing),
+                recv(ranks.at((my_idx + g - k) % g), tag, Sink::Discard),
             ]);
             k <<= 1;
         }
@@ -769,22 +994,15 @@ impl Schedule {
         let g = ranks.len();
         let acc = Span::new(0, n);
         let v = (my_idx + g - root_idx) % g;
+        let at = |v: usize| ranks.at((v + root_idx) % g);
         let mut k = 1usize;
         while k < g {
             if v & k != 0 {
-                self.phase([Vertex::Send {
-                    peer: ranks.at(((v - k) + root_idx) % g),
-                    tag,
-                    src: Src::Acc(acc),
-                }]);
+                self.phase([send(at(v - k), tag, Src::Acc(acc))]);
                 break;
             } else if v + k < g {
-                self.phase([Vertex::Recv {
-                    peer: ranks.at(((v + k) + root_idx) % g),
-                    tag,
-                    dst: Sink::Hold(0),
-                }]);
-                self.phase([Vertex::Reduce { src: 0, dst: acc }]);
+                self.phase([recv(at(v + k), tag, Sink::Hold(0))]);
+                self.phase([fold(0, acc)]);
             }
             k <<= 1;
         }
@@ -804,15 +1022,11 @@ impl Schedule {
         let g = ranks.len();
         let full = Span::new(0, n);
         let v = (my_idx + g - root_idx) % g;
+        let at = |v: usize| ranks.at((v + root_idx) % g);
         if v != 0 {
-            self.phase([Vertex::Recv {
-                peer: ranks.at((parent_of(v) + root_idx) % g),
-                tag,
-                dst: Sink::Into(full),
-            }]);
+            self.phase([recv(at(parent_of(v)), tag, Sink::Into(full))]);
         }
-        let children = binomial_children(v, g).map(|c| ranks.at((c + root_idx) % g));
-        self.push_fan_out(children, tag, full);
+        self.push_fan_out(binomial_children(v, g).map(at), tag, full);
     }
 
     /// Intra-node fan-in of a node-aware reduction: members send their
@@ -825,13 +1039,9 @@ impl Schedule {
             self.push_fan_out(std::iter::once(plan.leader()), tag, acc);
             return;
         }
-        let members = &plan.members[1..];
-        self.phase(members.iter().enumerate().map(|(j, &peer)| Vertex::Recv {
-            peer,
-            tag,
-            dst: Sink::Hold(j),
-        }));
-        self.phase((0..members.len()).map(|j| Vertex::Reduce { src: j, dst: acc }));
+        let members = plan.members[1..].iter().enumerate();
+        self.phase(members.map(|(j, &peer)| recv(peer, tag, Sink::Hold(j))));
+        self.phase((1..plan.members.len()).map(|j| fold(j - 1, acc)));
     }
 }
 
@@ -929,7 +1139,7 @@ impl<T> CollOutput<T> {
 fn bytes_to_vec<T: MpiPrimitive>(bytes: Vec<u8>) -> Vec<T> {
     let elem = T::PREDEFINED.size();
     debug_assert!(bytes.len().is_multiple_of(elem));
-    let mut out = crate::coll::zeroed::<T>(bytes.len() / elem);
+    let mut out = zeroed::<T>(bytes.len() / elem);
     T::as_bytes_mut(&mut out).copy_from_slice(&bytes);
     out
 }
@@ -966,125 +1176,75 @@ fn begin_request<T>(
     })
 }
 
-/// `MPI_IBARRIER` — `Schedule::barrier`, deferred.
-pub fn ibarrier(comm: &Communicator) -> MpiResult<CollRequest<()>> {
-    begin_request(
-        comm,
-        Schedule::barrier(comm),
-        Vec::new(),
-        Vec::new(),
-        |_| (),
-    )
-}
-
-/// `MPI_IBCAST` — `Schedule::bcast`, deferred. Takes the payload by
-/// shared slice and returns the broadcast data, so non-root ranks pass
-/// their (same-length) staging buffer.
-pub fn ibcast<T: MpiPrimitive>(
-    comm: &Communicator,
-    buf: &[T],
-    root: usize,
-) -> MpiResult<CollRequest<Vec<T>>> {
-    let acc = T::as_bytes(buf).to_vec();
-    let sched = Schedule::bcast(comm, acc.len(), root)?;
-    begin_request(comm, sched, acc, Vec::new(), bytes_to_vec::<T>)
-}
-
-/// `MPI_IREDUCE` — `Schedule::reduce`, deferred: the root's output
-/// resolves to `Some(result)`, everyone else's to `None`.
-pub fn ireduce<T: MpiPrimitive>(
-    comm: &Communicator,
-    sendbuf: &[T],
-    op: &Op,
-    root: usize,
-) -> MpiResult<CollRequest<Option<Vec<T>>>> {
-    let acc = T::as_bytes(sendbuf).to_vec();
-    let sched = Schedule::reduce(comm, acc.len(), op, T::DATATYPE, root)?;
-    let at_root = comm.rank() == root;
-    begin_request(comm, sched, acc, Vec::new(), move |acc| {
-        at_root.then(|| bytes_to_vec::<T>(acc))
-    })
-}
-
-/// `MPI_IALLREDUCE` — `Schedule::allreduce`, deferred.
-pub fn iallreduce<T: MpiPrimitive>(
-    comm: &Communicator,
-    sendbuf: &[T],
-    op: &Op,
-) -> MpiResult<CollRequest<Vec<T>>> {
-    let acc = T::as_bytes(sendbuf).to_vec();
-    let sched = Schedule::allreduce(comm, acc.len(), op, T::DATATYPE);
-    begin_request(comm, sched, acc, Vec::new(), bytes_to_vec::<T>)
-}
-
-/// `MPI_IALLGATHER` — `Schedule::allgather`, deferred.
-pub fn iallgather<T: MpiPrimitive>(
-    comm: &Communicator,
-    sendbuf: &[T],
-) -> MpiResult<CollRequest<Vec<T>>> {
-    let mine = T::as_bytes(sendbuf);
-    let sched = Schedule::allgather(comm, mine.len());
-    // My block in every slot; every other slot is overwritten.
-    let acc = mine.repeat(comm.size());
-    begin_request(comm, sched, acc, Vec::new(), bytes_to_vec::<T>)
-}
-
-/// `MPI_IALLTOALL` — `Schedule::alltoall`, deferred.
-pub fn ialltoall<T: MpiPrimitive>(
-    comm: &Communicator,
-    sendbuf: &[T],
-    block: usize,
-) -> MpiResult<CollRequest<Vec<T>>> {
-    let input = T::as_bytes(sendbuf).to_vec();
-    let sched = Schedule::alltoall(comm, input.len(), block * T::PREDEFINED.size())?;
-    begin_request(comm, sched, input.clone(), input, bytes_to_vec::<T>)
-}
-
 impl Communicator {
-    /// `MPI_IBARRIER` — see [`ibarrier`].
+    /// `MPI_IBARRIER` — `Schedule::barrier`, deferred.
     pub fn ibarrier(&self) -> MpiResult<CollRequest<()>> {
-        ibarrier(self)
+        begin_request(
+            self,
+            Schedule::barrier(self),
+            Vec::new(),
+            Vec::new(),
+            |_| (),
+        )
     }
 
-    /// `MPI_IBCAST` — see [`ibcast`].
+    /// `MPI_IBCAST` — `Schedule::bcast`, deferred. Takes the payload by
+    /// shared slice and returns the broadcast data, so non-root ranks pass
+    /// their (same-length) staging buffer.
     pub fn ibcast<T: MpiPrimitive>(
         &self,
         buf: &[T],
         root: usize,
     ) -> MpiResult<CollRequest<Vec<T>>> {
-        ibcast(self, buf, root)
+        let acc = T::as_bytes(buf).to_vec();
+        let sched = Schedule::bcast(self, acc.len(), root)?;
+        begin_request(self, sched, acc, Vec::new(), bytes_to_vec::<T>)
     }
 
-    /// `MPI_IREDUCE` — see [`ireduce`].
+    /// `MPI_IREDUCE` — `Schedule::reduce`, deferred: the root's output
+    /// resolves to `Some(result)`, everyone else's to `None`.
     pub fn ireduce<T: MpiPrimitive>(
         &self,
         sendbuf: &[T],
         op: &Op,
         root: usize,
     ) -> MpiResult<CollRequest<Option<Vec<T>>>> {
-        ireduce(self, sendbuf, op, root)
+        let acc = T::as_bytes(sendbuf).to_vec();
+        let sched = Schedule::reduce(self, acc.len(), op, T::DATATYPE, root)?;
+        let at_root = self.rank() == root;
+        begin_request(self, sched, acc, Vec::new(), move |acc| {
+            at_root.then(|| bytes_to_vec::<T>(acc))
+        })
     }
 
-    /// `MPI_IALLREDUCE` — see [`iallreduce`].
+    /// `MPI_IALLREDUCE` — `Schedule::allreduce`, deferred.
     pub fn iallreduce<T: MpiPrimitive>(
         &self,
         sendbuf: &[T],
         op: &Op,
     ) -> MpiResult<CollRequest<Vec<T>>> {
-        iallreduce(self, sendbuf, op)
+        let acc = T::as_bytes(sendbuf).to_vec();
+        let sched = Schedule::allreduce(self, acc.len(), op, T::DATATYPE);
+        begin_request(self, sched, acc, Vec::new(), bytes_to_vec::<T>)
     }
 
-    /// `MPI_IALLGATHER` — see [`iallgather`].
+    /// `MPI_IALLGATHER` — `Schedule::allgather`, deferred.
     pub fn iallgather<T: MpiPrimitive>(&self, sendbuf: &[T]) -> MpiResult<CollRequest<Vec<T>>> {
-        iallgather(self, sendbuf)
+        let mine = T::as_bytes(sendbuf);
+        let sched = Schedule::allgather(self, mine.len());
+        // My block in every slot; every other slot is overwritten.
+        let acc = mine.repeat(self.size());
+        begin_request(self, sched, acc, Vec::new(), bytes_to_vec::<T>)
     }
 
-    /// `MPI_IALLTOALL` — see [`ialltoall`].
+    /// `MPI_IALLTOALL` — `Schedule::alltoall`, deferred.
     pub fn ialltoall<T: MpiPrimitive>(
         &self,
         sendbuf: &[T],
         block: usize,
     ) -> MpiResult<CollRequest<Vec<T>>> {
-        ialltoall(self, sendbuf, block)
+        let input = T::as_bytes(sendbuf).to_vec();
+        let sched = Schedule::alltoall(self, input.len(), block * T::PREDEFINED.size())?;
+        begin_request(self, sched, input.clone(), input, bytes_to_vec::<T>)
     }
 }

@@ -66,18 +66,27 @@ fn out_of_range_root_is_invalid_rank_in_every_rooted_collective() {
 }
 
 #[test]
-fn bcast_scatter_allgather_rejects_non_divisible_buffer() {
-    Universe::run_default(2, |proc| {
-        let world = proc.world();
-        // 3 elements over 2 ranks: not block-divisible. Must be a real
-        // MPI_ERR_COUNT in release builds, not a debug_assert.
-        let mut buf = [0u64; 3];
-        let e = litempi_core::coll::bcast_scatter_allgather(&world, &mut buf, 0).unwrap_err();
-        assert!(matches!(e, MpiError::InvalidCount(3)));
-        let mut bad_root = [0u64; 4];
-        let e = litempi_core::coll::bcast_scatter_allgather(&world, &mut bad_root, 5).unwrap_err();
-        assert!(matches!(e, MpiError::InvalidRank { rank: 5, size: 2 }));
-    });
+fn long_bcast_of_a_non_divisible_buffer_takes_the_tree() {
+    // Scatter + allgather needs a block per rank. It is no entry point of
+    // its own any more, so a long payload that does not divide is not an
+    // error to reject: the compiler keeps it on the binomial tree — P − 1
+    // messages in all where the long path sends P − 1 and an allgather.
+    let n = 4;
+    for (len, msgs) in [((48 << 10) + 1, 3), (48 << 10, 3 + 4 * 2)] {
+        let sent = Universe::run_default(n, move |proc| {
+            let world = proc.world();
+            let mut buf = vec![world.rank() as u8; len];
+            world.barrier().unwrap();
+            let before = proc.comm_stats().msgs_sent;
+            world.bcast(&mut buf, 2).unwrap();
+            let sent = proc.comm_stats().msgs_sent - before;
+            assert!(buf.iter().all(|&b| b == 2));
+            let e = world.bcast(&mut buf, 5).unwrap_err();
+            assert!(matches!(e, MpiError::InvalidRank { rank: 5, size: 4 }));
+            sent
+        });
+        assert_eq!(sent.iter().sum::<u64>(), msgs, "len {len}");
+    }
 }
 
 /// Rank 1 sends two warm-up messages (arming the kill switch) and then
@@ -133,9 +142,85 @@ fn killed_peer_fails_allgather_under_errors_return() {
 fn killed_peer_fails_barrier_and_split_under_errors_return() {
     let e = run_with_dead_rank_1(|world| world.barrier());
     assert!(matches!(e, MpiError::PeerUnreachable { peer: 1 }));
-    // comm_split rides on allgather_plain, which is now fallible too.
+    // comm_split rides on the allgather, so it is fallible too.
     let e = run_with_dead_rank_1(|world| world.split(0, 0).map(|_| ()));
     assert!(matches!(e, MpiError::PeerUnreachable { peer: 1 }));
+}
+
+#[test]
+fn killed_peer_fails_the_rooted_collectives_under_errors_return() {
+    // Rank 0 waits on the corpse — as the root of a gather, as a leaf of
+    // a scatter, as its partner in a reduce-scatter: the schedule fails,
+    // cancelling the receive it had posted.
+    let e = run_with_dead_rank_1(|world| world.gather(&[0u32], 0).map(|_| ()));
+    assert!(matches!(e, MpiError::PeerUnreachable { peer: 1 }));
+    let e = run_with_dead_rank_1(|world| world.gatherv(&[0u32], 0).map(|_| ()));
+    assert!(matches!(e, MpiError::PeerUnreachable { peer: 1 }));
+    let e = run_with_dead_rank_1(|world| world.scatter::<u32>(None, 1, 1).map(|_| ()));
+    assert!(matches!(e, MpiError::PeerUnreachable { peer: 1 }));
+    let e =
+        run_with_dead_rank_1(|world| world.reduce_scatter_block(&[0u32; 2], &Op::Sum).map(|_| ()));
+    assert!(matches!(e, MpiError::PeerUnreachable { peer: 1 }));
+}
+
+/// Rank 1 of three dies after its warm-up messages; ranks 0 and 2, under
+/// `MPI_ERRORS_RETURN`, run `coll` and report how it ended. A survivor
+/// whose part of the collective never touches the corpse may succeed; one
+/// that waits on it must get an `MpiError`, never hang.
+fn survivors_of_dead_rank_1(
+    coll: impl Fn(&litempi_core::Communicator) -> Result<(), MpiError> + Send + Sync + 'static,
+) -> Vec<Result<(), MpiError>> {
+    let profile = ProviderProfile::infinite().with_faults(FaultPlan::none().with_kill(1, 2));
+    let out = Universe::run(
+        3,
+        BuildConfig::ch4_default(),
+        profile,
+        Topology::single_node(3),
+        move |proc| {
+            let world = proc.world();
+            if proc.rank() == 1 {
+                world.send(&[1u8], 0, 0).unwrap();
+                world.send(&[2u8], 0, 1).unwrap();
+                return None;
+            }
+            world.set_errhandler(Errhandler::ErrorsReturn);
+            if proc.rank() == 0 {
+                let mut buf = [0u8; 1];
+                world.recv_into(&mut buf, 1, 0).unwrap();
+                world.recv_into(&mut buf, 1, 1).unwrap();
+            }
+            Some(coll(&world))
+        },
+    );
+    out.into_iter().flatten().collect()
+}
+
+#[test]
+fn killed_peer_fails_the_survivor_that_waits_on_it_and_no_other() {
+    // 0 → 1 → 2: rank 0 only sends (to the corpse — fire and forget) and
+    // finishes; rank 2 waits on the corpse and must be told.
+    for exclusive in [false, true] {
+        let ends = survivors_of_dead_rank_1(move |world| {
+            if exclusive {
+                world.exscan(&[1u64], &Op::Sum).map(|_| ())
+            } else {
+                world.scan(&[1u64], &Op::Sum).map(|_| ())
+            }
+        });
+        assert!(matches!(ends[0], Ok(())));
+        assert!(matches!(
+            ends[1],
+            Err(MpiError::PeerUnreachable { peer: 1 })
+        ));
+    }
+    // A gather to the last rank: the root waits on the corpse, rank 0 has
+    // nothing to wait for.
+    let ends = survivors_of_dead_rank_1(|world| world.gather(&[1u64], 2).map(|_| ()));
+    assert!(matches!(ends[0], Ok(())));
+    assert!(matches!(
+        ends[1],
+        Err(MpiError::PeerUnreachable { peer: 1 })
+    ));
 }
 
 #[test]

@@ -3,7 +3,8 @@
 //! A pairwise alltoall that posts all `N − 1` exchanges up front has, at
 //! `N` ranks, an O(ranks) posted-receive queue at every endpoint and
 //! O(ranks) in-flight sends per rank. The schedule's windowed phases cap
-//! both at the cost-model window (≤ `COLL_ISSUE_WINDOW`). These tests pin
+//! both at the cost-model window (≤ `COLL_ISSUE_WINDOW`); the root of a
+//! linear gather posts its `N − 1` receives the same way. These tests pin
 //! the cap through `EndpointStats::max_posted_depth` — with a regression
 //! margin far below the old `N − 1` behaviour — and verify the results
 //! are still full transposes.
@@ -53,8 +54,47 @@ fn alltoall_posted_depth_is_pinned_to_the_window() {
 }
 
 #[test]
+fn linear_gather_root_posts_a_window_at_a_time() {
+    // 48 ranks: the root of a linear gather has 47 messages to receive.
+    // It posts them a window at a time (the hand-written loop posted one;
+    // one wide phase would post 47), and the result is still rank-ordered.
+    let n = 48;
+    let root = 5;
+    let cap = COLL_ISSUE_WINDOW as u64 + DEPTH_SLACK;
+    for variable in [false, true] {
+        let depths = Universe::run(
+            n,
+            BuildConfig::ch4_default(),
+            ProviderProfile::infinite(),
+            Topology::single_node(n),
+            move |proc| {
+                let world = proc.world();
+                let rank = world.rank();
+                let len = if variable { rank % 3 } else { 2 };
+                let mine = vec![rank as u32; len];
+                let got = if variable {
+                    world.gatherv(&mine, root).unwrap().map(|(data, _)| data)
+                } else {
+                    world.gather(&mine, root).unwrap()
+                };
+                let want: Vec<u32> = (0..n as u32)
+                    .flat_map(|r| vec![r; if variable { r as usize % 3 } else { 2 }])
+                    .collect();
+                assert_eq!(got, (rank == root).then_some(want));
+                proc.comm_stats().max_posted_depth
+            },
+        );
+        assert!(
+            depths[root] <= cap,
+            "root posted {} receives at once, window cap {cap} (gatherv: {variable})",
+            depths[root]
+        );
+    }
+}
+
+#[test]
 fn comm_split_allgather_is_bounded_issue() {
-    // `comm_split`'s internal allgather_plain is the RD/ring allgather
+    // `comm_split`'s internal allgather is the RD/ring allgather
     // schedule, which keeps one exchange outstanding per step — the
     // depth pin documents that it never regresses to unbounded posting.
     let n = 48;

@@ -50,6 +50,24 @@ fn revoke_floods_to_peers_and_fails_new_operations_everywhere() {
         assert!(matches!(e, MpiError::Revoked));
         let e = world.barrier().unwrap_err();
         assert!(matches!(e, MpiError::Revoked));
+        // Every collective is a schedule, and a schedule's first look is at
+        // the revocation flag.
+        let two = [1u64, 2];
+        let revoked: [Result<(), MpiError>; 10] = [
+            world.bcast(&mut [0u64], 0),
+            world.reduce(&two, &Op::Sum, 0).map(drop),
+            world.allgather(&two).map(drop),
+            world.alltoall(&two, 1).map(drop),
+            world.gather(&two, 0).map(drop),
+            world.gatherv(&two, 0).map(drop),
+            world.scatter(Some(&two[..]), 1, 0).map(drop),
+            world.scan(&two, &Op::Sum).map(drop),
+            world.exscan(&two, &Op::Sum).map(drop),
+            world.reduce_scatter_block(&two, &Op::Sum).map(drop),
+        ];
+        for (i, r) in revoked.into_iter().enumerate() {
+            assert!(matches!(r, Err(MpiError::Revoked)), "collective {i}: {r:?}");
+        }
         // ...but agreement and shrink still work: that is the whole point
         // of revoke. With nobody dead, shrink rebuilds a full-size comm.
         let shrunk = world.shrink().unwrap();
@@ -57,6 +75,18 @@ fn revoke_floods_to_peers_and_fails_new_operations_everywhere() {
         assert!(!shrunk.is_revoked());
         let sum = shrunk.allreduce(&[proc.rank() as u64], &Op::Sum).unwrap();
         assert_eq!(sum[0], 1);
+        // The neighbourhood pair, on a Cartesian communicator of its own.
+        let ring = litempi_core::CartComm::create(&shrunk, &[2], &[true]);
+        let ring = ring.unwrap().unwrap();
+        if proc.rank() == 0 {
+            ring.comm().revoke();
+        } else {
+            await_revoked(ring.comm());
+        }
+        let e = ring.neighbor_allgather(&[1u64]).unwrap_err();
+        assert!(matches!(e, MpiError::Revoked));
+        let e = ring.neighbor_alltoall(&[1u64, 2], 1).unwrap_err();
+        assert!(matches!(e, MpiError::Revoked));
     });
 }
 

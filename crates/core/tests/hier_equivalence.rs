@@ -4,6 +4,8 @@
 //! (`hier` module). Its results must be the oracle's bytes (`common`) on
 //! every topology, through the blocking AND the nonblocking entry point —
 //! under clean fabrics, jittered fabrics, and lossy chaos fabrics alike.
+//! The collectives whose compilers never look at the topology run in the
+//! same sweep, on the same placements and fault plans.
 //! Reduction data is exact (integers, and floats holding small integers,
 //! whose sums are exactly representable), so the hierarchy's fold order
 //! cannot excuse a byte difference from the oracle's left-to-right fold.
@@ -15,13 +17,13 @@
 
 mod common;
 
-use common::{bits, fold, gathered, transposed};
+use common::{bits, check_blocking_only, fold, gathered, transposed};
 use litempi_core::{BuildConfig, Op, Process, Universe};
 use litempi_fabric::{FaultPlan, FaultSpec, NodeId, ProviderProfile, Topology};
 use proptest::prelude::*;
 
-/// One full sweep: every collective the hierarchy touches, through both
-/// entry points, against the oracle.
+/// One full sweep: every collective, through every entry point it has,
+/// against the oracle.
 fn check_against_oracle(proc: &Process, len: usize) {
     let world = proc.world();
     let n = world.size();
@@ -114,6 +116,10 @@ fn check_against_oracle(proc: &Process, len: usize) {
     let nbc = world.ireduce(&inexact, &Op::Sum, root).unwrap();
     let nbc = nbc.wait().unwrap();
     assert_eq!(nbc.map(|v| bits(&v)), first, "ireduce fp order diverged");
+
+    // --- the topology-blind eight: linear rooted trees, chain scans,
+    //     pairwise reduce-scatter, the neighbourhood pair ---
+    check_blocking_only(proc, len, &[0, n / 2, n - 1]);
 }
 
 /// Deterministic pseudo-random node assignment (splitmix64 over the seed)

@@ -441,3 +441,103 @@ fn recv_path_mirrors_send_path_cost() {
     let recv_total = reports.into_iter().flatten().next().unwrap();
     assert_eq!(recv_total, 221, "irecv charged with the isend cost table");
 }
+
+/// What one call of each collective costs, summed over the ranks: messages
+/// injected and instructions charged, in the order of `calls`.
+fn coll_call_costs(n: usize, rpn: usize) -> Vec<(&'static str, u64, Report)> {
+    use litempi_core::{CartComm, Op};
+    type Call = fn(&Communicator, &CartComm);
+    let calls: [(&str, Call); 11] = [
+        ("gather", |w, _| drop(w.gather(&[1u64, 2], 1).unwrap())),
+        ("gatherv", |w, _| {
+            drop(w.gatherv(&vec![7u32; w.rank() + 1], 1).unwrap())
+        }),
+        ("scatter", |w, _| {
+            let send = vec![3u64; 2 * w.size()];
+            let send = (w.rank() == 1).then_some(&send[..]);
+            drop(w.scatter(send, 2, 1).unwrap())
+        }),
+        ("scan", |w, _| drop(w.scan(&[1u64, 2], &Op::Sum).unwrap())),
+        ("exscan", |w, _| {
+            drop(w.exscan(&[1u64, 2], &Op::Sum).unwrap())
+        }),
+        ("reduce_scatter_block", |w, _| {
+            let send = vec![1u64; 2 * w.size()];
+            drop(w.reduce_scatter_block(&send, &Op::Sum).unwrap())
+        }),
+        ("bcast 64 B", |w, _| w.bcast(&mut [5u64; 8], 1).unwrap()),
+        ("bcast 48 KiB", |w, _| {
+            w.bcast(&mut vec![5u64; 6 * 1024], 1).unwrap()
+        }),
+        ("allgather", |w, _| drop(w.allgather(&[1u64, 2]).unwrap())),
+        ("neighbor_allgather", |_, c| {
+            drop(c.neighbor_allgather(&[1u64, 2]).unwrap())
+        }),
+        ("neighbor_alltoall", |_, c| {
+            drop(c.neighbor_alltoall(&[1u64, 2, 3, 4], 2).unwrap())
+        }),
+    ];
+    let per_rank = Universe::run(
+        n,
+        BuildConfig::ch4_default(),
+        ProviderProfile::infinite(),
+        Topology::blocked(n, rpn),
+        move |proc| {
+            let world = proc.world();
+            let ring = CartComm::create(&world, &[n], &[true]).unwrap().unwrap();
+            let measured: Vec<(u64, Report)> = (calls.iter())
+                .map(|(_, call)| {
+                    world.barrier().unwrap();
+                    let before = proc.comm_stats().msgs_sent;
+                    let probe = counter::probe();
+                    call(&world, &ring);
+                    (proc.comm_stats().msgs_sent - before, probe.finish())
+                })
+                .collect();
+            world.barrier().unwrap();
+            measured
+        },
+    );
+    (calls.iter().enumerate())
+        .map(|(i, (name, _))| {
+            let msgs = per_rank.iter().map(|r| r[i].0).sum();
+            let instr = (per_rank.iter()).fold(Report::default(), |acc, r| acc.merge(&r[i].1));
+            (*name, msgs, instr)
+        })
+        .collect()
+}
+
+/// One call of each collective that became a compiled schedule in PR 21
+/// (plus `allgather`, whose phase builder the long broadcast now shares)
+/// sends the messages its hand-written loop sent, and charges what they
+/// charged: 23 instructions of netmod issue per message and nothing else —
+/// no MPI-layer category, no `Category::Schedule` for an inline run.
+/// Message counts were taken at `7a37baa` (EXPERIMENTS.md, "Every
+/// collective a schedule"). They are topology-blind except the 48 KiB
+/// broadcast: scatter + allgather on one node (P − 1 messages, then
+/// P·log₂P by recursive doubling or P·(P − 1) round the ring), the
+/// node-aware tree on two. The neighbourhood pair sends what it sent
+/// (2 per rank on a periodic ring) but through the device path, where
+/// `MPI_Sendrecv` charged each message the 221 of an `MPI_Isend` and
+/// another 221 for its `MPI_Irecv`.
+#[test]
+fn collective_call_costs_are_pinned() {
+    let pins: [(usize, usize, [u64; 11]); 4] = [
+        (4, 4, [3, 3, 3, 3, 3, 12, 3, 11, 8, 8, 8]),
+        (4, 2, [3, 3, 3, 3, 3, 12, 3, 3, 8, 8, 8]),
+        (6, 6, [5, 5, 5, 5, 5, 30, 5, 35, 30, 12, 12]),
+        (6, 3, [5, 5, 5, 5, 5, 30, 5, 5, 30, 12, 12]),
+    ];
+    for (n, rpn, want) in pins {
+        for ((name, msgs, instr), want) in coll_call_costs(n, rpn).into_iter().zip(want) {
+            let at = format!("{name} on {n} ranks, {rpn} per node");
+            assert_eq!(msgs, want, "{at}: messages");
+            // VCI selection is bookkeeping beside the path (zero on the
+            // single-VCI build).
+            let charged: Vec<_> = (instr.nonzero())
+                .filter(|(c, _)| *c != Category::Vci)
+                .collect();
+            assert_eq!(charged, [(Category::NetmodIssue, 23 * want)], "{at}");
+        }
+    }
+}

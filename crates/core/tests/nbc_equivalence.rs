@@ -4,11 +4,12 @@
 //! cross-source delivery jitter, and under packet chaos on the reliable
 //! transport. Completion style (wait immediately, test-poll loop,
 //! out-of-order waits, split + combinators) must not change results
-//! either.
+//! either. The collectives that have no nonblocking form are held to the
+//! same oracle in the same sweep.
 
 mod common;
 
-use common::{bits, fold, gathered, transposed};
+use common::{bits, check_blocking_only, fold, gathered, transposed};
 use litempi_core::{BuildConfig, CollRequest, Op, Universe};
 use litempi_fabric::{FaultPlan, FaultSpec, ProviderProfile, Topology};
 use proptest::prelude::*;
@@ -104,6 +105,9 @@ fn check_all_ops(proc: &litempi_core::Process, len: usize, root: usize, mode: Mo
     );
     let nbc = world.iallreduce(&exact(rank), &Op::Sum).unwrap();
     assert_eq!(bits(&finish(nbc, mode)), want);
+
+    // The collectives with a blocking entry point only.
+    check_blocking_only(proc, len, &[root]);
 }
 
 #[test]
@@ -174,6 +178,130 @@ fn nbc_large_payload_takes_rendezvous_path() {
         let nbc = world.iallreduce(&mine, &Op::Max).unwrap();
         assert_eq!(nbc.wait().unwrap(), max);
     });
+}
+
+#[test]
+fn long_bcast_matches_the_root_buffer_through_both_entry_points() {
+    // 40 KiB on 5 ranks and 64 KiB on 8 are past the long-message
+    // threshold and divide into a block per rank: scatter, then the ring
+    // allgather (5) or recursive doubling (8). One byte more does not
+    // divide and stays on the binomial tree. `ibcast` compiles the same
+    // schedule.
+    for (n, len) in [
+        (5, 40 << 10),
+        (5, (40 << 10) + 1),
+        (8, 64 << 10),
+        (8, (64 << 10) + 1),
+    ] {
+        for root in [0, n - 1] {
+            Universe::run_default(n, move |proc| {
+                let world = proc.world();
+                let payload =
+                    |r: usize| -> Vec<u8> { (0..len).map(|i| (i * 7 + r) as u8).collect() };
+                let mut buf = payload(world.rank());
+                world.bcast(&mut buf, root).unwrap();
+                assert!(buf == payload(root), "bcast n={n} len={len} root={root}");
+                let nbc = world.ibcast(&payload(world.rank()), root).unwrap();
+                assert!(
+                    nbc.wait().unwrap() == payload(root),
+                    "ibcast n={n} len={len} root={root}"
+                );
+            });
+        }
+    }
+}
+
+#[test]
+fn every_collective_traces_one_span_of_schedule_phases() {
+    // With tracing on, each of the fourteen collectives is one
+    // `CollBegin` … `CollEnd` span holding at least one
+    // `SchedPhaseBegin`/`SchedPhaseComplete` pair and no other span — a
+    // long bcast included, which used to nest scatter's and allgather's
+    // spans inside its own. Four ranks, rooted at 1: every rank sends or
+    // receives in every one of them.
+    use litempi_core::CartComm;
+    use litempi_trace::{event::coll_op as id, EventKind};
+    let expected = [
+        id::BARRIER,
+        id::BCAST,
+        id::BCAST,
+        id::REDUCE,
+        id::ALLREDUCE,
+        id::ALLGATHER,
+        id::ALLTOALL,
+        id::GATHER,
+        id::GATHER,
+        id::SCATTER,
+        id::SCAN,
+        id::SCAN,
+        id::REDUCE_SCATTER,
+        id::NEIGHBOR_ALLGATHER,
+        id::NEIGHBOR_ALLTOALL,
+    ];
+    let traces = Universe::run(
+        4,
+        BuildConfig::ch4_default(),
+        ProviderProfile::infinite().traced(),
+        Topology::single_node(4),
+        |proc| {
+            let world = proc.world();
+            let ring = CartComm::create(&world, &[4], &[true]).unwrap().unwrap();
+            let mine = [world.rank() as u64, 1];
+            world.barrier().unwrap();
+            world.bcast(&mut [0u64; 2], 1).unwrap();
+            world.bcast(&mut vec![0u64; 6 << 10], 1).unwrap();
+            world.reduce(&mine, &Op::Sum, 1).unwrap();
+            world.allreduce(&mine, &Op::Sum).unwrap();
+            world.allgather(&mine).unwrap();
+            world.alltoall(&[0u64; 8], 2).unwrap();
+            world.gather(&mine, 1).unwrap();
+            world.gatherv(&mine[..world.rank() % 2 + 1], 1).unwrap();
+            let dealt = (world.rank() == 1).then_some([0u64; 8]);
+            let dealt = dealt.as_ref().map(|d| &d[..]);
+            world.scatter(dealt, 2, 1).unwrap();
+            world.scan(&mine, &Op::Sum).unwrap();
+            world.exscan(&mine, &Op::Sum).unwrap();
+            world.reduce_scatter_block(&[1u64; 8], &Op::Sum).unwrap();
+            ring.neighbor_allgather(&mine).unwrap();
+            ring.neighbor_alltoall(&mine, 1).unwrap();
+            litempi_trace::drain().expect("tracing was enabled")
+        },
+    );
+    for t in traces {
+        assert_eq!(t.dropped, 0);
+        // Each span as (op, phases completed inside it).
+        let mut spans: Vec<(u64, usize)> = Vec::new();
+        let mut open: Option<(u64, usize)> = None;
+        let mut phase: Option<u64> = None;
+        for ev in &t.events {
+            match ev.kind {
+                EventKind::CollBegin => {
+                    assert!(open.is_none(), "rank {}: a span inside a span", t.rank);
+                    open = Some((ev.a, 0));
+                }
+                EventKind::SchedPhaseBegin => {
+                    assert_eq!(open.map(|o| o.0), Some(ev.a), "phase outside its span");
+                    assert!(phase.replace(ev.b).is_none(), "phases overlap");
+                }
+                EventKind::SchedPhaseComplete => {
+                    assert_eq!(phase.take(), Some(ev.b), "phase closed out of turn");
+                    open.as_mut().expect("phase outside a span").1 += 1;
+                }
+                EventKind::CollEnd => {
+                    let span = open.take().expect("end without a begin");
+                    assert_eq!((span.0, phase), (ev.a, None));
+                    spans.push(span);
+                }
+                _ => {}
+            }
+        }
+        assert!(open.is_none());
+        // Before them: whatever set-up ran (`CartComm::create` is a split).
+        let ours = &spans[spans.len() - expected.len()..];
+        let ops: Vec<u64> = ours.iter().map(|s| s.0).collect();
+        assert_eq!(ops, expected, "rank {}", t.rank);
+        assert!(ours.iter().all(|s| s.1 >= 1), "rank {}: {ours:?}", t.rank);
+    }
 }
 
 #[test]

@@ -214,6 +214,10 @@ pub mod coll_op {
     pub const SCAN: u64 = 9;
     /// `MPI_REDUCE_SCATTER_BLOCK`.
     pub const REDUCE_SCATTER: u64 = 10;
+    /// `MPI_NEIGHBOR_ALLGATHER`.
+    pub const NEIGHBOR_ALLGATHER: u64 = 11;
+    /// `MPI_NEIGHBOR_ALLTOALL`.
+    pub const NEIGHBOR_ALLTOALL: u64 = 12;
 }
 
 /// Human-readable name for a collective-op id.
@@ -229,6 +233,8 @@ pub fn coll_op_name(id: u64) -> &'static str {
         coll_op::ALLTOALL => "alltoall",
         coll_op::SCAN => "scan",
         coll_op::REDUCE_SCATTER => "reduce_scatter",
+        coll_op::NEIGHBOR_ALLGATHER => "neighbor_allgather",
+        coll_op::NEIGHBOR_ALLTOALL => "neighbor_alltoall",
         _ => "collective",
     }
 }
