@@ -30,8 +30,10 @@ pub(crate) struct CommShared {
 /// §3.5 requestless-send bookkeeping (per rank, per communicator).
 #[derive(Default)]
 pub(crate) struct NoReqState {
-    /// Completion flags of in-flight requestless rendezvous sends.
-    pub pending: Vec<Arc<AtomicBool>>,
+    /// In-flight requestless rendezvous sends: the completion flag the
+    /// receiver's pull sets, and the receiver's world rank, so that
+    /// `comm_waitall` can tell a slow receiver from a dead one.
+    pub pending: Vec<(Arc<AtomicBool>, usize)>,
     /// Total requestless operations issued (statistic; the paper's point
     /// is that a *counter* replaces per-op request objects).
     pub issued: u64,
@@ -402,7 +404,7 @@ impl Communicator {
             .lock()
             .pending
             .iter()
-            .filter(|f| !f.load(Ordering::Acquire))
+            .filter(|(done, _)| !done.load(Ordering::Acquire))
             .count()
     }
 }

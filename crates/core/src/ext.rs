@@ -14,14 +14,13 @@
 //! | [`Communicator::isend_nomatch`] | §3.6     | source/tag match bits         |
 //! | [`Communicator::isend_all_opts`]| §3.7     | all of the above, fused       |
 
-use crate::comm::Communicator;
+use crate::comm::{Communicator, Errhandler};
 use crate::error::{MpiError, MpiResult};
 use crate::pt2pt::{irecv_impl, isend_impl, RecvOpts, SendMode, SendOpts};
-use crate::request::{wait_loop, Request};
-use crate::rma::{VirtAddr, Window};
+use crate::request::Request;
+use crate::rma::{Blocking, Call, VirtAddr, Window};
 use crate::status::Status;
 use litempi_datatype::MpiPrimitive;
-use std::sync::atomic::Ordering;
 
 /// A public, composable selection of the §3 proposals for one send —
 /// the building block of Fig 6's cumulative ladder (each bar enables one
@@ -165,12 +164,15 @@ impl Communicator {
     }
 
     /// §3.5 `MPI_COMM_WAITALL`: complete every requestless operation issued
-    /// on this communicator.
+    /// on this communicator. Each pending send is waited on as the request
+    /// it never had, so a receiver that dies, a revoked communicator or an
+    /// aborted job ends the wait through the communicator's errhandler.
     pub fn comm_waitall(&self) -> MpiResult<()> {
-        let pending: Vec<_> = std::mem::take(&mut self.noreq.lock().pending);
-        let proc = self.proc.clone();
-        for flag in pending {
-            wait_loop(&proc, || flag.load(Ordering::Acquire).then_some(()));
+        let pending = std::mem::take(&mut self.noreq.lock().pending);
+        let fatal = self.errhandler() == Errhandler::ErrorsAreFatal;
+        let ctx = self.context_id().0;
+        for (done, peer) in pending {
+            Request::send_rndv(self.proc.clone(), done, Some(peer), fatal, ctx).wait()?;
         }
         Ok(())
     }
@@ -289,16 +291,8 @@ impl Window {
         target: i32,
         addr: VirtAddr,
     ) -> MpiResult<()> {
-        self.put_inner(
-            T::as_bytes(data),
-            &T::DATATYPE,
-            data.len(),
-            target,
-            0,
-            Some(addr),
-            false,
-            true,
-        )
+        let call = Call::virtual_addr(target, addr, false);
+        self.put_inner::<Blocking>(T::as_bytes(data), &T::DATATYPE, data.len(), call)
     }
 
     /// §3.2 `MPI_GET_VIRTUAL_ADDR`.
@@ -308,17 +302,8 @@ impl Window {
         target: i32,
         addr: VirtAddr,
     ) -> MpiResult<()> {
-        let count = buf.len();
-        self.get_inner(
-            T::as_bytes_mut(buf),
-            &T::DATATYPE,
-            count,
-            target,
-            0,
-            Some(addr),
-            false,
-            true,
-        )
+        let (count, call) = (buf.len(), Call::virtual_addr(target, addr, false));
+        self.get_inner::<Blocking>(T::as_bytes_mut(buf), &T::DATATYPE, count, call)
     }
 
     /// §3.7 put with every applicable proposal fused: pre-translated
@@ -330,15 +315,7 @@ impl Window {
         target: i32,
         addr: VirtAddr,
     ) -> MpiResult<()> {
-        self.put_inner(
-            T::as_bytes(data),
-            &T::DATATYPE,
-            data.len(),
-            target,
-            0,
-            Some(addr),
-            true,
-            true,
-        )
+        let call = Call::virtual_addr(target, addr, true);
+        self.put_inner::<Blocking>(T::as_bytes(data), &T::DATATYPE, data.len(), call)
     }
 }

@@ -15,7 +15,7 @@ use crate::error::{MpiError, MpiResult};
 use crate::group::Group;
 use crate::match_bits::{self, ContextId};
 use crate::process::{Posted, ProcInner};
-use crate::request::{finish_recv, poll_or_death, wait_loop, RecvDest};
+use crate::request::{RecvDest, Request};
 use crate::status::Status;
 use litempi_datatype::MpiPrimitive;
 use std::sync::atomic::Ordering;
@@ -189,9 +189,8 @@ impl InterComm {
             }
         }
         let (bits, ignore) = match_bits::recv_bits(self.shared.ctx, source, tag);
-        let proc = &*self.proc;
         let count = buf.len();
-        let mut dest = RecvDest {
+        let dest = RecvDest {
             buf: T::as_bytes_mut(buf),
             ty: T::DATATYPE,
             count,
@@ -199,12 +198,9 @@ impl InterComm {
         // A wildcard receive has no single peer to watch, as in `irecv`.
         let peer = (source != match_bits::ANY_SOURCE)
             .then(|| self.remote_group().world_rank(source as usize));
-        let ctx = Some(self.shared.ctx.0);
-        let posted = Posted::post(proc, bits, ignore);
-        let polled = wait_loop(proc, || {
-            poll_or_death(proc, peer, self.fatal, ctx, || posted.poll())
-        });
-        finish_recv(proc, &posted, polled, &mut dest, self.fatal)
+        let posted = Posted::post(&self.proc, bits, ignore);
+        let ctx = self.shared.ctx.0;
+        Request::recv(self.proc.clone(), posted, dest, peer, self.fatal, ctx).wait()
     }
 
     /// `MPI_INTERCOMM_MERGE`: fuse both groups into one intracommunicator.

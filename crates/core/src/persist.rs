@@ -11,6 +11,12 @@
 //! applications with fixed communication patterns — and how much only a
 //! standard change can unlock (the per-`start` request management and the
 //! heavier generic netmod path remain).
+//!
+//! A started operation is an ordinary [`Request`]: a send keeps the one
+//! `start` built (complete if the body went eager, else waiting for the
+//! receiver's pull), a receive wraps its posted receive in one over the
+//! bound buffer when it is waited on. Waiting is `Request::wait` — progress
+//! first, then the poll that sees a dead peer or a revoked communicator.
 
 use crate::comm::{Communicator, Errhandler};
 use crate::error::{MpiError, MpiResult};
@@ -18,20 +24,14 @@ use crate::match_bits;
 use crate::process::{Posted, ProcInner};
 use crate::proto;
 use crate::pt2pt::{charge_rndv_send, inject, SendMode, SendOpts};
-use crate::request::{finish_recv, poll_or_death, wait_loop, RecvDest};
+use crate::request::{RecvDest, Request};
 use crate::status::Status;
 use litempi_datatype::{Datatype, MpiPrimitive};
 use litempi_instr::{charge, cost, Category};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// State of an inactive-or-started persistent operation.
-enum Armed {
-    Idle,
-    /// Started; eager sends complete immediately (`None` flag).
-    SendInFlight(Option<Arc<AtomicBool>>),
-    Recv(Posted),
-}
+/// `MPI_WAIT` on a persistent request that was not started.
+const INACTIVE: MpiError = MpiError::InvalidRequest("wait on inactive persistent request");
 
 /// A persistent send (`MPI_SEND_INIT`). Borrows the user buffer for its
 /// whole lifetime — re-`start`s always read the current buffer contents,
@@ -47,7 +47,8 @@ pub struct PersistentSend<'a> {
     fatal: bool,
     /// Context id of the owning communicator, for revocation checks.
     ctx: u16,
-    state: Armed,
+    /// The started transfer; `None` while inactive.
+    started: Option<Request<'static>>,
 }
 
 /// A persistent receive (`MPI_RECV_INIT`). Owns the buffer mutably for
@@ -66,7 +67,9 @@ pub struct PersistentRecv<'a> {
     fatal: bool,
     /// Context id of the owning communicator, for revocation checks.
     ctx: u16,
-    state: Armed,
+    /// `Some` while started: the posted receive, or `None` for a start on
+    /// `MPI_PROC_NULL`, which posts nothing.
+    started: Option<Option<Posted>>,
 }
 
 impl Communicator {
@@ -110,7 +113,7 @@ impl Communicator {
             bits,
             fatal: self.errhandler() == Errhandler::ErrorsAreFatal,
             ctx: self.context_id().0,
-            state: Armed::Idle,
+            started: None,
         })
     }
 
@@ -149,7 +152,7 @@ impl Communicator {
             ignore,
             fatal: self.errhandler() == Errhandler::ErrorsAreFatal,
             ctx: self.context_id().0,
-            state: Armed::Idle,
+            started: None,
         })
     }
 }
@@ -158,7 +161,7 @@ impl PersistentSend<'_> {
     /// `MPI_START`: issue one transfer of the *current* buffer contents.
     /// Errors if the previous start has not completed (`MPI_ERR_REQUEST`).
     pub fn start(&mut self) -> MpiResult<()> {
-        if !matches!(self.state, Armed::Idle) {
+        if self.started.is_some() {
             return Err(MpiError::InvalidRequest("persistent start while active"));
         }
         let proc = &self.proc;
@@ -174,7 +177,7 @@ impl PersistentSend<'_> {
             // else was hoisted to init.
             charge(Category::RequestManagement, cost::isend::REQUEST_MANAGEMENT);
             let Some(dest_world) = self.dest_world else {
-                self.state = Armed::SendInFlight(None);
+                self.started = Some(Request::done(Status::send()));
                 return Ok(());
             };
             let staged = proto::stage(
@@ -189,37 +192,28 @@ impl PersistentSend<'_> {
             let done = charge_rndv_send(&staged);
             let wire = staged.into_wire(proc, vci);
             inject(proc, dest_world, self.bits, wire, &SendOpts::default());
-            self.state = Armed::SendInFlight(done);
+            self.started = Some(match done {
+                None => Request::done(Status::send()),
+                Some(done) => {
+                    Request::send_rndv(proc.clone(), done, Some(dest_world), self.fatal, self.ctx)
+                }
+            });
             Ok(())
         })
     }
 
     /// `MPI_WAIT` on the started operation; resets to inactive.
     pub fn wait(&mut self) -> MpiResult<Status> {
-        match std::mem::replace(&mut self.state, Armed::Idle) {
-            Armed::SendInFlight(None) => Ok(Status::send()),
-            Armed::SendInFlight(Some(done)) => {
-                let ctx = Some(self.ctx);
-                wait_loop(&self.proc, || {
-                    poll_or_death(&self.proc, self.dest_world, self.fatal, ctx, || {
-                        done.load(Ordering::Acquire).then_some(())
-                    })
-                })?;
-                Ok(Status::send())
-            }
-            Armed::Idle => Err(MpiError::InvalidRequest(
-                "wait on inactive persistent request",
-            )),
-            _ => unreachable!("send request cannot hold recv state"),
-        }
+        self.started.take().ok_or(INACTIVE)?.wait()
     }
 
-    /// Has the started operation completed? (Inactive counts as complete.)
-    pub fn is_complete(&self) -> bool {
-        match &self.state {
-            Armed::Idle | Armed::SendInFlight(None) => true,
-            Armed::SendInFlight(Some(done)) => done.load(Ordering::Acquire),
-            _ => unreachable!(),
+    /// `MPI_TEST`: drive progress once; `true` once the started operation
+    /// has completed (after which [`PersistentSend::wait`] returns at
+    /// once). An inactive request counts as complete.
+    pub fn test(&mut self) -> MpiResult<bool> {
+        match &mut self.started {
+            Some(req) => Ok(req.test()?.is_some()),
+            None => Ok(true),
         }
     }
 }
@@ -227,7 +221,7 @@ impl PersistentSend<'_> {
 impl PersistentRecv<'_> {
     /// `MPI_START`: post the receive.
     pub fn start(&mut self) -> MpiResult<()> {
-        if !matches!(self.state, Armed::Idle) {
+        if self.started.is_some() {
             return Err(MpiError::InvalidRequest("persistent start while active"));
         }
         let proc = &self.proc;
@@ -241,37 +235,27 @@ impl PersistentRecv<'_> {
             }
             charge(Category::RequestManagement, cost::isend::REQUEST_MANAGEMENT);
             if self.proc_null {
-                self.state = Armed::SendInFlight(None); // placeholder "done"
+                self.started = Some(None);
                 return Ok(());
             }
             charge(Category::NetmodIssue, cost::isend::NETMOD_ISSUE);
-            self.state = Armed::Recv(Posted::post(proc, self.bits, self.ignore));
+            self.started = Some(Some(Posted::post(proc, self.bits, self.ignore)));
             Ok(())
         })
     }
 
     /// `MPI_WAIT`: complete into the bound buffer; resets to inactive.
     pub fn wait(&mut self) -> MpiResult<Status> {
-        let state = std::mem::replace(&mut self.state, Armed::Idle);
-        let mut dest = RecvDest {
+        let Some(posted) = self.started.take().ok_or(INACTIVE)? else {
+            return Ok(Status::proc_null());
+        };
+        let dest = RecvDest {
             buf: self.buf,
             ty: self.ty.clone(),
             count: self.count,
         };
-        match state {
-            Armed::Recv(posted) => {
-                let ctx = Some(self.ctx);
-                let polled = wait_loop(&self.proc, || {
-                    poll_or_death(&self.proc, self.peer, self.fatal, ctx, || posted.poll())
-                });
-                finish_recv(&self.proc, &posted, polled, &mut dest, self.fatal)
-            }
-            Armed::SendInFlight(None) => Ok(Status::proc_null()),
-            Armed::Idle => Err(MpiError::InvalidRequest(
-                "wait on inactive persistent request",
-            )),
-            Armed::SendInFlight(Some(_)) => unreachable!("recv request cannot hold send state"),
-        }
+        let (proc, peer) = (self.proc.clone(), self.peer);
+        Request::recv(proc, posted, dest, peer, self.fatal, self.ctx).wait()
     }
 }
 
@@ -279,7 +263,7 @@ impl std::fmt::Debug for PersistentSend<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PersistentSend")
             .field("bytes", &self.buf.len())
-            .field("active", &!matches!(self.state, Armed::Idle))
+            .field("active", &self.started.is_some())
             .finish()
     }
 }
@@ -288,7 +272,7 @@ impl std::fmt::Debug for PersistentRecv<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PersistentRecv")
             .field("bytes", &self.buf.len())
-            .field("active", &!matches!(self.state, Armed::Idle))
+            .field("active", &self.started.is_some())
             .finish()
     }
 }
@@ -397,7 +381,7 @@ mod tests {
                     let mut send = world.send_init(&big, 1, 1).unwrap();
                     for _ in 0..3 {
                         send.start().unwrap();
-                        assert!(!send.is_complete() || send.is_complete()); // no panic
+                        while !send.test().unwrap() {}
                         send.wait().unwrap();
                     }
                 } else {

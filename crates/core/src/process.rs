@@ -79,18 +79,6 @@ impl Posted {
     }
 }
 
-// ------------------------------------------------------------- RMA state
-
-/// PSCW notification counters for one window.
-#[derive(Debug, Default)]
-pub(crate) struct PscwCounters {
-    /// Ranks whose "post" we have received (we are an origin in `start`).
-    pub posts: Vec<usize>,
-    /// Number of "complete" notifications received (we are a target in
-    /// `wait`).
-    pub completes: usize,
-}
-
 // ------------------------------------------------------------- ProcInner
 
 /// All per-rank state. `Communicator`, `Window`, and `Request` hold an
@@ -111,10 +99,8 @@ pub struct ProcInner {
     /// The CH4 core's matching engine (AM-only providers); see [`Posted`].
     pub(crate) core_match: Mutex<MatchEngine>,
     /// This rank's side of the windows it participates in, by window id
-    /// (progress applies incoming one-sided AMs there and counts them).
+    /// (progress applies incoming one-sided AMs and PSCW notices there).
     pub(crate) my_windows: Mutex<HashMap<u64, Arc<crate::rma::WinTarget>>>,
-    /// PSCW notification counters per window.
-    pub(crate) pscw: Mutex<HashMap<u64, PscwCounters>>,
     /// Outstanding get/get_accumulate replies, by op id.
     pub(crate) pending_replies: Mutex<HashMap<u64, ReplySlot>>,
     /// Op-id allocator for AM request/reply correlation.
@@ -173,7 +159,6 @@ impl ProcInner {
             n_vcis,
             core_match: Mutex::new(MatchEngine::new(MatcherKind::Bucketed)),
             my_windows: Mutex::new(HashMap::new()),
-            pscw: Mutex::new(HashMap::new()),
             pending_replies: Mutex::new(HashMap::new()),
             next_op_id: AtomicU64::new(1),
             predef_comms: Default::default(),
@@ -363,16 +348,18 @@ impl ProcInner {
                     .expect("reply for unknown op id");
                 *slot.lock() = Some(am.data.to_vec());
             }
-            proto::AM_PSCW_POST => {
-                self.pscw
-                    .lock()
-                    .entry(h0)
-                    .or_default()
-                    .posts
-                    .push(h3 as usize);
-            }
-            proto::AM_PSCW_COMPLETE => {
-                self.pscw.lock().entry(h0).or_default().completes += 1;
+            proto::AM_PSCW_POST | proto::AM_PSCW_COMPLETE => {
+                // h0=win, h3=sender's window rank. A notice for a window
+                // this rank no longer has is dropped.
+                let Some(win) = self.my_windows.lock().get(&h0).cloned() else {
+                    return;
+                };
+                let mut pscw = win.pscw.lock();
+                if am.handler == proto::AM_PSCW_POST {
+                    pscw.posts.push(h3 as usize);
+                } else {
+                    pscw.completes += 1;
+                }
             }
             proto::AM_COMM_REVOKE => {
                 // h0 = user-channel ctx, h3 = sender's world rank; payload
@@ -609,5 +596,25 @@ impl std::fmt::Debug for Process {
             .field("rank", &self.inner.rank)
             .field("size", &self.inner.size)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::universe::Universe;
+
+    #[test]
+    fn a_pscw_notice_for_a_window_this_rank_does_not_have_is_dropped() {
+        Universe::run_default(1, |proc| {
+            for handler in [proto::AM_PSCW_POST, proto::AM_PSCW_COMPLETE] {
+                proc.inner.handle_am(AmMessage {
+                    src: NetAddr(0),
+                    handler,
+                    header: proto::header(u64::MAX, 0, 0, 0),
+                    data: Bytes::new(),
+                });
+            }
+        });
     }
 }

@@ -391,7 +391,7 @@ pub(crate) fn isend_impl(
         if opts.no_request || opts.all_opts {
             let mut state = comm.noreq.lock();
             state.issued += 1;
-            state.pending.extend(done);
+            state.pending.extend(done.map(|done| (done, dest_world)));
             return Ok(Request::done(Status::send()));
         }
         Ok(match done {

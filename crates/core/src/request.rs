@@ -137,23 +137,28 @@ enum ReqInner<'buf> {
         sched: Arc<crate::sched::SchedShared>,
         fatal: bool,
     },
-    /// Request-based RMA (`rput`/`rget`/`raccumulate`/`rget_accumulate`)
-    /// waiting on the target's AM acknowledgment or reply. The entry in
+    /// A one-sided op waiting for its target's active-message answer: the
+    /// one place such an answer is awaited, by the request forms (`rput`,
+    /// `rget`, `raccumulate`, `rget_accumulate`) and, with `fatal` false,
+    /// by the blocking `get`, `get_accumulate` and `fetch_and_op` on the
+    /// AM fallback. A dead target is `ProcessFailed`, a revoked window
+    /// (its duplicate communicator or the parent) `Revoked` — what the
+    /// window's own liveness check says; this rank's own death is
+    /// `PeerUnreachable`, as for every request. The entry in
     /// `pending_replies` is deliberately *not* removed when the request
     /// errors: a reply that raced past a peer-death verdict must find its
     /// slot (the AM handler treats an unknown op id as a protocol bug).
     Rma {
         proc: Arc<ProcInner>,
         slot: crate::process::ReplySlot,
-        /// `Some` for fetching ops (`rget`/`rget_accumulate`): where the
-        /// reply payload lands. `None` for `rput`/`raccumulate`, whose
-        /// reply is an empty acknowledgment.
+        /// `Some` for fetching ops: where the reply payload lands. `None`
+        /// for an acknowledged put or accumulate, whose reply is discarded.
         dest: Option<RecvDest<'buf>>,
-        /// World rank of the target, for dead-peer detection.
-        peer: Option<usize>,
+        /// World rank of the target.
+        peer: usize,
         fatal: bool,
-        /// Context id of the window's communicator, for revocation checks.
-        ctx: u16,
+        /// Context ids of the window's communicator and of its parent.
+        ctxs: [u16; 2],
     },
     /// Consumed (waited, cancelled, or errored); kept so `test` can be
     /// called on a completed request without double-delivery.
@@ -185,24 +190,35 @@ fn check_peer(proc: &ProcInner, peer: Option<usize>, revoke_ctx: Option<u16>) ->
 }
 
 /// One poll of a completion a peer's death can strand: the completion if
-/// it is there, else the death ([`check_peer`]) if there is one — after
-/// one more look, because the two race. The message that trips a kill
-/// switch is still delivered, and a rank that polled just before it landed
-/// and checked liveness just after would otherwise fail a receive whose
-/// message sits in its slot. Under `MPI_ERRORS_ARE_FATAL` (`fatal`, the
-/// snapshot taken at request creation) a death aborts the rank; under
-/// `MPI_ERRORS_RETURN` it is the `Err`.
+/// it is there, else the death ([`check_peer`]) if there is one.
 pub(crate) fn poll_or_death<M>(
     proc: &ProcInner,
     peer: Option<usize>,
     fatal: bool,
     revoke_ctx: Option<u16>,
+    poll: impl FnMut() -> Option<M>,
+) -> Option<MpiResult<M>> {
+    poll_or_failure(proc, fatal, || check_peer(proc, peer, revoke_ctx), poll)
+}
+
+/// [`poll_or_death`] with the liveness check given: the completion if it
+/// is there, else the failure `alive` reports, if any — after one more
+/// look, because the two race. The message that trips a kill switch is
+/// still delivered, and a rank that polled just before it landed and
+/// checked liveness just after would otherwise fail a receive whose
+/// message sits in its slot. Under `MPI_ERRORS_ARE_FATAL` (`fatal`, the
+/// snapshot taken at request creation) a failure aborts the rank; under
+/// `MPI_ERRORS_RETURN` it is the `Err`.
+fn poll_or_failure<M>(
+    proc: &ProcInner,
+    fatal: bool,
+    alive: impl FnOnce() -> MpiResult<()>,
     mut poll: impl FnMut() -> Option<M>,
 ) -> Option<MpiResult<M>> {
     if let Some(m) = poll() {
         return Some(Ok(m));
     }
-    let death = check_peer(proc, peer, revoke_ctx).err()?;
+    let death = alive().err()?;
     // On the AM-only provider the message may still sit in the AM queue.
     proc.progress();
     if let Some(m) = poll() {
@@ -230,7 +246,7 @@ fn fatal_filter(r: MpiResult<Status>, fatal: bool) -> MpiResult<Status> {
 /// Settle a posted receive whose [`poll_or_death`] came back: deliver the
 /// message into `dest`, or — the peer died or the communicator was revoked
 /// — withdraw the receive and pass the error on.
-pub(crate) fn finish_recv(
+fn finish_recv(
     proc: &ProcInner,
     posted: &Posted,
     polled: MpiResult<TaggedMessage>,
@@ -310,9 +326,9 @@ impl<'buf> Request<'buf> {
         proc: Arc<ProcInner>,
         slot: crate::process::ReplySlot,
         dest: Option<RecvDest<'buf>>,
-        peer: Option<usize>,
+        peer: usize,
         fatal: bool,
-        ctx: u16,
+        ctxs: [u16; 2],
     ) -> Request<'buf> {
         Request {
             inner: ReqInner::Rma {
@@ -321,7 +337,7 @@ impl<'buf> Request<'buf> {
                 dest,
                 peer,
                 fatal,
-                ctx,
+                ctxs,
             },
         }
     }
@@ -372,9 +388,13 @@ impl<'buf> Request<'buf> {
                 dest,
                 peer,
                 fatal,
-                ctx,
+                ctxs,
             } => {
-                let reply = poll_or_death(proc, *peer, *fatal, Some(*ctx), || slot.lock().take())?;
+                let alive = || {
+                    check_peer(proc, None, None)?;
+                    crate::rma::target_alive(proc, *ctxs, *peer)
+                };
+                let reply = poll_or_failure(proc, *fatal, alive, || slot.lock().take())?;
                 reply.and_then(|data| {
                     proc.endpoint.note_win_ops_completed(1);
                     // Fetching ops deliver the reply into the caller's
@@ -383,7 +403,7 @@ impl<'buf> Request<'buf> {
                         return Ok(Status::send());
                     };
                     let status = dest.deliver(&data).map(|bytes| Status {
-                        source: peer.map_or(0, |p| p as i32),
+                        source: *peer as i32,
                         tag: 0,
                         bytes,
                     });

@@ -17,6 +17,21 @@
 //! (`TargetLock`), and a fence whose epoch used only native operations
 //! is a single `allreduce` ([`Window::fence`]).
 //!
+//! Each data-moving operation — put, get, accumulate, fetch-and-op — has
+//! one body, which both of its forms call: `put` and `rput` alike pass
+//! through `put_inner`, with the same prologue, the same native-or-AM
+//! choice and the same AM send. The body's type argument, a `Form`, says
+//! how the caller completes the op, and the body decides from it the
+//! three things that differ: a request is charged `REQUEST_MANAGEMENT` and
+//! no flush retires it, an AM put or accumulate issued as a request is
+//! acknowledged, and only a request hands a failure to the errhandler.
+//! What is left to wait for — nothing, or the target's AM answer — goes
+//! back through the form, and an answer is awaited in one place,
+//! `Request::rma`, so a dead target or a revoked window reads the same
+//! from `get` as from `rget`. Each body is compiled once per form: the
+//! blocking form builds no request on the native path, and its code is
+//! what it would be written alone.
+//!
 //! §3.2's proposal is implemented as the `*_virtual_addr` operations on
 //! [`VirtAddr`] handles (usable on *all* window kinds, removing the dynamic
 //! -window disadvantage the paper describes); §3.3's precreated-handle idea
@@ -26,7 +41,7 @@ use crate::comm::{Communicator, Errhandler};
 use crate::error::{MpiError, MpiResult};
 use crate::match_bits::PROC_NULL;
 use crate::op::Op;
-use crate::process::{acc_code_of, ProcInner, PscwCounters, ReplySlot};
+use crate::process::{acc_code_of, ProcInner, ReplySlot};
 use crate::proto;
 use crate::request::{wait_loop, RecvDest, Request};
 use crate::status::Status;
@@ -93,8 +108,8 @@ pub enum LockType {
 /// bit is the exclusive holder, the bits below count the shared holders.
 /// Acquiring is one atomic on the word — a compare-and-swap from zero for
 /// exclusive, a fetch-and-add (withdrawn if the writer bit was set) for
-/// shared — retried inside [`wait_loop`], so a waiter keeps driving progress
-/// and sees a dead or revoked target as an error.
+/// shared — retried while the waiter drives progress, so it sees a dead
+/// or revoked target as an error.
 #[derive(Debug, Default)]
 pub(crate) struct TargetLock(AtomicU64);
 
@@ -166,11 +181,22 @@ pub(crate) struct WinShared {
 }
 
 /// One rank's side of a window as its AM progress engine sees it: the
-/// memory it exposes and how many AM-fallback ops it has applied there
-/// (what `fence` waits on).
+/// memory it exposes, how many AM-fallback ops it has applied there (what
+/// `fence` waits on) and the PSCW notices that named it (what `start` and
+/// `wait` wait on).
 pub(crate) struct WinTarget {
     pub region: MemoryRegion,
     pub applied: AtomicU64,
+    pub pscw: Mutex<PscwCounters>,
+}
+
+/// PSCW notices one window has received.
+#[derive(Debug, Default)]
+pub(crate) struct PscwCounters {
+    /// Ranks whose "post" we have received (we are an origin in `start`).
+    pub posts: Vec<usize>,
+    /// Number of "complete" notices received (we are a target in `wait`).
+    pub completes: usize,
 }
 
 /// Which access epoch an operation is issued under. It routes the AM
@@ -197,6 +223,92 @@ struct TargetEpoch {
     completed: AtomicU64,
 }
 
+/// How the caller of an operation body completes the op: [`Blocking`] or
+/// [`Requested`]. The two forms share the prologue, the native-or-AM choice
+/// and the AM send; they differ in three things, each decided in the body
+/// from `REQUEST`, and in what the call returns. The body is compiled once
+/// per form, so the blocking form's code is what it would be written alone.
+pub(crate) trait Form {
+    /// A request form: `REQUEST_MANAGEMENT` is charged, the op is complete
+    /// at return or at the target's answer and no flush retires it, an AM
+    /// put or accumulate is acknowledged, and the window's errhandler
+    /// applies when the request completes.
+    const REQUEST: bool;
+    /// What the call returns.
+    type Out<'buf>;
+    /// Nothing is left to wait for: the op had no target, or was complete
+    /// at return; `status` is what its request reports.
+    fn done<'buf>(status: Status) -> Self::Out<'buf>;
+    /// The target's AM answer is left, awaited by `reply`.
+    fn reply(reply: Request<'_>) -> MpiResult<Self::Out<'_>>;
+}
+
+/// `MPI_PUT` & co. return once the op is complete. A passive put or
+/// accumulate is counted for the flush (`OP_QUEUE`, then `FLUSH_OP`); an AM
+/// put or accumulate asks for no acknowledgement (the fence counts it in);
+/// a failure is returned, never handed to the errhandler.
+pub(crate) struct Blocking;
+
+impl Form for Blocking {
+    const REQUEST: bool = false;
+    type Out<'buf> = ();
+    fn done<'buf>(_: Status) -> Self::Out<'buf> {}
+    fn reply(reply: Request<'_>) -> MpiResult<()> {
+        reply.wait().map(drop)
+    }
+}
+
+/// `MPI_RPUT` & co. return a request (see [`Form::REQUEST`]).
+pub(crate) struct Requested;
+
+impl Form for Requested {
+    const REQUEST: bool = true;
+    type Out<'buf> = Request<'buf>;
+    fn done<'buf>(status: Status) -> Request<'buf> {
+        Request::done(status)
+    }
+    fn reply(reply: Request<'_>) -> MpiResult<Request<'_>> {
+        Ok(reply)
+    }
+}
+
+/// How an operation was called: where it goes, and which of the paper's
+/// shortcuts the entry point takes.
+#[derive(Clone, Copy)]
+pub(crate) struct Call {
+    target: i32,
+    /// Element displacement (unused with `vaddr`).
+    disp: usize,
+    /// §3.2: the pre-translated address, when the caller used the
+    /// extension.
+    vaddr: Option<VirtAddr>,
+    /// §3.7: the fused path, which skips the mandatory §3 overheads.
+    skip_checks: bool,
+    /// §2.2 Class 2: the datatype is a compile-time constant.
+    static_type: bool,
+}
+
+impl Call {
+    /// A typed call at `target`'s element displacement `disp`.
+    fn typed(target: i32, disp: usize) -> Call {
+        Call {
+            target,
+            disp,
+            vaddr: None,
+            skip_checks: false,
+            static_type: true,
+        }
+    }
+
+    /// A typed call through a §3.2 address; `fused` is §3.7's put with
+    /// every applicable proposal.
+    pub(crate) fn virtual_addr(target: i32, addr: VirtAddr, fused: bool) -> Call {
+        let mut call = Call::typed(target, 0);
+        (call.vaddr, call.skip_checks) = (Some(addr), fused);
+        call
+    }
+}
+
 /// Where an operation lands, as resolved by the prologue.
 struct Access<'w> {
     /// Target rank in the window and its fabric address.
@@ -207,6 +319,18 @@ struct Access<'w> {
     region: Cow<'w, MemoryRegion>,
     byte: usize,
     epoch: EpochKind,
+}
+
+impl Access<'_> {
+    /// The status of a fetching op of `bytes` that was complete at return.
+    fn fetched(&self, bytes: usize) -> Status {
+        let source = self.t as i32;
+        Status {
+            source,
+            tag: 0,
+            bytes,
+        }
+    }
 }
 
 /// An RMA window.
@@ -287,6 +411,7 @@ impl Window {
         let mine = Arc::new(WinTarget {
             region,
             applied: AtomicU64::new(0),
+            pscw: Mutex::new(PscwCounters::default()),
         });
         proc.my_windows.lock().insert(shared.id, mine.clone());
         let win = Window {
@@ -466,9 +591,8 @@ impl Window {
         peers: &[usize],
         mut ready: impl FnMut(&mut PscwCounters) -> bool,
     ) -> MpiResult<()> {
-        let proc = self.proc();
-        wait_loop(proc, || {
-            if ready(proc.pscw.lock().entry(self.shared.id).or_default()) {
+        wait_loop(self.proc(), || {
+            if ready(&mut self.mine.pscw.lock()) {
                 return Some(Ok(()));
             }
             (peers.iter().find_map(|&p| self.check_target_alive(p).err())).map(Err)
@@ -651,19 +775,14 @@ impl Window {
 
     // ------------------------------------------------- passive-target core
 
-    /// ULFM wiring for one-sided traffic: a revoked window communicator or
-    /// a dead target fails fast instead of hanging in an epoch that can
-    /// never close.
+    /// [`target_alive`] for window rank `target`.
     fn check_target_alive(&self, target: usize) -> MpiResult<()> {
-        let proc = self.proc();
-        if proc.is_ctx_revoked(self.comm.context_id().0) || proc.is_ctx_revoked(self.parent_ctx) {
-            return Err(MpiError::Revoked);
-        }
-        let world = self.comm.world_rank_of(target);
-        if proc.endpoint.peer_unreachable(proc.addr_of_world(world)) {
-            return Err(MpiError::ProcessFailed { peer: world });
-        }
-        Ok(())
+        target_alive(self.proc(), self.ctxs(), self.comm.world_rank_of(target))
+    }
+
+    /// Context ids of the window's communicator and of its parent.
+    fn ctxs(&self) -> [u16; 2] {
+        [self.comm.context_id().0, self.parent_ctx]
     }
 
     /// The completion point of `flush`/`unlock` toward `target`. Every
@@ -691,11 +810,13 @@ impl Window {
         ep.note_win_ops_completed(1);
     }
 
-    /// Account one put or accumulate. Under a passive-target epoch it
-    /// carries the model's issue charge and stays outstanding until a
-    /// flush retires it (and is charged for that); otherwise it is done.
-    fn note_store(&self, a: &Access<'_>) {
-        if a.epoch == EpochKind::Passive {
+    /// Account one put or accumulate that is done at return. A blocking
+    /// one under a passive-target epoch carries the model's issue charge
+    /// and stays outstanding until a flush retires it (and is charged for
+    /// that); a request form carries its own completion, so no flush
+    /// retires it.
+    fn note_store<F: Form>(&self, a: &Access<'_>) {
+        if a.epoch == EpochKind::Passive && !F::REQUEST {
             charge(Category::Rma, cost::rma::OP_QUEUE);
             self.epochs[a.t].issued.fetch_add(1, Ordering::AcqRel);
             self.proc().endpoint.note_win_ops_issued(1);
@@ -706,21 +827,17 @@ impl Window {
 
     // ---------------------------------------------------------- prologue
 
-    /// MPI-layer + mandatory-overhead prologue for the put-family path.
-    /// Returns `None` for `MPI_PROC_NULL` targets. `vaddr` carries the
-    /// §3.2 pre-translated address when the caller used the extension.
-    #[allow(clippy::too_many_arguments)] // mirrors the MPI_Put C signature
-    fn rma_prologue(
+    /// MPI-layer + mandatory-overhead prologue for the put-family path:
+    /// an op of `bytes` of `ty`, called as `call` says. Returns `None` for
+    /// `MPI_PROC_NULL` targets.
+    fn rma_prologue<F: Form>(
         &self,
-        target: i32,
-        disp: usize,
         bytes: usize,
         ty: &Datatype,
-        vaddr: Option<VirtAddr>,
-        skip_checks: bool,
-        static_type: bool,
+        call: Call,
     ) -> MpiResult<Option<Access<'_>>> {
         let proc = self.proc();
+        let (target, skip_checks) = (call.target, call.skip_checks);
         // Build-config overheads (Table 1 rows 1–4) apply to every put-
         // family entry point; `skip_checks` (the §3.7 fused path) removes
         // only the *mandatory* §3 overheads below.
@@ -740,7 +857,7 @@ impl Window {
         if !proc.config.ipo {
             charge(Category::FunctionCall, cost::put::FUNCTION_CALL);
         }
-        if crate::pt2pt::redundant_checks_remain(&proc.config, static_type) {
+        if crate::pt2pt::redundant_checks_remain(&proc.config, call.static_type) {
             charge(Category::RedundantChecks, cost::put::REDUNDANT_CHECKS);
         }
         if !skip_checks {
@@ -769,7 +886,7 @@ impl Window {
         let checked = proc.config.error_checking && !skip_checks;
         let beyond = || MpiError::InvalidWin("access beyond exposed window");
         let resident = &self.shared.regions[t];
-        let (region, byte, extent) = match vaddr {
+        let (region, byte, extent) = match call.vaddr {
             // §3.2 pre-translated address into the window's own region.
             Some(a) if a.key == resident.key() => {
                 (Cow::Borrowed(resident), a.byte, self.shared.lens[t])
@@ -802,9 +919,9 @@ impl Window {
                 }
                 let unit = self.shared.disp_units[t];
                 let byte = if checked {
-                    disp.checked_mul(unit).ok_or_else(beyond)?
+                    call.disp.checked_mul(unit).ok_or_else(beyond)?
                 } else {
-                    disp * unit
+                    call.disp * unit
                 };
                 (Cow::Borrowed(resident), byte, self.shared.lens[t])
             }
@@ -813,6 +930,10 @@ impl Window {
         // here; we return `MPI_ERR_WIN` instead of wrapping or panicking).
         if checked && byte.checked_add(bytes).is_none_or(|end| end > extent) {
             return Err(beyond());
+        }
+        if F::REQUEST {
+            // §3.5: the request object.
+            charge(Category::RequestManagement, cost::isend::REQUEST_MANAGEMENT);
         }
         Ok(Some(Access {
             t,
@@ -847,54 +968,38 @@ impl Window {
 
     // ------------------------------------------------------- AM fallback
 
-    /// Send an AM the target answers (get, get-accumulate, acknowledged
-    /// put): register the reply slot under a fresh op id, send, and count
-    /// the op for the next fence.
-    fn am_request(&self, a: &Access<'_>, handler: u16, len: usize, payload: Bytes) -> ReplySlot {
+    /// Send one AM-fallback op to `a`'s target, `h3` the header's last
+    /// word, and count it for the next fence.
+    fn am_post(&self, a: &Access<'_>, handler: u16, len: usize, h3: u64, payload: Bytes) {
+        let header = proto::header(self.shared.id, a.byte as u64, len as u64, h3);
+        let ep = &self.proc().endpoint;
+        ep.am_send(a.dst, handler, header, payload);
+        self.sent_am[a.t].fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// Send an AM-fallback op the target answers (get, get-accumulate,
+    /// acknowledged put): its op id rides in `h3`, and what is left is the
+    /// answer — landing in `dest` for a fetching op — awaited by
+    /// `Request::rma` in either form. Issued now, completed at the answer.
+    fn am_request<'buf, F: Form>(
+        &self,
+        a: &Access<'_>,
+        handler: u16,
+        len: usize,
+        payload: Bytes,
+        dest: Option<RecvDest<'buf>>,
+    ) -> MpiResult<F::Out<'buf>> {
         let proc = self.proc();
         let op_id = proc.next_op_id.fetch_add(1, Ordering::Relaxed);
         let slot: ReplySlot = Arc::new(Mutex::new(None));
         proc.pending_replies.lock().insert(op_id, slot.clone());
-        proc.endpoint.am_send(
-            a.dst,
-            handler,
-            proto::header(self.shared.id, a.byte as u64, len as u64, op_id),
-            payload,
-        );
-        self.sent_am[a.t].fetch_add(1, Ordering::AcqRel);
-        slot
-    }
-
-    /// Block for the answer to [`Window::am_request`]. A target that dies
-    /// first ends the wait; the slot stays registered, so a reply that
-    /// raced the verdict is absorbed.
-    fn await_reply(&self, a: &Access<'_>, slot: &ReplySlot) -> MpiResult<Vec<u8>> {
-        wait_loop(self.proc(), || {
-            let reply = slot.lock().take();
-            match reply {
-                Some(wire) => Some(Ok(wire)),
-                None => self.check_target_alive(a.t).err().map(Err),
-            }
-        })
-    }
-
-    /// The request that completes when the target answers `slot`; a
-    /// fetching op's reply lands in `dest`.
-    fn reply_request<'buf>(
-        &self,
-        a: &Access<'_>,
-        slot: ReplySlot,
-        dest: Option<RecvDest<'buf>>,
-    ) -> Request<'buf> {
-        self.proc().endpoint.note_win_ops_issued(1);
-        Request::rma(
-            self.proc().clone(),
-            slot,
-            dest,
-            Some(self.comm.world_rank_of(a.t)),
-            self.comm.errhandler() == Errhandler::ErrorsAreFatal,
-            self.comm.context_id().0,
-        )
+        self.am_post(a, handler, len, op_id, payload);
+        proc.endpoint.note_win_ops_issued(1);
+        // A blocking call returns its error; only a request consults the
+        // errhandler.
+        let fatal = F::REQUEST && self.comm.errhandler() == Errhandler::ErrorsAreFatal;
+        let (peer, ctxs) = (self.comm.world_rank_of(a.t), self.ctxs());
+        F::reply(Request::rma(proc.clone(), slot, dest, peer, fatal, ctxs))
     }
 
     // -------------------------------------------------------------- ops
@@ -909,26 +1014,23 @@ impl Window {
         target: i32,
         disp: usize,
     ) -> MpiResult<()> {
-        self.put_inner(buf, ty, count, target, disp, None, false, false)
+        let mut call = Call::typed(target, disp);
+        call.static_type = false;
+        self.put_inner::<Blocking>(buf, ty, count, call)
     }
 
-    #[allow(clippy::too_many_arguments)] // mirrors the MPI_Put C signature
-    pub(crate) fn put_inner(
+    /// The one body of `MPI_PUT` and `MPI_RPUT`, and of §3.2's and §3.7's
+    /// puts.
+    pub(crate) fn put_inner<F: Form>(
         &self,
         buf: &[u8],
         ty: &Datatype,
         count: usize,
-        target: i32,
-        disp: usize,
-        vaddr: Option<VirtAddr>,
-        skip_checks: bool,
-        static_type: bool,
-    ) -> MpiResult<()> {
+        call: Call,
+    ) -> MpiResult<F::Out<'static>> {
         let bytes = pack::packed_size(ty, count);
-        let Some(a) =
-            self.rma_prologue(target, disp, bytes, ty, vaddr, skip_checks, static_type)?
-        else {
-            return Ok(());
+        let Some(a) = self.rma_prologue::<F>(bytes, ty, call)? else {
+            return Ok(F::done(Status::send()));
         };
         let ep = &self.proc().endpoint;
         let native = self.native_path(ty);
@@ -947,36 +1049,26 @@ impl Window {
             // AM put stages one wire buffer; `Bytes::from` then moves it
             // (no second copy).
             litempi_instr::note_alloc(1);
-            let packed = if ty.is_contiguous() {
+            let packed = Bytes::from(if ty.is_contiguous() {
                 buf[..bytes].to_vec()
             } else {
                 pack::pack(ty, count, buf)
-            };
-            ep.am_send(
-                a.dst,
-                proto::AM_RMA_PUT,
-                proto::header(self.shared.id, a.byte as u64, bytes as u64, 0),
-                Bytes::from(packed),
-            );
-            self.sent_am[a.t].fetch_add(1, Ordering::AcqRel);
+            });
+            if F::REQUEST {
+                // The target acknowledges once the put is applied.
+                return self.am_request::<F>(&a, proto::AM_RMA_PUT, bytes, packed, None);
+            }
+            self.am_post(&a, proto::AM_RMA_PUT, bytes, 0, packed);
         }
-        self.note_store(&a);
-        Ok(())
+        self.note_store::<F>(&a);
+        Ok(F::done(Status::send()))
     }
 
     /// Typed `MPI_PUT` (a §2.2 Class-2 call: the datatype is a
     /// compile-time constant, so library IPO folds the size checks).
     pub fn put<T: MpiPrimitive>(&self, data: &[T], target: i32, disp: usize) -> MpiResult<()> {
-        self.put_inner(
-            T::as_bytes(data),
-            &T::DATATYPE,
-            data.len(),
-            target,
-            disp,
-            None,
-            false,
-            true,
-        )
+        let call = Call::typed(target, disp);
+        self.put_inner::<Blocking>(T::as_bytes(data), &T::DATATYPE, data.len(), call)
     }
 
     /// `MPI_GET` on raw bytes.
@@ -988,26 +1080,22 @@ impl Window {
         target: i32,
         disp: usize,
     ) -> MpiResult<()> {
-        self.get_inner(buf, ty, count, target, disp, None, false, false)
+        let mut call = Call::typed(target, disp);
+        call.static_type = false;
+        self.get_inner::<Blocking>(buf, ty, count, call)
     }
 
-    #[allow(clippy::too_many_arguments)] // mirrors the MPI_Get C signature
-    pub(crate) fn get_inner(
+    /// The one body of `MPI_GET` and `MPI_RGET`, and of §3.2's get.
+    pub(crate) fn get_inner<'buf, F: Form>(
         &self,
-        buf: &mut [u8],
+        buf: &'buf mut [u8],
         ty: &Datatype,
         count: usize,
-        target: i32,
-        disp: usize,
-        vaddr: Option<VirtAddr>,
-        skip_checks: bool,
-        static_type: bool,
-    ) -> MpiResult<()> {
+        call: Call,
+    ) -> MpiResult<F::Out<'buf>> {
         let bytes = pack::packed_size(ty, count);
-        let Some(a) =
-            self.rma_prologue(target, disp, bytes, ty, vaddr, skip_checks, static_type)?
-        else {
-            return Ok(());
+        let Some(a) = self.rma_prologue::<F>(bytes, ty, call)? else {
+            return Ok(F::done(Status::proc_null()));
         };
         let native = self.native_path(ty);
         self.charge_netmod(native);
@@ -1018,28 +1106,21 @@ impl Window {
                 unpack_into(ty, count, wire, buf)
             });
             self.note_sync_op();
-        } else {
-            // AM get: request/reply through the target's progress engine.
-            let slot = self.am_request(&a, proto::AM_RMA_GET_REQ, bytes, Bytes::new());
-            self.note_sync_op();
-            unpack_into(ty, count, &self.await_reply(&a, &slot)?, buf);
+            return Ok(F::done(a.fetched(bytes)));
         }
-        Ok(())
+        // AM get: request/reply through the target's progress engine.
+        let dest = RecvDest {
+            buf,
+            ty: ty.clone(),
+            count,
+        };
+        self.am_request::<F>(&a, proto::AM_RMA_GET_REQ, bytes, Bytes::new(), Some(dest))
     }
 
     /// Typed `MPI_GET` (Class-2: compile-time-constant datatype).
     pub fn get<T: MpiPrimitive>(&self, buf: &mut [T], target: i32, disp: usize) -> MpiResult<()> {
-        let count = buf.len();
-        self.get_inner(
-            T::as_bytes_mut(buf),
-            &T::DATATYPE,
-            count,
-            target,
-            disp,
-            None,
-            false,
-            true,
-        )
+        let (count, call) = (buf.len(), Call::typed(target, disp));
+        self.get_inner::<Blocking>(T::as_bytes_mut(buf), &T::DATATYPE, count, call)
     }
 
     /// Checks shared by the accumulate family. A zero-count accumulate has
@@ -1056,6 +1137,46 @@ impl Window {
         Ok(())
     }
 
+    /// The one body of `MPI_ACCUMULATE` and `MPI_RACCUMULATE`.
+    fn accumulate_op<T: MpiPrimitive, F: Form>(
+        &self,
+        data: &[T],
+        op: &Op,
+        call: Call,
+    ) -> MpiResult<F::Out<'static>> {
+        let ty = T::DATATYPE;
+        self.check_acc(data, op)?;
+        let wire = T::as_bytes(data);
+        let Some(a) = self.rma_prologue::<F>(wire.len(), &ty, call)? else {
+            return Ok(F::done(Status::send()));
+        };
+        let native = self.native_path(&ty);
+        self.charge_netmod(native);
+        let mut res = Ok(());
+        if native || a.epoch == EpochKind::Passive {
+            // Element-wise atomic under the region lock ("hardware"
+            // atomics / offloaded handler).
+            let ep = &self.proc().endpoint;
+            ep.rdma_update(a.dst, &a.region, a.byte, wire.len(), |dst| {
+                res = op.apply(&ty, dst, wire)
+            });
+        } else if F::REQUEST {
+            // The accumulate header has no room for an op id: ride the
+            // get-accumulate request/reply so the target's application is
+            // acknowledged; the fetched payload is discarded.
+            let payload = getacc_payload::<T>(op, wire)?;
+            return self.am_request::<F>(&a, proto::AM_RMA_GETACC_REQ, wire.len(), payload, None);
+        } else {
+            let code = proto::encode_acc(acc_code(op)?, predef_index::<T>());
+            // One staged operand buffer for the AM handler.
+            litempi_instr::note_alloc(1);
+            let operand = Bytes::copy_from_slice(wire);
+            self.am_post(&a, proto::AM_RMA_ACC, wire.len(), code, operand);
+        }
+        self.note_store::<F>(&a);
+        res.map(|()| F::done(Status::send()))
+    }
+
     /// `MPI_ACCUMULATE` (element-wise atomic at the target).
     pub fn accumulate<T: MpiPrimitive>(
         &self,
@@ -1064,94 +1185,48 @@ impl Window {
         disp: usize,
         op: &Op,
     ) -> MpiResult<()> {
-        let ty = T::DATATYPE;
-        self.check_acc(data, op)?;
-        let wire = T::as_bytes(data);
-        let Some(a) = self.rma_prologue(target, disp, wire.len(), &ty, None, false, true)? else {
-            return Ok(());
-        };
-        let ep = &self.proc().endpoint;
-        let native = self.native_path(&ty);
-        self.charge_netmod(native);
-        if native || a.epoch == EpochKind::Passive {
-            // Element-wise atomic under the region lock ("hardware"
-            // atomics / offloaded handler).
-            let mut res = Ok(());
-            ep.rdma_update(a.dst, &a.region, a.byte, wire.len(), |dst| {
-                res = op.apply(&ty, dst, wire)
-            });
-            self.note_store(&a);
-            return res;
-        }
-        let code = acc_code_of(op).ok_or(MpiError::InvalidOp(
-            "user-defined op not supported on the AM path",
-        ))?;
-        // One staged operand buffer for the AM handler.
-        litempi_instr::note_alloc(1);
-        ep.am_send(
-            a.dst,
-            proto::AM_RMA_ACC,
-            proto::header(
-                self.shared.id,
-                a.byte as u64,
-                wire.len() as u64,
-                proto::encode_acc(code, predef_index::<T>()),
-            ),
-            Bytes::copy_from_slice(wire),
-        );
-        self.sent_am[a.t].fetch_add(1, Ordering::AcqRel);
-        self.note_store(&a);
-        Ok(())
+        self.accumulate_op::<T, Blocking>(data, op, Call::typed(target, disp))
     }
 
-    /// Fetch-then-apply at the target's region, atomically under its lock;
-    /// the pre-op bytes land in `fetched`.
-    fn fetch_apply(
-        &self,
-        a: &Access<'_>,
-        op: &Op,
-        ty: &Datatype,
-        operand: &[u8],
-        fetched: &mut [u8],
-    ) -> MpiResult<()> {
-        let mut res = Ok(());
-        let ep = &self.proc().endpoint;
-        ep.rdma_update(a.dst, &a.region, a.byte, operand.len(), |dst| {
-            fetched.copy_from_slice(dst);
-            res = op.apply(ty, dst, operand);
-        });
-        res?;
-        self.note_sync_op();
-        Ok(())
-    }
-
-    /// The body of `get_accumulate` and `fetch_and_op`: the pre-op target
-    /// values land in `fetched` (left alone for `MPI_PROC_NULL`).
-    fn fetch_op<T: MpiPrimitive>(
+    /// The one body of `MPI_GET_ACCUMULATE`, `MPI_FETCH_AND_OP` and
+    /// `MPI_RGET_ACCUMULATE`: fetch-then-apply, atomically at the target;
+    /// the pre-op values land in `fetched` (left alone for
+    /// `MPI_PROC_NULL`).
+    fn fetch_op<'buf, T: MpiPrimitive, F: Form>(
         &self,
         data: &[T],
-        fetched: &mut [T],
-        target: i32,
-        disp: usize,
+        fetched: &'buf mut [T],
         op: &Op,
-    ) -> MpiResult<()> {
+        call: Call,
+    ) -> MpiResult<F::Out<'buf>> {
+        if fetched.len() != data.len() {
+            return Err(MpiError::InvalidCount(fetched.len() as i64));
+        }
         let ty = T::DATATYPE;
         self.check_acc(data, op)?;
         let wire = T::as_bytes(data);
-        let Some(a) = self.rma_prologue(target, disp, wire.len(), &ty, None, false, true)? else {
-            return Ok(());
+        let bytes = wire.len();
+        let Some(a) = self.rma_prologue::<F>(bytes, &ty, call)? else {
+            return Ok(F::done(Status::proc_null()));
         };
         let native = self.native_path(&ty);
         self.charge_netmod(native);
-        let fetched = T::as_bytes_mut(fetched);
+        let buf = T::as_bytes_mut(fetched);
         if native || a.epoch == EpochKind::Passive {
-            return self.fetch_apply(&a, op, &ty, wire, fetched);
+            let mut res = Ok(());
+            let ep = &self.proc().endpoint;
+            ep.rdma_update(a.dst, &a.region, a.byte, bytes, |dst| {
+                buf.copy_from_slice(dst);
+                res = op.apply(&ty, dst, wire);
+            });
+            res?;
+            self.note_sync_op();
+            return Ok(F::done(a.fetched(bytes)));
         }
         let payload = getacc_payload::<T>(op, wire)?;
-        let slot = self.am_request(&a, proto::AM_RMA_GETACC_REQ, wire.len(), payload);
-        self.note_sync_op();
-        fetched.copy_from_slice(&self.await_reply(&a, &slot)?);
-        Ok(())
+        let count = data.len();
+        let dest = Some(RecvDest { buf, ty, count });
+        self.am_request::<F>(&a, proto::AM_RMA_GETACC_REQ, bytes, payload, dest)
     }
 
     /// `MPI_GET_ACCUMULATE`: fetch the target data, then apply `op`.
@@ -1164,7 +1239,8 @@ impl Window {
         op: &Op,
     ) -> MpiResult<Vec<T>> {
         let mut fetched = data.to_vec();
-        self.fetch_op(data, &mut fetched, target, disp, op)?;
+        let call = Call::typed(target, disp);
+        self.fetch_op::<T, Blocking>(data, &mut fetched, op, call)?;
         Ok(fetched)
     }
 
@@ -1177,7 +1253,8 @@ impl Window {
         op: &Op,
     ) -> MpiResult<T> {
         let mut fetched = [value];
-        self.fetch_op(&[value], &mut fetched, target, disp, op)?;
+        let call = Call::typed(target, disp);
+        self.fetch_op::<T, Blocking>(&[value], &mut fetched, op, call)?;
         Ok(fetched[0])
     }
 
@@ -1191,7 +1268,8 @@ impl Window {
         disp: usize,
     ) -> MpiResult<T> {
         let ty = T::DATATYPE;
-        let Some(a) = self.rma_prologue(target, disp, ty.size(), &ty, None, false, true)? else {
+        let call = Call::typed(target, disp);
+        let Some(a) = self.rma_prologue::<Blocking>(ty.size(), &ty, call)? else {
             return Ok(compare);
         };
         self.charge_netmod(true);
@@ -1211,33 +1289,15 @@ impl Window {
 
     /// `MPI_RPUT`: put with a per-operation request. The request completes
     /// when the target has applied the data (stronger than the standard's
-    /// local-completion minimum). Request-based ops carry their own
-    /// completion unit: a flush is not charged for retiring them.
+    /// local-completion minimum).
     pub fn rput<T: MpiPrimitive>(
         &self,
         data: &[T],
         target: i32,
         disp: usize,
     ) -> MpiResult<Request<'static>> {
-        let ty = T::DATATYPE;
-        let wire = T::as_bytes(data);
-        let Some(a) = self.rma_prologue(target, disp, wire.len(), &ty, None, false, true)? else {
-            return Ok(Request::done(Status::send()));
-        };
-        let native = self.native_path(&ty);
-        self.charge_netmod(native);
-        charge(Category::RequestManagement, cost::isend::REQUEST_MANAGEMENT);
-        if native || a.epoch == EpochKind::Passive {
-            let ep = &self.proc().endpoint;
-            ep.rdma_put(a.dst, &a.region, a.byte, wire);
-            self.note_sync_op();
-            return Ok(Request::done(Status::send()));
-        }
-        // AM path: the target acknowledges once the put is applied.
-        litempi_instr::note_alloc(1);
-        let payload = Bytes::copy_from_slice(wire);
-        let slot = self.am_request(&a, proto::AM_RMA_PUT, wire.len(), payload);
-        Ok(self.reply_request(&a, slot, None))
+        let call = Call::typed(target, disp);
+        self.put_inner::<Requested>(T::as_bytes(data), &T::DATATYPE, data.len(), call)
     }
 
     /// `MPI_RGET`: get with a per-operation request; the request's
@@ -1248,34 +1308,8 @@ impl Window {
         target: i32,
         disp: usize,
     ) -> MpiResult<Request<'buf>> {
-        let ty = T::DATATYPE;
-        let count = buf.len();
-        let buf = T::as_bytes_mut(buf);
-        let bytes = buf.len();
-        let Some(a) = self.rma_prologue(target, disp, bytes, &ty, None, false, true)? else {
-            return Ok(Request::done(Status {
-                source: PROC_NULL,
-                tag: 0,
-                bytes: 0,
-            }));
-        };
-        let native = self.native_path(&ty);
-        self.charge_netmod(native);
-        charge(Category::RequestManagement, cost::isend::REQUEST_MANAGEMENT);
-        if native || a.epoch == EpochKind::Passive {
-            let ep = &self.proc().endpoint;
-            ep.rdma_get(a.dst, &a.region, a.byte, bytes, |wire| {
-                buf.copy_from_slice(wire)
-            });
-            self.note_sync_op();
-            return Ok(Request::done(Status {
-                source: a.t as i32,
-                tag: 0,
-                bytes,
-            }));
-        }
-        let slot = self.am_request(&a, proto::AM_RMA_GET_REQ, bytes, Bytes::new());
-        Ok(self.reply_request(&a, slot, Some(RecvDest { buf, ty, count })))
+        let (count, call) = (buf.len(), Call::typed(target, disp));
+        self.get_inner::<Requested>(T::as_bytes_mut(buf), &T::DATATYPE, count, call)
     }
 
     /// `MPI_RACCUMULATE`: accumulate with a per-operation request.
@@ -1286,30 +1320,7 @@ impl Window {
         disp: usize,
         op: &Op,
     ) -> MpiResult<Request<'static>> {
-        let ty = T::DATATYPE;
-        self.check_acc(data, op)?;
-        let wire = T::as_bytes(data);
-        let Some(a) = self.rma_prologue(target, disp, wire.len(), &ty, None, false, true)? else {
-            return Ok(Request::done(Status::send()));
-        };
-        let native = self.native_path(&ty);
-        self.charge_netmod(native);
-        charge(Category::RequestManagement, cost::isend::REQUEST_MANAGEMENT);
-        if native || a.epoch == EpochKind::Passive {
-            let mut res = Ok(());
-            let ep = &self.proc().endpoint;
-            ep.rdma_update(a.dst, &a.region, a.byte, wire.len(), |dst| {
-                res = op.apply(&ty, dst, wire)
-            });
-            res?;
-            self.note_sync_op();
-            return Ok(Request::done(Status::send()));
-        }
-        // AM path: ride the get-accumulate request/reply so the target's
-        // application is acknowledged; the fetched payload is discarded.
-        let payload = getacc_payload::<T>(op, wire)?;
-        let slot = self.am_request(&a, proto::AM_RMA_GETACC_REQ, wire.len(), payload);
-        Ok(self.reply_request(&a, slot, None))
+        self.accumulate_op::<T, Requested>(data, op, Call::typed(target, disp))
     }
 
     /// `MPI_RGET_ACCUMULATE`: get-accumulate with a per-operation request;
@@ -1322,37 +1333,22 @@ impl Window {
         disp: usize,
         op: &Op,
     ) -> MpiResult<Request<'buf>> {
-        let ty = T::DATATYPE;
-        if result.len() != data.len() {
-            return Err(MpiError::InvalidCount(result.len() as i64));
-        }
-        self.check_acc(data, op)?;
-        let count = data.len();
-        let wire = T::as_bytes(data);
-        let bytes = wire.len();
-        let Some(a) = self.rma_prologue(target, disp, bytes, &ty, None, false, true)? else {
-            return Ok(Request::done(Status {
-                source: PROC_NULL,
-                tag: 0,
-                bytes: 0,
-            }));
-        };
-        let native = self.native_path(&ty);
-        self.charge_netmod(native);
-        charge(Category::RequestManagement, cost::isend::REQUEST_MANAGEMENT);
-        let buf = T::as_bytes_mut(result);
-        if native || a.epoch == EpochKind::Passive {
-            self.fetch_apply(&a, op, &ty, wire, buf)?;
-            return Ok(Request::done(Status {
-                source: a.t as i32,
-                tag: 0,
-                bytes,
-            }));
-        }
-        let payload = getacc_payload::<T>(op, wire)?;
-        let slot = self.am_request(&a, proto::AM_RMA_GETACC_REQ, bytes, payload);
-        Ok(self.reply_request(&a, slot, Some(RecvDest { buf, ty, count })))
+        let call = Call::typed(target, disp);
+        self.fetch_op::<T, Requested>(data, result, op, call)
     }
+}
+
+/// ULFM wiring for one-sided traffic: a revoked window (its communicator
+/// or the parent, `ctxs`) or a dead target (`world`) fails fast instead of
+/// hanging in an epoch that can never close.
+pub(crate) fn target_alive(proc: &ProcInner, ctxs: [u16; 2], world: usize) -> MpiResult<()> {
+    if ctxs.iter().any(|&ctx| proc.is_ctx_revoked(ctx)) {
+        return Err(MpiError::Revoked);
+    }
+    if proc.endpoint.peer_unreachable(proc.addr_of_world(world)) {
+        return Err(MpiError::ProcessFailed { peer: world });
+    }
+    Ok(())
 }
 
 /// Land `count` elements of `ty` arriving as packed `wire` bytes in `buf`.
@@ -1364,11 +1360,16 @@ fn unpack_into(ty: &Datatype, count: usize, wire: &[u8], buf: &mut [u8]) {
     }
 }
 
+/// `op`'s code on the AM accumulate path.
+fn acc_code(op: &Op) -> MpiResult<u64> {
+    acc_code_of(op).ok_or(MpiError::InvalidOp(
+        "user-defined op not supported on the AM path",
+    ))
+}
+
 /// The get-accumulate AM request body: op and type code, then the operand.
 fn getacc_payload<T: MpiPrimitive>(op: &Op, operand: &[u8]) -> MpiResult<Bytes> {
-    let code = acc_code_of(op).ok_or(MpiError::InvalidOp(
-        "user-defined op not supported on the AM path",
-    ))?;
+    let code = acc_code(op)?;
     // One staged request buffer, moved into `Bytes`.
     litempi_instr::note_alloc(1);
     let mut payload = proto::encode_acc(code, predef_index::<T>())

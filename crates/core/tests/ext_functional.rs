@@ -2,8 +2,10 @@
 //! data correctly, not just cheaply — including equivalence with the
 //! classic APIs they replace.
 
-use litempi_core::{BuildConfig, Communicator, MpiError, PredefHandle, Universe, PROC_NULL};
-use litempi_fabric::{ProviderProfile, Topology};
+use litempi_core::{
+    BuildConfig, Communicator, Errhandler, MpiError, PredefHandle, Universe, PROC_NULL,
+};
+use litempi_fabric::{FaultPlan, ProviderProfile, Topology};
 
 #[test]
 fn isend_global_delivers_like_isend() {
@@ -100,6 +102,34 @@ fn noreq_sends_complete_via_comm_waitall() {
                 }
             }
         },
+    );
+}
+
+#[test]
+fn comm_waitall_returns_the_death_of_a_receiver_instead_of_hanging() {
+    // `ofi`: 64 KiB is above the eager ceiling, so the requestless send
+    // waits for the receiver's pull. Its RTS is the first packet to touch
+    // rank 1 and trips rank 1's kill switch; rank 1 never receives.
+    let profile = ProviderProfile::ofi().with_faults(FaultPlan::none().with_kill(1, 1));
+    let out = Universe::run(
+        2,
+        BuildConfig::ch4_default(),
+        profile,
+        Topology::single_node(2),
+        |proc| {
+            let world = proc.world();
+            if proc.rank() == 1 {
+                return None;
+            }
+            world.set_errhandler(Errhandler::ErrorsReturn);
+            world.isend_noreq(&vec![7u8; 64 * 1024], 1, 0).unwrap();
+            Some(world.comm_waitall())
+        },
+    );
+    let got = out.into_iter().next().flatten().expect("rank 0 waited");
+    assert!(
+        matches!(&got, Err(e) if e.is_comm_failure()),
+        "comm_waitall must report the dead receiver: {got:?}"
     );
 }
 

@@ -4,7 +4,9 @@
 //! reproduction: if a code path stops executing (or double-charges), these
 //! tests fail.
 
-use litempi_core::{BuildConfig, Communicator, PredefHandle, Process, Universe, Window};
+use litempi_core::{
+    BuildConfig, Communicator, LockType, Op, PredefHandle, Process, Universe, Window,
+};
 use litempi_fabric::{ProviderProfile, Topology};
 use litempi_instr::{counter, Category, Report};
 
@@ -445,7 +447,7 @@ fn recv_path_mirrors_send_path_cost() {
 /// What one call of each collective costs, summed over the ranks: messages
 /// injected and instructions charged, in the order of `calls`.
 fn coll_call_costs(n: usize, rpn: usize) -> Vec<(&'static str, u64, Report)> {
-    use litempi_core::{CartComm, Op};
+    use litempi_core::CartComm;
     type Call = fn(&Communicator, &CartComm);
     let calls: [(&str, Call); 11] = [
         ("gather", |w, _| drop(w.gather(&[1u64, 2], 1).unwrap())),
@@ -505,6 +507,202 @@ fn coll_call_costs(n: usize, rpn: usize) -> Vec<(&'static str, u64, Report)> {
             (*name, msgs, instr)
         })
         .collect()
+}
+
+/// One one-sided call from rank 0 at rank 1's window.
+type RmaCall = fn(&Window);
+
+/// The one-sided calls of [`rma_op_costs_are_pinned`], in its order. A
+/// request form is measured through its `wait`, so that a reply the
+/// target sends is inside the reading.
+const RMA_OPS: [(&str, RmaCall); 9] = [
+    ("put", |w| w.put(&[1u64], 1, 0).unwrap()),
+    ("get", |w| w.get(&mut [0u64], 1, 0).unwrap()),
+    ("accumulate", |w| {
+        w.accumulate(&[1u64], 1, 0, &Op::Sum).unwrap()
+    }),
+    ("get_accumulate", |w| {
+        w.get_accumulate(&[1u64], 1, 0, &Op::Sum).unwrap();
+    }),
+    ("fetch_and_op", |w| {
+        w.fetch_and_op(1u64, 1, 0, &Op::Sum).unwrap();
+    }),
+    ("rput", |w| {
+        w.rput(&[1u64], 1, 0).unwrap().wait().unwrap();
+    }),
+    ("rget", |w| {
+        w.rget(&mut [0u64], 1, 0).unwrap().wait().unwrap();
+    }),
+    ("raccumulate", |w| {
+        w.raccumulate(&[1u64], 1, 0, &Op::Sum)
+            .unwrap()
+            .wait()
+            .unwrap();
+    }),
+    ("rget_accumulate", |w| {
+        let mut old = [0u64];
+        let req = w.rget_accumulate(&[1u64], &mut old, 1, 0, &Op::Sum);
+        req.unwrap().wait().unwrap();
+    }),
+];
+
+/// What every one of [`RMA_OPS`] pays before it reaches the netmod, on
+/// every stack and in every epoch: the MPI-layer rows of Table 1 and the
+/// §3 overheads of `MPI_PUT`, 196 of its 215.
+const RMA_PROLOGUE: [(Category, u64); 8] = [
+    (Category::ErrorChecking, 72),
+    (Category::ThreadCheck, 14),
+    (Category::FunctionCall, 25),
+    (Category::RedundantChecks, 60),
+    (Category::CommRankTranslation, 10),
+    (Category::WinOffsetTranslation, 4),
+    (Category::ObjectDeref, 8),
+    (Category::ProcNullCheck, 3),
+];
+
+/// What each of [`RMA_OPS`] costs rank 0 under one kind of access epoch
+/// toward rank 1 (`"fence"`, `"start"` or `"lock"`), beyond
+/// [`RMA_PROLOGUE`] (asserted here): the other categories it charges (VCI
+/// selection aside), then `| issued completed am msgs` — the window ops
+/// it issued and completed and the active messages and messages it sent.
+/// While rank 0 measures, rank 1 sends nothing but answers: it sits in a
+/// receive (or in `MPI_WIN_WAIT`), never in a collective whose traffic
+/// rank 0 could progress by accident.
+fn rma_op_costs(config: BuildConfig, profile: ProviderProfile, epoch: &'static str) -> Vec<String> {
+    let per_rank = Universe::run(2, config, profile, Topology::single_node(2), |proc| {
+        let world = proc.world();
+        let win = Window::create(&world, 64, 1).unwrap();
+        let mut lines = Vec::new();
+        for (name, op) in RMA_OPS {
+            match (epoch, proc.rank()) {
+                ("fence", _) => win.fence().unwrap(),
+                ("start", 0) => win.start(&[1]).unwrap(),
+                ("start", _) => win.post(&[0]).unwrap(),
+                (_, 0) => win.lock(LockType::Exclusive, 1).unwrap(),
+                _ => {}
+            }
+            if proc.rank() == 0 {
+                let before = proc.comm_stats();
+                let probe = counter::probe();
+                op(&win);
+                let instr = probe.finish();
+                let d = proc.comm_stats().diff(&before);
+                let (prologue, rest): (Vec<_>, Vec<_>) = (instr.nonzero())
+                    .filter(|(c, _)| *c != Category::Vci)
+                    .partition(|(c, _)| RMA_PROLOGUE.iter().any(|(p, _)| p == c));
+                assert_eq!(prologue, RMA_PROLOGUE, "{name} under {epoch}");
+                let rest: Vec<_> = (rest.iter())
+                    .map(|(c, n)| format!("{} {n}", c.label()))
+                    .collect();
+                lines.push(format!(
+                    "{} | {} {} {} {}",
+                    rest.join(", "),
+                    d.win_ops_issued,
+                    d.win_ops_completed,
+                    d.am_sent,
+                    d.msgs_sent
+                ));
+            }
+            match (epoch, proc.rank()) {
+                ("start", 0) => win.complete().unwrap(),
+                ("start", _) => win.wait().unwrap(),
+                (_, 0) => world.send(&[0u8], 1, 0).unwrap(),
+                _ => {
+                    world.recv_into(&mut [0u8], 0, 0).unwrap();
+                }
+            }
+            match (epoch, proc.rank()) {
+                ("fence", _) => win.fence().unwrap(),
+                ("lock", 0) => win.unlock(1).unwrap(),
+                _ => {}
+            }
+            world.barrier().unwrap();
+        }
+        win.free().unwrap();
+        lines
+    });
+    per_rank.into_iter().next().expect("rank 0 measured")
+}
+
+/// One call of each of `put`, `get`, `accumulate`, `get_accumulate`,
+/// `fetch_and_op` and the four request forms, on the three stacks of
+/// `rma_scalable` (native RDMA, the CH4 core's active-message fallback and
+/// the CH3-like device) under a fence, a PSCW `start` and a passive `lock`
+/// epoch, read as [`rma_op_costs`] says. Taken at `03e23b7` with this test
+/// body, before put, get, accumulate and fetch-and-op became one body each
+/// (EXPERIMENTS.md, "One body per one-sided operation"). A request form
+/// costs its blocking twin's instructions plus `request_management` 10;
+/// an active-message reply costs `progress` 25 to open, and the request
+/// forms of put and accumulate wait for one; a blocking passive put or
+/// accumulate stays issued, not completed (`rma` 7 is its queue charge),
+/// until a flush retires it. 215 is the native `put`.
+#[test]
+fn rma_op_costs_are_pinned() {
+    const ACTIVE: [&str; 2] = ["fence", "start"];
+    const PASSIVE: [&str; 1] = ["lock"];
+    let native = "netmod_issue 19";
+    let am = "netmod_issue 310";
+    let original = "netmod_issue 19, original_layering 1127";
+    let req = "request_management 10, ";
+    let stacks = [
+        (
+            BuildConfig::ch4_default(),
+            ProviderProfile::infinite(),
+            native,
+        ),
+        (BuildConfig::ch4_default(), ProviderProfile::am_only(), am),
+        (
+            BuildConfig::original(),
+            ProviderProfile::infinite(),
+            original,
+        ),
+    ];
+    for (config, profile, netmod) in stacks {
+        // Active target: native RDMA completes at return; the fallback
+        // sends one active message, answered for all but the blocking
+        // put and accumulate.
+        let (store, answered) = if netmod == native {
+            let done = format!("{netmod} | 1 1 0 0");
+            (done.clone(), done)
+        } else {
+            let sent = format!("{netmod} | 1 1 1 0");
+            (sent, format!("{netmod}, progress 25 | 1 1 1 0"))
+        };
+        let active = [
+            store.clone(),
+            answered.clone(),
+            store,
+            answered.clone(),
+            answered.clone(),
+            format!("{req}{answered}"),
+            format!("{req}{answered}"),
+            format!("{req}{answered}"),
+            format!("{req}{answered}"),
+        ];
+        // Passive target: every op goes at the region; a blocking store
+        // waits for the flush.
+        let queued = format!("{netmod}, rma 7 | 1 0 0 0");
+        let done = format!("{netmod} | 1 1 0 0");
+        let passive = [
+            queued.clone(),
+            done.clone(),
+            queued,
+            done.clone(),
+            done.clone(),
+            format!("{req}{done}"),
+            format!("{req}{done}"),
+            format!("{req}{done}"),
+            format!("{req}{done}"),
+        ];
+        for (epochs, want) in [(&ACTIVE[..], active), (&PASSIVE[..], passive)] {
+            for &epoch in epochs {
+                let got = rma_op_costs(config, profile, epoch);
+                for ((name, _), (got, want)) in RMA_OPS.iter().zip(got.iter().zip(&want)) {
+                    assert_eq!(got, want, "{name} under {epoch}, {netmod}");
+                }
+            }
+        }
+    }
 }
 
 /// One call of each collective that became a compiled schedule in PR 21

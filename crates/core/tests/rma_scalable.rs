@@ -7,7 +7,9 @@
 
 use std::time::{Duration, Instant};
 
-use litempi_core::{waitall, BuildConfig, Errhandler, LockType, MpiError, Op, Universe, Window};
+use litempi_core::{
+    waitall, BuildConfig, Errhandler, LockType, MpiError, Op, Process, Universe, Window,
+};
 use litempi_fabric::{FaultPlan, FaultSpec, ProviderProfile, ReliabilityConfig, Topology};
 use proptest::prelude::*;
 
@@ -273,6 +275,62 @@ fn rma_at_dead_peer_fails_with_process_failed() {
             assert!(matches!(e, MpiError::ProcessFailed { peer: 1 }));
         },
     );
+}
+
+/// A window of eight bytes on `proc`'s world, inside a fence epoch, with
+/// `MPI_ERRORS_RETURN`.
+fn fenced_window(proc: &Process) -> Window {
+    let world = proc.world();
+    world.set_errhandler(Errhandler::ErrorsReturn);
+    let win = Window::create(&world, 8, 1).unwrap();
+    win.fence().unwrap();
+    win
+}
+
+#[test]
+fn an_am_target_that_dies_before_it_answers_fails_both_forms_alike() {
+    // `am_only`: every fetching op of a fence epoch is an active message
+    // the target answers. Rank 1's kill switch trips on the request itself
+    // — a fault-free run first counts the packets that built the window
+    // and opened the epoch (in a two-rank job, every packet touches rank
+    // 1) — and rank 1 never progresses again. The blocking form and the
+    // request form must both name the dead target, and neither may wait
+    // for the answer.
+    type Call = fn(&Window) -> Result<(), MpiError>;
+    let calls: [(&str, Call); 4] = [
+        ("get", |w| w.get(&mut [0u64], 1, 0)),
+        ("rget", |w| w.rget(&mut [0u64], 1, 0)?.wait().map(drop)),
+        ("get_accumulate", |w| {
+            w.get_accumulate(&[1u64], 1, 0, &Op::Sum).map(drop)
+        }),
+        ("rget_accumulate", |w| {
+            let mut old = [0u64];
+            let req = w.rget_accumulate(&[1u64], &mut old, 1, 0, &Op::Sum)?;
+            req.wait().map(drop)
+        }),
+    ];
+    let topo = Topology::single_node(2);
+    let ch4 = BuildConfig::ch4_default();
+    let setup: u64 = Universe::run(2, ch4, ProviderProfile::am_only(), topo.clone(), |proc| {
+        let _win = fenced_window(&proc);
+        let sent = proc.comm_stats();
+        sent.am_sent + sent.msgs_sent
+    })
+    .iter()
+    .sum();
+    for (name, call) in calls {
+        let kill = FaultPlan::none().with_kill(1, setup + 1);
+        let profile = ProviderProfile::am_only().with_faults(kill);
+        let out = Universe::run(2, ch4, profile, topo.clone(), |proc| {
+            let win = fenced_window(&proc);
+            (proc.rank() == 0).then(|| call(&win))
+        });
+        let got = out.into_iter().next().flatten().expect("rank 0 called");
+        assert!(
+            matches!(got, Err(MpiError::ProcessFailed { peer: 1 })),
+            "{name}: {got:?}"
+        );
+    }
 }
 
 #[test]
