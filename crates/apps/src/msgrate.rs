@@ -33,6 +33,13 @@ pub struct RateReport {
     /// CRC). Exactly 0 when the provider profile runs without the reliable
     /// transport — the ablation's control condition.
     pub relia_per_op: f64,
+    /// Times rank 0 handed its worker thread to another rank during the
+    /// measured loop (ranks run as user-level tasks; 0 when each rank has
+    /// a thread of its own).
+    pub task_switches: u64,
+    /// Sleeps of rank 0 or its idle worker during the measured loop that
+    /// ran their full park time-out (a completion nobody announced).
+    pub park_timeouts: u64,
     /// Multithreaded-injector detail ([`isend_rate_mt`]); `None` for the
     /// single-threaded measurements.
     pub vci: Option<VciReport>,
@@ -67,7 +74,7 @@ pub struct VciReport {
 /// windows of `window`, waiting per window; rank 1 sinks them. Returns a
 /// report on rank 0, `None` elsewhere.
 pub fn isend_rate(
-    _proc: &Process,
+    proc: &Process,
     comm: &Communicator,
     ops: usize,
     window: usize,
@@ -78,6 +85,7 @@ pub fn isend_rate(
     let out = if me == 0 {
         let data = [1u8];
         counter::reset();
+        let before = proc.comm_stats();
         let probe = counter::probe();
         let t0 = Instant::now();
         let mut issued = 0;
@@ -92,12 +100,15 @@ pub fn isend_rate(
         let dt = t0.elapsed().as_secs_f64();
         let allocs = probe.allocs();
         let report = probe.finish();
+        let delta = proc.comm_stats().diff(&before);
         Some(RateReport {
             ops,
             wall_rate: ops as f64 / dt.max(1e-12),
             instr_per_op: report.injection_total() as f64 / ops as f64,
             allocs_per_op: allocs as f64 / ops as f64,
             relia_per_op: report.get(Category::Reliability) as f64 / ops as f64,
+            task_switches: delta.task_switches,
+            park_timeouts: delta.park_timeouts,
             vci: None,
         })
     } else if me == 1 {
@@ -198,6 +209,8 @@ pub fn isend_rate_mt(
             instr_per_op: serial as f64 / total_ops as f64,
             allocs_per_op: allocs as f64 / total_ops as f64,
             relia_per_op: relia as f64 / total_ops as f64,
+            task_switches: delta.task_switches,
+            park_timeouts: delta.park_timeouts,
             vci: Some(VciReport {
                 n_vcis,
                 threads,
@@ -233,6 +246,7 @@ pub fn put_rate(proc: &Process, comm: &Communicator, ops: usize) -> MpiResult<Op
     let out = if comm.rank() == 0 {
         let data = [1u8];
         counter::reset();
+        let before = proc.comm_stats();
         let probe = counter::probe();
         let t0 = Instant::now();
         for _ in 0..ops {
@@ -241,19 +255,21 @@ pub fn put_rate(proc: &Process, comm: &Communicator, ops: usize) -> MpiResult<Op
         let dt = t0.elapsed().as_secs_f64();
         let allocs = probe.allocs();
         let report = probe.finish();
+        let delta = proc.comm_stats().diff(&before);
         Some(RateReport {
             ops,
             wall_rate: ops as f64 / dt.max(1e-12),
             instr_per_op: report.injection_total() as f64 / ops as f64,
             allocs_per_op: allocs as f64 / ops as f64,
             relia_per_op: report.get(Category::Reliability) as f64 / ops as f64,
+            task_switches: delta.task_switches,
+            park_timeouts: delta.park_timeouts,
             vci: None,
         })
     } else {
         None
     };
     win.fence()?;
-    let _ = proc;
     Ok(out)
 }
 
@@ -381,6 +397,10 @@ pub fn render_report(label: &str, r: &RateReport, traces: &[RankTrace]) -> Strin
         "{label}: {} ops, {:.1} instructions/op, {:.3} allocs/op, {:.1} reliability instr/op, {:.0} ops/s\n",
         r.ops, r.instr_per_op, r.allocs_per_op, r.relia_per_op, r.wall_rate
     );
+    out.push_str(&format!(
+        "runtime: {} task switches, {} park time-outs\n",
+        r.task_switches, r.park_timeouts
+    ));
     out.push_str(&format!(
         "kernel tier: {}{}\n",
         litempi_simd::active().name(),
@@ -534,10 +554,13 @@ mod tests {
             instr_per_op: 221.0,
             allocs_per_op: 0.0,
             relia_per_op: 0.0,
+            task_switches: 3,
+            park_timeouts: 0,
             vci: None,
         };
         let summary = render_report("isend", &report, &out);
         assert!(summary.contains("instructions/op"));
+        assert!(summary.contains("runtime: 3 task switches, 0 park time-outs"));
         assert!(summary.contains("events recorded"));
         assert!(summary.contains("latency (ns, log-bucketed):"));
         // Evidence is self-describing: the selected kernel tier is named,

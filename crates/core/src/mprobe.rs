@@ -66,6 +66,15 @@ impl Communicator {
     /// A message whose envelope arrived damaged is consumed too, and is
     /// `MpiError::Integrity` through the communicator's error handler.
     pub fn improbe(&self, source: i32, tag: i32) -> MpiResult<Option<MatchedMessage>> {
+        let got = self.claim(source, tag);
+        if matches!(got, Ok(None)) {
+            crate::request::not_yet();
+        }
+        got
+    }
+
+    /// [`Communicator::improbe`] without yielding.
+    fn claim(&self, source: i32, tag: i32) -> MpiResult<Option<MatchedMessage>> {
         if self.proc.config.error_checking {
             match_bits::check_recv_tag(tag)?;
             if source != ANY_SOURCE && source != PROC_NULL {
@@ -104,7 +113,7 @@ impl Communicator {
 
     /// `MPI_MPROBE`: blocking matched probe.
     pub fn mprobe(&self, source: i32, tag: i32) -> MpiResult<MatchedMessage> {
-        wait_loop(&self.proc, || self.improbe(source, tag).transpose())
+        wait_loop(&self.proc, || self.claim(source, tag).transpose())
     }
 }
 

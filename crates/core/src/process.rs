@@ -132,7 +132,7 @@ impl ProcInner {
         config: BuildConfig,
         univ: Arc<UnivShared>,
     ) -> ProcInner {
-        // Arm this rank thread's trace recorder when the profile opts in:
+        // Arm this rank's trace recorder when the profile opts in:
         // the ring is preallocated here, before any traffic, so event
         // sites never allocate. Stamped against the fabric epoch so all
         // ranks share one clock.

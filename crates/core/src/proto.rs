@@ -271,7 +271,9 @@ impl Opened {
             // until this rank next blocks, however much this rank computes
             // first.
             proc.endpoint.signal_peer(self.src);
-            std::thread::yield_now();
+            if !litempi_fabric::task::pause(true) {
+                std::thread::yield_now();
+            }
         }
         out
     }

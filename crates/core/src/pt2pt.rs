@@ -744,6 +744,15 @@ impl Communicator {
 
     /// `MPI_IPROBE`: nonblocking check for a matching message.
     pub fn iprobe(&self, source: i32, tag: i32) -> MpiResult<Option<Status>> {
+        let got = self.peek(source, tag);
+        if matches!(got, Ok(None)) {
+            crate::request::not_yet();
+        }
+        got
+    }
+
+    /// [`Communicator::iprobe`] without yielding.
+    fn peek(&self, source: i32, tag: i32) -> MpiResult<Option<Status>> {
         if self.proc.config.error_checking {
             match_bits::check_recv_tag(tag)?;
             if source != ANY_SOURCE && source != PROC_NULL {
@@ -773,7 +782,7 @@ impl Communicator {
 
     /// `MPI_PROBE`: block until a matching message is available.
     pub fn probe(&self, source: i32, tag: i32) -> MpiResult<Status> {
-        wait_loop(&self.proc, || self.iprobe(source, tag).transpose())
+        wait_loop(&self.proc, || self.peek(source, tag).transpose())
     }
 }
 

@@ -9,7 +9,10 @@
 //! drive the process's active-message progress engine, yield. Every
 //! blocking call in the library funnels through [`wait_loop`] so that
 //! AM-fallback traffic (and the CH3-like baseline's RMA emulation) always
-//! makes progress no matter where a rank blocks.
+//! makes progress no matter where a rank blocks. A polling call that
+//! answers "not yet" ([`Request::test`], [`testall`], [`testany`]) lets
+//! another rank sharing this rank's thread run ([`not_yet`]), so a user's
+//! `while !req.test()? {}` completes when every rank runs on one thread.
 
 use crate::error::{MpiError, MpiResult};
 use crate::match_bits;
@@ -34,6 +37,13 @@ pub(crate) fn wait_loop<T>(proc: &ProcInner, poll: impl FnMut() -> Option<T>) ->
         },
         poll,
     )
+}
+
+/// A polling call is about to answer "not yet": hand the thread to another
+/// rank that shares it, if any (see [`litempi_fabric::task::pause`]).
+/// Internal sweeps call [`Request::look`] and never yield.
+pub(crate) fn not_yet() {
+    litempi_fabric::task::pause(true);
 }
 
 /// Where a receive lands: the user buffer and how to interpret it.
@@ -177,7 +187,7 @@ fn check_peer(proc: &ProcInner, peer: Option<usize>, revoke_ctx: Option<u16>) ->
     // Self-death check: when this rank's *own* kill switch has fired, its
     // pending operations fail too. A real dead process is simply gone; the
     // in-process harness simulates that by erroring the victim's blocking
-    // calls so its rank thread can unwind instead of waiting on peers that
+    // calls so the rank can unwind instead of waiting on peers that
     // have (correctly) stopped talking to a corpse.
     let unreachable = |rank: usize| proc.endpoint.peer_unreachable(proc.addr_of_world(rank));
     if unreachable(proc.rank) {
@@ -424,7 +434,7 @@ impl<'buf> Request<'buf> {
     /// time it waits would otherwise never run its retransmit timers or
     /// answer an active message (`p2p_lossy` reads +26 % without it).
     pub fn wait(mut self) -> MpiResult<Status> {
-        if let Some(status) = self.test()? {
+        if let Some(status) = self.look()? {
             return Ok(status);
         }
         let proc = self
@@ -438,6 +448,15 @@ impl<'buf> Request<'buf> {
     /// transitions to `Done` and subsequent `wait`/`test` return the same
     /// status.
     pub fn test(&mut self) -> MpiResult<Option<Status>> {
+        let got = self.look()?;
+        if got.is_none() {
+            not_yet();
+        }
+        Ok(got)
+    }
+
+    /// [`Request::test`] without yielding: drive progress once, then poll.
+    fn look(&mut self) -> MpiResult<Option<Status>> {
         if let Some(proc) = self.proc() {
             proc.progress();
         }
@@ -525,17 +544,16 @@ pub fn waitany<'b>(mut reqs: Vec<Request<'b>>) -> MpiResult<(usize, Status, Vec<
 /// cache their status internally, per MPI semantics).
 pub fn testall(reqs: &mut [Request<'_>]) -> MpiResult<Option<Vec<Status>>> {
     let mut statuses = Vec::with_capacity(reqs.len());
-    let mut all = true;
     for r in reqs.iter_mut() {
-        match r.test()? {
+        match r.look()? {
             Some(s) => statuses.push(s),
             None => {
-                all = false;
-                break;
+                not_yet();
+                return Ok(None);
             }
         }
     }
-    Ok(all.then_some(statuses))
+    Ok(Some(statuses))
 }
 
 /// One deflating completion sweep shared by `testany` and `waitsome`: test
@@ -553,7 +571,7 @@ fn sweep_complete(
     let mut i = 0;
     let mut original = 0;
     while i < reqs.len() {
-        if let Some(s) = reqs[i].test()? {
+        if let Some(s) = reqs[i].look()? {
             reqs.remove(i);
             done.push((original, s));
             if stop_after_first {
@@ -574,7 +592,11 @@ fn sweep_complete(
 /// [`waitsome`] — so across repeated deflating calls it indexes the
 /// already-deflated vector.
 pub fn testany(reqs: &mut Vec<Request<'_>>) -> MpiResult<Option<(usize, Status)>> {
-    Ok(sweep_complete(reqs, true)?.pop())
+    let got = sweep_complete(reqs, true)?.pop();
+    if got.is_none() {
+        not_yet();
+    }
+    Ok(got)
 }
 
 /// `MPI_WAITSOME`: block until at least one request completes, then return
@@ -635,7 +657,10 @@ mod tests {
                 let p = &world.proc;
                 let ctx = world.context_id().0;
                 while !p.endpoint.peer_unreachable(p.addr_of_world(1)) {
-                    std::thread::yield_now();
+                    // Rank 1 may share this thread: let it run.
+                    if !litempi_fabric::task::pause(true) {
+                        std::thread::yield_now();
+                    }
                 }
                 for fatal in [false, true] {
                     let mut looks = 0;

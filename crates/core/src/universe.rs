@@ -1,16 +1,27 @@
-//! The job runtime: ranks as threads over one shared fabric.
+//! The job runtime: ranks as user-level tasks over one shared fabric.
 //!
-//! [`Universe::run`] plays the role of `mpiexec`: it spawns `n` OS threads,
-//! hands each a [`Process`](crate::process::Process) (its `MPI_COMM_WORLD`
-//! view), runs the application closure, and collects per-rank results.
+//! [`Universe::run`] plays the role of `mpiexec`: it hands each of `n`
+//! ranks a [`Process`](crate::process::Process) (its `MPI_COMM_WORLD`
+//! view), runs the application closure on it, and collects per-rank
+//! results. The ranks run as tasks on worker threads
+//! ([`litempi_fabric::task`]): under `MPI_THREAD_SINGLE` one worker per
+//! CPU the process may run on, and a rank that blocks hands its worker to
+//! another rank with a stack switch; under `MPI_THREAD_MULTIPLE`, whose
+//! ranks may block their thread on threads of their own, one worker per
+//! rank. A rank whose closure has returned keeps driving its endpoint
+//! until every rank's has, then drains its reliability state, then keeps
+//! acknowledging until every rank has drained: no rank leaves while a peer
+//! may still need it.
+//!
 //! Shared-by-construction state that a real MPI job would negotiate over
 //! the network (context-id agreement, collective object creation) lives in
 //! [`UnivShared`] — see each field for the real-MPI mechanism it stands for.
 
-use crate::config::BuildConfig;
+use crate::config::{BuildConfig, ThreadLevel};
 use crate::error::{MpiError, MpiResult};
 use crate::process::{ProcInner, Process};
-use litempi_fabric::{Fabric, NetAddr, ProviderProfile, Topology};
+use crate::request::wait_loop;
+use litempi_fabric::{task, Fabric, NetAddr, ProviderProfile, Topology};
 use parking_lot::Mutex;
 use std::any::Any;
 use std::collections::hash_map::{Entry, HashMap};
@@ -199,42 +210,39 @@ impl Universe {
         // The first panic in time: the ones after it are its peers tripping
         // over the abort.
         let first_panic: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = results
-                .iter_mut()
-                .enumerate()
-                .map(|(rank, slot)| {
-                    let (univ, first_panic) = (univ.clone(), &first_panic);
+        let bodies = (results.iter_mut().enumerate())
+            .map(|(rank, slot)| {
+                let (univ, first_panic) = (univ.clone(), &first_panic);
+                Box::new(move || {
                     let endpoint = univ.fabric.endpoint(NetAddr(rank as u32));
-                    scope.spawn(move || {
-                        let inner = Arc::new(ProcInner::new(rank, n, endpoint, config, univ));
-                        let proc = Process::new(inner.clone());
-                        match catch_unwind(AssertUnwindSafe(|| f(proc))) {
-                            Ok(v) => *slot = Some(v),
-                            Err(p) => {
-                                first_panic.lock().get_or_insert(p);
-                                inner.endpoint.fabric().abort_job();
-                                return;
-                            }
+                    let fabric = univ.fabric.clone();
+                    let inner = Arc::new(ProcInner::new(rank, n, endpoint, config, univ));
+                    let proc = Process::new(inner.clone());
+                    match catch_unwind(AssertUnwindSafe(|| f(proc))) {
+                        Ok(v) => *slot = Some(v),
+                        Err(p) => {
+                            first_panic.lock().get_or_insert(p);
+                            fabric.abort_job();
                         }
-                        // MPI's delivery guarantee: a locally-completed eager
-                        // send must still arrive. With the reliability layer
-                        // on, the rank's fire-and-forget traffic may still be
-                        // unacknowledged here, so drain it before teardown.
-                        inner.endpoint.quiesce();
-                    })
-                })
-                .collect();
-            // Join each thread rather than let the scope wait for the
-            // closures: a joined thread has given its allocator arena
-            // back, so the next job on this process reuses it (measured:
-            // +0.8 to +4 MiB peak RSS over five jobs otherwise).
-            for h in handles {
-                if let Err(p) = h.join() {
-                    first_panic.lock().get_or_insert(p);
-                }
-            }
-        });
+                    }
+                    // Linger: a peer still running may need this rank's
+                    // ACKs, retransmits or active-message handling.
+                    fabric.rank_returned();
+                    wait_loop(&inner, || fabric.all_returned().then_some(()));
+                    // MPI's delivery guarantee: a locally-completed eager
+                    // send must still arrive. With the reliability layer
+                    // on, the rank's fire-and-forget traffic may still be
+                    // unacknowledged here, so drain it, then keep answering
+                    // the peers that are still draining theirs.
+                    let ep = &inner.endpoint;
+                    ep.quiesce();
+                    fabric.rank_drained();
+                    ep.wait_until(|| ep.pump(), || fabric.all_drained().then_some(()));
+                }) as task::Body<'_>
+            })
+            .collect();
+        let shared = config.thread_level == ThreadLevel::Single;
+        task::run(&univ.fabric, bodies, shared);
         if let Some(p) = first_panic.into_inner() {
             resume_unwind(p);
         }

@@ -462,11 +462,13 @@ fn waitany_returns_first_completion() {
             let r2 = world.irecv(&mut b2, 1, 2).unwrap();
             let (_, st, rest) = litempi_core::waitany(vec![r1, r2]).unwrap();
             assert_eq!(st.tag, 2, "tag-2 message was sent first");
+            // Only now may rank 1 send the message `r1` waits for.
+            world.send(&[0u8], 1, 9).unwrap();
             let sts = litempi_core::waitall(rest).unwrap();
             assert_eq!(sts[0].tag, 1);
         } else {
             world.send(&[2u8], 0, 2).unwrap();
-            std::thread::sleep(std::time::Duration::from_millis(10));
+            world.recv_into(&mut [0u8], 0, 9).unwrap();
             world.send(&[1u8], 0, 1).unwrap();
         }
     });

@@ -2,18 +2,17 @@
 //! (not just the library's own payload-allocation counter). A test binary
 //! that includes this file installs it with
 //! `#[global_allocator] static GLOBAL: Counting = Counting;`.
+//!
+//! It counts per rank, not per thread: the count lives with the rank's
+//! instruction counters (`litempi_instr::note_heap_alloc`), which a rank
+//! takes along when ranks share a worker thread as tasks.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-thread_local! {
-    /// Heap allocations made by this thread.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Heap allocations (and reallocations) this thread has made so far.
+/// Heap allocations (and reallocations) the running rank — or, outside a
+/// job, this thread — has made so far.
 pub fn allocs() -> u64 {
-    ALLOCS.with(Cell::get)
+    litempi_instr::heap_alloc_count()
 }
 
 pub struct Counting;
@@ -23,7 +22,7 @@ pub struct Counting;
 // never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
+        litempi_instr::note_heap_alloc();
         // SAFETY: the caller's contract, passed through.
         unsafe { System.alloc(layout) }
     }
@@ -34,7 +33,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
+        litempi_instr::note_heap_alloc();
         // SAFETY: the caller's contract, passed through.
         unsafe { System.realloc(ptr, layout, new_size) }
     }

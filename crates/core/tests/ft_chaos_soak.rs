@@ -54,7 +54,7 @@ fn soak(seed: u64) -> Vec<u64> {
             assert!(failed, "seed {seed:#x}: the kill never surfaced");
             if proc.rank() == victim {
                 // The harness fails a dead endpoint's own operations so
-                // its rank thread can unwind; the victim takes no part in
+                // the rank can unwind; the victim takes no part in
                 // recovery.
                 return None;
             }

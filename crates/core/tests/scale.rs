@@ -9,6 +9,9 @@
 use litempi_core::{BuildConfig, Op, Universe};
 use litempi_fabric::{ProviderProfile, Topology};
 
+#[path = "common/one_cpu.rs"]
+mod one_cpu;
+
 /// Dense-extrapolation factor the sparse link state must beat.
 const SPARSITY_FACTOR: u64 = 50;
 
@@ -124,4 +127,24 @@ fn hierarchical_collectives_agree_at_1024_ranks() {
             world.barrier().unwrap();
         },
     );
+}
+
+#[test]
+#[ignore = "4096 ranks: run in release (CI scale job: cargo test --release --test scale -- --ignored)"]
+fn barrier_and_allreduce_complete_with_4096_ranks_on_one_worker() {
+    // Pinned to one CPU, every rank is a task on one worker thread.
+    let _cpu = one_cpu::one_cpu();
+    let n: usize = 4096;
+    let sums = Universe::run(
+        n,
+        BuildConfig::ch4_default(),
+        ProviderProfile::infinite(),
+        Topology::blocked(n, 64),
+        |proc| {
+            let world = proc.world();
+            world.barrier().unwrap();
+            world.allreduce(&[1u64], &Op::Sum).unwrap()[0]
+        },
+    );
+    assert!(sums.iter().all(|&s| s == n as u64));
 }

@@ -54,14 +54,23 @@
 //! for nobody.
 //!
 //! Every blocking call of the stack waits in one function,
-//! [`Endpoint::wait_until`]: poll, drive progress, and after
-//! `WAIT_SPINS` fruitless polls read the epoch, poll once more and sleep
-//! until the epoch moves or `PARK_TIMEOUT` passes. The time-out is the
-//! backstop for the completion sources that still set a flag without
-//! raising an event (an RMA lock word freed by a remote `unlock`, the PSCW
-//! post/complete words). A receive handle sleeps on the VCI it was posted
-//! on; endpoint-wide waiters watch the summed epoch and sleep on VCI 0,
-//! which a bump on any other VCI also notifies, so no wake-up is lost.
+//! [`Endpoint::wait_until`]: poll, drive progress, and then either hand
+//! the thread to another rank or sleep. A rank that shares its worker
+//! thread with other ranks ([`task`](crate::task)) pauses after each
+//! fruitless poll, and the rank a delivery woke runs next; the epoch is
+//! how the worker tells which one that is, and an idle worker sleeps on a
+//! host event that every bump of its endpoints' events raises while it
+//! watches them. A rank alone on its thread spins for `WAIT_SPINS`
+//! fruitless polls, then reads the epoch, polls once more and sleeps until
+//! the epoch moves, or until just before the endpoint's next timer
+//! (retransmit, owed ACK, failure-detector probe), at most `PARK_TIMEOUT`.
+//! The time-out is the backstop for the completion sources that still set
+//! a flag without raising an event (an RMA lock word freed by a remote
+//! `unlock`, the PSCW post/complete words); [`StatsSnapshot::park_timeouts`]
+//! counts the sleeps that ran it out. A receive handle sleeps on the VCI it
+//! was posted on; endpoint-wide waiters watch the summed epoch and sleep on
+//! VCI 0, which a bump on any other VCI also notifies, so no wake-up is
+//! lost.
 
 use crate::addr::NetAddr;
 use crate::event_count::EventCount;
@@ -142,6 +151,9 @@ pub(crate) struct EndpointShared {
     /// staging). Touched only by the large-message path — eager traffic
     /// never reaches it.
     reg_cache: RegistrationCache,
+    /// The idle event of the worker thread hosting this endpoint's rank
+    /// among others (`task.rs`), bumped by every event that finds a waiter.
+    host: Mutex<Option<Arc<EventCount>>>,
     pub(crate) stats: EndpointStats,
 }
 
@@ -191,7 +203,23 @@ const WAIT_SPINS: u32 = 64;
 /// Upper bound on one parked sleep. Completions are announced by an
 /// event-epoch bump on the waiter's endpoint; the time-out covers the few
 /// flags that are still set without one, so no waiter can hang on them.
-const PARK_TIMEOUT: Duration = Duration::from_micros(200);
+pub(crate) const PARK_TIMEOUT: Duration = Duration::from_micros(200);
+
+/// How late a timed sleep may end (the kernel's default timer slack for a
+/// normal thread is 50 µs): a sleep aimed at a timer ends this early, and
+/// the caller polls its way onto the deadline.
+const WAKE_SLACK_US: u64 = 60;
+
+/// How long a caller with nothing to do may sleep, at `now`, when its
+/// endpoints' next timer falls due at `due` (fabric µs): until just before
+/// it, and at most `PARK_TIMEOUT`. `None`: the timer is too close to sleep.
+pub(crate) fn sleep_budget(due: Option<u64>, now: u64) -> Option<Duration> {
+    let Some(due) = due else {
+        return Some(PARK_TIMEOUT);
+    };
+    let left = due.saturating_sub(now).checked_sub(WAKE_SLACK_US)?;
+    (left > 0).then(|| Duration::from_micros(left).min(PARK_TIMEOUT))
+}
 
 impl EndpointShared {
     pub(crate) fn new(profile: &ProviderProfile, addr: NetAddr, n: usize, n_vcis: usize) -> Self {
@@ -236,6 +264,7 @@ impl EndpointShared {
             health_enabled: profile.health.enabled,
             health: Mutex::new(HealthMonitor::new(profile.health, addr.index(), n)),
             reg_cache: RegistrationCache::new(REG_CACHE_CAPACITY),
+            host: Mutex::new(None),
             stats: EndpointStats::default(),
         }
     }
@@ -278,7 +307,25 @@ impl EndpointShared {
         }
         if wakes != 0 {
             EndpointStats::bump(&self.stats.event_wakes, wakes);
+            // The waiter may be the idle worker hosting this endpoint's
+            // rank ([`Self::watch_events`]).
+            if let Some(host) = &*self.host.lock() {
+                host.bump();
+            }
         }
+    }
+
+    /// Hand events on this endpoint on to `idle`, the event its hosting
+    /// worker sleeps on when it is idle.
+    pub(crate) fn set_host(&self, idle: Arc<EventCount>) {
+        *self.host.lock() = Some(idle);
+    }
+
+    /// Count (`on`) or stop counting the hosting worker as a waiter on this
+    /// endpoint's events, so that each one also bumps the host's idle
+    /// event. VCI 0 suffices: a bump on any VCI also notifies it.
+    pub(crate) fn watch_events(&self, on: bool) {
+        self.vcis[0].events.watch(on);
     }
 
     /// Wake every VCI's waiters (used for endpoint-global state changes
@@ -292,7 +339,7 @@ impl EndpointShared {
     /// The endpoint-wide completion epoch: VCI 0's epoch in the common
     /// single-VCI case, the sum over shards otherwise (monotonic, since
     /// each per-VCI epoch only grows).
-    fn event_epoch(&self) -> u64 {
+    pub(crate) fn event_epoch(&self) -> u64 {
         if !self.multi_vci {
             return self.vcis[0].events.epoch();
         }
@@ -310,18 +357,31 @@ impl EndpointShared {
     }
 
     /// Sleep until the epoch `vci` names ([`Self::epoch_of`]) moves past
-    /// `seen`, or `timeout` elapses. Endpoint-wide waiters park on VCI 0,
-    /// which every multi-VCI bump also notifies.
-    fn wait_event(&self, vci: Option<usize>, seen: u64, timeout: Duration) {
+    /// `seen`, or `timeout` elapses; `true` if the sleep ran its full time.
+    /// Endpoint-wide waiters park on VCI 0, which every multi-VCI bump also
+    /// notifies.
+    fn wait_event(&self, vci: Option<usize>, seen: u64, timeout: Duration) -> bool {
         self.vcis[vci.unwrap_or(0)]
             .events
-            .park(|| self.epoch_of(vci) == seen, timeout);
+            .park(|| self.epoch_of(vci) == seen, timeout)
+    }
+
+    /// The earliest time (fabric µs) one of this endpoint's timers falls
+    /// due: a retransmit, an owed ACK or a reorder stash (due now), or a
+    /// failure-detector probe or verdict. `None` when none is armed.
+    pub(crate) fn next_deadline_us(&self, now: u64) -> Option<u64> {
+        let health = (self.health_enabled).then(|| self.health.lock().next_deadline());
+        let relia = (self.vcis.iter())
+            .filter(|_| self.routed)
+            .map(|v| v.relia.lock().next_deadline(now));
+        relia.chain(health).flatten().min()
     }
 
     /// The one blocking policy of the stack — see [`Endpoint::wait_until`],
     /// which is this on the endpoint-wide epoch.
     fn wait_until<T>(
         &self,
+        fabric: &Fabric,
         vci: Option<usize>,
         mut progress: impl FnMut(),
         mut poll: impl FnMut() -> Option<T>,
@@ -332,6 +392,12 @@ impl EndpointShared {
                 return v;
             }
             progress();
+            // A rank that shares its thread lets another one run; the
+            // first pause of a wait tells the worker this rank did work.
+            if crate::task::pause(spins == 0) {
+                spins = 1;
+                continue;
+            }
             if spins < WAIT_SPINS {
                 spins += 1;
                 if spins & 0x3 == 0 {
@@ -340,12 +406,19 @@ impl EndpointShared {
                 continue;
             }
             // Read the epoch, poll again (a completion may have landed
-            // since the poll above), then sleep until the epoch moves.
+            // since the poll above), then sleep until the epoch moves or
+            // a timer of this endpoint is about to fall due.
             let seen = self.epoch_of(vci);
             if let Some(v) = poll() {
                 return v;
             }
-            self.wait_event(vci, seen, PARK_TIMEOUT);
+            let now = fabric.now_us();
+            let Some(timeout) = sleep_budget(self.next_deadline_us(now), now) else {
+                continue;
+            };
+            if self.wait_event(vci, seen, timeout) && timeout == PARK_TIMEOUT {
+                EndpointStats::bump(&self.stats.park_timeouts, 1);
+            }
         }
     }
 
@@ -1006,16 +1079,21 @@ impl Endpoint {
     }
 
     /// Block until `poll` yields a value, calling `progress` after every
-    /// fruitless poll. The one spin-then-park policy of the stack: the
-    /// first `WAIT_SPINS` polls only yield the CPU now and then (the common
-    /// case completes within a few polls, and on a shared CPU the yield is
-    /// what lets the peer produce the completion); after that the caller
-    /// sleeps on this endpoint's completion-event epoch between polls, for
-    /// at most `PARK_TIMEOUT` at a time. `poll` must look at everything
-    /// that can complete the wait, including the reasons to give up (a
-    /// dead peer, a revoked communicator).
+    /// fruitless poll. The one blocking policy of the stack. A rank that
+    /// shares its worker thread with other ranks (`task.rs`) hands the
+    /// thread to another one after each fruitless poll, and its worker
+    /// decides when to sleep. A rank alone on its thread spins: the first
+    /// `WAIT_SPINS` polls only yield the CPU now and then (the common case
+    /// completes within a few polls, and on a shared CPU the yield is what
+    /// lets the peer produce the completion); after that it sleeps on this
+    /// endpoint's completion-event epoch between polls, until the epoch
+    /// moves or just before this endpoint's next timer, at most
+    /// `PARK_TIMEOUT` at a time. `poll` must look at everything that can
+    /// complete the wait, including the reasons to give up (a dead peer, a
+    /// revoked communicator).
     pub fn wait_until<T>(&self, progress: impl FnMut(), poll: impl FnMut() -> Option<T>) -> T {
-        self.shared(self.addr).wait_until(None, progress, poll)
+        self.shared(self.addr)
+            .wait_until(&self.fabric, None, progress, poll)
     }
 
     /// Raise a completion event on `peer`'s endpoint: this rank finished,
@@ -1231,7 +1309,9 @@ impl Endpoint {
                 }
                 return;
             }
-            std::thread::yield_now();
+            if !crate::task::pause(false) {
+                std::thread::yield_now();
+            }
         }
     }
 
@@ -1265,7 +1345,7 @@ impl Endpoint {
     /// on VCI 0, like the packet).
     pub fn am_wait(&self) -> AmMessage {
         self.shared(self.addr)
-            .wait_until(Some(0), || {}, || self.am_poll())
+            .wait_until(&self.fabric, Some(0), || {}, || self.am_poll())
     }
 
     // ------------------------------------------------------------------ RDMA
@@ -1451,7 +1531,7 @@ impl RecvHandle {
                 tick_health(&self.fabric, self.addr, self.fabric.now_us());
             }
         };
-        shared.wait_until(Some(self.vci), progress, || self.poll())
+        shared.wait_until(&self.fabric, Some(self.vci), progress, || self.poll())
     }
 
     /// Cancel the posted receive. Returns `true` if it was cancelled before

@@ -73,6 +73,18 @@ impl EventCount {
         true
     }
 
+    /// Count (`on`) or stop counting one more waiter without parking here:
+    /// a thread that sleeps elsewhere but must hear about this event's
+    /// bumps, which then take the notifying path.
+    #[inline]
+    pub(crate) fn watch(&self, on: bool) {
+        if on {
+            self.waiters.fetch_add(1, Ordering::SeqCst);
+        } else {
+            self.waiters.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
     /// Threads currently parked or about to be (tests use it as the barrier
     /// "the waiter is in").
     #[cfg(test)]

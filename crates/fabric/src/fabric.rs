@@ -9,7 +9,7 @@ use crate::region::{MemoryRegion, RegionKey};
 use crate::topology::Topology;
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -37,6 +37,11 @@ pub struct Fabric {
     kill_tripped: AtomicBool,
     /// Set by [`Fabric::abort_job`]: the whole job is going down.
     aborted: AtomicBool,
+    /// Ranks whose body has not returned yet ([`Fabric::rank_returned`]).
+    running: AtomicUsize,
+    /// Ranks that have not drained their reliability state yet
+    /// ([`Fabric::rank_drained`]).
+    draining: AtomicUsize,
     /// Hoisted from `profile.trace.enabled`, same as the endpoint's
     /// reliability/jitter flags: a disabled trace costs one predictable
     /// branch at each event site.
@@ -78,6 +83,8 @@ impl Fabric {
             kill_count: AtomicU64::new(0),
             kill_tripped: AtomicBool::new(false),
             aborted: AtomicBool::new(false),
+            running: AtomicUsize::new(n),
+            draining: AtomicUsize::new(n),
             trace_enabled: profile.trace.enabled,
         })
     }
@@ -161,6 +168,40 @@ impl Fabric {
     /// Has [`Fabric::abort_job`] been called?
     pub(crate) fn job_aborted(&self) -> bool {
         self.aborted.load(Ordering::Acquire)
+    }
+
+    /// A rank's body has returned. Until every rank's has
+    /// ([`Fabric::all_returned`]) it keeps driving its endpoint — ACKs,
+    /// retransmits, active messages — because a peer still running may
+    /// need them. The last one moves every endpoint's event epoch.
+    pub fn rank_returned(&self) {
+        self.count_down(&self.running);
+    }
+
+    /// Has every rank's body returned, or the job been aborted?
+    pub fn all_returned(&self) -> bool {
+        self.job_aborted() || self.running.load(Ordering::Acquire) == 0
+    }
+
+    /// A rank has drained its own unacknowledged traffic
+    /// ([`Endpoint::quiesce`]). Until every rank has
+    /// ([`Fabric::all_drained`]) it keeps acknowledging its peers'
+    /// retransmits. The last one moves every endpoint's event epoch.
+    pub fn rank_drained(&self) {
+        self.count_down(&self.draining);
+    }
+
+    /// Has every rank drained, or the job been aborted?
+    pub fn all_drained(&self) -> bool {
+        self.job_aborted() || self.draining.load(Ordering::Acquire) == 0
+    }
+
+    fn count_down(&self, left: &AtomicUsize) {
+        if left.fetch_sub(1, Ordering::AcqRel) == 1 {
+            for ep in self.endpoints.iter() {
+                ep.bump_event_all();
+            }
+        }
     }
 
     /// Number of endpoints.
@@ -273,6 +314,21 @@ mod tests {
     fn bad_endpoint_panics() {
         let f = Fabric::new(2, ProviderProfile::infinite(), Topology::single_node(2));
         let _ = f.endpoint(NetAddr(5));
+    }
+
+    #[test]
+    fn the_last_rank_to_leave_ends_each_countdown() {
+        let f = Fabric::new(2, ProviderProfile::infinite(), Topology::single_node(2));
+        let epoch = |f: &Fabric| f.shared(NetAddr(1)).event_epoch();
+        let before = epoch(&f);
+        f.rank_returned();
+        assert!(!f.all_returned());
+        assert_eq!(epoch(&f), before, "only the last one wakes everyone");
+        f.rank_returned();
+        assert!(f.all_returned() && !f.all_drained());
+        assert!(epoch(&f) > before);
+        f.abort_job();
+        assert!(f.all_drained(), "an aborted job waits for nobody");
     }
 
     #[test]

@@ -247,6 +247,26 @@ impl HealthMonitor {
         self.peers.len()
     }
 
+    /// The earliest fabric time at which [`Self::tick`] has something to
+    /// do — a probe or a verdict falls due — or `None` when it never will
+    /// without traffic (disabled, or every tracked peer dead).
+    pub fn next_deadline(&self) -> Option<u64> {
+        if !self.cfg.enabled {
+            return None;
+        }
+        (self.peers.iter())
+            .filter(|(&peer, p)| peer != self.me && p.state != HealthState::Dead)
+            .map(|(_, p)| {
+                let verdict = match p.state {
+                    HealthState::Alive => self.cfg.suspect_after_us,
+                    _ => self.cfg.dead_after_us,
+                };
+                let probe = p.last_heard.max(p.last_probe) + self.cfg.probe_interval_us;
+                (p.last_heard + verdict).min(probe) + 1
+            })
+            .min()
+    }
+
     /// Advance the detector: demote tracked peers that have been quiet too
     /// long and emit probes for idle links. The caller transmits the
     /// probes and records/traces the transitions. O(tracked), never
@@ -343,6 +363,20 @@ mod tests {
         assert_eq!(m.state_of(1), HealthState::Dead);
         assert!(!m.note_alive(1, 1_800));
         assert_eq!(m.state_of(1), HealthState::Dead);
+    }
+
+    #[test]
+    fn the_next_deadline_is_the_first_tick_that_acts() {
+        let mut m = HealthMonitor::new(cfg(), 0, 3);
+        m.note_alive(1, 1_000);
+        m.note_alive(2, 1_000);
+        let due = m.next_deadline().expect("tracked peers");
+        assert!(m.tick(due - 1).is_empty(), "nothing before the deadline");
+        assert!(!m.tick(due).is_empty(), "something at it");
+        assert_eq!(
+            HealthMonitor::new(HealthConfig::OFF, 0, 3).next_deadline(),
+            None
+        );
     }
 
     #[test]

@@ -46,6 +46,7 @@ pub mod pool;
 pub mod region;
 pub mod reliability;
 pub mod stats;
+pub mod task;
 pub mod topology;
 pub mod vci;
 

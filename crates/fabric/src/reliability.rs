@@ -496,6 +496,11 @@ impl LinkTx {
         TxTick::Resend(batch)
     }
 
+    /// When the retransmit timer fires next, if it is armed.
+    pub(crate) fn due_at(&self) -> Option<u64> {
+        (!self.dead && !self.queue.is_empty()).then_some(self.deadline_us)
+    }
+
     /// Packets awaiting acknowledgment.
     pub(crate) fn in_flight(&self) -> usize {
         self.queue.len()
@@ -802,6 +807,21 @@ impl ReliaState {
     #[cfg(test)]
     pub(crate) fn link(&self, peer: NetAddr) -> Option<&Link> {
         self.links.get(&peer.0)
+    }
+
+    /// When this domain next needs a tick, at `now`: at once for a parked
+    /// reorder stash or an owed ACK, else at the earliest armed retransmit
+    /// timer. `None`: nothing is pending.
+    pub(crate) fn next_deadline(&self, now: u64) -> Option<u64> {
+        let relia_on = self.cfg.enabled;
+        (self.links.values())
+            .filter_map(|link| {
+                if link.stash.is_some() || (relia_on && link.rx.ack_owed > 0) {
+                    return Some(now);
+                }
+                relia_on.then(|| link.tx.due_at()).flatten()
+            })
+            .min()
     }
 
     /// Resident links, ascending by peer index.

@@ -71,6 +71,13 @@ pub struct EndpointStats {
     /// had to notify (lock + wake-up system call). An event nobody sleeps
     /// on — every delivery to a rank that is still polling — is not one.
     pub event_wakes: AtomicU64,
+    /// Times this endpoint's rank, running as a user-level task, handed its
+    /// worker thread to another rank (`task.rs`).
+    pub task_switches: AtomicU64,
+    /// Sleeps of a blocked rank or an idle worker that ran their full
+    /// park time-out: nothing announced the completion they waited for.
+    /// A worker hosting several ranks counts its own on its first rank.
+    pub park_timeouts: AtomicU64,
     /// Per-VCI lock acquisitions (critical section + tag engine). Only
     /// bumped when the endpoint runs more than one VCI, so the single-VCI
     /// fast path pays nothing for them.
@@ -119,6 +126,8 @@ impl EndpointStats {
             reg_cache_hits: self.reg_cache_hits.load(Ordering::Relaxed),
             reg_cache_misses: self.reg_cache_misses.load(Ordering::Relaxed),
             event_wakes: self.event_wakes.load(Ordering::Relaxed),
+            task_switches: self.task_switches.load(Ordering::Relaxed),
+            park_timeouts: self.park_timeouts.load(Ordering::Relaxed),
             unexpected: matching.unexpected,
             bucket_hits: matching.bucket_hits,
             wildcard_matches: matching.wildcard_matches,
@@ -175,6 +184,8 @@ pub struct StatsSnapshot {
     pub reg_cache_hits: u64,
     pub reg_cache_misses: u64,
     pub event_wakes: u64,
+    pub task_switches: u64,
+    pub park_timeouts: u64,
     pub unexpected: u64,
     pub bucket_hits: u64,
     pub wildcard_matches: u64,
@@ -218,6 +229,8 @@ impl StatsSnapshot {
             reg_cache_hits: self.reg_cache_hits - earlier.reg_cache_hits,
             reg_cache_misses: self.reg_cache_misses - earlier.reg_cache_misses,
             event_wakes: self.event_wakes - earlier.event_wakes,
+            task_switches: self.task_switches - earlier.task_switches,
+            park_timeouts: self.park_timeouts - earlier.park_timeouts,
             unexpected: self.unexpected - earlier.unexpected,
             bucket_hits: self.bucket_hits - earlier.bucket_hits,
             wildcard_matches: self.wildcard_matches - earlier.wildcard_matches,
@@ -266,8 +279,11 @@ mod tests {
         EndpointStats::bump(&s.rdma_puts, 2);
         let a = s.snapshot(&m, 0);
         EndpointStats::bump(&s.rdma_puts, 5);
+        EndpointStats::bump(&s.task_switches, 7);
+        EndpointStats::bump(&s.park_timeouts, 1);
         let b = s.snapshot(&m, 0);
-        assert_eq!(b.diff(&a).rdma_puts, 5);
+        let d = b.diff(&a);
+        assert_eq!((d.rdma_puts, d.task_switches, d.park_timeouts), (5, 7, 1));
     }
 
     #[test]

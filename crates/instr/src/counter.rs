@@ -1,10 +1,13 @@
-//! Thread-local instruction counters.
+//! Per-rank instruction counters.
 //!
-//! Each MPI rank in the `litempi` runtime is a thread, so a thread-local
-//! counter corresponds to a per-core SDE trace in the paper's methodology.
-//! The counter is an array of `Cell<u64>` indexed by [`Category`] — a plain
-//! unsynchronized increment, cheap enough to leave enabled in release builds
-//! (mirroring how SDE measures an uninstrumented binary from the outside).
+//! The counters live in thread-local storage, and belong to the rank that
+//! runs on the thread: a rank that runs as a user-level task on a shared
+//! worker thread takes its counters with it when it switches out
+//! ([`swap_rank_counters`]). So a counter corresponds to a per-core SDE
+//! trace in the paper's methodology. It is an array of `Cell<u64>`
+//! indexed by [`Category`] — a plain unsynchronized increment, cheap enough
+//! to leave enabled in release builds (mirroring how SDE measures an
+//! uninstrumented binary from the outside).
 
 use crate::category::Category;
 use crate::report::Report;
@@ -21,6 +24,46 @@ thread_local! {
     /// the pooled payload pipeline's zero-allocation steady state (and to
     /// let `msgrate` report allocs/op alongside instructions/op).
     static PAYLOAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+
+    /// Every heap allocation of this rank, fed only by a counting global
+    /// allocator (tests that bound real heap traffic install one).
+    static HEAP_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// One rank's counters while another rank's are in the thread-locals:
+/// what [`swap_rank_counters`] exchanges. `Default` is a fresh rank.
+#[derive(Debug, Clone, Default)]
+pub struct RankCounters {
+    counts: [u64; Category::COUNT],
+    payload_allocs: u64,
+    heap_allocs: u64,
+}
+
+/// Exchange the calling thread's counters with `saved`: the running rank's
+/// counters go into `saved`, and the ones in `saved` become the thread's.
+/// A task runtime calls it when it switches ranks on one thread.
+pub fn swap_rank_counters(saved: &mut RankCounters) {
+    COUNTS.with(|c| {
+        for (cell, v) in c.iter().zip(saved.counts.iter_mut()) {
+            *v = cell.replace(*v);
+        }
+    });
+    saved.payload_allocs = PAYLOAD_ALLOCS.with(|c| c.replace(saved.payload_allocs));
+    saved.heap_allocs = HEAP_ALLOCS.with(|c| c.replace(saved.heap_allocs));
+}
+
+/// Record one heap allocation of the running rank. For a counting
+/// `#[global_allocator]`: it touches one thread-local with a const
+/// initialiser and no destructor, so it never allocates.
+#[inline]
+pub fn note_heap_alloc() {
+    HEAP_ALLOCS.with(|c| c.set(c.get() + 1));
+}
+
+/// Heap allocations [`note_heap_alloc`] recorded for the running rank.
+#[inline]
+pub fn heap_alloc_count() -> u64 {
+    HEAP_ALLOCS.with(Cell::get)
 }
 
 /// Charge `n` instructions to `category` on the current thread (rank).
@@ -169,6 +212,26 @@ mod tests {
         assert_eq!(p.finish().total(), 0);
         reset();
         assert_eq!(alloc_count(), 0);
+    }
+
+    #[test]
+    fn a_swap_carries_every_counter_and_swaps_back() {
+        reset();
+        charge(Category::Progress, 4);
+        note_alloc(2);
+        note_heap_alloc();
+        let mut other = RankCounters::default();
+        swap_rank_counters(&mut other);
+        // A fresh rank runs: nothing of the first one shows.
+        assert_eq!(
+            (snapshot().total(), alloc_count(), heap_alloc_count()),
+            (0, 0, 0)
+        );
+        charge(Category::Progress, 1);
+        swap_rank_counters(&mut other);
+        assert_eq!(snapshot().get(Category::Progress), 4);
+        assert_eq!((alloc_count(), heap_alloc_count()), (2, 1));
+        assert_eq!(other.counts[Category::Progress.index()], 1);
     }
 
     #[test]

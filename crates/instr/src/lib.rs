@@ -6,7 +6,7 @@
 //! and the low-level network API, and attributes every instruction to a
 //! *requirement of the MPI standard* (paper Table 1 and §3).
 //!
-//! This crate is the Rust-side replacement for the SDE: a set of thread-local
+//! This crate is the Rust-side replacement for the SDE: a set of per-rank
 //! counters that the `litempi-core` critical path *charges* as it executes.
 //! Two properties make this a faithful reproduction rather than hard-coded
 //! output:
@@ -32,7 +32,10 @@ pub mod counter;
 pub mod report;
 
 pub use category::Category;
-pub use counter::{alloc_count, charge, note_alloc, probe, reset, snapshot, Probe};
+pub use counter::{
+    alloc_count, charge, heap_alloc_count, note_alloc, note_heap_alloc, probe, reset, snapshot,
+    swap_rank_counters, Probe, RankCounters,
+};
 pub use report::Report;
 
 /// Converts instruction counts into cycles and seconds.

@@ -4,7 +4,7 @@
 //! call and the low-level network API is traced and charged to a Table-1
 //! requirement. `litempi-instr` answers *how many* instructions each
 //! category costs; this crate answers *when* and *where* the work happens.
-//! Each rank thread owns a fixed-capacity ring of typed [`TraceEvent`]s
+//! Each rank owns a fixed-capacity ring of typed [`TraceEvent`]s
 //! (send/recv/put begin+complete with match bits and sizes, match-queue
 //! hits and unexpected arrivals with queue depths, payload-pool leases and
 //! recycles, retransmit/ACK/dedup activity from the reliability engine,
@@ -42,5 +42,8 @@ pub mod summary;
 pub use chrome::chrome_trace_json;
 pub use event::{EventKind, TraceEvent};
 pub use hist::LatencyHistogram;
-pub use recorder::{disable, drain, emit, enable, is_enabled, record, RankTrace, TraceConfig};
+pub use recorder::{
+    disable, drain, emit, enable, is_enabled, record, swap_recorder, RankTrace, SavedRecorder,
+    TraceConfig,
+};
 pub use summary::{latency_histograms, summarize};

@@ -1,9 +1,10 @@
 //! Per-rank ring-buffer recorders.
 //!
-//! Each rank of a `Universe` runs on its own OS thread, so the recorder
-//! lives in thread-local storage: recording is lock-free by construction
-//! (a plain store into a preallocated ring) and two ranks can never
-//! contend. The ring has fixed capacity; when full it overwrites the
+//! The recorder lives in thread-local storage and belongs to the rank that
+//! runs on the thread; a rank that runs as a user-level task takes it along
+//! when it switches out ([`swap_recorder`]). Recording is lock-free by
+//! construction (a plain store into a preallocated ring) and two ranks can
+//! never contend. The ring has fixed capacity; when full it overwrites the
 //! oldest event and counts the casualty, so a hot loop can never be
 //! blocked — or slowed by an allocator call — by its own observability.
 
@@ -119,7 +120,18 @@ thread_local! {
     static RECORDER: RefCell<Option<Recorder>> = const { RefCell::new(None) };
 }
 
-/// Arm this thread's recorder. Called once per rank thread when the
+/// One rank's recorder while another rank runs on its thread: what
+/// [`swap_recorder`] exchanges. `Default` is a rank with none armed.
+#[derive(Default)]
+pub struct SavedRecorder(Option<Recorder>);
+
+/// Exchange the calling thread's recorder with `saved` (a task runtime
+/// switching ranks on one thread).
+pub fn swap_recorder(saved: &mut SavedRecorder) {
+    RECORDER.with(|r| std::mem::swap(&mut *r.borrow_mut(), &mut saved.0));
+}
+
+/// Arm this thread's recorder. Called once per rank when the
 /// provider profile opts into tracing; allocates the ring up front so no
 /// event site ever allocates. `epoch` is the shared clock origin
 /// (the fabric's creation instant) events are stamped against.
@@ -260,6 +272,19 @@ mod tests {
             assert_eq!(rec.ring.buf.capacity(), 4);
         });
         drain();
+    }
+
+    #[test]
+    fn a_swapped_out_recorder_keeps_its_events() {
+        enable(1, 8, Instant::now());
+        record(ev(1));
+        let mut saved = SavedRecorder::default();
+        swap_recorder(&mut saved);
+        assert!(!is_enabled());
+        record(ev(2));
+        swap_recorder(&mut saved);
+        let tr = drain().unwrap();
+        assert_eq!((tr.rank, tr.events.len()), (1, 1));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use litempi::fabric::{ProviderProfile, Topology};
 
 fn main() {
     // Tracing is a provider-profile opt-in: `.traced()` arms a
-    // fixed-capacity ring recorder on every rank thread. The calibrated
+    // fixed-capacity ring recorder on every rank. The calibrated
     // instruction totals (221/op for this exact run) are untouched.
     let profile = ProviderProfile::ofi().traced();
     let results = Universe::run(

@@ -6,6 +6,11 @@
 //! here: `lock()` returns a guard directly (poisoning is swallowed — a
 //! panicking rank already fails its test), condvars require the guard they
 //! are paired with, and all types are `const`-constructible.
+//!
+//! Debug builds also count the guards alive on each thread
+//! ([`live_guards`]): a runtime that switches user-level tasks on one
+//! thread asserts the count is zero at every switch, because a task that
+//! switched away holding a lock would leave it held for whoever runs next.
 
 #![warn(missing_docs)]
 
@@ -14,6 +19,27 @@ use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::PoisonError;
 use std::time::Duration;
+
+#[cfg(debug_assertions)]
+thread_local! {
+    static LIVE: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Guards (mutex and rwlock, of any lock) alive on the calling thread.
+/// Always 0 in release builds, which do not count.
+#[inline]
+pub fn live_guards() -> usize {
+    #[cfg(debug_assertions)]
+    return LIVE.with(std::cell::Cell::get);
+    #[cfg(not(debug_assertions))]
+    0
+}
+
+#[inline]
+fn note_guard(_delta: isize) {
+    #[cfg(debug_assertions)]
+    LIVE.with(|n| n.set(n.get().wrapping_add_signed(_delta)));
+}
 
 /// A mutual-exclusion primitive (`parking_lot::Mutex` API shape).
 #[derive(Default)]
@@ -44,21 +70,21 @@ impl<T: ?Sized> Mutex<T> {
     /// Acquire the mutex, blocking until it is available.
     #[inline]
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard {
-            inner: Some(self.0.lock().unwrap_or_else(PoisonError::into_inner)),
-        }
+        let inner = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        note_guard(1);
+        MutexGuard { inner: Some(inner) }
     }
 
     /// Attempt to acquire the mutex without blocking.
     #[inline]
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(MutexGuard { inner: Some(g) }),
-            Err(std::sync::TryLockError::Poisoned(p)) => Some(MutexGuard {
-                inner: Some(p.into_inner()),
-            }),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
+        let inner = match self.0.try_lock() {
+            Ok(g) => g,
+            Err(std::sync::TryLockError::Poisoned(p)) => p.into_inner(),
+            Err(std::sync::TryLockError::WouldBlock) => return None,
+        };
+        note_guard(1);
+        Some(MutexGuard { inner: Some(inner) })
     }
 
     /// Mutable access without locking (requires exclusive borrow).
@@ -93,6 +119,13 @@ impl<'a, T: ?Sized> DerefMut for MutexGuard<'a, T> {
         self.inner
             .as_mut()
             .expect("guard taken during condvar wait")
+    }
+}
+
+impl<T: ?Sized> Drop for MutexGuard<'_, T> {
+    #[inline]
+    fn drop(&mut self) {
+        note_guard(-1);
     }
 }
 
@@ -208,13 +241,17 @@ impl<T: ?Sized> RwLock<T> {
     /// Acquire shared read access.
     #[inline]
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        RwLockReadGuard(self.0.read().unwrap_or_else(PoisonError::into_inner))
+        let inner = self.0.read().unwrap_or_else(PoisonError::into_inner);
+        note_guard(1);
+        RwLockReadGuard(inner)
     }
 
     /// Acquire exclusive write access.
     #[inline]
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        RwLockWriteGuard(self.0.write().unwrap_or_else(PoisonError::into_inner))
+        let inner = self.0.write().unwrap_or_else(PoisonError::into_inner);
+        note_guard(1);
+        RwLockWriteGuard(inner)
     }
 }
 
@@ -224,6 +261,20 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
             Ok(g) => f.debug_tuple("RwLock").field(&&*g).finish(),
             Err(_) => f.write_str("RwLock(<locked>)"),
         }
+    }
+}
+
+impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
+    #[inline]
+    fn drop(&mut self) {
+        note_guard(-1);
+    }
+}
+
+impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
+    #[inline]
+    fn drop(&mut self) {
+        note_guard(-1);
     }
 }
 
@@ -322,6 +373,24 @@ mod tests {
         cv.notify_one();
         t.join().unwrap();
         assert_eq!(cv.waiters.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn guards_are_counted_per_thread() {
+        let (m, l) = (Mutex::new(0), RwLock::new(0));
+        let base = live_guards();
+        let g = m.lock();
+        let r = l.read();
+        assert_eq!(
+            live_guards(),
+            base + 2 * usize::from(cfg!(debug_assertions))
+        );
+        assert!(m.try_lock().is_none());
+        drop((g, r));
+        assert_eq!(live_guards(), base);
+        drop(m.try_lock().expect("free again"));
+        drop(l.write());
+        assert_eq!(live_guards(), base);
     }
 
     #[test]
