@@ -49,6 +49,7 @@ pub mod stats;
 pub mod task;
 pub mod topology;
 pub mod vci;
+mod wait;
 
 pub use addr::NetAddr;
 pub use cost::{MatcherKind, NetCost, ProviderKind, ProviderProfile};
