@@ -37,9 +37,6 @@ pub struct RateReport {
     /// measured loop (ranks run as user-level tasks; 0 when each rank has
     /// a thread of its own).
     pub task_switches: u64,
-    /// Sleeps of rank 0 or its idle worker during the measured loop that
-    /// ran their full park time-out (a completion nobody announced).
-    pub park_timeouts: u64,
     /// Multithreaded-injector detail ([`isend_rate_mt`]); `None` for the
     /// single-threaded measurements.
     pub vci: Option<VciReport>,
@@ -108,7 +105,6 @@ pub fn isend_rate(
             allocs_per_op: allocs as f64 / ops as f64,
             relia_per_op: report.get(Category::Reliability) as f64 / ops as f64,
             task_switches: delta.task_switches,
-            park_timeouts: delta.park_timeouts,
             vci: None,
         })
     } else if me == 1 {
@@ -210,7 +206,6 @@ pub fn isend_rate_mt(
             allocs_per_op: allocs as f64 / total_ops as f64,
             relia_per_op: relia as f64 / total_ops as f64,
             task_switches: delta.task_switches,
-            park_timeouts: delta.park_timeouts,
             vci: Some(VciReport {
                 n_vcis,
                 threads,
@@ -263,7 +258,6 @@ pub fn put_rate(proc: &Process, comm: &Communicator, ops: usize) -> MpiResult<Op
             allocs_per_op: allocs as f64 / ops as f64,
             relia_per_op: report.get(Category::Reliability) as f64 / ops as f64,
             task_switches: delta.task_switches,
-            park_timeouts: delta.park_timeouts,
             vci: None,
         })
     } else {
@@ -397,10 +391,7 @@ pub fn render_report(label: &str, r: &RateReport, traces: &[RankTrace]) -> Strin
         "{label}: {} ops, {:.1} instructions/op, {:.3} allocs/op, {:.1} reliability instr/op, {:.0} ops/s\n",
         r.ops, r.instr_per_op, r.allocs_per_op, r.relia_per_op, r.wall_rate
     );
-    out.push_str(&format!(
-        "runtime: {} task switches, {} park time-outs\n",
-        r.task_switches, r.park_timeouts
-    ));
+    out.push_str(&format!("runtime: {} task switches\n", r.task_switches));
     out.push_str(&format!(
         "kernel tier: {}{}\n",
         litempi_simd::active().name(),
@@ -555,12 +546,11 @@ mod tests {
             allocs_per_op: 0.0,
             relia_per_op: 0.0,
             task_switches: 3,
-            park_timeouts: 0,
             vci: None,
         };
         let summary = render_report("isend", &report, &out);
         assert!(summary.contains("instructions/op"));
-        assert!(summary.contains("runtime: 3 task switches, 0 park time-outs"));
+        assert!(summary.contains("runtime: 3 task switches\n"));
         assert!(summary.contains("events recorded"));
         assert!(summary.contains("latency (ns, log-bucketed):"));
         // Evidence is self-describing: the selected kernel tier is named,

@@ -14,7 +14,7 @@ use crate::error::MpiResult;
 use crate::match_bits::{self, ANY_SOURCE, PROC_NULL};
 use crate::process::ProcInner;
 use crate::proto;
-use crate::request::{wait_loop, RecvDest};
+use crate::request::RecvDest;
 use crate::status::Status;
 use bytes::Bytes;
 use litempi_datatype::MpiPrimitive;
@@ -111,9 +111,10 @@ impl Communicator {
         }))
     }
 
-    /// `MPI_MPROBE`: blocking matched probe.
+    /// `MPI_MPROBE`: blocking matched probe. A dead `source` ends the wait
+    /// ([`Communicator::wait_for_source`]).
     pub fn mprobe(&self, source: i32, tag: i32) -> MpiResult<MatchedMessage> {
-        wait_loop(&self.proc, || self.claim(source, tag).transpose())
+        self.wait_for_source(source, || self.claim(source, tag).transpose())?
     }
 }
 

@@ -218,6 +218,8 @@ impl ProcInner {
         set.insert(crate::match_bits::ContextId(ctx).collective().0);
         drop(set);
         self.any_revoked.store(true, Ordering::Release);
+        // A wait of this rank on the communicator ends with `Revoked`.
+        self.endpoint.signal_peer(self.endpoint.addr());
         charge(Category::FaultTolerance, cost::ft::REVOKE_NOTICE);
         if self.endpoint.fabric().trace_enabled() {
             litempi_trace::emit(
@@ -255,7 +257,10 @@ impl ProcInner {
     }
 
     /// Drain and handle all pending active messages. Returns how many were
-    /// processed. Called from every blocking loop in the library.
+    /// processed. Called from every blocking loop in the library. What the
+    /// handlers change (a core-matched receive, a reply slot, a window's
+    /// applied count or PSCW notices, a revocation) is announced on this
+    /// rank's endpoint, for a wait on another thread of the rank.
     pub(crate) fn progress(&self) -> usize {
         // Release any jitter-deferred tagged traffic first (no-op outside
         // the jitter stress mode).
@@ -264,6 +269,9 @@ impl ProcInner {
         while let Some(am) = self.endpoint.am_poll() {
             self.handle_am(am);
             n += 1;
+        }
+        if n > 0 {
+            self.endpoint.signal_peer(self.endpoint.addr());
         }
         n
     }

@@ -266,10 +266,9 @@ impl Opened {
             done.store(true, Ordering::Release);
             // Raise the completion event on the sender's endpoint — nothing
             // else announces the flag, and a sender parked on it would
-            // sleep out the park time-out — and let it run: it has waited
-            // since its RTS, and on a shared CPU it would otherwise wait on
-            // until this rank next blocks, however much this rank computes
-            // first.
+            // never wake — and let it run: it has waited since its RTS, and
+            // on a shared CPU it would otherwise wait on until this rank
+            // next blocks, however much this rank computes first.
             proc.endpoint.signal_peer(self.src);
             if !litempi_fabric::task::pause(true) {
                 std::thread::yield_now();

@@ -386,3 +386,53 @@ fn shrink_of_a_healthy_comm_is_a_working_full_copy() {
         assert_eq!(sum[0], 8);
     });
 }
+
+/// Rank 1 sends one message, and that packet trips its kill switch. Rank
+/// 0 takes it with `take`, then asks `again` for another one from rank 1:
+/// the wait must end with the death.
+fn killed_source_fails(
+    take: impl Fn(&litempi_core::Communicator) -> Result<(), MpiError> + Send + Sync,
+    again: impl Fn(&litempi_core::Communicator) -> Result<(), MpiError> + Send + Sync,
+) {
+    let profile = ProviderProfile::infinite().with_faults(FaultPlan::none().with_kill(1, 1));
+    let out = Universe::run(
+        2,
+        BuildConfig::ch4_default(),
+        profile,
+        Topology::single_node(2),
+        |proc| {
+            let world = proc.world();
+            world.set_errhandler(Errhandler::ErrorsReturn);
+            if proc.rank() == 1 {
+                return world.send(&[7u8], 0, 3);
+            }
+            take(&world)?;
+            again(&world)
+        },
+    );
+    assert!(out[1].is_ok());
+    assert!(
+        matches!(out[0], Err(MpiError::PeerUnreachable { peer: 1 })),
+        "{:?}",
+        out[0]
+    );
+}
+
+#[test]
+fn killed_peer_fails_a_probe_instead_of_hanging() {
+    killed_source_fails(
+        |world| {
+            assert_eq!(world.probe(1, 3)?.bytes, 1);
+            world.recv_into(&mut [0u8], 1, 3).map(drop)
+        },
+        |world| world.probe(1, 3).map(drop),
+    );
+}
+
+#[test]
+fn killed_peer_fails_an_mprobe_instead_of_hanging() {
+    killed_source_fails(
+        |world| world.mprobe(1, 3)?.mrecv(&mut [0u8]).map(drop),
+        |world| world.mprobe(1, 3).map(drop),
+    );
+}

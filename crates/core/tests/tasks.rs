@@ -314,15 +314,13 @@ fn a_panicking_task_aborts_a_peer_waiting_for_its_lock() {
 
 // -------------------------------------------------------- idle workers
 
-/// Ranks on one worker that wait only for each other's messages never
-/// sleep out a park time-out: somebody is always runnable.
+/// Ranks on one worker that wait only for each other's messages finish —
+/// there is no time-out left to end a sleep nobody announced, so every
+/// wake-up here is a delivery's — and every rank handed the worker on.
 #[test]
 fn message_waits_on_one_worker_never_time_out() {
     let _cpu = one_cpu();
-    let counters = |proc: &Process| {
-        let s = proc.comm_stats();
-        (s.park_timeouts, s.task_switches)
-    };
+    let switches = |proc: &Process| proc.comm_stats().task_switches;
     let pingpong = run(2, ProviderProfile::infinite(), |proc| {
         let world = proc.world();
         let peer = 1 - world.rank() as i32;
@@ -336,7 +334,7 @@ fn message_waits_on_one_worker_never_time_out() {
                 world.send(&got, peer, 0).unwrap();
             }
         }
-        counters(&proc)
+        switches(&proc)
     });
     let allreduce = run(8, ProviderProfile::infinite(), |proc| {
         let world = proc.world();
@@ -344,11 +342,9 @@ fn message_waits_on_one_worker_never_time_out() {
             let sum = world.allreduce(&[i], &Op::Sum).unwrap();
             assert_eq!(sum, [8 * i]);
         }
-        counters(&proc)
+        switches(&proc)
     });
     for (job, out) in [("ping-pong", pingpong), ("allreduce", allreduce)] {
-        let timeouts: u64 = out.iter().map(|c| c.0).sum();
-        assert_eq!(timeouts, 0, "{job}: park time-outs");
-        assert!(out.iter().all(|c| c.1 > 0), "{job}: every rank switched");
+        assert!(out.iter().all(|&s| s > 0), "{job}: every rank switched");
     }
 }

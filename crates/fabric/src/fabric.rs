@@ -140,9 +140,12 @@ impl Fabric {
     }
 
     /// The packet [`KillVerdict::Last`] was said of has been handed over:
-    /// the victim is dead from here on.
+    /// the victim is dead from here on, and every endpoint's event epoch
+    /// moves so that a rank waiting on it sees the death.
     pub(crate) fn trip_kill(&self) {
-        self.kill_tripped.store(true, Ordering::Release);
+        if !self.kill_tripped.swap(true, Ordering::AcqRel) {
+            self.bump_all();
+        }
     }
 
     /// Has the kill switch fired for `addr`? Modeled as a fabric-wide
@@ -160,6 +163,11 @@ impl Fabric {
     /// that parked waiters re-poll at once and see it. Idempotent.
     pub fn abort_job(&self) {
         self.aborted.store(true, Ordering::Release);
+        self.bump_all();
+    }
+
+    /// Move every endpoint's event epoch: job-wide state changed.
+    fn bump_all(&self) {
         for ep in self.endpoints.iter() {
             ep.bump_event_all();
         }
@@ -198,9 +206,7 @@ impl Fabric {
 
     fn count_down(&self, left: &AtomicUsize) {
         if left.fetch_sub(1, Ordering::AcqRel) == 1 {
-            for ep in self.endpoints.iter() {
-                ep.bump_event_all();
-            }
+            self.bump_all();
         }
     }
 

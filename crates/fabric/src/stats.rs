@@ -74,10 +74,6 @@ pub struct EndpointStats {
     /// Times this endpoint's rank, running as a user-level task, handed its
     /// worker thread to another rank (`task.rs`).
     pub task_switches: AtomicU64,
-    /// Sleeps of a blocked rank or an idle worker that ran their full
-    /// park time-out: nothing announced the completion they waited for.
-    /// A worker hosting several ranks counts its own on its first rank.
-    pub park_timeouts: AtomicU64,
     /// Per-VCI lock acquisitions (critical section + tag engine). Only
     /// bumped when the endpoint runs more than one VCI, so the single-VCI
     /// fast path pays nothing for them.
@@ -127,7 +123,6 @@ impl EndpointStats {
             reg_cache_misses: self.reg_cache_misses.load(Ordering::Relaxed),
             event_wakes: self.event_wakes.load(Ordering::Relaxed),
             task_switches: self.task_switches.load(Ordering::Relaxed),
-            park_timeouts: self.park_timeouts.load(Ordering::Relaxed),
             unexpected: matching.unexpected,
             bucket_hits: matching.bucket_hits,
             wildcard_matches: matching.wildcard_matches,
@@ -185,7 +180,6 @@ pub struct StatsSnapshot {
     pub reg_cache_misses: u64,
     pub event_wakes: u64,
     pub task_switches: u64,
-    pub park_timeouts: u64,
     pub unexpected: u64,
     pub bucket_hits: u64,
     pub wildcard_matches: u64,
@@ -230,7 +224,6 @@ impl StatsSnapshot {
             reg_cache_misses: self.reg_cache_misses - earlier.reg_cache_misses,
             event_wakes: self.event_wakes - earlier.event_wakes,
             task_switches: self.task_switches - earlier.task_switches,
-            park_timeouts: self.park_timeouts - earlier.park_timeouts,
             unexpected: self.unexpected - earlier.unexpected,
             bucket_hits: self.bucket_hits - earlier.bucket_hits,
             wildcard_matches: self.wildcard_matches - earlier.wildcard_matches,
@@ -280,10 +273,9 @@ mod tests {
         let a = s.snapshot(&m, 0);
         EndpointStats::bump(&s.rdma_puts, 5);
         EndpointStats::bump(&s.task_switches, 7);
-        EndpointStats::bump(&s.park_timeouts, 1);
         let b = s.snapshot(&m, 0);
         let d = b.diff(&a);
-        assert_eq!((d.rdma_puts, d.task_switches, d.park_timeouts), (5, 7, 1));
+        assert_eq!((d.rdma_puts, d.task_switches), (5, 7));
     }
 
     #[test]
