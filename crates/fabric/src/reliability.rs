@@ -17,7 +17,8 @@
 //! sequence order, buffering out-of-order arrivals in a bounded window and
 //! dropping duplicates. The sender keeps unacknowledged packets in a
 //! retransmit queue armed with a timeout that backs off exponentially;
-//! after `max_retries` fruitless rounds the peer is declared unreachable.
+//! after `max_retries` fruitless rounds, and no sooner than those rounds
+//! take on the fixed schedule, the peer is declared unreachable.
 //! When traffic is one-directional the receiver owes a *standalone* ACK
 //! packet (no payload, not itself sequenced or retransmitted — a lost ACK
 //! is recovered by the sender's retransmission, which re-raises the debt).
@@ -44,7 +45,9 @@ pub struct ReliabilityConfig {
     /// layer existed (and faults, if any, are delivered raw).
     pub enabled: bool,
     /// Retransmission rounds without progress before the peer is declared
-    /// unreachable.
+    /// unreachable. A link whose estimated RTO is below `base_rto_us` runs
+    /// more rounds than this: its peer must also have been silent for as
+    /// long as `max_retries` rounds last on the fixed schedule.
     pub max_retries: u32,
     /// Initial retransmit timeout in microseconds.
     pub base_rto_us: u64,
@@ -326,6 +329,13 @@ pub(crate) struct LinkTx {
     backoff_exp: u32,
     /// Consecutive retransmission rounds without forward progress.
     retries: u32,
+    /// Fabric time of the last forward progress, or of the send that armed
+    /// an idle timer (valid when the queue is nonempty).
+    stalled_since_us: u64,
+    /// How long the link must stall before its peer is declared dead: the
+    /// span of `max_retries` rounds on the fixed schedule, so that a fast
+    /// estimated RTO retries more often, never for less time.
+    dead_after_us: u64,
     base_rto_us: u64,
     max_backoff_exp: u32,
     max_retries: u32,
@@ -371,6 +381,10 @@ impl LinkTx {
             deadline_us: 0,
             backoff_exp: 0,
             retries: 0,
+            stalled_since_us: 0,
+            dead_after_us: (1..=cfg.max_retries)
+                .map(|k| cfg.base_rto_us << k.min(cfg.max_backoff_exp))
+                .sum(),
             base_rto_us: cfg.base_rto_us,
             max_backoff_exp: cfg.max_backoff_exp,
             max_retries: cfg.max_retries,
@@ -422,6 +436,7 @@ impl LinkTx {
         if self.queue.is_empty() {
             self.deadline_us = now_us + self.rto_us();
             self.backoff_exp = 0;
+            self.stalled_since_us = now_us;
         }
         self.queue.push_back(Pending {
             seq,
@@ -460,6 +475,7 @@ impl LinkTx {
         }
         if progressed {
             self.retries = 0;
+            self.stalled_since_us = now_us;
             self.backoff_exp = 0;
             self.deadline_us = now_us + self.rto_us();
         }
@@ -470,7 +486,8 @@ impl LinkTx {
         if self.dead || self.queue.is_empty() || now_us < self.deadline_us {
             return TxTick::Idle;
         }
-        if self.retries >= self.max_retries {
+        let stalled_us = now_us.saturating_sub(self.stalled_since_us);
+        if self.retries >= self.max_retries && stalled_us >= self.dead_after_us {
             self.dead = true;
             self.queue.clear();
             return TxTick::Dead;
@@ -1348,6 +1365,34 @@ mod tests {
         assert_eq!(tx.deadline(), 1_050);
         assert!(matches!(tx.tick(1_049), TxTick::Idle));
         assert!(matches!(tx.tick(1_050), TxTick::Resend(_)));
+    }
+
+    /// A fast estimated RTO runs the retry budget down in a fraction of
+    /// the fixed schedule's time; the peer is declared dead only once it
+    /// has also been silent for that whole schedule (8 rounds of 200 µs
+    /// doubling to a 12.8 ms cap: 50.8 ms).
+    #[test]
+    fn a_fast_rto_retries_for_as_long_as_the_fixed_schedule() {
+        let mut tx = LinkTx::new(&cfg());
+        tx.prepare(body(0), None, 0);
+        tx.on_ack(1, 10); // RTO clamps to 50 µs
+        tx.prepare(body(1), None, 1_000);
+        let mut rounds = 0;
+        let now = loop {
+            let now = tx.deadline();
+            match tx.tick(now) {
+                TxTick::Resend(_) => rounds += 1,
+                TxTick::Dead => break now,
+                TxTick::Idle => unreachable!("ticked at the deadline"),
+            }
+        };
+        assert!(rounds > 8, "only {rounds} rounds");
+        assert!(now - 1_000 >= 50_800, "dead after {} µs", now - 1_000);
+        assert!(
+            now - 1_000 < 50_800 + 3_200,
+            "dead after {} µs",
+            now - 1_000
+        );
     }
 
     #[test]
