@@ -15,13 +15,22 @@
 //! and (optionally) a CRC32 over the identifying bytes and payload. The
 //! receiver releases packets to the matching engine / AM queue strictly in
 //! sequence order, buffering out-of-order arrivals in a bounded window and
-//! dropping duplicates. The sender keeps unacknowledged packets in a
-//! retransmit queue armed with a timeout that backs off exponentially;
-//! after `max_retries` fruitless rounds, and no sooner than those rounds
-//! take on the fixed schedule, the peer is declared unreachable.
-//! When traffic is one-directional the receiver owes a *standalone* ACK
-//! packet (no payload, not itself sequenced or retransmitted — a lost ACK
-//! is recovered by the sender's retransmission, which re-raises the debt).
+//! dropping duplicates. When traffic is one-directional the receiver owes a
+//! *standalone* ACK packet (no payload, not itself sequenced or
+//! retransmitted — a lost ACK is recovered by the sender's retransmission,
+//! which re-raises the debt).
+//!
+//! Loss recovery is selective (RFC 2018 / RFC 6675). Every ACK also
+//! carries a 64-bit SACK bitmap of the receiver's reorder buffer, and an
+//! arrival that lands in the buffer is answered at once with a standalone
+//! ACK. The sender keeps the bitmap as a scoreboard: a hole with at least
+//! [`DUP_THRESH`] SACKed packets above it is lost, and is resent at once,
+//! once per recovery episode (a *fast resend*). Holes the SACKs cannot
+//! reveal — a lost tail, a lost fast resend — wait for the retransmit
+//! timer, which backs off exponentially and resends only packets the
+//! receiver has not SACKed. After `max_retries` fruitless timer rounds,
+//! and no sooner than those rounds take on the fixed schedule, the peer is
+//! declared unreachable. Fast resends count toward none of that.
 //!
 //! The state machines here ([`LinkTx`], [`LinkRx`]) are pure: time enters
 //! only as a `now_us` argument and randomness not at all, so the backoff
@@ -71,9 +80,10 @@ pub struct ReliabilityConfig {
     pub min_rto_us: u64,
     /// Upper clamp on the estimated RTO (µs); irrelevant in fixed mode.
     pub max_rto_us: u64,
-    /// Cap on packets re-issued per retransmission round (congestion-window
-    /// style), so go-back-N cannot amplify a reorder storm into a burst the
-    /// size of the whole unacked queue. `0` means unlimited.
+    /// Cap on packets re-issued per retransmission-timer round
+    /// (congestion-window style), so a round cannot amplify a reorder
+    /// storm into a burst the size of the whole unacked queue. `0` means
+    /// unlimited.
     pub retransmit_budget: u32,
 }
 
@@ -282,6 +292,10 @@ pub(crate) struct WirePacket {
     /// Piggybacked cumulative ACK for the reverse link: "I have received
     /// everything before this sequence number from you".
     pub ack: Option<u32>,
+    /// Selective ACK beside `ack` ([`LinkRx::sack`]): bit `i` set means
+    /// `ack + 1 + i` is held in the receiver's reorder buffer. `0` without
+    /// an `ack`.
+    pub sack: u64,
     /// CRC32 of the body, when the config enables integrity checking.
     pub crc: Option<u32>,
     /// The data; `None` makes this a standalone ACK.
@@ -309,16 +323,17 @@ pub(crate) struct Pending {
 pub(crate) enum TxTick {
     /// Nothing due.
     Idle,
-    /// Timeout fired: re-issue these packets (go-back-N over the small
-    /// unacked queue).
+    /// Timeout fired: re-issue these packets (the front of the unacked
+    /// queue, skipping what the receiver has SACKed).
     Resend(Vec<Pending>),
     /// Retry budget exhausted: the peer is now considered unreachable.
     Dead,
 }
 
-/// Sender half of one directed link: sequence allocation + retransmit
-/// queue with exponential backoff and (optionally) an RFC-6298 RTO
-/// estimator fed by ACK round-trips.
+/// Sender half of one directed link: sequence allocation, a retransmit
+/// queue with exponential backoff, a SACK scoreboard that resends holes at
+/// once, and (optionally) an RFC-6298 RTO estimator fed by ACK
+/// round-trips.
 #[derive(Debug)]
 pub(crate) struct LinkTx {
     next_seq: u32,
@@ -360,6 +375,15 @@ pub(crate) struct LinkTx {
     /// more inflated samples), so only packets sent after this instant
     /// may contribute samples.
     last_rexmit_at_us: u64,
+    /// SACK scoreboard, based at the front of the queue: bit `i` set means
+    /// the receiver holds `front + 1 + i` in its reorder buffer. A
+    /// receiver never discards what it buffered, so the bits only grow
+    /// until the front moves.
+    sacked: u64,
+    /// Recovery point: every hole before this sequence number has had its
+    /// fast resend in the current episode. It never falls behind the front
+    /// of the queue, so the episode ends when the cumulative ACK passes it.
+    recovery_point: u32,
     /// Set once the retry budget is exhausted.
     pub dead: bool,
 }
@@ -367,6 +391,18 @@ pub(crate) struct LinkTx {
 /// Clock granularity `G` of RFC 6298, in µs: the floor on the variance
 /// term so a zero-variance link still waits at least one clock step.
 const RTO_GRANULARITY_US: u64 = 1;
+
+/// SACKed packets above a hole that declare it lost (RFC 6675's
+/// `DupThresh`): a reorder by one or two never triggers a fast resend.
+const DUP_THRESH: u32 = 3;
+
+/// Is the packet `p` places behind the front of the queue held in the
+/// receiver's reorder buffer, by the scoreboard `sacked`? The front itself
+/// never is: the cumulative ACK would have passed it.
+#[inline]
+fn is_sacked(sacked: u64, p: usize) -> bool {
+    (1..=64).contains(&p) && sacked >> (p - 1) & 1 == 1
+}
 
 impl LinkTx {
     pub(crate) fn new(cfg: &ReliabilityConfig) -> LinkTx {
@@ -396,6 +432,8 @@ impl LinkTx {
             rttvar_x4: 0,
             has_rtt_sample: false,
             last_rexmit_at_us: 0,
+            sacked: 0,
+            recovery_point: seq,
             dead: false,
         }
     }
@@ -478,7 +516,47 @@ impl LinkTx {
             self.stalled_since_us = now_us;
             self.backoff_exp = 0;
             self.deadline_us = now_us + self.rto_us();
+            self.sacked = 0;
+            if seq_before(self.recovery_point, cum) {
+                self.recovery_point = cum;
+            }
         }
+    }
+
+    /// Record the SACK bitmap an ACK for `cum` carried (after
+    /// [`on_ack`](LinkTx::on_ack) has retired everything before `cum`) and
+    /// return the fast resends it calls for: every hole with at least
+    /// [`DUP_THRESH`] SACKed packets above it that has not been resent in
+    /// this episode. A fast resend is ambiguous for RTT sampling (Karn),
+    /// but it is not a timer round: `retries`, the backoff and the dead
+    /// verdict's schedule stay as they were.
+    pub(crate) fn on_sack(&mut self, cum: u32, sack: u64, now_us: u64) -> Vec<Pending> {
+        if self.queue.front().map(|p| p.seq) != Some(cum) {
+            // Stale (reordered behind a newer ACK), or nothing in flight.
+            return Vec::new();
+        }
+        self.sacked |= sack;
+        let mut out = Vec::new();
+        let mut above = self.sacked.count_ones();
+        // The front and the 64 packets behind it that the bitmap covers.
+        for (p, pkt) in self.queue.iter_mut().enumerate().take(65) {
+            if is_sacked(self.sacked, p) {
+                above -= 1;
+                continue;
+            }
+            if above < DUP_THRESH {
+                break;
+            }
+            if !seq_before(pkt.seq, self.recovery_point) {
+                pkt.rexmit = true;
+                out.push(pkt.clone());
+            }
+        }
+        if let Some(last) = out.last() {
+            self.recovery_point = last.seq.wrapping_add(1);
+            self.last_rexmit_at_us = now_us;
+        }
+        out
     }
 
     /// Fire the retransmit timer if due.
@@ -497,19 +575,24 @@ impl LinkTx {
             self.backoff_exp += 1;
         }
         self.deadline_us = now_us + (self.rto_us() << self.backoff_exp);
-        // Go-back-N from the front of the queue, capped by the retransmit
-        // budget: the front packets are the ones blocking the receiver's
-        // window, and a bounded burst cannot amplify a reorder storm.
-        let cap = if self.retransmit_budget == 0 {
-            self.queue.len()
-        } else {
-            self.queue.len().min(self.retransmit_budget as usize)
+        // The front of the queue minus what the receiver already holds,
+        // capped by the retransmit budget: the front packets are the ones
+        // blocking the receiver's window, and a bounded burst cannot
+        // amplify a reorder storm.
+        let cap = match self.retransmit_budget {
+            0 => usize::MAX,
+            b => b as usize,
         };
         self.last_rexmit_at_us = now_us;
-        let batch: Vec<Pending> = self.queue.iter().take(cap).cloned().collect();
-        for p in self.queue.iter_mut().take(cap) {
-            p.rexmit = true;
-        }
+        let sacked = self.sacked;
+        let batch: Vec<Pending> = (self.queue.iter_mut().enumerate())
+            .filter(|(p, _)| !is_sacked(sacked, *p))
+            .take(cap)
+            .map(|(_, pkt)| {
+                pkt.rexmit = true;
+                pkt.clone()
+            })
+            .collect();
         TxTick::Resend(batch)
     }
 
@@ -641,6 +724,20 @@ impl LinkRx {
     /// The cumulative ACK value for this link.
     pub(crate) fn cum_ack(&self) -> u32 {
         self.expected
+    }
+
+    /// The SACK bitmap that goes beside [`cum_ack`](LinkRx::cum_ack): bit
+    /// `i` set means `cum_ack() + 1 + i` is buffered. The window is 64
+    /// packets, so the bitmap covers it; an arrival further ahead stays
+    /// buffered but unreported. Free while the buffer is empty, which is
+    /// always on a fault-free link.
+    pub(crate) fn sack(&self) -> u64 {
+        self.buffer.iter().fold(0, |bits, (seq, _)| {
+            match seq.wrapping_sub(self.expected).wrapping_sub(1) {
+                i @ 0..=63 => bits | 1 << i,
+                _ => bits,
+            }
+        })
     }
 
     /// Consume the ACK debt (the caller is about to transmit `cum_ack`).
@@ -1324,7 +1421,7 @@ mod tests {
         assert_eq!(tx.srtt_us(), Some(150));
     }
 
-    /// The retransmit budget caps each go-back-N round at the front of the
+    /// The retransmit budget caps each timer round at the front of the
     /// queue; `0` means the whole queue (the pre-budget behavior).
     #[test]
     fn retransmit_budget_caps_resend_batch() {
@@ -1393,6 +1490,149 @@ mod tests {
             "dead after {} µs",
             now - 1_000
         );
+    }
+
+    fn seqs(batch: &[Pending]) -> Vec<u32> {
+        batch.iter().map(|p| p.seq).collect()
+    }
+
+    /// A link with packets `0..n` in flight, sent at `now`.
+    fn in_flight(c: &ReliabilityConfig, n: u64, now: u64) -> LinkTx {
+        let mut tx = LinkTx::new(c);
+        for i in 0..n {
+            tx.prepare(body(i), None, now);
+        }
+        tx
+    }
+
+    /// A hole with `DUP_THRESH` SACKed packets above it is resent at once,
+    /// once per recovery episode; the next episode starts once the
+    /// cumulative ACK passes the recovery point.
+    #[test]
+    fn a_hole_with_three_sacked_above_is_resent_at_once_and_once_per_episode() {
+        let mut tx = in_flight(&cfg(), 10, 0);
+        // Seq 0 is lost; 1, 2 and 3 arrive one by one, each answered by an
+        // ACK for 0 with a growing SACK.
+        assert!(tx.on_sack(0, 0b1, 5).is_empty());
+        assert!(tx.on_sack(0, 0b11, 5).is_empty());
+        assert_eq!(seqs(&tx.on_sack(0, 0b111, 5)), vec![0]);
+        // More SACKs in the same episode do not resend it again.
+        assert!(tx.on_sack(0, 0b1111, 6).is_empty());
+        // The resend fills the hole: 0..=4 delivered. Then 5 is lost and
+        // 6, 7, 8 arrive: a new episode, a new fast resend.
+        tx.on_ack(5, 10);
+        assert!(tx.on_sack(5, 0b11, 11).is_empty());
+        assert_eq!(seqs(&tx.on_sack(5, 0b111, 12)), vec![5]);
+
+        // Two holes under the threshold go in one batch, in order; a hole
+        // with fewer SACKed above it waits.
+        let mut tx = in_flight(&cfg(), 11, 0);
+        // Held: 1, 3, 4, 5, 6 and 8 (bit `i` is seq `cum + 1 + i`).
+        let lost = tx.on_sack(0, 0b1011_1101, 1);
+        assert_eq!(seqs(&lost), vec![0, 2], "7 has only one SACKed above it");
+        assert!(lost.iter().all(|p| p.body == body(p.seq as u64)));
+        // 9 and 10 arrive: now 7 qualifies, and only 7 is new.
+        assert!(tx.on_sack(0, 0b1_1011_1101, 2).is_empty());
+        assert_eq!(seqs(&tx.on_sack(0, 0b11_1011_1101, 2)), vec![7]);
+        // A stale ACK (for a point the front has passed) is ignored.
+        tx.on_ack(3, 3);
+        assert!(tx.on_sack(0, u64::MAX >> 1, 4).is_empty());
+    }
+
+    /// The receiver's bitmap drives the sender: a packet overtaken by its
+    /// successor (the fault layer's reorder) costs no resend.
+    #[test]
+    fn a_reorder_by_one_resends_nothing() {
+        let c = cfg();
+        let mut tx = in_flight(&c, 4, 0);
+        let mut rx = LinkRx::new(&c);
+        let ack = |tx: &mut LinkTx, rx: &mut LinkRx, seq: u32| {
+            rx.receive(seq, body(seq as u64));
+            let (cum, sack) = (rx.take_ack(), rx.sack());
+            tx.on_ack(cum, 1);
+            tx.on_sack(cum, sack, 1)
+        };
+        for seq in [1, 0, 3, 2] {
+            assert!(ack(&mut tx, &mut rx, seq).is_empty(), "seq {seq}");
+        }
+        assert_eq!(tx.in_flight(), 0);
+        assert_eq!(tx.retries, 0);
+    }
+
+    /// An RTO round resends the front of the queue minus what the receiver
+    /// holds, within the budget.
+    #[test]
+    fn an_rto_round_never_resends_a_sacked_packet() {
+        // Held: 3, 4 and 6. Holes 0, 1 and 2 go fast; 5 waits.
+        for (budget, want) in [(16, vec![0, 1, 2, 5, 7, 8, 9]), (4, vec![0, 1, 2, 5])] {
+            let mut tx = in_flight(&cfg().with_retransmit_budget(budget), 10, 0);
+            assert_eq!(seqs(&tx.on_sack(0, 0b10_1100, 1)), vec![0, 1, 2]);
+            let TxTick::Resend(batch) = tx.tick(200) else {
+                panic!("the timer should fire");
+            };
+            assert_eq!(seqs(&batch), want, "budget {budget}");
+        }
+        // The scoreboard moves with the front: after an ACK for 4 the
+        // receiver holds 6 (bit 1) and the round skips it.
+        let mut tx = in_flight(&cfg(), 8, 0);
+        tx.on_ack(4, 1);
+        tx.on_sack(4, 0b10, 1);
+        let TxTick::Resend(batch) = tx.tick(1 + 200) else {
+            panic!("the timer should fire");
+        };
+        assert_eq!(seqs(&batch), vec![4, 5, 7]);
+    }
+
+    /// A fast resend is not a timer round: no RTT sample (Karn), and the
+    /// retry count, the backoff, the deadline and the dead verdict's
+    /// schedule stay as they were.
+    #[test]
+    fn a_fast_resend_gives_no_rtt_sample_and_leaves_retries_and_backoff() {
+        let mut tx = in_flight(&cfg(), 5, 0);
+        let (deadline, dead_after) = (tx.deadline(), tx.dead_after_us);
+        assert_eq!(seqs(&tx.on_sack(0, 0b111, 30)), vec![0]);
+        assert_eq!((tx.retries, tx.backoff_exp), (0, 0));
+        assert_eq!(tx.deadline(), deadline);
+        assert_eq!(tx.dead_after_us, dead_after);
+        // Everything was sent before the resend: the ACK samples nothing.
+        tx.on_ack(5, 40);
+        assert_eq!(tx.srtt_us(), None);
+        assert_eq!(tx.rto_us(), 200, "still on the fixed schedule");
+        // A packet sent after it measures the path again.
+        tx.prepare(body(5), None, 100);
+        tx.on_ack(6, 150);
+        assert_eq!(tx.srtt_us(), Some(50));
+
+        // After timer rounds, a fast resend leaves their count alone too.
+        let mut tx = in_flight(&cfg(), 5, 0);
+        assert!(matches!(tx.tick(200), TxTick::Resend(_)));
+        let (retries, exp, deadline) = (tx.retries, tx.backoff_exp, tx.deadline());
+        assert_eq!(seqs(&tx.on_sack(0, 0b111, 300)), vec![0]);
+        assert_eq!(
+            (tx.retries, tx.backoff_exp, tx.deadline()),
+            (retries, exp, deadline)
+        );
+    }
+
+    /// The receiver reports exactly its buffered arrivals, relative to its
+    /// cumulative ACK, and nothing once the gap fills.
+    #[test]
+    fn the_sack_bitmap_mirrors_the_reorder_buffer() {
+        let c = cfg();
+        let start = u32::MAX - 1;
+        let mut rx = LinkRx::new_at(&c, start);
+        assert_eq!(rx.sack(), 0);
+        for off in [1u32, 3, 64, 65] {
+            assert_eq!(
+                rx.receive(start.wrapping_add(off), body(0)),
+                RxVerdict::Buffered
+            );
+        }
+        // Offsets 1, 3 and 64 are bits 0, 2 and 63; 65 is past the map.
+        assert_eq!(rx.sack(), 1 | 1 << 2 | 1 << 63);
+        assert!(matches!(rx.receive(start, body(0)), RxVerdict::Deliver(v) if v.len() == 2));
+        assert_eq!(rx.cum_ack(), start.wrapping_add(2));
+        assert_eq!(rx.sack(), 1 | 1 << 61 | 1 << 62);
     }
 
     #[test]

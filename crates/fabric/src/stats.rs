@@ -36,7 +36,8 @@ pub struct EndpointStats {
     pub rdma_bytes: AtomicU64,
     /// Active messages injected.
     pub am_sent: AtomicU64,
-    /// Packets re-issued by the reliability layer's retransmit timer.
+    /// Packets re-issued by the reliability layer: by its retransmit timer
+    /// or, when a selective ACK reveals them lost, at once.
     pub retransmits: AtomicU64,
     /// Duplicate packets dropped by the dedup window (receiver side).
     pub dup_dropped: AtomicU64,
