@@ -75,6 +75,7 @@ use litempi_instr::{charge, cost as icost, Category};
 use litempi_trace::EventKind;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -136,6 +137,10 @@ pub(crate) struct EndpointShared {
     /// The heartbeat failure detector. Empty and never locked when
     /// `health_enabled` is false.
     pub(crate) health: Mutex<HealthMonitor>,
+    /// Retry-exhaustion verdicts on any VCI, bumped under that VCI's
+    /// `relia` lock where a link is marked dead. Zero in a healthy job, so
+    /// [`Endpoint::peer_unreachable`] locks no VCI until it moves.
+    relia_deaths: AtomicU32,
     /// Per-peer pin-down cache for RDMA transport buffers (rendezvous
     /// staging). Touched only by the large-message path — eager traffic
     /// never reaches it.
@@ -228,6 +233,7 @@ impl EndpointShared {
             trace_enabled: profile.trace.enabled,
             health_enabled: profile.health.enabled,
             health: Mutex::new(HealthMonitor::new(profile.health, addr.index(), n)),
+            relia_deaths: AtomicU32::new(0),
             reg_cache: RegistrationCache::new(REG_CACHE_CAPACITY),
             host: Mutex::new(None),
             stats: EndpointStats::default(),
@@ -616,7 +622,7 @@ fn deliver_packet(fabric: &Fabric, dst: NetAddr, pkt: WirePacket) {
     }
     let s = pkt.src.index();
     let src = pkt.src;
-    let mut released: Vec<PacketBody> = Vec::new();
+    let mut delivered = false;
     let mut standalone_ack: Option<(u32, u64)> = None;
     let mut owes_ack = false;
     {
@@ -649,9 +655,21 @@ fn deliver_packet(fabric: &Fabric, dst: NetAddr, pkt: WirePacket) {
                 EndpointStats::bump(&peer.stats.crc_failures, 1);
             } else {
                 charge(Category::Reliability, icost::relia::RX_WINDOW);
-                let gap = match link.rx.receive(pkt.seq, body) {
-                    RxVerdict::Deliver(bodies) => {
-                        released = bodies;
+                // Release into the queues before the window's lock goes: the
+                // window has already moved past these, and another thread's
+                // arrival on this link would otherwise be delivered ahead of
+                // them.
+                let verdict = link.rx.receive(pkt.seq, body, |b| match b {
+                    PacketBody::Tagged(m) => peer.deliver_tagged(vci, m),
+                    PacketBody::Am(m) => peer.deliver_am(m),
+                    // Probes never enter the sequence space, so they cannot
+                    // be released by the window; the arms keep the match
+                    // exhaustive.
+                    PacketBody::Probe(_) | PacketBody::ProbeAck(_) => {}
+                });
+                let gap = match verdict {
+                    RxVerdict::Deliver(_) => {
+                        delivered = true;
                         false
                     }
                     RxVerdict::Duplicate => {
@@ -672,23 +690,10 @@ fn deliver_packet(fabric: &Fabric, dst: NetAddr, pkt: WirePacket) {
                 owes_ack = link.rx.ack_owed > 0;
             }
         }
-        if owes_ack && released.is_empty() {
-            // Nothing to deliver, but the receiver now owes an ACK, which
+        if owes_ack && !delivered {
+            // Nothing delivered, but the receiver now owes an ACK, which
             // its own tick sends: wake it to re-read its timers.
             peer.bump_event(vci);
-        }
-        // Release into the queues before the window's lock goes: the
-        // window has already moved past these, and another thread's
-        // arrival on this link would otherwise be delivered ahead of them.
-        for b in released {
-            match b {
-                PacketBody::Tagged(m) => peer.deliver_tagged(vci, m),
-                PacketBody::Am(m) => peer.deliver_am(m),
-                // Probes never enter the sequence space, so they cannot be
-                // released by the window; the arms keep the match
-                // exhaustive.
-                PacketBody::Probe(_) | PacketBody::ProbeAck(_) => {}
-            }
         }
     }
     if let (Some(cum), sack @ 1..) = (pkt.ack, pkt.sack) {
@@ -882,6 +887,7 @@ fn tick_relia(fabric: &Fabric, addr: NetAddr, vci: usize, now: u64) {
                 }
                 TxTick::Dead => {
                     link.dead = true;
+                    my.relia_deaths.fetch_add(1, Ordering::Release);
                     newly_dead.push(d.index());
                 }
             }
@@ -1199,7 +1205,9 @@ impl Endpoint {
         if my.health_enabled && my.health.lock().state_of(peer.index()) == HealthState::Dead {
             return true;
         }
-        my.relia_enabled && my.vcis.iter().any(|v| v.relia.lock().is_dead(peer))
+        my.relia_enabled
+            && my.relia_deaths.load(Ordering::Acquire) > 0
+            && my.vcis.iter().any(|v| v.relia.lock().is_dead(peer))
     }
 
     /// The local failure detector's judgment of `peer`. Always
@@ -2110,6 +2118,42 @@ mod tests {
             std::thread::yield_now();
         }
         assert!(f.endpoint_killed(NetAddr(1)));
+    }
+
+    /// Retry exhaustion on a VCI above 0 makes the peer unreachable on the
+    /// very next call — `peer_unreachable` locks no VCI until a verdict is
+    /// counted, so the count must move with the verdict — and the verdict
+    /// outlives the link's reclamation into a memento.
+    #[test]
+    fn retry_exhaustion_on_a_higher_vci_is_seen_at_once_and_survives_reclaim() {
+        // Link 0 -> 1 is down for good (a flap with a 0 % duty cycle);
+        // nothing kills the peer, and no detector runs.
+        let plan = FaultPlan::none().with_link(0, 1, FaultSpec::NONE.with_flap(1_000_000, 0));
+        let profile = ProviderProfile::infinite()
+            .with_vcis(4)
+            .with_faults(plan)
+            .with_reliability(ReliabilityConfig::on().with_retries(2, 50));
+        let f = Fabric::new(2, profile, Topology::single_node(2));
+        let a = f.endpoint(NetAddr(0));
+        let (peer, bits) = (NetAddr(1), 1u64 << 48); // context 1
+        assert_eq!(crate::vci::vci_for_bits(bits, 4), 1);
+        a.tsend(peer, bits, Bytes::new());
+        let my = f.shared(NetAddr(0));
+        let t0 = std::time::Instant::now();
+        while !my.vcis[1].relia.lock().is_dead(peer) {
+            assert!(!a.peer_unreachable(peer), "unreachable before a verdict");
+            a.pump();
+            assert!(
+                t0.elapsed() < Duration::from_secs(10),
+                "retry budget never expired"
+            );
+            std::thread::yield_now();
+        }
+        assert!(!my.vcis[0].relia.lock().is_dead(peer));
+        assert!(a.peer_unreachable(peer));
+        a.quiesce();
+        assert_eq!(my.vcis[1].relia.lock().n_links(), 0, "not reclaimed");
+        assert!(a.peer_unreachable(peer), "the memento forgot the verdict");
     }
 
     // ---------------------------------------------------------------- health

@@ -633,9 +633,10 @@ impl LinkTx {
 /// What the dedup/reorder window decided about an arrival.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) enum RxVerdict {
-    /// In-order: release these bodies (the arrival plus any buffered
-    /// successors it unblocked), in sequence order.
-    Deliver(Vec<PacketBody>),
+    /// In-order: this many bodies (the arrival plus any buffered
+    /// successors it unblocked) went to the release callback, in sequence
+    /// order.
+    Deliver(u32),
     /// Ahead of the expected sequence: buffered until the gap fills.
     Buffered,
     /// Already delivered (or already buffered): dropped.
@@ -677,8 +678,16 @@ impl LinkRx {
         }
     }
 
-    /// Run the window check on an arrival.
-    pub(crate) fn receive(&mut self, seq: u32, body: PacketBody) -> RxVerdict {
+    /// Run the window check on an arrival. An in-order arrival, and every
+    /// buffered successor it unblocks, goes to `release` in sequence order
+    /// before this returns, so a caller holding the window's lock hands
+    /// them on in FIFO order without collecting them first.
+    pub(crate) fn receive(
+        &mut self,
+        seq: u32,
+        body: PacketBody,
+        mut release: impl FnMut(PacketBody),
+    ) -> RxVerdict {
         let offset = seq.wrapping_sub(self.expected);
         if offset >= 0x8000_0000 {
             // Behind the window: a duplicate of something already
@@ -689,15 +698,17 @@ impl LinkRx {
             return RxVerdict::Duplicate;
         }
         if offset == 0 {
-            let mut out = vec![body];
+            release(body);
+            let mut n = 1;
             self.expected = self.expected.wrapping_add(1);
             // Drain any buffered successors the gap-fill unblocked.
             while let Some(i) = self.buffer.iter().position(|(s, _)| *s == self.expected) {
-                out.push(self.buffer.swap_remove(i).1);
+                release(self.buffer.swap_remove(i).1);
+                n += 1;
                 self.expected = self.expected.wrapping_add(1);
             }
-            self.ack_owed += out.len() as u32;
-            return RxVerdict::Deliver(out);
+            self.ack_owed += n;
+            return RxVerdict::Deliver(n);
         }
         // Ahead: hold for reordering.
         if self.buffer.iter().any(|(s, _)| *s == seq) {
@@ -1019,6 +1030,20 @@ mod tests {
         ReliabilityConfig::on()
     }
 
+    /// `rx.receive`, with the tags of the bodies it released, in release
+    /// order.
+    fn receive(rx: &mut LinkRx, seq: u32, b: PacketBody) -> (RxVerdict, Vec<u64>) {
+        let mut tags = Vec::new();
+        let verdict = rx.receive(seq, b, |b| {
+            tags.push(match b {
+                PacketBody::Tagged(m) => m.match_bits,
+                PacketBody::Probe(n) => n,
+                _ => unreachable!("the tests release tagged bodies and probes"),
+            })
+        });
+        (verdict, tags)
+    }
+
     #[test]
     fn crc32_check_value() {
         // The standard CRC-32/IEEE check value.
@@ -1124,38 +1149,42 @@ mod tests {
 
         // In-order across the boundary: MAX-2, MAX-1, MAX, 0, 1.
         for (i, seq) in (0..5u32).map(|i| (i, start.wrapping_add(i))) {
-            match rx.receive(seq, body(i as u64)) {
-                RxVerdict::Deliver(out) => assert_eq!(out.len(), 1),
-                v => panic!("seq {seq:#x}: {v:?}"),
-            }
+            assert_eq!(
+                receive(&mut rx, seq, body(i as u64)),
+                (RxVerdict::Deliver(1), vec![i as u64]),
+                "seq {seq:#x}"
+            );
         }
         assert_eq!(rx.cum_ack(), 2);
 
         // Everything already delivered is a duplicate, on both sides of
         // the wrap point.
         for seq in [start, u32::MAX, 0, 1] {
-            assert_eq!(rx.receive(seq, body(9)), RxVerdict::Duplicate);
+            assert_eq!(
+                receive(&mut rx, seq, body(9)),
+                (RxVerdict::Duplicate, vec![])
+            );
         }
         assert_eq!(rx.dups, 4);
 
         // Out-of-order across the boundary: expected = 2; buffering 3 and
         // 4, then filling the gap, releases all three in order.
-        assert_eq!(rx.receive(4, body(104)), RxVerdict::Buffered);
-        assert_eq!(rx.receive(3, body(103)), RxVerdict::Buffered);
-        assert_eq!(rx.receive(3, body(103)), RxVerdict::Duplicate);
-        match rx.receive(2, body(102)) {
-            RxVerdict::Deliver(out) => {
-                let tags: Vec<u64> = out
-                    .iter()
-                    .map(|b| match b {
-                        PacketBody::Tagged(m) => m.match_bits,
-                        _ => unreachable!(),
-                    })
-                    .collect();
-                assert_eq!(tags, vec![102, 103, 104]);
-            }
-            v => panic!("{v:?}"),
-        }
+        assert_eq!(
+            receive(&mut rx, 4, body(104)),
+            (RxVerdict::Buffered, vec![])
+        );
+        assert_eq!(
+            receive(&mut rx, 3, body(103)),
+            (RxVerdict::Buffered, vec![])
+        );
+        assert_eq!(
+            receive(&mut rx, 3, body(103)),
+            (RxVerdict::Duplicate, vec![])
+        );
+        assert_eq!(
+            receive(&mut rx, 2, body(102)),
+            (RxVerdict::Deliver(3), vec![102, 103, 104])
+        );
         assert_eq!(rx.cum_ack(), 5);
     }
 
@@ -1164,14 +1193,14 @@ mod tests {
         let mut c = cfg();
         c.window = 2;
         let mut rx = LinkRx::new_at(&c, 0);
-        assert_eq!(rx.receive(1, body(1)), RxVerdict::Buffered);
-        assert_eq!(rx.receive(2, body(2)), RxVerdict::Buffered);
-        assert_eq!(rx.receive(3, body(3)), RxVerdict::Overflow);
+        assert_eq!(receive(&mut rx, 1, body(1)), (RxVerdict::Buffered, vec![]));
+        assert_eq!(receive(&mut rx, 2, body(2)), (RxVerdict::Buffered, vec![]));
+        assert_eq!(receive(&mut rx, 3, body(3)), (RxVerdict::Overflow, vec![]));
         // The gap fill still releases what was buffered.
-        match rx.receive(0, body(0)) {
-            RxVerdict::Deliver(out) => assert_eq!(out.len(), 3),
-            v => panic!("{v:?}"),
-        }
+        assert_eq!(
+            receive(&mut rx, 0, body(0)),
+            (RxVerdict::Deliver(3), vec![0, 1, 2])
+        );
     }
 
     /// Satellite: standalone-ACK generation for one-directional traffic.
@@ -1184,10 +1213,10 @@ mod tests {
         let mut rx = LinkRx::new(&c);
         assert_eq!(rx.ack_owed, 0);
         for i in 0..3u32 {
-            assert!(matches!(
-                rx.receive(i, body(i as u64)),
-                RxVerdict::Deliver(_)
-            ));
+            assert_eq!(
+                receive(&mut rx, i, body(i as u64)),
+                (RxVerdict::Deliver(1), vec![i as u64])
+            );
         }
         assert_eq!(rx.ack_owed, 3);
         assert_eq!(rx.take_ack(), 3);
@@ -1197,7 +1226,7 @@ mod tests {
         // a fresh standalone ACK gets generated even though nothing new
         // was delivered — otherwise a sender whose ACK was lost would
         // retry to death.
-        assert_eq!(rx.receive(1, body(1)), RxVerdict::Duplicate);
+        assert_eq!(receive(&mut rx, 1, body(1)), (RxVerdict::Duplicate, vec![]));
         assert_eq!(rx.ack_owed, 1);
         assert_eq!(rx.take_ack(), 3);
     }
@@ -1211,12 +1240,12 @@ mod tests {
         let mut c = cfg();
         c.window = 2;
         let mut rx = LinkRx::new_at(&c, 0);
-        assert_eq!(rx.receive(1, body(1)), RxVerdict::Buffered);
+        assert_eq!(receive(&mut rx, 1, body(1)), (RxVerdict::Buffered, vec![]));
         assert_eq!(rx.ack_owed, 0, "first arrival is ACKed on delivery");
-        assert_eq!(rx.receive(1, body(1)), RxVerdict::Duplicate);
+        assert_eq!(receive(&mut rx, 1, body(1)), (RxVerdict::Duplicate, vec![]));
         assert_eq!(rx.ack_owed, 1, "buffered duplicate owes an ACK");
-        assert_eq!(rx.receive(2, body(2)), RxVerdict::Buffered);
-        assert_eq!(rx.receive(3, body(3)), RxVerdict::Overflow);
+        assert_eq!(receive(&mut rx, 2, body(2)), (RxVerdict::Buffered, vec![]));
+        assert_eq!(receive(&mut rx, 3, body(3)), (RxVerdict::Overflow, vec![]));
         assert_eq!(rx.ack_owed, 2, "overflow drop owes an ACK");
         assert_eq!(rx.dups, 1);
     }
@@ -1263,8 +1292,8 @@ mod tests {
                         continue;
                     }
                     let behind = p.seq.wrapping_sub(rx.expected) >= 0x8000_0000;
-                    match rx.receive(p.seq, p.body.clone()) {
-                        RxVerdict::Deliver(out) => *old_debt += out.len() as u32,
+                    match rx.receive(p.seq, p.body.clone(), drop) {
+                        RxVerdict::Deliver(n) => *old_debt += n,
                         RxVerdict::Duplicate if behind => *old_debt += 1,
                         _ => {}
                     }
@@ -1547,7 +1576,7 @@ mod tests {
         let mut tx = in_flight(&c, 4, 0);
         let mut rx = LinkRx::new(&c);
         let ack = |tx: &mut LinkTx, rx: &mut LinkRx, seq: u32| {
-            rx.receive(seq, body(seq as u64));
+            receive(rx, seq, body(seq as u64));
             let (cum, sack) = (rx.take_ack(), rx.sack());
             tx.on_ack(cum, 1);
             tx.on_sack(cum, sack, 1)
@@ -1624,13 +1653,16 @@ mod tests {
         assert_eq!(rx.sack(), 0);
         for off in [1u32, 3, 64, 65] {
             assert_eq!(
-                rx.receive(start.wrapping_add(off), body(0)),
-                RxVerdict::Buffered
+                receive(&mut rx, start.wrapping_add(off), body(off as u64)),
+                (RxVerdict::Buffered, vec![])
             );
         }
         // Offsets 1, 3 and 64 are bits 0, 2 and 63; 65 is past the map.
         assert_eq!(rx.sack(), 1 | 1 << 2 | 1 << 63);
-        assert!(matches!(rx.receive(start, body(0)), RxVerdict::Deliver(v) if v.len() == 2));
+        assert_eq!(
+            receive(&mut rx, start, body(0)),
+            (RxVerdict::Deliver(2), vec![0, 1])
+        );
         assert_eq!(rx.cum_ack(), start.wrapping_add(2));
         assert_eq!(rx.sack(), 1 | 1 << 61 | 1 << 62);
     }
@@ -1716,7 +1748,7 @@ mod tests {
         s.link_mut(NetAddr(1))
             .tx
             .prepare(PacketBody::Probe(0), None, 0);
-        s.link_mut(NetAddr(2)).rx.receive(0, PacketBody::Probe(1));
+        receive(&mut s.link_mut(NetAddr(2)).rx, 0, PacketBody::Probe(1));
         s.link_mut(NetAddr(3)); // idle from birth
         s.reclaim_idle();
         let peers: Vec<u32> = s.links().map(|(p, _)| p.0).collect();

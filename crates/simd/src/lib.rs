@@ -40,8 +40,8 @@
 //!   engine's `Reduce` vertices).
 //! * [`pack`] — strided gather/scatter segment copies (`litempi-datatype`'s
 //!   pack/unpack engine, feeding pooled wire buffers directly).
-//! * [`crc`] — table-based slice-by-8 CRC32 baseline plus a
-//!   carryless-multiply (PCLMULQDQ / ARM PMULL) fast path
+//! * [`crc`] — table-based slice-by-8 CRC32 baseline plus a four-lane
+//!   carryless-multiply fold (PCLMULQDQ / ARM PMULL) fast path
 //!   (`litempi-fabric`'s reliability layer).
 //!
 //! Kernels change wall-clock time only. Instruction *charges* live in the
@@ -149,15 +149,14 @@ pub fn detect() -> Tier {
     Tier::Scalar
 }
 
-/// Is a carryless-multiply CRC unit available (x86-64 PCLMULQDQ + SSE4.1,
-/// or aarch64 PMULL)? Independent of the elementwise [`Tier`]: the CRC
+/// Is a carryless-multiply CRC unit available (x86-64 PCLMULQDQ, or
+/// aarch64 PMULL)? Independent of the elementwise [`Tier`]: the CRC
 /// fast path gates on this *and* on the active tier being non-scalar, so
 /// `LITEMPI_FORCE_SCALAR=1` pins the CRC to the slice-by-8 baseline too.
 pub fn clmul_runnable() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        return std::arch::is_x86_feature_detected!("pclmulqdq")
-            && std::arch::is_x86_feature_detected!("sse4.1");
+        return std::arch::is_x86_feature_detected!("pclmulqdq");
     }
     #[cfg(target_arch = "aarch64")]
     {

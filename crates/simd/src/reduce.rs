@@ -11,17 +11,24 @@
 //! of the output depends only on lane `i` of the two inputs, in the same
 //! single operation the scalar loop performs. Vectorizing the loop changes
 //! which lanes execute in the same instruction, never the arithmetic of a
-//! lane, so integer results are trivially identical and IEEE-754 float
-//! add/mul are identical bit patterns too (no reassociation, no FMA
-//! contraction — Rust never enables fast-math). Float `min`/`max` are the
-//! one place IEEE leaves latitude (NaN payloads, `±0` ties), so those
-//! kernels use one explicit, fully deterministic comparison formula in
-//! *every* tier: `NaN` loses to any number, two `NaN`s keep the input
-//! (`b`) payload, and exact ties (`+0 == -0`) keep the accumulator. The
-//! scalar tier runs the very same generic loop without the
+//! lane, so integer results are trivially identical, and float add/mul
+//! give identical values (no reassociation, no FMA contraction — Rust
+//! never enables fast-math). What IEEE leaves open is which NaN payload
+//! survives, and signed-zero ties. x86 keeps the first operand's NaN,
+//! and the compiler may commute `a + b` and `a * b` in one tier and not
+//! another, so with two NaN inputs the bare operators differ between
+//! tiers in release builds. Every float kernel therefore uses one
+//! explicit, fully deterministic formula in *every* tier: `sum` and
+//! `prod` return a NaN `b` itself, so two NaNs keep `b`'s payload (with
+//! one NaN input, that NaN is the only one the operation can return,
+//! whichever operand order runs); `min`/`max` let `NaN` lose to any
+//! number, keep the input (`b`) payload for two `NaN`s, and keep the
+//! accumulator on exact ties (`+0 == -0`).
+//! The scalar tier runs the very same generic loop without the
 //! `#[target_feature]` attribute, so "scalar vs SIMD" differs only in
 //! instruction selection — which the proptest equivalence suite then pins
-//! across every op × type × tail-length × alignment.
+//! across every op × type × tail-length × alignment, in debug and release
+//! builds.
 //!
 //! Wire representation is little-endian, as everywhere in litempi; loads
 //! and stores go through `from_le`/`to_le` so the kernels stay correct on
@@ -166,10 +173,17 @@ macro_rules! float_elem {
             unsafe fn store(p: *mut u8, i: usize, v: Self) {
                 p.add(i * size_of::<$t>()).cast::<$bits>().write_unaligned(v.to_bits().to_le())
             }
+            /// IEEE add, except that a NaN input `b` is the result,
+            /// payload and all: two NaNs keep `b`'s payload.
             #[inline(always)]
-            fn sum(a: Self, b: Self) -> Self { a + b }
+            fn sum(a: Self, b: Self) -> Self {
+                if b.is_nan() { b } else { a + b }
+            }
+            /// IEEE multiply, with [`sum`](Elem::sum)'s NaN rule.
             #[inline(always)]
-            fn prod(a: Self, b: Self) -> Self { a * b }
+            fn prod(a: Self, b: Self) -> Self {
+                if b.is_nan() { b } else { a * b }
+            }
             /// Deterministic IEEE minimum: NaN loses, two NaNs keep `b`'s
             /// payload, exact ties keep the accumulator `a`.
             #[inline(always)]

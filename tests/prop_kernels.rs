@@ -171,19 +171,44 @@ proptest! {
     }
 
     /// The CRC ladder agrees with the bit-at-a-time reference at random
-    /// lengths and split points, across fold-block boundaries.
+    /// lengths up to 16 KiB + 15 — short ones around the fold threshold
+    /// as often as long ones through many four-lane steps — from
+    /// misaligned starts, and streamed through a random split.
     #[test]
-    fn crc_equivalence(seed in any::<u64>(), len in 0usize..600, split_at in 0usize..600) {
-        let data = bytes(seed ^ 0xCCCC, len);
-        let split = split_at.min(len);
-        let want = crc::update_bitwise(crc::INIT, &data);
-        prop_assert_eq!(crc::update_slice8(crc::INIT, &data), want);
-        prop_assert_eq!(crc::update_clmul(crc::INIT, &data), want);
+    fn crc_equivalence(
+        seed in any::<u64>(),
+        len in prop_oneof![0usize..600, 0usize..(16 << 10) + 16],
+        start in 0usize..16,
+        split_at in 0usize..(16 << 10) + 16,
+    ) {
+        let buf = bytes(seed ^ 0xCCCC, start + len);
+        let data = &buf[start..];
+        let split = split_at % (len + 1);
+        let want = crc::update_bitwise(crc::INIT, data);
+        prop_assert_eq!(crc::update_slice8(crc::INIT, data), want);
+        prop_assert_eq!(crc::update_clmul(crc::INIT, data), want);
         // Streaming equivalence at an arbitrary split.
         let s = crc::update_clmul(crc::INIT, &data[..split]);
         prop_assert_eq!(crc::update_clmul(s, &data[split..]), want);
         let s = crc::update_slice8(crc::INIT, &data[..split]);
         prop_assert_eq!(crc::update_slice8(s, &data[split..]), want);
+    }
+}
+
+/// Streaming through a split at every offset of a 320-byte message, from
+/// a misaligned start: every residue mod 64 lands on both pieces while
+/// each crosses the 64-byte fold threshold, where one four-lane load
+/// gives way to four-lane steps and the leftover 16-byte folds.
+#[test]
+fn crc_streaming_splits_at_every_offset() {
+    let buf = bytes(0x5EED, 320 + 3);
+    let data = &buf[3..];
+    let want = crc::update_bitwise(crc::INIT, data);
+    for split in 0..=data.len() {
+        for f in [crc::update_clmul, crc::update] {
+            let s = f(crc::INIT, &data[..split]);
+            assert_eq!(f(s, &data[split..]), want, "split at {split}");
+        }
     }
 }
 
