@@ -15,7 +15,7 @@ use bytes::Bytes;
 use litempi_datatype::{Datatype, Predefined};
 use litempi_fabric::endpoint::RecvHandle;
 use litempi_fabric::matching::MatchEngine;
-use litempi_fabric::packet::{PostedRecv, RecvSlot};
+use litempi_fabric::packet::{PostedRecv, SlotLease};
 use litempi_fabric::{AmMessage, Endpoint, MatcherKind, NetAddr, TaggedMessage};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
@@ -41,7 +41,7 @@ pub(crate) enum Posted {
     /// In the netmod's matching queues.
     Fabric(RecvHandle),
     /// In the core's engine, or already filled from its unexpected queue.
-    Core(Arc<RecvSlot>),
+    Core(SlotLease),
 }
 
 impl Posted {
@@ -49,11 +49,11 @@ impl Posted {
         if proc.native_tagged() {
             return Posted::Fabric(proc.endpoint.trecv_post(bits, ignore));
         }
-        let slot = Arc::new(RecvSlot::default());
+        let slot = SlotLease::new();
         let hit = proc.core_match.lock().post(PostedRecv {
             match_bits: bits,
             ignore,
-            slot: slot.clone(),
+            slot: slot.share(),
         });
         if let Some(msg) = hit {
             slot.fill(msg);

@@ -4,7 +4,8 @@
 //!
 //! 1. **Steady state**: once the pool is warm, small eager traffic makes
 //!    zero per-message heap allocations (the pooled fast path is
-//!    allocation-free and copies user data exactly once).
+//!    allocation-free and copies user data exactly once), and neither do
+//!    its receives, posted early or late, by a counting global allocator.
 //! 2. **Recycling**: delivered payload buffers flow back into the pool,
 //!    which tests observe as a high hit rate through `Process::pool_stats`.
 //! 3. **Collectives too**: the collective channel — blocking and
@@ -15,7 +16,7 @@
 //! 4. **Large user sends too**: a warm rendezvous send — `isend` or a
 //!    persistent `start`, contiguous or strided, over a registered region
 //!    or a pooled staging buffer — allocates its completion flag and
-//!    nothing else, by a counting global allocator.
+//!    nothing else, and its receive nothing, by the same allocator.
 
 use litempi_core::{BuildConfig, Op, Universe};
 use litempi_datatype::{Datatype, MpiPrimitive};
@@ -66,6 +67,86 @@ fn warm_pool_eager_sends_allocate_nothing() {
         vec![0, 0],
         "steady-state eager traffic must make zero per-message allocations"
     );
+}
+
+#[test]
+fn warm_eager_windows_make_no_heap_allocation() {
+    // Windows of 64 `isend`s of 8 B against 64 `irecv`s, and a reply, on
+    // the netmod's matching engine (`ofi`) and on the core's (`am_only`).
+    // Each window's receives are posted before its messages leave (a token
+    // says so: posted arrivals), or after its last message has arrived (a
+    // probe says so: unexpected arrivals). A window fills the payload
+    // pool's 64 buffers of its size class, so the token never travels
+    // beside one.
+    const W: usize = 64;
+    const WARM_UP: usize = 4;
+    const ROUNDS: usize = 16;
+    const DATA: i32 = 1;
+    const LAST: i32 = 2;
+    const TOKEN: i32 = 3;
+    let tag = |i: usize| if i + 1 == W { LAST } else { DATA };
+    for profile in [ProviderProfile::ofi(), ProviderProfile::am_only()] {
+        let name = profile.kind;
+        let allocs = Universe::run(
+            2,
+            BuildConfig::ch4_default(),
+            profile,
+            Topology::one_per_node(2),
+            |proc| {
+                let world = proc.world();
+                let me = proc.rank();
+                let peer = 1 - me as i32;
+                let mut inbox = [0u64; W];
+                let mut token = [0u64];
+                // This rank's heap allocations over the warm windows, with
+                // posted and with unexpected arrivals.
+                let mut allocs = [0u64; 2];
+                for round in 0..WARM_UP + ROUNDS {
+                    let words: [u64; W] = std::array::from_fn(|i| (round * W + i) as u64);
+                    for (kind, posted) in [(0, true), (1, false)] {
+                        let before = counting_alloc::allocs();
+                        if me == 0 {
+                            if posted {
+                                world.recv_into(&mut token, peer, TOKEN).unwrap();
+                            }
+                            for (i, w) in words.iter().enumerate() {
+                                let req = world.isend(std::slice::from_ref(w), peer, tag(i));
+                                req.unwrap().wait().unwrap();
+                            }
+                            world.recv_into(&mut token, peer, TOKEN).unwrap();
+                        } else {
+                            if !posted {
+                                world.probe(peer, LAST).unwrap();
+                            }
+                            let mut slots = inbox.chunks_mut(1).enumerate();
+                            let reqs: [_; W] = std::array::from_fn(|_| {
+                                let (i, slot) = slots.next().expect("one slot per receive");
+                                world.irecv(slot, peer, tag(i)).unwrap()
+                            });
+                            if posted {
+                                world.send(&token, peer, TOKEN).unwrap();
+                            }
+                            for req in reqs {
+                                req.wait().unwrap();
+                            }
+                            assert_eq!(inbox, words, "{name:?} round {round}");
+                            world.send(&token, peer, TOKEN).unwrap();
+                        }
+                        if round >= WARM_UP {
+                            allocs[kind] += counting_alloc::allocs() - before;
+                        }
+                    }
+                }
+                allocs
+            },
+        );
+        assert_eq!(
+            allocs,
+            vec![[0, 0]; 2],
+            "{name:?}: heap allocations of ranks 0 and 1 over {ROUNDS} warm windows, with \
+             posted and with unexpected arrivals"
+        );
+    }
 }
 
 #[test]
@@ -312,12 +393,11 @@ fn warm_large_sends_stage_without_the_heap() {
         );
         for (rank, worst) in worst.into_iter().enumerate() {
             for (kind, [send, recv]) in KINDS.into_iter().zip(worst) {
-                // The receive's two are the matching engine's: the slot the
-                // message lands in and the queue bucket the receive waits in.
+                // A warm receive reuses its slot and its queue bucket.
                 assert!(
-                    send <= 1 && recv <= 2,
+                    send <= 1 && recv == 0,
                     "{name:?} rank {rank}, {kind}: a warm send made {send} allocations (its \
-                     completion flag only), its receive {recv} (posted slot and queue bucket)"
+                     completion flag only), its receive {recv}"
                 );
             }
         }

@@ -49,7 +49,24 @@ pub enum ArrayOrder {
 #[derive(Debug, PartialEq, Eq)]
 struct Inner {
     layout: FlatLayout,
+    /// `layout.size()` and [`Datatype::touched`], cached when the type is
+    /// built: the per-message paths read them, and a strided layout's
+    /// segment list is long.
+    size: usize,
+    touched: (isize, isize),
     committed: bool,
+}
+
+impl Inner {
+    fn new(layout: FlatLayout, committed: bool) -> Inner {
+        let lo = layout.true_lb();
+        Inner {
+            size: layout.size(),
+            touched: (lo, lo + layout.true_extent()),
+            layout,
+            committed,
+        }
+    }
 }
 
 /// An MPI datatype handle. Cheap to clone (predefined types are inline;
@@ -101,10 +118,7 @@ impl Datatype {
     fn from_layout(mut layout: FlatLayout) -> Datatype {
         layout.coalesce();
         Datatype {
-            inner: DatatypeRepr::Derived(Arc::new(Inner {
-                layout,
-                committed: false,
-            })),
+            inner: DatatypeRepr::Derived(Arc::new(Inner::new(layout, false))),
         }
     }
 
@@ -354,10 +368,7 @@ impl Datatype {
         match &self.inner {
             DatatypeRepr::Basic(_) => self.clone(),
             DatatypeRepr::Derived(inner) => Datatype {
-                inner: DatatypeRepr::Derived(Arc::new(Inner {
-                    layout: inner.layout.clone(),
-                    committed: true,
-                })),
+                inner: DatatypeRepr::Derived(Arc::new(Inner::new(inner.layout.clone(), true))),
             },
         }
     }
@@ -389,7 +400,16 @@ impl Datatype {
     pub fn size(&self) -> usize {
         match &self.inner {
             DatatypeRepr::Basic(p) => p.size(),
-            _ => self.flat().size(),
+            DatatypeRepr::Derived(inner) => inner.size,
+        }
+    }
+
+    /// The bytes one element's data touches, `[lo, hi)` from its origin
+    /// (`(0, 0)` for a type with no data).
+    pub(crate) fn touched(&self) -> (isize, isize) {
+        match &self.inner {
+            DatatypeRepr::Basic(p) => (0, p.size() as isize),
+            DatatypeRepr::Derived(inner) => inner.touched,
         }
     }
 

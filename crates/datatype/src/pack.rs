@@ -13,33 +13,50 @@
 use crate::derived::Datatype;
 use crate::flatten::FlatLayout;
 
-/// Validated `(buffer_offset, len)` segment stream for `count` elements:
-/// the input to the kernel-layer gather/scatter. Bounds are asserted
-/// here, as segments are yielded, with the engine's diagnostics; `what`
-/// names the operation and `buf_len` the strided buffer being checked.
-fn segments<'a>(
-    layout: &'a FlatLayout,
-    count: usize,
+/// The offset of element `i` of `ty` (flat layout `layout`) in a strided
+/// buffer of `buf_len` bytes. Bounds are checked here, once per element,
+/// against the span the element's data touches; `what` names the
+/// operation in the engine's diagnostics.
+#[inline]
+fn element_base(
+    ty: &Datatype,
+    layout: &FlatLayout,
+    i: usize,
     buf_len: usize,
     what: &'static str,
-) -> impl Iterator<Item = (usize, usize)> + 'a {
-    (0..count).flat_map(move |i| {
-        let base = i as isize * layout.extent;
-        layout.segments.iter().map(move |seg| {
-            let start = base + seg.offset;
-            assert!(
-                start >= 0,
-                "{what}: segment offset {start} before buffer start"
-            );
-            let start = start as usize;
-            let end = start + seg.len;
-            assert!(
-                end <= buf_len,
-                "{what}: segment [{start},{end}) beyond buffer {buf_len}"
-            );
-            (start, seg.len)
-        })
-    })
+) -> isize {
+    let base = i as isize * layout.extent;
+    let (lo, hi) = ty.touched();
+    if base + lo < 0 || base + hi > buf_len as isize {
+        out_of_bounds(layout, base, buf_len, what);
+    }
+    base
+}
+
+/// Panic with the diagnostic of the first segment of the element at `base`
+/// that leaves the buffer.
+#[cold]
+fn out_of_bounds(layout: &FlatLayout, base: isize, buf_len: usize, what: &'static str) -> ! {
+    for seg in &layout.segments {
+        let start = base + seg.offset;
+        assert!(
+            start >= 0,
+            "{what}: segment offset {start} before buffer start"
+        );
+        let (start, end) = (start as usize, start as usize + seg.len);
+        assert!(
+            end <= buf_len,
+            "{what}: segment [{start},{end}) beyond buffer {buf_len}"
+        );
+    }
+    unreachable!("{what}: an element out of bounds has a segment out of bounds")
+}
+
+/// The `(buffer_offset, len)` segments of the element at `base`, checked
+/// by [`element_base`]: the input to the kernel-layer gather/scatter.
+#[inline]
+fn element_segments(layout: &FlatLayout, base: isize) -> impl Iterator<Item = (usize, usize)> + '_ {
+    (layout.segments.iter()).map(move |seg| ((base + seg.offset) as usize, seg.len))
 }
 
 /// Number of bytes `count` elements of `ty` occupy on the wire.
@@ -80,13 +97,14 @@ pub fn pack_into(ty: &Datatype, count: usize, src: &[u8], dst: &mut [u8]) -> usi
         need,
         "pack_into: destination must be exactly the packed size"
     );
-    let layout = ty.flat();
-    litempi_simd::pack::gather(
-        litempi_simd::active(),
-        src,
-        dst,
-        segments(&layout, count, src.len(), "pack"),
-    )
+    let (layout, tier) = (ty.flat(), litempi_simd::active());
+    let mut pos = 0;
+    for i in 0..count {
+        let base = element_base(ty, &layout, i, src.len(), "pack");
+        let segs = element_segments(&layout, base);
+        pos += litempi_simd::pack::gather(tier, src, &mut dst[pos..], segs);
+    }
+    pos
 }
 
 /// Pack `count` elements of `ty` from `src` directly into a writer, one
@@ -98,21 +116,9 @@ pub fn pack_into(ty: &Datatype, count: usize, src: &[u8], dst: &mut [u8]) -> usi
 pub fn pack_with(ty: &Datatype, count: usize, src: &[u8], mut sink: impl FnMut(&[u8])) {
     let layout = ty.flat();
     for i in 0..count {
-        let base = i as isize * layout.extent;
-        for seg in &layout.segments {
-            let start = base + seg.offset;
-            assert!(
-                start >= 0,
-                "pack: segment offset {start} before buffer start"
-            );
-            let start = start as usize;
-            let end = start + seg.len;
-            assert!(
-                end <= src.len(),
-                "pack: segment [{start},{end}) beyond buffer {}",
-                src.len()
-            );
-            sink(&src[start..end]);
+        let base = element_base(ty, &layout, i, src.len(), "pack");
+        for (start, len) in element_segments(&layout, base) {
+            sink(&src[start..start + len]);
         }
     }
 }
@@ -120,16 +126,17 @@ pub fn pack_with(ty: &Datatype, count: usize, src: &[u8], mut sink: impl FnMut(&
 /// Unpack a contiguous wire buffer into `count` elements of `ty` at `dst`.
 /// Returns the number of wire bytes consumed.
 pub fn unpack(ty: &Datatype, count: usize, wire: &[u8], dst: &mut [u8]) -> usize {
-    let layout = ty.flat();
+    let (layout, tier) = (ty.flat(), litempi_simd::active());
     // The scatter kernel never writes outside the yielded segments, so
     // the datatype's gaps in `dst` are preserved, as the standard
     // requires.
-    litempi_simd::pack::scatter(
-        litempi_simd::active(),
-        wire,
-        dst,
-        segments(&layout, count, dst.len(), "unpack"),
-    )
+    let mut pos = 0;
+    for i in 0..count {
+        let base = element_base(ty, &layout, i, dst.len(), "unpack");
+        let segs = element_segments(&layout, base);
+        pos += litempi_simd::pack::scatter(tier, &wire[pos..], dst, segs);
+    }
+    pos
 }
 
 #[cfg(test)]
@@ -259,6 +266,25 @@ mod tests {
             .commit();
         let src = vec![0u8; 8]; // far too small
         let _ = pack(&t, 1, &src);
+    }
+
+    #[test]
+    #[should_panic(expected = "unpack: segment [8,12) beyond buffer 10")]
+    fn unpack_names_the_first_segment_out_of_bounds() {
+        let t = Datatype::vector(4, 1, 2, &Datatype::INT32)
+            .unwrap()
+            .commit();
+        let mut dst = vec![0u8; 10];
+        let _ = unpack(&t, 1, &[0u8; 16], &mut dst);
+    }
+
+    #[test]
+    #[should_panic(expected = "pack: segment offset -4 before buffer start")]
+    fn pack_names_a_segment_before_the_buffer() {
+        let t = Datatype::hindexed(&[1, 1], &[0, -4], &Datatype::INT32)
+            .unwrap()
+            .commit();
+        let _ = pack(&t, 1, &[0u8; 16]);
     }
 
     #[test]

@@ -60,13 +60,31 @@
 //! for nobody. Every blocking call waits for them in
 //! [`Endpoint::wait_until`] (`wait.rs`), and a sleep ends only at an event
 //! or at a timer.
+//!
+//! ## Reliability timers
+//!
+//! A VCI's reliability work is driven by ticks (`tick_relia`): after
+//! every reliable send, on every progress pass, and in the waits. Each
+//! VCI keeps an earliest-due word beside its `relia` lock, a lower bound
+//! on when the next retransmit timer, owed ACK or reorder stash falls due,
+//! so a tick before it costs an atomic load and takes no lock. A tick that
+//! does lock stores the exact next deadline at the end of its locked
+//! section. Every site that makes work due lowers the word under the same
+//! lock before releasing it: a send that arms an idle link's timer, an ACK
+//! that re-arms a timer one RTO out, a delivery or duplicate that leaves
+//! ACK debt, and a reorder stash. The event that announces such work is
+//! raised after the lowering, so a tick that read a stale word is followed
+//! by one that does not. Time comes from `Fabric::now_us`, the
+//! cycle-counter clock of `fabric.rs`; a cumulative ACK reads it only when
+//! it retires something (`LinkTx::retires`), which a piggybacked ACK
+//! usually does not.
 
 use crate::addr::NetAddr;
 use crate::event_count::EventCount;
 use crate::fabric::{Fabric, KillVerdict};
 use crate::health::{HealthAction, HealthMonitor, HealthState};
 use crate::matching::MatchEngine;
-use crate::packet::{AmMessage, PostedRecv, RecvSlot, TaggedMessage};
+use crate::packet::{AmMessage, PostedRecv, SlotLease, TaggedMessage};
 use crate::region::{MemoryRegion, RdmaAtomicOp, RegionKey, RegistrationCache};
 use crate::reliability::{Link, PacketBody, Pending, ReliaState, RxVerdict, TxTick, WirePacket};
 use crate::stats::{EndpointStats, StatsSnapshot};
@@ -75,7 +93,7 @@ use litempi_instr::{charge, cost as icost, Category};
 use litempi_trace::EventKind;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -101,6 +119,28 @@ pub(crate) struct VciState {
     /// Lossy/reliable-path state (fault RNGs, link state machines). Empty
     /// and never locked when `routed` is false.
     pub(crate) relia: Mutex<ReliaState>,
+    /// Earliest-due word: a lower bound (fabric µs) on when `relia` next
+    /// needs a tick, `0` for work due at once, `u64::MAX` for none. A tick
+    /// before it takes no lock ([`tick_relia`]). Written only under the
+    /// `relia` lock: a tick stores [`ReliaState::next_deadline`] at the end
+    /// of its locked section, and every site that makes work due lowers
+    /// it ([`VciState::lower_due`]) before releasing the lock. It
+    /// publishes no data (the lock does), so it is read and written
+    /// relaxed: a reader that sees a stale value is followed by one that
+    /// does not, because the event that announces the work is raised after
+    /// the store and read before the next look.
+    relia_due: AtomicU64,
+}
+
+impl VciState {
+    /// Work on this VCI's reliability state falls due at `due` (fabric µs).
+    /// The caller holds the `relia` lock.
+    #[inline]
+    fn lower_due(&self, due: u64) {
+        if due < self.relia_due.load(Ordering::Relaxed) {
+            self.relia_due.store(due, Ordering::Relaxed);
+        }
+    }
 }
 
 /// Shared state of one endpoint (owned by the fabric).
@@ -218,6 +258,7 @@ impl EndpointShared {
                     }),
                     events: EventCount::new(),
                     relia: Mutex::new(ReliaState::new_vci(profile, addr, vci)),
+                    relia_due: AtomicU64::new(u64::MAX),
                 }
             })
             .collect();
@@ -448,7 +489,8 @@ fn send_packet(fabric: &Fabric, src: NetAddr, dst: NetAddr, vci: usize, body: Pa
     let my = fabric.shared(src);
     let now = fabric.now_us();
     let pkt = if my.relia_enabled {
-        let mut st = my.vcis[vci].relia.lock();
+        let v = &my.vcis[vci];
+        let mut st = v.relia.lock();
         if st.is_dead(dst) {
             // The peer has been declared unreachable; injections toward it
             // are black-holed (callers observe `peer_unreachable`).
@@ -468,6 +510,10 @@ fn send_packet(fabric: &Fabric, src: NetAddr, dst: NetAddr, vci: usize, body: Pa
         };
         let link = st.link_mut(dst);
         let seq = link.tx.prepare(body.clone(), crc, now);
+        if let Some(due) = link.tx.due_at() {
+            // The send armed an idle link's timer (or found it armed).
+            v.lower_due(due);
+        }
         charge(Category::Reliability, icost::relia::RETRANSMIT_ENQUEUE);
         // Piggyback the cumulative and selective ACK for the reverse link.
         let ack = Some(link.rx.take_ack());
@@ -559,6 +605,7 @@ fn transmit_live(fabric: &Fabric, src: NetAddr, dst: NetAddr, pkt: WirePacket) {
                 // next timer tick) so a later packet overtakes this one.
                 link.stash = Some(pkt);
                 held_back = true;
+                sender.vcis[vci].lower_due(0);
             } else {
                 if dup {
                     out.push(pkt.clone());
@@ -626,14 +673,24 @@ fn deliver_packet(fabric: &Fabric, dst: NetAddr, pkt: WirePacket) {
     let mut standalone_ack: Option<(u32, u64)> = None;
     let mut owes_ack = false;
     {
-        let mut st = peer.vcis[vci].relia.lock();
+        let v = &peer.vcis[vci];
+        let mut st = v.relia.lock();
         let cfg = st.cfg;
         let link = st.link_mut(src);
         if let Some(cum) = pkt.ack {
             // The piggybacked (or standalone) cumulative ACK retires our
-            // retransmit entries for the reverse link.
+            // retransmit entries for the reverse link. Most retire nothing,
+            // and for those `on_ack` does nothing: only one that retires
+            // reads the clock (its RTT sample and the re-armed timer).
             charge(Category::Reliability, icost::relia::ACK_PROCESS);
-            link.tx.on_ack(cum, fabric.now_us());
+            if link.tx.retires(cum) {
+                link.tx.on_ack(cum, fabric.now_us());
+                if let Some(due) = link.tx.due_at() {
+                    // Progress re-arms the timer one RTO out, which can be
+                    // sooner than a backed-off deadline.
+                    v.lower_due(due);
+                }
+            }
             if peer.trace_enabled {
                 litempi_trace::emit(EventKind::AckProcessed, s as u64, cum as u64);
             }
@@ -659,13 +716,19 @@ fn deliver_packet(fabric: &Fabric, dst: NetAddr, pkt: WirePacket) {
                 // window has already moved past these, and another thread's
                 // arrival on this link would otherwise be delivered ahead of
                 // them.
-                let verdict = link.rx.receive(pkt.seq, body, |b| match b {
-                    PacketBody::Tagged(m) => peer.deliver_tagged(vci, m),
-                    PacketBody::Am(m) => peer.deliver_am(m),
-                    // Probes never enter the sequence space, so they cannot
-                    // be released by the window; the arms keep the match
-                    // exhaustive.
-                    PacketBody::Probe(_) | PacketBody::ProbeAck(_) => {}
+                let verdict = link.rx.receive(pkt.seq, body, |b| {
+                    // A delivery leaves ACK debt for the receiver's tick
+                    // (unless it completes a standalone ACK below): due
+                    // before the delivery's event announces it.
+                    v.lower_due(0);
+                    match b {
+                        PacketBody::Tagged(m) => peer.deliver_tagged(vci, m),
+                        PacketBody::Am(m) => peer.deliver_am(m),
+                        // Probes never enter the sequence space, so they
+                        // cannot be released by the window; the arms keep
+                        // the match exhaustive.
+                        PacketBody::Probe(_) | PacketBody::ProbeAck(_) => {}
+                    }
                 });
                 let gap = match verdict {
                     RxVerdict::Deliver(_) => {
@@ -693,6 +756,7 @@ fn deliver_packet(fabric: &Fabric, dst: NetAddr, pkt: WirePacket) {
         if owes_ack && !delivered {
             // Nothing delivered, but the receiver now owes an ACK, which
             // its own tick sends: wake it to re-read its timers.
+            v.lower_due(0);
             peer.bump_event(vci);
         }
     }
@@ -858,15 +922,19 @@ fn tick_health(fabric: &Fabric, addr: NetAddr, now: u64) {
 /// timers, flush reorder stashes, emit owed standalone ACKs, and mark peers
 /// dead when their retry budget is exhausted. Called from the progress path
 /// ([`Endpoint::pump`]), from the injection path, and from blocking wait
-/// loops.
+/// loops. Before the VCI's earliest-due word it takes no lock.
 fn tick_relia(fabric: &Fabric, addr: NetAddr, vci: usize, now: u64) {
     let my = fabric.shared(addr);
+    let v = &my.vcis[vci];
+    if now < v.relia_due.load(Ordering::Relaxed) {
+        return;
+    }
     let mut stash_flush: Vec<(NetAddr, WirePacket)> = Vec::new();
     let mut resends: Vec<(NetAddr, WirePacket)> = Vec::new();
     let mut acks: Vec<(NetAddr, u32, u64)> = Vec::new();
     let mut newly_dead: Vec<usize> = Vec::new();
     {
-        let mut st = my.vcis[vci].relia.lock();
+        let mut st = v.relia.lock();
         let relia_on = st.cfg.enabled;
         // Only resident links can carry work: a peer with no link has no
         // stash, no retransmit queue, and no ACK debt — so the tick is
@@ -895,6 +963,8 @@ fn tick_relia(fabric: &Fabric, addr: NetAddr, vci: usize, now: u64) {
                 acks.push((d, link.rx.take_ack(), link.rx.sack()));
             }
         }
+        v.relia_due
+            .store(st.next_deadline(now).unwrap_or(u64::MAX), Ordering::Relaxed);
     }
     for (d, p) in stash_flush {
         deliver_packet(fabric, d, p);
@@ -1131,12 +1201,12 @@ impl Endpoint {
         if peer.trace_enabled {
             litempi_trace::emit(EventKind::RecvPost, match_bits, ignore);
         }
+        let slot = SlotLease::new();
         let probe = PostedRecv {
             match_bits,
             ignore,
-            slot: Arc::new(RecvSlot::default()),
+            slot: slot.share(),
         };
-        let slot = probe.slot.clone();
         // First satisfy from the unexpected queue, in arrival order.
         {
             let mut tag = peer.lock_tag(vci);
@@ -1466,7 +1536,7 @@ pub struct RecvHandle {
     /// The shard this receive was posted on; waits park precisely on this
     /// VCI's completion epoch.
     vci: usize,
-    slot: Arc<RecvSlot>,
+    slot: SlotLease,
 }
 
 impl std::fmt::Debug for RecvHandle {
@@ -2458,5 +2528,98 @@ mod tests {
         assert!(b.event_epoch() > before);
         t.join().unwrap();
         assert_eq!(b.stats().event_wakes, 1, "the cross-shard notify");
+    }
+
+    // ------------------------------------------------ the earliest-due word
+    //
+    // One case per site that makes work due: each drives the next tick with
+    // no other traffic, and fails if that site does not lower the word.
+
+    /// Two endpoints on the reliable path, and the VCI tag 7 travels on.
+    /// Every packet from 1 to 0 is lost, so 1's ACKs never reach 0.
+    fn reliable_pair() -> (Arc<Fabric>, Endpoint, Endpoint, usize) {
+        let acks_lost = FaultPlan::none().with_link(1, 0, FaultSpec::percent(100, 0, 0, 0));
+        let f = Fabric::new(
+            2,
+            ProviderProfile::infinite()
+                .with_faults(acks_lost)
+                .with_reliability(ReliabilityConfig::on()),
+            Topology::single_node(2),
+        );
+        let (a, b) = (f.endpoint(NetAddr(0)), f.endpoint(NetAddr(1)));
+        let vci = f.shared(NetAddr(0)).vci_of(7);
+        (f, a, b, vci)
+    }
+
+    #[test]
+    fn relia_tick_word_acts_on_a_timer_armed_by_a_send() {
+        let (f, a, _b, _) = reliable_pair();
+        // Delivered, and unacknowledged: ACKs go every fourth delivery.
+        a.tsend(NetAddr(1), 7, Bytes::from_static(b"x"));
+        tick_relia_all(&f, NetAddr(0), f.now_us() + 1_000_000);
+        assert_eq!(a.stats().retransmits, 1, "the armed timer fires");
+    }
+
+    #[test]
+    fn relia_tick_word_acts_on_ack_debt_left_by_a_delivery() {
+        let (f, a, b, _) = reliable_pair();
+        a.tsend(NetAddr(1), 7, Bytes::from_static(b"x"));
+        tick_relia_all(&f, NetAddr(1), f.now_us());
+        assert_eq!(b.stats().acks_sent, 1, "the owed ACK goes out");
+    }
+
+    #[test]
+    fn relia_tick_word_acts_on_ack_debt_left_by_a_duplicate() {
+        let (f, a, b, _) = reliable_pair();
+        a.tsend(NetAddr(1), 7, Bytes::from_static(b"x"));
+        tick_relia_all(&f, NetAddr(1), f.now_us());
+        assert_eq!(b.stats().acks_sent, 1);
+        // The ACK is lost, so the sender's timer resends: the receiver
+        // drops the duplicate and owes another ACK.
+        tick_relia_all(&f, NetAddr(0), f.now_us() + 1_000_000);
+        assert_eq!(b.stats().dup_dropped, 1);
+        tick_relia_all(&f, NetAddr(1), f.now_us());
+        assert_eq!(b.stats().acks_sent, 2, "the owed ACK goes out");
+    }
+
+    #[test]
+    fn relia_tick_word_acts_on_a_timer_an_ack_rearms_sooner() {
+        let (f, a, _b, vci) = reliable_pair();
+        a.tsend(NetAddr(1), 7, Bytes::from_static(b"x"));
+        a.tsend(NetAddr(1), 7, Bytes::from_static(b"y"));
+        // A timer round backs the deadline off to a second from now ...
+        let late = f.now_us() + 1_000_000;
+        tick_relia_all(&f, NetAddr(0), late);
+        assert_eq!(a.stats().retransmits, 2);
+        // ... and an ACK for the first packet re-arms it one RTO out.
+        let ack = WirePacket {
+            src: NetAddr(1),
+            vci,
+            seq: 0,
+            ack: Some(1),
+            sack: 0,
+            crc: None,
+            body: None,
+        };
+        deliver_packet(&f, NetAddr(0), ack);
+        tick_relia_all(&f, NetAddr(0), f.now_us() + 10_000);
+        assert_eq!(a.stats().retransmits, 3, "the re-armed timer fires");
+    }
+
+    #[test]
+    fn relia_tick_word_acts_on_a_reorder_stash() {
+        // Faults without the protocol: the stash is the only work a tick
+        // can find.
+        let always = FaultPlan::uniform(1, FaultSpec::percent(0, 0, 100, 0));
+        let f = Fabric::new(
+            2,
+            ProviderProfile::infinite().with_faults(always),
+            Topology::single_node(2),
+        );
+        let (a, b) = (f.endpoint(NetAddr(0)), f.endpoint(NetAddr(1)));
+        a.tsend(NetAddr(1), 7, Bytes::from_static(b"x"));
+        assert!(b.tpeek(7, 0).is_none(), "held back");
+        tick_relia_all(&f, NetAddr(0), f.now_us());
+        assert!(b.tpeek(7, 0).is_some(), "the tick flushes the stash");
     }
 }

@@ -1,5 +1,18 @@
 //! The fabric: the set of endpoints, the region table, and the provider
 //! profile shared by one simulated job.
+//!
+//! ## The reliability clock
+//!
+//! Retransmit timers, RTT samples, failure-detector deadlines and link
+//! flaps run on one microsecond clock, `Fabric::now_us`, read a few times
+//! per reliable message. On x86-64, where CPUID reports an invariant
+//! time-stamp counter, it is the TSC scaled to microseconds by a factor
+//! calibrated once per process against `Instant` (about 1.5 ms, at the
+//! first fabric's construction), the way UCX's `ucs_get_time` and MPICH's
+//! MPL cycle timer time their protocols: a read costs about half an
+//! `Instant` read through the vDSO. On every other CPU or platform the
+//! clock is `Instant`. The RTO floor is 50 µs, so microsecond resolution
+//! suffices. [`Fabric::epoch`] and the trace clock stay on `Instant`.
 
 use crate::addr::NetAddr;
 use crate::cost::ProviderProfile;
@@ -10,8 +23,8 @@ use crate::topology::Topology;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 /// One simulated network: `n` endpoints, a registered-memory table, a
 /// topology, and a provider profile. Create once per job (`Universe`).
@@ -29,8 +42,9 @@ pub struct Fabric {
     /// Resolved VCI count ([`Fabric::resolve_vcis`]); every endpoint runs
     /// this many shards.
     n_vcis: usize,
-    /// Epoch for the retransmit-timer clock ([`Fabric::now_us`]).
-    t0: Instant,
+    /// The reliability layer's clock ([`Fabric::now_us`]), zero at the
+    /// fabric's creation instant ([`Fabric::epoch`]).
+    clock: Clock,
     /// Packets the kill-switch victim has touched so far.
     kill_count: AtomicU64,
     /// Set once the kill switch has fired (the victim is off the fabric).
@@ -79,7 +93,7 @@ impl Fabric {
             next_rkey: AtomicU64::new(1),
             pools,
             n_vcis,
-            t0: Instant::now(),
+            clock: Clock::new(tsc_scale()),
             kill_count: AtomicU64::new(0),
             kill_tripped: AtomicBool::new(false),
             aborted: AtomicBool::new(false),
@@ -102,15 +116,17 @@ impl Fabric {
         requested.clamp(1, crate::vci::MAX_VCIS)
     }
 
-    /// Microseconds since fabric creation (the reliability layer's clock).
+    /// Microseconds since fabric creation (the reliability layer's clock;
+    /// see the module docs).
+    #[inline]
     pub(crate) fn now_us(&self) -> u64 {
-        self.t0.elapsed().as_micros() as u64
+        self.clock.now_us()
     }
 
     /// The fabric's creation instant — the shared clock origin trace
     /// recorders stamp events against, so every rank's track aligns.
     pub fn epoch(&self) -> Instant {
-        self.t0
+        self.clock.t0
     }
 
     /// Is event tracing on for this fabric? Hoisted at construction; the
@@ -296,9 +312,166 @@ impl Fabric {
     }
 }
 
+/// A microsecond clock that starts at zero: the time-stamp counter scaled
+/// by a calibrated factor, or `Instant` where there is none.
+#[derive(Debug, Clone, Copy)]
+struct Clock {
+    t0: Instant,
+    /// The counter at `t0` and µs per tick × 2^[`TSC_SHIFT`], or `None`:
+    /// `Instant`.
+    tsc: Option<(u64, u64)>,
+}
+
+/// Fraction bits of the µs-per-tick factor: at 5 GHz a tick is 2^-12.3
+/// µs, so the factor keeps 27 significant bits.
+const TSC_SHIFT: u32 = 40;
+
+impl Clock {
+    /// A clock on the TSC with µs-per-tick factor `tsc` ([`tsc_scale`]),
+    /// or on `Instant` for `None`.
+    fn new(tsc: Option<u64>) -> Clock {
+        Clock {
+            t0: Instant::now(),
+            tsc: tsc.map(|scale| (rdtsc(), scale)),
+        }
+    }
+
+    #[inline]
+    fn now_us(&self) -> u64 {
+        match self.tsc {
+            Some((at_t0, us_per_tick)) => {
+                // Saturating: a thread whose core's counter trails the one
+                // that read `at_t0` reads zero, not a wrapped time.
+                let ticks = rdtsc().saturating_sub(at_t0);
+                ((u128::from(ticks) * u128::from(us_per_tick)) >> TSC_SHIFT) as u64
+            }
+            None => self.t0.elapsed().as_micros() as u64,
+        }
+    }
+}
+
+/// The calibrated TSC factor of this process, or `None` where the CPU
+/// reports no invariant TSC (or the platform has none).
+fn tsc_scale() -> Option<u64> {
+    static SCALE: OnceLock<Option<u64>> = OnceLock::new();
+    *SCALE.get_or_init(|| invariant_tsc().then(calibrate_tsc).flatten())
+}
+
+/// How long [`calibrate_tsc`] measures the counter against `Instant`.
+const TSC_CALIBRATION: Duration = Duration::from_micros(1_500);
+
+/// Count TSC ticks over [`TSC_CALIBRATION`] of `Instant` time. Each end is
+/// the `Instant` read with the narrowest counter bracket of a few tries,
+/// so a preemption mid-read costs nothing.
+fn calibrate_tsc() -> Option<u64> {
+    fn pair() -> (Instant, u64) {
+        (0..8)
+            .map(|_| {
+                let before = rdtsc();
+                let at = Instant::now();
+                let after = rdtsc();
+                (after.wrapping_sub(before), at, before / 2 + after / 2)
+            })
+            .min_by_key(|&(width, ..)| width)
+            .map(|(_, at, tsc)| (at, tsc))
+            .expect("eight tries")
+    }
+    let (i0, c0) = pair();
+    while i0.elapsed() < TSC_CALIBRATION {
+        std::hint::spin_loop();
+    }
+    let (i1, c1) = pair();
+    let ticks = c1.checked_sub(c0).filter(|&t| t > 0)?;
+    let us = (i1 - i0).as_nanos() as f64 / 1e3;
+    Some((us / ticks as f64 * (1u64 << TSC_SHIFT) as f64) as u64)
+}
+
+/// Does CPUID report an invariant TSC (one that ticks at a constant rate
+/// in every P-, C- and T-state: leaf 0x8000_0007, EDX bit 8)?
+#[cfg(target_arch = "x86_64")]
+fn invariant_tsc() -> bool {
+    use std::arch::x86_64::__cpuid;
+    __cpuid(0x8000_0000).eax >= 0x8000_0007 && __cpuid(0x8000_0007).edx & (1 << 8) != 0
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn invariant_tsc() -> bool {
+    false
+}
+
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn rdtsc() -> u64 {
+    // SAFETY: RDTSC is part of the x86-64 baseline; it reads a counter and
+    // touches no memory.
+    unsafe { std::arch::x86_64::_rdtsc() }
+}
+
+/// Never called: [`invariant_tsc`] is false off x86-64.
+#[cfg(not(target_arch = "x86_64"))]
+fn rdtsc() -> u64 {
+    0
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The TSC clock where this CPU has one, and the `Instant` clock.
+    fn clocks() -> Vec<Clock> {
+        assert_eq!(
+            tsc_scale().is_some(),
+            invariant_tsc(),
+            "an invariant TSC is calibrated"
+        );
+        [tsc_scale(), None].into_iter().map(Clock::new).collect()
+    }
+
+    #[test]
+    fn relia_clock_never_decreases_across_two_threads() {
+        for clock in clocks() {
+            let (tx, rx) = std::sync::mpsc::channel::<u64>();
+            std::thread::scope(|s| {
+                // Each thread's own reads never go back, and a reading
+                // handed to the other thread is never ahead of the other
+                // thread's next one.
+                s.spawn(move || {
+                    let mut last = 0;
+                    for i in 0..200_000 {
+                        let t = clock.now_us();
+                        assert!(t >= last, "{t} after {last}");
+                        last = t;
+                        if i % 1_000 == 0 {
+                            tx.send(t).expect("the reader outlives the sender");
+                        }
+                    }
+                });
+                s.spawn(move || {
+                    let mut last = 0;
+                    for sent in rx {
+                        let t = clock.now_us();
+                        assert!(t >= sent && t >= last, "{t} after {sent} and {last}");
+                        last = t;
+                    }
+                });
+            });
+        }
+    }
+
+    #[test]
+    fn relia_clock_agrees_with_instant_within_one_percent() {
+        for clock in clocks() {
+            let (i0, c0) = (Instant::now(), clock.now_us());
+            std::thread::sleep(Duration::from_millis(25));
+            let (c1, i1) = (clock.now_us(), Instant::now());
+            let want = (i1 - i0).as_micros() as f64;
+            let got = (c1 - c0) as f64;
+            assert!(
+                want >= 20_000.0 && (got - want).abs() <= want / 100.0,
+                "{got} µs by the clock against {want} µs by Instant ({clock:?})"
+            );
+        }
+    }
 
     #[test]
     fn construction_and_accessors() {

@@ -30,6 +30,15 @@
 //! is [`cancel`](MatchEngine::cancel), which may excise a middle entry; it
 //! is rare and allowed to be O(bucket).
 //!
+//! ## Warm matching allocates nothing
+//!
+//! A bucket that empties is parked on a short spare list with its
+//! capacity, and the next new bucket takes it from there, so a warm engine
+//! whose queues rise and drain (a window of receives, a burst of early
+//! arrivals) makes no heap allocation. Unexpected messages live in their
+//! buckets too (tagged with their arrival sequence): a wildcard probe
+//! compares bucket fronts, the oldest of which is the oldest match.
+//!
 //! ## Counter discipline
 //!
 //! Matching statistics live in [`MatchCounters`] as plain `u64`s owned by
@@ -48,7 +57,7 @@
 use crate::cost::MatcherKind;
 use crate::packet::{PostedRecv, RecvSlot, TaggedMessage};
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
@@ -222,7 +231,7 @@ impl MatchEngine {
     /// Number of queued unexpected messages.
     pub fn unexpected_len(&self) -> usize {
         match &self.imp {
-            EngineImpl::Bucketed(m) => m.unexpected.len(),
+            EngineImpl::Bucketed(m) => m.unexpected_count,
             EngineImpl::Linear(m) => m.unexpected.len(),
         }
     }
@@ -237,6 +246,38 @@ fn fill(recv: PostedRecv, msg: TaggedMessage, c: &mut MatchCounters) {
 }
 
 // ---------------------------------------------------------------- bucketed
+
+/// Emptied buckets of each kind kept for reuse ([`Spares`]).
+const SPARE_BUCKETS: usize = 8;
+
+/// The largest capacity a spare bucket keeps: a one-off burst's queue is
+/// freed, not pinned.
+const SPARE_CAPACITY: usize = 256;
+
+/// Emptied buckets, capacity kept, for the next bucket to reuse.
+#[derive(Debug)]
+struct Spares<T>(Vec<VecDeque<T>>);
+
+impl<T> Default for Spares<T> {
+    fn default() -> Self {
+        Spares(Vec::new())
+    }
+}
+
+impl<T> Spares<T> {
+    /// An empty bucket: a spare, or a new one.
+    fn take(&mut self) -> VecDeque<T> {
+        self.0.pop().unwrap_or_default()
+    }
+
+    /// Park an emptied bucket, unless the list is full or it is too big.
+    fn put(&mut self, bucket: VecDeque<T>) {
+        debug_assert!(bucket.is_empty());
+        if self.0.len() < SPARE_BUCKETS && bucket.capacity() <= SPARE_CAPACITY {
+            self.0.push(bucket);
+        }
+    }
+}
 
 /// O(1) hash-bucketed matcher. See the module docs for the invariants.
 #[derive(Debug, Default)]
@@ -254,11 +295,15 @@ pub struct BucketedMatcher {
     /// count so depth bookkeeping stays O(1) (summing bucket lengths would
     /// reintroduce an O(buckets) walk on the critical path).
     posted_count: usize,
-    /// Unexpected messages in global arrival order (keyed by arrival seq;
-    /// a BTreeMap so wildcard consumers iterate oldest-first).
-    unexpected: BTreeMap<u64, TaggedMessage>,
-    /// Arrival seqs of unexpected messages, bucketed by match bits.
-    unexpected_index: BitsMap<VecDeque<u64>>,
+    /// Unexpected messages with their arrival seqs, bucketed by match
+    /// bits; each bucket is FIFO in arrival order.
+    unexpected: BitsMap<VecDeque<(u64, TaggedMessage)>>,
+    /// Unexpected messages across `unexpected`'s buckets (a running count,
+    /// like `posted_count`).
+    unexpected_count: usize,
+    /// Emptied buckets of `exact` and of `unexpected`.
+    spare_posted: Spares<PostedEntry>,
+    spare_unexpected: Spares<(u64, TaggedMessage)>,
 }
 
 impl BucketedMatcher {
@@ -287,7 +332,7 @@ impl BucketedMatcher {
                         c.bucket_hits += 1;
                         let entry = bucket.get_mut().pop_front().expect("front exists");
                         if bucket.get().is_empty() {
-                            bucket.remove();
+                            self.spare_posted.put(bucket.remove());
                         }
                         entry
                     }
@@ -302,14 +347,14 @@ impl BucketedMatcher {
                     c.unexpected += 1;
                     let seq = self.arrival_seq;
                     self.arrival_seq += 1;
-                    self.unexpected_index
-                        .entry(msg.match_bits)
-                        .or_default()
-                        .push_back(seq);
-                    self.unexpected.insert(seq, msg);
+                    let spares = &mut self.spare_unexpected;
+                    (self.unexpected.entry(msg.match_bits))
+                        .or_insert_with(|| spares.take())
+                        .push_back((seq, msg));
+                    self.unexpected_count += 1;
                     MatchCounters::raise_max(
                         &mut c.max_unexpected_depth,
-                        self.unexpected.len() as u64,
+                        self.unexpected_count as u64,
                     );
                     return false;
                 }
@@ -321,21 +366,21 @@ impl BucketedMatcher {
     }
 
     fn post(&mut self, probe: PostedRecv, c: &mut MatchCounters) -> Option<TaggedMessage> {
-        if let Some(seq) = self.find_unexpected(probe.match_bits, probe.ignore) {
+        if let Some(bits) = self.find_unexpected(probe.match_bits, probe.ignore) {
             if probe.ignore == 0 {
                 c.bucket_hits += 1;
             } else {
                 c.wildcard_matches += 1;
             }
-            return Some(self.take_unexpected(seq));
+            return Some(self.take_unexpected(bits));
         }
         let seq = self.post_seq;
         self.post_seq += 1;
         let entry = PostedEntry { seq, recv: probe };
         if entry.recv.ignore == 0 {
-            self.exact
-                .entry(entry.recv.match_bits)
-                .or_default()
+            let spares = &mut self.spare_posted;
+            (self.exact.entry(entry.recv.match_bits))
+                .or_insert_with(|| spares.take())
                 .push_back(entry);
         } else {
             self.wild.push_back(entry);
@@ -346,46 +391,46 @@ impl BucketedMatcher {
     }
 
     fn peek(&self, bits: u64, ignore: u64) -> Option<&TaggedMessage> {
-        let seq = self.find_unexpected(bits, ignore)?;
-        self.unexpected.get(&seq)
+        let bits = self.find_unexpected(bits, ignore)?;
+        self.unexpected[&bits].front().map(|(_, m)| m)
     }
 
     fn dequeue(&mut self, bits: u64, ignore: u64) -> Option<TaggedMessage> {
-        let seq = self.find_unexpected(bits, ignore)?;
-        Some(self.take_unexpected(seq))
+        let bits = self.find_unexpected(bits, ignore)?;
+        Some(self.take_unexpected(bits))
     }
 
-    /// Arrival seq of the oldest unexpected message matching the probe.
+    /// The match bits of the bucket whose front is the oldest unexpected
+    /// message matching the probe.
     fn find_unexpected(&self, bits: u64, ignore: u64) -> Option<u64> {
         if ignore == 0 {
             // Exact probe: the bucket front is the oldest with these bits.
-            self.unexpected_index
-                .get(&bits)
-                .and_then(|q| q.front())
-                .copied()
+            self.unexpected.contains_key(&bits).then_some(bits)
         } else {
-            // Wildcard probe: walk global arrival order.
-            self.unexpected
-                .iter()
-                .find(|(_, m)| (m.match_bits | ignore) == (bits | ignore))
-                .map(|(&seq, _)| seq)
+            // Wildcard probe: a bucket matches as a whole, and its front is
+            // its oldest; the oldest front among matching buckets wins.
+            (self.unexpected.iter())
+                .filter(|(&b, _)| (b | ignore) == (bits | ignore))
+                .min_by_key(|(_, q)| q.front().expect("buckets are never empty").0)
+                .map(|(&b, _)| b)
         }
     }
 
-    /// Remove an unexpected message chosen by [`Self::find_unexpected`].
-    /// Order-respecting consumption means `seq` is always its bucket's
-    /// front (see module docs).
-    fn take_unexpected(&mut self, seq: u64) -> TaggedMessage {
-        let msg = self.unexpected.remove(&seq).expect("seq present");
-        let bucket = self
-            .unexpected_index
-            .get_mut(&msg.match_bits)
-            .expect("indexed message has a bucket");
-        let front = bucket.pop_front();
-        debug_assert_eq!(front, Some(seq), "matching must consume bucket fronts");
-        if bucket.is_empty() {
-            self.unexpected_index.remove(&msg.match_bits);
+    /// Remove the front of the unexpected bucket for `bits`, chosen by
+    /// [`Self::find_unexpected`]: order-respecting consumption only ever
+    /// takes bucket fronts (see module docs).
+    fn take_unexpected(&mut self, bits: u64) -> TaggedMessage {
+        let Entry::Occupied(mut bucket) = self.unexpected.entry(bits) else {
+            unreachable!("a found bucket is present");
+        };
+        let (_, msg) = bucket
+            .get_mut()
+            .pop_front()
+            .expect("buckets are never empty");
+        if bucket.get().is_empty() {
+            self.spare_unexpected.put(bucket.remove());
         }
+        self.unexpected_count -= 1;
         msg
     }
 
@@ -410,7 +455,8 @@ impl BucketedMatcher {
         match hit {
             Some((bits, emptied)) => {
                 if emptied {
-                    self.exact.remove(&bits);
+                    let bucket = self.exact.remove(&bits).expect("hit in this bucket");
+                    self.spare_posted.put(bucket);
                 }
                 self.posted_count -= 1;
                 true
@@ -635,7 +681,9 @@ mod tests {
             assert!(m.dequeue(i, 0).is_some());
         }
         assert!(m.unexpected.is_empty());
-        assert!(m.unexpected_index.is_empty());
+        assert_eq!(m.unexpected_count, 0);
+        assert_eq!(m.spare_posted.0.len(), SPARE_BUCKETS, "spares are bounded");
+        assert_eq!(m.spare_unexpected.0.len(), SPARE_BUCKETS);
     }
 
     #[test]

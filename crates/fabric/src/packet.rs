@@ -2,8 +2,11 @@
 
 use crate::addr::NetAddr;
 use bytes::Bytes;
-use std::cell::UnsafeCell;
+use std::cell::{RefCell, UnsafeCell};
+use std::mem::ManuallyDrop;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::Arc;
 
 /// A tagged two-sided message as delivered to a matching receive.
 ///
@@ -62,7 +65,7 @@ pub struct PostedRecv {
     /// Bits set in `ignore` are wildcards (libfabric convention).
     pub ignore: u64,
     /// Completion slot filled when the receive matches.
-    pub slot: std::sync::Arc<RecvSlot>,
+    pub slot: Arc<RecvSlot>,
 }
 
 impl PostedRecv {
@@ -144,10 +147,76 @@ impl RecvSlot {
     }
 }
 
+/// Released slots a thread keeps for its next posted receives
+/// ([`SlotLease`]), at most this many.
+const FREE_SLOTS: usize = 1024;
+
+thread_local! {
+    static FREE: RefCell<Vec<Arc<RecvSlot>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The completion slot of one posted receive, held by whoever posted it;
+/// the matching engine holds a [`share`](SlotLease::share) until the
+/// receive matches or is cancelled. A warm receive allocates no slot: a
+/// new lease takes one that an earlier lease on this thread released, and
+/// a dropped lease releases its slot once the engine has let go of it
+/// too (otherwise the slot is freed when the engine drops it).
+#[derive(Debug)]
+pub struct SlotLease(ManuallyDrop<Arc<RecvSlot>>);
+
+impl SlotLease {
+    /// An empty slot: a released one, or a new one.
+    pub fn new() -> SlotLease {
+        let reused = FREE.with(|free| free.borrow_mut().pop());
+        SlotLease(ManuallyDrop::new(reused.unwrap_or_default()))
+    }
+
+    /// The handle the matching engine fills.
+    pub fn share(&self) -> Arc<RecvSlot> {
+        Arc::clone(&self.0)
+    }
+}
+
+impl Default for SlotLease {
+    fn default() -> Self {
+        SlotLease::new()
+    }
+}
+
+impl Deref for SlotLease {
+    type Target = Arc<RecvSlot>;
+
+    fn deref(&self) -> &Arc<RecvSlot> {
+        &self.0
+    }
+}
+
+impl Drop for SlotLease {
+    fn drop(&mut self) {
+        // SAFETY: this is the lease's drop; `self.0` is not used again.
+        let mut slot = unsafe { ManuallyDrop::take(&mut self.0) };
+        let Some(cell) = Arc::get_mut(&mut slot) else {
+            // The engine still holds it (a receive dropped while posted).
+            return;
+        };
+        // Sole owner: reset it to a fresh slot (a message never taken is
+        // dropped here, outside the free list's borrow).
+        *cell.state.get_mut() = EMPTY;
+        cell.message.get_mut().take();
+        // Ignore a thread that is tearing down its locals: the slot is
+        // freed as usual.
+        let _ = FREE.try_with(|free| {
+            let mut free = free.borrow_mut();
+            if free.len() < FREE_SLOTS {
+                free.push(slot);
+            }
+        });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     fn msg(bits: u64) -> TaggedMessage {
         TaggedMessage {
@@ -220,6 +289,32 @@ mod tests {
         let s = RecvSlot::default();
         s.fill(msg(1));
         s.fill(msg(2));
+    }
+
+    #[test]
+    fn a_released_slot_is_reused_empty_once_the_engine_lets_go() {
+        let lease = SlotLease::new();
+        let engine = lease.share();
+        engine.fill(msg(1));
+        let first = Arc::as_ptr(&lease);
+        drop(lease);
+        // The engine's handle still lives: the next lease cannot have it.
+        let other = SlotLease::new();
+        assert_ne!(Arc::as_ptr(&other), first);
+        drop(engine);
+        drop(other);
+        // A filled, never-taken slot comes back empty.
+        let lease = SlotLease::new();
+        let engine = lease.share();
+        engine.fill(msg(2));
+        drop(engine);
+        let first = Arc::as_ptr(&lease);
+        drop(lease);
+        let again = SlotLease::new();
+        assert_eq!(Arc::as_ptr(&again), first, "reused");
+        assert!(!again.is_filled() && again.take().is_none());
+        again.share().fill(msg(3));
+        assert_eq!(again.take().map(|m| m.match_bits), Some(3));
     }
 
     #[test]

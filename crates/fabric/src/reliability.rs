@@ -486,6 +486,14 @@ impl LinkTx {
         seq
     }
 
+    /// Would [`on_ack`](LinkTx::on_ack) for `cum` retire anything — is the
+    /// front of the queue before `cum`? When not, `on_ack` does nothing,
+    /// so a caller can skip it and the clock read it needs.
+    #[inline]
+    pub(crate) fn retires(&self, cum: u32) -> bool {
+        self.queue.front().is_some_and(|p| seq_before(p.seq, cum))
+    }
+
     /// Process a cumulative ACK: retire everything before `cum`. Forward
     /// progress resets the backoff and the retry budget, and packets that
     /// were never retransmitted contribute an RTT sample (Karn's
@@ -1067,6 +1075,23 @@ mod tests {
             data: Bytes::new(),
         });
         assert_ne!(empty.corrupted(1).checksum(), empty.checksum());
+    }
+
+    #[test]
+    fn retires_is_true_exactly_when_on_ack_would_retire() {
+        let mut tx = LinkTx::new_at(&cfg(), u32::MAX);
+        assert!(!tx.retires(5), "nothing in flight");
+        tx.prepare(body(1), None, 0);
+        assert!(!tx.retires(u32::MAX), "the ACK is for the front itself");
+        assert!(tx.retires(0), "across the wrap");
+        tx.on_ack(u32::MAX, 10);
+        assert_eq!(
+            tx.in_flight(),
+            1,
+            "an ACK that retires nothing does nothing"
+        );
+        tx.on_ack(0, 10);
+        assert!(!tx.retires(0) && tx.in_flight() == 0);
     }
 
     #[test]
