@@ -208,6 +208,54 @@ fn matcher_engine_depth(kind: MatcherKind, depth: usize, iters: u64) -> Duration
     total
 }
 
+/// Raw engine: `sources` peers each leave one early message (the source
+/// is in the match bits, so one bucket each), then a timed `ANY_SOURCE`
+/// drain takes them all, oldest first. An arrival-ordered lookup keeps
+/// each take O(1); scanning every bucket would make the drain quadratic.
+fn matcher_engine_any_source_drain(kind: MatcherKind, sources: u64, iters: u64) -> Duration {
+    const TAG: u64 = 7;
+    const ANY_SOURCE: u64 = !0 << 32;
+    let mut eng = MatchEngine::new(kind);
+    let mut total = Duration::ZERO;
+    let mut done = 0u64;
+    while done < iters.max(1) {
+        // Untimed: the early arrivals.
+        for src in 0..sources {
+            let msg = litempi_fabric::TaggedMessage {
+                src: NetAddr(src as u32),
+                match_bits: (src << 32) | TAG,
+                data: Bytes::from_static(b"x"),
+            };
+            assert!(!eng.deliver(msg));
+        }
+        // Timed: one wildcard dequeue per message.
+        let t0 = Instant::now();
+        for _ in 0..sources {
+            criterion::black_box(eng.dequeue(TAG, ANY_SOURCE));
+        }
+        total += t0.elapsed();
+        done += sources;
+    }
+    // Per message, like the other groups' per-op times.
+    total * iters.max(1) as u32 / done as u32
+}
+
+fn bench_any_source_drain(c: &mut Criterion) {
+    let mut g = c.benchmark_group("matcher_any_source_drain");
+    g.sample_size(10).measurement_time(Duration::from_secs(1));
+    for sources in [8u64, 64, 512] {
+        for (label, kind) in [
+            ("bucketed", MatcherKind::Bucketed),
+            ("linear", MatcherKind::Linear),
+        ] {
+            g.bench_function(BenchmarkId::new(label, sources), |b| {
+                b.iter_custom(|iters| matcher_engine_any_source_drain(kind, sources, iters));
+            });
+        }
+    }
+    g.finish();
+}
+
 fn bench_matcher_ablation(c: &mut Criterion) {
     let mut g = c.benchmark_group("matcher_ablation_posted_depth");
     g.sample_size(10).measurement_time(Duration::from_secs(1));
@@ -242,6 +290,7 @@ criterion_group!(
     bench_unexpected_queue,
     bench_wildcard_vs_exact,
     bench_matcher_ablation,
+    bench_any_source_drain,
     bench_tsend_posted_depth
 );
 criterion_main!(benches);

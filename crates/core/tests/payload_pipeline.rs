@@ -5,7 +5,8 @@
 //! 1. **Steady state**: once the pool is warm, small eager traffic makes
 //!    zero per-message heap allocations (the pooled fast path is
 //!    allocation-free and copies user data exactly once), and neither do
-//!    its receives, posted early or late, by a counting global allocator.
+//!    its receives, posted early or late, from one peer or from many, by a
+//!    counting global allocator.
 //! 2. **Recycling**: delivered payload buffers flow back into the pool,
 //!    which tests observe as a high hit rate through `Process::pool_stats`.
 //! 3. **Collectives too**: the collective channel — blocking and
@@ -18,7 +19,7 @@
 //!    or a pooled staging buffer — allocates its completion flag and
 //!    nothing else, and its receive nothing, by the same allocator.
 
-use litempi_core::{BuildConfig, Op, Universe};
+use litempi_core::{BuildConfig, Op, Universe, ANY_SOURCE};
 use litempi_datatype::{Datatype, MpiPrimitive};
 use litempi_fabric::{FaultPlan, FaultSpec, ProviderProfile, Topology};
 
@@ -77,7 +78,11 @@ fn warm_eager_windows_make_no_heap_allocation() {
     // says so: posted arrivals), or after its last message has arrived (a
     // probe says so: unexpected arrivals). A window fills the payload
     // pool's 64 buffers of its size class, so the token never travels
-    // beside one.
+    // beside one. Under `am_only` a window first waits in rank 1's
+    // active-message queue, which grows (allocates) whenever it reaches a
+    // new depth, and how deep it gets depends on when rank 1 polls: in the
+    // warm-up rank 1 holds back until the whole window is queued, so the
+    // queue has held its deepest window before the counting starts.
     const W: usize = 64;
     const WARM_UP: usize = 4;
     const ROUNDS: usize = 16;
@@ -98,6 +103,12 @@ fn warm_eager_windows_make_no_heap_allocation() {
                 let peer = 1 - me as i32;
                 let mut inbox = [0u64; W];
                 let mut token = [0u64];
+                // Rank 0 takes each token once it has arrived, so its own
+                // engine sees the same path every round.
+                let token_in = |token: &mut [u64; 1]| {
+                    world.probe(peer, TOKEN).unwrap();
+                    world.recv_into(token, peer, TOKEN).unwrap();
+                };
                 // This rank's heap allocations over the warm windows, with
                 // posted and with unexpected arrivals.
                 let mut allocs = [0u64; 2];
@@ -107,15 +118,21 @@ fn warm_eager_windows_make_no_heap_allocation() {
                         let before = counting_alloc::allocs();
                         if me == 0 {
                             if posted {
-                                world.recv_into(&mut token, peer, TOKEN).unwrap();
+                                token_in(&mut token);
                             }
                             for (i, w) in words.iter().enumerate() {
                                 let req = world.isend(std::slice::from_ref(w), peer, tag(i));
                                 req.unwrap().wait().unwrap();
                             }
-                            world.recv_into(&mut token, peer, TOKEN).unwrap();
+                            token_in(&mut token);
                         } else {
+                            let hold_back = || {
+                                if round < WARM_UP {
+                                    std::thread::sleep(std::time::Duration::from_millis(10));
+                                }
+                            };
                             if !posted {
+                                hold_back();
                                 world.probe(peer, LAST).unwrap();
                             }
                             let mut slots = inbox.chunks_mut(1).enumerate();
@@ -125,6 +142,7 @@ fn warm_eager_windows_make_no_heap_allocation() {
                             });
                             if posted {
                                 world.send(&token, peer, TOKEN).unwrap();
+                                hold_back();
                             }
                             for req in reqs {
                                 req.wait().unwrap();
@@ -147,6 +165,109 @@ fn warm_eager_windows_make_no_heap_allocation() {
              posted and with unexpected arrivals"
         );
     }
+}
+
+#[test]
+fn warm_windows_from_many_peers_make_no_heap_allocation() {
+    // Sixteen peers each send a window of 4 × 8 B to rank 0 and wait for
+    // its answer. Rank 0 takes a window by source, posted before its
+    // messages leave (a token says so: posted arrivals), or once every
+    // peer's last message has arrived (probes say so: unexpected
+    // arrivals), by source or by `ANY_SOURCE`. The source is in the match
+    // bits, so rank 0's engine keeps a bucket per peer and tag, 32 live at
+    // once. On the netmod's engine (`ofi`) only: under `am_only` every
+    // message first waits in rank 0's active-message queue, whose depth
+    // depends on when rank 0 polls, so its high-water mark (one growth of
+    // that queue) can fall after any warm-up.
+    const PEERS: usize = 16;
+    const W: usize = 4;
+    const N: usize = PEERS * W;
+    const WARM_UP: usize = 4;
+    const ROUNDS: usize = 16;
+    const DATA: i32 = 1;
+    const LAST: i32 = 2;
+    const TOKEN: i32 = 3;
+    let tag = |i: usize| if i + 1 == W { LAST } else { DATA };
+    // Message `k` of a window: from peer `1 + k / W`, its `k % W`th.
+    let from = |k: usize| (1 + k / W, k % W);
+    let allocs = Universe::run(
+        PEERS + 1,
+        BuildConfig::ch4_default(),
+        ProviderProfile::ofi(),
+        Topology::one_per_node(PEERS + 1),
+        |proc| {
+            let world = proc.world();
+            let me = proc.rank();
+            let mut token = [0u64];
+            // A peer takes each token once it has arrived, so its own
+            // engine sees the same path every round.
+            let token_in = |token: &mut [u64; 1]| {
+                world.probe(0, TOKEN).unwrap();
+                world.recv_into(token, 0, TOKEN).unwrap();
+            };
+            // This rank's heap allocations over the warm windows, with
+            // posted arrivals, unexpected ones taken by source, and
+            // unexpected ones taken by `ANY_SOURCE`.
+            let mut allocs = [0u64; 3];
+            for round in 0..WARM_UP + ROUNDS {
+                let word = |(src, i): (usize, usize)| ((round * (PEERS + 1) + src) * W + i) as u64;
+                let words: [u64; N] = std::array::from_fn(|k| word(from(k)));
+                for (kind, posted, any) in [(0, true, false), (1, false, false), (2, false, true)] {
+                    let before = counting_alloc::allocs();
+                    if me != 0 {
+                        if posted {
+                            token_in(&mut token);
+                        }
+                        for i in 0..W {
+                            let v = word((me, i));
+                            let req = world.isend(std::slice::from_ref(&v), 0, tag(i));
+                            req.unwrap().wait().unwrap();
+                        }
+                        token_in(&mut token);
+                    } else {
+                        let mut inbox = [0u64; N];
+                        if !posted {
+                            for p in 1..=PEERS as i32 {
+                                world.probe(p, LAST).unwrap();
+                            }
+                        }
+                        let mut slots = inbox.chunks_mut(1).enumerate();
+                        let reqs: [_; N] = std::array::from_fn(|_| {
+                            let (k, slot) = slots.next().expect("one slot per receive");
+                            let (p, i) = from(k);
+                            let src = if any { ANY_SOURCE } else { p as i32 };
+                            world.irecv(slot, src, tag(i)).unwrap()
+                        });
+                        if posted {
+                            for p in 1..=PEERS as i32 {
+                                world.send(&token, p, TOKEN).unwrap();
+                            }
+                        }
+                        for req in reqs {
+                            req.wait().unwrap();
+                        }
+                        // `ANY_SOURCE` takes the messages in arrival order;
+                        // the multiset is the same.
+                        inbox.sort_unstable();
+                        assert_eq!(inbox, words, "round {round}");
+                        for p in 1..=PEERS as i32 {
+                            world.send(&token, p, TOKEN).unwrap();
+                        }
+                    }
+                    if round >= WARM_UP {
+                        allocs[kind] += counting_alloc::allocs() - before;
+                    }
+                }
+            }
+            allocs
+        },
+    );
+    assert_eq!(
+        allocs,
+        vec![[0; 3]; PEERS + 1],
+        "heap allocations of each rank over {ROUNDS} warm windows, with posted arrivals, \
+         unexpected by source and unexpected by ANY_SOURCE"
+    );
 }
 
 #[test]
@@ -344,8 +465,13 @@ fn warm_large_sends_stage_without_the_heap() {
                         // The receive is posted before the message leaves
                         // (the receiver says so), so the matching engine
                         // queues the receive, on the receiver's thread, and
-                        // never the message, on the sender's.
+                        // never the message, on the sender's. The sender
+                        // takes that word once it has arrived: it may come
+                        // while the sender still waits on its previous
+                        // send, and its path through the sender's engine
+                        // is then the same every round.
                         let allocs = if sender == me {
+                            world.probe(peer, READY).unwrap();
                             world.recv_into(&mut [0u8], peer, READY).unwrap();
                             let (allocs, status) = count(|| match kind {
                                 0 => world.isend(&out, peer, 1)?.wait(),

@@ -121,7 +121,8 @@ pub(crate) struct VciState {
     pub(crate) relia: Mutex<ReliaState>,
     /// Earliest-due word: a lower bound (fabric µs) on when `relia` next
     /// needs a tick, `0` for work due at once, `u64::MAX` for none. A tick
-    /// before it takes no lock ([`tick_relia`]). Written only under the
+    /// before it takes no lock ([`tick_relia`]), and a waiter sizes its
+    /// sleep by it ([`VciState::relia_due_at`]). Written only under the
     /// `relia` lock: a tick stores [`ReliaState::next_deadline`] at the end
     /// of its locked section, and every site that makes work due lowers
     /// it ([`VciState::lower_due`]) before releasing the lock. It
@@ -140,6 +141,23 @@ impl VciState {
         if due < self.relia_due.load(Ordering::Relaxed) {
             self.relia_due.store(due, Ordering::Relaxed);
         }
+    }
+
+    /// When `relia` next needs a tick, at `now` (fabric µs; `None`: no
+    /// work pending), for a waiter's sleep budget. This is the earliest-due
+    /// word: exact after a tick that took the lock, otherwise early, so a
+    /// sleep it sizes may end early but never late. Only a word that says
+    /// "due" is re-derived under the lock: a lowering may have been for
+    /// work that is gone since (an owed ACK that a send piggybacked), and
+    /// a sleeper that believed it would not sleep at all.
+    pub(crate) fn relia_due_at(&self, now: u64) -> Option<u64> {
+        let mut due = self.relia_due.load(Ordering::Relaxed);
+        if due <= now {
+            let st = self.relia.lock();
+            due = st.next_deadline(now).unwrap_or(u64::MAX);
+            self.relia_due.store(due, Ordering::Relaxed);
+        }
+        (due != u64::MAX).then_some(due)
     }
 }
 
@@ -927,6 +945,20 @@ fn tick_relia(fabric: &Fabric, addr: NetAddr, vci: usize, now: u64) {
     let my = fabric.shared(addr);
     let v = &my.vcis[vci];
     if now < v.relia_due.load(Ordering::Relaxed) {
+        // Every site that makes work due must have lowered the word under
+        // the lock (see `relia_due`); one that did not loses the work until
+        // the word's time comes.
+        #[cfg(debug_assertions)]
+        {
+            let st = v.relia.lock();
+            let due = v.relia_due.load(Ordering::Relaxed);
+            if let Some(exact) = st.next_deadline(now) {
+                assert!(
+                    exact >= due,
+                    "relia work due at {exact} µs, before the earliest-due word ({due} µs)"
+                );
+            }
+        }
         return;
     }
     let mut stash_flush: Vec<(NetAddr, WirePacket)> = Vec::new();

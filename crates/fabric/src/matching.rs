@@ -32,12 +32,23 @@
 //!
 //! ## Warm matching allocates nothing
 //!
-//! A bucket that empties is parked on a short spare list with its
-//! capacity, and the next new bucket takes it from there, so a warm engine
-//! whose queues rise and drain (a window of receives, a burst of early
-//! arrivals) makes no heap allocation. Unexpected messages live in their
-//! buckets too (tagged with their arrival sequence): a wildcard probe
-//! compares bucket fronts, the oldest of which is the oldest match.
+//! A bucket that empties is parked on a spare list with its capacity, and
+//! the next new bucket takes it from there. A new bucket is made only when
+//! the list is empty, so the list never holds more buckets than the engine
+//! once had live at the same time: it is bounded by the engine's own
+//! high-water mark, not by a constant. A warm engine whose queues rise and
+//! drain to the same shape again (a window of receives from any number of
+//! peers, a burst of early arrivals) makes no heap allocation, as long as
+//! no bucket grows past 256 entries (`SPARE_CAPACITY`): a bucket that did is
+//! freed when it empties rather than pinned.
+//!
+//! Unexpected messages live in their buckets, tagged with their arrival
+//! sequence. A wildcard probe walks a log of `(seq, bits)` in arrival order
+//! and stops at the first entry that matches and is still queued, so the
+//! usual `ANY_SOURCE` drain, which takes the oldest message, costs O(1).
+//! Entries of messages taken by an exact probe are dropped lazily; the log
+//! is compacted (in place, capacity kept) whenever it grows past twice the
+//! queue, so it costs amortised O(1) per message.
 //!
 //! ## Counter discipline
 //!
@@ -247,14 +258,16 @@ fn fill(recv: PostedRecv, msg: TaggedMessage, c: &mut MatchCounters) {
 
 // ---------------------------------------------------------------- bucketed
 
-/// Emptied buckets of each kind kept for reuse ([`Spares`]).
-const SPARE_BUCKETS: usize = 8;
-
 /// The largest capacity a spare bucket keeps: a one-off burst's queue is
-/// freed, not pinned.
+/// freed, not pinned. No benchmark workload comes near it: the deepest
+/// bucket any of them builds holds 64 entries (EXPERIMENTS.md,
+/// "Reliability timers at cycle-counter cost", review round).
 const SPARE_CAPACITY: usize = 256;
 
-/// Emptied buckets, capacity kept, for the next bucket to reuse.
+/// Emptied buckets, capacity kept, for the next bucket to reuse. Every
+/// spare was a live bucket and a bucket is made only when there is no
+/// spare, so spares plus live buckets never exceed the most buckets that
+/// were ever live at once.
 #[derive(Debug)]
 struct Spares<T>(Vec<VecDeque<T>>);
 
@@ -270,10 +283,10 @@ impl<T> Spares<T> {
         self.0.pop().unwrap_or_default()
     }
 
-    /// Park an emptied bucket, unless the list is full or it is too big.
+    /// Park an emptied bucket, unless a burst made it too big.
     fn put(&mut self, bucket: VecDeque<T>) {
         debug_assert!(bucket.is_empty());
-        if self.0.len() < SPARE_BUCKETS && bucket.capacity() <= SPARE_CAPACITY {
+        if bucket.capacity() <= SPARE_CAPACITY {
             self.0.push(bucket);
         }
     }
@@ -301,6 +314,11 @@ pub struct BucketedMatcher {
     /// Unexpected messages across `unexpected`'s buckets (a running count,
     /// like `posted_count`).
     unexpected_count: usize,
+    /// `(seq, bits)` of every unexpected arrival, oldest first, for
+    /// wildcard probes. Entries whose message was taken are dropped lazily
+    /// ([`queued`] tells them apart); after every take at most half of
+    /// the log is such dead entries.
+    arrivals: VecDeque<(u64, u64)>,
     /// Emptied buckets of `exact` and of `unexpected`.
     spare_posted: Spares<PostedEntry>,
     spare_unexpected: Spares<(u64, TaggedMessage)>,
@@ -348,6 +366,7 @@ impl BucketedMatcher {
                     let seq = self.arrival_seq;
                     self.arrival_seq += 1;
                     let spares = &mut self.spare_unexpected;
+                    self.arrivals.push_back((seq, msg.match_bits));
                     (self.unexpected.entry(msg.match_bits))
                         .or_insert_with(|| spares.take())
                         .push_back((seq, msg));
@@ -407,12 +426,13 @@ impl BucketedMatcher {
             // Exact probe: the bucket front is the oldest with these bits.
             self.unexpected.contains_key(&bits).then_some(bits)
         } else {
-            // Wildcard probe: a bucket matches as a whole, and its front is
-            // its oldest; the oldest front among matching buckets wins.
-            (self.unexpected.iter())
-                .filter(|(&b, _)| (b | ignore) == (bits | ignore))
-                .min_by_key(|(_, q)| q.front().expect("buckets are never empty").0)
-                .map(|(&b, _)| b)
+            // Wildcard probe: the first queued match in arrival order. Its
+            // bucket's front is that very message (fronts are taken first).
+            (self.arrivals.iter())
+                .find(|&&(seq, b)| {
+                    (b | ignore) == (bits | ignore) && queued(&self.unexpected, seq, b)
+                })
+                .map(|&(_, b)| b)
         }
     }
 
@@ -423,7 +443,7 @@ impl BucketedMatcher {
         let Entry::Occupied(mut bucket) = self.unexpected.entry(bits) else {
             unreachable!("a found bucket is present");
         };
-        let (_, msg) = bucket
+        let (seq, msg) = bucket
             .get_mut()
             .pop_front()
             .expect("buckets are never empty");
@@ -431,6 +451,15 @@ impl BucketedMatcher {
             self.spare_unexpected.put(bucket.remove());
         }
         self.unexpected_count -= 1;
+        // The oldest message goes first in an arrival-order drain; any other
+        // leaves a dead entry behind, swept once they outnumber the queue.
+        if self.arrivals.front().is_some_and(|&(s, _)| s == seq) {
+            self.arrivals.pop_front();
+        }
+        if self.arrivals.len() > 2 * self.unexpected_count {
+            let unexpected = &self.unexpected;
+            self.arrivals.retain(|&(s, b)| queued(unexpected, s, b));
+        }
         msg
     }
 
@@ -464,6 +493,13 @@ impl BucketedMatcher {
             None => false,
         }
     }
+}
+
+/// Whether the unexpected message that arrived as `seq` with match bits
+/// `bits` is still queued: buckets are consumed from the front, so it is
+/// iff its bucket exists and the front is no newer than it.
+fn queued(unexpected: &BitsMap<VecDeque<(u64, TaggedMessage)>>, seq: u64, bits: u64) -> bool {
+    (unexpected.get(&bits)).is_some_and(|q| q.front().is_some_and(|&(s, _)| s <= seq))
 }
 
 // ------------------------------------------------------------------ linear
@@ -682,8 +718,67 @@ mod tests {
         }
         assert!(m.unexpected.is_empty());
         assert_eq!(m.unexpected_count, 0);
-        assert_eq!(m.spare_posted.0.len(), SPARE_BUCKETS, "spares are bounded");
-        assert_eq!(m.spare_unexpected.0.len(), SPARE_BUCKETS);
+        assert!(m.arrivals.is_empty());
+        // Every bucket that was live is parked, and no more.
+        assert_eq!(m.spare_posted.0.len(), 64);
+        assert_eq!(m.spare_unexpected.0.len(), 64);
+    }
+
+    #[test]
+    fn a_warm_window_from_many_peers_makes_no_new_bucket() {
+        // One bucket per peer, as when the source rank is in the match bits:
+        // the second round must take every bucket from the spares.
+        let mut c = MatchCounters::default();
+        let mut m = BucketedMatcher::default();
+        let peers = 4 * 64u64;
+        let bits = |p: u64, tag: u64| (p << 32) | tag;
+        for _round in 0..2 {
+            for p in 0..peers {
+                assert!(m.post(recv(bits(p, 7), 0), &mut c).is_none());
+                assert!(!m.deliver(msg(bits(p, 8), b""), &mut c));
+            }
+            assert_eq!(m.spare_posted.0.len(), 0);
+            assert_eq!(m.spare_unexpected.0.len(), 0);
+            for p in 0..peers {
+                assert!(m.deliver(msg(bits(p, 7), b""), &mut c));
+                let any_source = m.dequeue(8, !0 << 32).map(|m| m.match_bits);
+                assert_eq!(any_source, Some(bits(p, 8)), "oldest first");
+            }
+            assert_eq!(m.spare_posted.0.len(), peers as usize);
+            assert_eq!(m.spare_unexpected.0.len(), peers as usize);
+        }
+        // A burst past the capacity bound is freed, not parked.
+        for _ in 0..=SPARE_CAPACITY {
+            m.deliver(msg(3, b""), &mut c);
+        }
+        for _ in 0..=SPARE_CAPACITY {
+            assert!(m.dequeue(3, 0).is_some());
+        }
+        assert_eq!(m.spare_unexpected.0.len(), peers as usize - 1);
+    }
+
+    #[test]
+    fn wildcard_probes_skip_messages_taken_by_exact_probes() {
+        let mut c = MatchCounters::default();
+        let mut m = BucketedMatcher::default();
+        for i in 0..100u64 {
+            assert!(!m.deliver(msg(i, b""), &mut c));
+        }
+        // Take the even messages but the first by their exact bits, newest
+        // first: each leaves a dead log entry that is not at the front.
+        for i in (1..50u64).rev().map(|k| 2 * k) {
+            assert!(m.dequeue(i, 0).is_some());
+        }
+        assert!(m.arrivals.len() <= 2 * m.unexpected_count, "swept");
+        // A wildcard probe still sees the rest in arrival order, and a
+        // message that arrives later with bits 2 is newer than all of them.
+        assert!(!m.deliver(msg(2, b""), &mut c));
+        for i in std::iter::once(0).chain((1..100u64).step_by(2)) {
+            assert_eq!(m.peek(0, !0).map(|m| m.match_bits), Some(i));
+            assert_eq!(m.dequeue(0, !0).map(|m| m.match_bits), Some(i));
+        }
+        assert_eq!(m.dequeue(0, !0).map(|m| m.match_bits), Some(2));
+        assert!(m.arrivals.is_empty() && m.unexpected.is_empty());
     }
 
     #[test]

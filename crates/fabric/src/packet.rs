@@ -145,29 +145,65 @@ impl RecvSlot {
     pub fn is_filled(&self) -> bool {
         self.state.load(Ordering::Acquire) == FULL
     }
+
+    /// Empty the slot for another receive, if nothing can write it any
+    /// more: the caller holds its only handle (`sole`), or it has been
+    /// filled, which a receive is only after it has left the engine's
+    /// queues (the engine's handle may still be on its way to being
+    /// dropped). A message never taken is dropped here. `false`: the
+    /// engine may still fill it.
+    fn recycle(&self, sole: bool) -> bool {
+        let state = self.state.load(Ordering::Acquire);
+        if !(sole || state == FULL || state == TAKEN) {
+            return false;
+        }
+        drop(self.take());
+        self.state.store(EMPTY, Ordering::Release);
+        true
+    }
 }
 
 /// Released slots a thread keeps for its next posted receives
-/// ([`SlotLease`]), at most this many.
-const FREE_SLOTS: usize = 1024;
+/// ([`SlotLease`]).
+///
+/// The list holds at most as many slots as this thread once had leased at
+/// the same time (`peak`), so it needs no size limit of its own: a thread
+/// whose window of receives rises and drains to the same depth again
+/// allocates no slot, and slots released by a thread that did not lease
+/// them (a request handed to another thread) are freed beyond that.
+struct FreeSlots {
+    slots: Vec<Arc<RecvSlot>>,
+    /// Leases taken on this thread and not yet released on it.
+    leased: usize,
+    /// The most `leased` has been.
+    peak: usize,
+}
 
 thread_local! {
-    static FREE: RefCell<Vec<Arc<RecvSlot>>> = const { RefCell::new(Vec::new()) };
+    static FREE: RefCell<FreeSlots> = const {
+        RefCell::new(FreeSlots { slots: Vec::new(), leased: 0, peak: 0 })
+    };
 }
 
 /// The completion slot of one posted receive, held by whoever posted it;
 /// the matching engine holds a [`share`](SlotLease::share) until the
 /// receive matches or is cancelled. A warm receive allocates no slot: a
 /// new lease takes one that an earlier lease on this thread released, and
-/// a dropped lease releases its slot once the engine has let go of it
-/// too (otherwise the slot is freed when the engine drops it).
+/// a dropped lease releases its slot once the engine can no longer write
+/// it — it has filled it or let go of it (otherwise the slot is freed when
+/// the engine drops it).
 #[derive(Debug)]
 pub struct SlotLease(ManuallyDrop<Arc<RecvSlot>>);
 
 impl SlotLease {
     /// An empty slot: a released one, or a new one.
     pub fn new() -> SlotLease {
-        let reused = FREE.with(|free| free.borrow_mut().pop());
+        let reused = FREE.with(|free| {
+            let mut free = free.borrow_mut();
+            free.leased += 1;
+            free.peak = free.peak.max(free.leased);
+            free.slots.pop()
+        });
         SlotLease(ManuallyDrop::new(reused.unwrap_or_default()))
     }
 
@@ -194,21 +230,20 @@ impl Deref for SlotLease {
 impl Drop for SlotLease {
     fn drop(&mut self) {
         // SAFETY: this is the lease's drop; `self.0` is not used again.
-        let mut slot = unsafe { ManuallyDrop::take(&mut self.0) };
-        let Some(cell) = Arc::get_mut(&mut slot) else {
-            // The engine still holds it (a receive dropped while posted).
-            return;
-        };
-        // Sole owner: reset it to a fresh slot (a message never taken is
-        // dropped here, outside the free list's borrow).
-        *cell.state.get_mut() = EMPTY;
-        cell.message.get_mut().take();
+        let slot = unsafe { ManuallyDrop::take(&mut self.0) };
+        // Reset outside the free list's borrow. A receiver that sees its
+        // slot filled may drop the lease before the filling thread drops
+        // the engine's handle, so a filled slot is reused even while that
+        // handle lives; an unfilled one only when this is the last handle
+        // (a receive dropped while posted stays with the engine).
+        let reusable = slot.recycle(Arc::strong_count(&slot) == 1);
         // Ignore a thread that is tearing down its locals: the slot is
         // freed as usual.
         let _ = FREE.try_with(|free| {
             let mut free = free.borrow_mut();
-            if free.len() < FREE_SLOTS {
-                free.push(slot);
+            free.leased = free.leased.saturating_sub(1);
+            if reusable && free.slots.len() < free.peak {
+                free.slots.push(slot);
             }
         });
     }
@@ -292,29 +327,54 @@ mod tests {
     }
 
     #[test]
-    fn a_released_slot_is_reused_empty_once_the_engine_lets_go() {
+    fn a_released_slot_is_reused_empty_once_the_engine_cannot_write_it() {
+        // Still posted: the engine may fill it, so the next lease cannot
+        // have it.
         let lease = SlotLease::new();
         let engine = lease.share();
-        engine.fill(msg(1));
         let first = Arc::as_ptr(&lease);
         drop(lease);
-        // The engine's handle still lives: the next lease cannot have it.
         let other = SlotLease::new();
         assert_ne!(Arc::as_ptr(&other), first);
         drop(engine);
         drop(other);
-        // A filled, never-taken slot comes back empty.
+        // Filled, the engine's handle not yet dropped, the message never
+        // taken: reused, empty.
         let lease = SlotLease::new();
         let engine = lease.share();
         engine.fill(msg(2));
-        drop(engine);
         let first = Arc::as_ptr(&lease);
         drop(lease);
         let again = SlotLease::new();
         assert_eq!(Arc::as_ptr(&again), first, "reused");
+        drop(engine);
         assert!(!again.is_filled() && again.take().is_none());
         again.share().fill(msg(3));
         assert_eq!(again.take().map(|m| m.match_bits), Some(3));
+    }
+
+    #[test]
+    fn a_thread_keeps_no_more_slots_than_it_once_leased_at_once() {
+        let kept = || FREE.with(|free| free.borrow().slots.len());
+        std::thread::spawn(move || {
+            let window: Vec<_> = (0..64).map(|_| SlotLease::new()).collect();
+            let first: Vec<_> = window.iter().map(|l| Arc::as_ptr(l)).collect();
+            drop(window);
+            assert_eq!(kept(), 64);
+            // The same window again takes every slot from the list.
+            let window: Vec<_> = (0..64).map(|_| SlotLease::new()).collect();
+            assert!(window.iter().all(|l| first.contains(&Arc::as_ptr(l))));
+            assert_eq!(kept(), 0);
+            // Slots leased elsewhere and released here are freed: this
+            // thread never had more than 64 at once.
+            let elsewhere = std::thread::spawn(|| (0..64).map(|_| SlotLease::new()).collect());
+            let elsewhere: Vec<SlotLease> = elsewhere.join().expect("leases");
+            drop(window);
+            drop(elsewhere);
+            assert_eq!(kept(), 64);
+        })
+        .join()
+        .expect("no assertion failed");
     }
 
     #[test]

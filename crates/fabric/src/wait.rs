@@ -112,7 +112,7 @@ impl EndpointShared {
         let health = (self.health_enabled).then(|| self.health.lock().next_deadline());
         let relia = (self.vcis.iter())
             .filter(|_| self.routed)
-            .map(|v| v.relia.lock().next_deadline(now));
+            .map(|v| v.relia_due_at(now));
         relia.chain(health).flatten().min()
     }
 
