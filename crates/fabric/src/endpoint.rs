@@ -16,11 +16,17 @@
 //!
 //! * **tag** (per VCI) — the tag-matching engine (posted receives +
 //!   unexpected messages). The pt2pt critical path takes only this lock.
-//! * **am** (endpoint-wide) — the active-message queue. The progress
-//!   engine's `am_poll` spins here without slowing tagged traffic. AMs
-//!   carry RMA and PSCW control traffic whose per-pair FIFO the layers
-//!   above rely on, so the queue is deliberately *not* sharded; all AM
-//!   packets travel on VCI 0.
+//! * **am** (endpoint-wide) — the active-message queue. AMs carry RMA
+//!   and PSCW control traffic whose per-pair FIFO the layers above rely
+//!   on, so the queue is deliberately *not* sharded; all AM packets travel
+//!   on VCI 0. Beside the lock sits a pending count, stored under it on
+//!   every push and pop: the progress engine's `am_poll`, which runs on
+//!   every progress pass, reads the count (Acquire) and takes the lock only
+//!   when it is not 0. On `ofi` no point-to-point workload sends an AM, so
+//!   its progress passes never lock the queue. A poll that reads 0 just
+//!   before a push misses nothing: `deliver_am` stores the count before it
+//!   raises the VCI 0 event, so a waiter that read the epoch before polling
+//!   either sees the count or sleeps on an epoch that the push then moves.
 //! * **jitter** (per VCI) — the deferred-delivery state of the jitter
 //!   stress mode. Untouched when jitter is off (the common case): every
 //!   entry point checks a cached `jitter_enabled` flag first, so
@@ -93,7 +99,7 @@ use litempi_instr::{charge, cost as icost, Category};
 use litempi_trace::EventKind;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -175,6 +181,10 @@ pub(crate) struct EndpointShared {
     /// Pending active messages, in arrival order. Endpoint-wide: AMs carry
     /// RMA/PSCW control traffic whose FIFO must not be sharded.
     am: Mutex<VecDeque<AmMessage>>,
+    /// `am.len()`, stored under the `am` lock (Release) by every push and
+    /// pop, so that [`Endpoint::am_poll`] finds an empty queue with one
+    /// Acquire load and no lock.
+    am_pending: AtomicUsize,
     /// Cached `profile.jitter_seed.is_some()` — the hoisted check that
     /// keeps jitter bookkeeping entirely off the non-jitter fast path.
     jitter_enabled: bool,
@@ -285,6 +295,7 @@ impl EndpointShared {
             n_vcis,
             multi_vci: n_vcis > 1,
             am: Mutex::new(VecDeque::new()),
+            am_pending: AtomicUsize::new(0),
             jitter_enabled: profile.jitter_seed.is_some(),
             relia_enabled,
             lossy_enabled,
@@ -477,8 +488,23 @@ impl EndpointShared {
     /// not sharded; their completion event lands on VCI 0 (the shard all
     /// AM packets travel on).
     fn deliver_am(&self, msg: AmMessage) {
-        self.am.lock().push_back(msg);
+        let mut am = self.am.lock();
+        am.push_back(msg);
+        // Before the event: a poll after it must find the count raised.
+        self.am_pending.store(am.len(), Ordering::Release);
+        drop(am);
         self.bump_event(0);
+    }
+
+    /// The oldest pending active message; no lock while none is pending.
+    fn pop_am(&self) -> Option<AmMessage> {
+        if self.am_pending.load(Ordering::Acquire) == 0 {
+            return None;
+        }
+        let mut am = self.am.lock();
+        let msg = am.pop_front();
+        self.am_pending.store(am.len(), Ordering::Release);
+        msg
     }
 }
 
@@ -1416,7 +1442,7 @@ impl Endpoint {
 
     /// Nonblocking poll for a pending active message.
     pub fn am_poll(&self) -> Option<AmMessage> {
-        self.shared(self.addr).am.lock().pop_front()
+        self.shared(self.addr).pop_am()
     }
 
     /// Block until an active message arrives (its completion event lands
@@ -1723,6 +1749,60 @@ mod tests {
         assert_eq!(m.handler, 4);
         assert_eq!(m.header[0], 0xEE);
         assert_eq!(&m.data[..], b"am");
+    }
+
+    #[test]
+    fn am_queue_concurrent_senders_arrive_once_in_order() {
+        // Four senders push 10 000 AMs at one endpoint while its owner
+        // drains: every message arrives exactly once and in its sender's
+        // order, whether the owner found it by `am_poll` (which skips the
+        // lock on an empty queue) or slept for it in `am_wait`.
+        const SENDERS: usize = 4;
+        const PER_SENDER: u32 = 2_500;
+        let f = fabric(SENDERS + 1);
+        let owner = f.endpoint(NetAddr(SENDERS as u32));
+        let start = std::sync::Barrier::new(SENDERS + 1);
+        std::thread::scope(|s| {
+            for sender in 0..SENDERS {
+                let (f, start) = (&f, &start);
+                s.spawn(move || {
+                    let ep = f.endpoint(NetAddr(sender as u32));
+                    start.wait();
+                    for seq in 0..PER_SENDER {
+                        let mut hdr = [0u8; 32];
+                        hdr[..4].copy_from_slice(&seq.to_le_bytes());
+                        ep.am_send(NetAddr(SENDERS as u32), sender as u16, hdr, Bytes::new());
+                        if seq % 64 == 0 {
+                            std::thread::yield_now();
+                        }
+                    }
+                });
+            }
+            start.wait();
+            let mut next = [0u32; SENDERS];
+            for i in 0..SENDERS as u32 * PER_SENDER {
+                let m = if i % 2 == 0 {
+                    owner.am_wait()
+                } else {
+                    loop {
+                        if let Some(m) = owner.am_poll() {
+                            break m;
+                        }
+                        std::hint::spin_loop();
+                    }
+                };
+                let sender = usize::from(m.handler);
+                assert_eq!(m.src, NetAddr(sender as u32));
+                let seq = u32::from_le_bytes(m.header[..4].try_into().expect("4 bytes"));
+                assert_eq!(seq, next[sender], "sender {sender} out of order");
+                next[sender] += 1;
+            }
+            assert_eq!(next, [PER_SENDER; SENDERS]);
+        });
+        assert!(owner.am_poll().is_none(), "no message twice");
+        let shared = owner.shared(owner.addr);
+        assert_eq!(shared.am_pending.load(Ordering::SeqCst), 0);
+        assert!(shared.am.lock().is_empty());
     }
 
     #[test]

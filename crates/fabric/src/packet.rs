@@ -1,6 +1,7 @@
 //! Wire-level message types carried by the simulated fabric.
 
 use crate::addr::NetAddr;
+use crate::pool::PeakList;
 use bytes::Bytes;
 use std::cell::{RefCell, UnsafeCell};
 use std::mem::ManuallyDrop;
@@ -163,26 +164,13 @@ impl RecvSlot {
     }
 }
 
-/// Released slots a thread keeps for its next posted receives
-/// ([`SlotLease`]).
-///
-/// The list holds at most as many slots as this thread once had leased at
-/// the same time (`peak`), so it needs no size limit of its own: a thread
-/// whose window of receives rises and drains to the same depth again
-/// allocates no slot, and slots released by a thread that did not lease
-/// them (a request handed to another thread) are freed beyond that.
-struct FreeSlots {
-    slots: Vec<Arc<RecvSlot>>,
-    /// Leases taken on this thread and not yet released on it.
-    leased: usize,
-    /// The most `leased` has been.
-    peak: usize,
-}
-
 thread_local! {
-    static FREE: RefCell<FreeSlots> = const {
-        RefCell::new(FreeSlots { slots: Vec::new(), leased: 0, peak: 0 })
-    };
+    /// Released slots this thread keeps for its next posted receives
+    /// ([`SlotLease`]), by the peak rule of [`PeakList`]: a thread whose
+    /// window of receives rises and drains to the same depth again
+    /// allocates no slot, and slots released by a thread that did not lease
+    /// them (a request handed to another thread) are freed beyond that.
+    static FREE: RefCell<PeakList<Arc<RecvSlot>>> = const { RefCell::new(PeakList::new()) };
 }
 
 /// The completion slot of one posted receive, held by whoever posted it;
@@ -198,12 +186,7 @@ pub struct SlotLease(ManuallyDrop<Arc<RecvSlot>>);
 impl SlotLease {
     /// An empty slot: a released one, or a new one.
     pub fn new() -> SlotLease {
-        let reused = FREE.with(|free| {
-            let mut free = free.borrow_mut();
-            free.leased += 1;
-            free.peak = free.peak.max(free.leased);
-            free.slots.pop()
-        });
+        let reused = FREE.with(|free| free.borrow_mut().lease());
         SlotLease(ManuallyDrop::new(reused.unwrap_or_default()))
     }
 
@@ -240,11 +223,10 @@ impl Drop for SlotLease {
         // Ignore a thread that is tearing down its locals: the slot is
         // freed as usual.
         let _ = FREE.try_with(|free| {
-            let mut free = free.borrow_mut();
-            free.leased = free.leased.saturating_sub(1);
-            if reusable && free.slots.len() < free.peak {
-                free.slots.push(slot);
-            }
+            let unkept = free
+                .borrow_mut()
+                .release(reusable.then_some(slot), usize::MAX);
+            drop(unkept);
         });
     }
 }
@@ -355,7 +337,7 @@ mod tests {
 
     #[test]
     fn a_thread_keeps_no_more_slots_than_it_once_leased_at_once() {
-        let kept = || FREE.with(|free| free.borrow().slots.len());
+        let kept = || FREE.with(|free| free.borrow().len());
         std::thread::spawn(move || {
             let window: Vec<_> = (0..64).map(|_| SlotLease::new()).collect();
             let first: Vec<_> = window.iter().map(|l| Arc::as_ptr(l)).collect();

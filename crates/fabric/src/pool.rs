@@ -18,23 +18,64 @@
 //!
 //! Storage is only ever reused when its `Arc` is uniquely owned:
 //! [`PayloadPool::release`] quietly drops storage that still has readers
-//! (an `iprobe` peek clone, an in-flight wildcard receive), and
-//! [`PayloadBuf`] writes through `Arc::get_mut`, which the type system
-//! guarantees cannot alias another in-flight message. One buffer may have
-//! several readers — a collective fan-out injects `Arc` clones of a single
-//! staged payload to every destination — and each of them releases: all
-//! but the last find the storage shared and back off, the last finds it
-//! unique and recycles it. Every channel releases what it consumes (pt2pt
-//! receive completion, the collective channel's receive lease, schedule
-//! vertices, rendezvous staging buffers included), which is what makes the
-//! steady state allocation-free; but the pool never *requires* a release —
-//! storage dropped without one is simply freed by its last `Arc`.
+//! (an `iprobe` peek clone, an in-flight wildcard receive). The check is
+//! an Acquire read of the strong count, not `Arc::get_mut`'s
+//! compare-exchange on the weak count: pool storage never has a `Weak`
+//! (nothing downgrades a payload's `Arc`; a `debug_assert` holds that),
+//! so a strong count of one means no other handle exists or can appear,
+//! and the Acquire orders every former reader's last access before the
+//! buffer is written again. [`PayloadBuf`] writes through a pointer taken
+//! from such a unique `Arc`, which therefore cannot alias another
+//! in-flight message. One buffer may have several readers — a collective
+//! fan-out injects `Arc` clones of a single staged payload to every
+//! destination — and each of them releases: all but the last find the
+//! storage shared and back off, the last finds it unique and recycles it.
+//! Every channel releases what it consumes (pt2pt receive completion, the
+//! collective channel's receive lease, schedule vertices, rendezvous
+//! staging buffers included), which is what makes the steady state
+//! allocation-free; but the pool never *requires* a release — storage
+//! dropped without one is simply freed by its last `Arc`.
+//!
+//! ## The thread cache
+//!
+//! In front of each size class's shared list (a lock and a `Vec`) every
+//! thread keeps a cache of its own, one entry per pool it uses (up to
+//! [`POOLS_PER_THREAD`], so a thread that alternates between a fabric's
+//! VCI pools hits on each). A take pops the cache first and falls back to
+//! the shared list, so storage released on another thread is still
+//! reused; a release keeps the buffer in the cache while there is room
+//! and files it on the shared list otherwise. The cache follows the rule
+//! of the receive-slot lists ([`PeakList`]): a thread keeps at most as
+//! many buffers of a class as it once had taken at the same time, capped
+//! so that its cache and the shared list together hold at most
+//! [`CLASS_DEPTH`] — the retention a pool had before it had caches. A
+//! thread with none of its own takes out is returning buffers that other
+//! threads took: its release goes to the shared list and takes the cache
+//! along, so a thread that receives what another sends never holds back
+//! buffers that the sender needs for its next window. On a thread whose
+//! ranks send and receive (every rank of a job on one worker), a message's
+//! take and release touch only that thread's cache: no lock and no
+//! lock-prefixed instruction.
+//!
+//! An entry names its pool by a `Weak` to the pool's shared state, so a
+//! later pool cannot take over a dropped pool's address while an entry
+//! still names it, and storage cached for one pool is never served to
+//! another (per-fabric [`PoolStats`] stay exact). Storage cached for a
+//! pool that is gone is freed: on the dropping thread at once, on other
+//! threads when they next install an entry or exit. An entry that is
+//! dropped while its pool lives (its thread exits, or it is evicted)
+//! hands its buffers to the shared lists.
+//!
+//! The counters are per-thread tallies too, one per entry, written only by
+//! their thread (a load and a store) and summed by
+//! [`PayloadPool::stats`]: exact whenever their writers are quiescent.
 
 use bytes::{BufMut, Bytes};
 use litempi_trace::EventKind;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Weak};
 
 /// Freelist size classes in bytes, ascending. A request takes the smallest
 /// class that fits (so every recycled buffer's capacity is predictable),
@@ -55,8 +96,14 @@ pub const CLASS_SIZES: &[usize] = &[
     256 * 1024,
 ];
 
-/// Maximum buffers retained per size class; beyond this, releases free.
+/// Maximum buffers of one class a thread sees retained — its cache and the
+/// shared list together; beyond this, releases free.
 const CLASS_DEPTH: usize = 64;
+
+/// Pools one thread caches for at once: every VCI pool of one fabric.
+const POOLS_PER_THREAD: usize = crate::vci::MAX_VCIS;
+
+const N_CLASSES: usize = CLASS_SIZES.len();
 
 /// Smallest class index whose size is ≥ `cap`, or `None` when `cap`
 /// exceeds every class (the request is served unpooled).
@@ -74,25 +121,321 @@ fn class_covered(capacity: usize) -> Option<usize> {
     }
 }
 
-/// A per-fabric pool of recycled wire buffers (see the module docs).
+/// Released items a thread keeps for its own next leases: at most as many
+/// as it once had leased at the same time (`peak`), so the list needs no
+/// size limit of its own. A thread whose window of leases rises and drains
+/// to the same depth again finds every item it needs here, and items
+/// released by a thread that did not lease them (a buffer or receive
+/// handed to another thread) go elsewhere. The payload pool's thread cache
+/// and the receive-slot lists (`packet.rs`) both follow this rule.
+#[derive(Debug)]
+pub(crate) struct PeakList<T> {
+    items: Vec<T>,
+    /// Leases begun on this thread and not yet ended on it.
+    leased: usize,
+    /// The most `leased` has been.
+    peak: usize,
+}
+
+impl<T> PeakList<T> {
+    pub(crate) const fn new() -> Self {
+        PeakList {
+            items: Vec::new(),
+            leased: 0,
+            peak: 0,
+        }
+    }
+
+    /// A lease begins: count it, and hand out a kept item if there is one.
+    #[inline]
+    pub(crate) fn lease(&mut self) -> Option<T> {
+        self.leased += 1;
+        self.peak = self.peak.max(self.leased);
+        self.items.pop()
+    }
+
+    /// A lease ends: count it, and keep `item` (what it releases, if that
+    /// can be reused) while fewer than `peak`, and fewer than `cap`, are
+    /// kept. What is not kept is handed back.
+    #[inline]
+    pub(crate) fn release(&mut self, item: Option<T>, cap: usize) -> Option<T> {
+        self.leased = self.leased.saturating_sub(1);
+        match item {
+            Some(item) if self.items.len() < self.peak.min(cap) => {
+                self.items.push(item);
+                None
+            }
+            other => other,
+        }
+    }
+
+    /// Items kept.
+    pub(crate) fn len(&self) -> usize {
+        self.items.len()
+    }
+}
+
+/// One size class's shared list.
 #[derive(Debug, Default)]
-pub struct PayloadPool {
-    classes: [Mutex<Vec<Arc<Vec<u8>>>>; CLASS_SIZES.len()],
-    // Relaxed atomics: statistics, not synchronization. Exactly one of
-    // hits/misses is bumped per take, keeping the hot path to a single
-    // counter update.
+struct Class {
+    list: Mutex<Vec<Arc<Vec<u8>>>>,
+    /// `list.len()`, stored under the lock, read without it by a thread
+    /// cache bounding its own retention. It publishes nothing, so Relaxed.
+    len: AtomicUsize,
+}
+
+impl Class {
+    fn pop(&self) -> Option<Arc<Vec<u8>>> {
+        let mut list = self.list.lock();
+        let storage = list.pop();
+        self.len.store(list.len(), Ordering::Relaxed);
+        storage
+    }
+
+    /// File `storage` while the list and the caller's cache (`cached`)
+    /// together hold fewer than [`CLASS_DEPTH`]; otherwise hand it back.
+    fn push(&self, storage: Arc<Vec<u8>>, cached: usize) -> Option<Arc<Vec<u8>>> {
+        let mut list = self.list.lock();
+        if list.len() + cached >= CLASS_DEPTH {
+            return Some(storage);
+        }
+        list.push(storage);
+        self.len.store(list.len(), Ordering::Relaxed);
+        None
+    }
+}
+
+/// A pool's state shared with the thread caches.
+#[derive(Debug, Default)]
+struct Shared {
+    classes: [Class; N_CLASSES],
+    tallies: Mutex<Tallies>,
+}
+
+/// Every tally of one pool: those of live thread-cache entries, and the sum
+/// of those whose entries are gone.
+#[derive(Debug, Default)]
+struct Tallies {
+    live: Vec<Arc<Tally>>,
+    retired: Counts,
+}
+
+/// One thread's counters for one pool. Only the thread of the entry that
+/// owns it writes it, so a bump is a load and a store, not a lock-prefixed
+/// add; Relaxed, because the counts publish nothing. Aligned to its own
+/// cache line so that threads' tallies never share one.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct Tally {
     hits: AtomicU64,
     misses: AtomicU64,
     recycled: AtomicU64,
     dropped: AtomicU64,
+}
+
+impl Tally {
+    /// One more on `counter`, from its only writer.
+    #[inline]
+    fn bump(counter: &AtomicU64) {
+        counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+    }
+
+    fn read(&self) -> Counts {
+        Counts {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            recycled: self.recycled.load(Ordering::Relaxed),
+            dropped: self.dropped.load(Ordering::Relaxed),
+        }
+    }
+}
+
+#[derive(Debug, Default, Clone, Copy)]
+struct Counts {
+    hits: u64,
+    misses: u64,
+    recycled: u64,
+    dropped: u64,
+}
+
+impl std::ops::AddAssign for Counts {
+    fn add_assign(&mut self, o: Counts) {
+        self.hits += o.hits;
+        self.misses += o.misses;
+        self.recycled += o.recycled;
+        self.dropped += o.dropped;
+    }
+}
+
+/// One thread's cache for one pool (see the module docs).
+#[derive(Debug)]
+struct Entry {
+    pool: Weak<Shared>,
+    classes: [PeakList<Arc<Vec<u8>>>; N_CLASSES],
+    tally: Arc<Tally>,
+}
+
+impl Entry {
+    fn new(pool: &Arc<Shared>) -> Entry {
+        let tally = Arc::new(Tally::default());
+        pool.tallies.lock().live.push(Arc::clone(&tally));
+        Entry {
+            pool: Arc::downgrade(pool),
+            classes: std::array::from_fn(|_| PeakList::new()),
+            tally,
+        }
+    }
+
+    #[inline]
+    fn serves(&self, pool: &Arc<Shared>) -> bool {
+        std::ptr::eq(self.pool.as_ptr(), Arc::as_ptr(pool))
+    }
+
+    /// A recycled buffer of `class` for a take (`None`: unpooled), or
+    /// `None` for a miss; counts the take.
+    #[inline]
+    fn take(&mut self, pool: &Shared, class: Option<usize>) -> Option<Arc<Vec<u8>>> {
+        let found = class.and_then(|c| self.classes[c].lease().or_else(|| pool.classes[c].pop()));
+        Tally::bump(if found.is_some() {
+            &self.tally.hits
+        } else {
+            &self.tally.misses
+        });
+        found
+    }
+
+    /// Keep uniquely owned `storage` of `class` (`None`: too small for any)
+    /// in the cache, or on the shared list, or free it; counts the release
+    /// and says whether the storage was kept.
+    #[inline]
+    fn release(&mut self, pool: &Shared, class: Option<usize>, storage: Arc<Vec<u8>>) -> bool {
+        let kept = class.is_some_and(|c| {
+            let shared = &pool.classes[c];
+            let cache = &mut self.classes[c];
+            if cache.leased == 0 {
+                // None of this thread's own takes is out: it returns
+                // buffers other threads took, and hands them its cache as
+                // well, so that a thread receiving what another sends never
+                // strands buffers the sender needs for its next window.
+                for cached in cache.items.drain(..) {
+                    drop(shared.push(cached, 0));
+                }
+                return shared.push(storage, 0).is_none();
+            }
+            if cache.items.capacity() == 0 {
+                // Room for the most a cache holds, reserved at its first
+                // use: how deep it gets depends on timing, and a list that
+                // grew in steady state would allocate on the message path.
+                cache.items.reserve_exact(CLASS_DEPTH);
+            }
+            let room = CLASS_DEPTH.saturating_sub(shared.len.load(Ordering::Relaxed));
+            match cache.release(Some(storage), room) {
+                None => true,
+                Some(storage) => shared.push(storage, cache.len()).is_none(),
+            }
+        });
+        Tally::bump(if kept {
+            &self.tally.recycled
+        } else {
+            &self.tally.dropped
+        });
+        kept
+    }
+}
+
+impl Drop for Entry {
+    fn drop(&mut self) {
+        // A pool that is gone takes no storage back: it is freed with
+        // `self`.
+        let Some(pool) = self.pool.upgrade() else {
+            return;
+        };
+        for (class, cache) in pool.classes.iter().zip(&mut self.classes) {
+            for storage in cache.items.drain(..) {
+                drop(class.push(storage, 0));
+            }
+        }
+        let mut tallies = pool.tallies.lock();
+        tallies.live.retain(|t| !Arc::ptr_eq(t, &self.tally));
+        tallies.retired += self.tally.read();
+    }
+}
+
+/// This thread's cache entries, oldest first. Boxed, so that no
+/// allocation the cache makes is large: an inline table (2 KiB for four
+/// entries), allocated on a worker thread at its first take, split the
+/// hole a freed 1 MiB RMA window had left in that thread's malloc arena,
+/// and the next window grew the heap (`rma_mix` peak RSS +20 %).
+struct ThreadCache {
+    #[allow(clippy::vec_box)] // the box is the point: see above
+    entries: Vec<Box<Entry>>,
+}
+
+impl ThreadCache {
+    /// `pool`'s entry, installed if this thread has none.
+    #[inline]
+    fn entry(&mut self, pool: &Arc<Shared>) -> &mut Entry {
+        let i = match self.entries.iter().position(|e| e.serves(pool)) {
+            Some(i) => i,
+            None => self.install(pool),
+        };
+        &mut self.entries[i]
+    }
+
+    #[cold]
+    fn install(&mut self, pool: &Arc<Shared>) -> usize {
+        // Free what is cached for pools that are gone, and make room by
+        // retiring the oldest entry.
+        self.entries.retain(|e| e.pool.strong_count() > 0);
+        if self.entries.len() == POOLS_PER_THREAD {
+            self.entries.remove(0);
+        }
+        self.entries.push(Box::new(Entry::new(pool)));
+        self.entries.len() - 1
+    }
+}
+
+thread_local! {
+    static CACHE: RefCell<ThreadCache> = const {
+        RefCell::new(ThreadCache { entries: Vec::new() })
+    };
+}
+
+/// Run `f` on this thread's entry for `pool`; a thread tearing down its
+/// locals uses a transient entry, which hands its buffers to the shared
+/// lists when it is dropped.
+#[inline]
+fn with_entry<R>(pool: &Arc<Shared>, f: impl FnOnce(&mut Entry) -> R) -> R {
+    let mut f = Some(f);
+    let done = CACHE.try_with(|cache| {
+        let f = f.take().expect("called once");
+        f(cache.borrow_mut().entry(pool))
+    });
+    match done {
+        Ok(r) => r,
+        Err(_) => (f.take().expect("not called"))(&mut Entry::new(pool)),
+    }
+}
+
+/// A per-fabric pool of recycled wire buffers (see the module docs).
+#[derive(Debug, Default)]
+pub struct PayloadPool {
+    shared: Arc<Shared>,
     /// Hoisted from the profile's trace opt-in at fabric construction;
     /// when false, lease/recycle event sites cost one branch.
     traced: bool,
 }
 
-#[inline]
-fn bump(counter: &AtomicU64) {
-    counter.fetch_add(1, Ordering::Relaxed);
+impl Drop for PayloadPool {
+    fn drop(&mut self) {
+        // Free what this thread caches for the pool now; other threads
+        // free theirs when they next install an entry or exit.
+        let _ = CACHE.try_with(|cache| {
+            if let Ok(mut cache) = cache.try_borrow_mut() {
+                cache.entries.retain(|e| !e.serves(&self.shared));
+            }
+        });
+    }
 }
 
 impl PayloadPool {
@@ -105,43 +448,39 @@ impl PayloadPool {
     /// `traced` (the fabric passes its profile's trace opt-in).
     pub fn with_tracing(traced: bool) -> Self {
         PayloadPool {
+            shared: Arc::default(),
             traced,
-            ..PayloadPool::default()
         }
     }
 
     /// Take a writable buffer with room for at least `cap` bytes.
     ///
-    /// Hits pop a recycled buffer from the matching freelist (no heap
-    /// traffic); misses allocate fresh storage and charge the
-    /// payload-allocation counter. Requests larger than the biggest size
-    /// class are served unpooled.
+    /// Hits pop a recycled buffer from this thread's cache or the shared
+    /// list (no heap traffic); misses allocate fresh storage and charge
+    /// the payload-allocation counter. Requests larger than the biggest
+    /// size class are served unpooled.
     pub fn take(&self, cap: usize) -> PayloadBuf {
         let class = class_fitting(cap);
-        if let Some(class) = class {
-            if let Some(mut storage) = self.classes[class].lock().pop() {
-                // Freelisted storage is uniquely owned: `release` files a
-                // buffer only after an `Arc::get_mut` check, and nothing
-                // can clone it while the pool holds it. That invariant
-                // lets the hot path skip `get_mut`'s compare-exchange and
-                // derive the write pointer directly.
-                debug_assert!(Arc::get_mut(&mut storage).is_some());
-                let vec = Arc::as_ptr(&storage) as *mut Vec<u8>;
-                // SAFETY (deref): unique ownership per the invariant
-                // above; see also `PayloadBuf::vec`.
-                unsafe { (*vec).clear() };
-                bump(&self.hits);
-                if self.traced {
-                    litempi_trace::emit(EventKind::PoolLease, class as u64, 1);
-                }
-                return PayloadBuf {
-                    storage,
-                    vec,
-                    recycled: true,
-                };
+        if let Some(mut storage) = with_entry(&self.shared, |e| e.take(&self.shared, class)) {
+            // Pooled storage is uniquely owned: `release` keeps a buffer
+            // only after the strong-count check, and nothing can clone it
+            // while the pool holds it. That invariant lets the hot path
+            // skip `get_mut`'s compare-exchange and derive the write
+            // pointer directly.
+            debug_assert!(Arc::get_mut(&mut storage).is_some());
+            let vec = Arc::as_ptr(&storage) as *mut Vec<u8>;
+            // SAFETY (deref): unique ownership per the invariant above;
+            // see also `PayloadBuf::vec`.
+            unsafe { (*vec).clear() };
+            if self.traced {
+                litempi_trace::emit(EventKind::PoolLease, class.map_or(0, |c| c as u64), 1);
             }
+            return PayloadBuf {
+                storage,
+                vec,
+                recycled: true,
+            };
         }
-        bump(&self.misses);
         if self.traced {
             litempi_trace::emit(
                 EventKind::PoolLease,
@@ -168,35 +507,35 @@ impl PayloadPool {
     /// zero-copy slice still reads it) and fits a size class with room;
     /// otherwise the storage is freed here.
     pub fn release(&self, payload: Bytes) {
-        let mut storage = payload.into_storage();
-        if Arc::get_mut(&mut storage).is_none() {
+        let storage = payload.into_storage();
+        // Pool storage never has a `Weak` (see "Recycling safety"), so a
+        // strong count of one is unique ownership. The fence pairs with
+        // the Release decrement of every other handle's drop.
+        debug_assert_eq!(Arc::weak_count(&storage), 0, "pool storage has a Weak");
+        if Arc::strong_count(&storage) != 1 {
             return; // still shared: the other readers keep it alive
         }
-        match class_covered(storage.capacity()) {
-            Some(class) => {
-                let mut list = self.classes[class].lock();
-                if list.len() < CLASS_DEPTH {
-                    list.push(storage);
-                    bump(&self.recycled);
-                    if self.traced {
-                        litempi_trace::emit(EventKind::PoolRecycle, class as u64, 0);
-                    }
-                } else {
-                    bump(&self.dropped);
-                }
-            }
-            None => bump(&self.dropped),
+        fence(Ordering::Acquire);
+        let class = class_covered(storage.capacity());
+        let kept = with_entry(&self.shared, |e| e.release(&self.shared, class, storage));
+        if kept && self.traced {
+            litempi_trace::emit(EventKind::PoolRecycle, class.map_or(0, |c| c as u64), 0);
         }
     }
 
-    /// Counter snapshot (monotonic since fabric creation).
+    /// Counter snapshot (monotonic since fabric creation): the sum of the
+    /// per-thread tallies, exact whenever their writers are quiescent.
     pub fn stats(&self) -> PoolStats {
-        let hits = self.hits.load(Ordering::Relaxed);
+        let tallies = self.shared.tallies.lock();
+        let mut sum = tallies.retired;
+        for tally in &tallies.live {
+            sum += tally.read();
+        }
         PoolStats {
-            takes: hits + self.misses.load(Ordering::Relaxed),
-            hits,
-            recycled: self.recycled.load(Ordering::Relaxed),
-            dropped: self.dropped.load(Ordering::Relaxed),
+            takes: sum.hits + sum.misses,
+            hits: sum.hits,
+            recycled: sum.recycled,
+            dropped: sum.dropped,
         }
     }
 }
@@ -293,6 +632,29 @@ impl BufMut for PayloadBuf {
         // SAFETY: see the `vec` field invariant.
         unsafe { (*self.vec).extend_from_slice(src) };
     }
+}
+
+#[cfg(test)]
+impl PayloadPool {
+    /// Buffers of `class` this thread's cache holds for the pool.
+    fn cached(&self, class: usize) -> usize {
+        CACHE.with(|cache| {
+            let cache = cache.borrow();
+            let entry = cache.entries.iter().find(|e| e.serves(&self.shared));
+            entry.map_or(0, |e| e.classes[class].len())
+        })
+    }
+
+    /// Buffers of `class` on the shared list.
+    fn listed(&self, class: usize) -> usize {
+        self.shared.classes[class].list.lock().len()
+    }
+}
+
+/// Pools this thread has cache entries for, live or gone.
+#[cfg(test)]
+fn entries_here() -> usize {
+    CACHE.with(|cache| cache.borrow().entries.len())
 }
 
 #[cfg(test)]
@@ -412,5 +774,212 @@ mod tests {
         }
         assert_eq!(litempi_instr::alloc_count(), 0);
         assert_eq!(pool.stats().hit_rate(), Some(100.0 / 101.0));
+    }
+
+    use std::sync::Barrier;
+
+    /// The address of a payload's storage, for identity checks across
+    /// threads.
+    fn addr(b: &Bytes) -> usize {
+        b.as_ref().as_ptr() as usize
+    }
+
+    #[test]
+    fn a_buffer_released_on_another_thread_is_taken_without_allocating() {
+        let pool = PayloadPool::new();
+        let mut b = pool.take(64);
+        b.put_u8(1);
+        let b = b.freeze();
+        let first = addr(&b);
+        // Released by a thread that never took: it has no cache share, so
+        // the buffer goes to the shared list, where this thread takes it
+        // while the releasing thread still runs.
+        let (released, taken) = (Barrier::new(2), Barrier::new(2));
+        let (recycled, allocs, at) = std::thread::scope(|s| {
+            s.spawn(|| {
+                pool.release(b);
+                released.wait();
+                taken.wait();
+            });
+            released.wait();
+            litempi_instr::reset();
+            let mut again = pool.take(64);
+            let allocs = litempi_instr::alloc_count();
+            let recycled = again.was_recycled();
+            again.put_u8(2);
+            taken.wait();
+            (recycled, allocs, addr(&again.freeze()))
+        });
+        assert!(recycled);
+        assert_eq!((allocs, at), (0, first));
+        // A thread that took and released keeps the buffer in its cache
+        // while it runs and hands it to the shared list when it exits.
+        let second = std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut b = pool.take(128);
+                b.put_u8(3);
+                let b = b.freeze();
+                let at = addr(&b);
+                pool.release(b);
+                assert_eq!(pool.cached(1), 1);
+                at
+            })
+            .join()
+            .expect("cached")
+        });
+        assert_eq!(pool.listed(1), 1);
+        litempi_instr::reset();
+        let mut again = pool.take(128);
+        assert!(again.was_recycled());
+        assert_eq!(litempi_instr::alloc_count(), 0);
+        again.put_u8(4);
+        assert_eq!(addr(&again.freeze()), second);
+    }
+
+    #[test]
+    fn a_receiving_thread_strands_no_buffer_its_sender_needs() {
+        // This thread sends windows of the class depth; a receiver releases
+        // each window and answers it with one or two buffers of its own,
+        // which this thread releases before its next window. Once warm,
+        // the windows are served from what the two threads return.
+        const WARM_UP: usize = 4;
+        let pool = PayloadPool::new();
+        let (to_receiver, windows) = std::sync::mpsc::channel::<Vec<Bytes>>();
+        let (to_sender, answers) = std::sync::mpsc::channel::<Vec<Bytes>>();
+        let allocs = std::thread::scope(|s| {
+            s.spawn(|| {
+                for (round, window) in windows.into_iter().enumerate() {
+                    window.into_iter().for_each(|b| pool.release(b));
+                    let answer = (0..1 + round % 2).map(|_| pool.take(8).freeze()).collect();
+                    to_sender.send(answer).expect("sender waits");
+                }
+            });
+            let mut allocs = 0;
+            for round in 0..WARM_UP + 16 {
+                litempi_instr::reset();
+                let window = (0..CLASS_DEPTH).map(|_| pool.take(8).freeze()).collect();
+                if round >= WARM_UP {
+                    allocs += litempi_instr::alloc_count();
+                }
+                to_receiver.send(window).expect("receiver waits");
+                let answer = answers.recv().expect("an answer");
+                answer.into_iter().for_each(|b| pool.release(b));
+            }
+            drop(to_receiver);
+            allocs
+        });
+        assert_eq!(allocs, 0);
+    }
+
+    #[test]
+    fn a_thread_alternating_between_pools_hits_each_in_its_cache() {
+        // As many pools as a fabric has VCIs at most.
+        let pools: Vec<_> = (0..crate::vci::MAX_VCIS)
+            .map(|_| PayloadPool::new())
+            .collect();
+        for pool in &pools {
+            pool.release(pool.take(64).freeze());
+        }
+        for _ in 0..100 {
+            for pool in &pools {
+                let b = pool.take(64);
+                assert!(b.was_recycled());
+                pool.release(b.freeze());
+            }
+        }
+        for pool in &pools {
+            assert_eq!(
+                (pool.cached(0), pool.listed(0)),
+                (1, 0),
+                "kept in this thread's cache"
+            );
+            let s = pool.stats();
+            assert_eq!((s.takes, s.hits, s.recycled), (101, 100, 101));
+        }
+    }
+
+    #[test]
+    fn a_new_pool_is_never_served_another_pools_storage_and_gets_the_cache() {
+        // On a thread of its own: the test counts this thread's entries.
+        std::thread::spawn(|| {
+            use crate::{Fabric, ProviderProfile, Topology};
+            // The fabric's pool, then a pool of its own, on one thread.
+            let fabric = Fabric::new(2, ProviderProfile::ofi(), Topology::single_node(2));
+            let mut b = fabric.pool().take(64);
+            b.put_u8(1);
+            let b = b.freeze();
+            let old = addr(&b);
+            fabric.pool().release(b);
+            assert_eq!(fabric.pool().cached(0), 1);
+            // While the fabric's pool lives, another pool does not see its
+            // buffer.
+            let other = PayloadPool::new();
+            let mut b = other.take(64);
+            assert!(!b.was_recycled());
+            b.put_u8(2);
+            assert_ne!(addr(&b.freeze()), old);
+            drop(other);
+            // Dropping a pool frees what this thread cached for it.
+            drop(fabric);
+            assert_eq!(entries_here(), 0);
+            let pool = PayloadPool::new();
+            let b = pool.take(64);
+            assert!(!b.was_recycled(), "a fresh pool has nothing to serve");
+            pool.release(b.freeze());
+            assert_eq!((pool.cached(0), pool.listed(0)), (1, 0), "the fast path");
+            assert!(pool.take(64).was_recycled());
+            let s = pool.stats();
+            assert_eq!((s.takes, s.hits, s.recycled), (2, 1, 1));
+            // A pool dropped on another thread: this thread frees its entry
+            // when it next installs one.
+            let elsewhere = PayloadPool::new();
+            elsewhere.release(elsewhere.take(64).freeze());
+            assert_eq!(entries_here(), 2);
+            std::thread::scope(|s| s.spawn(move || drop(elsewhere)).join().expect("dropped"));
+            let third = PayloadPool::new();
+            drop(third.take(64));
+            assert_eq!(
+                entries_here(),
+                2,
+                "`pool` and `third`; the dead entry is gone"
+            );
+        })
+        .join()
+        .expect("no assertion failed");
+    }
+
+    #[test]
+    fn retention_per_thread_and_class_stays_within_class_depth() {
+        let pool = PayloadPool::new();
+        let retained = || pool.cached(0) + pool.listed(0);
+        // One thread takes twice the depth at once and releases it all.
+        let bufs: Vec<_> = (0..2 * CLASS_DEPTH)
+            .map(|_| pool.take(64).freeze())
+            .collect();
+        for b in bufs {
+            pool.release(b);
+        }
+        assert_eq!(retained(), CLASS_DEPTH);
+        // Another thread fills the shared list; this thread's cache then
+        // keeps none of what it releases.
+        let mut far: Vec<_> = (0..2 * CLASS_DEPTH)
+            .map(|_| pool.take(64).freeze())
+            .collect();
+        let near = far.split_off(CLASS_DEPTH);
+        std::thread::scope(|s| {
+            s.spawn(|| far.into_iter().for_each(|b| pool.release(b)))
+                .join()
+                .expect("released")
+        });
+        assert_eq!(pool.listed(0), CLASS_DEPTH);
+        for b in near {
+            pool.release(b);
+        }
+        assert_eq!(retained(), CLASS_DEPTH);
+        let s = pool.stats();
+        assert_eq!(
+            (s.recycled, s.dropped),
+            (2 * CLASS_DEPTH as u64, 2 * CLASS_DEPTH as u64)
+        );
     }
 }
