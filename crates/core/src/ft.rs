@@ -1,8 +1,10 @@
 //! ULFM-style fault tolerance (MPI User-Level Failure Mitigation).
 //!
 //! The recovery API the ULFM proposal layers on MPI-3.1, built on the
-//! fabric's failure detector ([`litempi_fabric::health`]) and kill-switch
-//! plumbing:
+//! fabric's one liveness oracle,
+//! [`Endpoint::peer_unreachable`](litempi_fabric::Endpoint::peer_unreachable):
+//! the kill switch, a job abort, or the reliability layer's retry
+//! exhaustion declares a peer dead, and nothing else does:
 //!
 //! * [`Communicator::revoke`] — `MPI_Comm_revoke`: a reliable,
 //!   forward-once flood over surviving links that marks the communicator
@@ -205,8 +207,7 @@ impl Communicator {
 
     /// Locally observed member failures as a communicator-rank bitmask:
     /// bit *i* set iff rank *i*'s endpoint is unreachable from here (kill
-    /// switch fired, retransmit budget exhausted, or the liveness detector
-    /// declared it dead).
+    /// switch fired, job aborted, or retransmit budget exhausted).
     pub fn local_dead_mask(&self) -> u64 {
         let mut mask = 0u64;
         for r in 0..self.size().min(MAX_FT_RANKS) {

@@ -253,8 +253,8 @@ fn rma_at_dead_peer_fails_with_process_failed() {
             let mut buf = [0u8; 1];
             world.recv_into(&mut buf, 1, 0).unwrap();
             let _ = world.recv_into(&mut buf, 1, 0);
-            // Exhaust retries toward the corpse until the health layer
-            // marks it unreachable.
+            // Send toward the corpse until the fabric reports it
+            // unreachable.
             let deadline = Instant::now() + Duration::from_secs(20);
             loop {
                 match world.send(&[9u8], 1, 1) {

@@ -22,7 +22,6 @@
 //! fabrics and feed the LogGP application models (Figs 7–8).
 
 use crate::fault::FaultPlan;
-use crate::health::HealthConfig;
 use crate::reliability::ReliabilityConfig;
 use litempi_trace::TraceConfig;
 
@@ -120,9 +119,6 @@ pub struct Capabilities {
     /// Largest message sent eagerly (copied at injection); larger messages
     /// use a rendezvous protocol.
     pub max_eager: usize,
-    /// Largest buffer the provider can "inject" without a completion
-    /// (libfabric `fi_inject` semantics).
-    pub max_inject: usize,
 }
 
 /// A complete provider description: identity + capabilities + costs.
@@ -143,10 +139,6 @@ pub struct ProviderProfile {
     pub faults: FaultPlan,
     /// Software reliability protocol (seq/ack/retransmit); off by default.
     pub reliability: ReliabilityConfig,
-    /// Heartbeat failure detection (probe/suspect/dead); off by default,
-    /// in which case no probe is ever sent and health queries answer
-    /// `Alive` — the fault-free path stays byte- and charge-identical.
-    pub health: HealthConfig,
     /// Event-tracing opt-in; [`TraceConfig::OFF`] (the default) keeps
     /// every event site down to one predictable branch, with charges and
     /// wire bytes bit-identical to an untraced build.
@@ -171,7 +163,6 @@ impl ProviderProfile {
                 native_tagged: true,
                 native_rdma: true,
                 max_eager: 16 * 1024,
-                max_inject: 64,
             },
             cost: NetCost {
                 inject_cycles_send: 330.0,
@@ -182,7 +173,6 @@ impl ProviderProfile {
             jitter_seed: None,
             faults: FaultPlan::NONE,
             reliability: ReliabilityConfig::OFF,
-            health: HealthConfig::OFF,
             trace: TraceConfig::OFF,
             num_vcis: 1,
         }
@@ -196,7 +186,6 @@ impl ProviderProfile {
                 native_tagged: true,
                 native_rdma: true,
                 max_eager: 8 * 1024,
-                max_inject: 32,
             },
             cost: NetCost {
                 inject_cycles_send: 380.0,
@@ -207,7 +196,6 @@ impl ProviderProfile {
             jitter_seed: None,
             faults: FaultPlan::NONE,
             reliability: ReliabilityConfig::OFF,
-            health: HealthConfig::OFF,
             trace: TraceConfig::OFF,
             num_vcis: 1,
         }
@@ -223,7 +211,6 @@ impl ProviderProfile {
                 native_tagged: true,
                 native_rdma: true,
                 max_eager: 4 * 1024,
-                max_inject: 64,
             },
             cost: NetCost {
                 inject_cycles_send: 800.0,
@@ -234,7 +221,6 @@ impl ProviderProfile {
             jitter_seed: None,
             faults: FaultPlan::NONE,
             reliability: ReliabilityConfig::OFF,
-            health: HealthConfig::OFF,
             trace: TraceConfig::OFF,
             num_vcis: 1,
         }
@@ -249,13 +235,11 @@ impl ProviderProfile {
                 native_tagged: true,
                 native_rdma: true,
                 max_eager: usize::MAX,
-                max_inject: usize::MAX,
             },
             cost: NetCost::ZERO,
             jitter_seed: None,
             faults: FaultPlan::NONE,
             reliability: ReliabilityConfig::OFF,
-            health: HealthConfig::OFF,
             trace: TraceConfig::OFF,
             num_vcis: 1,
         }
@@ -269,7 +253,6 @@ impl ProviderProfile {
                 native_tagged: true,
                 native_rdma: true,
                 max_eager: 64 * 1024,
-                max_inject: 256,
             },
             cost: NetCost {
                 inject_cycles_send: 90.0,
@@ -280,7 +263,6 @@ impl ProviderProfile {
             jitter_seed: None,
             faults: FaultPlan::NONE,
             reliability: ReliabilityConfig::OFF,
-            health: HealthConfig::OFF,
             trace: TraceConfig::OFF,
             num_vcis: 1,
         }
@@ -295,7 +277,6 @@ impl ProviderProfile {
                 native_tagged: false,
                 native_rdma: false,
                 max_eager: 16 * 1024,
-                max_inject: 0,
             },
             cost: NetCost {
                 inject_cycles_send: 330.0,
@@ -306,7 +287,6 @@ impl ProviderProfile {
             jitter_seed: None,
             faults: FaultPlan::NONE,
             reliability: ReliabilityConfig::OFF,
-            health: HealthConfig::OFF,
             trace: TraceConfig::OFF,
             num_vcis: 1,
         }
@@ -333,17 +313,6 @@ impl ProviderProfile {
     /// Copy of this profile with the reliable path on at default knobs.
     pub fn reliable(self) -> Self {
         self.with_reliability(ReliabilityConfig::on())
-    }
-
-    /// Copy of this profile with the given failure-detector configuration.
-    pub fn with_health(mut self, health: HealthConfig) -> Self {
-        self.health = health;
-        self
-    }
-
-    /// Copy of this profile with the failure detector on at default timing.
-    pub fn monitored(self) -> Self {
-        self.with_health(HealthConfig::on())
     }
 
     /// Copy of this profile with the given event-tracing configuration.

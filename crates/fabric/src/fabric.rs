@@ -3,16 +3,16 @@
 //!
 //! ## The reliability clock
 //!
-//! Retransmit timers, RTT samples, failure-detector deadlines and link
-//! flaps run on one microsecond clock, `Fabric::now_us`, read a few times
-//! per reliable message. On x86-64, where CPUID reports an invariant
-//! time-stamp counter, it is the TSC scaled to microseconds by a factor
-//! calibrated once per process against `Instant` (about 1.5 ms, at the
-//! first fabric's construction), the way UCX's `ucs_get_time` and MPICH's
-//! MPL cycle timer time their protocols: a read costs about half an
-//! `Instant` read through the vDSO. On every other CPU or platform the
-//! clock is `Instant`. The RTO floor is 50 µs, so microsecond resolution
-//! suffices. [`Fabric::epoch`] and the trace clock stay on `Instant`.
+//! Retransmit timers, RTT samples and link flaps run on one microsecond
+//! clock, `Fabric::now_us`, read a few times per reliable message. On
+//! x86-64, where CPUID reports an invariant time-stamp counter, it is the
+//! TSC scaled to microseconds by a factor calibrated once per process
+//! against `Instant` (about 1.5 ms, at the first fabric's construction),
+//! the way UCX's `ucs_get_time` and MPICH's MPL cycle timer time their
+//! protocols: a read costs about half an `Instant` read through the vDSO.
+//! On every other CPU or platform the clock is `Instant`. The RTO floor is
+//! 50 µs, so microsecond resolution suffices. [`Fabric::epoch`] and the
+//! trace clock stay on `Instant`.
 
 use crate::addr::NetAddr;
 use crate::cost::ProviderProfile;
@@ -80,7 +80,7 @@ impl Fabric {
         assert_eq!(topology.n_ranks(), n, "topology must cover exactly n ranks");
         let n_vcis = Self::resolve_vcis(&profile);
         let endpoints = (0..n)
-            .map(|i| EndpointShared::new(&profile, NetAddr(i as u32), n, n_vcis))
+            .map(|i| EndpointShared::new(&profile, NetAddr(i as u32), n_vcis))
             .collect();
         let pools = (0..n_vcis)
             .map(|_| PayloadPool::with_tracing(profile.trace.enabled))

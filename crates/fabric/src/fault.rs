@@ -25,8 +25,8 @@ pub type Chance = u16;
 /// Deterministic periodic link up/down cycling: the link is up for the
 /// first `duty`% of every `period_us`-long window of fabric time and down
 /// for the rest, with no randomness involved. Unlike a [`KillSwitch`] the
-/// outage always ends, which is exactly what the failure detector's
-/// `Suspect → Alive` recovery path needs to be testable.
+/// outage is per link and kills no endpoint; a 0 % duty cycle is a link
+/// that is down for good, which a 100 % `drop` (65535/65536) is not.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkFlap {
     /// Length of one up/down cycle in microseconds of fabric time.

@@ -39,7 +39,6 @@ pub mod endpoint;
 mod event_count;
 pub mod fabric;
 pub mod fault;
-pub mod health;
 pub mod matching;
 pub mod packet;
 pub mod pool;
@@ -56,7 +55,6 @@ pub use cost::{MatcherKind, NetCost, ProviderKind, ProviderProfile};
 pub use endpoint::Endpoint;
 pub use fabric::Fabric;
 pub use fault::{FaultPlan, FaultSpec, KillSwitch, LinkFlap, LinkOverride};
-pub use health::{HealthConfig, HealthState};
 pub use litempi_trace::TraceConfig;
 pub use packet::{AmMessage, TaggedMessage};
 pub use pool::{PayloadBuf, PayloadPool, PoolStats};

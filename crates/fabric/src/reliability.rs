@@ -71,14 +71,12 @@ pub struct ReliabilityConfig {
     /// Out-of-order buffering window (packets) per link; arrivals beyond
     /// it are dropped and recovered by retransmission.
     pub window: u32,
-    /// Estimate the RTO per link from ACK round-trips (RFC-6298 SRTT/RTTVAR
-    /// with Karn's algorithm) instead of using the fixed `base_rto_us`.
-    /// Until a link has its first valid sample it behaves exactly as the
-    /// fixed schedule, so fault-free runs are unaffected by the setting.
-    pub adaptive_rto: bool,
-    /// Lower clamp on the estimated RTO (µs); irrelevant in fixed mode.
+    /// Lower clamp on the estimated RTO (µs). Each link estimates its RTO
+    /// from ACK round-trips (RFC-6298 SRTT/RTTVAR with Karn's algorithm)
+    /// and runs the fixed `base_rto_us` until its first valid sample;
+    /// equal clamps pin the timer.
     pub min_rto_us: u64,
-    /// Upper clamp on the estimated RTO (µs); irrelevant in fixed mode.
+    /// Upper clamp on the estimated RTO (µs).
     pub max_rto_us: u64,
     /// Cap on packets re-issued per retransmission-timer round
     /// (congestion-window style), so a round cannot amplify a reorder
@@ -97,15 +95,14 @@ impl ReliabilityConfig {
         crc: true,
         ack_every: 4,
         window: 64,
-        adaptive_rto: true,
         min_rto_us: 50,
         max_rto_us: 20_000,
         retransmit_budget: 16,
     };
 
     /// Protocol on with default knobs (8 retries, 200 µs initial RTO,
-    /// CRC enabled, 64-packet window, adaptive RTO with a 16-packet
-    /// retransmit budget).
+    /// CRC enabled, 64-packet window, estimated RTO in [50 µs, 100 ms]
+    /// with a 16-packet retransmit budget).
     pub const fn on() -> ReliabilityConfig {
         ReliabilityConfig {
             enabled: true,
@@ -115,7 +112,6 @@ impl ReliabilityConfig {
             crc: true,
             ack_every: 4,
             window: 64,
-            adaptive_rto: true,
             min_rto_us: 50,
             max_rto_us: 100_000,
             retransmit_budget: 16,
@@ -132,13 +128,6 @@ impl ReliabilityConfig {
     pub const fn with_retries(mut self, max_retries: u32, base_rto_us: u64) -> ReliabilityConfig {
         self.max_retries = max_retries;
         self.base_rto_us = base_rto_us;
-        self
-    }
-
-    /// Copy of this config with the RTO estimator switched (the
-    /// fixed-vs-adaptive ablation knob).
-    pub const fn with_adaptive_rto(mut self, adaptive: bool) -> ReliabilityConfig {
-        self.adaptive_rto = adaptive;
         self
     }
 
@@ -195,12 +184,6 @@ pub(crate) enum PacketBody {
     Tagged(TaggedMessage),
     /// An active message.
     Am(AmMessage),
-    /// A liveness probe from the failure detector. Probes travel outside
-    /// the sequence space (like standalone ACKs): a lost probe is simply
-    /// re-issued at the next probe interval, never retransmitted.
-    Probe(u64),
-    /// The immediate reply to a [`PacketBody::Probe`], echoing its nonce.
-    ProbeAck(u64),
 }
 
 impl PacketBody {
@@ -220,14 +203,6 @@ impl PacketBody {
                 c = crc32_update(c, &m.header);
                 c = crc32_update(c, &m.data);
             }
-            PacketBody::Probe(nonce) => {
-                c = crc32_update(c, b"probe");
-                c = crc32_update(c, &nonce.to_le_bytes());
-            }
-            PacketBody::ProbeAck(nonce) => {
-                c = crc32_update(c, b"probe-ack");
-                c = crc32_update(c, &nonce.to_le_bytes());
-            }
         }
         !c
     }
@@ -237,7 +212,6 @@ impl PacketBody {
         match self {
             PacketBody::Tagged(m) => m.data.len(),
             PacketBody::Am(m) => m.data.len(),
-            PacketBody::Probe(_) | PacketBody::ProbeAck(_) => 0,
         }
     }
 
@@ -269,8 +243,6 @@ impl PacketBody {
                 }
                 PacketBody::Am(m)
             }
-            PacketBody::Probe(nonce) => PacketBody::Probe(nonce ^ (1 << (pick % 64))),
-            PacketBody::ProbeAck(nonce) => PacketBody::ProbeAck(nonce ^ (1 << (pick % 64))),
         }
     }
 }
@@ -332,8 +304,7 @@ pub(crate) enum TxTick {
 
 /// Sender half of one directed link: sequence allocation, a retransmit
 /// queue with exponential backoff, a SACK scoreboard that resends holes at
-/// once, and (optionally) an RFC-6298 RTO estimator fed by ACK
-/// round-trips.
+/// once, and an RFC-6298 RTO estimator fed by ACK round-trips.
 #[derive(Debug)]
 pub(crate) struct LinkTx {
     next_seq: u32,
@@ -354,7 +325,6 @@ pub(crate) struct LinkTx {
     base_rto_us: u64,
     max_backoff_exp: u32,
     max_retries: u32,
-    adaptive_rto: bool,
     min_rto_us: u64,
     max_rto_us: u64,
     retransmit_budget: u32,
@@ -424,7 +394,6 @@ impl LinkTx {
             base_rto_us: cfg.base_rto_us,
             max_backoff_exp: cfg.max_backoff_exp,
             max_retries: cfg.max_retries,
-            adaptive_rto: cfg.adaptive_rto,
             min_rto_us: cfg.min_rto_us,
             max_rto_us: cfg.max_rto_us,
             retransmit_budget: cfg.retransmit_budget,
@@ -442,7 +411,7 @@ impl LinkTx {
     /// `base_rto_us` until the estimator has a sample, then RFC 6298's
     /// `SRTT + max(G, 4·RTTVAR)` clamped to the configured bounds.
     pub(crate) fn rto_us(&self) -> u64 {
-        if !self.adaptive_rto || !self.has_rtt_sample {
+        if !self.has_rtt_sample {
             return self.base_rto_us;
         }
         let var = self.rttvar_x4.max(RTO_GRANULARITY_US);
@@ -512,12 +481,10 @@ impl LinkTx {
                 break;
             }
         }
-        if self.adaptive_rto {
-            // The newest retired packet's round-trip is the freshest
-            // estimate (one sample per ACK, like per-RTT TCP sampling).
-            if let Some(rtt) = sample {
-                self.sample_rtt(rtt);
-            }
+        // The newest retired packet's round-trip is the freshest estimate
+        // (one sample per ACK, like per-RTT TCP sampling).
+        if let Some(rtt) = sample {
+            self.sample_rtt(rtt);
         }
         if progressed {
             self.retries = 0;
@@ -1045,8 +1012,7 @@ mod tests {
         let verdict = rx.receive(seq, b, |b| {
             tags.push(match b {
                 PacketBody::Tagged(m) => m.match_bits,
-                PacketBody::Probe(n) => n,
-                _ => unreachable!("the tests release tagged bodies and probes"),
+                PacketBody::Am(_) => unreachable!("the tests release tagged bodies"),
             })
         });
         (verdict, tags)
@@ -1390,7 +1356,7 @@ mod tests {
     /// variance toward zero so the RTO settles near SRTT + G at the clamp
     /// floor.
     #[test]
-    fn adaptive_rto_converges_on_stable_rtt() {
+    fn rto_estimator_converges_on_stable_rtt() {
         let c = cfg().with_rto_bounds(10, 50_000);
         let mut tx = LinkTx::new(&c);
         assert_eq!(tx.rto_us(), 200, "no samples yet: fixed schedule");
@@ -1692,18 +1658,6 @@ mod tests {
         assert_eq!(rx.sack(), 1 | 1 << 61 | 1 << 62);
     }
 
-    #[test]
-    fn probe_bodies_checksum_and_corrupt() {
-        let p = PacketBody::Probe(0xABCD);
-        let a = PacketBody::ProbeAck(0xABCD);
-        assert_ne!(p.checksum(), a.checksum(), "probe and ack must differ");
-        assert_eq!(p.payload_len(), 0);
-        for pick in [0u64, 7, u64::MAX] {
-            assert_ne!(p.corrupted(pick).checksum(), p.checksum());
-            assert_ne!(a.corrupted(pick).checksum(), a.checksum());
-        }
-    }
-
     /// No peer costs anything until the first packet crosses its link —
     /// the regression test for the dense `(0..n)` allocation this state
     /// used to carry (O(ranks²) fabric-wide).
@@ -1738,7 +1692,7 @@ mod tests {
         {
             let link = s.link_mut(peer);
             for i in 0..5u64 {
-                let seq = link.tx.prepare(PacketBody::Probe(i), None, 0);
+                let seq = link.tx.prepare(body(i), None, 0);
                 assert_eq!(seq, i as u32);
             }
             link.tx.on_ack(5, 10); // retire everything → idle
@@ -1770,10 +1724,8 @@ mod tests {
     fn busy_links_are_never_reclaimed() {
         let on = ProviderProfile::infinite().with_reliability(ReliabilityConfig::on());
         let mut s = ReliaState::new_vci(&on, NetAddr(0), 0);
-        s.link_mut(NetAddr(1))
-            .tx
-            .prepare(PacketBody::Probe(0), None, 0);
-        receive(&mut s.link_mut(NetAddr(2)).rx, 0, PacketBody::Probe(1));
+        s.link_mut(NetAddr(1)).tx.prepare(body(0), None, 0);
+        receive(&mut s.link_mut(NetAddr(2)).rx, 0, body(1));
         s.link_mut(NetAddr(3)); // idle from birth
         s.reclaim_idle();
         let peers: Vec<u32> = s.links().map(|(p, _)| p.0).collect();

@@ -47,15 +47,11 @@ pub struct EndpointStats {
     pub acks_sent: AtomicU64,
     /// Packets the fault plan dropped (or killed) on this endpoint's sends.
     pub faults_dropped: AtomicU64,
-    /// Liveness probes sent to quiet peers by the failure detector.
-    pub probes_sent: AtomicU64,
-    /// Peers this endpoint's detector moved to `Suspect`.
-    pub peers_suspected: AtomicU64,
-    /// Peers this endpoint declared `Dead` (heartbeat timeout or retry
-    /// exhaustion in the reliability layer).
+    /// Peers whose retry budget this endpoint's reliability layer
+    /// exhausted, each counted once however many VCIs ran dry toward it.
+    /// A kill or an abort reaches every endpoint without a verdict, so
+    /// neither counts here.
     pub peers_died: AtomicU64,
-    /// Suspected peers that proved alive again (flapping links).
-    pub peers_recovered: AtomicU64,
     /// Window (one-sided) operations issued into an access epoch.
     pub win_ops_issued: AtomicU64,
     /// Window operations completed: a passive-target put or accumulate
@@ -113,10 +109,7 @@ impl EndpointStats {
             crc_failures: self.crc_failures.load(Ordering::Relaxed),
             acks_sent: self.acks_sent.load(Ordering::Relaxed),
             faults_dropped: self.faults_dropped.load(Ordering::Relaxed),
-            probes_sent: self.probes_sent.load(Ordering::Relaxed),
-            peers_suspected: self.peers_suspected.load(Ordering::Relaxed),
             peers_died: self.peers_died.load(Ordering::Relaxed),
-            peers_recovered: self.peers_recovered.load(Ordering::Relaxed),
             win_ops_issued: self.win_ops_issued.load(Ordering::Relaxed),
             win_ops_completed: self.win_ops_completed.load(Ordering::Relaxed),
             win_flushes: self.win_flushes.load(Ordering::Relaxed),
@@ -170,10 +163,7 @@ pub struct StatsSnapshot {
     pub crc_failures: u64,
     pub acks_sent: u64,
     pub faults_dropped: u64,
-    pub probes_sent: u64,
-    pub peers_suspected: u64,
     pub peers_died: u64,
-    pub peers_recovered: u64,
     pub win_ops_issued: u64,
     pub win_ops_completed: u64,
     pub win_flushes: u64,
@@ -214,10 +204,7 @@ impl StatsSnapshot {
             crc_failures: self.crc_failures - earlier.crc_failures,
             acks_sent: self.acks_sent - earlier.acks_sent,
             faults_dropped: self.faults_dropped - earlier.faults_dropped,
-            probes_sent: self.probes_sent - earlier.probes_sent,
-            peers_suspected: self.peers_suspected - earlier.peers_suspected,
             peers_died: self.peers_died - earlier.peers_died,
-            peers_recovered: self.peers_recovered - earlier.peers_recovered,
             win_ops_issued: self.win_ops_issued - earlier.win_ops_issued,
             win_ops_completed: self.win_ops_completed - earlier.win_ops_completed,
             win_flushes: self.win_flushes - earlier.win_flushes,

@@ -4,7 +4,7 @@
 //! Every completion a rank can wait on raises an event on the waiter's
 //! endpoint (`endpoint.rs`, "Completion events"), so a sleep ends only at
 //! an event or just before one of the endpoint's timers (retransmit, owed
-//! ACK, failure-detector probe); there is no time-out. Every blocking call
+//! ACK, reorder stash); there is no time-out. Every blocking call
 //! of the stack waits in [`EndpointShared::wait_until`]: poll, drive
 //! progress, and then either hand the thread to another rank or sleep. A
 //! rank that shares its worker thread with other ranks (`task.rs`) pauses
@@ -106,14 +106,13 @@ impl EndpointShared {
     }
 
     /// The earliest time (fabric µs) one of this endpoint's timers falls
-    /// due: a retransmit, an owed ACK or a reorder stash (due now), or a
-    /// failure-detector probe or verdict. `None` when none is armed.
+    /// due: a retransmit, an owed ACK or a reorder stash (due now). `None`
+    /// when none is armed.
     pub(crate) fn next_deadline_us(&self, now: u64) -> Option<u64> {
-        let health = (self.health_enabled).then(|| self.health.lock().next_deadline());
-        let relia = (self.vcis.iter())
+        (self.vcis.iter())
             .filter(|_| self.routed)
-            .map(|v| v.relia_due_at(now));
-        relia.chain(health).flatten().min()
+            .filter_map(|v| v.relia_due_at(now))
+            .min()
     }
 
     /// The one blocking policy of the stack — see

@@ -73,8 +73,7 @@ pub enum Category {
     /// the injection-path totals.
     Progress,
     /// Fault-tolerance machinery outside the fault-free fast path:
-    /// liveness probes, failure-detector transitions, revocation
-    /// propagation, and the agreement/shrink protocols. Like `Progress`,
+    /// revocation propagation and the agreement/shrink protocols. Like `Progress`,
     /// none of this runs on the injection path of a healthy job — the
     /// calibrated 221/215 pins stay untouched, and tests assert the
     /// category is exactly zero under `FaultPlan::none()`.

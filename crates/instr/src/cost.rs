@@ -216,21 +216,12 @@ pub mod schedule {
 
 /// Fault-tolerance machinery (`Category::FaultTolerance`).
 ///
-/// Modeled costs (not paper-measured): the paper's builds have no failure
-/// detector or recovery protocol, so everything here executes strictly off
-/// the injection path — probes fire only on idle links, detector transitions
-/// only when a peer goes quiet, and the ULFM verbs (`revoke`/`shrink`/
-/// `agree`) only when the application invokes them. Tests assert this
-/// category is exactly zero under `FaultPlan::none()` steady-state traffic.
+/// Modeled costs (not paper-measured): the paper's builds have no recovery
+/// protocol, so everything here executes strictly off the injection path —
+/// the ULFM verbs (`revoke`/`shrink`/`agree`) run only when the application
+/// invokes them, so `FaultPlan::none()` steady-state traffic charges
+/// none of it.
 pub mod ft {
-    /// Build and transmit one liveness probe on an idle link (nonce stamp +
-    /// wire header; cheaper than a data packet — no payload, no CRC body).
-    pub const PROBE: u64 = 11;
-    /// Answer an incoming probe with a probe-ack (echo the nonce).
-    pub const PROBE_ACK: u64 = 8;
-    /// One detector state transition (Alive→Suspect, Suspect→Dead, or
-    /// Suspect→Alive recovery): timestamp compare + state write + event.
-    pub const DETECT_TRANSITION: u64 = 6;
     /// Process one revocation notice: mark the context revoked and fan the
     /// notice out over surviving links (per-peer forward charge applied by
     /// the broadcast loop itself).

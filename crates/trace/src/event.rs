@@ -80,19 +80,10 @@ pub enum EventKind {
     /// another thread and the acquirer had to wait. `a` = VCI index,
     /// `b` = 0 for the core critical section, 1 for the fabric tag engine.
     VciContend,
-    /// The failure detector sent a liveness probe to a quiet peer.
-    /// `a` = peer endpoint, `b` = probe nonce.
-    ProbeSent,
-    /// The failure detector moved a peer to `Suspect`. `a` = peer
-    /// endpoint, `b` = microseconds since last traffic from it.
-    PeerSuspect,
-    /// The failure detector declared a peer `Dead`. `a` = peer endpoint,
-    /// `b` = 1 when declared by the reliability layer (retry exhaustion),
-    /// 0 when declared by the heartbeat timeout.
+    /// The reliability layer declared a peer dead: its retry budget ran
+    /// out (once per peer, on whichever VCI ran dry first). `a` = peer
+    /// endpoint, `b` = 1 (retry exhaustion).
     PeerDead,
-    /// A suspected peer proved alive again (flapping link recovered).
-    /// `a` = peer endpoint.
-    PeerAlive,
     /// A communicator was revoked on this rank. `a` = context id,
     /// `b` = 1 when revoked locally by the application, 0 when learned
     /// from a remote revocation notice.
@@ -121,10 +112,7 @@ impl EventKind {
             EventKind::KernelTier => "kernel_tier",
             EventKind::VciSelect => "vci_select",
             EventKind::VciContend => "vci_contend",
-            EventKind::ProbeSent => "probe_sent",
-            EventKind::PeerSuspect => "peer_suspect",
             EventKind::PeerDead => "peer_dead",
-            EventKind::PeerAlive => "peer_alive",
             EventKind::CommRevoked => "comm_revoked",
         }
     }
@@ -155,11 +143,7 @@ impl EventKind {
             | EventKind::SchedPhaseComplete => "coll",
             EventKind::KernelTier => "kernel",
             EventKind::VciSelect | EventKind::VciContend => "vci",
-            EventKind::ProbeSent
-            | EventKind::PeerSuspect
-            | EventKind::PeerDead
-            | EventKind::PeerAlive
-            | EventKind::CommRevoked => "ft",
+            EventKind::PeerDead | EventKind::CommRevoked => "ft",
         }
     }
 
