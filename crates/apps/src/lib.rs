@@ -31,7 +31,7 @@ pub mod stencil;
 pub mod trace;
 
 pub use minimd::{MdConfig, MdReport};
-pub use msgrate::{isend_rate_mt, render_report, RateReport, VciReport};
+pub use msgrate::{render_report, RateReport};
 pub use nekbone::{NekConfig, NekReport};
 pub use pingpong::SizePoint;
 pub use stencil::{StencilConfig, StencilReport};

@@ -9,8 +9,7 @@
 //! rate figures derive from).
 
 use litempi_core::{waitall, Communicator, MpiResult, Process, Window};
-use litempi_fabric::MAX_VCIS;
-use litempi_instr::{counter, Category, CostModel};
+use litempi_instr::{counter, Category};
 use litempi_trace::RankTrace;
 use std::time::Instant;
 
@@ -37,34 +36,6 @@ pub struct RateReport {
     /// measured loop (ranks run as user-level tasks; 0 when each rank has
     /// a thread of its own).
     pub task_switches: u64,
-    /// Multithreaded-injector detail ([`isend_rate_mt`]); `None` for the
-    /// single-threaded measurements.
-    pub vci: Option<VciReport>,
-}
-
-/// VCI-level detail of one multithreaded-injector measurement.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct VciReport {
-    /// Shard count the fabric resolved (`LITEMPI_VCIS` / profile).
-    pub n_vcis: usize,
-    /// Concurrent injector threads on rank 0.
-    pub threads: usize,
-    /// Per-VCI critical-section acquisitions on rank 0's endpoint
-    /// (entries past `n_vcis` are zero).
-    pub acquires: [u64; MAX_VCIS],
-    /// How many of those acquisitions found the lock already held.
-    pub contended: [u64; MAX_VCIS],
-    /// Modeled aggregate message rate (msg/s) on the paper's IT-cluster
-    /// cost model. Each thread's injection-path instructions are measured
-    /// (thread-local counters); ops on the same VCI serialize behind its
-    /// critical section while distinct VCIs proceed concurrently, so the
-    /// modeled wall time is the *largest per-VCI instruction load* — the
-    /// critical path. With one VCI that is the sum over all threads (the
-    /// paper's single-lock collapse); with per-thread VCIs it is the
-    /// per-thread load, scaling the rate with the thread count. This is
-    /// the platform-independent quantity; `wall_rate` stays host-relative
-    /// (and on a single-core host cannot show the parallelism).
-    pub modeled_rate: f64,
 }
 
 /// `MPI_ISEND` issue rate: rank 0 fires `ops` one-byte sends at rank 1 in
@@ -105,126 +76,12 @@ pub fn isend_rate(
             allocs_per_op: allocs as f64 / ops as f64,
             relia_per_op: report.get(Category::Reliability) as f64 / ops as f64,
             task_switches: delta.task_switches,
-            vci: None,
         })
     } else if me == 1 {
         let mut buf = [0u8; 1];
         for _ in 0..ops {
             comm.recv_into(&mut buf, 0, 0)?;
         }
-        None
-    } else {
-        None
-    };
-    comm.barrier()?;
-    Ok(out)
-}
-
-/// `MPI_ISEND` issue rate under `MPI_THREAD_MULTIPLE`: `threads` injector
-/// threads on rank 0 each fire `ops_per_thread` one-byte sends at rank 1,
-/// every thread on its own dup'd communicator — sequential context ids,
-/// so with `n_vcis > 1` the threads land on distinct shards and with one
-/// VCI they all collapse onto the single critical section. Rank 1 sinks
-/// each thread's traffic on a matching thread. Collective over `comm`
-/// (the dups are); returns the report on rank 0, `None` elsewhere.
-///
-/// Instruction charges are thread-local, so each injector measures its own
-/// injection path exactly; the [`VciReport`] in the result carries the
-/// modeled critical-path rate (see its docs) alongside the host wall rate.
-pub fn isend_rate_mt(
-    proc: &Process,
-    comm: &Communicator,
-    ops_per_thread: usize,
-    window: usize,
-    threads: usize,
-) -> MpiResult<Option<RateReport>> {
-    assert!(comm.size() >= 2, "need a sink rank");
-    assert!((1..=MAX_VCIS).contains(&threads), "1..=MAX_VCIS threads");
-    let me = comm.rank();
-    let n_vcis = proc.n_vcis();
-    // Collective part: mint one communicator per injector thread.
-    let comms: Vec<Communicator> = (0..threads).map(|_| comm.dup()).collect();
-    comm.barrier()?;
-    let total_ops = ops_per_thread * threads;
-    let out = if me == 0 {
-        let before = proc.comm_stats();
-        let t0 = Instant::now();
-        let per_thread: Vec<(usize, u64, u64, u64)> = std::thread::scope(|s| {
-            let handles: Vec<_> = comms
-                .into_iter()
-                .map(|c| {
-                    s.spawn(move || {
-                        // Thread-local counters: this thread's charges only.
-                        counter::reset();
-                        let probe = counter::probe();
-                        let data = [1u8];
-                        let mut issued = 0;
-                        while issued < ops_per_thread {
-                            let batch = window.min(ops_per_thread - issued);
-                            let reqs: Vec<_> = (0..batch)
-                                .map(|_| c.isend(&data, 1, 0))
-                                .collect::<MpiResult<_>>()?;
-                            waitall(reqs)?;
-                            issued += batch;
-                        }
-                        let allocs = probe.allocs();
-                        let report = probe.finish();
-                        let home = litempi_core::match_bits::vci_of_ctx(c.context_id(), n_vcis);
-                        Ok((
-                            home,
-                            report.injection_total(),
-                            report.get(Category::Reliability),
-                            allocs,
-                        ))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("injector thread panicked"))
-                .collect::<MpiResult<_>>()
-        })?;
-        let dt = t0.elapsed().as_secs_f64();
-        let delta = proc.comm_stats().diff(&before);
-        let mut vci_instr = [0u64; MAX_VCIS];
-        let (mut serial, mut relia, mut allocs) = (0u64, 0u64, 0u64);
-        for &(home, instr, r, a) in &per_thread {
-            vci_instr[home] += instr;
-            serial += instr;
-            relia += r;
-            allocs += a;
-        }
-        // Critical path: per-VCI loads run concurrently, ops within a VCI
-        // serialize. One VCI ⇒ every thread homes to shard 0 ⇒ the max IS
-        // the serialized sum.
-        let critical = vci_instr.iter().copied().max().unwrap_or(0);
-        let modeled_rate = total_ops as f64 / CostModel::IT_CLUSTER.seconds(critical).max(1e-12);
-        Some(RateReport {
-            ops: total_ops,
-            wall_rate: total_ops as f64 / dt.max(1e-12),
-            instr_per_op: serial as f64 / total_ops as f64,
-            allocs_per_op: allocs as f64 / total_ops as f64,
-            relia_per_op: relia as f64 / total_ops as f64,
-            task_switches: delta.task_switches,
-            vci: Some(VciReport {
-                n_vcis,
-                threads,
-                acquires: delta.vci_acquires,
-                contended: delta.vci_contended,
-                modeled_rate,
-            }),
-        })
-    } else if me == 1 {
-        std::thread::scope(|s| {
-            for c in comms {
-                s.spawn(move || {
-                    let mut buf = [0u8; 1];
-                    for _ in 0..ops_per_thread {
-                        c.recv_into(&mut buf, 0, 0).expect("sink recv failed");
-                    }
-                });
-            }
-        });
         None
     } else {
         None
@@ -258,7 +115,6 @@ pub fn put_rate(proc: &Process, comm: &Communicator, ops: usize) -> MpiResult<Op
             allocs_per_op: allocs as f64 / ops as f64,
             relia_per_op: report.get(Category::Reliability) as f64 / ops as f64,
             task_switches: delta.task_switches,
-            vci: None,
         })
     } else {
         None
@@ -401,16 +257,6 @@ pub fn render_report(label: &str, r: &RateReport, traces: &[RankTrace]) -> Strin
             ""
         }
     ));
-    if let Some(v) = &r.vci {
-        out.push_str(&format!(
-            "vci: {} shard(s), {} injector thread(s), modeled {:.2} M msg/s, acquires {:?}, contended {:?}\n",
-            v.n_vcis,
-            v.threads,
-            v.modeled_rate / 1e6,
-            &v.acquires[..v.n_vcis],
-            &v.contended[..v.n_vcis],
-        ));
-    }
     if !traces.is_empty() {
         out.push_str(&litempi_trace::summarize(traces));
     }
@@ -546,7 +392,6 @@ mod tests {
             allocs_per_op: 0.0,
             relia_per_op: 0.0,
             task_switches: 3,
-            vci: None,
         };
         let summary = render_report("isend", &report, &out);
         assert!(summary.contains("instructions/op"));
@@ -663,58 +508,6 @@ mod tests {
         let line = render_overlap("overlap", &r);
         assert!(line.contains("schedule instr"));
         assert!(out[1].is_none());
-    }
-
-    /// Multithreaded injectors: the paper-calibrated per-op injection cost
-    /// is unchanged per thread, the modeled critical-path rate scales with
-    /// the shard count, and the contention counters see the single-lock
-    /// collapse only in the unsharded configuration.
-    #[test]
-    fn mt_injectors_scale_modeled_rate_with_vcis() {
-        let run = |n_vcis: usize| {
-            Universe::run(
-                2,
-                BuildConfig::ch4_thread_multiple(),
-                ProviderProfile::infinite().with_vcis(n_vcis),
-                Topology::single_node(2),
-                |proc| {
-                    let world = proc.world();
-                    isend_rate_mt(&proc, &world, 50, 8, 4).unwrap()
-                },
-            )
-        };
-        let sharded = run(4)[0].unwrap();
-        let single = run(1)[0].unwrap();
-        for r in [&single, &sharded] {
-            assert_eq!(r.ops, 200);
-            // Per-thread injection path is the calibrated 221 regardless of
-            // sharding: VCI bookkeeping lives outside the injection totals.
-            assert!((r.instr_per_op - 221.0).abs() < 1e-9, "{}", r.instr_per_op);
-        }
-        let (s1, s4) = (single.vci.unwrap(), sharded.vci.unwrap());
-        assert_eq!(s1.threads, 4);
-        assert_eq!(s4.threads, 4);
-        // `LITEMPI_VCIS` overrides the profile (the CI matrix leans on
-        // that), so gate each half on the count the fabric really resolved.
-        if s1.n_vcis == 1 {
-            // Unsharded: no per-VCI accounting, serialized critical path.
-            assert!(s1.acquires.iter().all(|&c| c == 0));
-        }
-        if s4.n_vcis == 4 {
-            // Four dup'd comms land on four distinct shards; every op
-            // acquires its own VCI's critical section.
-            assert!(s4.acquires.iter().filter(|&&c| c > 0).count() >= 4);
-        }
-        if s1.n_vcis == 1 && s4.n_vcis == 4 {
-            let speedup = s4.modeled_rate / s1.modeled_rate;
-            assert!(
-                speedup >= 2.5,
-                "4 VCIs should scale the modeled rate, got {speedup:.2}x"
-            );
-        }
-        let line = render_report("isend_mt", &sharded, &[]);
-        assert!(line.contains("vci:"), "{line}");
-        assert!(line.contains("injector thread(s)"), "{line}");
     }
 
     #[test]

@@ -41,15 +41,14 @@ pub(crate) fn send_staged(
     let Some(mut dest) = dests.next() else {
         return;
     };
-    let vci = proc.vci_of_bits(bits);
     let (ty, mode) = (Datatype::BYTE, SendMode::Standard);
-    let staged = proto::stage(proc, vci, &ty, data.len(), data, mode, None);
+    let staged = proto::stage(proc, &ty, data.len(), data, mode, None);
     let opts = SendOpts::default();
     for next in dests {
-        inject(proc, dest, bits, staged.clone().into_wire(proc, vci), &opts);
+        inject(proc, dest, bits, staged.clone().into_wire(proc), &opts);
         dest = next;
     }
-    inject(proc, dest, bits, staged.into_wire(proc, vci), &opts);
+    inject(proc, dest, bits, staged.into_wire(proc), &opts);
 }
 
 /// FT-internal collective-channel send for the agreement protocol

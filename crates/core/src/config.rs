@@ -105,9 +105,8 @@ impl BuildConfig {
     }
 
     /// CH4 default build granted `MPI_THREAD_MULTIPLE`: every operation's
-    /// runtime thread-safety check now also takes its VCI's critical
-    /// section — the configuration whose message rate the endpoint
-    /// sharding exists to scale.
+    /// runtime thread-safety check now also takes the process's critical
+    /// section — the paper's global lock.
     pub const fn ch4_thread_multiple() -> Self {
         BuildConfig {
             thread_level: ThreadLevel::Multiple,

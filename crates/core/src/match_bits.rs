@@ -116,25 +116,6 @@ pub fn is_nomatch(bits: u64) -> bool {
     decode_src(bits) as u64 == NOMATCH_SRC
 }
 
-/// The VCI a match-bits pattern maps to on a fabric running `n_vcis`
-/// shards. Delegates to the fabric's hash so sender, receiver, and this
-/// layer's own critical-section/pool sharding always agree (the layout
-/// contract is pinned by a test below).
-#[inline]
-pub fn vci_of(bits: u64, n_vcis: usize) -> usize {
-    litempi_fabric::vci_for_bits(bits, n_vcis)
-}
-
-/// The home VCI of a context's channel, computable before the full match
-/// bits exist. For user channels the hash reads only the context id, so
-/// this equals [`vci_of`] of any bits carrying `ctx`; collective contexts
-/// additionally hash the tag, so callers with a concrete tag should prefer
-/// [`vci_of`] on the full bits.
-#[inline]
-pub fn vci_of_ctx(ctx: ContextId, n_vcis: usize) -> usize {
-    vci_of((ctx.0 as u64) << CTX_SHIFT, n_vcis)
-}
-
 /// Error-checking validation of a send tag.
 pub fn check_tag(tag: i32) -> MpiResult<()> {
     if !(0..=TAG_UB).contains(&tag) {
@@ -224,44 +205,6 @@ mod tests {
         assert_eq!(bits, encode_nomatch(ContextId(6)));
         // Different communicator → no match (isolation retained, §3.6).
         assert_ne!(bits, encode_nomatch(ContextId(7)));
-    }
-
-    #[test]
-    fn vci_hash_agrees_with_fabric_layout() {
-        // The fabric decodes the context id and tag straight out of the
-        // match bits; this pins the layout contract between the two crates.
-        for n in [1usize, 2, 4, 8] {
-            for ctx in [ContextId(1), ContextId(7), ContextId(300)] {
-                // User channel: every (src, tag) — including wildcard
-                // receive patterns — shares the communicator's home VCI.
-                let home = vci_of(encode(ctx, 0, 0), n);
-                assert!(home < n);
-                for src in [0usize, 3, 4000] {
-                    for tag in [0, 1, TAG_UB] {
-                        assert_eq!(vci_of(encode(ctx, src, tag), n), home);
-                    }
-                }
-                let (wild, _ignore) = recv_bits(ctx, ANY_SOURCE, ANY_TAG);
-                assert_eq!(vci_of(wild, n), home);
-                assert_eq!(vci_of(encode_nomatch(ctx), n), home);
-                // Collective channel: sender and receiver agree per tag.
-                let coll = ctx.collective();
-                for tag in [0, 5, 100] {
-                    assert_eq!(
-                        vci_of(encode(coll, 0, tag), n),
-                        vci_of(encode(coll, 9, tag), n)
-                    );
-                }
-            }
-        }
-        // Sequential context ids (what comm dup mints) spread over shards.
-        let homes: Vec<usize> = (1u16..=4)
-            .map(|c| vci_of(encode(ContextId(c), 0, 0), 4))
-            .collect();
-        let mut uniq = homes.clone();
-        uniq.sort_unstable();
-        uniq.dedup();
-        assert_eq!(uniq.len(), 4, "{homes:?}");
     }
 
     #[test]

@@ -22,9 +22,8 @@ use crate::comm::{Communicator, Errhandler};
 use crate::error::{MpiError, MpiResult};
 use crate::match_bits;
 use crate::process::{Posted, ProcInner};
-use crate::proto;
-use crate::pt2pt::{charge_rndv_send, inject, SendMode, SendOpts};
-use crate::request::{RecvDest, Request};
+use crate::pt2pt::{send_gates, send_tail, SendMode, SendOpts, SendTo};
+use crate::request::{fatal_filter, RecvDest, Request};
 use crate::status::Status;
 use litempi_datatype::{Datatype, MpiPrimitive};
 use litempi_instr::{charge, cost, Category};
@@ -165,8 +164,7 @@ impl PersistentSend<'_> {
             return Err(MpiError::InvalidRequest("persistent start while active"));
         }
         let proc = &self.proc;
-        let vci = proc.vci_of_bits(self.bits);
-        proc.with_cs(vci, cost::isend::THREAD_CHECK, || {
+        proc.with_cs(cost::isend::THREAD_CHECK, || {
             if !proc.config.ipo {
                 charge(Category::FunctionCall, cost::isend::FUNCTION_CALL);
             }
@@ -180,24 +178,16 @@ impl PersistentSend<'_> {
                 self.started = Some(Request::done(Status::send()));
                 return Ok(());
             };
-            let staged = proto::stage(
-                proc,
-                vci,
-                &self.ty,
-                self.count,
-                self.buf,
-                SendMode::Standard,
-                Some(dest_world),
-            );
-            let done = charge_rndv_send(&staged);
-            let wire = staged.into_wire(proc, vci);
-            inject(proc, dest_world, self.bits, wire, &SendOpts::default());
-            self.started = Some(match done {
-                None => Request::done(Status::send()),
-                Some(done) => {
-                    Request::send_rndv(proc.clone(), done, Some(dest_world), self.fatal, self.ctx)
-                }
-            });
+            send_gates(proc, self.ctx, dest_world, self.fatal)?;
+            let to = SendTo {
+                dest_world,
+                bits: self.bits,
+                ctx: self.ctx,
+                fatal: self.fatal,
+            };
+            let (ty, mode, opts) = (&self.ty, SendMode::Standard, SendOpts::default());
+            let done = send_tail(proc, &to, ty, self.count, self.buf, mode, &opts);
+            self.started = Some(to.request(proc, done));
             Ok(())
         })
     }
@@ -225,8 +215,7 @@ impl PersistentRecv<'_> {
             return Err(MpiError::InvalidRequest("persistent start while active"));
         }
         let proc = &self.proc;
-        let vci = proc.vci_of_bits(self.bits);
-        proc.with_cs(vci, cost::isend::THREAD_CHECK, || {
+        proc.with_cs(cost::isend::THREAD_CHECK, || {
             if !proc.config.ipo {
                 charge(Category::FunctionCall, cost::isend::FUNCTION_CALL);
             }
@@ -237,6 +226,11 @@ impl PersistentRecv<'_> {
             if self.proc_null {
                 self.started = Some(None);
                 return Ok(());
+            }
+            // ULFM gate (uncharged), as in `irecv_impl`: no receive posts
+            // into a context no peer will send on again.
+            if proc.is_ctx_revoked(self.ctx) {
+                return fatal_filter(Err(MpiError::Revoked), self.fatal);
             }
             charge(Category::NetmodIssue, cost::isend::NETMOD_ISSUE);
             self.started = Some(Some(Posted::post(proc, self.bits, self.ignore)));

@@ -89,13 +89,9 @@ pub struct ProcInner {
     pub(crate) endpoint: Endpoint,
     pub(crate) config: BuildConfig,
     pub(crate) univ: Arc<UnivShared>,
-    /// Per-VCI critical sections taken by `MPI_THREAD_MULTIPLE` builds.
-    /// With one VCI this is the paper's single global critical section;
-    /// with more, operations lock only their shard's entry, so injector
-    /// threads driving different communicators never serialize here.
-    pub(crate) crit: Box<[Mutex<()>]>,
-    /// The fabric's VCI count, hoisted (consulted on every operation).
-    pub(crate) n_vcis: usize,
+    /// The critical section `MPI_THREAD_MULTIPLE` builds take around every
+    /// thread-checked operation: the paper's single global lock.
+    pub(crate) crit: Mutex<()>,
     /// The CH4 core's matching engine (AM-only providers); see [`Posted`].
     pub(crate) core_match: Mutex<MatchEngine>,
     /// This rank's side of the windows it participates in, by window id
@@ -148,15 +144,13 @@ impl ProcInner {
                 litempi_simd::active_clmul() as u64,
             );
         }
-        let n_vcis = endpoint.n_vcis();
         ProcInner {
             rank,
             size,
             endpoint,
             config,
             univ,
-            crit: (0..n_vcis).map(|_| Mutex::new(())).collect(),
-            n_vcis,
+            crit: Mutex::new(()),
             core_match: Mutex::new(MatchEngine::new(MatcherKind::Bucketed)),
             my_windows: Mutex::new(HashMap::new()),
             pending_replies: Mutex::new(HashMap::new()),
@@ -391,71 +385,31 @@ impl ProcInner {
             .clone()
     }
 
-    /// Run `f` inside `vci`'s critical section if this build grants
+    /// Run `f` inside the process's critical section if this build grants
     /// `MPI_THREAD_MULTIPLE`; charge the runtime thread-safety check if the
     /// build carries one. `check_cost` is the per-op check cost (isend vs
     /// put). This is the single entry point for every thread-checked
-    /// operation — pt2pt, persistent starts, and RMA all route through it,
-    /// so the VCI-aware locking and its contention accounting live in one
-    /// place.
+    /// operation — pt2pt, persistent starts, and RMA all route through it.
     #[inline]
-    pub(crate) fn with_cs<T>(&self, vci: usize, check_cost: u64, f: impl FnOnce() -> T) -> T {
+    pub(crate) fn with_cs<T>(&self, check_cost: u64, f: impl FnOnce() -> T) -> T {
         use crate::config::ThreadLevel;
         use litempi_instr::{charge, Category};
         if self.config.thread_check {
             charge(Category::ThreadCheck, check_cost);
             if self.config.thread_level == ThreadLevel::Multiple {
-                let slot = &self.crit[vci];
-                let _guard = match slot.try_lock() {
-                    Some(g) => {
-                        self.endpoint.note_vci_acquire(vci, false);
-                        g
-                    }
-                    None => {
-                        self.endpoint.note_vci_acquire(vci, true);
-                        slot.lock()
-                    }
-                };
+                let _guard = self.crit.lock();
                 return f();
             }
         }
         f()
     }
 
-    /// The VCI an operation with these match bits belongs to, charging the
-    /// shard-selection hash to its own [`Category::Vci`](litempi_instr::Category)
-    /// bucket (outside the injection-path totals). With one VCI this is a
-    /// free constant 0 — no charge, no trace — preserving the unsharded
-    /// build's instruction counts exactly.
+    /// Release a consumed wire payload back into the fabric's arena
+    /// (uncharged — the paper's release path carries no extra
+    /// instructions).
     #[inline]
-    pub(crate) fn vci_of_bits(&self, bits: u64) -> usize {
-        if self.n_vcis <= 1 {
-            return 0;
-        }
-        use litempi_instr::{charge, cost, Category};
-        charge(Category::Vci, cost::vci::SELECT);
-        let vci = crate::match_bits::vci_of(bits, self.n_vcis);
-        if self.endpoint.fabric().trace_enabled() {
-            litempi_trace::emit(litempi_trace::EventKind::VciSelect, vci as u64, bits);
-        }
-        vci
-    }
-
-    /// The home VCI of a communicator's user channel (usable before the
-    /// final match bits exist — the user-channel hash reads only the
-    /// context id, so any source/tag yields the same shard).
-    #[inline]
-    pub(crate) fn vci_of_ctx(&self, ctx: crate::match_bits::ContextId) -> usize {
-        self.vci_of_bits((ctx.0 as u64) << crate::match_bits::CTX_SHIFT)
-    }
-
-    /// Release a consumed wire payload back into the arena of the VCI it
-    /// was taken from (derived from its match bits; uncharged — the paper's
-    /// release path carries no extra instructions).
-    #[inline]
-    pub(crate) fn pool_release(&self, bits: u64, payload: Bytes) {
-        let vci = crate::match_bits::vci_of(bits, self.n_vcis);
-        self.endpoint.fabric().pool_vci(vci).release(payload);
+    pub(crate) fn pool_release(&self, payload: Bytes) {
+        self.endpoint.fabric().pool().release(payload);
     }
 
     /// World rank → physical address (identity in our fabric).
@@ -568,28 +522,10 @@ impl Process {
         self.inner.endpoint.stats()
     }
 
-    /// The number of virtual communication interfaces (VCIs) the fabric
-    /// resolved for this job — 1 is the unsharded single-critical-section
-    /// configuration the paper analyzes; `LITEMPI_VCIS` or
-    /// `ProviderProfile::with_vcis` raise it.
-    pub fn n_vcis(&self) -> usize {
-        self.inner.n_vcis
-    }
-
     /// Payload-pool counters for this job's fabric (takes, hits, recycled,
-    /// dropped), summed over every VCI's arena. Tests assert pool reuse
-    /// and hit rates through this.
+    /// dropped). Tests assert pool reuse and hit rates through this.
     pub fn pool_stats(&self) -> litempi_fabric::PoolStats {
-        let fabric = self.inner.endpoint.fabric();
-        let mut total = fabric.pool().stats();
-        for vci in 1..fabric.n_vcis() {
-            let s = fabric.pool_vci(vci).stats();
-            total.takes += s.takes;
-            total.hits += s.hits;
-            total.recycled += s.recycled;
-            total.dropped += s.dropped;
-        }
-        total
+        self.inner.endpoint.fabric().pool().stats()
     }
 
     #[cfg(test)]

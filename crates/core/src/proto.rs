@@ -72,7 +72,6 @@ fn fill(dst: &mut PayloadBuf, ty: &Datatype, count: usize, buf: &[u8], len: usiz
 /// allocated but that flag.
 pub(crate) fn stage(
     proc: &ProcInner,
-    vci: usize,
     ty: &Datatype,
     count: usize,
     buf: &[u8],
@@ -83,7 +82,7 @@ pub(crate) fn stage(
     let caps = &fabric.profile().caps;
     let len = pack::packed_size(ty, count);
     if mode == SendMode::Buffered || (len <= caps.max_eager && mode != SendMode::Synchronous) {
-        let mut wire = fabric.pool_vci(vci).take(1 + len);
+        let mut wire = fabric.pool().take(1 + len);
         wire.put_u8(0);
         fill(&mut wire, ty, count, buf, len);
         return Body::Eager(wire.freeze());
@@ -101,7 +100,7 @@ pub(crate) fn stage(
             Storage::Region(region)
         }
         _ => {
-            let mut staging = fabric.pool_vci(vci).take(len);
+            let mut staging = fabric.pool().take(len);
             fill(&mut staging, ty, count, buf, len);
             Storage::Pooled(staging.freeze().into_storage())
         }
@@ -119,7 +118,7 @@ impl Body {
     /// fan-out clones for all destinations but the last and moves for
     /// that one, so the sender keeps no handle and whichever receiver
     /// releases last finds the storage unique and recycles it.
-    pub(crate) fn into_wire(self, proc: &ProcInner, vci: usize) -> Bytes {
+    pub(crate) fn into_wire(self, proc: &ProcInner) -> Bytes {
         match self {
             Body::Eager(wire) => wire,
             Body::Rndv(entry) => {
@@ -127,7 +126,7 @@ impl Body {
                 let rndv_id = proc.univ.park_rndv(entry);
                 // The descriptor is pooled too: rendezvous control traffic
                 // recycles like eager data.
-                let mut rts = proc.endpoint.fabric().pool_vci(vci).take(25);
+                let mut rts = proc.endpoint.fabric().pool().take(25);
                 rts.put_u8(1);
                 rts.put_u64_le(rndv_id);
                 rts.put_u64_le(len as u64);
@@ -198,7 +197,6 @@ pub enum DecodedPayload<'a> {
 /// A matched message whose body this rank now owns: the eager wire buffer,
 /// or the rendezvous entry its descriptor named.
 pub(crate) struct Opened {
-    bits: u64,
     src: NetAddr,
     pub(crate) body: Body,
 }
@@ -213,15 +211,11 @@ pub(crate) fn open(proc: &ProcInner, msg: TaggedMessage) -> MpiResult<Opened> {
         DecodedPayload::Rts { rndv_id, len, key } => {
             let entry = proc.univ.take_rndv(rndv_id, key, len)?;
             // The descriptor is consumed: recycle its wire buffer.
-            proc.pool_release(msg.match_bits, msg.data);
+            proc.pool_release(msg.data);
             Body::Rndv(entry)
         }
     };
-    Ok(Opened {
-        bits: msg.match_bits,
-        src: msg.src,
-        body,
-    })
+    Ok(Opened { src: msg.src, body })
 }
 
 impl Opened {
@@ -235,8 +229,8 @@ impl Opened {
 
     /// Lend the message bytes to `f` where they lie — the wire buffer, the
     /// staging buffer, or the sender's region through one RDMA read — then
-    /// finish the message: pooled storage goes back to its home-VCI pool
-    /// (which is what keeps every channel allocation-free), a region back
+    /// finish the message: pooled storage goes back to the pool (which is
+    /// what keeps every channel allocation-free), a region back
     /// to the *origin's* pin-down cache, keyed by this rank, so the
     /// sender's next large message to us is a registration-cache hit; and
     /// a sender that tracks the body is told.
@@ -244,7 +238,7 @@ impl Opened {
         let RndvEntry { storage, len, done } = match self.body {
             Body::Eager(wire) => {
                 let out = f(&wire[1..]);
-                proc.pool_release(self.bits, wire);
+                proc.pool_release(wire);
                 return out;
             }
             Body::Rndv(entry) => entry,
@@ -252,7 +246,7 @@ impl Opened {
         let out = match storage {
             Storage::Pooled(data) => {
                 let out = f(&data);
-                proc.pool_release(self.bits, Bytes::from_storage(data));
+                proc.pool_release(Bytes::from_storage(data));
                 out
             }
             Storage::Region(region) => {
@@ -416,16 +410,8 @@ mod tests {
 
     /// [`stage`] for a byte slice in standard mode.
     fn stage_bytes(proc: &ProcInner, data: &[u8], tracked_peer: Option<usize>) -> Body {
-        let mode = SendMode::Standard;
-        stage(
-            proc,
-            0,
-            &Datatype::BYTE,
-            data.len(),
-            data,
-            mode,
-            tracked_peer,
-        )
+        let (ty, mode) = (Datatype::BYTE, SendMode::Standard);
+        stage(proc, &ty, data.len(), data, mode, tracked_peer)
     }
 
     /// A message from this rank to itself, as the matching engine hands it
@@ -488,9 +474,9 @@ mod tests {
             // Synchronous mode must see the match, whatever the size;
             // buffered mode never waits for one.
             let (ty, data) = (Datatype::BYTE, [7u8; 20_000]);
-            let sync = stage(proc, 0, &ty, 4, &data, SendMode::Synchronous, Some(0));
+            let sync = stage(proc, &ty, 4, &data, SendMode::Synchronous, Some(0));
             assert!(matches!(sync, Body::Rndv(_)));
-            let buffered = stage(proc, 0, &ty, data.len(), &data, SendMode::Buffered, Some(0));
+            let buffered = stage(proc, &ty, data.len(), &data, SendMode::Buffered, Some(0));
             assert!(matches!(buffered, Body::Eager(_)));
         });
     }
@@ -501,7 +487,7 @@ mod tests {
             let data = [5u8; 40_000];
             let fan_out = |data: &[u8]| {
                 let staged = stage_bytes(proc, data, None);
-                [staged.clone().into_wire(proc, 0), staged.into_wire(proc, 0)]
+                [staged.clone().into_wire(proc), staged.into_wire(proc)]
             };
             let read_all = |wires: [Bytes; 2], want: &[u8]| {
                 for wire in wires {
@@ -539,7 +525,7 @@ mod tests {
                 let entry = staged.rndv().expect("above the eager ceiling");
                 assert_eq!(matches!(entry.storage, Storage::Region(_)), in_region);
                 let done = entry.done.clone().expect("a tracked body carries a flag");
-                let wire = staged.into_wire(proc, 0);
+                let wire = staged.into_wire(proc);
                 let (id, len, key) = rts_fields(&wire);
                 assert_eq!((len, key != 0), (data.len(), in_region));
                 for damaged in [

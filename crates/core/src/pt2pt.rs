@@ -22,7 +22,7 @@ use crate::error::{MpiError, MpiResult};
 use crate::match_bits::{self, ANY_SOURCE, PROC_NULL};
 use crate::process::{Posted, ProcInner};
 use crate::proto::{self, Body};
-use crate::request::{poll_or_death, wait_for, RecvDest, Request};
+use crate::request::{fatal_filter, poll_or_death, wait_for, RecvDest, Request};
 use crate::status::Status;
 use crate::universe::Storage;
 use bytes::Bytes;
@@ -312,10 +312,7 @@ pub(crate) fn isend_impl(
         charge(Category::ErrorChecking, cost::isend::ERROR_CHECKING);
         validate_send(comm, buf.len(), ty, count, dest, tag, &opts)?;
     }
-    // The communicator's home VCI: known from the context id alone, before
-    // the final match bits exist (the user-channel hash ignores src/tag).
-    let vci = proc.vci_of_ctx(comm.context_id());
-    proc.with_cs(vci, cost::isend::THREAD_CHECK, || {
+    proc.with_cs(cost::isend::THREAD_CHECK, || {
         if !proc.config.ipo {
             // Function-call overhead: removed by library link-time inlining.
             charge(Category::FunctionCall, cost::isend::FUNCTION_CALL);
@@ -355,23 +352,9 @@ pub(crate) fn isend_impl(
             comm.group().world_rank(dest as usize)
         };
 
-        // ULFM gate: a revoked communicator fails all new point-to-point
-        // traffic immediately (no charge — the flag is one relaxed load in
-        // the fault-free case, keeping the paper's charge identity).
-        if proc.is_ctx_revoked(comm.context_id().0) {
-            return comm.handle_error(Err(MpiError::Revoked));
-        }
-
-        // FT pre-check: injecting toward a known-dead peer fails fast (the
-        // provider's analogue of a link-down completion error) instead of
-        // retrying into a black hole. Routed through the communicator's
-        // error handler: fatal by default, `Err` under MPI_ERRORS_RETURN.
-        if proc
-            .endpoint
-            .peer_unreachable(proc.addr_of_world(dest_world))
-        {
-            return comm.handle_error(Err(MpiError::PeerUnreachable { peer: dest_world }));
-        }
+        let ctx = comm.context_id().0;
+        let fatal = comm.errhandler() == crate::comm::Errhandler::ErrorsAreFatal;
+        send_gates(proc, ctx, dest_world, fatal)?;
 
         let bits = if opts.no_match || opts.all_opts {
             match_bits::encode_nomatch(comm.context_id())
@@ -385,26 +368,97 @@ pub(crate) fn isend_impl(
         }
 
         // ---- protocol ------------------------------------------------------
-        let staged = proto::stage(proc, vci, ty, count, buf, mode, Some(dest_world));
-        let done = charge_rndv_send(&staged);
-        inject(proc, dest_world, bits, staged.into_wire(proc, vci), &opts);
+        let to = SendTo {
+            dest_world,
+            bits,
+            ctx,
+            fatal,
+        };
+        let done = send_tail(proc, &to, ty, count, buf, mode, &opts);
         if opts.no_request || opts.all_opts {
             let mut state = comm.noreq.lock();
             state.issued += 1;
             state.pending.extend(done.map(|done| (done, dest_world)));
             return Ok(Request::done(Status::send()));
         }
-        Ok(match done {
+        Ok(to.request(proc, done))
+    })
+}
+
+/// Where a two-sided send goes and how its failures report: the world rank
+/// and match bits, and the communicator's context id and
+/// `MPI_ERRORS_ARE_FATAL` (a snapshot, for persistent sends).
+pub(crate) struct SendTo {
+    pub(crate) dest_world: usize,
+    pub(crate) bits: u64,
+    pub(crate) ctx: u16,
+    pub(crate) fatal: bool,
+}
+
+impl SendTo {
+    /// The request of a send [`send_tail`] issued: complete if the body
+    /// went eagerly (`done` is `None`), else waiting for the receiver to
+    /// take it.
+    pub(crate) fn request(
+        &self,
+        proc: &Arc<ProcInner>,
+        done: Option<Arc<AtomicBool>>,
+    ) -> Request<'static> {
+        match done {
             None => Request::done(Status::send()),
             Some(done) => Request::send_rndv(
                 proc.clone(),
                 done,
-                Some(dest_world),
-                comm.errhandler() == crate::comm::Errhandler::ErrorsAreFatal,
-                comm.context_id().0,
+                Some(self.dest_world),
+                self.fatal,
+                self.ctx,
             ),
-        })
-    })
+        }
+    }
+}
+
+/// The ULFM gates every two-sided send passes before it charges its match
+/// bits or request — `isend_impl` and `PersistentSend::start`: a revoked
+/// communicator fails all new point-to-point traffic, and a send toward a
+/// known-dead peer fails fast (the provider's analogue of a link-down
+/// completion error) instead of retrying into a black hole. Either is
+/// fatal under `MPI_ERRORS_ARE_FATAL` and the `Err` under
+/// `MPI_ERRORS_RETURN`. Neither gate is charged — each is one relaxed load
+/// in the fault-free case, keeping the paper's charge identity.
+pub(crate) fn send_gates(
+    proc: &ProcInner,
+    ctx: u16,
+    dest_world: usize,
+    fatal: bool,
+) -> MpiResult<()> {
+    let gate = if proc.is_ctx_revoked(ctx) {
+        MpiError::Revoked
+    } else if (proc.endpoint).peer_unreachable(proc.addr_of_world(dest_world)) {
+        MpiError::PeerUnreachable { peer: dest_world }
+    } else {
+        return Ok(());
+    };
+    fatal_filter(Err(gate), fatal)
+}
+
+/// The tail every two-sided send shares once it has passed
+/// [`send_gates`] and knows its match bits: the body is staged
+/// ([`proto::stage`]), its rendezvous half charged and the wire payload
+/// injected. Returns the rendezvous completion flag (`None`: sent eagerly,
+/// complete).
+pub(crate) fn send_tail(
+    proc: &ProcInner,
+    to: &SendTo,
+    ty: &Datatype,
+    count: usize,
+    buf: &[u8],
+    mode: SendMode,
+    opts: &SendOpts,
+) -> Option<Arc<AtomicBool>> {
+    let staged = proto::stage(proc, ty, count, buf, mode, Some(to.dest_world));
+    let done = charge_rndv_send(&staged);
+    inject(proc, to.dest_world, to.bits, staged.into_wire(proc), opts);
+    done
 }
 
 /// Charge the sender's half of a rendezvous, by where [`proto::stage`] put
@@ -448,8 +502,7 @@ pub(crate) fn irecv_impl<'buf>(
         charge(Category::ErrorChecking, cost::isend::ERROR_CHECKING);
         validate_recv(comm, buf.len(), ty, count, source, tag, &opts)?;
     }
-    let vci = proc.vci_of_ctx(comm.context_id());
-    proc.with_cs(vci, cost::isend::THREAD_CHECK, || {
+    proc.with_cs(cost::isend::THREAD_CHECK, || {
         if !proc.config.ipo {
             charge(Category::FunctionCall, cost::isend::FUNCTION_CALL);
         }

@@ -248,11 +248,11 @@ pub(crate) fn poll_or_failure<M>(
     Some(Err(death))
 }
 
-/// Apply the errhandler snapshot to a completed receive: communication
-/// failures (e.g. an integrity fault in the delivered envelope) abort under
-/// `MPI_ERRORS_ARE_FATAL`; argument-level errors such as truncation always
-/// return.
-fn fatal_filter(r: MpiResult<Status>, fatal: bool) -> MpiResult<Status> {
+/// Apply the errhandler snapshot to a result: communication failures
+/// (e.g. an integrity fault in the delivered envelope, a revoked
+/// communicator) abort under `MPI_ERRORS_ARE_FATAL`; argument-level errors
+/// such as truncation always return.
+pub(crate) fn fatal_filter<T>(r: MpiResult<T>, fatal: bool) -> MpiResult<T> {
     if let Err(e) = &r {
         if fatal && e.is_comm_failure() {
             panic!("MPI_ERRORS_ARE_FATAL: {e}");

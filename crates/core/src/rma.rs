@@ -342,7 +342,7 @@ impl Access<'_> {
 /// An RMA window.
 ///
 /// `Window` is `Sync`: passive-target operations may be injected from
-/// multiple threads (one per VCI-bound injector) through one handle. All
+/// multiple threads through one handle. All
 /// synchronization state is either atomic (lock words, epoch flags and
 /// counters), thread-local (which locks the caller holds) or behind
 /// short-lived mutexes that are never held across fabric calls.
@@ -887,8 +887,7 @@ impl Window {
                 self.comm.group().check_rank(target)?;
             }
         }
-        // RMA traffic rides the AM/native-RDMA path, which lives on VCI 0.
-        proc.with_cs(0, cost::put::THREAD_CHECK, || ());
+        proc.with_cs(cost::put::THREAD_CHECK, || ());
         if !proc.config.ipo {
             charge(Category::FunctionCall, cost::put::FUNCTION_CALL);
         }

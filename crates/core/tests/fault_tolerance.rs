@@ -3,9 +3,6 @@
 //! failure reporting, `shrink` after a mid-collective process death, and
 //! the canonical revoke → ack → agree → shrink → continue recovery
 //! sequence on a shrunken communicator.
-//!
-//! These tests must pass under any `LITEMPI_VCIS` forcing — nothing here
-//! assumes a particular shard count.
 
 use std::time::{Duration, Instant};
 
@@ -144,10 +141,11 @@ fn revoke_fails_a_nonblocking_collective_schedule() {
 
 #[test]
 fn killed_peer_fails_persistent_waits_instead_of_hanging() {
-    // Rank 1's two warm-up packets trip its kill switch; it never answers
-    // what rank 0 starts next. `ofi`: 64 KiB is above the eager ceiling, so
-    // the persistent send waits on a pull that will not come.
-    let profile = ProviderProfile::ofi().with_faults(FaultPlan::none().with_kill(1, 2));
+    // The kill switch counts packets to and from rank 1: its two warm-up
+    // packets, then the RTS of rank 0's persistent send, which trips it.
+    // `ofi`: 64 KiB is above the eager ceiling, so the started send waits
+    // on a pull that will not come.
+    let profile = ProviderProfile::ofi().with_faults(FaultPlan::none().with_kill(1, 3));
     let out = Universe::run(
         2,
         BuildConfig::ch4_default(),
@@ -158,25 +156,91 @@ fn killed_peer_fails_persistent_waits_instead_of_hanging() {
             if proc.rank() == 1 {
                 world.send(&[1u8], 0, 0).unwrap();
                 world.send(&[2u8], 0, 1).unwrap();
+                // Rank 1 is dead once the RTS is here; it never pulls.
+                world.probe(0, 3).unwrap();
                 return Vec::new();
             }
             world.set_errhandler(Errhandler::ErrorsReturn);
             let mut buf = [0u8; 1];
             world.recv_into(&mut buf, 1, 0).unwrap();
             world.recv_into(&mut buf, 1, 1).unwrap();
+            let big = vec![3u8; 64 * 1024];
+            let mut send = world.send_init(&big, 1, 3).unwrap();
+            // The death is not known yet: the start gets through.
+            send.start().unwrap();
+            let send_err = send.wait().unwrap_err();
             let mut recv = world.recv_init(&mut buf, 1, 2).unwrap();
             recv.start().unwrap();
             let recv_err = recv.wait().unwrap_err();
-            let big = vec![3u8; 64 * 1024];
-            let mut send = world.send_init(&big, 1, 3).unwrap();
-            send.start().unwrap();
-            vec![recv_err, send.wait().unwrap_err()]
+            vec![send_err, recv_err]
         },
     );
     assert_eq!(out[0].len(), 2);
     for e in &out[0] {
         assert!(matches!(e, MpiError::PeerUnreachable { peer: 1 }), "{e}");
     }
+}
+
+/// A persistent start passes the gates `isend` passes: toward a peer the
+/// kill switch took down, the 8-byte send that `isend` refuses does not
+/// start either.
+#[test]
+fn a_persistent_send_to_a_killed_peer_fails_at_start_like_isend() {
+    let profile = ProviderProfile::infinite().with_faults(FaultPlan::none().with_kill(1, 1));
+    let out = Universe::run(
+        2,
+        BuildConfig::ch4_default(),
+        profile,
+        Topology::single_node(2),
+        |proc| {
+            let world = proc.world();
+            world.set_errhandler(Errhandler::ErrorsReturn);
+            if proc.rank() == 1 {
+                // Its one packet trips the kill switch.
+                world.send(&[7u8], 0, 3).unwrap();
+                return Vec::new();
+            }
+            world.recv_into(&mut [0u8], 1, 3).unwrap();
+            let data = [5u8; 8];
+            let isend = world.isend(&data, 1, 4).map(drop);
+            let mut send = world.send_init(&data, 1, 4).unwrap();
+            let start = send.start();
+            vec![isend, start]
+        },
+    );
+    assert_eq!(out[0].len(), 2);
+    for r in &out[0] {
+        assert!(
+            matches!(r, Err(MpiError::PeerUnreachable { peer: 1 })),
+            "{r:?}"
+        );
+    }
+}
+
+/// After a revocation, persistent starts fail like `isend` and `irecv`:
+/// neither a send nor a receive is issued on the revoked communicator.
+#[test]
+fn persistent_starts_on_a_revoked_communicator_fail_like_isend() {
+    Universe::run_default(2, |proc| {
+        let world = proc.world();
+        world.set_errhandler(Errhandler::ErrorsReturn);
+        if proc.rank() == 0 {
+            world.revoke();
+        } else {
+            await_revoked(&world);
+        }
+        let peer = 1 - proc.rank() as i32;
+        let data = [5u8; 8];
+        let e = world.isend(&data, peer, 4).map(drop).unwrap_err();
+        assert!(matches!(e, MpiError::Revoked));
+        let mut send = world.send_init(&data, peer, 4).unwrap();
+        let r = send.start().and_then(|()| send.wait().map(drop));
+        assert!(matches!(r, Err(MpiError::Revoked)), "send: {r:?}");
+        let mut buf = [0u8; 8];
+        let mut recv = world.recv_init(&mut buf, peer, 4).unwrap();
+        let r = recv.start();
+        assert!(matches!(r, Err(MpiError::Revoked)), "recv: {r:?}");
+    });
 }
 
 #[test]

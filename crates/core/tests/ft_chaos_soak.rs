@@ -1,8 +1,7 @@
 //! Bounded-time chaos soak for the ULFM recovery path: 8 ranks, a
 //! seed-derived victim killed mid-collective, and every survivor required
 //! to reach `shrink()` and a checksum-verified allreduce on the shrunken
-//! communicator — across a fixed seed matrix, under any `LITEMPI_VCIS`
-//! forcing, inside a wall-clock budget.
+//! communicator — across a fixed seed matrix, inside a wall-clock budget.
 //!
 //! CI runs the full matrix nightly and a fixed seed in the PR gate (the
 //! whole matrix is cheap enough to keep in tier-1 too).

@@ -400,13 +400,8 @@ fn original_put_is_84_percent_worse_than_ch4() {
 fn progress_charges_never_pollute_injection_path() {
     let r = measure_isend(BuildConfig::ch4_default(), send_one);
     // Rank 0's own probe window contains no receive; all progress work
-    // happens on rank 1. VCI-selection bookkeeping (zero in the default
-    // single-VCI build, nonzero under LITEMPI_VCIS>1) is likewise outside
-    // the injection path.
-    assert_eq!(
-        r.injection_total() + r.get(Category::Progress) + r.get(Category::Vci),
-        r.total()
-    );
+    // happens on rank 1.
+    assert_eq!(r.injection_total() + r.get(Category::Progress), r.total());
 }
 
 #[test]
@@ -562,8 +557,8 @@ const RMA_PROLOGUE: [(Category, u64); 8] = [
 
 /// What each of [`RMA_OPS`] costs rank 0 under one kind of access epoch
 /// toward rank 1 (`"fence"`, `"start"` or `"lock"`), beyond
-/// [`RMA_PROLOGUE`] (asserted here): the other categories it charges (VCI
-/// selection aside), then `| issued completed am msgs` — the window ops
+/// [`RMA_PROLOGUE`] (asserted here): the other categories it charges,
+/// then `| issued completed am msgs` — the window ops
 /// it issued and completed and the active messages and messages it sent.
 /// While rank 0 measures, rank 1 sends nothing but answers: it sits in a
 /// receive (or in `MPI_WIN_WAIT`), never in a collective whose traffic
@@ -587,9 +582,8 @@ fn rma_op_costs(config: BuildConfig, profile: ProviderProfile, epoch: &'static s
                 op(&win);
                 let instr = probe.finish();
                 let d = proc.comm_stats().diff(&before);
-                let (prologue, rest): (Vec<_>, Vec<_>) = (instr.nonzero())
-                    .filter(|(c, _)| *c != Category::Vci)
-                    .partition(|(c, _)| RMA_PROLOGUE.iter().any(|(p, _)| p == c));
+                let (prologue, rest): (Vec<_>, Vec<_>) =
+                    (instr.nonzero()).partition(|(c, _)| RMA_PROLOGUE.iter().any(|(p, _)| p == c));
                 assert_eq!(prologue, RMA_PROLOGUE, "{name} under {epoch}");
                 let rest: Vec<_> = (rest.iter())
                     .map(|(c, n)| format!("{} {n}", c.label()))
@@ -730,11 +724,7 @@ fn collective_call_costs_are_pinned() {
         for ((name, msgs, instr), want) in coll_call_costs(n, rpn).into_iter().zip(want) {
             let at = format!("{name} on {n} ranks, {rpn} per node");
             assert_eq!(msgs, want, "{at}: messages");
-            // VCI selection is bookkeeping beside the path (zero on the
-            // single-VCI build).
-            let charged: Vec<_> = (instr.nonzero())
-                .filter(|(c, _)| *c != Category::Vci)
-                .collect();
+            let charged: Vec<_> = instr.nonzero().collect();
             assert_eq!(charged, [(Category::NetmodIssue, 23 * want)], "{at}");
         }
     }

@@ -305,13 +305,13 @@ fn warm_pool_collectives_allocate_nothing() {
     // payloads; everything else is eager).
     const WARM_UP: usize = 2;
     const ROUNDS: usize = 20;
-    // The pool is warm once every arena (one per VCI) holds the peak
-    // number of buffers in flight per size class (e.g. all 56 alltoall
-    // blocks sent before any is received). Thread scheduling decides in
+    // The pool is warm once it holds the peak number of buffers in flight
+    // per size class (e.g. all 56 alltoall blocks sent before any is
+    // received). Thread scheduling decides in
     // which round that peak first happens, so a fixed warm-up cannot
     // promise it: the properties are asserted on the first window of
     // `ROUNDS` rounds that starts warm, which must come within `WINDOWS`
-    // (seen on 2 CPUs: within 6 at one VCI, within 14 at four).
+    // (seen on 2 CPUs: within 6).
     const WINDOWS: usize = 50;
     let out = Universe::run(
         8,

@@ -1,9 +1,6 @@
 //! Scalable one-sided communication, end to end: request-based RMA,
 //! passive-target flush semantics under concurrency, RDMA-backed
 //! rendezvous, and the fault/chaos regressions for all of the above.
-//!
-//! These tests must pass under any `LITEMPI_VCIS` forcing — the CI `rma`
-//! job runs this suite at 1 and 4 VCIs.
 
 use std::time::{Duration, Instant};
 
@@ -632,14 +629,14 @@ proptest! {
     /// lock/get/put/flush/unlock sequences chosen by proptest. Exclusive
     /// locks make the read-modify-write atomic, so the final counter must
     /// equal the total number of increments — under any thread
-    /// interleaving and any VCI sharding.
+    /// interleaving.
     #[test]
     fn concurrent_lock_flush_unlock_linearizes(ops in proptest::collection::vec(0u8..3, 4..12)) {
         let per_thread = ops.len() as u64;
         let out = Universe::run(
             2,
             BuildConfig::ch4_thread_multiple(),
-            ProviderProfile::infinite().with_vcis(4),
+            ProviderProfile::infinite(),
             Topology::single_node(2),
             move |proc| {
                 let world = proc.world();

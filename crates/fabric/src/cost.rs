@@ -143,13 +143,6 @@ pub struct ProviderProfile {
     /// every event site down to one predictable branch, with charges and
     /// wire bytes bit-identical to an untraced build.
     pub trace: TraceConfig,
-    /// How many virtual communication interfaces each endpoint shards its
-    /// matching/jitter/reliability/completion state into. `1` (the
-    /// default) is byte- and charge-identical to the unsharded endpoint;
-    /// values are clamped to [`crate::vci::MAX_VCIS`] at fabric
-    /// construction, where the `LITEMPI_VCIS` environment variable (when
-    /// set) overrides this field.
-    pub num_vcis: usize,
 }
 
 impl ProviderProfile {
@@ -174,7 +167,6 @@ impl ProviderProfile {
             faults: FaultPlan::NONE,
             reliability: ReliabilityConfig::OFF,
             trace: TraceConfig::OFF,
-            num_vcis: 1,
         }
     }
 
@@ -197,7 +189,6 @@ impl ProviderProfile {
             faults: FaultPlan::NONE,
             reliability: ReliabilityConfig::OFF,
             trace: TraceConfig::OFF,
-            num_vcis: 1,
         }
     }
 
@@ -222,7 +213,6 @@ impl ProviderProfile {
             faults: FaultPlan::NONE,
             reliability: ReliabilityConfig::OFF,
             trace: TraceConfig::OFF,
-            num_vcis: 1,
         }
     }
 
@@ -241,7 +231,6 @@ impl ProviderProfile {
             faults: FaultPlan::NONE,
             reliability: ReliabilityConfig::OFF,
             trace: TraceConfig::OFF,
-            num_vcis: 1,
         }
     }
 
@@ -264,7 +253,6 @@ impl ProviderProfile {
             faults: FaultPlan::NONE,
             reliability: ReliabilityConfig::OFF,
             trace: TraceConfig::OFF,
-            num_vcis: 1,
         }
     }
 
@@ -288,7 +276,6 @@ impl ProviderProfile {
             faults: FaultPlan::NONE,
             reliability: ReliabilityConfig::OFF,
             trace: TraceConfig::OFF,
-            num_vcis: 1,
         }
     }
 
@@ -325,13 +312,6 @@ impl ProviderProfile {
     /// capacity.
     pub fn traced(self) -> Self {
         self.with_trace(TraceConfig::on())
-    }
-
-    /// Copy of this profile sharding each endpoint into `n` virtual
-    /// communication interfaces.
-    pub fn with_vcis(mut self, n: usize) -> Self {
-        self.num_vcis = n;
-        self
     }
 }
 
@@ -414,14 +394,6 @@ mod tests {
         assert!(r.trace.enabled);
         assert_eq!(r.trace.ring_capacity, 128);
         assert!(r.reliability.enabled);
-    }
-
-    #[test]
-    fn vcis_default_to_one_and_builder_composes() {
-        assert_eq!(ProviderProfile::ofi().num_vcis, 1);
-        let p = ProviderProfile::ofi().with_vcis(4).reliable();
-        assert_eq!(p.num_vcis, 4);
-        assert!(p.reliability.enabled);
     }
 
     #[test]

@@ -10,44 +10,31 @@
 //!
 //! Endpoint state is split across independent mutexes so unrelated traffic
 //! classes never contend (the paper's "fast-path critical section"
-//! discipline, §3.6), and the whole tagged-channel lock set is replicated
-//! per *virtual communication interface* ([VCI](crate::vci)) so injector
-//! threads driving different communicators never share a lock either:
+//! discipline, §3.6). The endpoint is one serialized channel, the paper's:
 //!
-//! * **tag** (per VCI) — the tag-matching engine (posted receives +
-//!   unexpected messages). The pt2pt critical path takes only this lock.
-//! * **am** (endpoint-wide) — the active-message queue. AMs carry RMA
-//!   and PSCW control traffic whose per-pair FIFO the layers above rely
-//!   on, so the queue is deliberately *not* sharded; all AM packets travel
-//!   on VCI 0. Beside the lock sits a pending count, stored under it on
-//!   every push and pop: the progress engine's `am_poll`, which runs on
-//!   every progress pass, reads the count (Acquire) and takes the lock only
-//!   when it is not 0. On `ofi` no point-to-point workload sends an AM, so
-//!   its progress passes never lock the queue. A poll that reads 0 just
-//!   before a push misses nothing: `deliver_am` stores the count before it
-//!   raises the VCI 0 event, so a waiter that read the epoch before polling
-//!   either sees the count or sleeps on an epoch that the push then moves.
-//! * **jitter** (per VCI) — the deferred-delivery state of the jitter
-//!   stress mode. Untouched when jitter is off (the common case): every
-//!   entry point checks a cached `jitter_enabled` flag first, so
-//!   production profiles pay a single predictable branch, not a lock
-//!   acquisition.
-//! * **relia** (per VCI) — the reliability/fault state. Each VCI is its
-//!   own reliability domain with independent per-link sequence spaces;
-//!   ACKs return on the VCI that carried the data packet.
+//! * **tag** — the tag-matching engine (posted receives + unexpected
+//!   messages). The pt2pt critical path takes only this lock.
+//! * **am** — the active-message queue. Beside the lock sits a pending
+//!   count, stored under it on every push and pop: the progress engine's
+//!   `am_poll`, which runs on every progress pass, reads the count
+//!   (Acquire) and takes the lock only when it is not 0. On `ofi` no
+//!   point-to-point workload sends an AM, so its progress passes never lock
+//!   the queue. A poll that reads 0 just before a push misses nothing:
+//!   `deliver_am` stores the count before it raises the event, so a waiter
+//!   that read the epoch before polling either sees the count or sleeps on
+//!   an epoch that the push then moves.
+//! * **jitter** — the deferred-delivery state of the jitter stress mode.
+//!   Untouched when jitter is off (the common case): every entry point
+//!   checks a cached `jitter_enabled` flag first, so production profiles
+//!   pay a single predictable branch, not a lock acquisition.
+//! * **relia** — the reliability/fault state, with an independent sequence
+//!   space per link.
 //!
 //! Lock order where two are needed: **relia → jitter → tag** and
-//! **relia → am**, everywhere, always within a single VCI. The
-//! reliability window delivers what it releases under its own lock, and a
-//! jitter flush holds the jitter lock across the tag-side delivery: both
-//! keep release-then-deliver atomic with respect to other senders,
-//! preserving per-(src,dst) FIFO. Locks of different VCIs are never held
-//! simultaneously.
-//!
-//! With `num_vcis == 1` (the default) every operation maps to VCI 0 and
-//! the endpoint is byte-for-byte the paper's single serialized channel:
-//! same lock count, same seeds, same charges, and the per-VCI contention
-//! counters are never touched.
+//! **relia → am**, everywhere. The reliability window delivers what it
+//! releases under its own lock, and a jitter flush holds the jitter lock
+//! across the tag-side delivery: both keep release-then-deliver atomic with
+//! respect to other senders, preserving per-(src,dst) FIFO.
 //!
 //! ## Completion events
 //!
@@ -69,9 +56,9 @@
 //!
 //! ## Reliability timers
 //!
-//! A VCI's reliability work is driven by ticks (`tick_relia`): after
-//! every reliable send, on every progress pass, and in the waits. Each
-//! VCI keeps an earliest-due word beside its `relia` lock, a lower bound
+//! The endpoint's reliability work is driven by ticks (`tick_relia`):
+//! after every reliable send, on every progress pass, and in the waits. It
+//! keeps an earliest-due word beside its `relia` lock, a lower bound
 //! on when the next retransmit timer, owed ACK or reorder stash falls due,
 //! so a tick before it costs an atomic load and takes no lock. A tick that
 //! does lock stores the exact next deadline at the end of its locked
@@ -90,7 +77,7 @@ use crate::event_count::EventCount;
 use crate::fabric::{Fabric, KillVerdict};
 use crate::matching::MatchEngine;
 use crate::packet::{AmMessage, PostedRecv, SlotLease, TaggedMessage};
-use crate::region::{MemoryRegion, RdmaAtomicOp, RegionKey, RegistrationCache};
+use crate::region::{MemoryRegion, RegionKey, RegistrationCache};
 use crate::reliability::{Link, PacketBody, Pending, ReliaState, RxVerdict, TxTick, WirePacket};
 use crate::stats::{EndpointStats, StatsSnapshot};
 use bytes::Bytes;
@@ -108,18 +95,15 @@ use crate::cost::{MatcherKind, ProviderProfile};
 /// (bounded pinned-memory footprint, as in real registration caches).
 const REG_CACHE_CAPACITY: usize = 32;
 
-/// One virtual communication interface: a full copy of the tagged-channel
-/// state (matching engine, jitter, completion epoch, reliability domain).
-/// The endpoint owns `n_vcis` of these; traffic is mapped onto them by
-/// [`vci_for_bits`](crate::vci::vci_for_bits).
+/// Shared state of one endpoint (owned by the fabric).
 #[derive(Debug)]
-pub(crate) struct VciState {
+pub(crate) struct EndpointShared {
     /// Tag-matching engine (posted receives + unexpected messages).
     tag: Mutex<MatchEngine>,
     /// Jitter-mode deferred-delivery state.
     jitter: Mutex<JitterState>,
-    /// Completion events: the epoch bumped on every delivery/arrival on
-    /// this VCI, and the waiters parked on it.
+    /// Completion events: the epoch bumped on every delivery/arrival, and
+    /// the waiters parked on it.
     pub(crate) events: EventCount,
     /// Lossy/reliable-path state (fault RNGs, link state machines). Empty
     /// and never locked when `routed` is false.
@@ -127,58 +111,16 @@ pub(crate) struct VciState {
     /// Earliest-due word: a lower bound (fabric µs) on when `relia` next
     /// needs a tick, `0` for work due at once, `u64::MAX` for none. A tick
     /// before it takes no lock ([`tick_relia`]), and a waiter sizes its
-    /// sleep by it ([`VciState::relia_due_at`]). Written only under the
-    /// `relia` lock: a tick stores [`ReliaState::next_deadline`] at the end
-    /// of its locked section, and every site that makes work due lowers
-    /// it ([`VciState::lower_due`]) before releasing the lock. It
+    /// sleep by it ([`EndpointShared::relia_due_at`]). Written only under
+    /// the `relia` lock: a tick stores [`ReliaState::next_deadline`] at the
+    /// end of its locked section, and every site that makes work due lowers
+    /// it ([`EndpointShared::lower_due`]) before releasing the lock. It
     /// publishes no data (the lock does), so it is read and written
     /// relaxed: a reader that sees a stale value is followed by one that
     /// does not, because the event that announces the work is raised after
     /// the store and read before the next look.
     relia_due: AtomicU64,
-}
-
-impl VciState {
-    /// Work on this VCI's reliability state falls due at `due` (fabric µs).
-    /// The caller holds the `relia` lock.
-    #[inline]
-    fn lower_due(&self, due: u64) {
-        if due < self.relia_due.load(Ordering::Relaxed) {
-            self.relia_due.store(due, Ordering::Relaxed);
-        }
-    }
-
-    /// When `relia` next needs a tick, at `now` (fabric µs; `None`: no
-    /// work pending), for a waiter's sleep budget. This is the earliest-due
-    /// word: exact after a tick that took the lock, otherwise early, so a
-    /// sleep it sizes may end early but never late. Only a word that says
-    /// "due" is re-derived under the lock: a lowering may have been for
-    /// work that is gone since (an owed ACK that a send piggybacked), and
-    /// a sleeper that believed it would not sleep at all.
-    pub(crate) fn relia_due_at(&self, now: u64) -> Option<u64> {
-        let mut due = self.relia_due.load(Ordering::Relaxed);
-        if due <= now {
-            let st = self.relia.lock();
-            due = st.next_deadline(now).unwrap_or(u64::MAX);
-            self.relia_due.store(due, Ordering::Relaxed);
-        }
-        (due != u64::MAX).then_some(due)
-    }
-}
-
-/// Shared state of one endpoint (owned by the fabric).
-#[derive(Debug)]
-pub(crate) struct EndpointShared {
-    /// The sharded tagged-channel state. Always at least one entry; entry 0
-    /// is the paper's original single channel.
-    pub(crate) vcis: Box<[VciState]>,
-    /// `vcis.len()`, hoisted (the VCI hash divides by it on every op).
-    n_vcis: usize,
-    /// `n_vcis > 1`, hoisted like `jitter_enabled`: the single-VCI fast
-    /// path pays one predictable branch for the whole VCI feature.
-    multi_vci: bool,
-    /// Pending active messages, in arrival order. Endpoint-wide: AMs carry
-    /// RMA/PSCW control traffic whose FIFO must not be sharded.
+    /// Pending active messages, in arrival order.
     am: Mutex<VecDeque<AmMessage>>,
     /// `am.len()`, stored under the `am` lock (Release) by every push and
     /// pop, so that [`Endpoint::am_poll`] finds an empty queue with one
@@ -198,12 +140,10 @@ pub(crate) struct EndpointShared {
     /// `jitter_enabled`: event sites cost one predictable branch when
     /// tracing is off.
     trace_enabled: bool,
-    /// Peers declared dead by retry exhaustion, each once however many
-    /// VCIs ran dry toward it, in verdict order. A leaf lock, taken under
-    /// the `relia` lock of the VCI whose link is marked dead.
-    dead_peers: Mutex<Vec<NetAddr>>,
-    /// `dead_peers.len()`, stored under its lock. Zero in a healthy job,
-    /// so [`Endpoint::peer_unreachable`] takes no lock until it moves.
+    /// How many peers the reliability layer has declared dead, raised
+    /// under the `relia` lock as a link's `dead` flag goes up. Zero in a
+    /// healthy job, so [`Endpoint::peer_unreachable`] takes no lock until
+    /// it moves.
     relia_deaths: AtomicU32,
     /// Per-peer pin-down cache for RDMA transport buffers (rendezvous
     /// staging). Touched only by the large-message path — eager traffic
@@ -256,40 +196,22 @@ impl JitterState {
 }
 
 impl EndpointShared {
-    pub(crate) fn new(profile: &ProviderProfile, addr: NetAddr, n_vcis: usize) -> Self {
-        let n_vcis = n_vcis.max(1);
-        let base_rng = profile
+    pub(crate) fn new(profile: &ProviderProfile, addr: NetAddr) -> Self {
+        let rng = profile
             .jitter_seed
             .map(|s| s ^ (addr.0 as u64).wrapping_mul(0x9E3779B97F4A7C15))
             .unwrap_or(0);
         let relia_enabled = profile.reliability.enabled;
         let lossy_enabled = !profile.faults.is_none();
-        let vcis = (0..n_vcis)
-            .map(|vci| {
-                // VCI 0 seeds exactly as the unsharded endpoint did, keeping
-                // `num_vcis == 1` byte-identical to the original; higher VCIs
-                // mix the shard index in (nonzero-guarded for xorshift).
-                let rng = if vci == 0 {
-                    base_rng
-                } else {
-                    (base_rng ^ (vci as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1
-                };
-                VciState {
-                    tag: Mutex::new(MatchEngine::new(MatcherKind::Bucketed)),
-                    jitter: Mutex::new(JitterState {
-                        deferred: Vec::new(),
-                        rng,
-                    }),
-                    events: EventCount::new(),
-                    relia: Mutex::new(ReliaState::new_vci(profile, addr, vci)),
-                    relia_due: AtomicU64::new(u64::MAX),
-                }
-            })
-            .collect();
         EndpointShared {
-            vcis,
-            n_vcis,
-            multi_vci: n_vcis > 1,
+            tag: Mutex::new(MatchEngine::new(MatcherKind::Bucketed)),
+            jitter: Mutex::new(JitterState {
+                deferred: Vec::new(),
+                rng,
+            }),
+            events: EventCount::new(),
+            relia: Mutex::new(ReliaState::new(profile, addr)),
+            relia_due: AtomicU64::new(u64::MAX),
             am: Mutex::new(VecDeque::new()),
             am_pending: AtomicUsize::new(0),
             jitter_enabled: profile.jitter_seed.is_some(),
@@ -297,7 +219,6 @@ impl EndpointShared {
             lossy_enabled,
             routed: relia_enabled || lossy_enabled,
             trace_enabled: profile.trace.enabled,
-            dead_peers: Mutex::new(Vec::new()),
             relia_deaths: AtomicU32::new(0),
             reg_cache: RegistrationCache::new(REG_CACHE_CAPACITY),
             host: Mutex::new(None),
@@ -305,61 +226,38 @@ impl EndpointShared {
         }
     }
 
-    /// Record a retry-exhaustion verdict against `peer`: `true` the first
-    /// time on any VCI. The caller holds the `relia` lock of the VCI whose
-    /// link it just marked dead, so the verdict and what
-    /// [`Endpoint::peer_unreachable`] reads move together.
-    fn note_dead(&self, peer: NetAddr) -> bool {
-        let mut dead = self.dead_peers.lock();
-        if dead.contains(&peer) {
-            return false;
-        }
-        dead.push(peer);
-        self.relia_deaths
-            .store(dead.len() as u32, Ordering::Release);
-        true
-    }
-
-    /// The VCI this match-bits pattern lives on.
+    /// Work on the reliability state falls due at `due` (fabric µs). The
+    /// caller holds the `relia` lock.
     #[inline]
-    fn vci_of(&self, bits: u64) -> usize {
-        crate::vci::vci_for_bits(bits, self.n_vcis)
-    }
-
-    /// Acquire `vci`'s tag lock, counting acquisitions and shard-level
-    /// contention when more than one VCI exists. The single-VCI path is the
-    /// original bare `lock()` — no counter traffic, no extra branches past
-    /// the hoisted `multi_vci` check.
-    fn lock_tag(&self, vci: usize) -> parking_lot::MutexGuard<'_, MatchEngine> {
-        let st = &self.vcis[vci];
-        if !self.multi_vci {
-            return st.tag.lock();
-        }
-        EndpointStats::bump(&self.stats.vci_acquires[vci], 1);
-        match st.tag.try_lock() {
-            Some(g) => g,
-            None => {
-                EndpointStats::bump(&self.stats.vci_contended[vci], 1);
-                if self.trace_enabled {
-                    litempi_trace::emit(EventKind::VciContend, vci as u64, 1);
-                }
-                st.tag.lock()
-            }
+    fn lower_due(&self, due: u64) {
+        if due < self.relia_due.load(Ordering::Relaxed) {
+            self.relia_due.store(due, Ordering::Relaxed);
         }
     }
 
-    /// Announce that something completion-worthy happened on `vci`.
-    fn bump_event(&self, vci: usize) {
-        let mut wakes = u64::from(self.vcis[vci].events.bump());
-        if self.multi_vci && vci != 0 {
-            // Endpoint-wide waiters (progress loops watching the summed
-            // epoch) park on VCI 0; wake them too.
-            wakes += u64::from(self.vcis[0].events.notify());
+    /// When `relia` next needs a tick, at `now` (fabric µs; `None`: no
+    /// work pending), for a waiter's sleep budget. This is the earliest-due
+    /// word: exact after a tick that took the lock, otherwise early, so a
+    /// sleep it sizes may end early but never late. Only a word that says
+    /// "due" is re-derived under the lock: a lowering may have been for
+    /// work that is gone since (an owed ACK that a send piggybacked), and
+    /// a sleeper that believed it would not sleep at all.
+    pub(crate) fn relia_due_at(&self, now: u64) -> Option<u64> {
+        let mut due = self.relia_due.load(Ordering::Relaxed);
+        if due <= now {
+            let st = self.relia.lock();
+            due = st.next_deadline(now).unwrap_or(u64::MAX);
+            self.relia_due.store(due, Ordering::Relaxed);
         }
-        if wakes != 0 {
-            EndpointStats::bump(&self.stats.event_wakes, wakes);
+        (due != u64::MAX).then_some(due)
+    }
+
+    /// Announce that something completion-worthy happened.
+    pub(crate) fn bump_event(&self) {
+        if self.events.bump() {
+            EndpointStats::bump(&self.stats.event_wakes, 1);
             // The waiter may be the idle worker hosting this endpoint's
-            // rank ([`Self::watch_events`]).
+            // rank, which watches `events` while it sleeps (`task.rs`).
             if let Some(host) = &*self.host.lock() {
                 host.bump();
             }
@@ -372,86 +270,38 @@ impl EndpointShared {
         *self.host.lock() = Some(idle);
     }
 
-    /// Count (`on`) or stop counting the hosting worker as a waiter on this
-    /// endpoint's events, so that each one also bumps the host's idle
-    /// event. VCI 0 suffices: a bump on any VCI also notifies it.
-    pub(crate) fn watch_events(&self, on: bool) {
-        self.vcis[0].events.watch(on);
-    }
-
-    /// Wake every VCI's waiters (used for endpoint-global state changes
-    /// such as a peer being declared dead).
-    pub(crate) fn bump_event_all(&self) {
-        for vci in 0..self.n_vcis {
-            self.bump_event(vci);
-        }
-    }
-
-    /// The endpoint-wide completion epoch: VCI 0's epoch in the common
-    /// single-VCI case, the sum over shards otherwise (monotonic, since
-    /// each per-VCI epoch only grows).
-    pub(crate) fn event_epoch(&self) -> u64 {
-        if !self.multi_vci {
-            return self.vcis[0].events.epoch();
-        }
-        self.vcis.iter().map(|v| v.events.epoch()).sum()
-    }
-
-    /// Deliver `vci`'s jitter-deferred messages from `src` (or all). No-op
+    /// Deliver the jitter-deferred messages from `src` (or all). No-op
     /// when jitter is off — the hoisted `jitter_enabled` check means
     /// disabled profiles never touch the jitter lock.
-    fn flush_deferred(&self, vci: usize, src: Option<NetAddr>) {
+    fn flush_deferred(&self, src: Option<NetAddr>) {
         if !self.jitter_enabled {
             return;
         }
-        let jit = self.vcis[vci].jitter.lock();
-        self.flush_deferred_locked(vci, jit, src);
-    }
-
-    /// Flush every VCI's deferred queue (progress paths that are not
-    /// shard-specific).
-    fn flush_deferred_all(&self, src: Option<NetAddr>) {
-        if !self.jitter_enabled {
-            return;
-        }
-        for vci in 0..self.n_vcis {
-            self.flush_deferred(vci, src);
-        }
-    }
-
-    /// Flush with `vci`'s jitter lock already held (lock order: jitter →
-    /// tag, within one VCI).
-    fn flush_deferred_locked(
-        &self,
-        vci: usize,
-        mut jit: parking_lot::MutexGuard<'_, JitterState>,
-        src: Option<NetAddr>,
-    ) {
+        let mut jit = self.jitter.lock();
         let flush = jit.take_deferred(src);
         if flush.is_empty() {
             return;
         }
-        let mut tag = self.lock_tag(vci);
+        // Lock order: jitter → tag.
+        let mut tag = self.tag.lock();
         for m in flush {
             self.engine_deliver(&mut tag, m);
         }
         drop(tag);
         drop(jit);
-        self.bump_event(vci);
+        self.bump_event();
     }
 
-    /// Deliver a tagged message into `vci`'s matching engine, honoring
-    /// jitter mode (which may defer it). Either way the event is raised: a
+    /// Deliver a tagged message into the matching engine, honoring jitter
+    /// mode (which may defer it). Either way the event is raised: a
     /// deferred message is the receiver's progress away from its engine.
-    /// Runs on the *sender's* thread, modeling NIC-side matching. The
-    /// caller derives `vci` from the message's match bits, so a message
-    /// and the receive that matches it always meet in the same engine.
-    fn deliver_tagged(&self, vci: usize, msg: TaggedMessage) {
+    /// Runs on the *sender's* thread, modeling NIC-side matching.
+    fn deliver_tagged(&self, msg: TaggedMessage) {
         if self.jitter_enabled {
             // Jitter mode: maybe hold this message back to let later
             // messages from *other* sources overtake it (legal for MPI —
             // only per-pair order is guaranteed).
-            let mut jit = self.vcis[vci].jitter.lock();
+            let mut jit = self.jitter.lock();
             if jit.next_rand() & 1 == 0 {
                 jit.deferred.push(msg);
             } else {
@@ -461,16 +311,16 @@ impl EndpointShared {
                 // concurrent sender can interleave between flush and
                 // deliver.
                 let flush = jit.take_deferred(Some(msg.src));
-                let mut tag = self.lock_tag(vci);
+                let mut tag = self.tag.lock();
                 for m in flush {
                     self.engine_deliver(&mut tag, m);
                 }
                 self.engine_deliver(&mut tag, msg);
             }
         } else {
-            self.engine_deliver(&mut self.lock_tag(vci), msg);
+            self.engine_deliver(&mut self.tag.lock(), msg);
         }
-        self.bump_event(vci);
+        self.bump_event();
     }
 
     /// Deliver into the matching engine, emitting the match-outcome
@@ -494,16 +344,14 @@ impl EndpointShared {
         }
     }
 
-    /// Deliver an active message into this endpoint's AM queue. AMs are
-    /// not sharded; their completion event lands on VCI 0 (the shard all
-    /// AM packets travel on).
+    /// Deliver an active message into this endpoint's AM queue.
     fn deliver_am(&self, msg: AmMessage) {
         let mut am = self.am.lock();
         am.push_back(msg);
         // Before the event: a poll after it must find the count raised.
         self.am_pending.store(am.len(), Ordering::Release);
         drop(am);
-        self.bump_event(0);
+        self.bump_event();
     }
 
     /// The oldest pending active message; no lock while none is pending.
@@ -535,16 +383,13 @@ impl EndpointShared {
 // per recovery episode, and a gap's immediate ACK answers data, never an
 // ACK.
 
-/// Sender-side entry: run the reliability protocol (if enabled) on `vci`'s
-/// reliability domain, then hand the packet to the fault layer. The VCI is
-/// stamped into the wire packet so the receiver's window and the returning
-/// ACK stay on the same shard.
-fn send_packet(fabric: &Fabric, src: NetAddr, dst: NetAddr, vci: usize, body: PacketBody) {
+/// Sender-side entry: run the reliability protocol (if enabled), then hand
+/// the packet to the fault layer.
+fn send_packet(fabric: &Fabric, src: NetAddr, dst: NetAddr, body: PacketBody) {
     let my = fabric.shared(src);
     let now = fabric.now_us();
     let pkt = if my.relia_enabled {
-        let v = &my.vcis[vci];
-        let mut st = v.relia.lock();
+        let mut st = my.relia.lock();
         if st.is_dead(dst) {
             // The peer has been declared unreachable; injections toward it
             // are black-holed (callers observe `peer_unreachable`).
@@ -566,14 +411,13 @@ fn send_packet(fabric: &Fabric, src: NetAddr, dst: NetAddr, vci: usize, body: Pa
         let seq = link.tx.prepare(body.clone(), crc, now);
         if let Some(due) = link.tx.due_at() {
             // The send armed an idle link's timer (or found it armed).
-            v.lower_due(due);
+            my.lower_due(due);
         }
         charge(Category::Reliability, icost::relia::RETRANSMIT_ENQUEUE);
         // Piggyback the cumulative and selective ACK for the reverse link.
         let ack = Some(link.rx.take_ack());
         WirePacket {
             src,
-            vci,
             seq,
             ack,
             sack: link.rx.sack(),
@@ -584,7 +428,6 @@ fn send_packet(fabric: &Fabric, src: NetAddr, dst: NetAddr, vci: usize, body: Pa
         // Raw lossy mode: the packet is just a carrier for the fault layer.
         WirePacket {
             src,
-            vci,
             seq: 0,
             ack: None,
             sack: 0,
@@ -596,12 +439,12 @@ fn send_packet(fabric: &Fabric, src: NetAddr, dst: NetAddr, vci: usize, body: Pa
     if my.relia_enabled {
         // Blocking send loops never reach the progress engine, so the
         // injection path itself must advance the retransmit clock.
-        tick_relia(fabric, src, vci, now);
+        tick_relia(fabric, src, now);
     }
 }
 
-/// Fault layer: decide this packet's fate with the sender's per-(VCI,link)
-/// RNG, then deliver whatever survives.
+/// Fault layer: decide this packet's fate with the sender's per-link RNG,
+/// then deliver whatever survives.
 fn transmit(fabric: &Fabric, src: NetAddr, dst: NetAddr, pkt: WirePacket) {
     match fabric.kill_packet(src, dst) {
         KillVerdict::Pass => transmit_live(fabric, src, dst, pkt),
@@ -623,9 +466,9 @@ fn transmit_live(fabric: &Fabric, src: NetAddr, dst: NetAddr, pkt: WirePacket) {
         return;
     }
     let mut out: Vec<WirePacket> = Vec::new();
-    let (vci, mut held_back) = (pkt.vci, false);
+    let mut held_back = false;
     {
-        let mut st = sender.vcis[vci].relia.lock();
+        let mut st = sender.relia.lock();
         let link = st.link_mut(dst);
         let spec = link.spec;
         if let Some(flap) = spec.flap {
@@ -659,7 +502,7 @@ fn transmit_live(fabric: &Fabric, src: NetAddr, dst: NetAddr, pkt: WirePacket) {
                 // next timer tick) so a later packet overtakes this one.
                 link.stash = Some(pkt);
                 held_back = true;
-                sender.vcis[vci].lower_due(0);
+                sender.lower_due(0);
             } else {
                 if dup {
                     out.push(pkt.clone());
@@ -673,7 +516,7 @@ fn transmit_live(fabric: &Fabric, src: NetAddr, dst: NetAddr, pkt: WirePacket) {
         // A timer armed on the sender, maybe from another thread (an ACK
         // goes out on the thread that delivered what it answers): its
         // owner's tick flushes it, so wake the owner.
-        sender.bump_event(vci);
+        sender.bump_event();
     }
     for p in out {
         deliver_packet(fabric, dst, p);
@@ -686,11 +529,10 @@ fn transmit_live(fabric: &Fabric, src: NetAddr, dst: NetAddr, pkt: WirePacket) {
 /// work on whichever core touches the fabric).
 fn deliver_packet(fabric: &Fabric, dst: NetAddr, pkt: WirePacket) {
     let peer = fabric.shared(dst);
-    let vci = pkt.vci;
     if !peer.relia_enabled {
         // Raw lossy mode: deliver whatever survived the fault layer.
         match pkt.body {
-            Some(PacketBody::Tagged(m)) => peer.deliver_tagged(vci, m),
+            Some(PacketBody::Tagged(m)) => peer.deliver_tagged(m),
             Some(PacketBody::Am(m)) => peer.deliver_am(m),
             None => {}
         }
@@ -702,8 +544,7 @@ fn deliver_packet(fabric: &Fabric, dst: NetAddr, pkt: WirePacket) {
     let mut standalone_ack: Option<(u32, u64)> = None;
     let mut owes_ack = false;
     {
-        let v = &peer.vcis[vci];
-        let mut st = v.relia.lock();
+        let mut st = peer.relia.lock();
         let cfg = st.cfg;
         let link = st.link_mut(src);
         if let Some(cum) = pkt.ack {
@@ -717,7 +558,7 @@ fn deliver_packet(fabric: &Fabric, dst: NetAddr, pkt: WirePacket) {
                 if let Some(due) = link.tx.due_at() {
                     // Progress re-arms the timer one RTO out, which can be
                     // sooner than a backed-off deadline.
-                    v.lower_due(due);
+                    peer.lower_due(due);
                 }
             }
             if peer.trace_enabled {
@@ -749,9 +590,9 @@ fn deliver_packet(fabric: &Fabric, dst: NetAddr, pkt: WirePacket) {
                     // A delivery leaves ACK debt for the receiver's tick
                     // (unless it completes a standalone ACK below): due
                     // before the delivery's event announces it.
-                    v.lower_due(0);
+                    peer.lower_due(0);
                     match b {
-                        PacketBody::Tagged(m) => peer.deliver_tagged(vci, m),
+                        PacketBody::Tagged(m) => peer.deliver_tagged(m),
                         PacketBody::Am(m) => peer.deliver_am(m),
                     }
                 });
@@ -781,32 +622,32 @@ fn deliver_packet(fabric: &Fabric, dst: NetAddr, pkt: WirePacket) {
         if owes_ack && !delivered {
             // Nothing delivered, but the receiver now owes an ACK, which
             // its own tick sends: wake it to re-read its timers.
-            v.lower_due(0);
-            peer.bump_event(vci);
+            peer.lower_due(0);
+            peer.bump_event();
         }
     }
     if let (Some(cum), sack @ 1..) = (pkt.ack, pkt.sack) {
-        fast_resend(fabric, dst, src, vci, cum, sack);
+        fast_resend(fabric, dst, src, cum, sack);
     }
     if let Some((cum, sack)) = standalone_ack {
-        send_ack(fabric, dst, src, vci, cum, sack);
+        send_ack(fabric, dst, src, cum, sack);
     }
 }
 
 /// Apply the SACK bitmap of an ACK for `cum` from `src` to `dst`'s link
 /// toward it, and transmit at once the holes it reveals as lost. Only a
 /// link with a gap sends a SACK, so the fault-free path never gets here.
-fn fast_resend(fabric: &Fabric, dst: NetAddr, src: NetAddr, vci: usize, cum: u32, sack: u64) {
+fn fast_resend(fabric: &Fabric, dst: NetAddr, src: NetAddr, cum: u32, sack: u64) {
     let my = fabric.shared(dst);
     let mut resends = Vec::new();
     {
-        let mut st = my.vcis[vci].relia.lock();
+        let mut st = my.relia.lock();
         let link = st.link_mut(src);
         let lost = link.tx.on_sack(cum, sack, fabric.now_us());
         if lost.is_empty() {
             return;
         }
-        wrap_resends(my, dst, vci, src, link, lost, &mut resends);
+        wrap_resends(my, dst, src, link, lost, &mut resends);
     }
     for (to, p) in resends {
         transmit(fabric, dst, to, p);
@@ -820,7 +661,6 @@ fn fast_resend(fabric: &Fabric, dst: NetAddr, src: NetAddr, vci: usize, cum: u32
 fn wrap_resends(
     my: &EndpointShared,
     addr: NetAddr,
-    vci: usize,
     to: NetAddr,
     link: &Link,
     pending: Vec<Pending>,
@@ -836,7 +676,6 @@ fn wrap_resends(
     out.extend(pending.into_iter().map(|p| {
         let pkt = WirePacket {
             src: addr,
-            vci,
             seq: p.seq,
             ack,
             sack,
@@ -848,10 +687,10 @@ fn wrap_resends(
 }
 
 /// Emit a standalone cumulative and selective ACK from `from` back to
-/// `to`, on the VCI that carried the data it acknowledges. ACKs are not
-/// sequenced or retransmitted: a lost ACK is recovered by the data
-/// sender's retransmission, which re-raises the receiver's ACK debt.
-fn send_ack(fabric: &Fabric, from: NetAddr, to: NetAddr, vci: usize, cum: u32, sack: u64) {
+/// `to`. ACKs are not sequenced or retransmitted: a lost ACK is recovered
+/// by the data sender's retransmission, which re-raises the receiver's ACK
+/// debt.
+fn send_ack(fabric: &Fabric, from: NetAddr, to: NetAddr, cum: u32, sack: u64) {
     charge(Category::Reliability, icost::relia::ACK_BUILD);
     EndpointStats::bump(&fabric.shared(from).stats.acks_sent, 1);
     if fabric.shared(from).trace_enabled {
@@ -859,7 +698,6 @@ fn send_ack(fabric: &Fabric, from: NetAddr, to: NetAddr, vci: usize, cum: u32, s
     }
     let pkt = WirePacket {
         src: from,
-        vci,
         seq: 0,
         ack: Some(cum),
         sack,
@@ -869,22 +707,21 @@ fn send_ack(fabric: &Fabric, from: NetAddr, to: NetAddr, vci: usize, cum: u32, s
     transmit(fabric, from, to, pkt);
 }
 
-/// Advance one VCI of `addr`'s reliability clock: fire due retransmit
-/// timers, flush reorder stashes, emit owed standalone ACKs, and mark peers
-/// dead when their retry budget is exhausted. Called from the progress path
+/// Advance `addr`'s reliability clock: fire due retransmit timers, flush
+/// reorder stashes, emit owed standalone ACKs, and mark peers dead when
+/// their retry budget is exhausted. Called from the progress path
 /// ([`Endpoint::pump`]), from the injection path, and from blocking wait
-/// loops. Before the VCI's earliest-due word it takes no lock.
-fn tick_relia(fabric: &Fabric, addr: NetAddr, vci: usize, now: u64) {
+/// loops. Before the earliest-due word it takes no lock.
+fn tick_relia(fabric: &Fabric, addr: NetAddr, now: u64) {
     let my = fabric.shared(addr);
-    let v = &my.vcis[vci];
-    if now < v.relia_due.load(Ordering::Relaxed) {
+    if now < my.relia_due.load(Ordering::Relaxed) {
         // Every site that makes work due must have lowered the word under
         // the lock (see `relia_due`); one that did not loses the work until
         // the word's time comes.
         #[cfg(debug_assertions)]
         {
-            let st = v.relia.lock();
-            let due = v.relia_due.load(Ordering::Relaxed);
+            let st = my.relia.lock();
+            let due = my.relia_due.load(Ordering::Relaxed);
             if let Some(exact) = st.next_deadline(now) {
                 assert!(
                     exact >= due,
@@ -899,7 +736,7 @@ fn tick_relia(fabric: &Fabric, addr: NetAddr, vci: usize, now: u64) {
     let mut acks: Vec<(NetAddr, u32, u64)> = Vec::new();
     let mut newly_dead: Vec<NetAddr> = Vec::new();
     {
-        let mut st = v.relia.lock();
+        let mut st = my.relia.lock();
         let relia_on = st.cfg.enabled;
         // Only resident links can carry work: a peer with no link has no
         // stash, no retransmit queue, and no ACK debt — so the tick is
@@ -915,21 +752,21 @@ fn tick_relia(fabric: &Fabric, addr: NetAddr, vci: usize, now: u64) {
             }
             match link.tx.tick(now) {
                 TxTick::Idle => {}
-                TxTick::Resend(pending) => {
-                    wrap_resends(my, addr, vci, d, link, pending, &mut resends)
-                }
-                TxTick::Dead => {
+                TxTick::Resend(pending) => wrap_resends(my, addr, d, link, pending, &mut resends),
+                // A link rebuilt from a dead peer's memento is dead
+                // already: its verdict was counted once.
+                TxTick::Dead if !link.dead => {
                     link.dead = true;
-                    if my.note_dead(d) {
-                        newly_dead.push(d);
-                    }
+                    my.relia_deaths.fetch_add(1, Ordering::Release);
+                    newly_dead.push(d);
                 }
+                TxTick::Dead => {}
             }
             if link.rx.ack_owed > 0 {
                 acks.push((d, link.rx.take_ack(), link.rx.sack()));
             }
         }
-        v.relia_due
+        my.relia_due
             .store(st.next_deadline(now).unwrap_or(u64::MAX), Ordering::Relaxed);
     }
     for (d, p) in stash_flush {
@@ -939,7 +776,7 @@ fn tick_relia(fabric: &Fabric, addr: NetAddr, vci: usize, now: u64) {
         transmit(fabric, addr, d, p);
     }
     for (d, cum, sack) in acks {
-        send_ack(fabric, addr, d, vci, cum, sack);
+        send_ack(fabric, addr, d, cum, sack);
     }
     if !newly_dead.is_empty() {
         EndpointStats::bump(&my.stats.peers_died, newly_dead.len() as u64);
@@ -948,26 +785,17 @@ fn tick_relia(fabric: &Fabric, addr: NetAddr, vci: usize, now: u64) {
                 litempi_trace::emit(EventKind::PeerDead, d.0 as u64, 1);
             }
         }
-        // A dead peer is endpoint-global state: wake every shard's waiters
-        // so they can observe `peer_unreachable`.
-        my.bump_event_all();
+        // Wake the waiters so they can observe `peer_unreachable`.
+        my.bump_event();
     }
 }
 
-/// [`Endpoint::pump`] of `addr`: every shard, since the caller may be the
-/// only thread driving this endpoint and its unacked sends can live on any.
+/// [`Endpoint::pump`] of `addr`.
 fn pump(fabric: &Fabric, addr: NetAddr) {
     let my = fabric.shared(addr);
-    my.flush_deferred_all(None);
+    my.flush_deferred(None);
     if my.routed {
-        tick_relia_all(fabric, addr, fabric.now_us());
-    }
-}
-
-/// Advance every VCI's reliability clock (shard-agnostic progress paths).
-fn tick_relia_all(fabric: &Fabric, addr: NetAddr, now: u64) {
-    for vci in 0..fabric.shared(addr).n_vcis {
-        tick_relia(fabric, addr, vci, now);
+        tick_relia(fabric, addr, fabric.now_us());
     }
 }
 
@@ -1002,62 +830,20 @@ impl Endpoint {
     }
 
     /// Traffic counters for this endpoint: the cross-thread atomics merged
-    /// with every VCI's tag-lock-domain matching counters (one brief tag
-    /// lock acquisition per VCI — stats are off the critical path).
+    /// with the tag-lock-domain matching counters (one brief tag lock
+    /// acquisition — stats are off the critical path).
     pub fn stats(&self) -> StatsSnapshot {
         let shared = self.shared(self.addr);
-        let mut matching = crate::matching::MatchCounters::default();
-        for vci in &shared.vcis {
-            let c = vci.tag.lock().counters();
-            matching.msgs_received += c.msgs_received;
-            matching.bytes_received += c.bytes_received;
-            matching.unexpected += c.unexpected;
-            matching.bucket_hits += c.bucket_hits;
-            matching.wildcard_matches += c.wildcard_matches;
-            matching.max_posted_depth = matching.max_posted_depth.max(c.max_posted_depth);
-            matching.max_unexpected_depth =
-                matching.max_unexpected_depth.max(c.max_unexpected_depth);
-        }
-        // The per-peer memory gauge: bytes pinned by resident link state
-        // across every VCI. O(active peers) by construction — the scale
-        // tests assert it stays orders of magnitude under the dense
-        // all-pairs baseline.
+        let matching = shared.tag.lock().counters();
+        // The per-peer memory gauge: bytes pinned by resident link state.
+        // O(active peers) by construction — the scale tests assert it
+        // stays orders of magnitude under the dense all-pairs baseline.
         let resident_link_bytes = if shared.routed {
-            shared
-                .vcis
-                .iter()
-                .map(|v| v.relia.lock().resident_link_bytes())
-                .sum()
+            shared.relia.lock().resident_link_bytes()
         } else {
             0
         };
         shared.stats.snapshot(&matching, resident_link_bytes)
-    }
-
-    /// The number of virtual communication interfaces this endpoint's
-    /// fabric runs (1 = the paper's single serialized channel).
-    pub fn n_vcis(&self) -> usize {
-        self.shared(self.addr).n_vcis
-    }
-
-    /// Record one acquisition of a layer-above per-VCI critical section
-    /// (litempi-core's `with_cs`) in this endpoint's shard-contention
-    /// counters, so fabric-level and core-level contention aggregate in
-    /// one place. No-op with a single VCI, mirroring the tag-lock path's
-    /// accounting (`contended` marks an acquisition that found the lock
-    /// held by another thread).
-    pub fn note_vci_acquire(&self, vci: usize, contended: bool) {
-        let shared = self.shared(self.addr);
-        if !shared.multi_vci {
-            return;
-        }
-        EndpointStats::bump(&shared.stats.vci_acquires[vci], 1);
-        if contended {
-            EndpointStats::bump(&shared.stats.vci_contended[vci], 1);
-            if shared.trace_enabled {
-                litempi_trace::emit(EventKind::VciContend, vci as u64, 0);
-            }
-        }
     }
 
     fn shared(&self, addr: NetAddr) -> &EndpointShared {
@@ -1069,13 +855,13 @@ impl Endpoint {
     /// Current completion-event epoch. Pair with [`Self::wait_event`] to
     /// park a progress loop without missing completions.
     pub fn event_epoch(&self) -> u64 {
-        self.shared(self.addr).event_epoch()
+        self.shared(self.addr).events.epoch()
     }
 
     /// Block until this endpoint's event epoch moves past `seen` (a value
     /// previously read with [`Self::event_epoch`]) or `timeout` elapses.
     pub fn wait_event(&self, seen: u64, timeout: Duration) {
-        self.shared(self.addr).wait_event(None, seen, timeout);
+        self.shared(self.addr).wait_event(seen, timeout);
     }
 
     /// Block until `poll` yields a value, calling `progress` after every
@@ -1095,7 +881,7 @@ impl Endpoint {
     #[track_caller]
     pub fn wait_until<T>(&self, progress: impl FnMut(), poll: impl FnMut() -> Option<T>) -> T {
         self.shared(self.addr)
-            .wait_until(&self.fabric, None, progress, poll)
+            .wait_until(&self.fabric, progress, poll)
     }
 
     /// Raise a completion event on `peer`'s endpoint: this rank changed,
@@ -1104,7 +890,7 @@ impl Endpoint {
     /// The completion a NIC delivers for it; without it the waiter would
     /// sleep on.
     pub fn signal_peer(&self, peer: NetAddr) {
-        self.shared(peer).bump_event(0);
+        self.shared(peer).bump_event();
     }
 
     // ---------------------------------------------------------------- tagged
@@ -1114,7 +900,6 @@ impl Endpoint {
     /// Delivery is FIFO per (src, dst) pair.
     pub fn tsend(&self, dst: NetAddr, match_bits: u64, data: Bytes) {
         let my = self.shared(self.addr);
-        let vci = my.vci_of(match_bits);
         EndpointStats::bump(&my.stats.msgs_sent, 1);
         EndpointStats::bump(&my.stats.bytes_sent, data.len() as u64);
         if my.trace_enabled {
@@ -1127,9 +912,9 @@ impl Endpoint {
             data,
         };
         if my.routed {
-            send_packet(&self.fabric, self.addr, dst, vci, PacketBody::Tagged(msg));
+            send_packet(&self.fabric, self.addr, dst, PacketBody::Tagged(msg));
         } else {
-            self.shared(dst).deliver_tagged(vci, msg);
+            self.shared(dst).deliver_tagged(msg);
         }
         if my.trace_enabled {
             litempi_trace::emit(EventKind::SendComplete, match_bits, 0);
@@ -1143,16 +928,9 @@ impl Endpoint {
     }
 
     /// Post a nonblocking receive; the returned handle is polled or waited.
-    ///
-    /// The receive lands on the VCI its match bits hash to — the same
-    /// shard every message it could match also lands on (the hash ignores
-    /// the source and, on the user channel, the tag, so wildcard ignore
-    /// masks cannot straddle shards).
     pub fn trecv_post(&self, match_bits: u64, ignore: u64) -> RecvHandle {
         let peer = self.shared(self.addr);
-        let vci = peer.vci_of(match_bits);
-        // Only this shard's deferred messages can match this receive.
-        peer.flush_deferred(vci, None);
+        peer.flush_deferred(None);
         if peer.trace_enabled {
             litempi_trace::emit(EventKind::RecvPost, match_bits, ignore);
         }
@@ -1164,7 +942,7 @@ impl Endpoint {
         };
         // First satisfy from the unexpected queue, in arrival order.
         {
-            let mut tag = peer.lock_tag(vci);
+            let mut tag = peer.tag.lock();
             if let Some(msg) = tag.post(probe) {
                 if peer.trace_enabled {
                     litempi_trace::emit(
@@ -1180,7 +958,6 @@ impl Endpoint {
             fabric: self.fabric.clone(),
             addr: self.addr,
             bits: match_bits,
-            vci,
             slot,
         }
     }
@@ -1190,9 +967,8 @@ impl Endpoint {
     /// without consuming it.
     pub fn tpeek(&self, match_bits: u64, ignore: u64) -> Option<TaggedMessage> {
         let peer = self.shared(self.addr);
-        let vci = peer.vci_of(match_bits);
-        peer.flush_deferred(vci, None);
-        peer.lock_tag(vci).peek(match_bits, ignore).cloned()
+        peer.flush_deferred(None);
+        peer.tag.lock().peek(match_bits, ignore).cloned()
     }
 
     /// Remove and return the first unexpected message matching
@@ -1201,9 +977,8 @@ impl Endpoint {
     /// claim it. Returns `None` when nothing has arrived yet.
     pub fn tdequeue(&self, match_bits: u64, ignore: u64) -> Option<TaggedMessage> {
         let peer = self.shared(self.addr);
-        let vci = peer.vci_of(match_bits);
-        peer.flush_deferred(vci, None);
-        peer.lock_tag(vci).dequeue(match_bits, ignore)
+        peer.flush_deferred(None);
+        peer.tag.lock().dequeue(match_bits, ignore)
     }
 
     /// Deliver any jitter-deferred messages destined to this endpoint and
@@ -1221,26 +996,18 @@ impl Endpoint {
     /// unreachable; the fabric's kill switch took `peer` down, which every
     /// endpoint sees the instant it trips, with or without traffic to it;
     /// or the reliability layer's retry budget toward `peer` ran out.
-    /// Always `false` on a perfect fabric in a healthy job. With sharded
-    /// reliability domains, a peer whose retry budget expired on *any* VCI
-    /// is unreachable — death is per peer, not per channel.
+    /// Always `false` on a perfect fabric in a healthy job.
     pub fn peer_unreachable(&self, peer: NetAddr) -> bool {
         if self.fabric.job_aborted() || self.fabric.endpoint_killed(peer) {
             return true;
         }
         let my = self.shared(self.addr);
-        my.relia_deaths.load(Ordering::Acquire) > 0 && my.dead_peers.lock().contains(&peer)
+        my.relia_deaths.load(Ordering::Acquire) > 0 && my.relia.lock().is_dead(peer)
     }
 
-    /// Is the software reliability protocol active on this fabric?
-    pub fn reliability_enabled(&self) -> bool {
-        self.shared(self.addr).relia_enabled
-    }
-
-    /// Drive the reliability layer until, on **every** VCI, none of this
-    /// endpoint's injected packets await acknowledgment (or their peers
-    /// are dead), no reorder stash is pending, and no ACK debt is owed to
-    /// any peer. A no-op on a perfect fabric. Ranks call this before
+    /// Drive the reliability layer until none of this endpoint's injected
+    /// packets await acknowledgment (or their peers are dead), no reorder
+    /// stash is pending, and no ACK debt is owed to any peer. A no-op on a perfect fabric. Ranks call this before
     /// tearing down so locally-completed eager sends reach their
     /// destination — the delivery guarantee MPI requires of its transport
     /// — and so peers still draining are not starved of the ACKs they
@@ -1255,25 +1022,21 @@ impl Endpoint {
                 // Nobody is left to acknowledge anything.
                 return;
             }
-            tick_relia_all(&self.fabric, self.addr, self.fabric.now_us());
-            let busy = my.vcis.iter().any(|v| {
-                let st = v.relia.lock();
-                let busy = st.links().any(|(d, link)| {
-                    (!link.dead && !self.fabric.endpoint_killed(d) && link.tx.in_flight() > 0)
-                        || link.stash.is_some()
-                        || link.rx.ack_owed > 0
-                });
-                busy
+            tick_relia(&self.fabric, self.addr, self.fabric.now_us());
+            let mut st = my.relia.lock();
+            let busy = st.links().any(|(d, link)| {
+                (!link.dead && !self.fabric.endpoint_killed(d) && link.tx.in_flight() > 0)
+                    || link.stash.is_some()
+                    || link.rx.ack_owed > 0
             });
             if !busy {
                 // Drained: shrink every idle link back to a memento so a
                 // long-lived endpoint's footprint tracks its *current*
                 // working set, not every peer it ever talked to.
-                for v in &my.vcis {
-                    v.relia.lock().reclaim_idle();
-                }
+                st.reclaim_idle();
                 return;
             }
+            drop(st);
             // A polling loop, not an event wait: the ACK that retires the
             // last packet in flight raises no event, so a worker must not
             // sleep while one of its ranks drains.
@@ -1285,9 +1048,8 @@ impl Endpoint {
 
     // -------------------------------------------------------------------- AM
 
-    /// Inject an active message. All AM traffic travels on VCI 0: the AM
-    /// queue carries RMA and PSCW control messages whose per-pair FIFO the
-    /// layers above rely on, so it is never sharded.
+    /// Inject an active message. The AM queue carries RMA and PSCW control
+    /// messages whose per-pair FIFO the layers above rely on.
     pub fn am_send(&self, dst: NetAddr, handler: u16, header: [u8; 32], data: Bytes) {
         let my = self.shared(self.addr);
         EndpointStats::bump(&my.stats.am_sent, 1);
@@ -1298,7 +1060,7 @@ impl Endpoint {
             data,
         };
         if my.routed {
-            send_packet(&self.fabric, self.addr, dst, 0, PacketBody::Am(msg));
+            send_packet(&self.fabric, self.addr, dst, PacketBody::Am(msg));
             return;
         }
         self.shared(dst).deliver_am(msg);
@@ -1309,12 +1071,11 @@ impl Endpoint {
         self.shared(self.addr).pop_am()
     }
 
-    /// Block until an active message arrives (its completion event lands
-    /// on VCI 0, like the packet).
+    /// Block until an active message arrives.
     #[track_caller]
     pub fn am_wait(&self) -> AmMessage {
         self.shared(self.addr)
-            .wait_until(&self.fabric, Some(0), || {}, || self.am_poll())
+            .wait_until(&self.fabric, || {}, || self.am_poll())
     }
 
     // ------------------------------------------------------------------ RDMA
@@ -1429,22 +1190,6 @@ impl Endpoint {
         EndpointStats::bump(&my.stats.rdma_bytes, len as u64);
         region.update(offset, len, f);
     }
-
-    /// One-sided 8-byte atomic; returns the previous value.
-    pub fn rdma_atomic(
-        &self,
-        _dst: NetAddr,
-        region: &MemoryRegion,
-        offset: usize,
-        op: RdmaAtomicOp,
-        operand: u64,
-        compare: u64,
-    ) -> u64 {
-        let my = self.shared(self.addr);
-        EndpointStats::bump(&my.stats.rdma_atomics, 1);
-        EndpointStats::bump(&my.stats.rdma_bytes, 8);
-        region.atomic(offset, op, operand, compare)
-    }
 }
 
 /// Handle for a posted nonblocking receive.
@@ -1455,9 +1200,6 @@ pub struct RecvHandle {
     /// `RecvPost` that opened the span (wildcard receives may complete
     /// with different message bits).
     bits: u64,
-    /// The shard this receive was posted on; waits park precisely on this
-    /// VCI's completion epoch.
-    vci: usize,
     slot: SlotLease,
 }
 
@@ -1484,14 +1226,13 @@ impl RecvHandle {
         self.slot.is_filled()
     }
 
-    /// Block until the message arrives, parking on the posting VCI's
-    /// completion-event epoch (a message that can match this receive
-    /// always completes on the same shard it was posted on).
+    /// Block until the message arrives, parking on the endpoint's
+    /// completion-event epoch.
     #[track_caller]
     pub fn wait(self) -> TaggedMessage {
         let (fabric, addr) = (&self.fabric, self.addr);
         let progress = || pump(fabric, addr);
-        (fabric.shared(addr)).wait_until(fabric, Some(self.vci), progress, || self.poll())
+        (fabric.shared(addr)).wait_until(fabric, progress, || self.poll())
     }
 
     /// Cancel the posted receive. Returns `true` if it was cancelled before
@@ -1499,7 +1240,7 @@ impl RecvHandle {
     /// message can still be polled).
     pub fn cancel(&self) -> bool {
         let shared = self.fabric.shared(self.addr);
-        shared.lock_tag(self.vci).cancel(&self.slot)
+        shared.tag.lock().cancel(&self.slot)
     }
 }
 
@@ -1738,7 +1479,6 @@ mod tests {
         let before = b.event_epoch();
         let again = WirePacket {
             src: NetAddr(0),
-            vci: 0,
             seq: 0,
             ack: None,
             sack: 0,
@@ -1842,7 +1582,7 @@ mod tests {
                 t0.elapsed()
             })
         };
-        while f.shared(NetAddr(1)).vcis[0].events.waiters() == 0 {
+        while f.shared(NetAddr(1)).events.waiters() == 0 {
             std::thread::yield_now();
         }
         a.tsend(NetAddr(1), 1, Bytes::new());
@@ -2195,28 +1935,26 @@ mod tests {
         assert_eq!(a.stats().acks_sent, 0, "endpoint 0 sent a packet");
     }
 
-    /// Retry exhaustion on a VCI above 0 makes the peer unreachable on the
-    /// very next call — `peer_unreachable` takes no lock until a verdict is
-    /// counted, so the count must move with the verdict — counts one death
-    /// however many VCIs run dry, and outlives the link's reclamation into
-    /// a memento.
+    /// Retry exhaustion makes the peer unreachable on the very next call —
+    /// `peer_unreachable` takes no lock until a verdict is counted, so the
+    /// count must move with the verdict — counts one death however often
+    /// the dead peer is sent to afterwards, and outlives the link's
+    /// reclamation into a memento.
     #[test]
-    fn retry_exhaustion_on_a_higher_vci_is_seen_at_once_and_survives_reclaim() {
+    fn retry_exhaustion_is_seen_at_once_and_survives_reclaim() {
         // Link 0 -> 1 is down for good (a flap with a 0 % duty cycle), and
         // nothing kills the peer.
         let plan = FaultPlan::none().with_link(0, 1, FaultSpec::NONE.with_flap(1_000_000, 0));
         let profile = ProviderProfile::infinite()
-            .with_vcis(4)
             .with_faults(plan)
             .with_reliability(ReliabilityConfig::on().with_retries(2, 50));
         let f = Fabric::new(2, profile, Topology::single_node(2));
         let a = f.endpoint(NetAddr(0));
-        let (peer, bits) = (NetAddr(1), 1u64 << 48); // context 1
-        assert_eq!(crate::vci::vci_for_bits(bits, 4), 1);
-        a.tsend(peer, bits, Bytes::new());
+        let peer = NetAddr(1);
+        a.tsend(peer, 1, Bytes::new());
         let my = f.shared(NetAddr(0));
         let t0 = std::time::Instant::now();
-        while !my.vcis[1].relia.lock().is_dead(peer) {
+        while !my.relia.lock().is_dead(peer) {
             assert!(!a.peer_unreachable(peer), "unreachable before a verdict");
             a.pump();
             assert!(
@@ -2225,219 +1963,68 @@ mod tests {
             );
             std::thread::yield_now();
         }
-        assert!(!my.vcis[0].relia.lock().is_dead(peer));
         assert!(a.peer_unreachable(peer));
         assert_eq!(a.stats().peers_died, 1);
-        // A second VCI running dry toward the same peer is the same death.
-        let bits2 = 2u64 << 48; // context 2
-        assert_eq!(crate::vci::vci_for_bits(bits2, 4), 2);
-        a.tsend(peer, bits2, Bytes::new());
-        while !my.vcis[2].relia.lock().is_dead(peer) {
-            a.pump();
-            assert!(
-                t0.elapsed() < Duration::from_secs(10),
-                "retry budget never expired"
-            );
-            std::thread::yield_now();
-        }
+        // Later sends to the dead peer are black-holed, not a second death.
+        a.tsend(peer, 2, Bytes::new());
+        a.pump();
         assert_eq!(a.stats().peers_died, 1, "one death counted twice");
         a.quiesce();
-        assert_eq!(my.vcis[1].relia.lock().n_links(), 0, "not reclaimed");
+        assert_eq!(my.relia.lock().n_links(), 0, "not reclaimed");
         assert!(a.peer_unreachable(peer), "the memento forgot the verdict");
     }
 
-    // ------------------------------------------------------------- multi-VCI
-
-    /// Match bits in litempi-core's layout: ctx in 63..48, src in 47..24,
-    /// tag in 23..0.
-    fn mb(ctx: u64, src: u64, tag: u64) -> u64 {
-        (ctx << 48) | (src << 24) | tag
-    }
-
     #[test]
-    fn multi_vci_roundtrip_and_wildcard() {
-        let f = Fabric::new(
-            2,
-            ProviderProfile::infinite().with_vcis(4),
-            Topology::single_node(2),
-        );
+    fn quiesce_drains_the_channel_on_teardown() {
+        // `quiesce()` must drain the retransmit queue and ACK debt of
+        // traffic still in flight on a chaotic link before teardown.
+        let f = Fabric::new(2, chaotic_profile(0xBEEF), Topology::single_node(2));
         let a = f.endpoint(NetAddr(0));
         let b = f.endpoint(NetAddr(1));
-        // Four communicator channels, spread over shards; per-channel FIFO
-        // and wildcard receives (source+tag wildcarded, concrete ctx) must
-        // behave exactly as on the single channel.
-        for ctx in 1..=4u64 {
-            for i in 0..10u64 {
-                a.tsend(
-                    NetAddr(1),
-                    mb(ctx, 0, i),
-                    Bytes::copy_from_slice(&i.to_le_bytes()),
-                );
-            }
-        }
-        for ctx in 1..=4u64 {
-            for i in 0..10u64 {
-                // Wildcard everything below the context id.
-                let m = b.trecv_blocking(mb(ctx, 0, 0), (1u64 << 48) - 1);
-                assert_eq!(
-                    u64::from_le_bytes(m.data[..].try_into().unwrap()),
-                    i,
-                    "ctx {ctx} out of order"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn multi_vci_chaos_exactly_once_per_channel() {
-        let f = Fabric::new(
-            2,
-            chaotic_profile(0xC0FFEE).with_vcis(4),
-            Topology::single_node(2),
-        );
-        let a = f.endpoint(NetAddr(0));
-        let b = f.endpoint(NetAddr(1));
-        const N: u64 = 50;
+        const N: u64 = 60;
         for i in 0..N {
-            for ctx in 1..=4u64 {
-                a.tsend(
-                    NetAddr(1),
-                    mb(ctx, 0, i),
-                    Bytes::copy_from_slice(&i.to_le_bytes()),
-                );
-            }
+            a.tsend(NetAddr(1), i, Bytes::copy_from_slice(&i.to_le_bytes()));
         }
-        for ctx in 1..=4u64 {
-            for i in 0..N {
-                let h = b.trecv_post(mb(ctx, 0, i), 0);
-                let m = loop {
-                    if let Some(m) = h.poll() {
-                        break m;
-                    }
-                    a.pump();
-                    b.pump();
-                    std::thread::yield_now();
-                };
-                assert_eq!(u64::from_le_bytes(m.data[..].try_into().unwrap()), i);
-            }
-        }
-        a.quiesce();
-        b.quiesce();
-        assert!(b.tpeek(0, u64::MAX).is_none(), "duplicate escaped");
-        assert!(a.stats().retransmits > 0, "chaos never bit");
-    }
-
-    #[test]
-    fn quiesce_drains_all_vcis_on_teardown() {
-        // Post-PR-7 sharding audit: traffic on ctx 1..=3 hashes onto VCIs
-        // 1–3 of a 4-VCI endpoint, so nothing is in flight on VCI 0.
-        // `quiesce()` must still drain every shard's retransmit queue and
-        // ACK debt before teardown.
-        let f = Fabric::new(
-            2,
-            chaotic_profile(0xBEEF).with_vcis(4),
-            Topology::single_node(2),
-        );
-        // (`LITEMPI_VCIS` may override the shard count; the drain property
-        // below must hold at any width.)
-        let a = f.endpoint(NetAddr(0));
-        let b = f.endpoint(NetAddr(1));
-        const N: u64 = 20;
-        for ctx in 1..=3u64 {
-            for i in 0..N {
-                a.tsend(
-                    NetAddr(1),
-                    mb(ctx, 0, i),
-                    Bytes::copy_from_slice(&i.to_le_bytes()),
-                );
-            }
-        }
-        // Tear down with traffic still in flight on VCIs 1–3.
         a.quiesce();
         b.quiesce();
         for addr in [NetAddr(0), NetAddr(1)] {
-            let sh = f.shared(addr);
-            for (vci, v) in sh.vcis.iter().enumerate() {
-                let st = v.relia.lock();
-                for (d, link) in st.links() {
-                    assert_eq!(
-                        link.tx.in_flight(),
-                        0,
-                        "ep {addr:?} vci {vci} still has unacked packets to {d:?}"
-                    );
-                    assert_eq!(
-                        link.rx.ack_owed, 0,
-                        "ep {addr:?} vci {vci} still owes ACKs to {d:?}"
-                    );
-                    assert!(link.stash.is_none());
-                }
+            let st = f.shared(addr).relia.lock();
+            for (d, link) in st.links() {
+                assert_eq!(
+                    link.tx.in_flight(),
+                    0,
+                    "ep {addr:?} still has unacked packets to {d:?}"
+                );
+                assert_eq!(link.rx.ack_owed, 0, "ep {addr:?} still owes ACKs to {d:?}");
+                assert!(link.stash.is_none());
             }
         }
         // The delivery guarantee held: every eager send arrived.
-        for ctx in 1..=3u64 {
-            for i in 0..N {
-                let m = b.trecv_blocking(mb(ctx, 0, i), 0);
-                assert_eq!(u64::from_le_bytes(m.data[..].try_into().unwrap()), i);
-            }
+        for i in 0..N {
+            let m = b.trecv_blocking(i, 0);
+            assert_eq!(u64::from_le_bytes(m.data[..].try_into().unwrap()), i);
         }
     }
 
+    /// A rank blocked in the endpoint-wide wait (`wait_until`, past its
+    /// spins and asleep on the epoch) wakes on a tagged delivery its poll
+    /// looks for, with exactly one wake-up.
     #[test]
-    fn vci_counters_track_acquisitions_only_when_sharded() {
-        let f1 = fabric(2);
-        let a1 = f1.endpoint(NetAddr(0));
-        a1.tsend(NetAddr(1), mb(1, 0, 0), Bytes::new());
-        let _ = f1.endpoint(NetAddr(1)).trecv_blocking(mb(1, 0, 0), 0);
-        let s = f1.endpoint(NetAddr(1)).stats();
-        // `LITEMPI_VCIS` overrides the profile, so only assert the
-        // zero-overhead half when the fabric really resolved to one shard.
-        if f1.n_vcis() == 1 {
-            assert!(s.vci_acquires.iter().all(|&c| c == 0), "single-VCI bumped");
-        }
-
-        let f4 = Fabric::new(
-            2,
-            ProviderProfile::infinite().with_vcis(4),
-            Topology::single_node(2),
-        );
-        let a4 = f4.endpoint(NetAddr(0));
-        let b4 = f4.endpoint(NetAddr(1));
-        a4.tsend(NetAddr(1), mb(1, 0, 0), Bytes::new());
-        let _ = b4.trecv_blocking(mb(1, 0, 0), 0);
-        let s = b4.stats();
-        assert!(s.vci_acquires.iter().sum::<u64>() > 0, "no acquisitions");
-        b4.note_vci_acquire(2, true);
-        let s = b4.stats();
-        assert_eq!(s.vci_contended[2], 1);
-    }
-
-    #[test]
-    fn multi_vci_events_wake_endpoint_waiters() {
-        let f = Fabric::new(
-            2,
-            ProviderProfile::infinite().with_vcis(4),
-            Topology::single_node(2),
-        );
+    fn an_endpoint_wide_waiter_wakes_on_a_tagged_delivery() {
+        let f = fabric(2);
         let b = f.endpoint(NetAddr(1));
-        let before = b.event_epoch();
         let f2 = f.clone();
         let t = std::thread::spawn(move || {
             let a = f2.endpoint(NetAddr(0));
-            while f2.shared(NetAddr(1)).vcis[0].events.waiters() == 0 {
+            while f2.shared(NetAddr(1)).events.waiters() == 0 {
                 std::thread::yield_now();
             }
-            // ctx 3 hashes off VCI 0 at 4 shards; the bump must still wake
-            // an endpoint-wide waiter parked on the summed epoch.
-            a.tsend(NetAddr(1), mb(3, 0, 0), Bytes::new());
+            a.tsend(NetAddr(1), 3, Bytes::new());
         });
-        let t0 = std::time::Instant::now();
-        while b.event_epoch() == before {
-            b.wait_event(before, Duration::from_secs(5));
-            assert!(t0.elapsed() < Duration::from_secs(5), "never woke");
-        }
-        assert!(b.event_epoch() > before);
+        let m = b.wait_until(|| {}, || b.tdequeue(3, 0));
+        assert_eq!(m.match_bits, 3);
         t.join().unwrap();
-        assert_eq!(b.stats().event_wakes, 1, "the cross-shard notify");
+        assert_eq!(b.stats().event_wakes, 1);
     }
 
     // ------------------------------------------------ the earliest-due word
@@ -2445,9 +2032,9 @@ mod tests {
     // One case per site that makes work due: each drives the next tick with
     // no other traffic, and fails if that site does not lower the word.
 
-    /// Two endpoints on the reliable path, and the VCI tag 7 travels on.
-    /// Every packet from 1 to 0 is lost, so 1's ACKs never reach 0.
-    fn reliable_pair() -> (Arc<Fabric>, Endpoint, Endpoint, usize) {
+    /// Two endpoints on the reliable path. Every packet from 1 to 0 is
+    /// lost, so 1's ACKs never reach 0.
+    fn reliable_pair() -> (Arc<Fabric>, Endpoint, Endpoint) {
         let acks_lost = FaultPlan::none().with_link(1, 0, FaultSpec::percent(100, 0, 0, 0));
         let f = Fabric::new(
             2,
@@ -2457,54 +2044,52 @@ mod tests {
             Topology::single_node(2),
         );
         let (a, b) = (f.endpoint(NetAddr(0)), f.endpoint(NetAddr(1)));
-        let vci = f.shared(NetAddr(0)).vci_of(7);
-        (f, a, b, vci)
+        (f, a, b)
     }
 
     #[test]
     fn relia_tick_word_acts_on_a_timer_armed_by_a_send() {
-        let (f, a, _b, _) = reliable_pair();
+        let (f, a, _b) = reliable_pair();
         // Delivered, and unacknowledged: ACKs go every fourth delivery.
         a.tsend(NetAddr(1), 7, Bytes::from_static(b"x"));
-        tick_relia_all(&f, NetAddr(0), f.now_us() + 1_000_000);
+        tick_relia(&f, NetAddr(0), f.now_us() + 1_000_000);
         assert_eq!(a.stats().retransmits, 1, "the armed timer fires");
     }
 
     #[test]
     fn relia_tick_word_acts_on_ack_debt_left_by_a_delivery() {
-        let (f, a, b, _) = reliable_pair();
+        let (f, a, b) = reliable_pair();
         a.tsend(NetAddr(1), 7, Bytes::from_static(b"x"));
-        tick_relia_all(&f, NetAddr(1), f.now_us());
+        tick_relia(&f, NetAddr(1), f.now_us());
         assert_eq!(b.stats().acks_sent, 1, "the owed ACK goes out");
     }
 
     #[test]
     fn relia_tick_word_acts_on_ack_debt_left_by_a_duplicate() {
-        let (f, a, b, _) = reliable_pair();
+        let (f, a, b) = reliable_pair();
         a.tsend(NetAddr(1), 7, Bytes::from_static(b"x"));
-        tick_relia_all(&f, NetAddr(1), f.now_us());
+        tick_relia(&f, NetAddr(1), f.now_us());
         assert_eq!(b.stats().acks_sent, 1);
         // The ACK is lost, so the sender's timer resends: the receiver
         // drops the duplicate and owes another ACK.
-        tick_relia_all(&f, NetAddr(0), f.now_us() + 1_000_000);
+        tick_relia(&f, NetAddr(0), f.now_us() + 1_000_000);
         assert_eq!(b.stats().dup_dropped, 1);
-        tick_relia_all(&f, NetAddr(1), f.now_us());
+        tick_relia(&f, NetAddr(1), f.now_us());
         assert_eq!(b.stats().acks_sent, 2, "the owed ACK goes out");
     }
 
     #[test]
     fn relia_tick_word_acts_on_a_timer_an_ack_rearms_sooner() {
-        let (f, a, _b, vci) = reliable_pair();
+        let (f, a, _b) = reliable_pair();
         a.tsend(NetAddr(1), 7, Bytes::from_static(b"x"));
         a.tsend(NetAddr(1), 7, Bytes::from_static(b"y"));
         // A timer round backs the deadline off to a second from now ...
         let late = f.now_us() + 1_000_000;
-        tick_relia_all(&f, NetAddr(0), late);
+        tick_relia(&f, NetAddr(0), late);
         assert_eq!(a.stats().retransmits, 2);
         // ... and an ACK for the first packet re-arms it one RTO out.
         let ack = WirePacket {
             src: NetAddr(1),
-            vci,
             seq: 0,
             ack: Some(1),
             sack: 0,
@@ -2512,7 +2097,7 @@ mod tests {
             body: None,
         };
         deliver_packet(&f, NetAddr(0), ack);
-        tick_relia_all(&f, NetAddr(0), f.now_us() + 10_000);
+        tick_relia(&f, NetAddr(0), f.now_us() + 10_000);
         assert_eq!(a.stats().retransmits, 3, "the re-armed timer fires");
     }
 
@@ -2529,7 +2114,7 @@ mod tests {
         let (a, b) = (f.endpoint(NetAddr(0)), f.endpoint(NetAddr(1)));
         a.tsend(NetAddr(1), 7, Bytes::from_static(b"x"));
         assert!(b.tpeek(7, 0).is_none(), "held back");
-        tick_relia_all(&f, NetAddr(0), f.now_us());
+        tick_relia(&f, NetAddr(0), f.now_us());
         assert!(b.tpeek(7, 0).is_some(), "the tick flushes the stash");
     }
 }

@@ -60,11 +60,9 @@ impl EventCount {
         self.notify()
     }
 
-    /// Wake the waiters without advancing the epoch — for a waiter whose
-    /// `still` also watches state kept elsewhere, after that state moved
-    /// (with a `SeqCst` write). Returns whether anybody had to be notified.
+    /// Wake the waiters; whether anybody had to be notified.
     #[inline]
-    pub(crate) fn notify(&self) -> bool {
+    fn notify(&self) -> bool {
         if self.waiters.load(Ordering::SeqCst) == 0 {
             return false;
         }

@@ -35,13 +35,8 @@ pub struct Fabric {
     endpoints: Vec<EndpointShared>,
     regions: RwLock<HashMap<RegionKey, MemoryRegion>>,
     next_rkey: AtomicU64,
-    /// One wire-buffer arena per VCI, so concurrent injectors on different
-    /// shards never contend on pool free lists. Entry 0 is the original
-    /// single arena; with one VCI nothing changes.
-    pools: Box<[PayloadPool]>,
-    /// Resolved VCI count ([`Fabric::resolve_vcis`]); every endpoint runs
-    /// this many shards.
-    n_vcis: usize,
+    /// The wire-buffer arena ([`Fabric::pool`]).
+    pool: PayloadPool,
     /// The reliability layer's clock ([`Fabric::now_us`]), zero at the
     /// fabric's creation instant ([`Fabric::epoch`]).
     clock: Clock,
@@ -78,21 +73,17 @@ impl Fabric {
     /// Build a fabric with `n` endpoints.
     pub fn new(n: usize, profile: ProviderProfile, topology: Topology) -> Arc<Fabric> {
         assert_eq!(topology.n_ranks(), n, "topology must cover exactly n ranks");
-        let n_vcis = Self::resolve_vcis(&profile);
         let endpoints = (0..n)
-            .map(|i| EndpointShared::new(&profile, NetAddr(i as u32), n_vcis))
+            .map(|i| EndpointShared::new(&profile, NetAddr(i as u32)))
             .collect();
-        let pools = (0..n_vcis)
-            .map(|_| PayloadPool::with_tracing(profile.trace.enabled))
-            .collect();
+        let pool = PayloadPool::with_tracing(profile.trace.enabled);
         Arc::new(Fabric {
             profile,
             topology,
             endpoints,
             regions: RwLock::new(HashMap::new()),
             next_rkey: AtomicU64::new(1),
-            pools,
-            n_vcis,
+            pool,
             clock: Clock::new(tsc_scale()),
             kill_count: AtomicU64::new(0),
             kill_tripped: AtomicBool::new(false),
@@ -101,19 +92,6 @@ impl Fabric {
             draining: AtomicUsize::new(n),
             trace_enabled: profile.trace.enabled,
         })
-    }
-
-    /// Resolve the VCI count for a fabric: the `LITEMPI_VCIS` environment
-    /// variable when set (and parseable) takes precedence over the
-    /// profile's `num_vcis`, letting CI and ablation runs re-shard a build
-    /// without code changes. Either source is clamped to
-    /// `1..=`[`MAX_VCIS`](crate::vci::MAX_VCIS).
-    fn resolve_vcis(profile: &ProviderProfile) -> usize {
-        let requested = std::env::var("LITEMPI_VCIS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(profile.num_vcis);
-        requested.clamp(1, crate::vci::MAX_VCIS)
     }
 
     /// Microseconds since fabric creation (the reliability layer's clock;
@@ -185,7 +163,7 @@ impl Fabric {
     /// Move every endpoint's event epoch: job-wide state changed.
     fn bump_all(&self) {
         for ep in self.endpoints.iter() {
-            ep.bump_event_all();
+            ep.bump_event();
         }
     }
 
@@ -243,21 +221,8 @@ impl Fabric {
 
     /// The shared wire-buffer pool senders take from and receivers release
     /// consumed payloads back into (the single-copy payload pipeline).
-    /// With multiple VCIs this is VCI 0's arena; shard-aware callers use
-    /// [`Fabric::pool_vci`].
     pub fn pool(&self) -> &PayloadPool {
-        &self.pools[0]
-    }
-
-    /// The wire-buffer arena owned by one VCI.
-    pub fn pool_vci(&self, vci: usize) -> &PayloadPool {
-        &self.pools[vci]
-    }
-
-    /// The number of virtual communication interfaces each endpoint runs
-    /// (1 = the unsharded configuration the paper analyzes).
-    pub fn n_vcis(&self) -> usize {
-        self.n_vcis
+        &self.pool
     }
 
     /// Open the endpoint at `addr`.
@@ -514,7 +479,7 @@ mod tests {
     #[test]
     fn the_last_rank_to_leave_ends_each_countdown() {
         let f = Fabric::new(2, ProviderProfile::infinite(), Topology::single_node(2));
-        let epoch = |f: &Fabric| f.shared(NetAddr(1)).event_epoch();
+        let epoch = |f: &Fabric| f.shared(NetAddr(1)).events.epoch();
         let before = epoch(&f);
         f.rank_returned();
         assert!(!f.all_returned());

@@ -12,7 +12,7 @@
 //!   (`tsend`/`trecv`), with native receiver-side matching and an
 //!   unexpected-message queue — the facility PSM2 exposes and on which the
 //!   CH4/OFI netmod relies ("network APIs that support matching", §2.1).
-//! * **RDMA** (`rdma_put`/`rdma_get`/`rdma_atomic`) into registered
+//! * **RDMA** (`rdma_put`/`rdma_get`/`rdma_update`) into registered
 //!   [`MemoryRegion`]s, performed as true one-sided memory access with no
 //!   involvement of the target rank's thread — the semantics of real NIC
 //!   RDMA that make the CH4 `MPI_PUT` fast path possible.
@@ -47,7 +47,6 @@ pub mod reliability;
 pub mod stats;
 pub mod task;
 pub mod topology;
-pub mod vci;
 mod wait;
 
 pub use addr::NetAddr;
@@ -58,8 +57,7 @@ pub use fault::{FaultPlan, FaultSpec, KillSwitch, LinkFlap, LinkOverride};
 pub use litempi_trace::TraceConfig;
 pub use packet::{AmMessage, TaggedMessage};
 pub use pool::{PayloadBuf, PayloadPool, PoolStats};
-pub use region::{MemoryRegion, RdmaAtomicOp, RegionKey};
+pub use region::{MemoryRegion, RegionKey};
 pub use reliability::{crc32, ReliabilityConfig};
 pub use stats::EndpointStats;
 pub use topology::{NodeId, Topology};
-pub use vci::{vci_for_bits, MAX_VCIS};

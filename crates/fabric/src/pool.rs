@@ -40,11 +40,11 @@
 //!
 //! In front of each size class's shared list (a lock and a `Vec`) every
 //! thread keeps a cache of its own, one entry per pool it uses (up to
-//! [`POOLS_PER_THREAD`], so a thread that alternates between a fabric's
-//! VCI pools hits on each). A take pops the cache first and falls back to
-//! the shared list, so storage released on another thread is still
-//! reused; a release keeps the buffer in the cache while there is room
-//! and files it on the shared list otherwise. The cache follows the rule
+//! [`POOLS_PER_THREAD`]; a thread that alternates between pools hits on
+//! each). A take pops the cache first and falls back to the shared list,
+//! so storage released on another thread is still reused; a release
+//! keeps the buffer in the cache while there is room and files it on the
+//! shared list otherwise. The cache follows the rule
 //! of the receive-slot lists ([`PeakList`]): a thread keeps at most as
 //! many buffers of a class as it once had taken at the same time, capped
 //! so that its cache and the shared list together hold at most
@@ -100,8 +100,11 @@ pub const CLASS_SIZES: &[usize] = &[
 /// shared list together; beyond this, releases free.
 const CLASS_DEPTH: usize = 64;
 
-/// Pools one thread caches for at once: every VCI pool of one fabric.
-const POOLS_PER_THREAD: usize = crate::vci::MAX_VCIS;
+/// Pools one thread caches for at once; the oldest entry is retired to
+/// make room for a ninth. The count was sized for one fabric's per-channel
+/// pools, which are gone; whether any workload still has a thread touch
+/// more than one live pool is unmeasured.
+const POOLS_PER_THREAD: usize = 8;
 
 const N_CLASSES: usize = CLASS_SIZES.len();
 
@@ -873,10 +876,8 @@ mod tests {
 
     #[test]
     fn a_thread_alternating_between_pools_hits_each_in_its_cache() {
-        // As many pools as a fabric has VCIs at most.
-        let pools: Vec<_> = (0..crate::vci::MAX_VCIS)
-            .map(|_| PayloadPool::new())
-            .collect();
+        // As many pools as a thread caches for at once.
+        let pools: Vec<_> = (0..POOLS_PER_THREAD).map(|_| PayloadPool::new()).collect();
         for pool in &pools {
             pool.release(pool.take(64).freeze());
         }

@@ -20,22 +20,6 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RegionKey(pub u64);
 
-/// Atomic update operations the simulated NIC supports, mirroring the
-/// libfabric/verbs atomic op set used by MPI accumulate operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RdmaAtomicOp {
-    /// 64-bit integer add.
-    AddU64,
-    /// 64-bit swap (fetch old, store new).
-    SwapU64,
-    /// 64-bit compare-and-swap: store if current == compare operand.
-    CasU64,
-    /// IEEE-754 f64 add (MPI_SUM on MPI_DOUBLE).
-    AddF64,
-    /// 64-bit integer max.
-    MaxU64,
-}
-
 /// A registered memory region (shared handle).
 #[derive(Debug, Clone)]
 pub struct MemoryRegion {
@@ -107,38 +91,12 @@ impl MemoryRegion {
     }
 
     /// Read-modify-write under `f`, holding the region lock for the whole
-    /// update — the primitive beneath [`MemoryRegion::atomic`] and beneath
-    /// MPI accumulate operations with derived layouts.
+    /// update — the primitive beneath MPI accumulate and atomic operations.
     pub fn update(&self, offset: usize, len: usize, f: impl FnOnce(&mut [u8])) {
         let mut mem = self.inner.mem.lock();
         let end = offset.checked_add(len).expect("rdma update overflow");
         assert!(end <= mem.len(), "rdma update out of registered range");
         f(&mut mem[offset..end]);
-    }
-
-    /// Hardware-style atomic on an 8-byte datum. Returns the *previous*
-    /// value (fetch semantics); callers not needing it discard it.
-    pub fn atomic(&self, offset: usize, op: RdmaAtomicOp, operand: u64, compare: u64) -> u64 {
-        let mut mem = self.inner.mem.lock();
-        let end = offset + 8;
-        assert!(end <= mem.len(), "rdma atomic out of registered range");
-        let cur_bytes: [u8; 8] = mem[offset..end].try_into().expect("8-byte atomic");
-        let cur = u64::from_le_bytes(cur_bytes);
-        let new = match op {
-            RdmaAtomicOp::AddU64 => cur.wrapping_add(operand),
-            RdmaAtomicOp::SwapU64 => operand,
-            RdmaAtomicOp::CasU64 => {
-                if cur == compare {
-                    operand
-                } else {
-                    cur
-                }
-            }
-            RdmaAtomicOp::AddF64 => (f64::from_bits(cur) + f64::from_bits(operand)).to_bits(),
-            RdmaAtomicOp::MaxU64 => cur.max(operand),
-        };
-        mem[offset..end].copy_from_slice(&new.to_le_bytes());
-        cur
     }
 }
 
@@ -260,46 +218,6 @@ mod tests {
     }
 
     #[test]
-    fn atomic_add_returns_previous() {
-        let r = region(8);
-        r.write(0, &5u64.to_le_bytes());
-        let prev = r.atomic(0, RdmaAtomicOp::AddU64, 7, 0);
-        assert_eq!(prev, 5);
-        assert_eq!(u64::from_le_bytes(r.read(0, 8).try_into().unwrap()), 12);
-    }
-
-    #[test]
-    fn atomic_cas_success_and_failure() {
-        let r = region(8);
-        r.write(0, &10u64.to_le_bytes());
-        let prev = r.atomic(0, RdmaAtomicOp::CasU64, 99, 10);
-        assert_eq!(prev, 10);
-        assert_eq!(u64::from_le_bytes(r.read(0, 8).try_into().unwrap()), 99);
-        // Failing CAS leaves the value alone.
-        let prev = r.atomic(0, RdmaAtomicOp::CasU64, 7, 10);
-        assert_eq!(prev, 99);
-        assert_eq!(u64::from_le_bytes(r.read(0, 8).try_into().unwrap()), 99);
-    }
-
-    #[test]
-    fn atomic_f64_add() {
-        let r = region(8);
-        r.write(0, &1.5f64.to_bits().to_le_bytes());
-        r.atomic(0, RdmaAtomicOp::AddF64, 2.25f64.to_bits(), 0);
-        let v = f64::from_bits(u64::from_le_bytes(r.read(0, 8).try_into().unwrap()));
-        assert_eq!(v, 3.75);
-    }
-
-    #[test]
-    fn atomic_swap_and_max() {
-        let r = region(8);
-        r.write(0, &3u64.to_le_bytes());
-        assert_eq!(r.atomic(0, RdmaAtomicOp::SwapU64, 8, 0), 3);
-        assert_eq!(r.atomic(0, RdmaAtomicOp::MaxU64, 5, 0), 8);
-        assert_eq!(u64::from_le_bytes(r.read(0, 8).try_into().unwrap()), 8);
-    }
-
-    #[test]
     fn update_applies_closure_atomically() {
         let r = region(4);
         r.update(0, 4, |bytes| {
@@ -344,7 +262,10 @@ mod tests {
                 let r = r.clone();
                 std::thread::spawn(move || {
                     for _ in 0..1000 {
-                        r.atomic(0, RdmaAtomicOp::AddU64, 1, 0);
+                        r.update(0, 8, |b| {
+                            let v = u64::from_le_bytes(b.try_into().expect("8 bytes"));
+                            b.copy_from_slice(&(v + 1).to_le_bytes());
+                        });
                     }
                 })
             })

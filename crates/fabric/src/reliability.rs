@@ -254,11 +254,6 @@ impl PacketBody {
 pub(crate) struct WirePacket {
     /// Sending endpoint.
     pub src: NetAddr,
-    /// Virtual communication interface the packet travels on. Each
-    /// (VCI, link) pair is an independent sequence space and reliability
-    /// domain; ACKs return on the same VCI. Always 0 on an unsharded
-    /// endpoint.
-    pub vci: usize,
     /// Per-link sequence number (meaningless for standalone ACKs).
     pub seq: u32,
     /// Piggybacked cumulative ACK for the reverse link: "I have received
@@ -819,8 +814,6 @@ pub(crate) struct ReliaState {
     active: bool,
     /// Owning endpoint (link seeds and specs are per directed link).
     addr: NetAddr,
-    /// Shard index, mixed into link seeds for VCIs above 0.
-    vci: usize,
     /// The fabric's fault plan; `link_seed`/`spec_for` are pure per-link
     /// functions, which is what makes lazy materialization deterministic.
     faults: FaultPlan,
@@ -833,37 +826,25 @@ pub(crate) struct ReliaState {
 }
 
 impl ReliaState {
-    /// Build the reliability domain of one VCI of the endpoint at `addr`.
-    /// No per-peer state is allocated here — links materialize on first
-    /// traffic, so a 4096-rank fabric with 2-neighbor traffic holds 2
-    /// links per endpoint, not 4096.
-    ///
-    /// VCI 0 seeds its fault RNGs exactly as the unsharded endpoint did
-    /// (byte-identity when `num_vcis = 1`); higher VCIs mix the shard
-    /// index into each link seed so concurrent shards draw independent
-    /// fault streams.
-    pub(crate) fn new_vci(profile: &ProviderProfile, addr: NetAddr, vci: usize) -> ReliaState {
+    /// Build the reliability domain of the endpoint at `addr`. No per-peer
+    /// state is allocated here — links materialize on first traffic, so a
+    /// 4096-rank fabric with 2-neighbor traffic holds 2 links per
+    /// endpoint, not 4096.
+    pub(crate) fn new(profile: &ProviderProfile, addr: NetAddr) -> ReliaState {
         let cfg = profile.reliability;
         ReliaState {
             cfg,
             active: cfg.enabled || !profile.faults.is_none(),
             addr,
-            vci,
             faults: profile.faults,
             links: BTreeMap::new(),
             mementos: BTreeMap::new(),
         }
     }
 
-    /// The deterministic fault-RNG seed for the link to `peer` on this
-    /// shard (the same mixing rule the dense constructor used).
+    /// The deterministic fault-RNG seed for the link to `peer`.
     fn link_seed(&self, peer: u32) -> u64 {
-        let seed = self.faults.link_seed(self.addr, NetAddr(peer));
-        if self.vci == 0 {
-            seed
-        } else {
-            (seed ^ (self.vci as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1
-        }
+        self.faults.link_seed(self.addr, NetAddr(peer))
     }
 
     /// The link to `peer`, materialized on first touch. A reclaimed link
@@ -952,7 +933,7 @@ impl ReliaState {
 
     /// Memory currently pinned by this domain's per-peer state: resident
     /// links at full width plus reclaimed links at memento width. The
-    /// `EndpointStats::resident_link_bytes` gauge sums this across VCIs.
+    /// `EndpointStats::resident_link_bytes` gauge reads this.
     pub(crate) fn resident_link_bytes(&self) -> u64 {
         self.links
             .values()
@@ -1664,7 +1645,7 @@ mod tests {
     #[test]
     fn links_materialize_lazily_and_never_for_silent_peers() {
         let on = ProviderProfile::infinite().with_reliability(ReliabilityConfig::on());
-        let mut s = ReliaState::new_vci(&on, NetAddr(0), 0);
+        let mut s = ReliaState::new(&on, NetAddr(0));
         assert_eq!(s.n_links(), 0, "construction allocates no per-peer state");
         assert_eq!(s.resident_link_bytes(), 0);
 
@@ -1687,7 +1668,7 @@ mod tests {
         let profile = ProviderProfile::infinite()
             .with_faults(FaultPlan::uniform(7, FaultSpec::percent(10, 0, 0, 0)))
             .reliable();
-        let mut s = ReliaState::new_vci(&profile, NetAddr(0), 0);
+        let mut s = ReliaState::new(&profile, NetAddr(0));
         let peer = NetAddr(3);
         {
             let link = s.link_mut(peer);
@@ -1723,7 +1704,7 @@ mod tests {
     #[test]
     fn busy_links_are_never_reclaimed() {
         let on = ProviderProfile::infinite().with_reliability(ReliabilityConfig::on());
-        let mut s = ReliaState::new_vci(&on, NetAddr(0), 0);
+        let mut s = ReliaState::new(&on, NetAddr(0));
         s.link_mut(NetAddr(1)).tx.prepare(body(0), None, 0);
         receive(&mut s.link_mut(NetAddr(2)).rx, 0, body(1));
         s.link_mut(NetAddr(3)); // idle from birth
@@ -1736,7 +1717,7 @@ mod tests {
     #[test]
     fn dead_flag_survives_reclamation() {
         let on = ProviderProfile::infinite().with_reliability(ReliabilityConfig::on());
-        let mut s = ReliaState::new_vci(&on, NetAddr(0), 0);
+        let mut s = ReliaState::new(&on, NetAddr(0));
         s.link_mut(NetAddr(9)).dead = true;
         s.reclaim_idle();
         assert_eq!(s.n_links(), 0);
@@ -1746,18 +1727,18 @@ mod tests {
     }
 
     #[test]
-    fn vci_zero_fault_seeds_match_unsharded_and_higher_vcis_differ() {
+    fn fault_seeds_are_deterministic_per_directed_link() {
         use crate::fault::FaultPlan;
         let profile = ProviderProfile::infinite()
             .with_faults(FaultPlan::uniform(7, FaultSpec::percent(10, 0, 0, 0)))
             .reliable();
-        let mut v0a = ReliaState::new_vci(&profile, NetAddr(0), 0);
-        let mut v0b = ReliaState::new_vci(&profile, NetAddr(0), 0);
-        let mut v1 = ReliaState::new_vci(&profile, NetAddr(0), 1);
-        // Same construction → same RNG stream; a different VCI diverges.
-        let mut a = v0a.link_mut(NetAddr(1)).fault_rng.clone();
-        let mut b = v0b.link_mut(NetAddr(1)).fault_rng.clone();
-        let mut c = v1.link_mut(NetAddr(1)).fault_rng.clone();
+        let mut e0a = ReliaState::new(&profile, NetAddr(0));
+        let mut e0b = ReliaState::new(&profile, NetAddr(0));
+        let mut e2 = ReliaState::new(&profile, NetAddr(2));
+        // Same construction → same RNG stream; another link diverges.
+        let mut a = e0a.link_mut(NetAddr(1)).fault_rng.clone();
+        let mut b = e0b.link_mut(NetAddr(1)).fault_rng.clone();
+        let mut c = e2.link_mut(NetAddr(1)).fault_rng.clone();
         let sa: Vec<u64> = (0..8).map(|_| a.next_u64()).collect();
         let sb: Vec<u64> = (0..8).map(|_| b.next_u64()).collect();
         let sc: Vec<u64> = (0..8).map(|_| c.next_u64()).collect();

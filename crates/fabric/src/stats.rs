@@ -15,7 +15,6 @@
 //! [`StatsSnapshot`].
 
 use crate::matching::MatchCounters;
-use crate::vci::MAX_VCIS;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Monotonic cross-thread traffic counters for one endpoint. All counters
@@ -48,7 +47,7 @@ pub struct EndpointStats {
     /// Packets the fault plan dropped (or killed) on this endpoint's sends.
     pub faults_dropped: AtomicU64,
     /// Peers whose retry budget this endpoint's reliability layer
-    /// exhausted, each counted once however many VCIs ran dry toward it.
+    /// exhausted, each counted once.
     /// A kill or an abort reaches every endpoint without a verdict, so
     /// neither counts here.
     pub peers_died: AtomicU64,
@@ -71,13 +70,6 @@ pub struct EndpointStats {
     /// Times this endpoint's rank, running as a user-level task, handed its
     /// worker thread to another rank (`task.rs`).
     pub task_switches: AtomicU64,
-    /// Per-VCI lock acquisitions (critical section + tag engine). Only
-    /// bumped when the endpoint runs more than one VCI, so the single-VCI
-    /// fast path pays nothing for them.
-    pub vci_acquires: [AtomicU64; MAX_VCIS],
-    /// Per-VCI acquisitions that found the lock held by another thread —
-    /// the shard-level contention the VCI design exists to eliminate.
-    pub vci_contended: [AtomicU64; MAX_VCIS],
 }
 
 impl EndpointStats {
@@ -89,8 +81,8 @@ impl EndpointStats {
     /// Snapshot all counters, merging the matching engine's tag-lock-domain
     /// counters with this endpoint's atomics. `resident_link_bytes` is the
     /// caller-computed gauge of per-peer reliability state currently in
-    /// memory (the fabric sums it across VCIs under their locks — it is a
-    /// point-in-time measurement, not a monotonic counter, so it has no
+    /// memory (read under the `relia` lock — it is a point-in-time
+    /// measurement, not a monotonic counter, so it has no
     /// atomic here).
     pub fn snapshot(&self, matching: &MatchCounters, resident_link_bytes: u64) -> StatsSnapshot {
         StatsSnapshot {
@@ -122,26 +114,8 @@ impl EndpointStats {
             wildcard_matches: matching.wildcard_matches,
             max_posted_depth: matching.max_posted_depth,
             max_unexpected_depth: matching.max_unexpected_depth,
-            vci_acquires: load_array(&self.vci_acquires),
-            vci_contended: load_array(&self.vci_contended),
         }
     }
-}
-
-fn load_array(a: &[AtomicU64; MAX_VCIS]) -> [u64; MAX_VCIS] {
-    let mut out = [0u64; MAX_VCIS];
-    for (dst, src) in out.iter_mut().zip(a.iter()) {
-        *dst = src.load(Ordering::Relaxed);
-    }
-    out
-}
-
-fn diff_array(a: &[u64; MAX_VCIS], b: &[u64; MAX_VCIS]) -> [u64; MAX_VCIS] {
-    let mut out = [0u64; MAX_VCIS];
-    for (dst, (x, y)) in out.iter_mut().zip(a.iter().zip(b.iter())) {
-        *dst = x - y;
-    }
-    out
 }
 
 /// A point-in-time copy of one endpoint's counters ([`EndpointStats`]
@@ -176,9 +150,7 @@ pub struct StatsSnapshot {
     pub wildcard_matches: u64,
     pub max_posted_depth: u64,
     pub max_unexpected_depth: u64,
-    pub vci_acquires: [u64; MAX_VCIS],
-    pub vci_contended: [u64; MAX_VCIS],
-    /// Bytes pinned by resident per-peer link state across all VCIs — a
+    /// Bytes pinned by resident per-peer link state — a
     /// gauge (current value), not a counter. O(active peers) by design;
     /// the scale tests compare it against the dense all-pairs baseline.
     pub resident_link_bytes: u64,
@@ -217,8 +189,6 @@ impl StatsSnapshot {
             wildcard_matches: self.wildcard_matches - earlier.wildcard_matches,
             max_posted_depth: self.max_posted_depth,
             max_unexpected_depth: self.max_unexpected_depth,
-            vci_acquires: diff_array(&self.vci_acquires, &earlier.vci_acquires),
-            vci_contended: diff_array(&self.vci_contended, &earlier.vci_contended),
             // A gauge, like the depth high-water marks: the later value
             // carries through.
             resident_link_bytes: self.resident_link_bytes,
@@ -289,20 +259,6 @@ mod tests {
         assert_eq!(snap.bytes_received, 64);
         assert_eq!(snap.max_posted_depth, 5);
         assert_eq!(snap.bucket_hit_rate(), Some(0.75));
-    }
-
-    #[test]
-    fn vci_counters_snapshot_and_diff() {
-        let s = EndpointStats::default();
-        EndpointStats::bump(&s.vci_acquires[2], 10);
-        EndpointStats::bump(&s.vci_contended[2], 4);
-        let a = s.snapshot(&MatchCounters::default(), 0);
-        assert_eq!(a.vci_acquires[2], 10);
-        assert_eq!(a.vci_contended[2], 4);
-        EndpointStats::bump(&s.vci_acquires[2], 1);
-        let b = s.snapshot(&MatchCounters::default(), 0);
-        assert_eq!(b.diff(&a).vci_acquires[2], 1);
-        assert_eq!(b.diff(&a).vci_contended[2], 0);
     }
 
     #[test]

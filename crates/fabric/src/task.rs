@@ -297,7 +297,7 @@ impl Worker {
     }
 
     fn epoch(&self, addr: NetAddr) -> u64 {
-        self.fabric.shared(addr).event_epoch()
+        self.fabric.shared(addr).events.epoch()
     }
 
     /// The completion epochs of the live tasks' endpoints, summed: it moves
@@ -324,11 +324,11 @@ impl Worker {
         // from now on finds a waiter and bumps `idle`; then look at the
         // epochs once more and sleep only if none has moved.
         for s in live() {
-            self.fabric.shared(s.addr).watch_events(true);
+            self.fabric.shared(s.addr).events.watch(true);
         }
         let timed_out = self.idle.park(|| self.epochs() == before, timeout);
         for s in live() {
-            self.fabric.shared(s.addr).watch_events(false);
+            self.fabric.shared(s.addr).events.watch(false);
         }
         if timed_out && timeout == NO_DEADLINE && self.epochs() == before {
             self.silent.set(true);
@@ -373,7 +373,7 @@ impl Worker {
         let me = self.running.get();
         let slot = &self.slots[me];
         let ep = self.fabric.shared(slot.addr);
-        slot.seen.set(Some(ep.event_epoch()));
+        slot.seen.set(Some(ep.events.epoch()));
         slot.fresh.set(fresh);
         EndpointStats::bump(&ep.stats.task_switches, 1);
         let next = match self.forced.get() {

@@ -12,9 +12,7 @@
 //! ([`sleep_budget`]) once none of its ranks has anything to do. A rank
 //! alone on its thread spins for `WAIT_SPINS` fruitless polls, then reads
 //! the epoch, drives progress, polls once more and sleeps until the epoch
-//! moves. A receive handle sleeps on the VCI it was posted on;
-//! endpoint-wide waiters watch the summed epoch and sleep on VCI 0, which a
-//! bump on any other VCI also notifies.
+//! moves.
 //!
 //! **Lost wake-ups fail in debug builds.** There a sleep with no timer to
 //! wake for ends after [`NO_DEADLINE`] (1 s). A wait whose sleep ran that
@@ -85,44 +83,28 @@ fn check_announced<T>(
 const ANNOUNCE_GRACE: Duration = Duration::from_millis(200);
 
 impl EndpointShared {
-    /// The epoch a waiter watches: `vci`'s own (a receive handle, whose
-    /// message can only arrive on the shard it was posted on) or, for
-    /// `None`, the endpoint-wide one.
-    fn epoch_of(&self, vci: Option<usize>) -> u64 {
-        match vci {
-            Some(vci) => self.vcis[vci].events.epoch(),
-            None => self.event_epoch(),
-        }
-    }
-
-    /// Sleep until the epoch `vci` names ([`Self::epoch_of`]) moves past
-    /// `seen`, or `timeout` elapses; `true` if the sleep ran its full time.
-    /// Endpoint-wide waiters park on VCI 0, which every multi-VCI bump also
-    /// notifies.
-    pub(crate) fn wait_event(&self, vci: Option<usize>, seen: u64, timeout: Duration) -> bool {
-        self.vcis[vci.unwrap_or(0)]
-            .events
-            .park(|| self.epoch_of(vci) == seen, timeout)
+    /// Sleep until the event epoch moves past `seen`, or `timeout`
+    /// elapses; `true` if the sleep ran its full time.
+    pub(crate) fn wait_event(&self, seen: u64, timeout: Duration) -> bool {
+        self.events.park(|| self.events.epoch() == seen, timeout)
     }
 
     /// The earliest time (fabric µs) one of this endpoint's timers falls
     /// due: a retransmit, an owed ACK or a reorder stash (due now). `None`
     /// when none is armed.
     pub(crate) fn next_deadline_us(&self, now: u64) -> Option<u64> {
-        (self.vcis.iter())
-            .filter(|_| self.routed)
-            .filter_map(|v| v.relia_due_at(now))
-            .min()
+        if !self.routed {
+            return None;
+        }
+        self.relia_due_at(now)
     }
 
     /// The one blocking policy of the stack — see
-    /// [`Endpoint::wait_until`](crate::Endpoint::wait_until), which is this
-    /// on the endpoint-wide epoch.
+    /// [`Endpoint::wait_until`](crate::Endpoint::wait_until).
     #[track_caller]
     pub(crate) fn wait_until<T>(
         &self,
         fabric: &Fabric,
-        vci: Option<usize>,
         mut progress: impl FnMut(),
         mut poll: impl FnMut() -> Option<T>,
     ) -> T {
@@ -138,7 +120,7 @@ impl EndpointShared {
                 // A rank that shares its thread let another one run; the
                 // first pause of a wait told the worker this rank did work.
                 spins = 1;
-                crate::task::slept_out().map(|seen| (None, seen))
+                crate::task::slept_out()
             } else if spins < WAIT_SPINS {
                 spins += 1;
                 if spins & 0x3 == 0 {
@@ -151,7 +133,7 @@ impl EndpointShared {
                 // it has left its effect for them to find — an active
                 // message that arrived since the progress above is handled
                 // now.
-                let seen = self.epoch_of(vci);
+                let seen = self.events.epoch();
                 progress();
                 if let Some(v) = poll() {
                     return v;
@@ -160,11 +142,11 @@ impl EndpointShared {
                 let Some(timeout) = sleep_budget(self.next_deadline_us(now), now) else {
                     continue;
                 };
-                let slept_out = self.wait_event(vci, seen, timeout) && timeout == NO_DEADLINE;
-                (slept_out && self.epoch_of(vci) == seen).then_some((vci, seen))
+                let slept_out = self.wait_event(seen, timeout) && timeout == NO_DEADLINE;
+                (slept_out && self.events.epoch() == seen).then_some(seen)
             };
-            if let Some((vci, seen)) = silent {
-                if let Some(v) = check_announced(&mut poll, || self.epoch_of(vci) == seen) {
+            if let Some(seen) = silent {
+                if let Some(v) = check_announced(&mut poll, || self.events.epoch() == seen) {
                     return v;
                 }
             }

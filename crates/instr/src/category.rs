@@ -78,13 +78,6 @@ pub enum Category {
     /// calibrated 221/215 pins stay untouched, and tests assert the
     /// category is exactly zero under `FaultPlan::none()`.
     FaultTolerance,
-    /// Multi-VCI endpoint bookkeeping: hashing an operation's
-    /// (context id, tag) onto its virtual communication interface. This is
-    /// work MPICH's VCI extension *adds* relative to the paper's single
-    /// serialized channel, so — like `Schedule` — it is charged to its own
-    /// category outside the injection totals and is exactly zero when
-    /// `num_vcis = 1` (the calibrated 221/215 pins stay untouched).
-    Vci,
     /// One-sided transport machinery outside the paper's injection counts:
     /// registration-cache lookups, RMA-rendezvous exposure/get steps, and
     /// passive-target flush bookkeeping (foMPI-style scalable RMA). Like
@@ -95,7 +88,7 @@ pub enum Category {
 
 impl Category {
     /// Number of categories (array sizing).
-    pub const COUNT: usize = 18;
+    pub const COUNT: usize = 17;
 
     /// All categories in declaration order.
     pub const ALL: [Category; Category::COUNT] = [
@@ -115,7 +108,6 @@ impl Category {
         Category::Schedule,
         Category::Progress,
         Category::FaultTolerance,
-        Category::Vci,
         Category::Rma,
     ];
 
@@ -146,11 +138,7 @@ impl Category {
     pub const fn is_injection_path(self) -> bool {
         !matches!(
             self,
-            Category::Progress
-                | Category::Schedule
-                | Category::Vci
-                | Category::FaultTolerance
-                | Category::Rma
+            Category::Progress | Category::Schedule | Category::FaultTolerance | Category::Rma
         )
     }
 
@@ -173,7 +161,6 @@ impl Category {
             Category::Schedule => "schedule",
             Category::Progress => "progress",
             Category::FaultTolerance => "fault_tolerance",
-            Category::Vci => "vci",
             Category::Rma => "rma",
         }
     }
@@ -199,7 +186,6 @@ impl Category {
             Category::Schedule => "Nonblocking-collective schedule engine (not in injection path)",
             Category::Progress => "Receiver-side progress (not in injection path)",
             Category::FaultTolerance => "Failure detection / ULFM recovery (not in injection path)",
-            Category::Vci => "Virtual-communication-interface selection (not in injection path)",
             Category::Rma => "One-sided transport / registration cache (not in injection path)",
         }
     }
@@ -247,12 +233,6 @@ mod tests {
     fn schedule_not_in_injection_path_and_not_mandatory() {
         assert!(!Category::Schedule.is_injection_path());
         assert!(!Category::Schedule.is_mandatory());
-    }
-
-    #[test]
-    fn vci_not_in_injection_path_and_not_mandatory() {
-        assert!(!Category::Vci.is_injection_path());
-        assert!(!Category::Vci.is_mandatory());
     }
 
     #[test]

@@ -234,21 +234,6 @@ pub mod ft {
     pub const SHRINK_MEMBER: u64 = 5;
 }
 
-/// Multi-VCI endpoint bookkeeping (`Category::Vci`).
-///
-/// MPICH's VCI extension (Zhou/Raffenetti et al.) shards the single
-/// serialized communication context the paper measures into N independent
-/// channels. Selecting the channel is new work the paper's builds never
-/// executed, so it is charged to its own category outside the injection
-/// totals — and it only executes at all when `num_vcis > 1`, keeping the
-/// single-VCI build charge-identical to the calibrated baseline.
-pub mod vci {
-    /// Hash the operation's (context id, tag) onto its VCI: one shift, one
-    /// mask, a branch on the collective bit, and a modulo by the shard
-    /// count.
-    pub const SELECT: u64 = 4;
-}
-
 /// One-sided transport machinery (`Category::Rma`).
 ///
 /// Modeled costs (not paper-measured): foMPI-style scalable RMA

@@ -72,17 +72,9 @@ pub enum EventKind {
     /// (0 scalar, 1 SSE2, 2 AVX2, 3 NEON), `b` = 1 when the
     /// carryless-multiply CRC path is active, else 0.
     KernelTier,
-    /// An operation was hashed onto a virtual communication interface
-    /// (only emitted when `num_vcis > 1`). `a` = VCI index, `b` = match
-    /// bits of the operation.
-    VciSelect,
-    /// A per-VCI lock (critical section or tag engine) was found held by
-    /// another thread and the acquirer had to wait. `a` = VCI index,
-    /// `b` = 0 for the core critical section, 1 for the fabric tag engine.
-    VciContend,
     /// The reliability layer declared a peer dead: its retry budget ran
-    /// out (once per peer, on whichever VCI ran dry first). `a` = peer
-    /// endpoint, `b` = 1 (retry exhaustion).
+    /// out (once per peer). `a` = peer endpoint, `b` = 1 (retry
+    /// exhaustion).
     PeerDead,
     /// A communicator was revoked on this rank. `a` = context id,
     /// `b` = 1 when revoked locally by the application, 0 when learned
@@ -110,8 +102,6 @@ impl EventKind {
             EventKind::CollBegin | EventKind::CollEnd => "collective",
             EventKind::SchedPhaseBegin | EventKind::SchedPhaseComplete => "sched_phase",
             EventKind::KernelTier => "kernel_tier",
-            EventKind::VciSelect => "vci_select",
-            EventKind::VciContend => "vci_contend",
             EventKind::PeerDead => "peer_dead",
             EventKind::CommRevoked => "comm_revoked",
         }
@@ -142,7 +132,6 @@ impl EventKind {
             | EventKind::SchedPhaseBegin
             | EventKind::SchedPhaseComplete => "coll",
             EventKind::KernelTier => "kernel",
-            EventKind::VciSelect | EventKind::VciContend => "vci",
             EventKind::PeerDead | EventKind::CommRevoked => "ft",
         }
     }
