@@ -213,13 +213,12 @@ fn killed_peer_aborts_under_default_errhandler() {
 }
 
 #[test]
-fn corruption_with_crc_off_surfaces_integrity_errors() {
-    // CRC disabled: corruption reaches the protocol decoder, which must
-    // degrade to MPI_ERR-class integrity errors, never panic.
+fn corruption_on_a_raw_lossy_link_surfaces_integrity_errors() {
+    // No reliability layer, so no CRC: corruption reaches the protocol
+    // decoder, which must degrade to MPI_ERR-class integrity errors, never
+    // panic.
     let plan = FaultPlan::uniform(99, FaultSpec::percent(0, 0, 0, 100));
-    let profile = ProviderProfile::infinite()
-        .with_faults(plan)
-        .with_reliability(ReliabilityConfig::on().with_crc(false));
+    let profile = ProviderProfile::infinite().with_faults(plan);
     let out = Universe::run(
         2,
         BuildConfig::ch4_default(),
@@ -239,7 +238,7 @@ fn corruption_with_crc_off_surfaces_integrity_errors() {
                     let mut buf = [0u8; 1];
                     match world.recv_into(&mut buf, 0, i) {
                         // Corruption hit the data byte: silently wrong
-                        // payload, exactly what running without CRC means.
+                        // payload, exactly what running without a CRC means.
                         Ok(_) => {}
                         Err(MpiError::Integrity(_)) => integrity += 1,
                         Err(e) => panic!("unexpected error class: {e}"),
@@ -261,9 +260,7 @@ fn probes_over_corrupted_envelopes_surface_integrity_errors() {
     // a damaged message queued (the receive then reports it as well),
     // `mprobe` consumes it.
     let plan = FaultPlan::uniform(99, FaultSpec::percent(0, 0, 0, 100));
-    let profile = ProviderProfile::infinite()
-        .with_faults(plan)
-        .with_reliability(ReliabilityConfig::on().with_crc(false));
+    let profile = ProviderProfile::infinite().with_faults(plan);
     let out = Universe::run(
         2,
         BuildConfig::ch4_default(),

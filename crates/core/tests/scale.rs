@@ -67,8 +67,7 @@ fn resident_link_state_is_sparse_at_1024_ranks() {
                 .unwrap();
             assert_eq!(from_left[0], left as i64);
             assert_eq!(from_right[0], right as i64);
-            // Snapshot inside the closure: teardown must not reclaim the
-            // links before the gauge is read.
+            // The gauge of this rank's links, read while it still runs.
             proc.comm_stats().resident_link_bytes
         },
     );

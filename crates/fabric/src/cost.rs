@@ -378,7 +378,6 @@ mod tests {
             .reliable();
         assert!(!q.faults.is_none());
         assert!(q.reliability.enabled);
-        assert!(q.reliability.crc);
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //!
 //! ## The reliability clock
 //!
-//! Retransmit timers, RTT samples and link flaps run on one microsecond
-//! clock, `Fabric::now_us`, read a few times per reliable message. On
-//! x86-64, where CPUID reports an invariant time-stamp counter, it is the
-//! TSC scaled to microseconds by a factor calibrated once per process
+//! Retransmit timers and RTT samples run on one microsecond clock,
+//! `Fabric::now_us`, read a few times per reliable message. On x86-64,
+//! where CPUID reports an invariant time-stamp counter, it is the TSC
+//! scaled to microseconds by a factor calibrated once per process
 //! against `Instant` (about 1.5 ms, at the first fabric's construction),
 //! the way UCX's `ucs_get_time` and MPICH's MPL cycle timer time their
 //! protocols: a read costs about half an `Instant` read through the vDSO.

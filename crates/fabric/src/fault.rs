@@ -18,35 +18,9 @@
 
 use crate::addr::NetAddr;
 
-/// Probabilities are expressed in 1/65536ths: 0 = never, 65535 ≈ always.
-/// [`FaultSpec::percent`] converts from whole percentages.
+/// Probabilities are expressed in 1/65536ths: 0 = never, `Chance::MAX`
+/// (65535) = always. [`FaultSpec::percent`] converts from whole percentages.
 pub type Chance = u16;
-
-/// Deterministic periodic link up/down cycling: the link is up for the
-/// first `duty`% of every `period_us`-long window of fabric time and down
-/// for the rest, with no randomness involved. Unlike a [`KillSwitch`] the
-/// outage is per link and kills no endpoint; a 0 % duty cycle is a link
-/// that is down for good, which a 100 % `drop` (65535/65536) is not.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LinkFlap {
-    /// Length of one up/down cycle in microseconds of fabric time.
-    pub period_us: u32,
-    /// Percent of each period the link is up (0 = always down, values of
-    /// 100 or more mean always up).
-    pub duty: u8,
-}
-
-impl LinkFlap {
-    /// Is the link up at fabric time `now_us`? Purely a function of the
-    /// clock, so every observer of the link agrees on its state.
-    pub const fn is_up(&self, now_us: u64) -> bool {
-        if self.period_us == 0 || self.duty >= 100 {
-            return true;
-        }
-        let phase = now_us % self.period_us as u64;
-        phase < self.period_us as u64 * self.duty as u64 / 100
-    }
-}
 
 /// Per-link fault probabilities (each in 1/65536ths, see [`Chance`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,8 +33,6 @@ pub struct FaultSpec {
     pub reorder: Chance,
     /// Probability one payload byte is flipped in flight.
     pub corrupt: Chance,
-    /// Deterministic periodic outage; `None` means the link never flaps.
-    pub flap: Option<LinkFlap>,
 }
 
 impl FaultSpec {
@@ -70,7 +42,6 @@ impl FaultSpec {
         duplicate: 0,
         reorder: 0,
         corrupt: 0,
-        flap: None,
     };
 
     /// Build a spec from whole percentages (values above 100 saturate).
@@ -89,23 +60,12 @@ impl FaultSpec {
             duplicate: pct(duplicate),
             reorder: pct(reorder),
             corrupt: pct(corrupt),
-            flap: None,
         }
     }
 
-    /// Copy of this spec with a periodic up/down cycle on the link.
-    pub const fn with_flap(mut self, period_us: u32, duty: u8) -> FaultSpec {
-        self.flap = Some(LinkFlap { period_us, duty });
-        self
-    }
-
-    /// `true` when every probability is zero and the link never flaps.
+    /// `true` when every probability is zero.
     pub const fn is_none(self) -> bool {
-        self.drop == 0
-            && self.duplicate == 0
-            && self.reorder == 0
-            && self.corrupt == 0
-            && self.flap.is_none()
+        self.drop == 0 && self.duplicate == 0 && self.reorder == 0 && self.corrupt == 0
     }
 }
 
@@ -239,15 +199,6 @@ impl LinkRng {
         })
     }
 
-    /// The raw generator state. `LinkRng::new(state)` resumes the stream
-    /// exactly where this generator left off (xorshift state is never zero
-    /// once seeded, so the zero remap in `new` cannot perturb a resume) —
-    /// the hook lazy link reclamation uses to park an idle link's fault
-    /// stream in a few bytes.
-    pub fn state(&self) -> u64 {
-        self.0
-    }
-
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
         let mut x = self.0;
@@ -258,9 +209,11 @@ impl LinkRng {
         x
     }
 
-    /// Bernoulli draw: `true` with probability `p / 65536`.
+    /// Bernoulli draw: `true` with probability `p / 65536`, and always at
+    /// `Chance::MAX`. Every nonzero `p` draws exactly once, `Chance::MAX`
+    /// included, so raising a chance to 100 % shifts no later draw.
     pub fn chance(&mut self, p: Chance) -> bool {
-        p > 0 && (self.next_u64() & 0xFFFF) < p as u64
+        p > 0 && ((self.next_u64() & 0xFFFF) < p as u64 || p == Chance::MAX)
     }
 }
 
@@ -318,55 +271,6 @@ mod tests {
     }
 
     #[test]
-    fn link_flap_is_deterministic_and_periodic() {
-        let flap = LinkFlap {
-            period_us: 1_000,
-            duty: 30,
-        };
-        // Up for the first 300 µs of every millisecond, down for the rest.
-        for cycle in 0..5u64 {
-            let base = cycle * 1_000;
-            assert!(flap.is_up(base));
-            assert!(flap.is_up(base + 299));
-            assert!(!flap.is_up(base + 300));
-            assert!(!flap.is_up(base + 999));
-        }
-        // Degenerate configs never go down.
-        assert!(LinkFlap {
-            period_us: 0,
-            duty: 0
-        }
-        .is_up(12345));
-        assert!(LinkFlap {
-            period_us: 100,
-            duty: 100
-        }
-        .is_up(12345));
-        // duty 0 with a real period is always down.
-        assert!(!LinkFlap {
-            period_us: 100,
-            duty: 0
-        }
-        .is_up(50));
-    }
-
-    #[test]
-    fn flap_marks_spec_and_plan_active() {
-        let spec = FaultSpec::NONE.with_flap(500, 50);
-        assert!(!spec.is_none(), "a flapping link is not a perfect link");
-        assert_eq!(
-            spec.flap,
-            Some(LinkFlap {
-                period_us: 500,
-                duty: 50
-            })
-        );
-        let plan = FaultPlan::uniform(0, spec);
-        assert!(!plan.is_none());
-        assert!(FaultSpec::percent(0, 0, 0, 0).is_none());
-    }
-
-    #[test]
     fn rng_is_deterministic_and_calibrated() {
         let mut a = LinkRng::new(7);
         let mut b = LinkRng::new(7);
@@ -379,5 +283,19 @@ mod tests {
         assert!((1_600..2_400).contains(&hits), "hits = {hits}");
         // Zero probability never fires.
         assert!(!a.chance(0));
+    }
+
+    /// `Chance::MAX` is a certainty, not 65535/65536, and it consumes one
+    /// draw like every other nonzero chance.
+    #[test]
+    fn a_full_chance_always_fires_and_draws_once() {
+        let mut rng = LinkRng::new(11);
+        let misses = (0..1_000_000).filter(|_| !rng.chance(Chance::MAX)).count();
+        assert_eq!(misses, 0, "a 100 % chance missed");
+        let mut a = LinkRng::new(23);
+        let mut b = LinkRng::new(23);
+        assert!(a.chance(Chance::MAX));
+        b.next_u64();
+        assert_eq!(a.next_u64(), b.next_u64(), "the streams fell out of step");
     }
 }

@@ -53,7 +53,7 @@ pub use addr::NetAddr;
 pub use cost::{MatcherKind, NetCost, ProviderKind, ProviderProfile};
 pub use endpoint::Endpoint;
 pub use fabric::Fabric;
-pub use fault::{FaultPlan, FaultSpec, KillSwitch, LinkFlap, LinkOverride};
+pub use fault::{FaultPlan, FaultSpec, KillSwitch, LinkOverride};
 pub use litempi_trace::TraceConfig;
 pub use packet::{AmMessage, TaggedMessage};
 pub use pool::{PayloadBuf, PayloadPool, PoolStats};

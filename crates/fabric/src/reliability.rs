@@ -12,7 +12,7 @@
 //! Each directed link (src, dst) carries an independent 32-bit wrapping
 //! sequence space shared by tagged and active-message traffic. Every data
 //! packet carries `seq`, a piggybacked cumulative ACK for the reverse link,
-//! and (optionally) a CRC32 over the identifying bytes and payload. The
+//! and a CRC32 over the identifying bytes and payload. The
 //! receiver releases packets to the matching engine / AM queue strictly in
 //! sequence order, buffering out-of-order arrivals in a bounded window and
 //! dropping duplicates. When traffic is one-directional the receiver owes a
@@ -62,9 +62,6 @@ pub struct ReliabilityConfig {
     pub base_rto_us: u64,
     /// Cap on the exponential-backoff exponent (timeout ≤ base << cap).
     pub max_backoff_exp: u32,
-    /// Verify a CRC32 on every packet; a mismatch is treated as a drop
-    /// (the retransmission recovers the original bytes).
-    pub crc: bool,
     /// Owe a standalone ACK after this many unacknowledged deliveries
     /// (ticks flush the debt earlier; this bounds it between ticks).
     pub ack_every: u32,
@@ -92,7 +89,6 @@ impl ReliabilityConfig {
         max_retries: 8,
         base_rto_us: 200,
         max_backoff_exp: 6,
-        crc: true,
         ack_every: 4,
         window: 64,
         min_rto_us: 50,
@@ -101,27 +97,20 @@ impl ReliabilityConfig {
     };
 
     /// Protocol on with default knobs (8 retries, 200 µs initial RTO,
-    /// CRC enabled, 64-packet window, estimated RTO in [50 µs, 100 ms]
-    /// with a 16-packet retransmit budget).
+    /// 64-packet window, estimated RTO in [50 µs, 100 ms] with a 16-packet
+    /// retransmit budget).
     pub const fn on() -> ReliabilityConfig {
         ReliabilityConfig {
             enabled: true,
             max_retries: 8,
             base_rto_us: 200,
             max_backoff_exp: 6,
-            crc: true,
             ack_every: 4,
             window: 64,
             min_rto_us: 50,
             max_rto_us: 100_000,
             retransmit_budget: 16,
         }
-    }
-
-    /// Copy of this config with CRC verification switched.
-    pub const fn with_crc(mut self, crc: bool) -> ReliabilityConfig {
-        self.crc = crc;
-        self
     }
 
     /// Copy of this config with the retry budget replaced.
@@ -576,11 +565,6 @@ impl LinkTx {
         self.queue.len()
     }
 
-    /// The next sequence number this sender will assign (memento capture).
-    pub(crate) fn next_seq(&self) -> u32 {
-        self.next_seq
-    }
-
     /// Heap bytes pinned by the retransmit queue (capacity, not length).
     pub(crate) fn resident_bytes(&self) -> usize {
         self.queue.capacity() * std::mem::size_of::<Pending>()
@@ -727,12 +711,6 @@ impl LinkRx {
         self.expected
     }
 
-    /// Out-of-order arrivals currently held for reordering. A link with
-    /// buffered packets is not idle — reclaiming it would lose them.
-    pub(crate) fn buffered(&self) -> usize {
-        self.buffer.len()
-    }
-
     /// Heap bytes pinned by the reorder buffer (capacity, not length).
     pub(crate) fn resident_bytes(&self) -> usize {
         self.buffer.capacity() * std::mem::size_of::<(u32, PacketBody)>()
@@ -764,49 +742,20 @@ pub(crate) struct Link {
 }
 
 impl Link {
-    /// Nothing in flight in either direction: no unacked packets, no
-    /// parked reorder stash, no ACK debt, no out-of-order arrivals waiting
-    /// for a gap fill. Only an idle link may be reclaimed — anything else
-    /// still carries protocol obligations.
-    pub(crate) fn is_idle(&self) -> bool {
-        self.tx.in_flight() == 0
-            && self.stash.is_none()
-            && self.rx.ack_owed == 0
-            && self.rx.buffered() == 0
-    }
-
     /// Bytes of memory this link pins while resident: the state machines
     /// themselves plus the retransmit-queue and reorder-buffer heap
     /// capacity (capacity, not length — a burst leaves its allocation
-    /// behind until the link is reclaimed).
+    /// behind for the life of the endpoint).
     pub(crate) fn resident_bytes(&self) -> usize {
         std::mem::size_of::<Link>() + self.tx.resident_bytes() + self.rx.resident_bytes()
     }
 }
 
-/// The few words that survive a reclaimed link: enough to resume both
-/// sequence spaces and the fault stream exactly where they stopped, so a
-/// link that goes quiet, is reclaimed, and later wakes again is
-/// byte-identical to one that stayed resident the whole time.
-#[derive(Debug, Clone, Copy)]
-struct LinkMemento {
-    /// `LinkTx::next_seq` at reclamation.
-    next_seq: u32,
-    /// `LinkRx` cumulative-ACK point at reclamation.
-    expected: u32,
-    /// Fault-RNG state at reclamation (resumes the per-link stream).
-    rng_state: u64,
-    /// Duplicates dropped so far (stats continuity).
-    dups: u64,
-    /// Death is sticky across reclamation.
-    dead: bool,
-}
-
 /// Everything one endpoint tracks for the lossy/reliable path, behind a
 /// single mutex (untouched — and empty — when both faults and reliability
 /// are disabled). Link state is sparse: a peer costs nothing until the
-/// first packet crosses its link, and `reclaim_idle` shrinks a quiescent
-/// link back to a [`LinkMemento`] of a few words.
+/// first packet crosses its link, and a link, once built, lives as long as
+/// its endpoint.
 #[derive(Debug)]
 pub(crate) struct ReliaState {
     pub cfg: ReliabilityConfig,
@@ -821,8 +770,6 @@ pub(crate) struct ReliaState {
     /// peers in ascending order — the same order the dense vectors this
     /// replaces were walked in, keeping tick/quiesce byte-identical.
     links: BTreeMap<u32, Link>,
-    /// Sequence/RNG mementos of reclaimed links.
-    mementos: BTreeMap<u32, LinkMemento>,
 }
 
 impl ReliaState {
@@ -838,50 +785,26 @@ impl ReliaState {
             addr,
             faults: profile.faults,
             links: BTreeMap::new(),
-            mementos: BTreeMap::new(),
         }
     }
 
-    /// The deterministic fault-RNG seed for the link to `peer`.
-    fn link_seed(&self, peer: u32) -> u64 {
-        self.faults.link_seed(self.addr, NetAddr(peer))
-    }
-
-    /// The link to `peer`, materialized on first touch. A reclaimed link
-    /// resumes from its memento; a brand-new one starts both sequence
-    /// spaces at 0 with the deterministic per-link fault stream.
+    /// The link to `peer`, materialized on first touch: both sequence
+    /// spaces start at 0 and the fault stream at the deterministic per-link
+    /// seed.
     pub(crate) fn link_mut(&mut self, peer: NetAddr) -> &mut Link {
         debug_assert!(
             self.active,
             "inactive reliability domains never route packets"
         );
-        let p = peer.0;
-        if !self.links.contains_key(&p) {
-            let link = match self.mementos.remove(&p) {
-                Some(m) => {
-                    let mut rx = LinkRx::new_at(&self.cfg, m.expected);
-                    rx.dups = m.dups;
-                    Link {
-                        tx: LinkTx::new_at(&self.cfg, m.next_seq),
-                        rx,
-                        fault_rng: LinkRng::new(m.rng_state),
-                        spec: self.faults.spec_for(self.addr, peer),
-                        stash: None,
-                        dead: m.dead,
-                    }
-                }
-                None => Link {
-                    tx: LinkTx::new(&self.cfg),
-                    rx: LinkRx::new(&self.cfg),
-                    fault_rng: LinkRng::new(self.link_seed(p)),
-                    spec: self.faults.spec_for(self.addr, peer),
-                    stash: None,
-                    dead: false,
-                },
-            };
-            self.links.insert(p, link);
-        }
-        self.links.get_mut(&p).expect("just inserted")
+        let (cfg, addr, faults) = (&self.cfg, self.addr, &self.faults);
+        self.links.entry(peer.0).or_insert_with(|| Link {
+            tx: LinkTx::new(cfg),
+            rx: LinkRx::new(cfg),
+            fault_rng: LinkRng::new(faults.link_seed(addr, peer)),
+            spec: faults.spec_for(addr, peer),
+            stash: None,
+            dead: false,
+        })
     }
 
     /// The link to `peer` if (and only if) it is currently resident.
@@ -916,56 +839,22 @@ impl ReliaState {
     }
 
     /// Number of currently resident links.
-    #[allow(dead_code)] // test instrumentation
+    #[cfg(test)]
     pub(crate) fn n_links(&self) -> usize {
         self.links.len()
     }
 
-    /// Has `peer` been declared unreachable (resident or reclaimed)?
-    /// Never materializes anything.
+    /// Has `peer` been declared unreachable? Never materializes anything.
     pub(crate) fn is_dead(&self, peer: NetAddr) -> bool {
-        self.links
-            .get(&peer.0)
-            .map(|l| l.dead)
-            .or_else(|| self.mementos.get(&peer.0).map(|m| m.dead))
-            .unwrap_or(false)
+        self.links.get(&peer.0).is_some_and(|l| l.dead)
     }
 
-    /// Memory currently pinned by this domain's per-peer state: resident
-    /// links at full width plus reclaimed links at memento width. The
+    /// Memory currently pinned by this domain's per-peer state. The
     /// `EndpointStats::resident_link_bytes` gauge reads this.
     pub(crate) fn resident_link_bytes(&self) -> u64 {
-        self.links
-            .values()
+        (self.links.values())
             .map(|l| l.resident_bytes() as u64)
-            .sum::<u64>()
-            + (self.mementos.len() * std::mem::size_of::<LinkMemento>()) as u64
-    }
-
-    /// Shrink every fully idle link back to its memento, releasing the
-    /// state machines and their heap capacity. Called by `quiesce` once
-    /// the domain has drained; safe mid-run because the memento resumes
-    /// both sequence spaces and the fault stream exactly.
-    pub(crate) fn reclaim_idle(&mut self) {
-        let idle: Vec<u32> = self
-            .links
-            .iter()
-            .filter(|(_, l)| l.is_idle())
-            .map(|(p, _)| *p)
-            .collect();
-        for p in idle {
-            let l = self.links.remove(&p).expect("listed as resident");
-            self.mementos.insert(
-                p,
-                LinkMemento {
-                    next_seq: l.tx.next_seq(),
-                    expected: l.rx.cum_ack(),
-                    rng_state: l.fault_rng.state(),
-                    dups: l.rx.dups,
-                    dead: l.dead,
-                },
-            );
-        }
+            .sum()
     }
 }
 
@@ -1658,72 +1547,6 @@ mod tests {
         // Link order is ascending by peer, matching the old dense sweep.
         let peers: Vec<u32> = s.links().map(|(p, _)| p.0).collect();
         assert_eq!(peers, vec![1, 1023]);
-    }
-
-    /// Reclaiming an idle link and touching it again resumes both sequence
-    /// spaces and the fault stream exactly where they stopped.
-    #[test]
-    fn reclaimed_link_resumes_seq_and_fault_stream() {
-        use crate::fault::FaultPlan;
-        let profile = ProviderProfile::infinite()
-            .with_faults(FaultPlan::uniform(7, FaultSpec::percent(10, 0, 0, 0)))
-            .reliable();
-        let mut s = ReliaState::new(&profile, NetAddr(0));
-        let peer = NetAddr(3);
-        {
-            let link = s.link_mut(peer);
-            for i in 0..5u64 {
-                let seq = link.tx.prepare(body(i), None, 0);
-                assert_eq!(seq, i as u32);
-            }
-            link.tx.on_ack(5, 10); // retire everything → idle
-            link.fault_rng.next_u64(); // advance the fault stream
-        }
-        let rng_after = {
-            let mut probe = s.link(peer).expect("resident").fault_rng.clone();
-            probe.next_u64()
-        };
-        s.reclaim_idle();
-        assert_eq!(s.n_links(), 0, "idle link was reclaimed");
-        assert!(
-            s.resident_link_bytes() < std::mem::size_of::<Link>() as u64,
-            "a memento is a few words, not a full link"
-        );
-        let link = s.link_mut(peer);
-        assert_eq!(link.tx.next_seq(), 5, "sequence space resumes, not resets");
-        assert_eq!(link.rx.cum_ack(), 0);
-        assert_eq!(
-            link.fault_rng.next_u64(),
-            rng_after,
-            "fault stream resumes mid-sequence"
-        );
-    }
-
-    /// A link with protocol obligations (unacked packets, ACK debt,
-    /// buffered reorders) survives reclamation untouched.
-    #[test]
-    fn busy_links_are_never_reclaimed() {
-        let on = ProviderProfile::infinite().with_reliability(ReliabilityConfig::on());
-        let mut s = ReliaState::new(&on, NetAddr(0));
-        s.link_mut(NetAddr(1)).tx.prepare(body(0), None, 0);
-        receive(&mut s.link_mut(NetAddr(2)).rx, 0, body(1));
-        s.link_mut(NetAddr(3)); // idle from birth
-        s.reclaim_idle();
-        let peers: Vec<u32> = s.links().map(|(p, _)| p.0).collect();
-        assert_eq!(peers, vec![1, 2], "only the idle link was reclaimed");
-    }
-
-    /// Death is sticky across reclamation.
-    #[test]
-    fn dead_flag_survives_reclamation() {
-        let on = ProviderProfile::infinite().with_reliability(ReliabilityConfig::on());
-        let mut s = ReliaState::new(&on, NetAddr(0));
-        s.link_mut(NetAddr(9)).dead = true;
-        s.reclaim_idle();
-        assert_eq!(s.n_links(), 0);
-        assert!(s.is_dead(NetAddr(9)), "memento remembers the corpse");
-        assert!(!s.is_dead(NetAddr(10)), "unknown peers default to alive");
-        assert!(s.link_mut(NetAddr(9)).dead, "rematerialized still dead");
     }
 
     #[test]

@@ -283,7 +283,7 @@ mod tests {
         let a = s.snapshot(&MatchCounters::default(), 4096);
         let b = s.snapshot(&MatchCounters::default(), 128);
         assert_eq!(a.resident_link_bytes, 4096);
-        // A gauge, not a counter: the later (smaller, post-reclaim) value
+        // A gauge, not a counter: a later, smaller value
         // survives the diff instead of underflowing.
         assert_eq!(b.diff(&a).resident_link_bytes, 128);
     }

@@ -286,7 +286,7 @@ pub fn update_clmul(state: u32, data: &[u8]) -> u32 {
 /// Streaming update with the process-wide active configuration: the
 /// carryless-multiply path when the active tier is vectorized and the
 /// hardware has a polynomial multiplier, the slice-by-8 baseline
-/// otherwise (including under `LITEMPI_FORCE_SCALAR=1`).
+/// otherwise (including under `LITEMPI_KERNEL_TIER=scalar`).
 pub fn update(state: u32, data: &[u8]) -> u32 {
     if crate::active_clmul() {
         update_clmul(state, data)

@@ -27,11 +27,11 @@
 //! arithmetic, not about code shape (see the module docs of [`reduce`]).
 //!
 //! The scalar fallback is always available and force-selectable for
-//! testing: `LITEMPI_FORCE_SCALAR=1` pins the process to [`Tier::Scalar`],
-//! and `LITEMPI_KERNEL_TIER=scalar|sse2|avx2|neon` selects a specific
-//! tier (falling back to scalar when the host cannot run it). The CI
-//! forced-scalar job runs the whole equivalence suite under this pin so
-//! the fallback path can never rot.
+//! testing: `LITEMPI_KERNEL_TIER=scalar|sse2|avx2|neon` selects a specific
+//! tier (falling back to scalar when the host cannot run it), so
+//! `LITEMPI_KERNEL_TIER=scalar` pins the process to [`Tier::Scalar`]. The
+//! CI forced-scalar job runs the whole equivalence suite under this pin
+//! so the fallback path can never rot.
 //!
 //! ## What lives where
 //!
@@ -152,7 +152,8 @@ pub fn detect() -> Tier {
 /// Is a carryless-multiply CRC unit available (x86-64 PCLMULQDQ, or
 /// aarch64 PMULL)? Independent of the elementwise [`Tier`]: the CRC
 /// fast path gates on this *and* on the active tier being non-scalar, so
-/// `LITEMPI_FORCE_SCALAR=1` pins the CRC to the slice-by-8 baseline too.
+/// `LITEMPI_KERNEL_TIER=scalar` pins the CRC to the slice-by-8 baseline
+/// too.
 pub fn clmul_runnable() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -167,9 +168,6 @@ pub fn clmul_runnable() -> bool {
 }
 
 fn select_from_env() -> Tier {
-    if std::env::var("LITEMPI_FORCE_SCALAR").is_ok_and(|v| v == "1") {
-        return Tier::Scalar;
-    }
     if let Ok(v) = std::env::var("LITEMPI_KERNEL_TIER") {
         return match Tier::parse(&v) {
             Some(t) if t.runnable() => t,

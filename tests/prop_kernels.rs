@@ -7,7 +7,7 @@
 //! ladder (bitwise → slice-by-8 → carryless multiply).
 //!
 //! These tests are what the CI forced-scalar job re-runs under
-//! `LITEMPI_FORCE_SCALAR=1`: the explicit-tier sweep below is independent
+//! `LITEMPI_KERNEL_TIER=scalar`: the explicit-tier sweep below is independent
 //! of the process-wide selection, while the wired-in paths (`Op::apply`,
 //! pack, reliability CRC) follow the pinned tier — both must agree with
 //! scalar either way.
@@ -215,7 +215,7 @@ fn crc_streaming_splits_at_every_offset() {
 /// The wired-in path: `Op::apply` (used by collectives and the schedule
 /// engine) must agree with an explicit scalar kernel run, whatever tier
 /// the process selected — this is the test the forced-scalar CI job runs
-/// with `LITEMPI_FORCE_SCALAR=1` to prove the fallback is live.
+/// with `LITEMPI_KERNEL_TIER=scalar` to prove the fallback is live.
 #[test]
 fn op_apply_matches_scalar_kernel() {
     use litempi::datatype::{Datatype, Predefined};
