@@ -256,8 +256,9 @@ impl ProcInner {
     /// applied count or PSCW notices, a revocation) is announced on this
     /// rank's endpoint, for a wait on another thread of the rank.
     pub(crate) fn progress(&self) -> usize {
-        // Release any jitter-deferred tagged traffic first (no-op outside
-        // the jitter stress mode).
+        // Advance the endpoint's reliability clock first (a no-op on a
+        // fault-free fabric): this rank's retransmits, owed ACKs and reorder
+        // stash go out only on its own tick.
         self.endpoint.pump();
         let mut n = 0;
         while let Some(am) = self.endpoint.am_poll() {

@@ -1,10 +1,10 @@
 //! Communicator management and cross-device/provider equivalence: the same
 //! program must produce identical results on the CH4 fast path, the CH4
 //! active-message fallback, the CH3-like baseline, every build config, and
-//! under delivery jitter.
+//! on reliable links whose reorder stash lets sources overtake each other.
 
 use litempi_core::{BuildConfig, Op, Universe, UNDEFINED};
-use litempi_fabric::{ProviderProfile, Topology};
+use litempi_fabric::{FaultPlan, FaultSpec, ProviderProfile, Topology};
 
 // ------------------------------------------------------ comm management
 
@@ -224,9 +224,11 @@ fn all_stacks_produce_identical_results() {
             Topology::single_node(4),
         ),
         (
-            "jitter",
+            "reorder",
             BuildConfig::ch4_default(),
-            ProviderProfile::infinite().with_jitter(0xBEEF),
+            ProviderProfile::infinite()
+                .with_faults(FaultPlan::uniform(0xBEEF, FaultSpec::percent(0, 0, 30, 0)))
+                .reliable(),
             Topology::single_node(4),
         ),
     ];

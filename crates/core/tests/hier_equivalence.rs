@@ -3,7 +3,7 @@
 //! On a multi-node topology the compilers emit the leader-based hierarchy
 //! (`hier` module). Its results must be the oracle's bytes (`common`) on
 //! every topology, through the blocking AND the nonblocking entry point —
-//! under clean fabrics, jittered fabrics, and lossy chaos fabrics alike.
+//! under clean fabrics, reordering fabrics, and lossy chaos fabrics alike.
 //! The collectives whose compilers never look at the topology run in the
 //! same sweep, on the same placements and fault plans.
 //! Reduction data is exact (integers, and floats holding small integers,
@@ -193,7 +193,7 @@ proptest! {
 
     /// Random topologies spanning the issue's 1–64 nodes x 1–16
     /// ranks-per-node grid (total ranks capped so a case stays a sane
-    /// thread count), random payload lengths, optional jitter: the
+    /// thread count), random payload lengths, optional reordering: the
     /// hierarchy never changes a byte.
     #[test]
     fn hier_equivalence_randomized(
@@ -201,7 +201,7 @@ proptest! {
         rpn in 1usize..=16,
         len in 1usize..12,
         assign_seed in any::<u64>(),
-        jitter in proptest::option::of(any::<u64>()),
+        reorder in proptest::option::of(any::<u64>()),
         blocked in any::<bool>(),
     ) {
         let nodes = nodes_pick.min((48 / rpn).max(1));
@@ -212,8 +212,9 @@ proptest! {
             random_topology(n, nodes, assign_seed)
         };
         let mut profile = ProviderProfile::infinite();
-        if let Some(seed) = jitter {
-            profile = profile.with_jitter(seed);
+        if let Some(seed) = reorder {
+            let plan = FaultPlan::uniform(seed, FaultSpec::percent(0, 0, 30, 0));
+            profile = profile.with_faults(plan).reliable();
         }
         Universe::run(n, BuildConfig::ch4_default(), profile, topo, move |proc| {
             check_against_oracle(&proc, len);

@@ -1,8 +1,8 @@
 //! The blocking and the nonblocking entry point of a collective run one
 //! compiled schedule, so on the same inputs both must produce the oracle's
-//! bytes (`common`) on every rank — on the clean fabric, under
-//! cross-source delivery jitter, and under packet chaos on the reliable
-//! transport. Completion style (wait immediately, test-poll loop,
+//! bytes (`common`) on every rank — on the clean fabric, on reliable links
+//! whose reorder stash lets sources overtake each other, and under packet
+//! chaos on the reliable transport. Completion style (wait immediately, test-poll loop,
 //! out-of-order waits, split + combinators) must not change results
 //! either. The collectives that have no nonblocking form are held to the
 //! same oracle in the same sweep.
@@ -123,8 +123,10 @@ fn both_entry_points_match_the_oracle_at_all_sizes() {
 }
 
 #[test]
-fn both_entry_points_match_the_oracle_under_jitter() {
-    let profile = ProviderProfile::infinite().with_jitter(0xBEEF);
+fn both_entry_points_match_the_oracle_under_reorder() {
+    let profile = ProviderProfile::infinite()
+        .with_faults(FaultPlan::uniform(0xBEEF, FaultSpec::percent(0, 0, 30, 0)))
+        .reliable();
     for n in [3usize, 4] {
         let p = profile;
         Universe::run(
@@ -381,19 +383,20 @@ fn coll_output_before_completion_is_invalid_request() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Random sizes, payload lengths, roots, and jitter seeds: both entry
+    /// Random sizes, payload lengths, roots, and reorder seeds: both entry
     /// points of every collective stay on the oracle.
     #[test]
     fn nbc_equivalence_randomized(
         n in 2usize..=4,
         len in 1usize..24,
         root_pick in 0usize..4,
-        jitter in proptest::option::of(any::<u64>()),
+        reorder in proptest::option::of(any::<u64>()),
     ) {
         let root = root_pick % n;
         let mut profile = ProviderProfile::infinite();
-        if let Some(seed) = jitter {
-            profile = profile.with_jitter(seed);
+        if let Some(seed) = reorder {
+            let plan = FaultPlan::uniform(seed, FaultSpec::percent(0, 0, 30, 0));
+            profile = profile.with_faults(plan).reliable();
         }
         Universe::run(
             n,

@@ -95,7 +95,10 @@ fn a_put_of_the_next_epoch_never_loses_to_an_am_op_of_the_last() {
     let strided = Datatype::vector(2, 1, 2, &Datatype::UINT64)
         .unwrap()
         .commit();
-    let jittery = |p: ProviderProfile, seed| p.with_jitter(seed);
+    let reordering = |p: ProviderProfile, seed| {
+        p.with_faults(FaultPlan::uniform(seed, FaultSpec::percent(0, 0, 30, 0)))
+            .reliable()
+    };
     let lossy_to_target = |p: ProviderProfile, seed| {
         let drop_third = FaultSpec::percent(33, 0, 0, 0);
         p.with_faults(FaultPlan::uniform(seed, FaultSpec::NONE).with_link(0, 2, drop_third))
@@ -106,17 +109,17 @@ fn a_put_of_the_next_epoch_never_loses_to_an_am_op_of_the_last() {
         (
             BuildConfig::original(),
             ProviderProfile::infinite(),
-            &jittery,
+            &reordering,
         ),
         (
             BuildConfig::ch4_default(),
             ProviderProfile::am_only(),
-            &jittery,
+            &reordering,
         ),
         (
             BuildConfig::ch4_default(),
             ProviderProfile::infinite(),
-            &jittery,
+            &reordering,
         ),
         (
             BuildConfig::ch4_default(),

@@ -1,9 +1,10 @@
 //! Stress tests: deep unexpected queues, many outstanding requests,
-//! interleaved communicators, and delivery jitter — the matching engine
-//! and progress machinery under load.
+//! interleaved communicators, and messages from different sources
+//! overtaking each other — the matching engine and progress machinery
+//! under load.
 
 use litempi_core::{waitall, BuildConfig, Op, Universe};
-use litempi_fabric::{ProviderProfile, Topology};
+use litempi_fabric::{FaultPlan, FaultSpec, ProviderProfile, Topology};
 
 /// 512 messages with adversarial posting order: receiver posts in reverse
 /// tag order, so early messages sit deep in the unexpected queue.
@@ -72,15 +73,18 @@ fn many_outstanding_requests() {
     });
 }
 
-/// Four communicators used round-robin from four ranks, with jitter,
-/// checked against per-communicator sums.
+/// Four communicators used round-robin from four ranks, on reliable links
+/// whose reorder stash lets sources overtake each other, checked against
+/// per-communicator sums.
 #[test]
-fn interleaved_communicators_under_jitter() {
+fn interleaved_communicators_under_reorder() {
     let rounds = 40u64;
     let out = Universe::run(
         4,
         BuildConfig::ch4_default(),
-        ProviderProfile::infinite().with_jitter(0xDECAF),
+        ProviderProfile::infinite()
+            .with_faults(FaultPlan::uniform(0xDECAF, FaultSpec::percent(0, 0, 30, 0)))
+            .reliable(),
         Topology::single_node(4),
         move |proc| {
             let world = proc.world();

@@ -5,8 +5,8 @@
 //!
 //! 1. **Byte identity.** Concurrent injector threads deliver exactly the
 //!    bytes a single-threaded run delivers, per stream and in stream
-//!    order — including under latency jitter, seeded packet chaos, and
-//!    with event tracing armed.
+//!    order — including under seeded packet chaos (whose reorder stash
+//!    lets sources overtake each other) and with event tracing armed.
 //! 2. **Ordering and wildcard semantics.** Per-(communicator, tag)
 //!    ordering survives concurrent injection on dup'd communicators, and
 //!    wildcard receives still match everything on their channel.
@@ -31,11 +31,11 @@ fn payload(t: usize, i: usize) -> Vec<u8> {
     (0..len).map(|k| (t * 31 + i * 3 + k) as u8).collect()
 }
 
-/// The profile test 1 runs under: latency jitter, the reliability chaos
-/// suite's fixed-seed fault mix, and event tracing armed.
+/// The profile test 1 runs under: the reliability chaos suite's
+/// fixed-seed fault mix (its 30 % reorder is the reordering the other
+/// suites run alone) and event tracing armed.
 fn chaotic_traced() -> ProviderProfile {
     ProviderProfile::ofi()
-        .with_jitter(0x1EE7)
         .with_faults(FaultPlan::uniform(
             0xC0FFEE,
             FaultSpec::percent(20, 10, 30, 0),
@@ -109,8 +109,8 @@ fn run_streams(profile: ProviderProfile, mt: bool) -> Vec<Vec<Vec<u8>>> {
 }
 
 /// Contract 1: four concurrent injector threads are byte-identical to a
-/// single-threaded interleaving of the same streams — under jitter, seeded
-/// chaos, and with tracing recording.
+/// single-threaded interleaving of the same streams — under seeded chaos
+/// and with tracing recording.
 #[test]
 fn mt_injectors_byte_identical_to_single_thread_under_chaos() {
     let expected: Vec<Vec<Vec<u8>>> = (0..INJECTORS)

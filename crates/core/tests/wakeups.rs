@@ -4,7 +4,7 @@
 //! sleep. Each test here parks a rank on its own thread
 //! (`MPI_THREAD_MULTIPLE` gives every rank one) on a completion that
 //! arrives without a message for it — a lock word freed by a remote
-//! `unlock`, a peer's death, a message its receiver's jitter queue holds
+//! `unlock`, a peer's death, a message its sender's reorder stash holds
 //! back, a revocation by a sibling thread — and sends the
 //! waiter nothing else until it has woken. A completion nobody announced
 //! leaves the rank asleep, so each test runs under a deadline that fails
@@ -13,7 +13,7 @@
 //! lost wake-up, and asserts).
 
 use litempi_core::{BuildConfig, Errhandler, LockType, MpiError, Process, Universe, Window};
-use litempi_fabric::{FaultPlan, ProviderProfile, Topology};
+use litempi_fabric::{FaultPlan, FaultSpec, ProviderProfile, Topology};
 use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::time::Duration;
 
@@ -112,13 +112,17 @@ fn a_receiver_parked_on_a_peer_wakes_when_its_kill_switch_trips() {
 }
 
 /// Rank 1 sends while rank 0 is parked in `recv`, then waits for an
-/// answer: a message the jitter queue holds back (about every other one)
-/// reaches rank 0 only through its own progress, which the deferral's
-/// event must wake it for.
+/// answer. About a third of the packets, data and ACKs alike, wait in
+/// their sender's reorder stash for its next tick: rank 1's message
+/// reaches rank 0 only through rank 1's progress in its own wait, and an
+/// ACK that rank 0's thread sends on rank 1's behalf waits in rank 1's
+/// stash, which the stash's event must wake rank 1 for.
 #[test]
-fn a_receiver_wakes_for_a_message_its_jitter_queue_holds_back() {
-    within_deadline("jitter queue", || {
-        let profile = ProviderProfile::infinite().with_jitter(7);
+fn a_receiver_wakes_for_a_message_its_senders_reorder_stash_holds_back() {
+    within_deadline("reorder stash", || {
+        let profile = ProviderProfile::infinite()
+            .with_faults(FaultPlan::uniform(7, FaultSpec::percent(0, 0, 30, 0)))
+            .reliable();
         run(2, profile, |proc| {
             let world = proc.world();
             for round in 0..16u32 {

@@ -130,9 +130,6 @@ pub struct ProviderProfile {
     pub caps: Capabilities,
     /// Analytic cost table.
     pub cost: NetCost,
-    /// Seed for cross-source delivery jitter; `None` disables jitter
-    /// (the default — jitter is a matching-stress mode for tests).
-    pub jitter_seed: Option<u64>,
     /// Deterministic fault-injection plan; [`FaultPlan::NONE`] (the
     /// default) leaves delivery byte- and charge-identical to a fabric
     /// without fault support.
@@ -163,7 +160,6 @@ impl ProviderProfile {
                 latency_ns: 1100.0,
                 bandwidth_gib_s: 11.0,
             },
-            jitter_seed: None,
             faults: FaultPlan::NONE,
             reliability: ReliabilityConfig::OFF,
             trace: TraceConfig::OFF,
@@ -185,7 +181,6 @@ impl ProviderProfile {
                 latency_ns: 900.0,
                 bandwidth_gib_s: 11.3,
             },
-            jitter_seed: None,
             faults: FaultPlan::NONE,
             reliability: ReliabilityConfig::OFF,
             trace: TraceConfig::OFF,
@@ -209,7 +204,6 @@ impl ProviderProfile {
                 latency_ns: 2200.0,
                 bandwidth_gib_s: 1.8,
             },
-            jitter_seed: None,
             faults: FaultPlan::NONE,
             reliability: ReliabilityConfig::OFF,
             trace: TraceConfig::OFF,
@@ -227,7 +221,6 @@ impl ProviderProfile {
                 max_eager: usize::MAX,
             },
             cost: NetCost::ZERO,
-            jitter_seed: None,
             faults: FaultPlan::NONE,
             reliability: ReliabilityConfig::OFF,
             trace: TraceConfig::OFF,
@@ -249,7 +242,6 @@ impl ProviderProfile {
                 latency_ns: 250.0,
                 bandwidth_gib_s: 40.0,
             },
-            jitter_seed: None,
             faults: FaultPlan::NONE,
             reliability: ReliabilityConfig::OFF,
             trace: TraceConfig::OFF,
@@ -272,17 +264,10 @@ impl ProviderProfile {
                 latency_ns: 1100.0,
                 bandwidth_gib_s: 11.0,
             },
-            jitter_seed: None,
             faults: FaultPlan::NONE,
             reliability: ReliabilityConfig::OFF,
             trace: TraceConfig::OFF,
         }
-    }
-
-    /// Copy of this profile with cross-source delivery jitter enabled.
-    pub fn with_jitter(mut self, seed: u64) -> Self {
-        self.jitter_seed = Some(seed);
-        self
     }
 
     /// Copy of this profile with the given fault-injection plan active.
@@ -357,12 +342,6 @@ mod tests {
         labels.sort_unstable();
         labels.dedup();
         assert_eq!(labels.len(), kinds.len());
-    }
-
-    #[test]
-    fn jitter_builder_sets_seed() {
-        let p = ProviderProfile::ofi().with_jitter(42);
-        assert_eq!(p.jitter_seed, Some(42));
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub struct Fabric {
     /// ([`Fabric::rank_drained`]).
     draining: AtomicUsize,
     /// Hoisted from `profile.trace.enabled`, same as the endpoint's
-    /// reliability/jitter flags: a disabled trace costs one predictable
+    /// reliability flags: a disabled trace costs one predictable
     /// branch at each event site.
     trace_enabled: bool,
 }

@@ -28,8 +28,10 @@
 //! application time (Figs 3, 4, 7, 8).
 //!
 //! Delivery guarantees match what MPI requires of its transports: per
-//! (source, destination) FIFO ordering. A seeded cross-source jitter mode
-//! exists for stress-testing matching logic above.
+//! (source, destination) FIFO ordering. A [`FaultPlan`] whose `reorder`
+//! holds packets back on a reliable link lets messages from different
+//! sources overtake each other, which stress-tests the matching logic
+//! above.
 
 #![warn(missing_docs)]
 

@@ -60,14 +60,6 @@ pub struct ReliabilityConfig {
     pub max_retries: u32,
     /// Initial retransmit timeout in microseconds.
     pub base_rto_us: u64,
-    /// Cap on the exponential-backoff exponent (timeout ≤ base << cap).
-    pub max_backoff_exp: u32,
-    /// Owe a standalone ACK after this many unacknowledged deliveries
-    /// (ticks flush the debt earlier; this bounds it between ticks).
-    pub ack_every: u32,
-    /// Out-of-order buffering window (packets) per link; arrivals beyond
-    /// it are dropped and recovered by retransmission.
-    pub window: u32,
     /// Lower clamp on the estimated RTO (µs). Each link estimates its RTO
     /// from ACK round-trips (RFC-6298 SRTT/RTTVAR with Karn's algorithm)
     /// and runs the fixed `base_rto_us` until its first valid sample;
@@ -88,9 +80,6 @@ impl ReliabilityConfig {
         enabled: false,
         max_retries: 8,
         base_rto_us: 200,
-        max_backoff_exp: 6,
-        ack_every: 4,
-        window: 64,
         min_rto_us: 50,
         max_rto_us: 20_000,
         retransmit_budget: 16,
@@ -104,9 +93,6 @@ impl ReliabilityConfig {
             enabled: true,
             max_retries: 8,
             base_rto_us: 200,
-            max_backoff_exp: 6,
-            ack_every: 4,
-            window: 64,
             min_rto_us: 50,
             max_rto_us: 100_000,
             retransmit_budget: 16,
@@ -134,6 +120,17 @@ impl ReliabilityConfig {
         self
     }
 }
+
+/// Cap on the exponential-backoff exponent (timeout ≤ base << cap).
+const MAX_BACKOFF_EXP: u32 = 6;
+
+/// Owe a standalone ACK after this many unacknowledged deliveries (ticks
+/// flush the debt earlier; this bounds it between ticks).
+pub(crate) const ACK_EVERY: u32 = 4;
+
+/// Out-of-order buffering window (packets) per link; arrivals beyond it
+/// are dropped and recovered by retransmission. The SACK bitmap covers it.
+const WINDOW: u32 = 64;
 
 /// `true` when `a` is strictly before `b` in the wrapping sequence space.
 #[inline]
@@ -307,7 +304,6 @@ pub(crate) struct LinkTx {
     /// estimated RTO retries more often, never for less time.
     dead_after_us: u64,
     base_rto_us: u64,
-    max_backoff_exp: u32,
     max_retries: u32,
     min_rto_us: u64,
     max_rto_us: u64,
@@ -338,7 +334,7 @@ pub(crate) struct LinkTx {
     /// fast resend in the current episode. It never falls behind the front
     /// of the queue, so the episode ends when the cumulative ACK passes it.
     recovery_point: u32,
-    /// Set once the retry budget is exhausted.
+    /// Set once the retry budget is exhausted: the peer is unreachable.
     pub dead: bool,
 }
 
@@ -373,10 +369,9 @@ impl LinkTx {
             retries: 0,
             stalled_since_us: 0,
             dead_after_us: (1..=cfg.max_retries)
-                .map(|k| cfg.base_rto_us << k.min(cfg.max_backoff_exp))
+                .map(|k| cfg.base_rto_us << k.min(MAX_BACKOFF_EXP))
                 .sum(),
             base_rto_us: cfg.base_rto_us,
-            max_backoff_exp: cfg.max_backoff_exp,
             max_retries: cfg.max_retries,
             min_rto_us: cfg.min_rto_us,
             max_rto_us: cfg.max_rto_us,
@@ -530,7 +525,7 @@ impl LinkTx {
             return TxTick::Dead;
         }
         self.retries += 1;
-        if self.backoff_exp < self.max_backoff_exp {
+        if self.backoff_exp < MAX_BACKOFF_EXP {
             self.backoff_exp += 1;
         }
         self.deadline_us = now_us + (self.rto_us() << self.backoff_exp);
@@ -605,6 +600,7 @@ pub(crate) struct LinkRx {
     /// Next in-order sequence number (everything before it is delivered —
     /// this is also the cumulative ACK value).
     expected: u32,
+    /// [`WINDOW`]; the unit tests shrink it.
     window: u32,
     /// Out-of-order arrivals, at most `window` of them (unsorted; the
     /// window is small).
@@ -612,23 +608,20 @@ pub(crate) struct LinkRx {
     /// In-order deliveries (and re-ACK-worthy duplicates) not yet covered
     /// by an outgoing ACK.
     pub ack_owed: u32,
-    /// Duplicates dropped (stats).
-    pub dups: u64,
 }
 
 impl LinkRx {
-    pub(crate) fn new(cfg: &ReliabilityConfig) -> LinkRx {
-        LinkRx::new_at(cfg, 0)
+    pub(crate) fn new() -> LinkRx {
+        LinkRx::new_at(0)
     }
 
     /// Expect the first packet at `seq` (wraparound tests).
-    pub(crate) fn new_at(cfg: &ReliabilityConfig, seq: u32) -> LinkRx {
+    pub(crate) fn new_at(seq: u32) -> LinkRx {
         LinkRx {
             expected: seq,
-            window: cfg.window,
+            window: WINDOW,
             buffer: Vec::new(),
             ack_owed: 0,
-            dups: 0,
         }
     }
 
@@ -647,7 +640,6 @@ impl LinkRx {
             // Behind the window: a duplicate of something already
             // delivered. Still owe an ACK — the sender may be
             // retransmitting precisely because the previous ACK was lost.
-            self.dups += 1;
             self.ack_owed += 1;
             return RxVerdict::Duplicate;
         }
@@ -671,7 +663,6 @@ impl LinkRx {
             // not heard our cumulative ACK — schedule one so it can retire
             // the delivered prefix and reset its retry budget instead of
             // burning dry retries toward PeerUnreachable.
-            self.dups += 1;
             self.ack_owed += 1;
             return RxVerdict::Duplicate;
         }
@@ -735,10 +726,8 @@ pub(crate) struct Link {
     /// Fault probabilities for the outgoing link (resolved once).
     pub spec: FaultSpec,
     /// Reorder hold-back slot: a packet parked here is transmitted after
-    /// the next packet on the link (or on the next tick).
+    /// the next packet on the link (or on the sender's next tick).
     pub stash: Option<WirePacket>,
-    /// Peer declared unreachable by retry exhaustion.
-    pub dead: bool,
 }
 
 impl Link {
@@ -799,11 +788,10 @@ impl ReliaState {
         let (cfg, addr, faults) = (&self.cfg, self.addr, &self.faults);
         self.links.entry(peer.0).or_insert_with(|| Link {
             tx: LinkTx::new(cfg),
-            rx: LinkRx::new(cfg),
+            rx: LinkRx::new(),
             fault_rng: LinkRng::new(faults.link_seed(addr, peer)),
             spec: faults.spec_for(addr, peer),
             stash: None,
-            dead: false,
         })
     }
 
@@ -846,7 +834,7 @@ impl ReliaState {
 
     /// Has `peer` been declared unreachable? Never materializes anything.
     pub(crate) fn is_dead(&self, peer: NetAddr) -> bool {
-        self.links.get(&peer.0).is_some_and(|l| l.dead)
+        self.links.get(&peer.0).is_some_and(|l| l.tx.dead)
     }
 
     /// Memory currently pinned by this domain's per-peer state. The
@@ -941,7 +929,7 @@ mod tests {
     }
 
     /// Satellite: backoff schedule. Deadlines double per fruitless round,
-    /// capped at `base << max_backoff_exp`, and progress resets them.
+    /// capped at `base << MAX_BACKOFF_EXP`, and progress resets them.
     #[test]
     fn backoff_schedule_doubles_and_caps() {
         let c = cfg(); // base 200 µs, cap exp 6, 8 retries
@@ -1004,9 +992,8 @@ mod tests {
     /// mid-range, and duplicates are recognized on both sides of it.
     #[test]
     fn dedup_window_wraps_at_sequence_overflow() {
-        let c = cfg();
         let start = u32::MAX - 2;
-        let mut rx = LinkRx::new_at(&c, start);
+        let mut rx = LinkRx::new_at(start);
 
         // In-order across the boundary: MAX-2, MAX-1, MAX, 0, 1.
         for (i, seq) in (0..5u32).map(|i| (i, start.wrapping_add(i))) {
@@ -1026,7 +1013,6 @@ mod tests {
                 (RxVerdict::Duplicate, vec![])
             );
         }
-        assert_eq!(rx.dups, 4);
 
         // Out-of-order across the boundary: expected = 2; buffering 3 and
         // 4, then filling the gap, releases all three in order.
@@ -1051,9 +1037,8 @@ mod tests {
 
     #[test]
     fn window_overflow_drops_far_ahead() {
-        let mut c = cfg();
-        c.window = 2;
-        let mut rx = LinkRx::new_at(&c, 0);
+        let mut rx = LinkRx::new();
+        rx.window = 2;
         assert_eq!(receive(&mut rx, 1, body(1)), (RxVerdict::Buffered, vec![]));
         assert_eq!(receive(&mut rx, 2, body(2)), (RxVerdict::Buffered, vec![]));
         assert_eq!(receive(&mut rx, 3, body(3)), (RxVerdict::Overflow, vec![]));
@@ -1070,8 +1055,7 @@ mod tests {
     /// (the lost-ACK recovery path).
     #[test]
     fn standalone_ack_debt_for_one_directional_traffic() {
-        let c = cfg();
-        let mut rx = LinkRx::new(&c);
+        let mut rx = LinkRx::new();
         assert_eq!(rx.ack_owed, 0);
         for i in 0..3u32 {
             assert_eq!(
@@ -1098,9 +1082,8 @@ mod tests {
     /// can emit a standalone ACK even when the receiver rank never pumps.
     #[test]
     fn buffered_duplicate_and_overflow_accrue_ack_debt() {
-        let mut c = cfg();
-        c.window = 2;
-        let mut rx = LinkRx::new_at(&c, 0);
+        let mut rx = LinkRx::new();
+        rx.window = 2;
         assert_eq!(receive(&mut rx, 1, body(1)), (RxVerdict::Buffered, vec![]));
         assert_eq!(rx.ack_owed, 0, "first arrival is ACKed on delivery");
         assert_eq!(receive(&mut rx, 1, body(1)), (RxVerdict::Duplicate, vec![]));
@@ -1108,7 +1091,6 @@ mod tests {
         assert_eq!(receive(&mut rx, 2, body(2)), (RxVerdict::Buffered, vec![]));
         assert_eq!(receive(&mut rx, 3, body(3)), (RxVerdict::Overflow, vec![]));
         assert_eq!(rx.ack_owed, 2, "overflow drop owes an ACK");
-        assert_eq!(rx.dups, 1);
     }
 
     /// One deterministic lossy exchange replayed at the pure state-machine
@@ -1127,10 +1109,10 @@ mod tests {
 
     fn simulate_front_loss(uniform_debt: bool) -> SimOutcome {
         let mut c = cfg();
-        c.window = 2;
         c.max_retries = 3;
         let mut tx = LinkTx::new(&c);
-        let mut rx = LinkRx::new(&c);
+        let mut rx = LinkRx::new();
+        rx.window = 2;
         // Old-policy debt: deliveries + behind-window duplicates only.
         let mut old_debt: u32 = 0;
         let mut traversals = [0u32; 6];
@@ -1159,16 +1141,13 @@ mod tests {
                         _ => {}
                     }
                     let debt = if uniform_debt { rx.ack_owed } else { *old_debt };
-                    if debt >= rx_cfg_ack_every() {
+                    if debt >= ACK_EVERY {
                         let cum = rx.take_ack();
                         *old_debt = 0;
                         tx.on_ack(cum, now);
                     }
                 }
             };
-        fn rx_cfg_ack_every() -> u32 {
-            ReliabilityConfig::on().ack_every
-        }
 
         let initial: Vec<Pending> = (0..6u64)
             .map(|i| {
@@ -1435,7 +1414,7 @@ mod tests {
     fn a_reorder_by_one_resends_nothing() {
         let c = cfg();
         let mut tx = in_flight(&c, 4, 0);
-        let mut rx = LinkRx::new(&c);
+        let mut rx = LinkRx::new();
         let ack = |tx: &mut LinkTx, rx: &mut LinkRx, seq: u32| {
             receive(rx, seq, body(seq as u64));
             let (cum, sack) = (rx.take_ack(), rx.sack());
@@ -1508,9 +1487,8 @@ mod tests {
     /// cumulative ACK, and nothing once the gap fills.
     #[test]
     fn the_sack_bitmap_mirrors_the_reorder_buffer() {
-        let c = cfg();
         let start = u32::MAX - 1;
-        let mut rx = LinkRx::new_at(&c, start);
+        let mut rx = LinkRx::new_at(start);
         assert_eq!(rx.sack(), 0);
         for off in [1u32, 3, 64, 65] {
             assert_eq!(

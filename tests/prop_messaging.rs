@@ -25,10 +25,12 @@ proptest! {
         run_script(&script, seed, ProviderProfile::am_only());
     }
 
-    /// Same property under cross-source delivery jitter.
+    /// Same property on reliable links whose reorder stash lets sources
+    /// overtake each other.
     #[test]
-    fn random_traffic_jitter(script in arb_script(), seed in any::<u64>()) {
-        run_script(&script, seed, ProviderProfile::infinite().with_jitter(seed | 1));
+    fn random_traffic_reorder(script in arb_script(), seed in any::<u64>()) {
+        let plan = FaultPlan::uniform(seed | 1, FaultSpec::percent(0, 0, 30, 0));
+        run_script(&script, seed, ProviderProfile::infinite().with_faults(plan).reliable());
     }
 }
 
