@@ -251,10 +251,10 @@ pub fn render_report(label: &str, r: &RateReport, traces: &[RankTrace]) -> Strin
     out.push_str(&format!(
         "kernel tier: {}{}\n",
         litempi_simd::active().name(),
-        if litempi_simd::active_clmul() {
-            " (+clmul crc)"
-        } else {
-            ""
+        match litempi_simd::active_crc() {
+            0 => "",
+            1 => " (+clmul crc)",
+            _ => " (+wide clmul crc)",
         }
     ));
     if !traces.is_empty() {
@@ -409,7 +409,7 @@ mod tests {
                 .find(|e| e.kind == litempi_trace::EventKind::KernelTier)
                 .expect("KernelTier event recorded at startup");
             assert_eq!(ev.a, tier.id());
-            assert_eq!(ev.b, litempi_simd::active_clmul() as u64);
+            assert_eq!(ev.b, litempi_simd::active_crc());
         }
     }
 

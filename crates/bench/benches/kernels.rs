@@ -8,7 +8,9 @@
 //! * `pack_*`    — strided gather of 8-byte segments with 8-byte gaps
 //!   (the vector-datatype worst case: maximum per-segment dispatch);
 //! * `crc_*`     — the CRC32 ladder: the original bit-at-a-time loop,
-//!   the slice-by-8 table baseline, and the carryless-multiply fold.
+//!   the slice-by-8 table baseline, the four-lane carryless-multiply
+//!   fold, and the same fold behind its 512-bit first stage (equal to
+//!   the four-lane fold on a host without AVX-512 `VPCLMULQDQ`).
 //!
 //! Everything here is pure kernel time — no fabric, no charges — so the
 //! deltas are exactly the wall-clock effect the `reliability_ablation`
@@ -93,10 +95,11 @@ fn bench_crc(c: &mut Criterion) {
     type Kernel = fn(u32, &[u8]) -> u32;
     for size in SIZES {
         let data = bytes(0xCCCC, size);
-        let ladder: [(&str, Kernel); 3] = [
+        let ladder: [(&str, Kernel); 4] = [
             ("crc_bitwise", crc::update_bitwise),
             ("crc_slice8", crc::update_slice8),
             ("crc_clmul", crc::update_clmul),
+            ("crc_wide", crc::update_wide),
         ];
         for (label, f) in ladder {
             g.bench_function(BenchmarkId::new(label, size), |b| {

@@ -141,7 +141,7 @@ impl ProcInner {
             litempi_trace::emit(
                 litempi_trace::EventKind::KernelTier,
                 litempi_simd::active().id(),
-                litempi_simd::active_clmul() as u64,
+                litempi_simd::active_crc(),
             );
         }
         ProcInner {

@@ -270,23 +270,25 @@ impl EndpointShared {
 // blocking wait loops can drive retransmission too.
 //
 // Lock discipline: at most one endpoint's `relia` mutex is ever held, and
-// nothing is transmitted while holding it; what the window releases is
-// delivered into the receiver's queues under it. ACK processing retires
-// retransmit entries; the fast resends a SACK calls for are picked under
-// the lock and go out after it is released. The sender→receiver→ACK→sender
-// chain terminates without lock cycles: a hole is fast-resent at most once
-// per recovery episode, and a gap's immediate ACK answers data, never an
-// ACK.
+// nothing is transmitted or checksummed while holding it; what the window
+// releases is delivered into the receiver's queues under it. ACK
+// processing retires retransmit entries; the fast resends a SACK calls for
+// are picked under the lock and go out after it is released. The
+// sender→receiver→ACK→sender chain terminates without lock cycles: a hole
+// is fast-resent at most once per recovery episode, and a gap's immediate
+// ACK answers data, never an ACK.
 
-/// The CRC32 of a reliable packet's body, charged as the protocol's
-/// checksum pass: once at send, once at verify.
-fn charged_checksum(body: &PacketBody) -> u32 {
+/// Charge one checksum pass over `body` (the protocol's CRC: once at
+/// send, once at verify). The CRC itself is computed before the `relia`
+/// lock is taken, so another thread's ACK or delivery on the endpoint
+/// never waits out a pass over the bytes; the charge is made under the
+/// lock, after the dead-peer check, so a black-holed send charges none.
+fn charge_checksum(body: &PacketBody) {
     charge(
         Category::Reliability,
         icost::relia::CRC_BASE
             + icost::relia::CRC_PER_WORD * (body.payload_len() as u64).div_ceil(8),
     );
-    body.checksum()
 }
 
 /// Sender-side entry: run the reliability protocol (if enabled), then hand
@@ -295,6 +297,7 @@ fn send_packet(fabric: &Fabric, src: NetAddr, dst: NetAddr, body: PacketBody) {
     let my = fabric.shared(src);
     let now = fabric.now_us();
     let pkt = if my.relia_enabled {
+        let crc = Some(body.checksum());
         let mut st = my.relia.lock();
         if st.is_dead(dst) {
             // The peer has been declared unreachable; injections toward it
@@ -302,7 +305,7 @@ fn send_packet(fabric: &Fabric, src: NetAddr, dst: NetAddr, body: PacketBody) {
             return;
         }
         charge(Category::Reliability, icost::relia::TX_HEADER);
-        let crc = Some(charged_checksum(&body));
+        charge_checksum(&body);
         let link = st.link_mut(dst);
         let seq = link.tx.prepare(body.clone(), crc, now);
         if let Some(due) = link.tx.due_at() {
@@ -434,6 +437,7 @@ fn deliver_packet(fabric: &Fabric, dst: NetAddr, pkt: WirePacket) {
     let mut delivered = false;
     let mut standalone_ack: Option<(u32, u64)> = None;
     let mut owes_ack = false;
+    let crc = pkt.body.as_ref().map(PacketBody::checksum);
     {
         let mut st = peer.relia.lock();
         let link = st.link_mut(src);
@@ -456,7 +460,8 @@ fn deliver_packet(fabric: &Fabric, dst: NetAddr, pkt: WirePacket) {
             }
         }
         if let Some(body) = pkt.body {
-            if pkt.crc != Some(charged_checksum(&body)) {
+            charge_checksum(&body);
+            if pkt.crc != crc {
                 // Treated as a drop: the retransmission recovers the
                 // original bytes.
                 EndpointStats::bump(&peer.stats.crc_failures, 1);
@@ -1763,6 +1768,38 @@ mod tests {
         for (i, m) in msgs.iter().enumerate() {
             assert_eq!(&m.data[..], &[i as u8; 16], "payload corrupted");
         }
+        assert!(b.stats().crc_failures > 0, "corruption never hit");
+    }
+
+    #[test]
+    fn reliable_16k_bodies_survive_corruption() {
+        // 16 KiB bodies, checksummed by the CRC's wide stage where the
+        // host has one: a flip anywhere in them fails the check, and the
+        // resend arrives once and intact.
+        let plan = FaultPlan::uniform(42, FaultSpec::percent(0, 0, 0, 40));
+        let profile = ProviderProfile::infinite().with_faults(plan).reliable();
+        let f = Fabric::new(2, profile, Topology::single_node(2));
+        let a = f.endpoint(NetAddr(0));
+        let b = f.endpoint(NetAddr(1));
+        const N: u64 = 24;
+        let body = |i: u64| -> Vec<u8> {
+            (0..16u64 << 10)
+                .map(|j| ((j * 131) ^ (i * 7)) as u8)
+                .collect()
+        };
+        for i in 0..N {
+            a.tsend(NetAddr(1), 9000 + i, Bytes::from(body(i)));
+        }
+        let msgs = pumped_recv_all(&a, &b, 9000, N);
+        for (i, m) in msgs.iter().enumerate() {
+            assert!(m.data[..] == body(i as u64)[..], "message {i} corrupted");
+        }
+        a.quiesce();
+        b.quiesce();
+        assert!(
+            b.trecv_post(0, u64::MAX).poll().is_none(),
+            "a message arrived twice"
+        );
         assert!(b.stats().crc_failures > 0, "corruption never hit");
     }
 

@@ -899,6 +899,26 @@ mod tests {
             data: Bytes::new(),
         });
         assert_ne!(empty.corrupted(1).checksum(), empty.checksum());
+        // A 16 KiB body plus a 45-byte tail runs every stage of the CRC:
+        // 64 wide (or 256 four-lane) steps, two 16-byte folds and a
+        // 13-byte table tail. A flip is caught in the first and the last
+        // wide step, in a leftover fold and in the table tail.
+        let long = PacketBody::Tagged(TaggedMessage {
+            src: NetAddr(0),
+            match_bits: 9,
+            data: Bytes::from(
+                (0..(16 << 10) + 45u32)
+                    .map(|i| ((i * 37) >> 2) as u8)
+                    .collect::<Vec<u8>>(),
+            ),
+        });
+        let c = long.checksum();
+        for pos in [0u64, 17, 255, 16_128, 16_383, 16_390, 16_420, 16_428] {
+            for bit in [0u64, 7] {
+                let bad = long.corrupted(pos | (bit << 32));
+                assert_ne!(bad.checksum(), c, "byte {pos} bit {bit}");
+            }
+        }
     }
 
     #[test]

@@ -1,15 +1,23 @@
 //! CRC32 (IEEE, reflected, polynomial `0xEDB88320`) kernels.
 //!
-//! Three implementations of the same function, fastest first:
+//! Four implementations of the same function, fastest first:
 //!
+//! * **wide carryless-multiply stage** — on x86-64 hosts with AVX-512F and
+//!   `VPCLMULQDQ`, inputs of 256 bytes and more first fold 256 bytes per
+//!   step into four `__m512i` accumulators (sixteen 128-bit lanes, one
+//!   instruction doing four lanes' multiplies), merge them into one
+//!   `__m512i` and hand its four lanes to the four-lane fold below as its
+//!   state. About 14 ns per KiB on a 2-CPU x86-64 host (the benchmark's
+//!   traced `simd.crc.ns_per_KiB`), against about 38 for the four-lane
+//!   fold alone (EXPERIMENTS.md, "The CRC at vector width").
 //! * **carryless-multiply fold** — folds 64 bytes per step into four
 //!   independent 128-bit lanes with the CPU's polynomial multiplier
 //!   (x86-64 `PCLMULQDQ`, aarch64 `PMULL`), merges the lanes, folds any
 //!   leftover 16-byte blocks, then finishes the 16 accumulator bytes plus
 //!   the tail through the table path. Four lanes keep four multiplies in
-//!   flight, so a step does not wait on the previous one: about 45 ns per
-//!   KiB on a 2-CPU x86-64 host, against about 140 for one lane
-//!   (EXPERIMENTS.md, "Four-lane CRC fold").
+//!   flight, so a step does not wait on the previous one: about 38 ns per
+//!   KiB, against about 135 for one lane (EXPERIMENTS.md, "Four-lane CRC
+//!   fold").
 //! * **slice-by-8 tables** — the portable baseline: one 8-byte word per
 //!   step through eight 256-entry tables (built at compile time by a
 //!   `const fn`). ~8× fewer steps than byte-at-a-time and ~64× fewer
@@ -17,7 +25,7 @@
 //! * **bit-at-a-time** — the original reference loop, kept for
 //!   equivalence testing.
 //!
-//! All three produce identical values for every input; the equivalence
+//! All four produce identical values for every input; the equivalence
 //! tests pin that, plus the standard check value
 //! `crc32(b"123456789") == 0xCBF4_3926`.
 //!
@@ -25,7 +33,12 @@
 //! primitive (`lane`: `__m128i` with `_mm_clmulepi64_si128` on x86-64,
 //! `uint64x2_t` with `vmull_p64` on aarch64), so the accumulators stay in
 //! vector registers and the x86-64 test run validates the fold the
-//! aarch64 build executes — only the lane leaf differs.
+//! aarch64 build executes — only the lane leaf differs. The wide stage
+//! (`wide`) is a prefix of that fold, not a second kernel: the 64-byte
+//! steps, the lane merge and the table finish exist once. It runs only
+//! at the AVX2 tier ([`crate::active_crc`]), so an input under 256 bytes
+//! never issues a 512-bit instruction, `LITEMPI_KERNEL_TIER=sse2` runs
+//! the four-lane fold at every length and `scalar` the tables.
 
 /// Running-state initializer (`!0`); the final CRC is the bitwise NOT of
 /// the final state, matching the reliability layer's convention.
@@ -239,15 +252,31 @@ mod lane {
 )]
 fn fold(state: u32, data: &[u8]) -> ([u8; 16], usize) {
     use lane::*;
-    let (head, body) = data.split_at(CLMUL_MIN);
-    let mut x = [
-        xor(load(head), from_u32(state)),
-        load(&head[16..]),
-        load(&head[32..]),
-        load(&head[48..]),
+    let x = [
+        xor(load(data), from_u32(state)),
+        load(&data[16..]),
+        load(&data[32..]),
+        load(&data[48..]),
     ];
+    fold_lanes(x, data, CLMUL_MIN)
+}
+
+/// The four-lane fold from lanes `x` that already hold `data[..used]`
+/// (`used` a multiple of 64): 64-byte steps, the lane merge, the
+/// leftover 16-byte blocks. Returns what [`fold`] returns. Both the
+/// four-lane entry and the wide stage end here, so this is the one copy
+/// of the loop, the merge and the block folds.
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+#[cfg_attr(target_arch = "x86_64", target_feature(enable = "pclmulqdq"))]
+#[cfg_attr(
+    target_arch = "aarch64",
+    target_feature(enable = "neon", enable = "aes")
+)]
+#[inline]
+fn fold_lanes(mut x: [lane::Lane; 4], data: &[u8], used: usize) -> ([u8; 16], usize) {
+    use lane::*;
     let k12 = keys(K1, K2);
-    let mut steps = body.chunks_exact(64);
+    let mut steps = data[used..].chunks_exact(64);
     for step in &mut steps {
         for (i, xi) in x.iter_mut().enumerate() {
             *xi = xor(lane::fold(*xi, k12), load(&step[16 * i..]));
@@ -270,9 +299,102 @@ fn fold(state: u32, data: &[u8]) -> ([u8; 16], usize) {
 /// accumulator bytes is paid on top.
 const CLMUL_MIN: usize = 64;
 
-/// Carryless-multiply kernel. Falls back to [`update_slice8`] for short
-/// inputs or when the host lacks a polynomial multiplier, so it is always
-/// safe to call.
+/// The wide stage: the same fold at four times the width, as a prefix
+/// of the four-lane one. Four `__m512i` accumulators of four 128-bit
+/// lanes each fold 256 bytes per step, so one `VPCLMULQDQ` does the work
+/// of four `PCLMULQDQ`; they are merged into one `__m512i` with `K1`/`K2`
+/// (a 64-byte shift, as between the four-lane fold's lanes), whose four
+/// lanes are exactly the four-lane fold's state after the same bytes.
+/// [`fold_lanes`] takes it from there.
+#[cfg(target_arch = "x86_64")]
+mod wide {
+    use core::arch::x86_64::*;
+
+    /// `x^(2048+32) mod P` and `x^(2048−32) mod P`, the pre-shifted
+    /// reflected constants that carry a lane across one 256-byte step
+    /// (low and high half of the lane, as `K1`/`K2` are for 64 bytes).
+    const KW_LO: u64 = 0x0000_0001_1542_778a;
+    const KW_HI: u64 = 0x0000_0001_322d_1430;
+
+    /// Bulk threshold: the four accumulators load 256 bytes before the
+    /// first fold.
+    pub(super) const WIDE_MIN: usize = 256;
+
+    /// `[k_lo, k_hi]` in each of the four lanes.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn keys(k_lo: u64, k_hi: u64) -> __m512i {
+        _mm512_broadcast_i32x4(_mm_set_epi64x(k_hi as i64, k_lo as i64))
+    }
+
+    /// The first 64 bytes of `b` (any alignment).
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn load(b: &[u8]) -> __m512i {
+        let b = &b[..64];
+        // SAFETY: `b` is 64 readable bytes; the load is unaligned.
+        unsafe { _mm512_loadu_si512(b.as_ptr().cast()) }
+    }
+
+    /// `lo(x)·k_lo ⊕ hi(x)·k_hi` in each lane.
+    #[target_feature(enable = "avx512f", enable = "vpclmulqdq")]
+    #[inline]
+    fn fold(x: __m512i, k: __m512i) -> __m512i {
+        _mm512_xor_si512(
+            _mm512_clmulepi64_epi128(x, k, 0x00),
+            _mm512_clmulepi64_epi128(x, k, 0x11),
+        )
+    }
+
+    /// Fold every whole 256-byte step of `data` (`len >= WIDE_MIN`), the
+    /// running state XORed into the first bytes, and return the four
+    /// 128-bit lanes of the merged accumulator with the bytes consumed.
+    #[target_feature(enable = "avx512f", enable = "vpclmulqdq", enable = "pclmulqdq")]
+    pub(super) fn stage(state: u32, data: &[u8]) -> ([__m128i; 4], usize) {
+        let (head, body) = data.split_at(WIDE_MIN);
+        let mut x = [
+            _mm512_xor_si512(
+                load(head),
+                _mm512_zextsi128_si512(_mm_cvtsi32_si128(state as i32)),
+            ),
+            load(&head[64..]),
+            load(&head[128..]),
+            load(&head[192..]),
+        ];
+        let kw = keys(KW_LO, KW_HI);
+        let mut steps = body.chunks_exact(WIDE_MIN);
+        for step in &mut steps {
+            for (i, xi) in x.iter_mut().enumerate() {
+                *xi = _mm512_xor_si512(fold(*xi, kw), load(&step[64 * i..]));
+            }
+        }
+        let k12 = keys(super::K1, super::K2);
+        let mut acc = x[0];
+        for xi in &x[1..] {
+            acc = _mm512_xor_si512(fold(acc, k12), *xi);
+        }
+        let lanes = [
+            _mm512_extracti32x4_epi32::<0>(acc),
+            _mm512_extracti32x4_epi32::<1>(acc),
+            _mm512_extracti32x4_epi32::<2>(acc),
+            _mm512_extracti32x4_epi32::<3>(acc),
+        ];
+        (lanes, data.len() - steps.remainder().len())
+    }
+
+    /// [`super::fold`] with the wide stage in front: same result, same
+    /// contract, for `data.len() >= WIDE_MIN` on a host where
+    /// [`crate::wide_clmul_runnable`] holds.
+    #[target_feature(enable = "avx512f", enable = "vpclmulqdq", enable = "pclmulqdq")]
+    pub(super) fn fold_wide(state: u32, data: &[u8]) -> ([u8; 16], usize) {
+        let (x, used) = stage(state, data);
+        super::fold_lanes(x, data, used)
+    }
+}
+
+/// Carryless-multiply kernel (the four-lane fold at every length). Falls
+/// back to [`update_slice8`] for short inputs or when the host lacks a
+/// polynomial multiplier, so it is always safe to call.
 pub fn update_clmul(state: u32, data: &[u8]) -> u32 {
     #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
     if data.len() >= CLMUL_MIN && crate::clmul_runnable() {
@@ -283,15 +405,36 @@ pub fn update_clmul(state: u32, data: &[u8]) -> u32 {
     update_slice8(state, data)
 }
 
-/// Streaming update with the process-wide active configuration: the
-/// carryless-multiply path when the active tier is vectorized and the
-/// hardware has a polynomial multiplier, the slice-by-8 baseline
-/// otherwise (including under `LITEMPI_KERNEL_TIER=scalar`).
+/// Carryless-multiply kernel with the 512-bit first stage for inputs of
+/// 256 bytes and more. Falls back to [`update_clmul`] for shorter inputs
+/// or when the host cannot run the wide stage, so it is always safe to
+/// call, and an input under 256 bytes never issues a 512-bit
+/// instruction.
+pub fn update_wide(state: u32, data: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if data.len() >= wide::WIDE_MIN && crate::wide_clmul_runnable() {
+        // SAFETY: wide_clmul_runnable() confirmed the required CPU features.
+        let (acc, used) = unsafe { wide::fold_wide(state, data) };
+        return update_slice8(update_slice8(0, &acc), &data[used..]);
+    }
+    update_clmul(state, data)
+}
+
+/// Streaming update with the process-wide active configuration
+/// ([`crate::active_crc`]): the wide stage in front of the four-lane fold
+/// on an AVX-512 host at the AVX2 tier, the four-lane fold on other
+/// vectorized tiers with a polynomial multiplier, the slice-by-8
+/// baseline otherwise (including under `LITEMPI_KERNEL_TIER=scalar`).
+/// Inputs too short to fold go straight to the tables, so an 8-byte
+/// header pays no dispatch.
 pub fn update(state: u32, data: &[u8]) -> u32 {
-    if crate::active_clmul() {
-        update_clmul(state, data)
-    } else {
-        update_slice8(state, data)
+    if data.len() < CLMUL_MIN {
+        return update_slice8(state, data);
+    }
+    match crate::active_crc() {
+        0 => update_slice8(state, data),
+        1 => update_clmul(state, data),
+        _ => update_wide(state, data),
     }
 }
 
@@ -310,7 +453,13 @@ mod tests {
 
     #[test]
     fn check_value_all_kernels() {
-        for f in [update_bitwise, update_slice8, update_clmul, update] {
+        for f in [
+            update_bitwise,
+            update_slice8,
+            update_clmul,
+            update_wide,
+            update,
+        ] {
             assert_eq!(oneshot(f, b"123456789"), 0xCBF4_3926);
             assert_eq!(oneshot(f, b""), 0);
         }
@@ -318,18 +467,28 @@ mod tests {
 
     #[test]
     fn kernels_agree_on_all_lengths() {
-        // Every residue mod 64 past two four-lane steps, so each length
-        // meets the lane merge and 0–3 leftover 16-byte folds, with byte
-        // values exercising all 8 bits, from every start offset mod 16.
-        let data: Vec<u8> = (0..416u32)
+        // Every residue mod 256 past two wide steps and the four-lane steps
+        // behind them, so each length meets the wide merge, 0–3 four-lane
+        // steps, the lane merge and 0–3 leftover 16-byte folds, with byte
+        // values exercising all 8 bits, from every start offset mod 64 and
+        // from the initial state as well as a state mid-stream. The
+        // reference grows one byte at a time.
+        const MAX: usize = 832;
+        let data: Vec<u8> = (0..(64 + MAX) as u32)
             .map(|i| (i.wrapping_mul(167) >> 3) as u8)
             .collect();
-        for start in 0..16 {
-            for len in 0..=400 {
-                let d = &data[start..start + len];
-                let want = update_bitwise(INIT, d);
-                assert_eq!(update_slice8(INIT, d), want, "slice8 len {len} at {start}");
-                assert_eq!(update_clmul(INIT, d), want, "clmul len {len} at {start}");
+        for state in [INIT, 0x0BAD_F00D] {
+            for start in 0..64 {
+                let mut want = state;
+                for len in 0..=MAX {
+                    let d = &data[start..start + len];
+                    if len > 0 {
+                        want = update_bitwise(want, &d[len - 1..]);
+                    }
+                    assert_eq!(update_slice8(state, d), want, "slice8 len {len} at {start}");
+                    assert_eq!(update_clmul(state, d), want, "clmul len {len} at {start}");
+                    assert_eq!(update_wide(state, d), want, "wide len {len} at {start}");
+                }
             }
         }
     }
@@ -338,8 +497,11 @@ mod tests {
     fn streaming_split_equivalence() {
         let data: Vec<u8> = (0..1000u32).map(|i| (i * 31 + 7) as u8).collect();
         let want = update_bitwise(INIT, &data);
-        for split in [0, 1, 7, 8, 15, 16, 63, 64, 65, 500, 999, 1000] {
-            for f in [update_slice8, update_clmul, update] {
+        let splits = [
+            0, 1, 7, 8, 15, 16, 63, 64, 65, 255, 256, 257, 500, 511, 512, 999, 1000,
+        ];
+        for split in splits {
+            for f in [update_slice8, update_clmul, update_wide, update] {
                 let s = f(INIT, &data[..split]);
                 assert_eq!(f(s, &data[split..]), want, "split at {split}");
             }
@@ -358,6 +520,32 @@ mod tests {
             let (acc, used) = unsafe { fold(INIT, &data) };
             assert_eq!(used, 4096);
             assert_eq!(update_slice8(0, &acc), update_bitwise(INIT, &data));
+        }
+    }
+
+    #[test]
+    fn wide_stage_runs_when_available() {
+        // The same for the 512-bit stage: on a host that can run it, the
+        // stage consumes every whole 256-byte step and the four-lane fold
+        // behind it the rest down to the table tail. 1000 bytes: three
+        // wide steps (768), three four-lane steps (192), two 16-byte
+        // blocks (32), 8 bytes left for the tables.
+        let data: Vec<u8> = (0..1000u32).map(|i| (i * 131 + 5) as u8).collect();
+        let want = update_bitwise(INIT, &data);
+        assert_eq!(update_wide(INIT, &data), want);
+        if !crate::wide_clmul_runnable() {
+            eprintln!("wide CRC stage not runnable here (needs AVX-512F + VPCLMULQDQ)");
+            return;
+        }
+        #[cfg(target_arch = "x86_64")]
+        {
+            // SAFETY: feature-checked above.
+            let (_, wide_used) = unsafe { wide::stage(INIT, &data) };
+            assert_eq!(wide_used, 768);
+            // SAFETY: as above.
+            let (acc, used) = unsafe { wide::fold_wide(INIT, &data) };
+            assert_eq!(used, 992);
+            assert_eq!(update_slice8(update_slice8(0, &acc), &data[used..]), want);
         }
     }
 }

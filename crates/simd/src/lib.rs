@@ -41,8 +41,9 @@
 //! * [`pack`] — strided gather/scatter segment copies (`litempi-datatype`'s
 //!   pack/unpack engine, feeding pooled wire buffers directly).
 //! * [`crc`] — table-based slice-by-8 CRC32 baseline plus a four-lane
-//!   carryless-multiply fold (PCLMULQDQ / ARM PMULL) fast path
-//!   (`litempi-fabric`'s reliability layer).
+//!   carryless-multiply fold (PCLMULQDQ / ARM PMULL), with a 512-bit
+//!   `VPCLMULQDQ` first stage for inputs of 256 B and more on AVX-512
+//!   hosts (`litempi-fabric`'s reliability layer).
 //!
 //! Kernels change wall-clock time only. Instruction *charges* live in the
 //! layers above (`litempi-instr` categories, `cost::relia` CRC charges)
@@ -153,7 +154,7 @@ pub fn detect() -> Tier {
 /// aarch64 PMULL)? Independent of the elementwise [`Tier`]: the CRC
 /// fast path gates on this *and* on the active tier being non-scalar, so
 /// `LITEMPI_KERNEL_TIER=scalar` pins the CRC to the slice-by-8 baseline
-/// too.
+/// too (see [`active_crc`]).
 pub fn clmul_runnable() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -186,10 +187,34 @@ pub fn active() -> Tier {
     *ACTIVE.get_or_init(select_from_env)
 }
 
-/// Does the *active* configuration use the carryless-multiply CRC path?
-/// (`b` field of the `KernelTier` trace event.)
-pub fn active_clmul() -> bool {
-    active() != Tier::Scalar && clmul_runnable()
+/// Is the 512-bit first stage of the CRC fold runnable (x86-64 AVX-512F
+/// with `VPCLMULQDQ`, on top of [`clmul_runnable`])? Always false off
+/// x86-64.
+pub fn wide_clmul_runnable() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        return clmul_runnable()
+            && std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("vpclmulqdq");
+    }
+    #[allow(unreachable_code)]
+    false
+}
+
+/// Which CRC kernel the *active* configuration runs on long inputs:
+/// 0 the slice-by-8 tables, 1 the four-lane carryless-multiply fold,
+/// 2 the fold behind its 512-bit first stage (`b` field of the
+/// `KernelTier` trace event). The wide stage needs the AVX2 tier, so
+/// `LITEMPI_KERNEL_TIER=sse2` keeps the four-lane fold and `scalar` the
+/// tables.
+pub fn active_crc() -> u64 {
+    static LEVEL: OnceLock<u64> = OnceLock::new();
+    *LEVEL.get_or_init(|| match active() {
+        Tier::Scalar => 0,
+        _ if !clmul_runnable() => 0,
+        Tier::Avx2 if wide_clmul_runnable() => 2,
+        _ => 1,
+    })
 }
 
 #[cfg(test)]
@@ -224,6 +249,14 @@ mod tests {
             [Tier::Scalar, Tier::Sse2, Tier::Avx2, Tier::Neon].map(Tier::id),
             [0, 1, 2, 3]
         );
+    }
+
+    #[test]
+    fn crc_level_follows_the_active_tier() {
+        let level = active_crc();
+        assert_eq!(level == 0, active() == Tier::Scalar || !clmul_runnable());
+        assert_eq!(level == 2, active() == Tier::Avx2 && wide_clmul_runnable());
+        assert!(level <= 2);
     }
 
     #[cfg(target_arch = "x86_64")]

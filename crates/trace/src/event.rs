@@ -69,8 +69,9 @@ pub enum EventKind {
     SchedPhaseComplete,
     /// One-shot: which kernel tier the process selected at startup, so
     /// benchmark evidence is self-describing. `a` = tier id
-    /// (0 scalar, 1 SSE2, 2 AVX2, 3 NEON), `b` = 1 when the
-    /// carryless-multiply CRC path is active, else 0.
+    /// (0 scalar, 1 SSE2, 2 AVX2, 3 NEON), `b` = the CRC kernel on
+    /// long inputs (0 tables, 1 four-lane carryless-multiply fold, 2 the
+    /// fold behind its 512-bit first stage).
     KernelTier,
     /// The reliability layer declared a peer dead: its retry budget ran
     /// out (once per peer). `a` = peer endpoint, `b` = 1 (retry

@@ -171,9 +171,10 @@ proptest! {
     }
 
     /// The CRC ladder agrees with the bit-at-a-time reference at random
-    /// lengths up to 16 KiB + 15 — short ones around the fold threshold
-    /// as often as long ones through many four-lane steps — from
-    /// misaligned starts, and streamed through a random split.
+    /// lengths up to 16 KiB + 15 — short ones around the fold and wide
+    /// thresholds as often as long ones through many four-lane and wide
+    /// steps — from misaligned starts, and streamed through a random
+    /// split.
     #[test]
     fn crc_equivalence(
         seed in any::<u64>(),
@@ -187,9 +188,12 @@ proptest! {
         let want = crc::update_bitwise(crc::INIT, data);
         prop_assert_eq!(crc::update_slice8(crc::INIT, data), want);
         prop_assert_eq!(crc::update_clmul(crc::INIT, data), want);
+        prop_assert_eq!(crc::update_wide(crc::INIT, data), want);
         // Streaming equivalence at an arbitrary split.
         let s = crc::update_clmul(crc::INIT, &data[..split]);
         prop_assert_eq!(crc::update_clmul(s, &data[split..]), want);
+        let s = crc::update_wide(crc::INIT, &data[..split]);
+        prop_assert_eq!(crc::update_wide(s, &data[split..]), want);
         let s = crc::update_slice8(crc::INIT, &data[..split]);
         prop_assert_eq!(crc::update_slice8(s, &data[split..]), want);
     }
@@ -198,14 +202,15 @@ proptest! {
 /// Streaming through a split at every offset of a 320-byte message, from
 /// a misaligned start: every residue mod 64 lands on both pieces while
 /// each crosses the 64-byte fold threshold, where one four-lane load
-/// gives way to four-lane steps and the leftover 16-byte folds.
+/// gives way to four-lane steps and the leftover 16-byte folds, and the
+/// 256-byte threshold of the wide stage.
 #[test]
 fn crc_streaming_splits_at_every_offset() {
     let buf = bytes(0x5EED, 320 + 3);
     let data = &buf[3..];
     let want = crc::update_bitwise(crc::INIT, data);
     for split in 0..=data.len() {
-        for f in [crc::update_clmul, crc::update] {
+        for f in [crc::update_clmul, crc::update_wide, crc::update] {
             let s = f(crc::INIT, &data[..split]);
             assert_eq!(f(s, &data[split..]), want, "split at {split}");
         }
