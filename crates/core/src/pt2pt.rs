@@ -861,8 +861,69 @@ impl Communicator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::comm::Errhandler;
     use crate::match_bits::ANY_TAG;
     use crate::universe::Universe;
+
+    /// The eager envelope `[0, 7]` with one bit of its kind byte flipped:
+    /// what a corrupting link without a CRC handed the decoders (kind 1 is
+    /// a truncated rendezvous descriptor, every other kind is unknown).
+    fn damaged_envelopes() -> impl Iterator<Item = (i32, Bytes)> {
+        (0..8).map(|bit| (bit, Bytes::from(vec![1u8 << bit, 7])))
+    }
+
+    /// Put `payload` in the one rank's own matching queue under `tag` on
+    /// `world`, past the send path that would have framed it.
+    fn inject_damaged(world: &Communicator, tag: i32, payload: Bytes) {
+        let bits = match_bits::encode(world.context_id(), world.rank(), tag);
+        let proc = &world.proc;
+        proc.endpoint.tsend(proc.addr_of_world(0), bits, payload);
+    }
+
+    fn assert_integrity<T: std::fmt::Debug>(got: MpiResult<T>, what: &str, tag: i32) {
+        assert!(
+            matches!(got, Err(MpiError::Integrity(_))),
+            "{what} of damaged envelope {tag}: {got:?}"
+        );
+    }
+
+    #[test]
+    fn a_damaged_envelope_is_an_integrity_error_on_receive() {
+        Universe::run_default(1, |proc| {
+            let world = proc.world();
+            world.set_errhandler(Errhandler::ErrorsReturn);
+            for (tag, payload) in damaged_envelopes() {
+                inject_damaged(&world, tag, payload);
+                let mut buf = [0u8; 1];
+                assert_integrity(world.recv_into(&mut buf, 0, tag), "recv", tag);
+            }
+        });
+    }
+
+    /// The probes read the envelope too: `iprobe` leaves a damaged message
+    /// queued (the receive then reports it as well), `mprobe` consumes it.
+    #[test]
+    fn probes_of_a_damaged_envelope_are_integrity_errors() {
+        Universe::run_default(1, |proc| {
+            let world = proc.world();
+            world.set_errhandler(Errhandler::ErrorsReturn);
+            for (tag, payload) in damaged_envelopes() {
+                inject_damaged(&world, tag, payload);
+                let mut buf = [0u8; 1];
+                if tag % 2 == 0 {
+                    assert_integrity(world.iprobe(0, tag), "iprobe", tag);
+                    assert_integrity(world.recv_into(&mut buf, 0, tag), "recv", tag);
+                } else {
+                    let got = world.mprobe(0, tag).and_then(|m| m.mrecv(&mut buf));
+                    assert_integrity(got, "mprobe", tag);
+                }
+                assert!(
+                    world.iprobe(0, tag).unwrap().is_none(),
+                    "tag {tag} left queued"
+                );
+            }
+        });
+    }
 
     #[test]
     fn send_opts_default_is_classic_path() {

@@ -225,10 +225,10 @@ fn zero_count_accumulate_family_is_invalid_count() {
 fn rma_at_dead_peer_fails_with_process_failed() {
     // Rank 1's kill budget admits window creation, the fence, and its two
     // farewell sends; rank 0's detection loop then burns the remainder
-    // (every packet touching the victim's endpoint counts) and drives
-    // failure detection through the reliability layer's retry budget,
-    // after which every RMA path — including lock acquisition and
-    // request-based ops — reports the dead target instead of hanging.
+    // (the first transmission of every data packet to or from the victim
+    // counts) and trips the switch, after which every RMA path —
+    // including lock acquisition and request-based ops — reports the
+    // dead target instead of hanging.
     let profile = ProviderProfile::infinite()
         .with_faults(FaultPlan::none().with_kill(1, 64))
         .with_reliability(ReliabilityConfig::on().with_retries(3, 50));

@@ -87,7 +87,7 @@ fn a_lock_freed_by_a_remote_unlock_wakes_its_waiter() {
 }
 
 /// Rank 0 parks in `recv` from rank 1. Rank 1's one packet goes to rank 2
-/// and trips its kill switch (a perfect fabric, no reliability layer):
+/// and trips its kill switch (no fault but the switch itself):
 /// rank 0 hears of the death only through the kill switch's event.
 #[test]
 fn a_receiver_parked_on_a_peer_wakes_when_its_kill_switch_trips() {

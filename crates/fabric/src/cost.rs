@@ -132,9 +132,11 @@ pub struct ProviderProfile {
     pub cost: NetCost,
     /// Deterministic fault-injection plan; [`FaultPlan::NONE`] (the
     /// default) leaves delivery byte- and charge-identical to a fabric
-    /// without fault support.
+    /// without fault support, and any other plan runs the reliability
+    /// protocol.
     pub faults: FaultPlan,
-    /// Software reliability protocol (seq/ack/retransmit); off by default.
+    /// Software reliability protocol (seq/ack/retransmit); off by default,
+    /// and on whenever `faults` is not empty.
     pub reliability: ReliabilityConfig,
     /// Event-tracing opt-in; [`TraceConfig::OFF`] (the default) keeps
     /// every event site down to one predictable branch, with charges and
@@ -271,6 +273,10 @@ impl ProviderProfile {
     }
 
     /// Copy of this profile with the given fault-injection plan active.
+    /// Any plan but [`FaultPlan::NONE`] (a kill switch alone included)
+    /// routes every packet over the reliable link, as [`Self::reliable`]
+    /// does, at the knobs of `reliability`: the faults are ones the
+    /// protocol repairs, never delivered raw.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
         self

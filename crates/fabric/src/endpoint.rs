@@ -36,7 +36,9 @@
 //! Every change that can complete something a rank waits on bumps the
 //! event count (`event_count.rs`) of the waiter's endpoint: a tagged
 //! delivery, an AM arrival, a peer declared dead, the kill switch, a
-//! job-wide countdown or abort, and, through [`Endpoint::signal_peer`],
+//! job-wide countdown or abort, the ACK that retires a link's last packet
+//! in flight (what [`Endpoint::quiesce`] waits for), and, through
+//! [`Endpoint::signal_peer`],
 //! what the layers above complete without a packet (a rendezvous pull, a
 //! freed RMA lock word, active messages handled by another thread of the
 //! rank, a revocation). An event count is an epoch and a count of
@@ -47,6 +49,19 @@
 //! for nobody. Every blocking call waits for them in
 //! [`Endpoint::wait_until`] (`wait.rs`), and a sleep ends only at an event
 //! or at a timer.
+//!
+//! ## Routing
+//!
+//! An endpoint is either unrouted — the perfect provider: a send hands the
+//! message straight to the peer's queues — or routed over the reliable
+//! link (sequence numbers, ACKs, retransmission, CRC), which a profile
+//! asks for with [`ProviderProfile::reliable`] or by carrying a fault plan.
+//! A fault plan's drops, duplicates, reorders and corruptions happen
+//! beneath the protocol, which repairs them; its kill switch counts the
+//! first transmissions of data packets to or from its victim. A plan's
+//! `reorder` parks a packet in its sender's stash, where the next packet
+//! on the same link overtakes it (the receiver's window buffers the gap
+//! and SACKs it), and the sender's next tick releases it otherwise.
 //!
 //! ## Reliability timers
 //!
@@ -69,6 +84,7 @@
 use crate::addr::NetAddr;
 use crate::event_count::EventCount;
 use crate::fabric::{Fabric, KillVerdict};
+use crate::fault::FaultPlan;
 use crate::matching::MatchEngine;
 use crate::packet::{AmMessage, PostedRecv, SlotLease, TaggedMessage};
 use crate::region::{MemoryRegion, RegionKey, RegistrationCache};
@@ -99,8 +115,8 @@ pub(crate) struct EndpointShared {
     /// Completion events: the epoch bumped on every delivery/arrival, and
     /// the waiters parked on it.
     pub(crate) events: EventCount,
-    /// Lossy/reliable-path state (fault RNGs, link state machines). Empty
-    /// and never locked when `routed` is false.
+    /// Reliable-link state (link state machines, fault RNGs). Empty and
+    /// never locked when `routed` is false.
     pub(crate) relia: Mutex<ReliaState>,
     /// Earliest-due word: a lower bound (fabric µs) on when `relia` next
     /// needs a tick, `0` for work due at once, `u64::MAX` for none. A tick
@@ -120,11 +136,12 @@ pub(crate) struct EndpointShared {
     /// pop, so that [`Endpoint::am_poll`] finds an empty queue with one
     /// Acquire load and no lock.
     am_pending: AtomicUsize,
-    /// Cached `profile.reliability.enabled`.
-    relia_enabled: bool,
-    /// Cached `!profile.faults.is_none()`.
-    lossy_enabled: bool,
-    /// `relia_enabled || lossy_enabled` — the single hoisted branch the
+    /// Does the fault plan alter packets (a drop, duplicate, reorder or
+    /// corrupt chance on some link)? When not, a transmission skips the
+    /// fault lock. The kill switch alone alters none.
+    lossy: bool,
+    /// Packets travel over the reliable link: the profile turns the
+    /// protocol on or carries a fault plan. The single hoisted branch the
     /// default fast path pays.
     pub(crate) routed: bool,
     /// Hoisted from the profile's trace opt-in: event sites cost one
@@ -147,8 +164,12 @@ pub(crate) struct EndpointShared {
 
 impl EndpointShared {
     pub(crate) fn new(profile: &ProviderProfile, addr: NetAddr) -> Self {
-        let relia_enabled = profile.reliability.enabled;
-        let lossy_enabled = !profile.faults.is_none();
+        let faults = profile.faults;
+        let lossy = !FaultPlan {
+            kill: None,
+            ..faults
+        }
+        .is_none();
         EndpointShared {
             tag: Mutex::new(MatchEngine::new(MatcherKind::Bucketed)),
             events: EventCount::new(),
@@ -156,9 +177,8 @@ impl EndpointShared {
             relia_due: AtomicU64::new(u64::MAX),
             am: Mutex::new(VecDeque::new()),
             am_pending: AtomicUsize::new(0),
-            relia_enabled,
-            lossy_enabled,
-            routed: relia_enabled || lossy_enabled,
+            lossy,
+            routed: profile.reliability.enabled || !faults.is_none(),
             trace_enabled: profile.trace.enabled,
             relia_deaths: AtomicU32::new(0),
             reg_cache: RegistrationCache::new(REG_CACHE_CAPACITY),
@@ -263,11 +283,12 @@ impl EndpointShared {
 
 // ---------------------------------------------------------- packet path
 //
-// When a profile enables fault injection and/or the reliability protocol,
-// tagged and active messages travel as [`WirePacket`]s through the
-// functions below instead of being handed straight to the peer's queues.
-// These are free functions over `&Fabric` (not `Endpoint` methods) so the
-// blocking wait loops can drive retransmission too.
+// When a profile turns the reliability protocol on or carries a fault
+// plan, tagged and active messages travel as [`WirePacket`]s over the
+// reliable link through the functions below instead of being handed
+// straight to the peer's queues. These are free functions over `&Fabric`
+// (not `Endpoint` methods) so the blocking wait loops can drive
+// retransmission too.
 //
 // Lock discipline: at most one endpoint's `relia` mutex is ever held, and
 // nothing is transmitted or checksummed while holding it; what the window
@@ -291,13 +312,13 @@ fn charge_checksum(body: &PacketBody) {
     );
 }
 
-/// Sender-side entry: run the reliability protocol (if enabled), then hand
-/// the packet to the fault layer.
+/// Sender-side entry: run the reliability protocol, then hand the packet
+/// to the fault layer as its first transmission.
 fn send_packet(fabric: &Fabric, src: NetAddr, dst: NetAddr, body: PacketBody) {
     let my = fabric.shared(src);
     let now = fabric.now_us();
-    let pkt = if my.relia_enabled {
-        let crc = Some(body.checksum());
+    let crc = Some(body.checksum());
+    let pkt = {
         let mut st = my.relia.lock();
         if st.is_dead(dst) {
             // The peer has been declared unreachable; injections toward it
@@ -323,32 +344,23 @@ fn send_packet(fabric: &Fabric, src: NetAddr, dst: NetAddr, body: PacketBody) {
             crc,
             body: Some(body),
         }
-    } else {
-        // Raw lossy mode: the packet is just a carrier for the fault layer.
-        WirePacket {
-            src,
-            seq: 0,
-            ack: None,
-            sack: 0,
-            crc: None,
-            body: Some(body),
-        }
     };
-    if my.relia_enabled {
-        // Blocking send loops never reach the progress engine, so the
-        // injection path itself must advance the retransmit clock. It does
-        // so before the packet goes out: a tick after `transmit` would
-        // release at once the reorder stash the packet may fill, and
-        // nothing could overtake it.
-        tick_relia(fabric, src, now);
-    }
-    transmit(fabric, src, dst, pkt);
+    // Blocking send loops never reach the progress engine, so the
+    // injection path itself must advance the retransmit clock. It does so
+    // before the packet goes out, and leaves the reorder stash toward
+    // `dst` to `transmit_live`, which delivers this packet ahead of it:
+    // a packet the stash holds is overtaken by the next one on its link.
+    tick_relia(fabric, src, now, Some(dst));
+    transmit(fabric, src, dst, pkt, true);
 }
 
 /// Fault layer: decide this packet's fate with the sender's per-link RNG,
-/// then deliver whatever survives.
-fn transmit(fabric: &Fabric, src: NetAddr, dst: NetAddr, pkt: WirePacket) {
-    match fabric.kill_packet(src, dst) {
+/// then deliver whatever survives. The kill switch counts `first`
+/// transmissions of data packets only — not resends, not ACKs — so that
+/// no timer or ACK schedule moves the packet that trips it; once it has
+/// tripped, every packet to or from the victim vanishes.
+fn transmit(fabric: &Fabric, src: NetAddr, dst: NetAddr, pkt: WirePacket, first: bool) {
+    match fabric.kill_packet(src, dst, first) {
         KillVerdict::Pass => transmit_live(fabric, src, dst, pkt),
         KillVerdict::Last => {
             transmit_live(fabric, src, dst, pkt);
@@ -363,7 +375,7 @@ fn transmit(fabric: &Fabric, src: NetAddr, dst: NetAddr, pkt: WirePacket) {
 /// [`transmit`] past the kill switch.
 fn transmit_live(fabric: &Fabric, src: NetAddr, dst: NetAddr, pkt: WirePacket) {
     let sender = fabric.shared(src);
-    if !sender.lossy_enabled {
+    if !sender.lossy {
         deliver_packet(fabric, dst, pkt);
         return;
     }
@@ -391,9 +403,9 @@ fn transmit_live(fabric: &Fabric, src: NetAddr, dst: NetAddr, pkt: WirePacket) {
             };
             let dup = rng.chance(spec.duplicate);
             if stashed.is_none() && rng.chance(spec.reorder) {
-                // Hold back until the next packet on this link or the
-                // sender's next tick (its next send, progress pass or
-                // wait), so that later packets can overtake this one.
+                // Hold back until the next packet on this link, which
+                // goes out ahead of it, or the sender's next tick (a send
+                // to another peer, a progress pass or a wait).
                 link.stash = Some(pkt);
                 held_back = true;
                 sender.lower_due(0);
@@ -423,18 +435,10 @@ fn transmit_live(fabric: &Fabric, src: NetAddr, dst: NetAddr, pkt: WirePacket) {
 /// work on whichever core touches the fabric).
 fn deliver_packet(fabric: &Fabric, dst: NetAddr, pkt: WirePacket) {
     let peer = fabric.shared(dst);
-    if !peer.relia_enabled {
-        // Raw lossy mode: deliver whatever survived the fault layer.
-        match pkt.body {
-            Some(PacketBody::Tagged(m)) => peer.deliver_tagged(m),
-            Some(PacketBody::Am(m)) => peer.deliver_am(m),
-            None => {}
-        }
-        return;
-    }
     let s = pkt.src.index();
     let src = pkt.src;
     let mut delivered = false;
+    let mut drained = false;
     let mut standalone_ack: Option<(u32, u64)> = None;
     let mut owes_ack = false;
     let crc = pkt.body.as_ref().map(PacketBody::checksum);
@@ -449,10 +453,13 @@ fn deliver_packet(fabric: &Fabric, dst: NetAddr, pkt: WirePacket) {
             charge(Category::Reliability, icost::relia::ACK_PROCESS);
             if link.tx.retires(cum) {
                 link.tx.on_ack(cum, fabric.now_us());
-                if let Some(due) = link.tx.due_at() {
+                match link.tx.due_at() {
                     // Progress re-arms the timer one RTO out, which can be
                     // sooner than a backed-off deadline.
-                    peer.lower_due(due);
+                    Some(due) => peer.lower_due(due),
+                    // The link's last packet in flight is acknowledged,
+                    // which a `quiesce` may be waiting for.
+                    None => drained = true,
                 }
             }
             if peer.trace_enabled {
@@ -504,10 +511,13 @@ fn deliver_packet(fabric: &Fabric, dst: NetAddr, pkt: WirePacket) {
                 owes_ack = link.rx.ack_owed > 0;
             }
         }
-        if owes_ack && !delivered {
-            // Nothing delivered, but the receiver now owes an ACK, which
-            // its own tick sends: wake it to re-read its timers.
-            peer.lower_due(0);
+        if !delivered && (owes_ack || drained) {
+            // Nothing delivered, so no delivery raised the event: the
+            // receiver now owes an ACK, which its own tick sends (wake it
+            // to re-read its timers), or its link has drained.
+            if owes_ack {
+                peer.lower_due(0);
+            }
             peer.bump_event();
         }
     }
@@ -535,7 +545,7 @@ fn fast_resend(fabric: &Fabric, dst: NetAddr, src: NetAddr, cum: u32, sack: u64)
         wrap_resends(my, dst, src, link, lost, &mut resends);
     }
     for (to, p) in resends {
-        transmit(fabric, dst, to, p);
+        transmit(fabric, dst, to, p, false);
     }
 }
 
@@ -589,15 +599,16 @@ fn send_ack(fabric: &Fabric, from: NetAddr, to: NetAddr, cum: u32, sack: u64) {
         crc: None,
         body: None,
     };
-    transmit(fabric, from, to, pkt);
+    transmit(fabric, from, to, pkt, false);
 }
 
 /// Advance `addr`'s reliability clock: fire due retransmit timers, flush
-/// reorder stashes, emit owed standalone ACKs, and mark peers dead when
-/// their retry budget is exhausted. Called from the progress path
+/// reorder stashes (except the one toward `keep_stash`, which the caller's
+/// next packet overtakes), emit owed standalone ACKs, and mark peers dead
+/// when their retry budget is exhausted. Called from the progress path
 /// ([`Endpoint::pump`]), from the injection path, and from blocking wait
 /// loops. Before the earliest-due word it takes no lock.
-fn tick_relia(fabric: &Fabric, addr: NetAddr, now: u64) {
+fn tick_relia(fabric: &Fabric, addr: NetAddr, now: u64, keep_stash: Option<NetAddr>) {
     let my = fabric.shared(addr);
     if now < my.relia_due.load(Ordering::Relaxed) {
         // Every site that makes work due must have lowered the word under
@@ -622,18 +633,16 @@ fn tick_relia(fabric: &Fabric, addr: NetAddr, now: u64) {
     let mut newly_dead: Vec<NetAddr> = Vec::new();
     {
         let mut st = my.relia.lock();
-        let relia_on = st.cfg.enabled;
         // Only resident links can carry work: a peer with no link has no
         // stash, no retransmit queue, and no ACK debt — so the tick is
         // O(active peers), not O(ranks). `BTreeMap` iteration is ascending
         // by peer, the same order the dense sweep used.
         for (d, link) in st.links_mut() {
-            if let Some(p) = link.stash.take() {
-                // Already passed its fault rolls; deliver directly.
-                stash_flush.push((d, p));
-            }
-            if !relia_on {
-                continue;
+            if keep_stash != Some(d) {
+                if let Some(p) = link.stash.take() {
+                    // Already passed its fault rolls; deliver directly.
+                    stash_flush.push((d, p));
+                }
             }
             match link.tx.tick(now) {
                 TxTick::Idle => {}
@@ -655,7 +664,7 @@ fn tick_relia(fabric: &Fabric, addr: NetAddr, now: u64) {
         deliver_packet(fabric, d, p);
     }
     for (d, p) in resends {
-        transmit(fabric, addr, d, p);
+        transmit(fabric, addr, d, p, false);
     }
     for (d, cum, sack) in acks {
         send_ack(fabric, addr, d, cum, sack);
@@ -675,7 +684,7 @@ fn tick_relia(fabric: &Fabric, addr: NetAddr, now: u64) {
 /// [`Endpoint::pump`] of `addr`.
 fn pump(fabric: &Fabric, addr: NetAddr) {
     if fabric.shared(addr).routed {
-        tick_relia(fabric, addr, fabric.now_us());
+        tick_relia(fabric, addr, fabric.now_us(), None);
     }
 }
 
@@ -859,7 +868,7 @@ impl Endpoint {
     }
 
     /// Advance the reliability clock (retransmits, reorder-stash flushes,
-    /// owed ACKs). A no-op outside fault/reliable modes. Progress engines
+    /// owed ACKs). A no-op on an unrouted endpoint. Progress engines
     /// above the fabric call this from their polling loops: what this
     /// endpoint holds back — a packet in its reorder stash, an owed ACK —
     /// goes out only on its own tick, so a peer's posted receive can wait
@@ -885,41 +894,35 @@ impl Endpoint {
     /// Drive the reliability layer until none of this endpoint's injected
     /// packets await acknowledgment (or their peers are dead), no reorder
     /// stash is pending, and no ACK debt is owed to any peer. A no-op on a
-    /// perfect fabric. Ranks call this before tearing down so
-    /// locally-completed eager sends reach their destination — the
-    /// delivery guarantee MPI requires of its transport — and so peers
-    /// still draining are not starved of the ACKs they need to stop
-    /// retransmitting. It changes no link: every link lives as long as
-    /// the endpoint, so traffic after a `quiesce` continues both sequence
-    /// spaces and the fault stream where they stopped.
+    /// perfect fabric, and on an endpoint the kill switch took down (or in
+    /// an aborted job): nothing it sends can be acknowledged. Ranks call
+    /// this before tearing down so locally-completed eager sends reach
+    /// their destination — the delivery guarantee MPI requires of its
+    /// transport — and so peers still draining are not starved of the ACKs
+    /// they need to stop retransmitting. It waits like any blocking call:
+    /// the ACK that retires a link's last packet in flight raises this
+    /// endpoint's event, and its retransmit timers bound every sleep. It
+    /// changes no link: every link lives as long as the endpoint, so
+    /// traffic after a `quiesce` continues both sequence spaces and the
+    /// fault stream where they stopped.
+    #[track_caller]
     pub fn quiesce(&self) {
-        let my = self.shared(self.addr);
+        let (fabric, addr) = (&self.fabric, self.addr);
+        let my = self.shared(addr);
         if !my.routed {
             return;
         }
-        loop {
-            if self.fabric.job_aborted() {
-                // Nobody is left to acknowledge anything.
-                return;
-            }
-            tick_relia(&self.fabric, self.addr, self.fabric.now_us());
-            let st = my.relia.lock();
-            let busy = st.links().any(|(d, link)| {
-                (!link.tx.dead && !self.fabric.endpoint_killed(d) && link.tx.in_flight() > 0)
+        let gone = || fabric.job_aborted() || fabric.endpoint_killed(addr);
+        let busy = || {
+            my.relia.lock().links().any(|(d, link)| {
+                (!link.tx.dead && !fabric.endpoint_killed(d) && link.tx.in_flight() > 0)
                     || link.stash.is_some()
                     || link.rx.ack_owed > 0
-            });
-            if !busy {
-                return;
-            }
-            drop(st);
-            // A polling loop, not an event wait: the ACK that retires the
-            // last packet in flight raises no event, so a worker must not
-            // sleep while one of its ranks drains.
-            if !crate::task::pause(true) {
-                std::thread::yield_now();
-            }
-        }
+            })
+        };
+        let tick = || tick_relia(fabric, addr, fabric.now_us(), None);
+        tick();
+        my.wait_until(fabric, tick, || (gone() || !busy()).then_some(()));
     }
 
     // -------------------------------------------------------------------- AM
@@ -1549,6 +1552,34 @@ mod tests {
         }
     }
 
+    /// The next packet on a link overtakes the one its stash holds, so the
+    /// receiver's window buffers an out-of-order arrival (its reorder
+    /// buffer keeps the allocation it took for it) and still releases
+    /// every message once and in order. The injection tick must leave the
+    /// stash toward the send's destination alone for that.
+    #[test]
+    fn reorder_lets_a_links_next_packet_overtake_its_stash() {
+        let f = Fabric::new(2, reordering_profile(0xFEED), Topology::single_node(2));
+        let a = f.endpoint(NetAddr(0));
+        let b = f.endpoint(NetAddr(1));
+        const N: u64 = 200;
+        for i in 0..N {
+            a.tsend(NetAddr(1), 7, Bytes::copy_from_slice(&i.to_le_bytes()));
+        }
+        let window = || {
+            let st = f.shared(NetAddr(1)).relia.lock();
+            st.link(NetAddr(0)).map_or(0, |l| l.rx.resident_bytes())
+        };
+        assert!(window() > 0, "no arrival was ever buffered out of order");
+        for i in 0..N {
+            let m = pumped_recv(&[&a], &b, 7, 0);
+            assert_eq!(u64::from_le_bytes(m.data[..].try_into().unwrap()), i);
+        }
+        a.quiesce();
+        b.quiesce();
+        assert!(b.tpeek(0, u64::MAX).is_none(), "a message arrived twice");
+    }
+
     #[test]
     fn reorder_wildcard_sees_all_messages() {
         let f = Fabric::new(3, reordering_profile(7), Topology::single_node(3));
@@ -1803,23 +1834,28 @@ mod tests {
         assert!(b.stats().crc_failures > 0, "corruption never hit");
     }
 
+    /// A fault plan without `.reliable()` runs the reliable link: there is
+    /// no mode that injects faults and leaves them unrepaired.
     #[test]
-    fn raw_lossy_mode_loses_messages() {
-        // Faults without the reliability protocol: the fabric visibly
-        // misbehaves (this is the mode the chaos tests protect against).
+    fn a_fault_plan_alone_rides_the_reliable_link() {
         let plan = FaultPlan::uniform(3, FaultSpec::percent(50, 0, 0, 0));
         let profile = ProviderProfile::infinite().with_faults(plan);
         let f = Fabric::new(2, profile, Topology::single_node(2));
         let a = f.endpoint(NetAddr(0));
         let b = f.endpoint(NetAddr(1));
+        const TAG: u64 = 5;
         for i in 0..100u64 {
-            a.tsend(NetAddr(1), i, Bytes::new());
+            a.tsend(NetAddr(1), TAG, Bytes::copy_from_slice(&i.to_le_bytes()));
         }
-        let delivered = (0..100u64)
-            .filter(|_| b.trecv_post(0, u64::MAX).poll().is_some())
-            .count();
-        assert!(delivered < 100, "50% drop lost nothing");
-        assert!(a.stats().faults_dropped > 0);
+        // One tag: the receives match in arrival order.
+        for i in 0..100u64 {
+            let m = pumped_recv(&[&a], &b, TAG, 0);
+            assert_eq!(u64::from_le_bytes(m.data[..].try_into().unwrap()), i);
+        }
+        a.quiesce();
+        b.quiesce();
+        assert!(b.tpeek(0, u64::MAX).is_none(), "a message arrived twice");
+        assert!(a.stats().faults_dropped > 0, "the plan dropped nothing");
     }
 
     #[test]
@@ -1843,16 +1879,13 @@ mod tests {
         assert!(b.stats().acks_sent > 0, "no standalone ACKs generated");
     }
 
-    /// The base RTO is 10 ms so that no retransmit, which the kill switch
-    /// counts like any packet, fires while the first three go through: a
-    /// cold debug build once took over 50 µs between two of them, the
-    /// switch tripped early and the receive of the third never ended.
+    /// The switch counts first transmissions of data packets only, so no
+    /// retransmit or ACK can trip it early: it trips on the fifth data
+    /// packet, the second of the second burst.
     #[test]
     fn kill_switch_makes_peer_unreachable() {
         let plan = FaultPlan::none().with_kill(1, 5);
-        let profile = ProviderProfile::infinite()
-            .with_faults(plan)
-            .with_reliability(ReliabilityConfig::on().with_retries(3, 10_000));
+        let profile = ProviderProfile::infinite().with_faults(plan);
         let f = Fabric::new(2, profile, Topology::single_node(2));
         let a = f.endpoint(NetAddr(0));
         let b = f.endpoint(NetAddr(1));
@@ -1862,8 +1895,7 @@ mod tests {
             a.tsend(NetAddr(1), i, Bytes::new());
         }
         let _ = pumped_recv_all(&a, &b, 0, 3);
-        // ...then the victim dies mid-run (ACK traffic counts against the
-        // switch too), and the sender sees it.
+        // ...then the victim dies mid-run, and the sender sees it.
         for i in 3..20u64 {
             a.tsend(NetAddr(1), i, Bytes::new());
         }
@@ -2036,7 +2068,7 @@ mod tests {
         let (f, a, _b) = reliable_pair();
         // Delivered, and unacknowledged: ACKs go every fourth delivery.
         a.tsend(NetAddr(1), 7, Bytes::from_static(b"x"));
-        tick_relia(&f, NetAddr(0), f.now_us() + 1_000_000);
+        tick_relia(&f, NetAddr(0), f.now_us() + 1_000_000, None);
         assert_eq!(a.stats().retransmits, 1, "the armed timer fires");
     }
 
@@ -2044,7 +2076,7 @@ mod tests {
     fn relia_tick_word_acts_on_ack_debt_left_by_a_delivery() {
         let (f, a, b) = reliable_pair();
         a.tsend(NetAddr(1), 7, Bytes::from_static(b"x"));
-        tick_relia(&f, NetAddr(1), f.now_us());
+        tick_relia(&f, NetAddr(1), f.now_us(), None);
         assert_eq!(b.stats().acks_sent, 1, "the owed ACK goes out");
     }
 
@@ -2052,13 +2084,13 @@ mod tests {
     fn relia_tick_word_acts_on_ack_debt_left_by_a_duplicate() {
         let (f, a, b) = reliable_pair();
         a.tsend(NetAddr(1), 7, Bytes::from_static(b"x"));
-        tick_relia(&f, NetAddr(1), f.now_us());
+        tick_relia(&f, NetAddr(1), f.now_us(), None);
         assert_eq!(b.stats().acks_sent, 1);
         // The ACK is lost, so the sender's timer resends: the receiver
         // drops the duplicate and owes another ACK.
-        tick_relia(&f, NetAddr(0), f.now_us() + 1_000_000);
+        tick_relia(&f, NetAddr(0), f.now_us() + 1_000_000, None);
         assert_eq!(b.stats().dup_dropped, 1);
-        tick_relia(&f, NetAddr(1), f.now_us());
+        tick_relia(&f, NetAddr(1), f.now_us(), None);
         assert_eq!(b.stats().acks_sent, 2, "the owed ACK goes out");
     }
 
@@ -2069,7 +2101,7 @@ mod tests {
         a.tsend(NetAddr(1), 7, Bytes::from_static(b"y"));
         // A timer round backs the deadline off to a second from now ...
         let late = f.now_us() + 1_000_000;
-        tick_relia(&f, NetAddr(0), late);
+        tick_relia(&f, NetAddr(0), late, None);
         assert_eq!(a.stats().retransmits, 2);
         // ... and an ACK for the first packet re-arms it one RTO out.
         let ack = WirePacket {
@@ -2081,14 +2113,13 @@ mod tests {
             body: None,
         };
         deliver_packet(&f, NetAddr(0), ack);
-        tick_relia(&f, NetAddr(0), f.now_us() + 10_000);
+        tick_relia(&f, NetAddr(0), f.now_us() + 10_000, None);
         assert_eq!(a.stats().retransmits, 3, "the re-armed timer fires");
     }
 
     #[test]
     fn relia_tick_word_acts_on_a_reorder_stash() {
-        // Faults without the protocol: the stash is the only work a tick
-        // can find.
+        // A reorder-only plan: the stash is the only work due at once.
         let always = FaultPlan::uniform(1, FaultSpec::percent(0, 0, 100, 0));
         let f = Fabric::new(
             2,
@@ -2098,7 +2129,7 @@ mod tests {
         let (a, b) = (f.endpoint(NetAddr(0)), f.endpoint(NetAddr(1)));
         a.tsend(NetAddr(1), 7, Bytes::from_static(b"x"));
         assert!(b.tpeek(7, 0).is_none(), "held back");
-        tick_relia(&f, NetAddr(0), f.now_us());
+        tick_relia(&f, NetAddr(0), f.now_us(), None);
         assert!(b.tpeek(7, 0).is_some(), "the tick flushes the stash");
     }
 }

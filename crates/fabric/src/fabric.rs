@@ -40,7 +40,8 @@ pub struct Fabric {
     /// The reliability layer's clock ([`Fabric::now_us`]), zero at the
     /// fabric's creation instant ([`Fabric::epoch`]).
     clock: Clock,
-    /// Packets the kill-switch victim has touched so far.
+    /// Data packets sent by or to the kill-switch victim so far (first
+    /// transmissions only: [`Fabric::kill_packet`]).
     kill_count: AtomicU64,
     /// Set once the kill switch has fired (the victim is off the fabric).
     kill_tripped: AtomicBool,
@@ -114,8 +115,10 @@ impl Fabric {
         self.trace_enabled
     }
 
-    /// Account one packet against the kill switch.
-    pub(crate) fn kill_packet(&self, src: NetAddr, dst: NetAddr) -> KillVerdict {
+    /// Account one packet against the kill switch. Only a data packet's
+    /// `first` transmission counts; a resend or an ACK passes until the
+    /// switch has tripped, and vanishes after.
+    pub(crate) fn kill_packet(&self, src: NetAddr, dst: NetAddr, first: bool) -> KillVerdict {
         let Some(k) = self.profile.faults.kill else {
             return KillVerdict::Pass;
         };
@@ -124,6 +127,9 @@ impl Fabric {
         }
         if self.kill_tripped.load(Ordering::Acquire) {
             return KillVerdict::Dead;
+        }
+        if !first {
+            return KillVerdict::Pass;
         }
         let n = self.kill_count.fetch_add(1, Ordering::AcqRel) + 1;
         if n >= k.after_packets {

@@ -7,7 +7,11 @@
 //! to misbehave: a [`FaultPlan`] describes *how* (drop / duplicate /
 //! reorder / corrupt probabilities, per-link overrides, and a "kill
 //! endpoint N after k packets" switch), all driven by a seeded
-//! deterministic RNG so every failure run is replayable.
+//! deterministic RNG so every failure run is replayable. The faults land
+//! under the reliability protocol (`reliability.rs`): a profile that
+//! carries a plan other than [`FaultPlan::NONE`] routes every packet over
+//! the reliable link, so a fault is one the protocol repairs or, once a
+//! link's retry budget runs out, reports as a dead peer.
 //!
 //! A plan is carried by value inside [`ProviderProfile`]
 //! (which is `Copy + PartialEq` with `const fn` constructors), so every
@@ -84,14 +88,17 @@ pub struct LinkOverride {
     pub spec: FaultSpec,
 }
 
-/// "Kill endpoint N after k packets": once `after_packets` packets involving
-/// the victim (sent by it or addressed to it) have crossed the fabric, every
-/// subsequent such packet vanishes — modeling a node death / link down.
+/// "Kill endpoint N after k packets": the `after_packets`-th data packet
+/// sent by the victim or addressed to it goes through, and from then on
+/// every packet to or from it vanishes — modeling a node death / link
+/// down. Only a data packet's first transmission counts: retransmits and
+/// ACKs do not, so no timer or ACK schedule moves the packet that trips
+/// the switch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KillSwitch {
     /// The endpoint to kill.
     pub endpoint: u32,
-    /// How many packets it may touch before dying.
+    /// How many data packets it may send or be sent before dying.
     pub after_packets: u64,
 }
 
@@ -156,7 +163,12 @@ impl FaultPlan {
         self
     }
 
-    /// Copy of this plan with the kill switch armed.
+    /// Copy of this plan with the kill switch armed: the victim
+    /// `endpoint` dies once its `after_packets`-th data packet (sent or
+    /// received, first transmissions only — see [`KillSwitch`]) has been
+    /// delivered. A plan with only a kill switch routes over the reliable
+    /// link like any other non-empty plan, with no packet dropped,
+    /// duplicated, reordered or corrupted before the switch trips.
     pub const fn with_kill(mut self, endpoint: u32, after_packets: u64) -> FaultPlan {
         self.kill = Some(KillSwitch {
             endpoint,

@@ -39,9 +39,13 @@
 //! ## The thread cache
 //!
 //! In front of each size class's shared list (a lock and a `Vec`) every
-//! thread keeps a cache of its own, one entry per pool it uses (up to
-//! [`POOLS_PER_THREAD`]; a thread that alternates between pools hits on
-//! each). A take pops the cache first and falls back to the shared list,
+//! thread keeps a cache of its own: one entry, for the pool it used last.
+//! The library builds one pool per fabric (`Fabric::new`) and a worker
+//! thread serves one job, so a thread meets one live pool at a time; a
+//! take or release for another pool replaces the entry, and the old one
+//! hands its buffers to its own pool's shared lists, where that pool's
+//! next take on this thread finds them. A take pops the cache first and
+//! falls back to the shared list,
 //! so storage released on another thread is still reused; a release
 //! keeps the buffer in the cache while there is room and files it on the
 //! shared list otherwise. The cache follows the rule
@@ -62,9 +66,9 @@
 //! still names it, and storage cached for one pool is never served to
 //! another (per-fabric [`PoolStats`] stay exact). Storage cached for a
 //! pool that is gone is freed: on the dropping thread at once, on other
-//! threads when they next install an entry or exit. An entry that is
-//! dropped while its pool lives (its thread exits, or it is evicted)
-//! hands its buffers to the shared lists.
+//! threads when another pool replaces their entry or they exit. An entry
+//! that is dropped while its pool lives (its thread exits, or another
+//! pool replaces it) hands its buffers to the shared lists.
 //!
 //! The counters are per-thread tallies too, one per entry, written only by
 //! their thread (a load and a store) and summed by
@@ -99,12 +103,6 @@ pub const CLASS_SIZES: &[usize] = &[
 /// Maximum buffers of one class a thread sees retained — its cache and the
 /// shared list together; beyond this, releases free.
 const CLASS_DEPTH: usize = 64;
-
-/// Pools one thread caches for at once; the oldest entry is retired to
-/// make room for a ninth. The count was sized for one fabric's per-channel
-/// pools, which are gone; whether any workload still has a thread touch
-/// more than one live pool is unmeasured.
-const POOLS_PER_THREAD: usize = 8;
 
 const N_CLASSES: usize = CLASS_SIZES.len();
 
@@ -364,44 +362,37 @@ impl Drop for Entry {
     }
 }
 
-/// This thread's cache entries, oldest first. Boxed, so that no
-/// allocation the cache makes is large: an inline table (2 KiB for four
-/// entries), allocated on a worker thread at its first take, split the
-/// hole a freed 1 MiB RMA window had left in that thread's malloc arena,
-/// and the next window grew the heap (`rma_mix` peak RSS +20 %).
+/// This thread's cache entry, for the pool it used last. It lives in the
+/// thread-local block, so installing one allocates nothing large: a 2 KiB
+/// heap table of entries, allocated on a worker thread at its first take,
+/// once split the hole a freed 1 MiB RMA window had left in that thread's
+/// malloc arena, and the next window grew the heap (`rma_mix` peak RSS
+/// +20 %).
 struct ThreadCache {
-    #[allow(clippy::vec_box)] // the box is the point: see above
-    entries: Vec<Box<Entry>>,
+    entry: Option<Entry>,
 }
 
 impl ThreadCache {
-    /// `pool`'s entry, installed if this thread has none.
+    /// `pool`'s entry, which replaces this thread's entry for another pool.
     #[inline]
     fn entry(&mut self, pool: &Arc<Shared>) -> &mut Entry {
-        let i = match self.entries.iter().position(|e| e.serves(pool)) {
-            Some(i) => i,
-            None => self.install(pool),
-        };
-        &mut self.entries[i]
+        if !self.entry.as_ref().is_some_and(|e| e.serves(pool)) {
+            self.install(pool);
+        }
+        self.entry.as_mut().expect("installed above")
     }
 
     #[cold]
-    fn install(&mut self, pool: &Arc<Shared>) -> usize {
-        // Free what is cached for pools that are gone, and make room by
-        // retiring the oldest entry.
-        self.entries.retain(|e| e.pool.strong_count() > 0);
-        if self.entries.len() == POOLS_PER_THREAD {
-            self.entries.remove(0);
-        }
-        self.entries.push(Box::new(Entry::new(pool)));
-        self.entries.len() - 1
+    fn install(&mut self, pool: &Arc<Shared>) {
+        // The old entry goes first: its buffers return to its pool's
+        // shared lists, or are freed if that pool is gone.
+        self.entry = None;
+        self.entry = Some(Entry::new(pool));
     }
 }
 
 thread_local! {
-    static CACHE: RefCell<ThreadCache> = const {
-        RefCell::new(ThreadCache { entries: Vec::new() })
-    };
+    static CACHE: RefCell<ThreadCache> = const { RefCell::new(ThreadCache { entry: None }) };
 }
 
 /// Run `f` on this thread's entry for `pool`; a thread tearing down its
@@ -432,10 +423,12 @@ pub struct PayloadPool {
 impl Drop for PayloadPool {
     fn drop(&mut self) {
         // Free what this thread caches for the pool now; other threads
-        // free theirs when they next install an entry or exit.
+        // free theirs when another pool replaces their entry or they exit.
         let _ = CACHE.try_with(|cache| {
             if let Ok(mut cache) = cache.try_borrow_mut() {
-                cache.entries.retain(|e| !e.serves(&self.shared));
+                if cache.entry.as_ref().is_some_and(|e| e.serves(&self.shared)) {
+                    cache.entry = None;
+                }
             }
         });
     }
@@ -643,7 +636,7 @@ impl PayloadPool {
     fn cached(&self, class: usize) -> usize {
         CACHE.with(|cache| {
             let cache = cache.borrow();
-            let entry = cache.entries.iter().find(|e| e.serves(&self.shared));
+            let entry = cache.entry.as_ref().filter(|e| e.serves(&self.shared));
             entry.map_or(0, |e| e.classes[class].len())
         })
     }
@@ -654,10 +647,10 @@ impl PayloadPool {
     }
 }
 
-/// Pools this thread has cache entries for, live or gone.
+/// Does this thread hold a cache entry (for a live pool or a gone one)?
 #[cfg(test)]
-fn entries_here() -> usize {
-    CACHE.with(|cache| cache.borrow().entries.len())
+fn entry_here() -> bool {
+    CACHE.with(|cache| cache.borrow().entry.is_some())
 }
 
 #[cfg(test)]
@@ -875,33 +868,38 @@ mod tests {
     }
 
     #[test]
-    fn a_thread_alternating_between_pools_hits_each_in_its_cache() {
-        // As many pools as a thread caches for at once.
-        let pools: Vec<_> = (0..POOLS_PER_THREAD).map(|_| PayloadPool::new()).collect();
-        for pool in &pools {
-            pool.release(pool.take(64).freeze());
-        }
-        for _ in 0..100 {
-            for pool in &pools {
-                let b = pool.take(64);
-                assert!(b.was_recycled());
-                pool.release(b.freeze());
-            }
-        }
-        for pool in &pools {
-            assert_eq!(
-                (pool.cached(0), pool.listed(0)),
-                (1, 0),
-                "kept in this thread's cache"
-            );
-            let s = pool.stats();
-            assert_eq!((s.takes, s.hits, s.recycled), (101, 100, 101));
-        }
+    fn a_thread_switching_pools_hands_the_old_entrys_buffers_to_its_pool() {
+        let (a, b) = (PayloadPool::new(), PayloadPool::new());
+        let first = a.take(64).freeze();
+        let at = addr(&first);
+        a.release(first);
+        assert_eq!(
+            (a.cached(0), a.listed(0)),
+            (1, 0),
+            "kept in this thread's cache"
+        );
+        // `b` replaces the entry: `a`'s buffer goes to `a`'s shared list.
+        b.release(b.take(64).freeze());
+        assert_eq!((a.cached(0), a.listed(0)), (0, 1));
+        assert_eq!((b.cached(0), b.listed(0)), (1, 0));
+        // Back on `a`, the take finds it there without allocating, and
+        // `b`'s buffer goes to `b`'s list in turn.
+        litempi_instr::reset();
+        let again = a.take(64);
+        assert!(again.was_recycled());
+        assert_eq!(litempi_instr::alloc_count(), 0);
+        assert_eq!(addr(&again.freeze()), at);
+        assert_eq!((b.cached(0), b.listed(0)), (0, 1));
+        // The tallies of replaced entries still count.
+        let s = a.stats();
+        assert_eq!((s.takes, s.hits, s.recycled), (2, 1, 1));
+        let s = b.stats();
+        assert_eq!((s.takes, s.hits, s.recycled), (1, 0, 1));
     }
 
     #[test]
     fn a_new_pool_is_never_served_another_pools_storage_and_gets_the_cache() {
-        // On a thread of its own: the test counts this thread's entries.
+        // On a thread of its own: the test looks at this thread's entry.
         std::thread::spawn(|| {
             use crate::{Fabric, ProviderProfile, Topology};
             // The fabric's pool, then a pool of its own, on one thread.
@@ -922,7 +920,7 @@ mod tests {
             drop(other);
             // Dropping a pool frees what this thread cached for it.
             drop(fabric);
-            assert_eq!(entries_here(), 0);
+            assert!(!entry_here());
             let pool = PayloadPool::new();
             let b = pool.take(64);
             assert!(!b.was_recycled(), "a fresh pool has nothing to serve");
@@ -931,19 +929,15 @@ mod tests {
             assert!(pool.take(64).was_recycled());
             let s = pool.stats();
             assert_eq!((s.takes, s.hits, s.recycled), (2, 1, 1));
-            // A pool dropped on another thread: this thread frees its entry
-            // when it next installs one.
+            // A pool dropped on another thread: this thread's entry for it
+            // stays until the next pool replaces it, which is served none
+            // of its storage.
             let elsewhere = PayloadPool::new();
             elsewhere.release(elsewhere.take(64).freeze());
-            assert_eq!(entries_here(), 2);
             std::thread::scope(|s| s.spawn(move || drop(elsewhere)).join().expect("dropped"));
+            assert!(entry_here());
             let third = PayloadPool::new();
-            drop(third.take(64));
-            assert_eq!(
-                entries_here(),
-                2,
-                "`pool` and `third`; the dead entry is gone"
-            );
+            assert!(!third.take(64).was_recycled());
         })
         .join()
         .expect("no assertion failed");

@@ -50,8 +50,9 @@ use std::collections::{BTreeMap, VecDeque};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReliabilityConfig {
     /// Run the seq/ack/retransmit protocol on every tagged and active
-    /// message. When `false` the fabric behaves exactly as before this
-    /// layer existed (and faults, if any, are delivered raw).
+    /// message. When `false` and the profile's fault plan is empty, the
+    /// fabric behaves exactly as before this layer existed; a non-empty
+    /// fault plan runs the protocol, at these knobs, either way.
     pub enabled: bool,
     /// Retransmission rounds without progress before the peer is declared
     /// unreachable. A link whose estimated RTO is below `base_rto_us` runs
@@ -67,27 +68,18 @@ pub struct ReliabilityConfig {
     pub min_rto_us: u64,
     /// Upper clamp on the estimated RTO (µs).
     pub max_rto_us: u64,
-    /// Cap on packets re-issued per retransmission-timer round
-    /// (congestion-window style), so a round cannot amplify a reorder
-    /// storm into a burst the size of the whole unacked queue. `0` means
-    /// unlimited.
-    pub retransmit_budget: u32,
 }
 
 impl ReliabilityConfig {
-    /// Protocol off — the default for every provider profile.
+    /// Protocol off — the default for every provider profile. Its knobs
+    /// are [`ReliabilityConfig::on`]'s, which a fault plan runs with.
     pub const OFF: ReliabilityConfig = ReliabilityConfig {
         enabled: false,
-        max_retries: 8,
-        base_rto_us: 200,
-        min_rto_us: 50,
-        max_rto_us: 20_000,
-        retransmit_budget: 16,
+        ..ReliabilityConfig::on()
     };
 
     /// Protocol on with default knobs (8 retries, 200 µs initial RTO,
-    /// 64-packet window, estimated RTO in [50 µs, 100 ms] with a 16-packet
-    /// retransmit budget).
+    /// 64-packet window, estimated RTO in [50 µs, 100 ms]).
     pub const fn on() -> ReliabilityConfig {
         ReliabilityConfig {
             enabled: true,
@@ -95,7 +87,6 @@ impl ReliabilityConfig {
             base_rto_us: 200,
             min_rto_us: 50,
             max_rto_us: 100_000,
-            retransmit_budget: 16,
         }
     }
 
@@ -112,13 +103,6 @@ impl ReliabilityConfig {
         self.max_rto_us = max_us;
         self
     }
-
-    /// Copy of this config with the per-round retransmit cap replaced
-    /// (`0` = unlimited, the pre-budget behavior).
-    pub const fn with_retransmit_budget(mut self, budget: u32) -> ReliabilityConfig {
-        self.retransmit_budget = budget;
-        self
-    }
 }
 
 /// Cap on the exponential-backoff exponent (timeout ≤ base << cap).
@@ -127,6 +111,11 @@ const MAX_BACKOFF_EXP: u32 = 6;
 /// Owe a standalone ACK after this many unacknowledged deliveries (ticks
 /// flush the debt earlier; this bounds it between ticks).
 pub(crate) const ACK_EVERY: u32 = 4;
+
+/// Cap on packets re-issued per retransmission-timer round
+/// (congestion-window style), so a round cannot amplify a reorder storm
+/// into a burst the size of the whole unacked queue.
+const RETRANSMIT_BUDGET: usize = 16;
 
 /// Out-of-order buffering window (packets) per link; arrivals beyond it
 /// are dropped and recovered by retransmission. The SACK bitmap covers it.
@@ -307,7 +296,6 @@ pub(crate) struct LinkTx {
     max_retries: u32,
     min_rto_us: u64,
     max_rto_us: u64,
-    retransmit_budget: u32,
     /// Smoothed RTT × 8 (RFC 6298's scaled-integer form; the ×8 keeps the
     /// 1/8-gain update exact without floats).
     srtt_x8: u64,
@@ -375,7 +363,6 @@ impl LinkTx {
             max_retries: cfg.max_retries,
             min_rto_us: cfg.min_rto_us,
             max_rto_us: cfg.max_rto_us,
-            retransmit_budget: cfg.retransmit_budget,
             srtt_x8: 0,
             rttvar_x4: 0,
             has_rtt_sample: false,
@@ -533,15 +520,11 @@ impl LinkTx {
         // capped by the retransmit budget: the front packets are the ones
         // blocking the receiver's window, and a bounded burst cannot
         // amplify a reorder storm.
-        let cap = match self.retransmit_budget {
-            0 => usize::MAX,
-            b => b as usize,
-        };
         self.last_rexmit_at_us = now_us;
         let sacked = self.sacked;
         let batch: Vec<Pending> = (self.queue.iter_mut().enumerate())
             .filter(|(p, _)| !is_sacked(sacked, *p))
-            .take(cap)
+            .take(RETRANSMIT_BUDGET)
             .map(|(_, pkt)| {
                 pkt.rexmit = true;
                 pkt.clone()
@@ -740,16 +723,15 @@ impl Link {
     }
 }
 
-/// Everything one endpoint tracks for the lossy/reliable path, behind a
-/// single mutex (untouched — and empty — when both faults and reliability
-/// are disabled). Link state is sparse: a peer costs nothing until the
-/// first packet crosses its link, and a link, once built, lives as long as
-/// its endpoint.
+/// Everything one endpoint tracks for the reliable link, behind a single
+/// mutex (untouched — and empty — on an unrouted endpoint). Link state is
+/// sparse: a peer costs nothing until the first packet crosses its link,
+/// and a link, once built, lives as long as its endpoint.
 #[derive(Debug)]
 pub(crate) struct ReliaState {
-    pub cfg: ReliabilityConfig,
-    /// `cfg.enabled || faults active` — whether this domain routes at all.
-    active: bool,
+    /// The protocol's knobs (its `enabled` flag is not consulted: an
+    /// endpoint that routes runs the protocol).
+    cfg: ReliabilityConfig,
     /// Owning endpoint (link seeds and specs are per directed link).
     addr: NetAddr,
     /// The fabric's fault plan; `link_seed`/`spec_for` are pure per-link
@@ -767,10 +749,8 @@ impl ReliaState {
     /// 4096-rank fabric with 2-neighbor traffic holds 2 links per
     /// endpoint, not 4096.
     pub(crate) fn new(profile: &ProviderProfile, addr: NetAddr) -> ReliaState {
-        let cfg = profile.reliability;
         ReliaState {
-            cfg,
-            active: cfg.enabled || !profile.faults.is_none(),
+            cfg: profile.reliability,
             addr,
             faults: profile.faults,
             links: BTreeMap::new(),
@@ -781,10 +761,6 @@ impl ReliaState {
     /// spaces start at 0 and the fault stream at the deterministic per-link
     /// seed.
     pub(crate) fn link_mut(&mut self, peer: NetAddr) -> &mut Link {
-        debug_assert!(
-            self.active,
-            "inactive reliability domains never route packets"
-        );
         let (cfg, addr, faults) = (&self.cfg, self.addr, &self.faults);
         self.links.entry(peer.0).or_insert_with(|| Link {
             tx: LinkTx::new(cfg),
@@ -805,13 +781,12 @@ impl ReliaState {
     /// reorder stash or an owed ACK, else at the earliest armed retransmit
     /// timer. `None`: nothing is pending.
     pub(crate) fn next_deadline(&self, now: u64) -> Option<u64> {
-        let relia_on = self.cfg.enabled;
         (self.links.values())
             .filter_map(|link| {
-                if link.stash.is_some() || (relia_on && link.rx.ack_owed > 0) {
+                if link.stash.is_some() || link.rx.ack_owed > 0 {
                     return Some(now);
                 }
-                relia_on.then(|| link.tx.due_at()).flatten()
+                link.tx.due_at()
             })
             .min()
     }
@@ -1288,53 +1263,39 @@ mod tests {
     /// path. Sampling it inflates SRTT and spirals the RTO upward.
     #[test]
     fn karn_excludes_packets_sent_before_the_last_retransmit_round() {
-        let c = cfg().with_retransmit_budget(1);
-        let mut tx = LinkTx::new(&c);
-        tx.prepare(body(1), None, 0);
-        tx.prepare(body(2), None, 50);
-        // The round at t=200 resends only the front packet (budget 1);
-        // seq 1 keeps `rexmit == false` but predates the round.
-        let TxTick::Resend(batch) = tx.tick(200) else {
+        let n = RETRANSMIT_BUDGET as u32 + 1;
+        let mut tx = LinkTx::new(&cfg());
+        for i in 0..n {
+            tx.prepare(body(i as u64), None, 50 * u64::from(i));
+        }
+        // The round at t=1000 resends the budget's worth from the front;
+        // the last packet keeps `rexmit == false` but predates the round.
+        let TxTick::Resend(batch) = tx.tick(1_000) else {
             panic!("timer should fire");
         };
-        assert_eq!(batch.len(), 1);
-        // A late cumulative ACK retires both. Neither may sample: seq 0 was
-        // retransmitted, seq 1 waited behind it.
-        tx.on_ack(2, 100_000);
+        assert_eq!(batch.len(), RETRANSMIT_BUDGET);
+        // A late cumulative ACK retires them all. None may sample: the
+        // front was retransmitted, the last packet waited behind it.
+        tx.on_ack(n, 100_000);
         assert_eq!(tx.srtt_us(), None, "head-of-line victim must not sample");
         assert_eq!(tx.rto_us(), 200, "still on the fixed schedule");
 
         // Traffic sent after the round measures the real path again.
-        tx.prepare(body(3), None, 200_000);
-        tx.on_ack(3, 200_150);
+        tx.prepare(body(99), None, 200_000);
+        tx.on_ack(n + 1, 200_150);
         assert_eq!(tx.srtt_us(), Some(150));
     }
 
     /// The retransmit budget caps each timer round at the front of the
-    /// queue; `0` means the whole queue (the pre-budget behavior).
+    /// queue.
     #[test]
     fn retransmit_budget_caps_resend_batch() {
-        let c = cfg().with_retransmit_budget(4);
-        let mut tx = LinkTx::new(&c);
-        for i in 0..10u64 {
-            tx.prepare(body(i), None, 0);
-        }
+        let mut tx = in_flight(&cfg(), 2 * RETRANSMIT_BUDGET as u64, 0);
         let TxTick::Resend(batch) = tx.tick(200) else {
             panic!("timer should fire");
         };
-        assert_eq!(batch.len(), 4, "budget caps the burst");
-        let seqs: Vec<u32> = batch.iter().map(|p| p.seq).collect();
-        assert_eq!(seqs, vec![0, 1, 2, 3], "front of the queue goes first");
-
-        let unlimited = cfg().with_retransmit_budget(0);
-        let mut tx = LinkTx::new(&unlimited);
-        for i in 0..10u64 {
-            tx.prepare(body(i), None, 0);
-        }
-        let TxTick::Resend(batch) = tx.tick(200) else {
-            panic!("timer should fire");
-        };
-        assert_eq!(batch.len(), 10, "budget 0 resends everything");
+        let front: Vec<u32> = (0..RETRANSMIT_BUDGET as u32).collect();
+        assert_eq!(seqs(&batch), front, "the budget's worth from the front");
     }
 
     /// RTT samples steer the real retransmit deadline: after the estimator
@@ -1452,14 +1413,17 @@ mod tests {
     /// holds, within the budget.
     #[test]
     fn an_rto_round_never_resends_a_sacked_packet() {
-        // Held: 3, 4 and 6. Holes 0, 1 and 2 go fast; 5 waits.
-        for (budget, want) in [(16, vec![0, 1, 2, 5, 7, 8, 9]), (4, vec![0, 1, 2, 5])] {
-            let mut tx = in_flight(&cfg().with_retransmit_budget(budget), 10, 0);
+        // Held: 3, 4 and 6. Holes 0, 1 and 2 go fast; 5 waits. With 20 in
+        // flight the receiver lacks 17, and the round stops at the budget's
+        // 16.
+        let capped: Vec<u32> = [0, 1, 2, 5].into_iter().chain(7..19).collect();
+        for (n, want) in [(10, vec![0, 1, 2, 5, 7, 8, 9]), (20, capped)] {
+            let mut tx = in_flight(&cfg(), n, 0);
             assert_eq!(seqs(&tx.on_sack(0, 0b10_1100, 1)), vec![0, 1, 2]);
             let TxTick::Resend(batch) = tx.tick(200) else {
                 panic!("the timer should fire");
             };
-            assert_eq!(seqs(&batch), want, "budget {budget}");
+            assert_eq!(seqs(&batch), want, "{n} in flight");
         }
         // The scoreboard moves with the front: after an ACK for 4 the
         // receiver holds 6 (bit 1) and the round skips it.

@@ -17,9 +17,10 @@
 //! worker per rank.
 //!
 //! **Where a rank switches.** Only in [`pause`], which the stack calls in
-//! four places: `Endpoint::wait_until` (every blocking call), the drain
-//! loop of `Endpoint::quiesce`, the rendezvous hand-off after a pull, and
-//! an MPI polling call (`test`, `iprobe`, …) that answers "not yet". A
+//! three places: `Endpoint::wait_until` (every blocking call,
+//! `Endpoint::quiesce`'s drain among them), the rendezvous hand-off after
+//! a pull, and an MPI polling call (`test`, `iprobe`, …) that answers "not
+//! yet". A
 //! switch never happens with a lock held (debug builds count the live
 //! `parking_lot` guards and assert). A rank never moves to another worker.
 //!
