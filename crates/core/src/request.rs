@@ -49,7 +49,7 @@ pub(crate) fn wait_for<T>(proc: &ProcInner, poll: impl FnMut() -> Option<T>) -> 
 
 /// A polling call is about to answer "not yet": hand the thread to another
 /// rank that shares it, if any (see [`litempi_fabric::task::pause`]).
-/// Internal sweeps call [`Request::look`] and never yield.
+/// Internal sweeps poll and never yield.
 pub(crate) fn not_yet() {
     litempi_fabric::task::pause(true);
 }
@@ -498,21 +498,33 @@ impl<'buf> Request<'buf> {
     }
 }
 
-/// Drive a multi-request wait loop (`waitany`/`waitsome`): `sweep` tests
-/// the requests and returns `Some` once it has a completion to report.
-/// Fruitless sweeps are [`wait_for`] polls on the endpoint of the first
-/// pending request, whose events are the ones that wake the loop: the
-/// requests of one call belong to one rank.
+/// Drive this rank's progress engine once for a completion call over
+/// `reqs`, the way [`Request::wait`] does for one request: before the first
+/// look, found complete or not. The requests of one call belong to one
+/// rank, so the first pending one names it; a call over settled requests
+/// only has none to drive.
+fn progress_once(reqs: &[Request<'_>]) {
+    if let Some(proc) = reqs.iter().find_map(Request::proc) {
+        proc.progress();
+    }
+}
+
+/// Drive a multi-request wait loop (`waitany`/`waitsome`): `sweep` looks at
+/// the requests and returns `Some` once it has a completion to report. The
+/// first sweep follows one progress pass; fruitless sweeps are [`wait_for`]
+/// polls on the endpoint of the first pending request, whose events are
+/// the ones that wake the loop.
 fn sweep_until<'b, T>(
     reqs: &mut Vec<Request<'b>>,
     mut sweep: impl FnMut(&mut Vec<Request<'b>>) -> MpiResult<Option<T>>,
 ) -> MpiResult<T> {
+    progress_once(reqs);
     if let Some(v) = sweep(reqs)? {
         return Ok(v);
     }
     // A settled request would have been reported (or have failed the
     // sweep), so one of them is still pending.
-    let proc = (reqs.iter().find_map(|r| r.proc()))
+    let proc = (reqs.iter().find_map(Request::proc))
         .expect("a fruitless sweep leaves a pending request")
         .clone();
     wait_for(&proc, || sweep(reqs).transpose())
@@ -533,8 +545,20 @@ impl std::fmt::Debug for Request<'_> {
 }
 
 /// `MPI_WAITALL`: complete every request, in order, collecting statuses.
+/// One progress pass precedes the first look, as in [`Request::wait`];
+/// a request found pending then waits like [`Request::wait`] past its
+/// first look.
 pub fn waitall(reqs: Vec<Request<'_>>) -> MpiResult<Vec<Status>> {
-    reqs.into_iter().map(|r| r.wait()).collect()
+    progress_once(&reqs);
+    reqs.into_iter()
+        .map(|mut r| match r.poll() {
+            Some(outcome) => outcome,
+            None => {
+                let proc = r.proc().expect("a pending request has a process").clone();
+                wait_for(&proc, || r.poll())
+            }
+        })
+        .collect()
 }
 
 /// `MPI_WAITANY`: complete one request; returns (index, status, rest).
@@ -552,9 +576,10 @@ pub fn waitany<'b>(mut reqs: Vec<Request<'b>>) -> MpiResult<(usize, Status, Vec<
 /// otherwise `None` with all requests untouched (partially completed ones
 /// cache their status internally, per MPI semantics).
 pub fn testall(reqs: &mut [Request<'_>]) -> MpiResult<Option<Vec<Status>>> {
+    progress_once(reqs);
     let mut statuses = Vec::with_capacity(reqs.len());
     for r in reqs.iter_mut() {
-        match r.look()? {
+        match r.poll().transpose()? {
             Some(s) => statuses.push(s),
             None => {
                 not_yet();
@@ -565,8 +590,9 @@ pub fn testall(reqs: &mut [Request<'_>]) -> MpiResult<Option<Vec<Status>>> {
     Ok(Some(statuses))
 }
 
-/// One deflating completion sweep shared by `testany` and `waitsome`: test
-/// each request in place, remove the complete ones, and report each as
+/// One deflating completion sweep shared by `testany`, `waitany` and
+/// `waitsome`: look at each request in place (the caller drives progress),
+/// remove the complete ones, and report each as
 /// `(index, status)` where the index is the position the request held in
 /// `reqs` *at the start of this call* (MPI's array-position semantics).
 /// After a sweep that removed requests, the survivors shift down, so a
@@ -580,7 +606,7 @@ fn sweep_complete(
     let mut i = 0;
     let mut original = 0;
     while i < reqs.len() {
-        if let Some(s) = reqs[i].look()? {
+        if let Some(s) = reqs[i].poll().transpose()? {
             reqs.remove(i);
             done.push((original, s));
             if stop_after_first {
@@ -601,6 +627,7 @@ fn sweep_complete(
 /// [`waitsome`] — so across repeated deflating calls it indexes the
 /// already-deflated vector.
 pub fn testany(reqs: &mut Vec<Request<'_>>) -> MpiResult<Option<(usize, Status)>> {
+    progress_once(reqs);
     let got = sweep_complete(reqs, true)?.pop();
     if got.is_none() {
         not_yet();

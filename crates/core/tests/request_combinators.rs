@@ -130,3 +130,59 @@ fn waitsome_reports_multiple_original_indices_in_one_call() {
         }
     });
 }
+
+/// A completion call drives progress before its first look even when
+/// every request it is given has already completed, as `Request::wait`
+/// does: a rank whose messages have always arrived by the time it waits
+/// would otherwise never send the ACKs it owes, nor run its retransmit
+/// timers (`p2p_lossy` read +26 % when `wait` polled first). Here the
+/// receiver owes an ACK for three messages, fewer than a standalone ACK
+/// waits for, and only its own progress pass sends it.
+#[test]
+fn waitall_over_completed_receives_sends_the_ack_they_owe() {
+    use litempi_core::BuildConfig;
+    use litempi_fabric::{ProviderProfile, ReliabilityConfig, Topology};
+    // A timer that no preemption outlasts: a resend would raise the ACK
+    // debt to a standalone ACK's threshold.
+    let slow_timer = ReliabilityConfig::on()
+        .with_retries(8, 10_000_000)
+        .with_rto_bounds(10_000_000, 10_000_000);
+    let profile = ProviderProfile::infinite().with_reliability(slow_timer);
+    Universe::run(
+        2,
+        BuildConfig::ch4_default(),
+        profile,
+        Topology::single_node(2),
+        |proc| {
+            let world = proc.world();
+            if proc.rank() == 0 {
+                let mut token = [0u8; 1];
+                world.recv_into(&mut token, 1, 0).unwrap();
+                for tag in 1..=3 {
+                    world.send(&[tag as u8], 1, tag).unwrap();
+                }
+                return;
+            }
+            let mut bufs = [[0u8; 1]; 3];
+            let reqs: Vec<Request<'_>> = (bufs.iter_mut().zip(1..))
+                .map(|(b, tag)| world.irecv(b, 0, tag).unwrap())
+                .collect();
+            world.send(&[0u8], 0, 0).unwrap();
+            // Wait for the three deliveries without driving progress.
+            while proc.comm_stats().msgs_received < 3 {
+                if !litempi_fabric::task::pause(true) {
+                    std::thread::yield_now();
+                }
+            }
+            let acks = proc.comm_stats().acks_sent;
+            let tags: Vec<i32> = waitall(reqs).unwrap().iter().map(|s| s.tag).collect();
+            assert_eq!(tags, vec![1, 2, 3]);
+            assert_eq!(
+                proc.comm_stats().acks_sent,
+                acks + 1,
+                "waitall over completed receives sent no ACK"
+            );
+            assert_eq!(bufs, [[1], [2], [3]]);
+        },
+    );
+}

@@ -73,13 +73,21 @@
 //! lock. A tick that does lock stores the exact next deadline at the end of
 //! its locked section. Every site that makes work due lowers the word under
 //! the same lock before releasing it: a send that arms an idle link's
-//! timer, an ACK that re-arms a timer one RTO out, a delivery or duplicate
-//! that leaves ACK debt, and a reorder stash. The event that announces such
-//! work is raised after the lowering, so a tick that read a stale word is
-//! followed by one that does not. Time comes from `Fabric::now_us`, the
-//! cycle-counter clock of `fabric.rs`; a cumulative ACK reads it only when
-//! it retires something (`LinkTx::retires`), which a piggybacked ACK
-//! usually does not.
+//! timer, an ACK that re-arms a timer one RTO out, a delivery or a window
+//! overflow that leaves ACK debt, and a reorder stash. The event that
+//! announces such work is raised after the lowering, so a tick that read a
+//! stale word is followed by one that does not. Time comes from `Fabric::now_us`, the
+//! cycle-counter clock of `fabric.rs`, and is read once per flight, not
+//! per message. A link times one packet per flight (`LinkTx::timed`,
+//! RFC 6298 §3), so a send reads the clock only when its link has no
+//! timed packet, which includes the send that arms an idle link's timer,
+//! or when the earliest-due word says work is due at once; only a send
+//! that read it runs its tick. A cumulative ACK reads it only when it
+//! retires something (`LinkTx::retires`), which a piggybacked ACK usually
+//! does not; the ACK that retires the timed packet gives the flight's RTT
+//! sample, unless a timer round or a fast resend came after its send
+//! (Karn). A progress pass reads it once, and the core's completion calls
+//! drive one pass per call.
 
 use crate::addr::NetAddr;
 use crate::event_count::EventCount;
@@ -316,18 +324,22 @@ fn charge_checksum(body: &PacketBody) {
 /// to the fault layer as its first transmission.
 fn send_packet(fabric: &Fabric, src: NetAddr, dst: NetAddr, body: PacketBody) {
     let my = fabric.shared(src);
-    let now = fabric.now_us();
     let crc = Some(body.checksum());
-    let pkt = {
+    let (pkt, now) = {
         let mut st = my.relia.lock();
-        if st.is_dead(dst) {
-            // The peer has been declared unreachable; injections toward it
-            // are black-holed (callers observe `peer_unreachable`).
+        if st.is_dead(dst) || fabric.endpoint_killed(src) || fabric.endpoint_killed(dst) {
+            // The peer is unreachable, or this endpoint is: injections
+            // are black-holed (callers observe `peer_unreachable`), and
+            // nothing enters the retransmit queue.
             return;
         }
         charge(Category::Reliability, icost::relia::TX_HEADER);
         charge_checksum(&body);
         let link = st.link_mut(dst);
+        // The clock is read for the flight's timed packet (which arms an
+        // idle link's timer), and for a tick of work due at once.
+        let now = (link.tx.needs_clock() || my.relia_due.load(Ordering::Relaxed) == 0)
+            .then(|| fabric.now_us());
         let seq = link.tx.prepare(body.clone(), crc, now);
         if let Some(due) = link.tx.due_at() {
             // The send armed an idle link's timer (or found it armed).
@@ -336,21 +348,25 @@ fn send_packet(fabric: &Fabric, src: NetAddr, dst: NetAddr, body: PacketBody) {
         charge(Category::Reliability, icost::relia::RETRANSMIT_ENQUEUE);
         // Piggyback the cumulative and selective ACK for the reverse link.
         let ack = Some(link.rx.take_ack());
-        WirePacket {
+        let pkt = WirePacket {
             src,
             seq,
             ack,
             sack: link.rx.sack(),
             crc,
             body: Some(body),
-        }
+        };
+        (pkt, now)
     };
     // Blocking send loops never reach the progress engine, so the
-    // injection path itself must advance the retransmit clock. It does so
-    // before the packet goes out, and leaves the reorder stash toward
-    // `dst` to `transmit_live`, which delivers this packet ahead of it:
-    // a packet the stash holds is overtaken by the next one on its link.
-    tick_relia(fabric, src, now, Some(dst));
+    // injection path itself advances the retransmit clock whenever it has
+    // read it. It does so before the packet goes out, and leaves the
+    // reorder stash toward `dst` to `transmit_live`, which delivers this
+    // packet ahead of it: a packet the stash holds is overtaken by the
+    // next one on its link.
+    if let Some(now) = now {
+        tick_relia(fabric, src, now, Some(dst));
+    }
     transmit(fabric, src, dst, pkt, true);
 }
 
@@ -488,7 +504,15 @@ fn deliver_packet(fabric: &Fabric, dst: NetAddr, pkt: WirePacket) {
                         PacketBody::Am(m) => peer.deliver_am(m),
                     }
                 });
-                let gap = match verdict {
+                // A gap or a duplicate is answered at once (RFC 5681 §4.2,
+                // RFC 793's reply to an unacceptable segment): a gap tells
+                // the sender what is missing before its retransmit timer
+                // fires, and a duplicate says the sender missed an ACK. A
+                // receiver that is not ticking (busy, or past its last
+                // call) answers every resend that reaches it, so the
+                // sender makes progress instead of running its retry budget
+                // down on ACKs that wait for the receiver's next tick.
+                let answer_now = match verdict {
                     RxVerdict::Deliver(_) => {
                         delivered = true;
                         false
@@ -498,14 +522,12 @@ fn deliver_packet(fabric: &Fabric, dst: NetAddr, pkt: WirePacket) {
                         if peer.trace_enabled {
                             litempi_trace::emit(EventKind::DupDropped, s as u64, pkt.seq as u64);
                         }
-                        false
+                        true
                     }
-                    // A gap: tell the sender at once what is missing, so it
-                    // need not wait for its retransmit timer.
                     RxVerdict::Buffered => true,
                     RxVerdict::Overflow => false,
                 };
-                if gap || link.rx.ack_owed >= ACK_EVERY {
+                if answer_now || link.rx.ack_owed >= ACK_EVERY {
                     standalone_ack = Some((link.rx.take_ack(), link.rx.sack()));
                 }
                 owes_ack = link.rx.ack_owed > 0;
@@ -538,7 +560,7 @@ fn fast_resend(fabric: &Fabric, dst: NetAddr, src: NetAddr, cum: u32, sack: u64)
     {
         let mut st = my.relia.lock();
         let link = st.link_mut(src);
-        let lost = link.tx.on_sack(cum, sack, fabric.now_us());
+        let lost = link.tx.on_sack(cum, sack);
         if lost.is_empty() {
             return;
         }
@@ -638,6 +660,12 @@ fn tick_relia(fabric: &Fabric, addr: NetAddr, now: u64, keep_stash: Option<NetAd
         // O(active peers), not O(ranks). `BTreeMap` iteration is ascending
         // by peer, the same order the dense sweep used.
         for (d, link) in st.links_mut() {
+            if fabric.endpoint_killed(addr) || fabric.endpoint_killed(d) {
+                // Nothing reaches a killed end: resending to it would
+                // charge every timer round until retry exhaustion, for a
+                // verdict the kill switch has already given.
+                link.tx.abandon();
+            }
             if keep_stash != Some(d) {
                 if let Some(p) = link.stash.take() {
                     // Already passed its fault rolls; deliver directly.
@@ -1341,32 +1369,63 @@ mod tests {
         drop(h2);
     }
 
-    /// A duplicate delivers nothing but leaves its receiver owing an ACK,
-    /// which only the receiver's own tick sends: its epoch moves, so a
-    /// receiver asleep without a timer wakes and re-reads its timers.
-    #[test]
-    fn a_packet_that_leaves_an_ack_owed_moves_the_receivers_epoch() {
-        let profile = ProviderProfile::infinite().reliable();
-        let f = Fabric::new(2, profile, Topology::single_node(2));
-        let (a, b) = (f.endpoint(NetAddr(0)), f.endpoint(NetAddr(1)));
-        a.tsend(NetAddr(1), 7, Bytes::from_static(b"x"));
+    /// The packet of seq `seq` with tag `bits` from `src`, as it goes on
+    /// the wire, for tests that deliver packets by hand.
+    fn data_packet(src: NetAddr, seq: u32, bits: u64) -> WirePacket {
         let body = PacketBody::Tagged(TaggedMessage {
-            src: NetAddr(0),
-            match_bits: 7,
+            src,
+            match_bits: bits,
             data: Bytes::from_static(b"x"),
         });
-        let before = b.event_epoch();
-        let again = WirePacket {
-            src: NetAddr(0),
-            seq: 0,
+        WirePacket {
+            src,
+            seq,
             ack: None,
             sack: 0,
             crc: Some(body.checksum()),
             body: Some(body),
-        };
-        deliver_packet(&f, NetAddr(1), again);
-        assert!(b.event_epoch() > before, "a duplicate owes an ACK");
+        }
+    }
+
+    /// An arrival beyond the receive window delivers nothing but leaves its
+    /// receiver owing an ACK, which only the receiver's own tick sends: its
+    /// epoch moves, so a receiver asleep without a timer wakes and re-reads
+    /// its timers.
+    #[test]
+    fn a_packet_that_leaves_an_ack_owed_moves_the_receivers_epoch() {
+        let profile = ProviderProfile::infinite().reliable();
+        let f = Fabric::new(2, profile, Topology::single_node(2));
+        let b = f.endpoint(NetAddr(1));
+        for seq in 1..=64 {
+            deliver_packet(&f, NetAddr(1), data_packet(NetAddr(0), seq, u64::from(seq)));
+        }
+        let before = b.event_epoch();
+        deliver_packet(&f, NetAddr(1), data_packet(NetAddr(0), 65, 65));
+        assert!(b.event_epoch() > before, "an overflow owes an ACK");
+        let relia = f.shared(NetAddr(1)).relia.lock();
+        assert_eq!(relia.link(NetAddr(0)).unwrap().rx.ack_owed, 1);
+    }
+
+    /// A duplicate is answered at once, not left as ACK debt for the
+    /// receiver's tick: the sender resends because it missed an ACK, and a
+    /// receiver that is not ticking would otherwise let it run its retry
+    /// budget down. Two deliveries and a duplicate owe less than a
+    /// standalone ACK waits for; the duplicate sends one, and it retires
+    /// both packets.
+    #[test]
+    fn a_duplicate_on_a_reliable_link_is_answered_at_once() {
+        let profile = ProviderProfile::infinite().reliable();
+        let f = Fabric::new(2, profile, Topology::single_node(2));
+        let (a, b) = (f.endpoint(NetAddr(0)), f.endpoint(NetAddr(1)));
+        for bits in 0..2 {
+            a.tsend(NetAddr(1), bits, Bytes::from_static(b"x"));
+        }
+        assert_eq!(b.stats().acks_sent, 0);
+        deliver_packet(&f, NetAddr(1), data_packet(NetAddr(0), 0, 0));
         assert_eq!(b.stats().dup_dropped, 1);
+        assert_eq!(b.stats().acks_sent, 1, "the duplicate was not answered");
+        let relia = f.shared(NetAddr(0)).relia.lock();
+        assert_eq!(relia.link(NetAddr(1)).unwrap().tx.in_flight(), 0);
     }
 
     /// A packet held back in its sender's reorder stash waits for the
@@ -1936,6 +1995,39 @@ mod tests {
         assert_eq!(a.stats().acks_sent, 0, "endpoint 0 sent a packet");
     }
 
+    /// Sends toward a killed peer are black-holed, like sends toward one
+    /// its retry budget gave up on: nothing enters the retransmit queue,
+    /// and what was in flight when the switch tripped is dropped at the
+    /// next tick instead of resent every timer round until exhaustion.
+    /// The kill is no retry exhaustion, so `peers_died` stays 0.
+    #[test]
+    fn kill_switch_black_holes_sends_without_resending_them() {
+        let plan = FaultPlan::none().with_kill(1, 1);
+        let f = Fabric::new(
+            2,
+            ProviderProfile::infinite().with_faults(plan),
+            Topology::single_node(2),
+        );
+        let a = f.endpoint(NetAddr(0));
+        // The first send trips the switch; its ACK never comes back.
+        for i in 0..10u64 {
+            a.tsend(NetAddr(1), i, Bytes::from_static(b"x"));
+        }
+        assert!(f.endpoint_killed(NetAddr(1)));
+        let t0 = std::time::Instant::now();
+        while t0.elapsed() < Duration::from_millis(100) {
+            a.pump();
+            std::thread::yield_now();
+        }
+        let st = a.stats();
+        assert_eq!(st.retransmits, 0, "sends to a killed peer were resent");
+        assert_eq!(st.peers_died, 0, "a kill counted as a retry exhaustion");
+        let my = f.shared(NetAddr(0));
+        let relia = my.relia.lock();
+        let (_, link) = relia.links().next().expect("the first send built a link");
+        assert_eq!(link.tx.in_flight(), 0);
+    }
+
     /// Retry exhaustion makes the peer unreachable on the very next call —
     /// `peer_unreachable` takes no lock until a verdict is counted, so the
     /// count must move with the verdict — counts one death however often
@@ -2043,6 +2135,37 @@ mod tests {
         assert_eq!(b.stats().event_wakes, 1);
     }
 
+    /// The clock is read once per flight on each side: for the send that
+    /// times a packet, and for the ACK that retires it. A fault-free
+    /// exchange of 64 eight-byte messages each way, whose receives find
+    /// their messages waiting (no progress pass, so no tick), reads it
+    /// twice per standalone ACK — not once per send as well.
+    #[test]
+    fn a_fault_free_reliable_exchange_reads_the_clock_twice_per_flight() {
+        let slow_timer = ReliabilityConfig::on()
+            .with_retries(8, 1_000_000)
+            .with_rto_bounds(1_000_000, 1_000_000);
+        let f = Fabric::new(
+            2,
+            ProviderProfile::infinite().with_reliability(slow_timer),
+            Topology::single_node(2),
+        );
+        let (a, b) = (f.endpoint(NetAddr(0)), f.endpoint(NetAddr(1)));
+        let before = f.clock_reads.load(Ordering::Relaxed);
+        for (from, to) in [(&a, &b), (&b, &a)] {
+            for i in 0..64u64 {
+                from.tsend(to.addr, i, Bytes::copy_from_slice(&i.to_le_bytes()));
+            }
+            for i in 0..64u64 {
+                to.trecv_blocking(i, 0);
+            }
+        }
+        let reads = f.clock_reads.load(Ordering::Relaxed) - before;
+        let flights = 2 * 64 / u64::from(ACK_EVERY);
+        assert_eq!(a.stats().acks_sent + b.stats().acks_sent, flights);
+        assert!(reads <= 2 * flights, "{reads} clock reads for 128 messages");
+    }
+
     // ------------------------------------------------ the earliest-due word
     //
     // One case per site that makes work due: each drives the next tick with
@@ -2081,17 +2204,16 @@ mod tests {
     }
 
     #[test]
-    fn relia_tick_word_acts_on_ack_debt_left_by_a_duplicate() {
-        let (f, a, b) = reliable_pair();
-        a.tsend(NetAddr(1), 7, Bytes::from_static(b"x"));
+    fn relia_tick_word_acts_on_ack_debt_left_by_an_overflow() {
+        let (f, _a, b) = reliable_pair();
+        // Seq 0 is missing, 1 to 64 fill the reorder buffer, 65 overflows
+        // it. Each buffered arrival is answered at once; the overflow owes.
+        for seq in 1..=65 {
+            deliver_packet(&f, NetAddr(1), data_packet(NetAddr(0), seq, u64::from(seq)));
+        }
+        assert_eq!(b.stats().acks_sent, 64);
         tick_relia(&f, NetAddr(1), f.now_us(), None);
-        assert_eq!(b.stats().acks_sent, 1);
-        // The ACK is lost, so the sender's timer resends: the receiver
-        // drops the duplicate and owes another ACK.
-        tick_relia(&f, NetAddr(0), f.now_us() + 1_000_000, None);
-        assert_eq!(b.stats().dup_dropped, 1);
-        tick_relia(&f, NetAddr(1), f.now_us(), None);
-        assert_eq!(b.stats().acks_sent, 2, "the owed ACK goes out");
+        assert_eq!(b.stats().acks_sent, 65, "the owed ACK goes out");
     }
 
     #[test]

@@ -56,6 +56,9 @@ pub struct Fabric {
     /// reliability flags: a disabled trace costs one predictable
     /// branch at each event site.
     trace_enabled: bool,
+    /// Reads of [`Fabric::now_us`] so far, for the tests that bound them.
+    #[cfg(test)]
+    pub(crate) clock_reads: AtomicU64,
 }
 
 /// What the kill switch says about one packet ([`Fabric::kill_packet`]).
@@ -92,6 +95,8 @@ impl Fabric {
             running: AtomicUsize::new(n),
             draining: AtomicUsize::new(n),
             trace_enabled: profile.trace.enabled,
+            #[cfg(test)]
+            clock_reads: AtomicU64::new(0),
         })
     }
 
@@ -99,6 +104,8 @@ impl Fabric {
     /// see the module docs).
     #[inline]
     pub(crate) fn now_us(&self) -> u64 {
+        #[cfg(test)]
+        self.clock_reads.fetch_add(1, Ordering::Relaxed);
         self.clock.now_us()
     }
 

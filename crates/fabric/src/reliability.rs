@@ -18,7 +18,7 @@
 //! dropping duplicates. When traffic is one-directional the receiver owes a
 //! *standalone* ACK packet (no payload, not itself sequenced or
 //! retransmitted — a lost ACK is recovered by the sender's retransmission,
-//! which re-raises the debt).
+//! whose duplicate the receiver answers at once).
 //!
 //! Loss recovery is selective (RFC 2018 / RFC 6675). Every ACK also
 //! carries a 64-bit SACK bitmap of the receiver's reorder buffer, and an
@@ -252,12 +252,6 @@ pub(crate) struct Pending {
     pub seq: u32,
     pub body: PacketBody,
     pub crc: Option<u32>,
-    /// Fabric time of the original transmission (the RTT sample base).
-    pub sent_at_us: u64,
-    /// Set once the packet has been retransmitted; Karn's algorithm
-    /// excludes such packets from RTT sampling (the ACK could be for
-    /// either transmission).
-    pub rexmit: bool,
 }
 
 /// What a retransmit-timer tick decided.
@@ -301,18 +295,23 @@ pub(crate) struct LinkTx {
     srtt_x8: u64,
     /// RTT variance × 4 (which is exactly the `4·RTTVAR` term of the RTO).
     rttvar_x4: u64,
-    /// `false` until the first valid (non-retransmitted) sample; the link
-    /// uses the fixed `base_rto_us` schedule until then.
+    /// `false` until the first valid sample; the link uses the fixed
+    /// `base_rto_us` schedule until then.
     has_rtt_sample: bool,
-    /// Fabric time of the most recent retransmission round. Karn's
-    /// algorithm, full strength: a cumulative ACK arriving after a
-    /// recovery retires packets that merely *waited behind* the
-    /// retransmitted front, and their send→ack spans measure head-of-line
-    /// blocking, not the link RTT. Feeding those into the estimator is a
-    /// death spiral (inflated SRTT → longer RTO → longer recoveries →
-    /// more inflated samples), so only packets sent after this instant
-    /// may contribute samples.
-    last_rexmit_at_us: u64,
+    /// The one packet of the flight being timed, `(seq, sent_at_us)`, as
+    /// RFC 6298 §3 and BSD TCP time one segment per round-trip: its ACK
+    /// gives the flight's RTT sample, and the other packets' sends need no
+    /// clock. `None` while no packet is timed; always `None` on an empty
+    /// queue, so the send that arms an idle link's timer is the one that
+    /// reads the clock. A timer round or a fast resend drops it (Karn's
+    /// algorithm, full strength): the ACK that retires a resent packet is
+    /// ambiguous between its transmissions, and one that retires a packet
+    /// which merely *waited behind* the resent front measures head-of-line
+    /// blocking, not the link RTT. Feeding either into the estimator is a
+    /// death spiral (inflated SRTT → longer RTO → longer recoveries → more
+    /// inflated samples), so only a packet sent after the last resend of
+    /// any kind is timed.
+    timed: Option<(u32, u64)>,
     /// SACK scoreboard, based at the front of the queue: bit `i` set means
     /// the receiver holds `front + 1 + i` in its reorder buffer. A
     /// receiver never discards what it buffered, so the bits only grow
@@ -366,7 +365,7 @@ impl LinkTx {
             srtt_x8: 0,
             rttvar_x4: 0,
             has_rtt_sample: false,
-            last_rexmit_at_us: 0,
+            timed: None,
             sacked: 0,
             recovery_point: seq,
             dead: false,
@@ -401,23 +400,36 @@ impl LinkTx {
         self.srtt_x8 = self.srtt_x8 - self.srtt_x8 / 8 + rtt_us;
     }
 
-    /// Assign the next sequence number, enqueue the packet for potential
-    /// retransmission, and arm the timer if it was idle.
-    pub(crate) fn prepare(&mut self, body: PacketBody, crc: Option<u32>, now_us: u64) -> u32 {
+    /// Does the next [`prepare`](LinkTx::prepare) need the time? Only
+    /// while no packet of the flight is timed — which includes every send
+    /// that finds the queue empty and arms the timer.
+    #[inline]
+    pub(crate) fn needs_clock(&self) -> bool {
+        self.timed.is_none()
+    }
+
+    /// Assign the next sequence number and enqueue the packet for potential
+    /// retransmission. `now_us` is read by the caller only when
+    /// [`needs_clock`](LinkTx::needs_clock) says so: the packet is then
+    /// the flight's timed one, and an idle timer is armed from it.
+    pub(crate) fn prepare(
+        &mut self,
+        body: PacketBody,
+        crc: Option<u32>,
+        now_us: Option<u64>,
+    ) -> u32 {
         let seq = self.next_seq;
         self.next_seq = self.next_seq.wrapping_add(1);
-        if self.queue.is_empty() {
-            self.deadline_us = now_us + self.rto_us();
-            self.backoff_exp = 0;
-            self.stalled_since_us = now_us;
+        if self.timed.is_none() {
+            let now_us = now_us.expect("a send on a link with no timed packet reads the clock");
+            if self.queue.is_empty() {
+                self.deadline_us = now_us + self.rto_us();
+                self.backoff_exp = 0;
+                self.stalled_since_us = now_us;
+            }
+            self.timed = Some((seq, now_us));
         }
-        self.queue.push_back(Pending {
-            seq,
-            body,
-            crc,
-            sent_at_us: now_us,
-            rexmit: false,
-        });
+        self.queue.push_back(Pending { seq, body, crc });
         seq
     }
 
@@ -430,37 +442,30 @@ impl LinkTx {
     }
 
     /// Process a cumulative ACK: retire everything before `cum`. Forward
-    /// progress resets the backoff and the retry budget, and packets that
-    /// were never retransmitted contribute an RTT sample (Karn's
-    /// algorithm: ambiguous round-trips are discarded).
+    /// progress resets the backoff and the retry budget, and the retirement
+    /// of the timed packet gives the flight's one RTT sample.
     pub(crate) fn on_ack(&mut self, cum: u32, now_us: u64) {
         let mut progressed = false;
-        let mut sample: Option<u64> = None;
-        while let Some(front) = self.queue.front() {
-            if seq_before(front.seq, cum) {
-                if !front.rexmit && front.sent_at_us >= self.last_rexmit_at_us {
-                    sample = Some(now_us.saturating_sub(front.sent_at_us));
-                }
-                self.queue.pop_front();
-                progressed = true;
-            } else {
-                break;
+        while self.queue.front().is_some_and(|p| seq_before(p.seq, cum)) {
+            self.queue.pop_front();
+            progressed = true;
+        }
+        if !progressed {
+            return;
+        }
+        if let Some((seq, sent_at_us)) = self.timed {
+            if seq_before(seq, cum) {
+                self.timed = None;
+                self.sample_rtt(now_us.saturating_sub(sent_at_us));
             }
         }
-        // The newest retired packet's round-trip is the freshest estimate
-        // (one sample per ACK, like per-RTT TCP sampling).
-        if let Some(rtt) = sample {
-            self.sample_rtt(rtt);
-        }
-        if progressed {
-            self.retries = 0;
-            self.stalled_since_us = now_us;
-            self.backoff_exp = 0;
-            self.deadline_us = now_us + self.rto_us();
-            self.sacked = 0;
-            if seq_before(self.recovery_point, cum) {
-                self.recovery_point = cum;
-            }
+        self.retries = 0;
+        self.stalled_since_us = now_us;
+        self.backoff_exp = 0;
+        self.deadline_us = now_us + self.rto_us();
+        self.sacked = 0;
+        if seq_before(self.recovery_point, cum) {
+            self.recovery_point = cum;
         }
     }
 
@@ -468,10 +473,10 @@ impl LinkTx {
     /// [`on_ack`](LinkTx::on_ack) has retired everything before `cum`) and
     /// return the fast resends it calls for: every hole with at least
     /// [`DUP_THRESH`] SACKed packets above it that has not been resent in
-    /// this episode. A fast resend is ambiguous for RTT sampling (Karn),
+    /// this episode. A fast resend drops the flight's timed packet (Karn),
     /// but it is not a timer round: `retries`, the backoff and the dead
     /// verdict's schedule stay as they were.
-    pub(crate) fn on_sack(&mut self, cum: u32, sack: u64, now_us: u64) -> Vec<Pending> {
+    pub(crate) fn on_sack(&mut self, cum: u32, sack: u64) -> Vec<Pending> {
         if self.queue.front().map(|p| p.seq) != Some(cum) {
             // Stale (reordered behind a newer ACK), or nothing in flight.
             return Vec::new();
@@ -480,7 +485,7 @@ impl LinkTx {
         let mut out = Vec::new();
         let mut above = self.sacked.count_ones();
         // The front and the 64 packets behind it that the bitmap covers.
-        for (p, pkt) in self.queue.iter_mut().enumerate().take(65) {
+        for (p, pkt) in self.queue.iter().enumerate().take(65) {
             if is_sacked(self.sacked, p) {
                 above -= 1;
                 continue;
@@ -489,13 +494,12 @@ impl LinkTx {
                 break;
             }
             if !seq_before(pkt.seq, self.recovery_point) {
-                pkt.rexmit = true;
                 out.push(pkt.clone());
             }
         }
         if let Some(last) = out.last() {
             self.recovery_point = last.seq.wrapping_add(1);
-            self.last_rexmit_at_us = now_us;
+            self.timed = None;
         }
         out
     }
@@ -508,7 +512,7 @@ impl LinkTx {
         let stalled_us = now_us.saturating_sub(self.stalled_since_us);
         if self.retries >= self.max_retries && stalled_us >= self.dead_after_us {
             self.dead = true;
-            self.queue.clear();
+            self.abandon();
             return TxTick::Dead;
         }
         self.retries += 1;
@@ -520,17 +524,20 @@ impl LinkTx {
         // capped by the retransmit budget: the front packets are the ones
         // blocking the receiver's window, and a bounded burst cannot
         // amplify a reorder storm.
-        self.last_rexmit_at_us = now_us;
-        let sacked = self.sacked;
-        let batch: Vec<Pending> = (self.queue.iter_mut().enumerate())
-            .filter(|(p, _)| !is_sacked(sacked, *p))
+        self.timed = None;
+        let batch: Vec<Pending> = (self.queue.iter().enumerate())
+            .filter(|(p, _)| !is_sacked(self.sacked, *p))
             .take(RETRANSMIT_BUDGET)
-            .map(|(_, pkt)| {
-                pkt.rexmit = true;
-                pkt.clone()
-            })
+            .map(|(_, pkt)| pkt.clone())
             .collect();
         TxTick::Resend(batch)
+    }
+
+    /// Drop everything awaiting acknowledgment, with no verdict: the peer
+    /// (or this endpoint) is gone by other means than retry exhaustion.
+    pub(crate) fn abandon(&mut self) {
+        self.queue.clear();
+        self.timed = None;
     }
 
     /// When the retransmit timer fires next, if it is armed.
@@ -900,7 +907,7 @@ mod tests {
     fn retires_is_true_exactly_when_on_ack_would_retire() {
         let mut tx = LinkTx::new_at(&cfg(), u32::MAX);
         assert!(!tx.retires(5), "nothing in flight");
-        tx.prepare(body(1), None, 0);
+        tx.prepare(body(1), None, Some(0));
         assert!(!tx.retires(u32::MAX), "the ACK is for the front itself");
         assert!(tx.retires(0), "across the wrap");
         tx.on_ack(u32::MAX, 10);
@@ -929,7 +936,7 @@ mod tests {
     fn backoff_schedule_doubles_and_caps() {
         let c = cfg(); // base 200 µs, cap exp 6, 8 retries
         let mut tx = LinkTx::new(&c);
-        tx.prepare(body(1), None, 1_000);
+        tx.prepare(body(1), None, Some(1_000));
         assert_eq!(tx.deadline(), 1_200);
         assert!(matches!(tx.tick(1_199), TxTick::Idle));
 
@@ -965,8 +972,8 @@ mod tests {
     fn ack_progress_resets_backoff() {
         let c = cfg();
         let mut tx = LinkTx::new(&c);
-        tx.prepare(body(1), None, 0);
-        tx.prepare(body(2), None, 0);
+        tx.prepare(body(1), None, Some(0));
+        tx.prepare(body(2), None, Some(0));
         assert!(matches!(tx.tick(200), TxTick::Resend(_)));
         assert!(matches!(tx.tick(600), TxTick::Resend(_)));
         // Cumulative ACK for seq 1 retires the first packet and resets the
@@ -1148,11 +1155,9 @@ mod tests {
             .map(|i| {
                 let b = body(i);
                 Pending {
-                    seq: tx.prepare(b.clone(), None, now),
+                    seq: tx.prepare(b.clone(), None, Some(now)),
                     body: b,
                     crc: None,
-                    sent_at_us: now,
-                    rexmit: false,
                 }
             })
             .collect();
@@ -1207,7 +1212,7 @@ mod tests {
         assert_eq!(tx.srtt_us(), None);
 
         // One clean 300 µs round-trip: RTO = SRTT + 4·RTTVAR = 300 + 600.
-        tx.prepare(body(0), None, 1_000);
+        tx.prepare(body(0), None, Some(1_000));
         tx.on_ack(1, 1_300);
         assert_eq!(tx.srtt_us(), Some(300));
         assert_eq!(tx.rto_us(), 900);
@@ -1216,7 +1221,7 @@ mod tests {
         // RTO approaches SRTT (plus the granularity floor).
         let mut now = 2_000;
         for i in 1..60u32 {
-            tx.prepare(body(i as u64), None, now);
+            tx.prepare(body(i as u64), None, Some(now));
             tx.on_ack(i + 1, now + 300);
             now += 1_000;
         }
@@ -1229,7 +1234,7 @@ mod tests {
 
         // High jitter re-inflates it.
         for i in 60..80u32 {
-            tx.prepare(body(i as u64), None, now);
+            tx.prepare(body(i as u64), None, Some(now));
             let rtt = if i % 2 == 0 { 100 } else { 2_000 };
             tx.on_ack(i + 1, now + rtt);
             now += 10_000;
@@ -1243,7 +1248,7 @@ mod tests {
     fn karn_excludes_retransmitted_packets_from_sampling() {
         let c = cfg();
         let mut tx = LinkTx::new(&c);
-        tx.prepare(body(1), None, 0);
+        tx.prepare(body(1), None, Some(0));
         assert!(matches!(tx.tick(200), TxTick::Resend(_)));
         // The ACK arrives after the retransmission: no sample.
         tx.on_ack(1, 50_000);
@@ -1251,7 +1256,7 @@ mod tests {
         assert_eq!(tx.rto_us(), 200, "still on the fixed schedule");
 
         // A fresh, never-retransmitted packet does sample.
-        tx.prepare(body(2), None, 60_000);
+        tx.prepare(body(2), None, Some(60_000));
         tx.on_ack(2, 60_150);
         assert_eq!(tx.srtt_us(), Some(150));
     }
@@ -1266,24 +1271,129 @@ mod tests {
         let n = RETRANSMIT_BUDGET as u32 + 1;
         let mut tx = LinkTx::new(&cfg());
         for i in 0..n {
-            tx.prepare(body(i as u64), None, 50 * u64::from(i));
+            tx.prepare(body(i as u64), None, Some(50 * u64::from(i)));
         }
-        // The round at t=1000 resends the budget's worth from the front;
-        // the last packet keeps `rexmit == false` but predates the round.
+        // The round at t=1000 resends the budget's worth from the front,
+        // the timed packet 0 among them.
         let TxTick::Resend(batch) = tx.tick(1_000) else {
             panic!("timer should fire");
         };
         assert_eq!(batch.len(), RETRANSMIT_BUDGET);
+        // The next send is timed. The next round resends the front again,
+        // not it, but it predates the round: it waits behind the front.
+        assert!(tx.needs_clock(), "a timer round drops the timed packet");
+        tx.prepare(body(u64::from(n)), None, Some(1_100));
+        let TxTick::Resend(batch) = tx.tick(tx.deadline()) else {
+            panic!("timer should fire");
+        };
+        assert!(!seqs(&batch).contains(&n), "the timed packet is resent");
         // A late cumulative ACK retires them all. None may sample: the
-        // front was retransmitted, the last packet waited behind it.
-        tx.on_ack(n, 100_000);
+        // front was retransmitted, the timed packet waited behind it.
+        tx.on_ack(n + 1, 100_000);
         assert_eq!(tx.srtt_us(), None, "head-of-line victim must not sample");
         assert_eq!(tx.rto_us(), 200, "still on the fixed schedule");
 
         // Traffic sent after the round measures the real path again.
-        tx.prepare(body(99), None, 200_000);
-        tx.on_ack(n + 1, 200_150);
+        tx.prepare(body(99), None, Some(200_000));
+        tx.on_ack(n + 2, 200_150);
         assert_eq!(tx.srtt_us(), Some(150));
+    }
+
+    /// One RTT sample per flight: the packet a send times when none is
+    /// timed gives it, and the packets sent while it is in flight give
+    /// none — however their ACKs arrive.
+    #[test]
+    fn a_flight_gives_one_rtt_sample() {
+        let c = cfg().with_rto_bounds(10, 50_000);
+        let mut tx = LinkTx::new(&c);
+        for (i, at) in [0u64, 10, 20, 30].into_iter().enumerate() {
+            tx.prepare(body(i as u64), None, Some(at));
+        }
+        // One ACK retires all four. It samples the timed packet 0 (100 µs),
+        // not the newest (70 µs).
+        tx.on_ack(4, 100);
+        assert_eq!(tx.srtt_us(), Some(100));
+        assert_eq!(tx.rto_us(), 300, "SRTT 100 + 4·RTTVAR 200");
+        assert!(tx.needs_clock(), "the flight's sample is taken");
+
+        // The next flight times its first packet; ACKs that retire the
+        // others one by one leave the estimator alone. A second sample of
+        // 100 µs would decay the variance and pull the RTO below 300.
+        tx.prepare(body(4), None, Some(1_000));
+        for i in 5..8u64 {
+            tx.prepare(body(i), None, Some(1_000 + 10 * i));
+        }
+        tx.on_ack(5, 1_100);
+        let rto = tx.rto_us();
+        assert!(rto < 300, "the timed packet samples: rto = {rto}");
+        for (cum, at) in [(6, 1_110), (7, 1_120), (8, 1_130)] {
+            tx.on_ack(cum, at);
+            assert_eq!(tx.rto_us(), rto, "the ACK for {cum} sampled");
+        }
+        assert_eq!(tx.in_flight(), 0);
+    }
+
+    /// A timer round or a fast resend after the timed packet was sent
+    /// discards its sample, even when the packet itself is not resent
+    /// (Karn); the next send times a fresh one.
+    #[test]
+    fn a_resend_after_the_timed_send_discards_its_sample() {
+        // Bounds that clamp no RTO here, so that any sample moves it.
+        let c = cfg().with_rto_bounds(1, 50_000);
+        // A fast resend of the hole ahead of the timed packet.
+        let mut tx = in_flight(&c, 5, 0);
+        tx.on_ack(1, 10);
+        assert_eq!(tx.srtt_us(), Some(10));
+        let rto = tx.rto_us();
+        tx.prepare(body(5), None, Some(20));
+        assert!(!tx.needs_clock(), "packet 5 is timed");
+        assert_eq!(seqs(&tx.on_sack(1, 0b111)), vec![1]);
+        assert!(tx.needs_clock(), "the fast resend drops the timed packet");
+        tx.on_ack(6, 40);
+        assert_eq!(tx.rto_us(), rto, "a sample after a fast resend");
+
+        // A timer round after the timed packet was sent: packet 2 is timed
+        // and outside the round's resends, which the SACKs skip.
+        let mut tx = in_flight(&c, 2, 0);
+        tx.on_ack(1, 10);
+        let rto = tx.rto_us();
+        tx.prepare(body(2), None, Some(20));
+        tx.on_sack(1, 0b1);
+        let TxTick::Resend(batch) = tx.tick(tx.deadline()) else {
+            panic!("the timer should fire");
+        };
+        assert_eq!(seqs(&batch), vec![1], "only the hole is resent");
+        assert!(tx.needs_clock(), "the round drops the timed packet");
+        tx.on_ack(3, 500);
+        assert_eq!(tx.rto_us(), rto, "a sample after a timer round");
+    }
+
+    /// A send needs the clock only while no packet is timed: the first
+    /// send on an idle link reads it (and arms the timer from it), the rest
+    /// of the flight does not, and the next send after the timed packet's
+    /// ACK reads it again.
+    #[test]
+    fn prepare_needs_no_time_while_a_packet_is_timed() {
+        let mut tx = LinkTx::new(&cfg());
+        assert!(tx.needs_clock(), "an idle link");
+        tx.prepare(body(0), None, Some(1_000));
+        assert_eq!(tx.deadline(), 1_200, "armed from the timed send");
+        for i in 1..4u64 {
+            assert!(!tx.needs_clock());
+            tx.prepare(body(i), None, None);
+        }
+        assert_eq!(tx.deadline(), 1_200, "the untimed sends leave the timer");
+        tx.on_ack(1, 1_050);
+        assert!(tx.needs_clock(), "the timed packet retired");
+        // After a timer round the next send is timed behind the resent
+        // front, and an ACK that retires only the front keeps it timed.
+        assert!(matches!(tx.tick(1_200), TxTick::Resend(_)));
+        tx.prepare(body(4), None, Some(1_300));
+        tx.prepare(body(5), None, None);
+        tx.on_ack(3, 1_350);
+        assert!(!tx.needs_clock(), "the timed packet is still in flight");
+        tx.prepare(body(6), None, None);
+        assert_eq!(tx.in_flight(), 4);
     }
 
     /// The retransmit budget caps each timer round at the front of the
@@ -1305,10 +1415,10 @@ mod tests {
     fn estimated_rto_drives_deadline() {
         let c = cfg(); // min 50 µs
         let mut tx = LinkTx::new(&c);
-        tx.prepare(body(0), None, 0);
+        tx.prepare(body(0), None, Some(0));
         tx.on_ack(1, 10); // 10 µs RTT → RTO clamps to min 50
         assert_eq!(tx.rto_us(), 50);
-        tx.prepare(body(1), None, 1_000);
+        tx.prepare(body(1), None, Some(1_000));
         assert_eq!(tx.deadline(), 1_050);
         assert!(matches!(tx.tick(1_049), TxTick::Idle));
         assert!(matches!(tx.tick(1_050), TxTick::Resend(_)));
@@ -1321,9 +1431,9 @@ mod tests {
     #[test]
     fn a_fast_rto_retries_for_as_long_as_the_fixed_schedule() {
         let mut tx = LinkTx::new(&cfg());
-        tx.prepare(body(0), None, 0);
+        tx.prepare(body(0), None, Some(0));
         tx.on_ack(1, 10); // RTO clamps to 50 µs
-        tx.prepare(body(1), None, 1_000);
+        tx.prepare(body(1), None, Some(1_000));
         let mut rounds = 0;
         let now = loop {
             let now = tx.deadline();
@@ -1350,7 +1460,7 @@ mod tests {
     fn in_flight(c: &ReliabilityConfig, n: u64, now: u64) -> LinkTx {
         let mut tx = LinkTx::new(c);
         for i in 0..n {
-            tx.prepare(body(i), None, now);
+            tx.prepare(body(i), None, Some(now));
         }
         tx
     }
@@ -1363,30 +1473,30 @@ mod tests {
         let mut tx = in_flight(&cfg(), 10, 0);
         // Seq 0 is lost; 1, 2 and 3 arrive one by one, each answered by an
         // ACK for 0 with a growing SACK.
-        assert!(tx.on_sack(0, 0b1, 5).is_empty());
-        assert!(tx.on_sack(0, 0b11, 5).is_empty());
-        assert_eq!(seqs(&tx.on_sack(0, 0b111, 5)), vec![0]);
+        assert!(tx.on_sack(0, 0b1).is_empty());
+        assert!(tx.on_sack(0, 0b11).is_empty());
+        assert_eq!(seqs(&tx.on_sack(0, 0b111)), vec![0]);
         // More SACKs in the same episode do not resend it again.
-        assert!(tx.on_sack(0, 0b1111, 6).is_empty());
+        assert!(tx.on_sack(0, 0b1111).is_empty());
         // The resend fills the hole: 0..=4 delivered. Then 5 is lost and
         // 6, 7, 8 arrive: a new episode, a new fast resend.
         tx.on_ack(5, 10);
-        assert!(tx.on_sack(5, 0b11, 11).is_empty());
-        assert_eq!(seqs(&tx.on_sack(5, 0b111, 12)), vec![5]);
+        assert!(tx.on_sack(5, 0b11).is_empty());
+        assert_eq!(seqs(&tx.on_sack(5, 0b111)), vec![5]);
 
         // Two holes under the threshold go in one batch, in order; a hole
         // with fewer SACKed above it waits.
         let mut tx = in_flight(&cfg(), 11, 0);
         // Held: 1, 3, 4, 5, 6 and 8 (bit `i` is seq `cum + 1 + i`).
-        let lost = tx.on_sack(0, 0b1011_1101, 1);
+        let lost = tx.on_sack(0, 0b1011_1101);
         assert_eq!(seqs(&lost), vec![0, 2], "7 has only one SACKed above it");
         assert!(lost.iter().all(|p| p.body == body(p.seq as u64)));
         // 9 and 10 arrive: now 7 qualifies, and only 7 is new.
-        assert!(tx.on_sack(0, 0b1_1011_1101, 2).is_empty());
-        assert_eq!(seqs(&tx.on_sack(0, 0b11_1011_1101, 2)), vec![7]);
+        assert!(tx.on_sack(0, 0b1_1011_1101).is_empty());
+        assert_eq!(seqs(&tx.on_sack(0, 0b11_1011_1101)), vec![7]);
         // A stale ACK (for a point the front has passed) is ignored.
         tx.on_ack(3, 3);
-        assert!(tx.on_sack(0, u64::MAX >> 1, 4).is_empty());
+        assert!(tx.on_sack(0, u64::MAX >> 1).is_empty());
     }
 
     /// The receiver's bitmap drives the sender: a packet overtaken by its
@@ -1400,7 +1510,7 @@ mod tests {
             receive(rx, seq, body(seq as u64));
             let (cum, sack) = (rx.take_ack(), rx.sack());
             tx.on_ack(cum, 1);
-            tx.on_sack(cum, sack, 1)
+            tx.on_sack(cum, sack)
         };
         for seq in [1, 0, 3, 2] {
             assert!(ack(&mut tx, &mut rx, seq).is_empty(), "seq {seq}");
@@ -1419,7 +1529,7 @@ mod tests {
         let capped: Vec<u32> = [0, 1, 2, 5].into_iter().chain(7..19).collect();
         for (n, want) in [(10, vec![0, 1, 2, 5, 7, 8, 9]), (20, capped)] {
             let mut tx = in_flight(&cfg(), n, 0);
-            assert_eq!(seqs(&tx.on_sack(0, 0b10_1100, 1)), vec![0, 1, 2]);
+            assert_eq!(seqs(&tx.on_sack(0, 0b10_1100)), vec![0, 1, 2]);
             let TxTick::Resend(batch) = tx.tick(200) else {
                 panic!("the timer should fire");
             };
@@ -1429,7 +1539,7 @@ mod tests {
         // receiver holds 6 (bit 1) and the round skips it.
         let mut tx = in_flight(&cfg(), 8, 0);
         tx.on_ack(4, 1);
-        tx.on_sack(4, 0b10, 1);
+        tx.on_sack(4, 0b10);
         let TxTick::Resend(batch) = tx.tick(1 + 200) else {
             panic!("the timer should fire");
         };
@@ -1443,7 +1553,7 @@ mod tests {
     fn a_fast_resend_gives_no_rtt_sample_and_leaves_retries_and_backoff() {
         let mut tx = in_flight(&cfg(), 5, 0);
         let (deadline, dead_after) = (tx.deadline(), tx.dead_after_us);
-        assert_eq!(seqs(&tx.on_sack(0, 0b111, 30)), vec![0]);
+        assert_eq!(seqs(&tx.on_sack(0, 0b111)), vec![0]);
         assert_eq!((tx.retries, tx.backoff_exp), (0, 0));
         assert_eq!(tx.deadline(), deadline);
         assert_eq!(tx.dead_after_us, dead_after);
@@ -1452,7 +1562,7 @@ mod tests {
         assert_eq!(tx.srtt_us(), None);
         assert_eq!(tx.rto_us(), 200, "still on the fixed schedule");
         // A packet sent after it measures the path again.
-        tx.prepare(body(5), None, 100);
+        tx.prepare(body(5), None, Some(100));
         tx.on_ack(6, 150);
         assert_eq!(tx.srtt_us(), Some(50));
 
@@ -1460,7 +1570,7 @@ mod tests {
         let mut tx = in_flight(&cfg(), 5, 0);
         assert!(matches!(tx.tick(200), TxTick::Resend(_)));
         let (retries, exp, deadline) = (tx.retries, tx.backoff_exp, tx.deadline());
-        assert_eq!(seqs(&tx.on_sack(0, 0b111, 300)), vec![0]);
+        assert_eq!(seqs(&tx.on_sack(0, 0b111)), vec![0]);
         assert_eq!(
             (tx.retries, tx.backoff_exp, tx.deadline()),
             (retries, exp, deadline)
