@@ -1,5 +1,10 @@
 //! Reproduce **Figure 2**: MPI instruction counts across the five builds
 //! (MPICH/Original → CH4 default → no-err → no-thread-check → IPO).
+//!
+//! The counts are the calibrated charges. The `original` build's `isend`
+//! layering (the CH3 device dispatch and per-send request) is charge-only:
+//! its injection executes CH4's code. Its `put` is real, RMA emulated over
+//! active messages.
 
 use litempi_bench::figs;
 
@@ -16,4 +21,5 @@ fn main() {
     }
     println!();
     println!("Paper reference bars: 253/1342, 221/215, 147/143, 141/129, 59/44.");
+    println!("The Original isend's CH3 layering is charge-only; its put runs RMA over AM.");
 }

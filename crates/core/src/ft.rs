@@ -126,7 +126,7 @@ impl Communicator {
     /// constant-time; a remote revocation is visible once its flood
     /// notice has been drained by this rank's progress engine.
     pub fn is_revoked(&self) -> bool {
-        self.proc.is_ctx_revoked(self.shared.ctx.0)
+        self.proc.first_failure(&[self.shared.ctx.0], &[]).is_err()
     }
 
     /// `MPI_Comm_failure_ack`: acknowledge every member failure this rank

@@ -229,9 +229,7 @@ impl PersistentRecv<'_> {
             }
             // ULFM gate (uncharged), as in `irecv_impl`: no receive posts
             // into a context no peer will send on again.
-            if proc.is_ctx_revoked(self.ctx) {
-                return fatal_filter(Err(MpiError::Revoked), self.fatal);
-            }
+            fatal_filter(proc.first_failure(&[self.ctx], &[]), self.fatal)?;
             charge(Category::NetmodIssue, cost::isend::NETMOD_ISSUE);
             self.started = Some(Some(Posted::post(proc, self.bits, self.ignore)));
             Ok(())

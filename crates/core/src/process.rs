@@ -8,6 +8,7 @@
 
 use crate::comm::Communicator;
 use crate::config::BuildConfig;
+use crate::error::{MpiError, MpiResult};
 use crate::op::Op;
 use crate::proto;
 use crate::universe::UnivShared;
@@ -19,7 +20,7 @@ use litempi_fabric::packet::{PostedRecv, SlotLease};
 use litempi_fabric::{AmMessage, Endpoint, MatcherKind, NetAddr, TaggedMessage};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Number of precreated communicator handles (`MPI_COMM_1`..`MPI_COMM_8`)
@@ -111,13 +112,9 @@ pub struct ProcInner {
     /// Raw context ids revoked on this rank (ULFM `MPI_Comm_revoke`). A
     /// revocation marks both a communicator's user-channel context and its
     /// collective twin, so gates can test whatever ctx their match bits
-    /// carry.
+    /// carry. Read only once the fabric's fault word has moved
+    /// ([`ProcInner::first_failure`]).
     pub(crate) revoked: Mutex<HashSet<u16>>,
-    /// Fast-path flag: `false` until the first revocation, so the FT gates
-    /// on the injection path cost one predictable relaxed load in the
-    /// fault-free case (the paper's charge identity is untouched — the
-    /// gate carries no `charge`).
-    pub(crate) any_revoked: AtomicBool,
 }
 
 impl ProcInner {
@@ -158,18 +155,34 @@ impl ProcInner {
             predef_comms: Default::default(),
             bsend_buffer: Mutex::new(None),
             revoked: Mutex::new(HashSet::new()),
-            any_revoked: AtomicBool::new(false),
         }
     }
 
-    /// Is the raw context id revoked on this rank? One relaxed load in the
-    /// common (never-revoked) case.
+    /// The ULFM gate: the first failure among a revoked context in `ctxs`
+    /// (`Revoked`) and an unreachable world rank in `peers`
+    /// (`PeerUnreachable`), in that order. Every send, receive post,
+    /// request poll, schedule step and one-sided op passes it, each asking
+    /// by what it passes. Uncharged, so the paper's charge identity holds:
+    /// while nothing has failed in the job it is one load of the fabric's
+    /// fault word ([`Fabric::fault_free`](litempi_fabric::Fabric::fault_free)).
     #[inline]
-    pub(crate) fn is_ctx_revoked(&self, ctx: u16) -> bool {
-        if !self.any_revoked.load(Ordering::Acquire) {
-            return false;
+    pub(crate) fn first_failure(&self, ctxs: &[u16], peers: &[usize]) -> MpiResult<()> {
+        if self.endpoint.fabric().fault_free() {
+            return Ok(());
         }
-        self.revoked.lock().contains(&ctx)
+        self.first_failure_slow(ctxs, peers)
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn first_failure_slow(&self, ctxs: &[u16], peers: &[usize]) -> MpiResult<()> {
+        if ctxs.iter().any(|ctx| self.revoked.lock().contains(ctx)) {
+            return Err(MpiError::Revoked);
+        }
+        match (peers.iter()).find(|&&p| self.endpoint.peer_unreachable(self.addr_of_world(p))) {
+            Some(&peer) => Err(MpiError::PeerUnreachable { peer }),
+            None => Ok(()),
+        }
     }
 
     #[inline]
@@ -211,7 +224,7 @@ impl ProcInner {
         // receives poll their own (collective-channel) ctx.
         set.insert(crate::match_bits::ContextId(ctx).collective().0);
         drop(set);
-        self.any_revoked.store(true, Ordering::Release);
+        self.endpoint.fabric().note_fault();
         // A wait of this rank on the communicator ends with `Revoked`.
         self.endpoint.signal_peer(self.endpoint.addr());
         charge(Category::FaultTolerance, cost::ft::REVOKE_NOTICE);

@@ -175,61 +175,6 @@ pub(crate) fn redundant_checks_remain(
 
 // ---------------------------------------------------------------- devices
 
-/// The CH3-like baseline's operations vtable. The indirection is real: the
-/// `original` device routes every injection through this trait object,
-/// reproducing the dynamic-dispatch layering the paper's CH4 removed.
-pub(crate) trait OriginalOps: Send + Sync {
-    fn inject_tagged(&self, proc: &ProcInner, dst_world: usize, bits: u64, payload: Bytes);
-    fn inject_am(
-        &self,
-        proc: &ProcInner,
-        dst_world: usize,
-        handler: u16,
-        header: [u8; 32],
-        payload: Bytes,
-    );
-}
-
-struct OriginalDevice;
-
-impl OriginalOps for OriginalDevice {
-    fn inject_tagged(&self, proc: &ProcInner, dst_world: usize, bits: u64, payload: Bytes) {
-        proc.endpoint
-            .tsend(proc.addr_of_world(dst_world), bits, payload);
-    }
-
-    fn inject_am(
-        &self,
-        proc: &ProcInner,
-        dst_world: usize,
-        handler: u16,
-        header: [u8; 32],
-        payload: Bytes,
-    ) {
-        proc.endpoint
-            .am_send(proc.addr_of_world(dst_world), handler, header, payload);
-    }
-}
-
-/// The process-wide baseline device instance (one vtable, like a loaded
-/// CH3 device).
-pub(crate) fn original_device() -> &'static dyn OriginalOps {
-    static DEV: OriginalDevice = OriginalDevice;
-    &DEV
-}
-
-/// A send descriptor — in the `original` device this is heap-allocated per
-/// operation (CH3 allocates a request for every send), which the request
-/// ablation bench measures.
-struct SendDesc {
-    #[allow(dead_code)]
-    bits: u64,
-    #[allow(dead_code)]
-    dst_world: usize,
-    #[allow(dead_code)]
-    bytes: usize,
-}
-
 /// Inject a tagged message through whichever device/netmod path the build
 /// selects; charges the device-specific overheads.
 pub(crate) fn inject(
@@ -240,54 +185,31 @@ pub(crate) fn inject(
     opts: &SendOpts,
 ) {
     use crate::config::DeviceKind;
-    let native_tagged = proc.endpoint.fabric().profile().caps.native_tagged;
     match proc.config.device {
-        DeviceKind::Ch4 => {
-            charge(
-                Category::NetmodIssue,
-                if opts.all_opts {
-                    cost::isend::ALL_OPTS_NETMOD
-                } else {
-                    cost::isend::NETMOD_ISSUE
-                },
-            );
-            if native_tagged {
-                proc.endpoint
-                    .tsend(proc.addr_of_world(dst_world), bits, payload);
+        DeviceKind::Ch4 => charge(
+            Category::NetmodIssue,
+            if opts.all_opts {
+                cost::isend::ALL_OPTS_NETMOD
             } else {
-                // CH4-core active-message fallback: the netmod cannot match,
-                // so matching happens in the core at the receiver.
-                proc.endpoint.am_send(
-                    proc.addr_of_world(dst_world),
-                    proto::AM_PT2PT,
-                    proto::header(bits, 0, 0, proc.rank as u64),
-                    payload,
-                );
-            }
-        }
+                cost::isend::NETMOD_ISSUE
+            },
+        ),
         DeviceKind::Original => {
+            // The CH3 layering and the request CH3 allocates for every
+            // send are charged, not executed: the injection is CH4's.
             charge(Category::NetmodIssue, cost::isend::NETMOD_ISSUE);
             charge(Category::OriginalLayering, cost::isend::ORIGINAL_LAYERING);
-            // Real allocation + real dynamic dispatch: the CH3 structure.
             litempi_instr::note_alloc(1);
-            let desc = Box::new(SendDesc {
-                bits,
-                dst_world,
-                bytes: payload.len(),
-            });
-            let dev = original_device();
-            if native_tagged {
-                dev.inject_tagged(proc, desc.dst_world, desc.bits, payload);
-            } else {
-                dev.inject_am(
-                    proc,
-                    desc.dst_world,
-                    proto::AM_PT2PT,
-                    proto::header(bits, 0, 0, proc.rank as u64),
-                    payload,
-                );
-            }
         }
+    }
+    let dst = proc.addr_of_world(dst_world);
+    if proc.endpoint.fabric().profile().caps.native_tagged {
+        proc.endpoint.tsend(dst, bits, payload);
+    } else {
+        // CH4-core active-message fallback: the netmod cannot match, so
+        // matching happens in the core at the receiver.
+        let header = proto::header(bits, 0, 0, proc.rank as u64);
+        proc.endpoint.am_send(dst, proto::AM_PT2PT, header, payload);
     }
 }
 
@@ -423,22 +345,15 @@ impl SendTo {
 /// known-dead peer fails fast (the provider's analogue of a link-down
 /// completion error) instead of retrying into a black hole. Either is
 /// fatal under `MPI_ERRORS_ARE_FATAL` and the `Err` under
-/// `MPI_ERRORS_RETURN`. Neither gate is charged — each is one relaxed load
-/// in the fault-free case, keeping the paper's charge identity.
+/// `MPI_ERRORS_RETURN` ([`ProcInner::first_failure`]: uncharged, one load
+/// in a healthy job).
 pub(crate) fn send_gates(
     proc: &ProcInner,
     ctx: u16,
     dest_world: usize,
     fatal: bool,
 ) -> MpiResult<()> {
-    let gate = if proc.is_ctx_revoked(ctx) {
-        MpiError::Revoked
-    } else if (proc.endpoint).peer_unreachable(proc.addr_of_world(dest_world)) {
-        MpiError::PeerUnreachable { peer: dest_world }
-    } else {
-        return Ok(());
-    };
-    fatal_filter(Err(gate), fatal)
+    fatal_filter(proc.first_failure(&[ctx], &[dest_world]), fatal)
 }
 
 /// The tail every two-sided send shares once it has passed
@@ -515,8 +430,8 @@ pub(crate) fn irecv_impl<'buf>(
         }
         // ULFM gate (uncharged): receives on a revoked communicator fail
         // instead of posting into a context no peer will send on again.
-        if proc.is_ctx_revoked(comm.context_id().0) {
-            return comm.handle_error(Err(MpiError::Revoked));
+        if let Err(e) = proc.first_failure(&[comm.context_id().0], &[]) {
+            return comm.handle_error(Err(e));
         }
         if !comm.is_predef {
             charge(Category::ObjectDeref, cost::isend::OBJECT_DEREF);

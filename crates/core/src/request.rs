@@ -183,32 +183,16 @@ enum ReqInner<'buf> {
     Consumed,
 }
 
-/// Dead-peer and revocation check behind every pending-request poll
-/// ([`poll_or_death`]). A revoked communicator (`revoke_ctx` names its
-/// context; `None` exempts FT-internal traffic) is `Revoked`; an
-/// unreachable peer is `PeerUnreachable`, so wait/test return instead of
-/// hanging.
-fn check_peer(proc: &ProcInner, peer: Option<usize>, revoke_ctx: Option<u16>) -> MpiResult<()> {
-    if revoke_ctx.is_some_and(|ctx| proc.is_ctx_revoked(ctx)) {
-        return Err(MpiError::Revoked);
-    }
-    // Self-death check: when this rank's *own* kill switch has fired, its
-    // pending operations fail too. A real dead process is simply gone; the
-    // in-process harness simulates that by erroring the victim's blocking
-    // calls so the rank can unwind instead of waiting on peers that
-    // have (correctly) stopped talking to a corpse.
-    let unreachable = |rank: usize| proc.endpoint.peer_unreachable(proc.addr_of_world(rank));
-    if unreachable(proc.rank) {
-        return Err(MpiError::PeerUnreachable { peer: proc.rank });
-    }
-    match peer {
-        Some(peer) if unreachable(peer) => Err(MpiError::PeerUnreachable { peer }),
-        _ => Ok(()),
-    }
-}
-
 /// One poll of a completion a peer's death can strand: the completion if
-/// it is there, else the death ([`check_peer`]) if there is one.
+/// it is there, else the first failure ([`ProcInner::first_failure`]): a
+/// revoked communicator (`revoke_ctx` names its context; `None` exempts
+/// FT-internal traffic) is `Revoked`, an unreachable peer
+/// `PeerUnreachable`, so wait/test return instead of hanging. This rank's
+/// own world rank is asked about first: when its own kill switch has
+/// fired, its pending operations fail too. A real dead process is simply
+/// gone; the in-process harness simulates that by erroring the victim's
+/// blocking calls so the rank can unwind instead of waiting on peers that
+/// have (correctly) stopped talking to a corpse.
 pub(crate) fn poll_or_death<M>(
     proc: &ProcInner,
     peer: Option<usize>,
@@ -216,7 +200,10 @@ pub(crate) fn poll_or_death<M>(
     revoke_ctx: Option<u16>,
     poll: impl FnMut() -> Option<M>,
 ) -> Option<MpiResult<M>> {
-    poll_or_failure(proc, fatal, || check_peer(proc, peer, revoke_ctx), poll)
+    // A wildcard receive watches no peer but this rank.
+    let peers = [proc.rank, peer.unwrap_or(proc.rank)];
+    let alive = || proc.first_failure(revoke_ctx.as_slice(), &peers);
+    poll_or_failure(proc, fatal, alive, poll)
 }
 
 /// [`poll_or_death`] with the liveness check given: the completion if it
@@ -409,8 +396,8 @@ impl<'buf> Request<'buf> {
                 ctxs,
             } => {
                 let alive = || {
-                    check_peer(proc, None, None)?;
-                    crate::rma::target_alive(proc, *ctxs, *peer)
+                    proc.first_failure(&[], &[proc.rank])?;
+                    crate::rma::target_alive(proc, ctxs, *peer)
                 };
                 let reply = poll_or_failure(proc, *fatal, alive, || slot.lock().take())?;
                 reply.and_then(|data| {

@@ -797,9 +797,15 @@ impl Window {
 
     // ------------------------------------------------- passive-target core
 
-    /// [`target_alive`] for window rank `target`.
+    /// [`target_alive`] for window rank `target`. Its world rank is looked
+    /// up only once something in the job has failed: in a healthy job the
+    /// check is the one load.
     fn check_target_alive(&self, target: usize) -> MpiResult<()> {
-        target_alive(self.proc(), self.ctxs(), self.comm.world_rank_of(target))
+        let proc = self.proc();
+        if proc.endpoint.fabric().fault_free() {
+            return Ok(());
+        }
+        target_alive(proc, &self.ctxs(), self.comm.world_rank_of(target))
     }
 
     /// Wait until `ready` yields or `alive` reports a dead or revoked peer.
@@ -1372,17 +1378,15 @@ impl Window {
     }
 }
 
-/// ULFM wiring for one-sided traffic: a revoked window (its communicator
-/// or the parent, `ctxs`) or a dead target (`world`) fails fast instead of
-/// hanging in an epoch that can never close.
-pub(crate) fn target_alive(proc: &ProcInner, ctxs: [u16; 2], world: usize) -> MpiResult<()> {
-    if ctxs.iter().any(|&ctx| proc.is_ctx_revoked(ctx)) {
-        return Err(MpiError::Revoked);
+/// ULFM wiring for one-sided traffic ([`ProcInner::first_failure`]): a
+/// revoked window (its communicator or the parent, `ctxs`) or a dead
+/// target (`world`) fails fast instead of hanging in an epoch that can
+/// never close. A dead target is `ProcessFailed`.
+pub(crate) fn target_alive(proc: &ProcInner, ctxs: &[u16; 2], world: usize) -> MpiResult<()> {
+    match proc.first_failure(ctxs, &[world]) {
+        Err(MpiError::PeerUnreachable { peer }) => Err(MpiError::ProcessFailed { peer }),
+        r => r,
     }
-    if proc.endpoint.peer_unreachable(proc.addr_of_world(world)) {
-        return Err(MpiError::ProcessFailed { peer: world });
-    }
-    Ok(())
 }
 
 /// Land `count` elements of `ty` arriving as packed `wire` bytes in `buf`.

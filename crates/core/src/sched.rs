@@ -345,10 +345,10 @@ impl Schedule {
                 // ULFM gate: a revocation, before the first phase or
                 // mid-schedule, fails the DAG (cancelling its posted
                 // receives) instead of letting it wait forever on ranks
-                // that already bailed out. Uncharged — one relaxed load in
-                // the fault-free case.
-                if proc.is_ctx_revoked(self.ctx.0) {
-                    return self.fail(proc, MpiError::Revoked);
+                // that already bailed out. Uncharged — one load in a
+                // healthy job.
+                if let Err(e) = proc.first_failure(&[self.ctx.0], &[]) {
+                    return self.fail(proc, e);
                 }
             }
         }

@@ -87,6 +87,41 @@ fn revoke_floods_to_peers_and_fails_new_operations_everywhere() {
     });
 }
 
+/// A revocation moves the job's fault word, so the gates see it: on a
+/// revoked sub-communicator the revoker's own send, receive and
+/// collective fail at once, the other member's after the flood, while the
+/// parent communicator, whose gates now take the slow path on every
+/// rank, still carries traffic.
+#[test]
+fn fault_word_moves_on_a_revoke_of_a_sub_communicator() {
+    Universe::run_default(3, |proc| {
+        let world = proc.world();
+        world.set_errhandler(Errhandler::ErrorsReturn);
+        let pair = proc.rank() < 2;
+        let sub = world.split(pair as i32, 0).unwrap().unwrap();
+        sub.set_errhandler(Errhandler::ErrorsReturn);
+        if pair {
+            if proc.rank() == 0 {
+                sub.revoke();
+            } else {
+                await_revoked(&sub);
+            }
+            let peer = 1 - proc.rank() as i32;
+            let e = sub.send(&[1u8], peer, 3).unwrap_err();
+            assert!(matches!(e, MpiError::Revoked));
+            let mut buf = [0u8; 1];
+            let e = sub.recv_into(&mut buf, peer, 3).unwrap_err();
+            assert!(matches!(e, MpiError::Revoked));
+            assert!(matches!(sub.barrier(), Err(MpiError::Revoked)));
+        } else {
+            assert!(!sub.is_revoked());
+        }
+        assert!(!world.is_revoked());
+        let sum = world.allreduce(&[1u64], &Op::Sum).unwrap();
+        assert_eq!(sum[0], 3);
+    });
+}
+
 #[test]
 fn revoke_fails_a_pending_irecv_instead_of_hanging() {
     Universe::run_default(2, |proc| {

@@ -59,9 +59,10 @@
 //! A fault plan's drops, duplicates, reorders and corruptions happen
 //! beneath the protocol, which repairs them; its kill switch counts the
 //! first transmissions of data packets to or from its victim. A plan's
-//! `reorder` parks a packet in its sender's stash, where the next packet
-//! on the same link overtakes it (the receiver's window buffers the gap
-//! and SACKs it), and the sender's next tick releases it otherwise.
+//! `reorder` parks a data packet (never a standalone ACK) in its sender's
+//! stash, where the next packet on the same link overtakes it (the
+//! receiver's window buffers the gap and SACKs it), and the sender's next
+//! tick releases it otherwise.
 //!
 //! ## Reliability timers
 //!
@@ -105,7 +106,7 @@ use litempi_instr::{charge, cost as icost, Category};
 use litempi_trace::EventKind;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -155,11 +156,6 @@ pub(crate) struct EndpointShared {
     /// Hoisted from the profile's trace opt-in: event sites cost one
     /// predictable branch when tracing is off.
     trace_enabled: bool,
-    /// How many peers the reliability layer has declared dead, raised
-    /// under the `relia` lock as a link's `tx.dead` flag goes up. Zero in a
-    /// healthy job, so [`Endpoint::peer_unreachable`] takes no lock until
-    /// it moves.
-    relia_deaths: AtomicU32,
     /// Per-peer pin-down cache for RDMA transport buffers (rendezvous
     /// staging). Touched only by the large-message path — eager traffic
     /// never reaches it.
@@ -188,7 +184,6 @@ impl EndpointShared {
             lossy,
             routed: profile.reliability.enabled || !faults.is_none(),
             trace_enabled: profile.trace.enabled,
-            relia_deaths: AtomicU32::new(0),
             reg_cache: RegistrationCache::new(REG_CACHE_CAPACITY),
             host: Mutex::new(None),
             stats: EndpointStats::default(),
@@ -418,7 +413,12 @@ fn transmit_live(fabric: &Fabric, src: NetAddr, dst: NetAddr, pkt: WirePacket) {
                 pkt
             };
             let dup = rng.chance(spec.duplicate);
-            if stashed.is_none() && rng.chance(spec.reorder) {
+            // The reorder draw comes before the packet's class is looked
+            // at, so that a chaos seed keeps its fault stream; only a data
+            // packet is held back. A standalone ACK would wait for its
+            // sender's next packet or tick, which a receiver that neither
+            // sends nor progresses never makes.
+            if stashed.is_none() && rng.chance(spec.reorder) && pkt.body.is_some() {
                 // Hold back until the next packet on this link, which
                 // goes out ahead of it, or the sender's next tick (a send
                 // to another peer, a progress pass or a wait).
@@ -677,7 +677,7 @@ fn tick_relia(fabric: &Fabric, addr: NetAddr, now: u64, keep_stash: Option<NetAd
                 TxTick::Resend(pending) => wrap_resends(my, addr, d, link, pending, &mut resends),
                 // A link reports its death once: a dead sender never ticks.
                 TxTick::Dead => {
-                    my.relia_deaths.fetch_add(1, Ordering::Release);
+                    fabric.note_fault();
                     newly_dead.push(d);
                 }
             }
@@ -910,13 +910,13 @@ impl Endpoint {
     /// unreachable; the fabric's kill switch took `peer` down, which every
     /// endpoint sees the instant it trips, with or without traffic to it;
     /// or the reliability layer's retry budget toward `peer` ran out.
-    /// Always `false` on a perfect fabric in a healthy job.
+    /// While nothing has failed in the job it is one load of the fabric's
+    /// fault word ([`Fabric::fault_free`]).
     pub fn peer_unreachable(&self, peer: NetAddr) -> bool {
-        if self.fabric.job_aborted() || self.fabric.endpoint_killed(peer) {
-            return true;
-        }
-        let my = self.shared(self.addr);
-        my.relia_deaths.load(Ordering::Acquire) > 0 && my.relia.lock().is_dead(peer)
+        !self.fabric.fault_free()
+            && (self.fabric.job_aborted()
+                || self.fabric.endpoint_killed(peer)
+                || self.shared(self.addr).relia.lock().is_dead(peer))
     }
 
     /// Drive the reliability layer until none of this endpoint's injected
@@ -1574,15 +1574,48 @@ mod tests {
             .reliable()
     }
 
+    /// How long [`pumped_recv`] waits before it fails.
+    const PUMPED_RECV_DEADLINE: Duration = Duration::from_secs(10);
+
+    /// One line per resident link of `e`: what a wait on it can be stuck
+    /// behind.
+    fn link_state(e: &Endpoint) -> String {
+        let st = e.shared(e.addr).relia.lock();
+        st.links()
+            .map(|(d, link)| {
+                format!(
+                    "  {:?} -> {d:?}: in flight {}, timed {}, stash {}, ACK debt {}, dead {}\n",
+                    e.addr,
+                    link.tx.in_flight(),
+                    !link.tx.needs_clock(),
+                    link.stash.is_some(),
+                    link.rx.ack_owed,
+                    link.tx.dead,
+                )
+            })
+            .collect()
+    }
+
     /// Receive one message matching `(bits, ignore)` at `b`, pumping `b`
     /// and every sender in `from` while it waits (drives retransmit timers
     /// and reorder stashes on a single thread: a stashed packet goes out
-    /// only on its sender's tick).
+    /// only on its sender's tick). Fails after [`PUMPED_RECV_DEADLINE`]
+    /// with every endpoint's link state: an unexpected death verdict then
+    /// fails its test instead of spinning.
     fn pumped_recv(from: &[&Endpoint], b: &Endpoint, bits: u64, ignore: u64) -> TaggedMessage {
         let h = b.trecv_post(bits, ignore);
+        let t0 = std::time::Instant::now();
         loop {
             if let Some(m) = h.poll() {
                 break m;
+            }
+            if t0.elapsed() > PUMPED_RECV_DEADLINE {
+                let links: String = from.iter().chain([&b]).map(|e| link_state(e)).collect();
+                panic!(
+                    "no message for bits {bits:#x} (ignore {ignore:#x}) at {:?} within \
+                     {PUMPED_RECV_DEADLINE:?}; links:\n{links}",
+                    b.addr
+                );
             }
             from.iter().for_each(|e| e.pump());
             b.pump();
@@ -2029,9 +2062,10 @@ mod tests {
     }
 
     /// Retry exhaustion makes the peer unreachable on the very next call —
-    /// `peer_unreachable` takes no lock until a verdict is counted, so the
-    /// count must move with the verdict — counts one death however often
-    /// the dead peer is sent to afterwards, and outlives `quiesce`.
+    /// `peer_unreachable` takes no lock until the fabric's fault word
+    /// moves, so the word must move with the verdict — counts one death
+    /// however often the dead peer is sent to afterwards, and outlives
+    /// `quiesce`.
     #[test]
     fn retry_exhaustion_is_seen_at_once_and_survives_quiesce() {
         // Link 0 -> 1 drops every packet, and nothing kills the peer.
@@ -2062,6 +2096,126 @@ mod tests {
         assert_eq!(a.stats().peers_died, 1, "one death counted twice");
         a.quiesce();
         assert!(a.peer_unreachable(peer), "quiesce forgot the verdict");
+    }
+
+    // ----------------------------------------------------- the fault word
+    //
+    // One case per failure source: each fails if its source stops bumping
+    // the fabric's fault word, because `peer_unreachable` then answers from
+    // the word alone.
+
+    #[test]
+    fn fault_word_moves_on_an_abort() {
+        let f = fabric(2);
+        let a = f.endpoint(NetAddr(0));
+        assert!(f.fault_free() && !a.peer_unreachable(NetAddr(1)));
+        f.abort_job();
+        assert!(!f.fault_free());
+        assert!(a.peer_unreachable(NetAddr(1)));
+    }
+
+    #[test]
+    fn fault_word_moves_on_a_kill_trip() {
+        let plan = FaultPlan::none().with_kill(1, 1);
+        let f = Fabric::new(
+            2,
+            ProviderProfile::infinite().with_faults(plan),
+            Topology::single_node(2),
+        );
+        let (a, b) = (f.endpoint(NetAddr(0)), f.endpoint(NetAddr(1)));
+        assert!(f.fault_free() && !a.peer_unreachable(NetAddr(1)));
+        // The victim's first data packet is its last.
+        b.tsend(NetAddr(0), 1, Bytes::new());
+        assert!(!f.fault_free());
+        assert!(a.peer_unreachable(NetAddr(1)));
+        assert!(!b.peer_unreachable(NetAddr(0)), "only the victim is dead");
+    }
+
+    #[test]
+    fn fault_word_moves_on_a_retry_exhaustion_verdict() {
+        let plan = FaultPlan::none().with_link(0, 1, FaultSpec::percent(100, 0, 0, 0));
+        let profile = ProviderProfile::infinite()
+            .with_faults(plan)
+            .with_reliability(ReliabilityConfig::on().with_retries(2, 50));
+        let f = Fabric::new(2, profile, Topology::single_node(2));
+        let (a, b) = (f.endpoint(NetAddr(0)), f.endpoint(NetAddr(1)));
+        a.tsend(NetAddr(1), 1, Bytes::new());
+        let t0 = std::time::Instant::now();
+        while !f.shared(NetAddr(0)).relia.lock().is_dead(NetAddr(1)) {
+            assert!(f.fault_free(), "the word moved before a verdict");
+            a.pump();
+            assert!(t0.elapsed() < Duration::from_secs(10), "no verdict");
+            std::thread::yield_now();
+        }
+        assert!(!f.fault_free());
+        assert!(a.peer_unreachable(NetAddr(1)));
+        // The word is job-wide; the verdict stays the verdict's endpoint's.
+        assert!(!b.peer_unreachable(NetAddr(0)));
+    }
+
+    /// A fault-free run of a lossy plan — every loss repaired, no peer
+    /// declared dead — leaves the word at zero.
+    #[test]
+    fn fault_word_stays_zero_through_a_repaired_lossy_run() {
+        let lossy = FaultPlan::uniform(0x5EED, FaultSpec::percent(1, 1, 1, 1));
+        let f = Fabric::new(
+            2,
+            ProviderProfile::infinite().with_faults(lossy),
+            Topology::single_node(2),
+        );
+        let (a, b) = (f.endpoint(NetAddr(0)), f.endpoint(NetAddr(1)));
+        for i in 0..500u64 {
+            a.tsend(NetAddr(1), i, Bytes::copy_from_slice(&i.to_le_bytes()));
+            b.tsend(NetAddr(0), i, Bytes::copy_from_slice(&i.to_le_bytes()));
+        }
+        for i in 0..500u64 {
+            pumped_recv(&[&a], &b, i, 0);
+            pumped_recv(&[&b], &a, i, 0);
+        }
+        a.quiesce();
+        b.quiesce();
+        let lost = a.stats().faults_dropped + b.stats().faults_dropped;
+        assert!(lost > 0, "the plan lost nothing");
+        assert!(f.fault_free(), "a repaired loss moved the fault word");
+        assert!(!a.peer_unreachable(NetAddr(1)) && !b.peer_unreachable(NetAddr(0)));
+    }
+
+    /// A fault plan's `reorder` holds back data packets only. Here every
+    /// packet the receiver sends is drawn for its stash, and the receiver
+    /// takes its messages but never ticks and sends no data: its
+    /// standalone ACK still reaches the sender at once, so the sender's
+    /// `quiesce` returns without waiting out its 2 s retransmit timer.
+    #[test]
+    fn reorder_never_holds_back_a_standalone_ack() {
+        let slow_timer = ReliabilityConfig::on()
+            .with_retries(8, 2_000_000)
+            .with_rto_bounds(2_000_000, 2_000_000);
+        let acks_reordered = FaultPlan::none().with_link(1, 0, FaultSpec::percent(0, 0, 100, 0));
+        let f = Fabric::new(
+            2,
+            ProviderProfile::infinite()
+                .with_faults(acks_reordered)
+                .with_reliability(slow_timer),
+            Topology::single_node(2),
+        );
+        let (a, b) = (f.endpoint(NetAddr(0)), f.endpoint(NetAddr(1)));
+        for i in 0..u64::from(ACK_EVERY) {
+            a.tsend(NetAddr(1), i, Bytes::from_static(b"x"));
+        }
+        for i in 0..u64::from(ACK_EVERY) {
+            assert!(b.tdequeue(i, 0).is_some(), "message {i} not delivered");
+        }
+        let t0 = std::time::Instant::now();
+        a.quiesce();
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "quiesce waited {:?} for an ACK",
+            t0.elapsed()
+        );
+        assert_eq!(a.stats().retransmits, 0);
+        assert_eq!(b.stats().acks_sent, 1);
+        let st = f.shared(NetAddr(1)).relia.lock();
+        assert!(st.link(NetAddr(0)).is_some_and(|l| l.stash.is_none()));
     }
 
     #[test]

@@ -47,6 +47,12 @@ pub struct Fabric {
     kill_tripped: AtomicBool,
     /// Set by [`Fabric::abort_job`]: the whole job is going down.
     aborted: AtomicBool,
+    /// The job's fault word: zero while nothing has failed anywhere in the
+    /// job, bumped (Release) by every failure source after it has recorded
+    /// its own state ([`Fabric::note_fault`]). Every ULFM gate tests it
+    /// first ([`Fabric::fault_free`]), so a healthy job pays one load per
+    /// gate and the slow paths behind it stay exact.
+    faults: AtomicU64,
     /// Ranks whose body has not returned yet ([`Fabric::rank_returned`]).
     running: AtomicUsize,
     /// Ranks that have not drained their reliability state yet
@@ -92,6 +98,7 @@ impl Fabric {
             kill_count: AtomicU64::new(0),
             kill_tripped: AtomicBool::new(false),
             aborted: AtomicBool::new(false),
+            faults: AtomicU64::new(0),
             running: AtomicUsize::new(n),
             draining: AtomicUsize::new(n),
             trace_enabled: profile.trace.enabled,
@@ -151,6 +158,7 @@ impl Fabric {
     /// moves so that a rank waiting on it sees the death.
     pub(crate) fn trip_kill(&self) {
         if !self.kill_tripped.swap(true, Ordering::AcqRel) {
+            self.note_fault();
             self.bump_all();
         }
     }
@@ -170,7 +178,25 @@ impl Fabric {
     /// that parked waiters re-poll at once and see it. Idempotent.
     pub fn abort_job(&self) {
         self.aborted.store(true, Ordering::Release);
+        self.note_fault();
         self.bump_all();
+    }
+
+    /// Has nothing failed in this job yet: no abort, no kill, no death
+    /// verdict, no revocation on any rank? One Acquire load, the whole of
+    /// every ULFM gate in a healthy job. When it reads `false`, a gate runs
+    /// its exact checks, which the failure source recorded before its
+    /// [`Fabric::note_fault`] made this load see it.
+    #[inline]
+    pub fn fault_free(&self) -> bool {
+        self.faults.load(Ordering::Acquire) == 0
+    }
+
+    /// Record that something failed, after the caller has stored what
+    /// failed (the abort flag, the kill switch, a link's death, a revoked
+    /// context): the Release pairs with [`Fabric::fault_free`]'s Acquire.
+    pub fn note_fault(&self) {
+        self.faults.fetch_add(1, Ordering::Release);
     }
 
     /// Move every endpoint's event epoch: job-wide state changed.

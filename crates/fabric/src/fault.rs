@@ -33,7 +33,8 @@ pub struct FaultSpec {
     pub drop: Chance,
     /// Probability a packet is delivered twice.
     pub duplicate: Chance,
-    /// Probability a packet is held back so a later one overtakes it.
+    /// Probability a data packet is held back so a later one overtakes
+    /// it (a standalone ACK draws the chance but is never held).
     pub reorder: Chance,
     /// Probability one payload byte is flipped in flight.
     pub corrupt: Chance,
