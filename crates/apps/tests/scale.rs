@@ -8,7 +8,6 @@ use litempi_core::{BuildConfig, Op, Universe};
 use litempi_fabric::{ProviderProfile, Topology};
 
 #[test]
-#[ignore = "1024 threads: run in release (CI scale job: cargo test --release --test scale -- --ignored)"]
 fn stencil_iteration_completes_at_1024_ranks() {
     let n = 1024;
     let sums = Universe::run(

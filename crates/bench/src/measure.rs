@@ -225,4 +225,98 @@ mod tests {
         assert_eq!(npn, 23);
         assert_eq!(all, 16);
     }
+
+    /// The match bits of the one tagged send `isend_with_options` puts on
+    /// the wire (its `SendBegin` trace event), sent as [`isend_opts_instr`]
+    /// sends it, on the world or on `MPI_COMM_1`.
+    fn wire_bits(options: SendOptions, predef: bool) -> u64 {
+        use litempi_trace::EventKind;
+        let traced = ProviderProfile::infinite().traced();
+        let out = Universe::run(
+            2,
+            BuildConfig::ch4_no_err_single_ipo(),
+            traced,
+            Topology::single_node(2),
+            |proc| {
+                let world = proc.world();
+                world.dup_predefined(PredefHandle::Comm1).ok();
+                if proc.rank() == 1 {
+                    drain_one(&proc, &world);
+                    world.barrier().unwrap();
+                    return None;
+                }
+                let pre = Communicator::predefined(&proc, PredefHandle::Comm1).unwrap();
+                let comm = if predef { &pre } else { &world };
+                // Rank 1 is world rank 1 on either communicator.
+                let (dest, tag) = (1, 0);
+                // Only the send's own events: re-arm the ring around it.
+                let epoch = std::time::Instant::now();
+                litempi_trace::drain();
+                litempi_trace::enable(0, 64, epoch);
+                let req = comm.isend_with_options(&[1u8], dest, tag, options);
+                req.unwrap().wait().unwrap();
+                if options.no_request {
+                    comm.comm_waitall().unwrap();
+                }
+                let trace = litempi_trace::drain().expect("armed above");
+                world.barrier().unwrap();
+                let sent: Vec<u64> = (trace.events.iter())
+                    .filter(|e| e.kind == EventKind::SendBegin)
+                    .map(|e| e.a)
+                    .collect();
+                assert_eq!(sent.len(), 1, "{options:?}: {sent:x?}");
+                Some(sent[0])
+            },
+        );
+        out.into_iter().flatten().next().expect("rank 0 sent")
+    }
+
+    /// Subset `i` of the four §3 flags, bit 0 first.
+    fn subset(i: usize) -> SendOptions {
+        SendOptions {
+            no_proc_null: i & 1 != 0,
+            global_rank: i & 2 != 0,
+            no_match: i & 4 != 0,
+            no_request: i & 8 != 0,
+        }
+    }
+
+    /// Every subset of the four §3 flags through `isend_with_options`, in
+    /// [`subset`] order: the injection total and the wire match bits on the
+    /// world, then the same on `MPI_COMM_1` (context id 1 in the top 16
+    /// bits; the nomatch channel sets the 24 source bits below it).
+    const OPTION_SPACE: [(u64, u64, u64, u64); 16] = [
+        (59, 0x0000_0000_0000_0000, 51, 0x0001_0000_0000_0000),
+        (56, 0x0000_0000_0000_0000, 48, 0x0001_0000_0000_0000),
+        (49, 0x0000_0000_0000_0000, 41, 0x0001_0000_0000_0000),
+        (46, 0x0000_0000_0000_0000, 38, 0x0001_0000_0000_0000),
+        (54, 0x0000_ffff_ff00_0000, 46, 0x0001_ffff_ff00_0000),
+        (51, 0x0000_ffff_ff00_0000, 43, 0x0001_ffff_ff00_0000),
+        (44, 0x0000_ffff_ff00_0000, 36, 0x0001_ffff_ff00_0000),
+        (41, 0x0000_ffff_ff00_0000, 33, 0x0001_ffff_ff00_0000),
+        (49, 0x0000_0000_0000_0000, 41, 0x0001_0000_0000_0000),
+        (46, 0x0000_0000_0000_0000, 38, 0x0001_0000_0000_0000),
+        (39, 0x0000_0000_0000_0000, 31, 0x0001_0000_0000_0000),
+        (36, 0x0000_0000_0000_0000, 28, 0x0001_0000_0000_0000),
+        (44, 0x0000_ffff_ff00_0000, 36, 0x0001_ffff_ff00_0000),
+        (41, 0x0000_ffff_ff00_0000, 33, 0x0001_ffff_ff00_0000),
+        (34, 0x0000_ffff_ff00_0000, 26, 0x0001_ffff_ff00_0000),
+        (31, 0x0000_ffff_ff00_0000, 23, 0x0001_ffff_ff00_0000),
+    ];
+
+    #[test]
+    fn every_send_option_subset_keeps_its_charge_and_its_wire_bits() {
+        for (i, &(world, world_bits, predef, predef_bits)) in OPTION_SPACE.iter().enumerate() {
+            let options = subset(i);
+            for (on_predef, total, bits) in
+                [(false, world, world_bits), (true, predef, predef_bits)]
+            {
+                let got = (
+                    isend_opts_instr(options, on_predef),
+                    wire_bits(options, on_predef),
+                );
+                assert_eq!(got, (total, bits), "{options:?}, predefined: {on_predef}");
+            }
+        }
+    }
 }

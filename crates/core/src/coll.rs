@@ -21,7 +21,7 @@ use crate::match_bits;
 use crate::op::Op;
 use crate::process::{Posted, ProcInner};
 use crate::proto::{self, Opened};
-use crate::pt2pt::{inject, SendMode, SendOpts};
+use crate::pt2pt::{inject, Entry, SendMode};
 use crate::request::{poll_or_death, wait_for};
 use crate::sched::Schedule;
 use litempi_datatype::{Datatype, MpiPrimitive};
@@ -43,12 +43,12 @@ pub(crate) fn send_staged(
     };
     let (ty, mode) = (Datatype::BYTE, SendMode::Standard);
     let staged = proto::stage(proc, &ty, data.len(), data, mode, None);
-    let opts = SendOpts::default();
     for next in dests {
-        inject(proc, dest, bits, staged.clone().into_wire(proc), &opts);
+        let wire = staged.clone().into_wire(proc);
+        inject(proc, dest, bits, wire, Entry::Bytes);
         dest = next;
     }
-    inject(proc, dest, bits, staged.into_wire(proc), &opts);
+    inject(proc, dest, bits, staged.into_wire(proc), Entry::Bytes);
 }
 
 /// FT-internal collective-channel send for the agreement protocol
@@ -72,9 +72,7 @@ pub(crate) fn crecv_ft(comm: &Communicator, src: usize, tag: i32) -> MpiResult<O
     let bits = match_bits::encode(comm.context_id().collective(), src, tag);
     let peer = Some(comm.world_rank_of(src));
     let posted = Posted::post(proc, bits, 0);
-    let polled = wait_for(proc, || {
-        poll_or_death(proc, peer, false, None, || posted.poll())
-    });
+    let polled = wait_for(proc, || poll_or_death(proc, peer, None, || posted.poll()));
     if polled.is_err() {
         posted.cancel(proc);
     }

@@ -17,6 +17,7 @@ use crate::group::Group;
 use crate::hier::{ExchangeSlot, HierPlan};
 use crate::match_bits::ContextId;
 use crate::process::{ProcInner, Process, NUM_PREDEF_COMMS};
+use crate::request::fatal_filter;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -25,18 +26,6 @@ use std::sync::{Arc, OnceLock};
 pub(crate) struct CommShared {
     pub ctx: ContextId,
     pub group: Group,
-}
-
-/// §3.5 requestless-send bookkeeping (per rank, per communicator).
-#[derive(Default)]
-pub(crate) struct NoReqState {
-    /// In-flight requestless rendezvous sends: the completion flag the
-    /// receiver's pull sets, and the receiver's world rank, so that
-    /// `comm_waitall` can tell a slow receiver from a dead one.
-    pub pending: Vec<(Arc<AtomicBool>, usize)>,
-    /// Total requestless operations issued (statistic; the paper's point
-    /// is that a *counter* replaces per-op request objects).
-    pub issued: u64,
 }
 
 /// A precreated communicator handle (§3.3's `MPI_COMM_1`…`MPI_COMM_8`).
@@ -118,8 +107,11 @@ pub struct Communicator {
     pub(crate) coll_seq: AtomicU64,
     /// Per-rank derivation counter for meet keys (dup/split/create order).
     derive_seq: AtomicU64,
-    /// §3.5 requestless-send state.
-    pub(crate) noreq: Mutex<NoReqState>,
+    /// §3.5 requestless-send state: the in-flight requestless rendezvous
+    /// sends — the completion flag the receiver's pull sets, and the
+    /// receiver's world rank, so that `comm_waitall` can tell a slow
+    /// receiver from a dead one. An eager one leaves nothing here.
+    pub(crate) noreq: Mutex<Vec<(Arc<AtomicBool>, usize)>>,
     /// Was this handle obtained through a precreated slot (§3.3)?
     pub(crate) is_predef: bool,
     /// Error handler for communication failures (`MPI_Comm_set_errhandler`),
@@ -171,7 +163,7 @@ impl Communicator {
             rank,
             coll_seq: AtomicU64::new(0),
             derive_seq: AtomicU64::new(0),
-            noreq: Mutex::new(NoReqState::default()),
+            noreq: Mutex::new(Vec::new()),
             is_predef: false,
             errhandler: AtomicU8::new(Errhandler::default().to_u8()),
             acked_failures: AtomicU64::new(0),
@@ -197,7 +189,7 @@ impl Communicator {
             rank,
             coll_seq: AtomicU64::new(0),
             derive_seq: AtomicU64::new(0),
-            noreq: Mutex::new(NoReqState::default()),
+            noreq: Mutex::new(Vec::new()),
             is_predef,
             errhandler: AtomicU8::new(Errhandler::default().to_u8()),
             acked_failures: AtomicU64::new(0),
@@ -217,16 +209,17 @@ impl Communicator {
         Errhandler::from_u8(self.errhandler.load(Ordering::Relaxed))
     }
 
-    /// Route an error through the communicator's handler: communication
-    /// failures abort under [`Errhandler::ErrorsAreFatal`]; everything else
-    /// (and everything under [`Errhandler::ErrorsReturn`]) is returned.
+    /// Is the handler [`Errhandler::ErrorsAreFatal`]? The snapshot a
+    /// request, a persistent operation or an inter-communicator takes when
+    /// it is made, for [`fatal_filter`] to apply when it settles.
+    pub(crate) fn errors_are_fatal(&self) -> bool {
+        self.errhandler() == Errhandler::ErrorsAreFatal
+    }
+
+    /// Route an error through the communicator's handler now
+    /// ([`fatal_filter`] with the current handler).
     pub(crate) fn handle_error<T>(&self, r: MpiResult<T>) -> MpiResult<T> {
-        match r {
-            Err(e) if e.is_comm_failure() && self.errhandler() == Errhandler::ErrorsAreFatal => {
-                panic!("MPI_ERRORS_ARE_FATAL: {e}");
-            }
-            other => other,
-        }
+        fatal_filter(r, self.errors_are_fatal())
     }
 
     /// My rank in this communicator.
@@ -402,7 +395,6 @@ impl Communicator {
     pub fn noreq_pending(&self) -> usize {
         self.noreq
             .lock()
-            .pending
             .iter()
             .filter(|(done, _)| !done.load(Ordering::Acquire))
             .count()

@@ -13,10 +13,18 @@
 //! | [`Communicator::isend_noreq`]   | §3.5     | request allocation            |
 //! | [`Communicator::isend_nomatch`] | §3.6     | source/tag match bits         |
 //! | [`Communicator::isend_all_opts`]| §3.7     | all of the above, fused       |
+//!
+//! The send routines are thin entry points over the one send body in
+//! `pt2pt.rs`: each is one [`Communicator::isend_typed`] call whose
+//! [`SendOptions`] set its proposal's flag. `isend_all_opts` is the preset
+//! with all four set on the fused entry kind, which also drops the
+//! communicator-object dereference and takes the lean netmod residue.
+//! `irecv_global` is a rank translation followed by the ordinary typed
+//! receive.
 
-use crate::comm::{Communicator, Errhandler};
+use crate::comm::Communicator;
 use crate::error::{MpiError, MpiResult};
-use crate::pt2pt::{irecv_impl, isend_impl, RecvOpts, SendMode, SendOpts};
+use crate::pt2pt::{CallOpts, SendMode};
 use crate::request::Request;
 use crate::rma::{Blocking, Call, VirtAddr, Window};
 use crate::status::Status;
@@ -24,9 +32,9 @@ use litempi_datatype::MpiPrimitive;
 
 /// A public, composable selection of the §3 proposals for one send —
 /// the building block of Fig 6's cumulative ladder (each bar enables one
-/// more proposal). The fully fused §3.7 path is separate
-/// ([`Communicator::isend_all_opts`]) because fusing changes the netmod
-/// residue itself.
+/// more proposal), and the one place the four flags are declared. The
+/// fully fused §3.7 path ([`Communicator::isend_all_opts`]) sends with
+/// all four set and changes the netmod residue itself.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SendOptions {
     /// §3.4: caller promises the destination is not `MPI_PROC_NULL`.
@@ -39,17 +47,21 @@ pub struct SendOptions {
     pub no_request: bool,
 }
 
-impl From<SendOptions> for SendOpts {
-    fn from(o: SendOptions) -> SendOpts {
-        SendOpts {
-            no_proc_null: o.no_proc_null,
-            global_rank: o.global_rank,
-            no_match: o.no_match,
-            no_request: o.no_request,
-            all_opts: false,
-            static_type: true,
-        }
-    }
+impl SendOptions {
+    /// No proposal: the classic path.
+    pub(crate) const NONE: SendOptions = SendOptions {
+        no_proc_null: false,
+        global_rank: false,
+        no_match: false,
+        no_request: false,
+    };
+    /// Every proposal, as §3.7 fuses them.
+    pub(crate) const ALL: SendOptions = SendOptions {
+        no_proc_null: true,
+        global_rank: true,
+        no_match: true,
+        no_request: true,
+    };
 }
 
 impl Communicator {
@@ -63,20 +75,11 @@ impl Communicator {
         dest_world: i32,
         tag: i32,
     ) -> MpiResult<Request<'static>> {
-        isend_impl(
-            self,
-            T::as_bytes(data),
-            &T::DATATYPE,
-            data.len(),
-            dest_world,
-            tag,
-            SendMode::Standard,
-            SendOpts {
-                global_rank: true,
-                static_type: true,
-                ..SendOpts::default()
-            },
-        )
+        let opts = CallOpts::typed(SendOptions {
+            global_rank: true,
+            ..SendOptions::NONE
+        });
+        self.isend_typed(data, dest_world, tag, SendMode::Standard, opts)
     }
 
     /// §3.1 receive-side companion: `source` is a world rank.
@@ -85,7 +88,8 @@ impl Communicator {
     /// in the match bits, so a `_GLOBAL` receive must name a sender whose
     /// communicator rank equals its world rank translation; we translate
     /// once here (the receive-side analogue of the paper's "translate once,
-    /// store four neighbor ranks" pattern).
+    /// store four neighbor ranks" pattern) and receive as
+    /// [`Communicator::irecv`] does.
     pub fn irecv_global<'buf, T: MpiPrimitive>(
         &self,
         buf: &'buf mut [T],
@@ -101,20 +105,7 @@ impl Communicator {
         } else {
             source_world
         };
-        let count = buf.len();
-        irecv_impl(
-            self,
-            T::as_bytes_mut(buf),
-            &T::DATATYPE,
-            count,
-            source,
-            tag,
-            RecvOpts {
-                global_rank: false,
-                no_match: false,
-                static_type: true,
-            },
-        )
+        self.irecv_typed(buf, source, tag, CallOpts::TYPED)
     }
 
     /// §3.4 `MPI_ISEND_NPN`: the caller guarantees `dest != MPI_PROC_NULL`,
@@ -126,41 +117,23 @@ impl Communicator {
         dest: i32,
         tag: i32,
     ) -> MpiResult<Request<'static>> {
-        isend_impl(
-            self,
-            T::as_bytes(data),
-            &T::DATATYPE,
-            data.len(),
-            dest,
-            tag,
-            SendMode::Standard,
-            SendOpts {
-                no_proc_null: true,
-                static_type: true,
-                ..SendOpts::default()
-            },
-        )
+        let opts = CallOpts::typed(SendOptions {
+            no_proc_null: true,
+            ..SendOptions::NONE
+        });
+        self.isend_typed(data, dest, tag, SendMode::Standard, opts)
     }
 
     /// §3.5 `MPI_ISEND_NOREQ`: no request object is returned; the
     /// implementation keeps (at most) a counter and completion flags.
     /// Complete with [`Communicator::comm_waitall`].
     pub fn isend_noreq<T: MpiPrimitive>(&self, data: &[T], dest: i32, tag: i32) -> MpiResult<()> {
-        isend_impl(
-            self,
-            T::as_bytes(data),
-            &T::DATATYPE,
-            data.len(),
-            dest,
-            tag,
-            SendMode::Standard,
-            SendOpts {
-                no_request: true,
-                static_type: true,
-                ..SendOpts::default()
-            },
-        )
-        .map(|_| ())
+        let opts = CallOpts::typed(SendOptions {
+            no_request: true,
+            ..SendOptions::NONE
+        });
+        self.isend_typed(data, dest, tag, SendMode::Standard, opts)
+            .map(drop)
     }
 
     /// §3.5 `MPI_COMM_WAITALL`: complete every requestless operation issued
@@ -168,9 +141,8 @@ impl Communicator {
     /// it never had, so a receiver that dies, a revoked communicator or an
     /// aborted job ends the wait through the communicator's errhandler.
     pub fn comm_waitall(&self) -> MpiResult<()> {
-        let pending = std::mem::take(&mut self.noreq.lock().pending);
-        let fatal = self.errhandler() == Errhandler::ErrorsAreFatal;
-        let ctx = self.context_id().0;
+        let pending = std::mem::take(&mut *self.noreq.lock());
+        let (fatal, ctx) = (self.errors_are_fatal(), self.context_id().0);
         for (done, peer) in pending {
             Request::send_rndv(self.proc.clone(), done, Some(peer), fatal, ctx).wait()?;
         }
@@ -185,20 +157,11 @@ impl Communicator {
         data: &[T],
         dest: i32,
     ) -> MpiResult<Request<'static>> {
-        isend_impl(
-            self,
-            T::as_bytes(data),
-            &T::DATATYPE,
-            data.len(),
-            dest,
-            0,
-            SendMode::Standard,
-            SendOpts {
-                no_match: true,
-                static_type: true,
-                ..SendOpts::default()
-            },
-        )
+        let opts = CallOpts::typed(SendOptions {
+            no_match: true,
+            ..SendOptions::NONE
+        });
+        self.isend_typed(data, dest, 0, SendMode::Standard, opts)
     }
 
     /// §3.6 receive side: next nomatch message on this communicator, in
@@ -207,20 +170,12 @@ impl Communicator {
         &self,
         buf: &'buf mut [T],
     ) -> MpiResult<Request<'buf>> {
-        let count = buf.len();
-        irecv_impl(
-            self,
-            T::as_bytes_mut(buf),
-            &T::DATATYPE,
-            count,
-            crate::match_bits::ANY_SOURCE,
-            crate::match_bits::ANY_TAG,
-            RecvOpts {
-                no_match: true,
-                global_rank: false,
-                static_type: true,
-            },
-        )
+        let opts = CallOpts::typed(SendOptions {
+            no_match: true,
+            ..SendOptions::NONE
+        });
+        let (source, tag) = (crate::match_bits::ANY_SOURCE, crate::match_bits::ANY_TAG);
+        self.irecv_typed(buf, source, tag, opts)
     }
 
     /// §3.7 `MPI_ISEND_ALL_OPTS`: every proposal fused — world-rank
@@ -229,24 +184,8 @@ impl Communicator {
     /// [`Communicator::comm_waitall`]), and the leaner fused netmod path
     /// (16 instructions end to end on an IPO build).
     pub fn isend_all_opts<T: MpiPrimitive>(&self, data: &[T], dest_world: i32) -> MpiResult<()> {
-        isend_impl(
-            self,
-            T::as_bytes(data),
-            &T::DATATYPE,
-            data.len(),
-            dest_world,
-            0,
-            SendMode::Standard,
-            SendOpts {
-                all_opts: true,
-                no_proc_null: true,
-                global_rank: true,
-                no_match: true,
-                no_request: true,
-                static_type: true,
-            },
-        )
-        .map(|_| ())
+        self.isend_typed(data, dest_world, 0, SendMode::Standard, CallOpts::FUSED)
+            .map(drop)
     }
 
     /// Blocking convenience over [`Communicator::irecv_nomatch`].
@@ -266,16 +205,9 @@ impl Communicator {
         tag: i32,
         options: SendOptions,
     ) -> MpiResult<Request<'static>> {
-        isend_impl(
-            self,
-            T::as_bytes(data),
-            &T::DATATYPE,
-            data.len(),
-            dest,
-            if options.no_match { 0 } else { tag },
-            SendMode::Standard,
-            options.into(),
-        )
+        let tag = if options.no_match { 0 } else { tag };
+        let opts = CallOpts::typed(options);
+        self.isend_typed(data, dest, tag, SendMode::Standard, opts)
     }
 }
 

@@ -2,12 +2,12 @@
 //!
 //! A flat algorithm treats every peer as equidistant, but the fabric's
 //! [`Topology`](litempi_fabric::Topology) says otherwise: intra-node
-//! traffic rides the shmmod (~250 ns latency in the shm cost table) while
-//! inter-node traffic pays the netmod's microsecond-class latency. At 1024
-//! ranks spread over dozens of nodes, a flat recursive-doubling allreduce
-//! sends `P·log P` messages across the network; a leader-based hierarchy
-//! sends `P − N` cheap intra-node messages plus `N·log N` network messages
-//! (`N` = node count) — the classic MPICH/SMP-aware structure.
+//! traffic rides the shmmod (shared memory) while inter-node traffic pays
+//! the netmod's network latency. At 1024 ranks spread over dozens of
+//! nodes, a flat recursive-doubling allreduce sends `P·log P` messages
+//! across the network; a leader-based hierarchy sends `P − N` cheap
+//! intra-node messages plus `N·log N` network messages (`N` = node count)
+//! — the classic MPICH/SMP-aware structure.
 //!
 //! This module only *describes* that structure: [`plan`] groups a
 //! communicator's ranks by node and names one leader per node, and

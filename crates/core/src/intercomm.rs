@@ -10,7 +10,7 @@
 //! the restriction the paper could only state in prose: there is no
 //! `isend_global` on an intercommunicator.
 
-use crate::comm::{Communicator, Errhandler};
+use crate::comm::Communicator;
 use crate::error::{MpiError, MpiResult};
 use crate::group::Group;
 use crate::match_bits::{self, ContextId};
@@ -135,7 +135,7 @@ impl Communicator {
             shared,
             side,
             local_rank: self.rank(),
-            fatal: self.errhandler() == Errhandler::ErrorsAreFatal,
+            fatal: self.errors_are_fatal(),
         })
     }
 }

@@ -18,11 +18,11 @@
 //! bound buffer when it is waited on. Waiting is `Request::wait` — progress
 //! first, then the poll that sees a dead peer or a revoked communicator.
 
-use crate::comm::{Communicator, Errhandler};
+use crate::comm::Communicator;
 use crate::error::{MpiError, MpiResult};
 use crate::match_bits;
 use crate::process::{Posted, ProcInner};
-use crate::pt2pt::{send_gates, send_tail, SendMode, SendOpts, SendTo};
+use crate::pt2pt::{send_gates, send_tail, Entry, SendMode, SendTo};
 use crate::request::{fatal_filter, RecvDest, Request};
 use crate::status::Status;
 use litempi_datatype::{Datatype, MpiPrimitive};
@@ -40,12 +40,9 @@ pub struct PersistentSend<'a> {
     buf: &'a [u8],
     ty: Datatype,
     count: usize,
-    dest_world: Option<usize>, // None = MPI_PROC_NULL
-    bits: u64,
-    /// Snapshot of `MPI_ERRORS_ARE_FATAL` at init.
-    fatal: bool,
-    /// Context id of the owning communicator, for revocation checks.
-    ctx: u16,
+    /// Where each start goes, bound at init (with the errhandler
+    /// snapshot); `None` for `MPI_PROC_NULL`.
+    to: Option<SendTo>,
     /// The started transfer; `None` while inactive.
     started: Option<Request<'static>>,
 }
@@ -103,15 +100,18 @@ impl Communicator {
         };
         charge(Category::MatchBits, cost::isend::MATCH_BITS);
         let bits = match_bits::encode(self.context_id(), self.rank, tag.max(0));
+        let to = dest_world.map(|dest_world| SendTo {
+            dest_world,
+            bits,
+            ctx: self.context_id().0,
+            fatal: self.errors_are_fatal(),
+        });
         Ok(PersistentSend {
             proc: proc.clone(),
             buf: T::as_bytes(data),
             ty: T::DATATYPE,
             count: data.len(),
-            dest_world,
-            bits,
-            fatal: self.errhandler() == Errhandler::ErrorsAreFatal,
-            ctx: self.context_id().0,
+            to,
             started: None,
         })
     }
@@ -149,7 +149,7 @@ impl Communicator {
             peer: (source >= 0).then(|| self.world_rank_of(source as usize)),
             bits,
             ignore,
-            fatal: self.errhandler() == Errhandler::ErrorsAreFatal,
+            fatal: self.errors_are_fatal(),
             ctx: self.context_id().0,
             started: None,
         })
@@ -174,19 +174,13 @@ impl PersistentSend<'_> {
             // Per-start mandatory cost: re-arming the request. Everything
             // else was hoisted to init.
             charge(Category::RequestManagement, cost::isend::REQUEST_MANAGEMENT);
-            let Some(dest_world) = self.dest_world else {
+            let Some(to) = &self.to else {
                 self.started = Some(Request::done(Status::send()));
                 return Ok(());
             };
-            send_gates(proc, self.ctx, dest_world, self.fatal)?;
-            let to = SendTo {
-                dest_world,
-                bits: self.bits,
-                ctx: self.ctx,
-                fatal: self.fatal,
-            };
-            let (ty, mode, opts) = (&self.ty, SendMode::Standard, SendOpts::default());
-            let done = send_tail(proc, &to, ty, self.count, self.buf, mode, &opts);
+            send_gates(proc, to.ctx, to.dest_world, to.fatal)?;
+            let (ty, mode) = (&self.ty, SendMode::Standard);
+            let done = send_tail(proc, to, ty, self.count, self.buf, mode, Entry::Typed);
             self.started = Some(to.request(proc, done));
             Ok(())
         })

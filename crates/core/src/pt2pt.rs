@@ -13,12 +13,22 @@
 //!    provider lacks native matching.
 //!
 //! Every `charge` site corresponds to one row of the paper's Table 1 or
-//! one §3 mandatory overhead; extension entry points (in `ext.rs`) reuse
-//! [`isend_impl`]/[`irecv_impl`] with [`SendOpts`]/[`RecvOpts`] that skip
-//! exactly the work their proposal eliminates.
+//! one §3 mandatory overhead. There is one send body ([`isend_impl`]) and
+//! one receive body ([`irecv_impl`]); what goes into either besides the
+//! call's arguments is one [`CallOpts`] value — the four §3 flags
+//! ([`SendOptions`], declared once in `ext.rs`) and the [`Entry`] kind
+//! (byte API, typed API, or the fused §3.7 path). Every typed entry point,
+//! here and in `ext.rs`, is one call through
+//! [`Communicator::isend_typed`] or [`Communicator::irecv_typed`].
+//!
+//! What comes out goes through one rule: a communication failure aborts
+//! the rank under `MPI_ERRORS_ARE_FATAL` and is the `Err` under
+//! `MPI_ERRORS_RETURN` ([`fatal_filter`], applied by the send gate,
+//! [`Communicator::handle_error`] and a request when it settles).
 
 use crate::comm::Communicator;
 use crate::error::{MpiError, MpiResult};
+use crate::ext::SendOptions;
 use crate::match_bits::{self, ANY_SOURCE, PROC_NULL};
 use crate::process::{Posted, ProcInner};
 use crate::proto::{self, Body};
@@ -46,37 +56,52 @@ pub enum SendMode {
     Buffered,
 }
 
-/// Which §3 fast-path options are active on a send.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct SendOpts {
-    /// §3.4 `_NPN`: caller promises `dest != MPI_PROC_NULL`.
-    pub no_proc_null: bool,
-    /// §3.1 `_GLOBAL`: `dest` is a world rank; skip group translation.
-    pub global_rank: bool,
-    /// §3.6 `_NOMATCH`: arrival-order matching; skip match-bit assembly.
-    pub no_match: bool,
-    /// §3.5 `_NOREQ`: no request object; completion via `comm_waitall`.
-    pub no_request: bool,
-    /// §3.7 `_ALL_OPTS`: the fused path (implies all of the above and a
-    /// leaner netmod residue).
-    pub all_opts: bool,
-    /// §2.2 datatype class: `true` when the datatype is a compile-time
-    /// constant at the call site ("Class 2", the typed API), `false` for
-    /// runtime datatype handles ("Class 3", the byte-level API). Decides
-    /// whether library-only IPO can fold the redundant size checks.
-    pub static_type: bool,
+/// The entry point a call came in through: what the §3 flags
+/// ([`SendOptions`]) do not decide.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Entry {
+    /// §2.2 Class 3, the byte API (`isend_bytes`, `irecv_bytes`): a
+    /// runtime datatype handle, whose redundant size checks only
+    /// whole-program IPO folds.
+    Bytes,
+    /// §2.2 Class 2, the typed API: the datatype is a compile-time
+    /// constant at the call site, so library IPO folds them too.
+    Typed,
+    /// §3.7 `_ALL_OPTS`: the typed API with every proposal fused, which
+    /// also drops the communicator-object dereference and leaves only the
+    /// lean netmod residue.
+    Fused,
 }
 
-/// Receive-side options (mirrors [`SendOpts`] where meaningful).
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct RecvOpts {
-    /// Receive from the `_NOMATCH` channel in arrival order.
-    pub no_match: bool,
-    /// `source` is a world rank (pairs with `_GLOBAL` sends; affects only
-    /// validation — matching uses the sender-encoded bits).
-    pub global_rank: bool,
-    /// §2.2 datatype class (see [`SendOpts::static_type`]).
-    pub static_type: bool,
+/// What goes into one point-to-point call besides its arguments: the §3
+/// flags and the entry kind. A receive reads only `no_match` of the flags.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CallOpts {
+    pub(crate) flags: SendOptions,
+    pub(crate) entry: Entry,
+}
+
+impl CallOpts {
+    /// The byte API, no proposal.
+    pub(crate) const BYTES: CallOpts = CallOpts {
+        flags: SendOptions::NONE,
+        entry: Entry::Bytes,
+    };
+    /// The typed API, no proposal.
+    pub(crate) const TYPED: CallOpts = CallOpts::typed(SendOptions::NONE);
+    /// §3.7: every proposal, fused.
+    pub(crate) const FUSED: CallOpts = CallOpts {
+        flags: SendOptions::ALL,
+        entry: Entry::Fused,
+    };
+
+    /// The typed API with `flags`.
+    pub(crate) const fn typed(flags: SendOptions) -> CallOpts {
+        CallOpts {
+            flags,
+            entry: Entry::Typed,
+        }
+    }
 }
 
 // ------------------------------------------------------------- validation
@@ -88,7 +113,7 @@ fn validate_send(
     count: usize,
     dest: i32,
     tag: i32,
-    opts: &SendOpts,
+    flags: &SendOptions,
 ) -> MpiResult<()> {
     if !ty.is_committed() {
         return Err(MpiError::InvalidDatatype(
@@ -97,7 +122,7 @@ fn validate_send(
     }
     match_bits::check_tag(tag)?;
     if dest != PROC_NULL {
-        if opts.global_rank || opts.all_opts {
+        if flags.global_rank {
             if dest < 0 || dest as usize >= comm.proc.size {
                 return Err(MpiError::InvalidRank {
                     rank: dest,
@@ -107,7 +132,7 @@ fn validate_send(
         } else {
             comm.group().check_rank(dest)?;
         }
-    } else if opts.no_proc_null || opts.all_opts {
+    } else if flags.no_proc_null {
         return Err(MpiError::ExtensionMisuse(
             "MPI_PROC_NULL passed to an _NPN routine",
         ));
@@ -129,7 +154,6 @@ fn validate_recv(
     count: usize,
     source: i32,
     tag: i32,
-    opts: &RecvOpts,
 ) -> MpiResult<()> {
     if !ty.is_committed() {
         return Err(MpiError::InvalidDatatype(
@@ -138,16 +162,7 @@ fn validate_recv(
     }
     match_bits::check_recv_tag(tag)?;
     if source != PROC_NULL && source != ANY_SOURCE {
-        if opts.global_rank {
-            if source < 0 || source as usize >= comm.proc.size {
-                return Err(MpiError::InvalidRank {
-                    rank: source,
-                    size: comm.proc.size,
-                });
-            }
-        } else {
-            comm.group().check_rank(source)?;
-        }
+        comm.group().check_rank(source)?;
     }
     let needed = pack::span(ty, count);
     if buf_len < needed {
@@ -177,18 +192,12 @@ pub(crate) fn redundant_checks_remain(
 
 /// Inject a tagged message through whichever device/netmod path the build
 /// selects; charges the device-specific overheads.
-pub(crate) fn inject(
-    proc: &ProcInner,
-    dst_world: usize,
-    bits: u64,
-    payload: Bytes,
-    opts: &SendOpts,
-) {
+pub(crate) fn inject(proc: &ProcInner, dst_world: usize, bits: u64, payload: Bytes, entry: Entry) {
     use crate::config::DeviceKind;
     match proc.config.device {
         DeviceKind::Ch4 => charge(
             Category::NetmodIssue,
-            if opts.all_opts {
+            if entry == Entry::Fused {
                 cost::isend::ALL_OPTS_NETMOD
             } else {
                 cost::isend::NETMOD_ISSUE
@@ -215,7 +224,8 @@ pub(crate) fn inject(
 
 // -------------------------------------------------------------- send path
 
-/// The shared `MPI_ISEND`-family implementation.
+/// The shared `MPI_ISEND`-family implementation: every send entry point
+/// is this body with its [`CallOpts`].
 #[allow(clippy::too_many_arguments)] // mirrors the MPI_Isend C signature
 pub(crate) fn isend_impl(
     comm: &Communicator,
@@ -225,21 +235,22 @@ pub(crate) fn isend_impl(
     dest: i32,
     tag: i32,
     mode: SendMode,
-    opts: SendOpts,
+    opts: CallOpts,
 ) -> MpiResult<Request<'static>> {
     let proc = &comm.proc;
+    let flags = opts.flags;
 
     // ---- MPI layer -------------------------------------------------------
     if proc.config.error_checking {
         charge(Category::ErrorChecking, cost::isend::ERROR_CHECKING);
-        validate_send(comm, buf.len(), ty, count, dest, tag, &opts)?;
+        validate_send(comm, buf.len(), ty, count, dest, tag, &flags)?;
     }
     proc.with_cs(cost::isend::THREAD_CHECK, || {
         if !proc.config.ipo {
             // Function-call overhead: removed by library link-time inlining.
             charge(Category::FunctionCall, cost::isend::FUNCTION_CALL);
         }
-        if redundant_checks_remain(&proc.config, opts.static_type) {
+        if redundant_checks_remain(&proc.config, opts.entry != Entry::Bytes) {
             // The runtime datatype-size lookup. Library IPO folds it only
             // for compile-time-constant datatypes (the paper's §2.2
             // Class 2); Class-3 runtime handles need whole-program IPO.
@@ -247,24 +258,20 @@ pub(crate) fn isend_impl(
         }
 
         // ---- device / mandatory overheads ---------------------------------
-        if opts.all_opts {
-            // §3.7: every proposal fused; only the lean netmod residue
-            // remains (charged inside `inject`).
-        } else {
-            if !opts.no_proc_null {
-                charge(Category::ProcNullCheck, cost::isend::PROC_NULL_CHECK);
-                if dest == PROC_NULL {
-                    return Ok(Request::done(Status::send()));
-                }
-            }
-            if !comm.is_predef {
-                // §3.3: dereference into the dynamically allocated
-                // communicator object (skipped for precreated handles).
-                charge(Category::ObjectDeref, cost::isend::OBJECT_DEREF);
+        if !flags.no_proc_null {
+            charge(Category::ProcNullCheck, cost::isend::PROC_NULL_CHECK);
+            if dest == PROC_NULL {
+                return Ok(Request::done(Status::send()));
             }
         }
+        if !comm.is_predef && opts.entry != Entry::Fused {
+            // §3.3: dereference into the dynamically allocated
+            // communicator object (skipped for precreated handles, and
+            // fused away by §3.7).
+            charge(Category::ObjectDeref, cost::isend::OBJECT_DEREF);
+        }
 
-        let dest_world = if opts.global_rank || opts.all_opts {
+        let dest_world = if flags.global_rank {
             dest as usize
         } else {
             charge(
@@ -275,17 +282,17 @@ pub(crate) fn isend_impl(
         };
 
         let ctx = comm.context_id().0;
-        let fatal = comm.errhandler() == crate::comm::Errhandler::ErrorsAreFatal;
+        let fatal = comm.errors_are_fatal();
         send_gates(proc, ctx, dest_world, fatal)?;
 
-        let bits = if opts.no_match || opts.all_opts {
+        let bits = if flags.no_match {
             match_bits::encode_nomatch(comm.context_id())
         } else {
             charge(Category::MatchBits, cost::isend::MATCH_BITS);
             match_bits::encode(comm.context_id(), comm.rank, tag)
         };
 
-        if !(opts.no_request || opts.all_opts) {
+        if !flags.no_request {
             charge(Category::RequestManagement, cost::isend::REQUEST_MANAGEMENT);
         }
 
@@ -296,14 +303,16 @@ pub(crate) fn isend_impl(
             ctx,
             fatal,
         };
-        let done = send_tail(proc, &to, ty, count, buf, mode, &opts);
-        if opts.no_request || opts.all_opts {
-            let mut state = comm.noreq.lock();
-            state.issued += 1;
-            state.pending.extend(done.map(|done| (done, dest_world)));
-            return Ok(Request::done(Status::send()));
+        let done = send_tail(proc, &to, ty, count, buf, mode, opts.entry);
+        if !flags.no_request {
+            return Ok(to.request(proc, done));
         }
-        Ok(to.request(proc, done))
+        // §3.5: an eager send is complete; a rendezvous leaves its flag
+        // for `comm_waitall`.
+        if let Some(done) = done {
+            comm.noreq.lock().push((done, dest_world));
+        }
+        Ok(Request::done(Status::send()))
     })
 }
 
@@ -368,11 +377,11 @@ pub(crate) fn send_tail(
     count: usize,
     buf: &[u8],
     mode: SendMode,
-    opts: &SendOpts,
+    entry: Entry,
 ) -> Option<Arc<AtomicBool>> {
     let staged = proto::stage(proc, ty, count, buf, mode, Some(to.dest_world));
     let done = charge_rndv_send(&staged);
-    inject(proc, to.dest_world, to.bits, staged.into_wire(proc), opts);
+    inject(proc, to.dest_world, to.bits, staged.into_wire(proc), entry);
     done
 }
 
@@ -409,19 +418,19 @@ pub(crate) fn irecv_impl<'buf>(
     count: usize,
     source: i32,
     tag: i32,
-    opts: RecvOpts,
+    opts: CallOpts,
 ) -> MpiResult<Request<'buf>> {
     let proc = &comm.proc;
 
     if proc.config.error_checking {
         charge(Category::ErrorChecking, cost::isend::ERROR_CHECKING);
-        validate_recv(comm, buf.len(), ty, count, source, tag, &opts)?;
+        validate_recv(comm, buf.len(), ty, count, source, tag)?;
     }
     proc.with_cs(cost::isend::THREAD_CHECK, || {
         if !proc.config.ipo {
             charge(Category::FunctionCall, cost::isend::FUNCTION_CALL);
         }
-        if redundant_checks_remain(&proc.config, opts.static_type) {
+        if redundant_checks_remain(&proc.config, opts.entry != Entry::Bytes) {
             charge(Category::RedundantChecks, cost::isend::REDUNDANT_CHECKS);
         }
         charge(Category::ProcNullCheck, cost::isend::PROC_NULL_CHECK);
@@ -445,7 +454,7 @@ pub(crate) fn irecv_impl<'buf>(
             Category::CommRankTranslation,
             cost::isend::COMM_RANK_TRANSLATION,
         );
-        let (bits, ignore) = if opts.no_match {
+        let (bits, ignore) = if opts.flags.no_match {
             (match_bits::encode_nomatch(comm.context_id()), 0)
         } else {
             charge(Category::MatchBits, cost::isend::MATCH_BITS);
@@ -463,20 +472,13 @@ pub(crate) fn irecv_impl<'buf>(
         // Dead-peer detection needs the source's world rank; wildcard
         // receives have no single peer to watch (FT semantics: ANY_SOURCE
         // against a failed process is the application's problem).
-        let peer = if source == ANY_SOURCE {
-            None
-        } else if opts.global_rank {
-            Some(source as usize)
-        } else {
-            Some(comm.group().world_rank(source as usize))
-        };
-        let fatal = comm.errhandler() == crate::comm::Errhandler::ErrorsAreFatal;
+        let peer = (source != ANY_SOURCE).then(|| comm.group().world_rank(source as usize));
         Ok(Request::recv(
             proc.clone(),
             Posted::post(proc, bits, ignore),
             dest,
             peer,
-            fatal,
+            comm.errors_are_fatal(),
             comm.context_id().0,
         ))
     })
@@ -485,6 +487,33 @@ pub(crate) fn irecv_impl<'buf>(
 // ------------------------------------------------------------- public API
 
 impl Communicator {
+    /// The typed API's one send (§2.2 Class 2): every typed send entry
+    /// point, here and in `ext.rs`, is this call with its mode and options.
+    pub(crate) fn isend_typed<T: MpiPrimitive>(
+        &self,
+        data: &[T],
+        dest: i32,
+        tag: i32,
+        mode: SendMode,
+        opts: CallOpts,
+    ) -> MpiResult<Request<'static>> {
+        let buf = T::as_bytes(data);
+        isend_impl(self, buf, &T::DATATYPE, data.len(), dest, tag, mode, opts)
+    }
+
+    /// The typed API's one receive, as [`Communicator::isend_typed`].
+    pub(crate) fn irecv_typed<'buf, T: MpiPrimitive>(
+        &self,
+        buf: &'buf mut [T],
+        source: i32,
+        tag: i32,
+        opts: CallOpts,
+    ) -> MpiResult<Request<'buf>> {
+        let count = buf.len();
+        let buf = T::as_bytes_mut(buf);
+        irecv_impl(self, buf, &T::DATATYPE, count, source, tag, opts)
+    }
+
     /// `MPI_ISEND` on raw bytes with an explicit datatype.
     pub fn isend_bytes(
         &self,
@@ -494,16 +523,8 @@ impl Communicator {
         dest: i32,
         tag: i32,
     ) -> MpiResult<Request<'static>> {
-        isend_impl(
-            self,
-            buf,
-            ty,
-            count,
-            dest,
-            tag,
-            SendMode::Standard,
-            SendOpts::default(),
-        )
+        let (mode, opts) = (SendMode::Standard, CallOpts::BYTES);
+        isend_impl(self, buf, ty, count, dest, tag, mode, opts)
     }
 
     /// `MPI_IRECV` on raw bytes with an explicit datatype.
@@ -515,7 +536,7 @@ impl Communicator {
         source: i32,
         tag: i32,
     ) -> MpiResult<Request<'buf>> {
-        irecv_impl(self, buf, ty, count, source, tag, RecvOpts::default())
+        irecv_impl(self, buf, ty, count, source, tag, CallOpts::BYTES)
     }
 
     /// `MPI_ISEND` of a typed slice (datatype inferred — the paper's
@@ -526,19 +547,7 @@ impl Communicator {
         dest: i32,
         tag: i32,
     ) -> MpiResult<Request<'static>> {
-        isend_impl(
-            self,
-            T::as_bytes(data),
-            &T::DATATYPE,
-            data.len(),
-            dest,
-            tag,
-            SendMode::Standard,
-            SendOpts {
-                static_type: true,
-                ..SendOpts::default()
-            },
-        )
+        self.isend_typed(data, dest, tag, SendMode::Standard, CallOpts::TYPED)
     }
 
     /// `MPI_IRECV` into a typed slice.
@@ -548,19 +557,7 @@ impl Communicator {
         source: i32,
         tag: i32,
     ) -> MpiResult<Request<'buf>> {
-        let count = buf.len();
-        irecv_impl(
-            self,
-            T::as_bytes_mut(buf),
-            &T::DATATYPE,
-            count,
-            source,
-            tag,
-            RecvOpts {
-                static_type: true,
-                ..RecvOpts::default()
-            },
-        )
+        self.irecv_typed(buf, source, tag, CallOpts::TYPED)
     }
 
     /// Blocking `MPI_SEND`.
@@ -570,40 +567,18 @@ impl Communicator {
 
     /// Blocking `MPI_SSEND` (synchronous mode).
     pub fn ssend<T: MpiPrimitive>(&self, data: &[T], dest: i32, tag: i32) -> MpiResult<()> {
-        isend_impl(
-            self,
-            T::as_bytes(data),
-            &T::DATATYPE,
-            data.len(),
-            dest,
-            tag,
-            SendMode::Synchronous,
-            SendOpts {
-                static_type: true,
-                ..SendOpts::default()
-            },
-        )?
-        .wait()
-        .map(|_| ())
+        let mode = SendMode::Synchronous;
+        self.isend_typed(data, dest, tag, mode, CallOpts::TYPED)?
+            .wait()
+            .map(|_| ())
     }
 
     /// Blocking `MPI_RSEND` (ready mode — receiver must already be posted).
     pub fn rsend<T: MpiPrimitive>(&self, data: &[T], dest: i32, tag: i32) -> MpiResult<()> {
-        isend_impl(
-            self,
-            T::as_bytes(data),
-            &T::DATATYPE,
-            data.len(),
-            dest,
-            tag,
-            SendMode::Ready,
-            SendOpts {
-                static_type: true,
-                ..SendOpts::default()
-            },
-        )?
-        .wait()
-        .map(|_| ())
+        let mode = SendMode::Ready;
+        self.isend_typed(data, dest, tag, mode, CallOpts::TYPED)?
+            .wait()
+            .map(|_| ())
     }
 
     /// Per-message bookkeeping overhead of a buffered send
@@ -632,21 +607,10 @@ impl Communicator {
                 Some(_) => {}
             }
         }
-        isend_impl(
-            self,
-            T::as_bytes(data),
-            &T::DATATYPE,
-            data.len(),
-            dest,
-            tag,
-            SendMode::Buffered,
-            SendOpts {
-                static_type: true,
-                ..SendOpts::default()
-            },
-        )?
-        .wait()
-        .map(|_| ())
+        let mode = SendMode::Buffered;
+        self.isend_typed(data, dest, tag, mode, CallOpts::TYPED)?
+            .wait()
+            .map(|_| ())
     }
 
     /// Blocking `MPI_RECV` into a typed slice.
@@ -765,11 +729,11 @@ impl Communicator {
         let peer = (usize::try_from(source).ok())
             .filter(|&s| s < self.size())
             .map(|s| self.world_rank_of(s));
-        let fatal = self.errhandler() == crate::comm::Errhandler::ErrorsAreFatal;
-        let ctx = Some(self.context_id().0);
-        wait_for(&self.proc, || {
-            poll_or_death(&self.proc, peer, fatal, ctx, &mut poll)
-        })
+        let (fatal, ctx) = (self.errors_are_fatal(), Some(self.context_id().0));
+        let polled = wait_for(&self.proc, || {
+            poll_or_death(&self.proc, peer, ctx, &mut poll)
+        });
+        fatal_filter(polled, fatal)
     }
 }
 
@@ -842,8 +806,9 @@ mod tests {
 
     #[test]
     fn send_opts_default_is_classic_path() {
-        let o = SendOpts::default();
-        assert!(!o.no_proc_null && !o.global_rank && !o.no_match && !o.no_request && !o.all_opts);
+        let o = SendOptions::default();
+        assert!(!o.no_proc_null && !o.global_rank && !o.no_match && !o.no_request);
+        assert_eq!(o, CallOpts::TYPED.flags);
     }
 
     #[test]

@@ -157,8 +157,8 @@ enum ReqInner<'buf> {
     },
     /// A one-sided op waiting for its target's active-message answer: the
     /// one place such an answer is awaited, by the request forms (`rput`,
-    /// `rget`, `raccumulate`, `rget_accumulate`) and, with `fatal` false,
-    /// by the blocking `get`, `get_accumulate` and `fetch_and_op` on the
+    /// `rget`, `raccumulate`, `rget_accumulate`) and, never fatal, by the
+    /// blocking `get`, `get_accumulate` and `fetch_and_op` on the
     /// AM fallback. A dead target is `ProcessFailed`, a revoked window
     /// (its duplicate communicator or the parent) `Revoked` — what the
     /// window's own liveness check says; this rank's own death is
@@ -196,14 +196,13 @@ enum ReqInner<'buf> {
 pub(crate) fn poll_or_death<M>(
     proc: &ProcInner,
     peer: Option<usize>,
-    fatal: bool,
     revoke_ctx: Option<u16>,
     poll: impl FnMut() -> Option<M>,
 ) -> Option<MpiResult<M>> {
     // A wildcard receive watches no peer but this rank.
     let peers = [proc.rank, peer.unwrap_or(proc.rank)];
     let alive = || proc.first_failure(revoke_ctx.as_slice(), &peers);
-    poll_or_failure(proc, fatal, alive, poll)
+    poll_or_failure(proc, alive, poll)
 }
 
 /// [`poll_or_death`] with the liveness check given: the completion if it
@@ -211,12 +210,10 @@ pub(crate) fn poll_or_death<M>(
 /// look, because the two race. The message that trips a kill switch is
 /// still delivered, and a rank that polled just before it landed and
 /// checked liveness just after would otherwise fail a receive whose
-/// message sits in its slot. Under `MPI_ERRORS_ARE_FATAL` (`fatal`, the
-/// snapshot taken at request creation) a failure aborts the rank; under
-/// `MPI_ERRORS_RETURN` it is the `Err`.
+/// message sits in its slot. The failure is returned: the caller applies
+/// its errhandler ([`fatal_filter`]).
 pub(crate) fn poll_or_failure<M>(
     proc: &ProcInner,
-    fatal: bool,
     alive: impl FnOnce() -> MpiResult<()>,
     mut poll: impl FnMut() -> Option<M>,
 ) -> Option<MpiResult<M>> {
@@ -229,16 +226,15 @@ pub(crate) fn poll_or_failure<M>(
     if let Some(m) = poll() {
         return Some(Ok(m));
     }
-    if fatal {
-        panic!("MPI_ERRORS_ARE_FATAL: {death}");
-    }
     Some(Err(death))
 }
 
-/// Apply the errhandler snapshot to a result: communication failures
-/// (e.g. an integrity fault in the delivered envelope, a revoked
-/// communicator) abort under `MPI_ERRORS_ARE_FATAL`; argument-level errors
-/// such as truncation always return.
+/// The errhandler rule, and the one place it is written: under
+/// `MPI_ERRORS_ARE_FATAL` (`fatal`, a snapshot or the handler now) a
+/// communication failure — a dead peer, a revoked communicator, an
+/// integrity fault in the delivered envelope — aborts the rank;
+/// argument-level errors such as truncation always return, as does
+/// everything under `MPI_ERRORS_RETURN`.
 pub(crate) fn fatal_filter<T>(r: MpiResult<T>, fatal: bool) -> MpiResult<T> {
     if let Err(e) = &r {
         if fatal && e.is_comm_failure() {
@@ -256,10 +252,9 @@ fn finish_recv(
     posted: &Posted,
     polled: MpiResult<TaggedMessage>,
     dest: &mut RecvDest<'_>,
-    fatal: bool,
 ) -> MpiResult<Status> {
     match polled {
-        Ok(msg) => fatal_filter(complete_recv(proc, msg, dest), fatal),
+        Ok(msg) => complete_recv(proc, msg, dest),
         Err(e) => {
             posted.cancel(proc);
             Err(e)
@@ -350,7 +345,8 @@ impl<'buf> Request<'buf> {
     /// One look at the operation: `None` while it is pending, else its
     /// outcome, which also settles the request — a completed one stays
     /// `Done` (later `wait`/`test` calls return the same status), an
-    /// errored one stays `Consumed` (drained, per FT semantics). Each
+    /// errored one stays `Consumed` (drained, per FT semantics) once the
+    /// errhandler snapshot has had its say ([`fatal_filter`]). Each
     /// variant checks completion first, then peer liveness, so a message
     /// that raced ahead of the death notice still lands.
     fn poll(&mut self) -> Option<MpiResult<Status>> {
@@ -363,9 +359,9 @@ impl<'buf> Request<'buf> {
                 proc,
                 done,
                 peer,
-                fatal,
                 ctx,
-            } => poll_or_death(proc, *peer, *fatal, Some(*ctx), || {
+                ..
+            } => poll_or_death(proc, *peer, Some(*ctx), || {
                 done.load(Ordering::Acquire).then_some(())
             })?
             .map(|()| Status::send()),
@@ -374,17 +370,15 @@ impl<'buf> Request<'buf> {
                 posted,
                 dest,
                 peer,
-                fatal,
                 ctx,
+                ..
             } => {
-                let polled = poll_or_death(proc, *peer, *fatal, Some(*ctx), || posted.poll())?;
-                finish_recv(proc, posted, polled, dest, *fatal)
+                let polled = poll_or_death(proc, *peer, Some(*ctx), || posted.poll())?;
+                finish_recv(proc, posted, polled, dest)
             }
             // A failed schedule has latched the error and cancelled its
             // receives.
-            ReqInner::Coll { proc, sched, fatal } => {
-                fatal_filter(sched.progress(proc).transpose()?, *fatal)
-            }
+            ReqInner::Coll { proc, sched, .. } => sched.progress(proc).transpose()?,
             // On an error the reply slot stays registered (see the variant
             // doc): a racing reply is absorbed, never a protocol fault.
             ReqInner::Rma {
@@ -392,14 +386,14 @@ impl<'buf> Request<'buf> {
                 slot,
                 dest,
                 peer,
-                fatal,
                 ctxs,
+                ..
             } => {
                 let alive = || {
                     proc.first_failure(&[], &[proc.rank])?;
                     crate::rma::target_alive(proc, ctxs, *peer)
                 };
-                let reply = poll_or_failure(proc, *fatal, alive, || slot.lock().take())?;
+                let reply = poll_or_failure(proc, alive, || slot.lock().take())?;
                 reply.and_then(|data| {
                     proc.endpoint.note_win_ops_completed(1);
                     // Fetching ops deliver the reply into the caller's
@@ -407,15 +401,15 @@ impl<'buf> Request<'buf> {
                     let Some(dest) = dest else {
                         return Ok(Status::send());
                     };
-                    let status = dest.deliver(&data).map(|bytes| Status {
+                    dest.deliver(&data).map(|bytes| Status {
                         source: *peer as i32,
                         tag: 0,
                         bytes,
-                    });
-                    fatal_filter(status, *fatal)
+                    })
                 })
             }
         };
+        let outcome = fatal_filter(outcome, self.fatal());
         self.inner = match outcome {
             Ok(s) => ReqInner::Done(s),
             Err(_) => ReqInner::Consumed,
@@ -470,6 +464,20 @@ impl<'buf> Request<'buf> {
     /// Has the request already completed (without driving progress)?
     pub fn is_done(&self) -> bool {
         matches!(self.inner, ReqInner::Done(_))
+    }
+
+    /// The `MPI_ERRORS_ARE_FATAL` snapshot a pending request took at
+    /// creation. It lives in each variant, where it fits in padding: a
+    /// field on `Request` would add 8 bytes to every request the send
+    /// path returns.
+    fn fatal(&self) -> bool {
+        match self.inner {
+            ReqInner::SendRndv { fatal, .. }
+            | ReqInner::Recv { fatal, .. }
+            | ReqInner::Coll { fatal, .. }
+            | ReqInner::Rma { fatal, .. } => fatal,
+            ReqInner::Done(_) | ReqInner::Consumed => false,
+        }
     }
 
     /// The process a pending request belongs to (None once settled) — lets
@@ -685,21 +693,19 @@ mod tests {
                         std::thread::yield_now();
                     }
                 }
-                for fatal in [false, true] {
-                    let mut looks = 0;
-                    let got = poll_or_death(p, Some(1), fatal, Some(ctx), || {
-                        looks += 1;
-                        (looks == 2).then_some(looks)
-                    });
-                    assert!(matches!(got, Some(Ok(2))), "fatal={fatal}: {got:?}");
-                }
+                let mut looks = 0;
+                let got = poll_or_death(p, Some(1), Some(ctx), || {
+                    looks += 1;
+                    (looks == 2).then_some(looks)
+                });
+                assert!(matches!(got, Some(Ok(2))), "{got:?}");
                 // The message the victim got out before it died is received.
                 world.set_errhandler(Errhandler::ErrorsReturn);
                 let mut buf = [0u8; 1];
                 world.recv_into(&mut buf, 1, 0).unwrap();
                 assert_eq!(buf, [9]);
                 // With nothing to take, the death is the answer.
-                let got = poll_or_death(p, Some(1), false, Some(ctx), || None::<()>);
+                let got = poll_or_death(p, Some(1), Some(ctx), || None::<()>);
                 assert!(matches!(
                     got,
                     Some(Err(MpiError::PeerUnreachable { peer: 1 }))

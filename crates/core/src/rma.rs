@@ -37,7 +37,7 @@
 //! -window disadvantage the paper describes); §3.3's precreated-handle idea
 //! appears as the `all_opts` put variant in `ext.rs`.
 
-use crate::comm::{Communicator, Errhandler};
+use crate::comm::Communicator;
 use crate::error::{MpiError, MpiResult};
 use crate::match_bits::PROC_NULL;
 use crate::op::Op;
@@ -816,9 +816,7 @@ impl Window {
         mut ready: impl FnMut() -> Option<M>,
     ) -> MpiResult<M> {
         let proc = self.proc();
-        wait_for(proc, || {
-            poll_or_failure(proc, false, &mut alive, &mut ready)
-        })
+        wait_for(proc, || poll_or_failure(proc, &mut alive, &mut ready))
     }
 
     /// Context ids of the window's communicator and of its parent.
@@ -1037,7 +1035,7 @@ impl Window {
         proc.endpoint.note_win_ops_issued(1);
         // A blocking call returns its error; only a request consults the
         // errhandler.
-        let fatal = F::REQUEST && self.comm.errhandler() == Errhandler::ErrorsAreFatal;
+        let fatal = F::REQUEST && self.comm.errors_are_fatal();
         let (peer, ctxs) = (self.comm.world_rank_of(a.t), self.ctxs());
         F::reply(Request::rma(proc.clone(), slot, dest, peer, fatal, ctxs))
     }

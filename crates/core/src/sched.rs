@@ -43,7 +43,7 @@ use crate::coll::{
     binomial_children, copy_exact, issue_window, parent_of, send_staged, zeroed,
     BCAST_LONG_MSG_BYTES,
 };
-use crate::comm::{CommShared, Communicator, Errhandler};
+use crate::comm::{CommShared, Communicator};
 use crate::error::{MpiError, MpiResult};
 use crate::group::Group;
 use crate::hier::{self, HierPlan};
@@ -451,9 +451,8 @@ impl Schedule {
         let mut i = 0;
         while i < self.live.len() {
             let live = &self.live[i];
-            let arrived = poll_or_death(proc, Some(live.peer), false, Some(self.ctx.0), || {
-                live.post.poll()
-            });
+            let arrived =
+                poll_or_death(proc, Some(live.peer), Some(self.ctx.0), || live.post.poll());
             let Some(msg) = arrived.transpose()? else {
                 i += 1;
                 continue;
@@ -1161,7 +1160,7 @@ fn begin_request<T>(
         comm: Arc::clone(&comm.shared),
     });
     let proc = Arc::clone(&comm.proc);
-    let fatal = matches!(comm.errhandler(), Errhandler::ErrorsAreFatal);
+    let fatal = comm.errors_are_fatal();
     let req = match shared.progress(&proc) {
         Ok(Some(s)) => Request::done(s),
         Ok(None) => Request::coll(proc, Arc::clone(&shared), fatal),

@@ -2,7 +2,7 @@
 //! real (not `debug_assert!`), and comm failures under `MPI_ERRORS_RETURN`
 //! that surface as `Err` instead of a hang or an unconditional panic.
 
-use litempi_core::{BuildConfig, Errhandler, MpiError, Op, Universe};
+use litempi_core::{BuildConfig, Communicator, Errhandler, MpiError, Op, Universe, Window};
 use litempi_fabric::{FaultPlan, ProviderProfile, Topology};
 
 #[test]
@@ -247,4 +247,175 @@ fn killed_peer_aborts_collective_under_default_errhandler() {
             }
         },
     );
+}
+
+// ------------------------------------- the errhandler rule, per request kind
+
+/// Rank 0's side of a job: the world, a window on it, and `go` (below).
+type Killed = fn(&Communicator, &Window, &dyn Fn()) -> Result<(), MpiError>;
+/// Either rank's side of a job on the world.
+type OnWorld = fn(&Communicator) -> Result<(), MpiError>;
+
+/// A pending-request kind: rank 0 issues it toward rank 1, the victim.
+struct PendingKind {
+    name: &'static str,
+    /// `rget` waits for an answer only on the active-message fallback;
+    /// a rendezvous needs a finite eager threshold.
+    profile: ProviderProfile,
+    /// Rank 0: issue the operation (the victim is alive: it is a pending
+    /// request), let the victim die (`go`, where the operation's own
+    /// packets do not kill it), wait on the request.
+    killed: Killed,
+    /// Packets to or from rank 1 from the end of the setup on — the
+    /// operation's own, then `go`'s: the last one trips its kill switch.
+    trip: u64,
+    /// What a killed peer reads as under `MPI_ERRORS_RETURN`.
+    err: MpiError,
+    /// Both ranks' halves of a truncating receive of this kind (`None`:
+    /// the reply a `rget` waits for is the size it asked for).
+    truncating: Option<OnWorld>,
+}
+
+fn pending_kinds() -> [PendingKind; 4] {
+    const RNDV: usize = 64 << 10;
+    const ALIVE: &str = "issued while the victim lives";
+    [
+        PendingKind {
+            name: "rendezvous send",
+            profile: ProviderProfile::ofi(),
+            killed: |world, _, go| {
+                let req = world.isend(&vec![7u8; RNDV], 1, 9).expect(ALIVE);
+                go();
+                req.wait().map(drop)
+            },
+            trip: 2,
+            err: MpiError::PeerUnreachable { peer: 1 },
+            truncating: Some(|world| {
+                if world.rank() == 1 {
+                    return world.send(&vec![7u8; RNDV], 0, 9);
+                }
+                world.recv_into(&mut [0u8; 1024], 1, 9).map(drop)
+            }),
+        },
+        PendingKind {
+            name: "posted receive",
+            profile: ProviderProfile::infinite(),
+            killed: |world, _, go| {
+                let mut buf = [0u8; 1];
+                let req = world.irecv(&mut buf, 1, 9).expect(ALIVE);
+                go();
+                req.wait().map(drop)
+            },
+            trip: 1,
+            err: MpiError::PeerUnreachable { peer: 1 },
+            truncating: Some(|world| {
+                if world.rank() == 1 {
+                    return world.send(&[1u8, 2, 3, 4], 0, 9);
+                }
+                world.recv_into(&mut [0u8; 2], 1, 9).map(drop)
+            }),
+        },
+        PendingKind {
+            name: "deferred collective (iallreduce)",
+            profile: ProviderProfile::infinite(),
+            killed: |world, _, go| {
+                let req = world.iallreduce(&[1u64], &Op::Sum).expect(ALIVE);
+                go();
+                req.wait().map(drop)
+            },
+            trip: 2,
+            err: MpiError::PeerUnreachable { peer: 1 },
+            // The ranks disagree on the count: rank 0 receives root 1's
+            // two elements into one (a reduction reads a mismatch as
+            // `InvalidCount` before any copy, so the copy is a bcast's).
+            truncating: Some(|world| {
+                let mine = vec![1u64; world.rank() + 1];
+                world.ibcast(&mine, 1)?.wait().map(drop)
+            }),
+        },
+        PendingKind {
+            name: "rget",
+            profile: ProviderProfile::am_only(),
+            killed: |_, win, _| win.rget(&mut [0u64], 1, 0).expect(ALIVE).wait().map(drop),
+            trip: 1,
+            err: MpiError::ProcessFailed { peer: 1 },
+            truncating: None,
+        },
+    ]
+}
+
+/// The setup every kind runs on: the world under `eh`, and a window of
+/// eight bytes on it inside a fence epoch.
+fn fenced_window(proc: &litempi_core::Process, eh: Errhandler) -> (Communicator, Window) {
+    let world = proc.world();
+    world.set_errhandler(eh);
+    let win = Window::create(&world, 8, 1).unwrap();
+    win.fence().unwrap();
+    (world, win)
+}
+
+/// Run `kind` against a victim killed after its setup: rank 1 sets up and
+/// returns, rank 0 issues, waits and reports — or panics, which
+/// `Universe::run` re-raises here.
+fn kill_during(kind: &PendingKind, eh: Errhandler) -> std::thread::Result<Result<(), MpiError>> {
+    let (ch4, topo) = (BuildConfig::ch4_default(), Topology::single_node(2));
+    let setup: u64 = Universe::run(2, ch4, kind.profile, topo.clone(), |proc| {
+        let _win = fenced_window(&proc, eh);
+        let sent = proc.comm_stats();
+        sent.am_sent + sent.msgs_sent
+    })
+    .iter()
+    .sum();
+    let kill = FaultPlan::none().with_kill(1, setup + kind.trip);
+    let profile = kind.profile.with_faults(kill);
+    let killed = kind.killed;
+    std::panic::catch_unwind(move || {
+        let out = Universe::run(2, ch4, profile, topo, move |proc| {
+            let (world, win) = fenced_window(&proc, eh);
+            let go = || world.send(&[0u8], 1, 100).unwrap();
+            (proc.rank() == 0).then(|| killed(&world, &win, &go))
+        });
+        out.into_iter().flatten().next().expect("rank 0 reported")
+    })
+}
+
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    (payload.downcast_ref::<String>().map(String::as_str))
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+        .unwrap_or("")
+}
+
+#[test]
+fn the_errhandler_rule_holds_for_every_pending_request_kind() {
+    for kind in pending_kinds() {
+        let name = kind.name;
+        // MPI_ERRORS_RETURN: the death is the request's `Err`.
+        let got = kill_during(&kind, Errhandler::ErrorsReturn).expect("no panic");
+        assert_eq!(got, Err(kind.err.clone()), "{name} under ERRORS_RETURN");
+        // MPI_ERRORS_ARE_FATAL (the default): the same death aborts.
+        let got = kill_during(&kind, Errhandler::ErrorsAreFatal);
+        let payload = got.expect_err("a fatal death panics");
+        let message = panic_message(&*payload);
+        assert!(
+            message.starts_with("MPI_ERRORS_ARE_FATAL"),
+            "{name} under ERRORS_ARE_FATAL panicked with {message:?}"
+        );
+        // A truncating receive is the caller's error, not a failure of
+        // communication: it returns under MPI_ERRORS_ARE_FATAL too.
+        let Some(truncating) = kind.truncating else {
+            continue;
+        };
+        let out = Universe::run(
+            2,
+            BuildConfig::ch4_default(),
+            kind.profile,
+            Topology::single_node(2),
+            move |proc| truncating(&proc.world()),
+        );
+        assert!(
+            matches!(out[0], Err(MpiError::Truncate { .. })),
+            "{name}: a truncating receive read {:?}",
+            out[0]
+        );
+    }
 }

@@ -16,7 +16,6 @@ mod one_cpu;
 const SPARSITY_FACTOR: u64 = 50;
 
 #[test]
-#[ignore = "1024 threads: run in release (CI scale job: cargo test --release --test scale -- --ignored)"]
 fn resident_link_state_is_sparse_at_1024_ranks() {
     // Step 1: measure the empirical per-link footprint on a small dense
     // job. At 8 ranks an alltoall touches all 7 peers, so each rank holds
@@ -85,7 +84,6 @@ fn resident_link_state_is_sparse_at_1024_ranks() {
 }
 
 #[test]
-#[ignore = "1024 threads: run in release (CI scale job: cargo test --release --test scale -- --ignored)"]
 fn hierarchical_collectives_agree_at_1024_ranks() {
     // 64 nodes x 16 ranks: the hierarchical path (fan-in, binomial across
     // leaders, fan-out) must produce exact results at a scale where the
@@ -129,7 +127,6 @@ fn hierarchical_collectives_agree_at_1024_ranks() {
 }
 
 #[test]
-#[ignore = "4096 ranks: run in release (CI scale job: cargo test --release --test scale -- --ignored)"]
 fn barrier_and_allreduce_complete_with_4096_ranks_on_one_worker() {
     // Pinned to one CPU, every rank is a task on one worker thread.
     let _cpu = one_cpu::one_cpu();

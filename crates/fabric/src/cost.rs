@@ -36,8 +36,6 @@ pub enum ProviderKind {
     Bgq,
     /// The paper's modified library: full software stack, zero network cost.
     Infinite,
-    /// Intra-node shared memory (the CH4 shmmod's transport).
-    Shm,
     /// A deliberately feature-poor provider with neither native tagged
     /// matching nor native RDMA, forcing every operation through the CH4
     /// core's active-message fallback. Not in the paper; used to exercise
@@ -53,7 +51,6 @@ impl ProviderKind {
             ProviderKind::Ucx => "ucx/edr",
             ProviderKind::Bgq => "bgq/torus",
             ProviderKind::Infinite => "infinite",
-            ProviderKind::Shm => "shm",
             ProviderKind::AmOnly => "am-only",
         }
     }
@@ -229,27 +226,6 @@ impl ProviderProfile {
         }
     }
 
-    /// Intra-node shared-memory transport (the shmmod's substrate).
-    pub const fn shm() -> Self {
-        ProviderProfile {
-            kind: ProviderKind::Shm,
-            caps: Capabilities {
-                native_tagged: true,
-                native_rdma: true,
-                max_eager: 64 * 1024,
-            },
-            cost: NetCost {
-                inject_cycles_send: 90.0,
-                inject_cycles_rdma: 60.0,
-                latency_ns: 250.0,
-                bandwidth_gib_s: 40.0,
-            },
-            faults: FaultPlan::NONE,
-            reliability: ReliabilityConfig::OFF,
-            trace: TraceConfig::OFF,
-        }
-    }
-
     /// Feature-poor provider forcing the CH4 active-message fallback
     /// everywhere (see [`ProviderKind::AmOnly`]).
     pub const fn am_only() -> Self {
@@ -341,7 +317,6 @@ mod tests {
             ProviderKind::Ucx,
             ProviderKind::Bgq,
             ProviderKind::Infinite,
-            ProviderKind::Shm,
             ProviderKind::AmOnly,
         ];
         let mut labels: Vec<_> = kinds.iter().map(|k| k.label()).collect();
