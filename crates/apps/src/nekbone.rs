@@ -334,7 +334,7 @@ pub fn run(proc: &Process, cfg: &NekConfig) -> MpiResult<NekReport> {
     run_on(proc, &world, cfg)
 }
 
-/// Run on an explicit communicator (lets benches swap build configs).
+/// Run on an explicit communicator (`run` passes the world).
 pub fn run_on(proc: &Process, comm: &Communicator, cfg: &NekConfig) -> MpiResult<NekReport> {
     let np = cfg.order + 1;
     let ranks: usize = cfg.rank_grid.iter().product();

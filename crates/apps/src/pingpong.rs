@@ -3,7 +3,7 @@
 //!
 //! These are the standard probes of an MPI stack's pt2pt path (the paper's
 //! message-rate benchmark is the injection-rate sibling). They run between
-//! ranks 0 and 1 and report per-size results; the bench harness uses them
+//! ranks 0 and 1 and report per-size results; the `osu_micro` driver uses them
 //! to compare devices and providers in wall-clock terms.
 
 use litempi_core::{waitall, Communicator, MpiResult, Process};

@@ -111,8 +111,8 @@ impl Group {
         }
     }
 
-    /// The representation chosen (exposed for tests and the rank-map
-    /// ablation bench).
+    /// The representation chosen (exposed for the representation tests
+    /// in this module).
     pub fn map(&self) -> &RankMap {
         &self.map
     }

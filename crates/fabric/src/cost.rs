@@ -65,8 +65,8 @@ pub enum MatcherKind {
     /// overflow list — the default.
     #[default]
     Bucketed,
-    /// The original linear-scan matcher, kept as an ablation baseline for
-    /// the depth-sweep benchmarks.
+    /// The original linear-scan matcher, kept as the reference
+    /// `tests/prop_matching.rs` holds the bucketed engine to.
     Linear,
 }
 

@@ -17,8 +17,8 @@
 //!   a bucket hit and an older wildcard entry, so MPI's matching order is
 //!   bit-for-bit identical to the linear scan.
 //! * [`LinearMatcher`] — the original O(depth) scan: the reference the
-//!   equivalence tests hold the bucketed engine to and the engine-level
-//!   bench sweeps against. No endpoint runs it.
+//!   equivalence test (`tests/prop_matching.rs`) holds the bucketed
+//!   engine to. No endpoint runs it.
 //!
 //! ## Why bucket removal is O(1)
 //!
@@ -58,10 +58,10 @@
 //! would account — are reserved for counters written outside that lock
 //! (sends, RDMA, AM; see [`EndpointStats`](crate::stats::EndpointStats)).
 //!
-//! This module is public so `crates/bench` can ablate the engines directly
-//! (data-structure cost without endpoint lock/event overhead); it is not a
-//! stable API for fabric consumers, who should go through [`Endpoint`]
-//! (`crate::endpoint::Endpoint`).
+//! This module is public so the core's AM matching, `prop_matching` and
+//! `benchmark/src/layers.rs` (engine cost without endpoint lock/event
+//! overhead) drive an engine directly; it is not a stable API for fabric
+//! consumers, who should go through [`Endpoint`](crate::endpoint::Endpoint).
 //!
 //! [`Endpoint`]: crate::endpoint::Endpoint
 

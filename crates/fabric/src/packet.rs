@@ -56,7 +56,7 @@ pub struct AmMessage {
 
 /// A posted (not yet matched) tagged receive inside an endpoint.
 ///
-/// Public so the matching-engine ablation benches can drive
+/// Public so the core, `prop_matching` and `benchmark/src/layers.rs` can drive
 /// [`matching::MatchEngine`](crate::matching::MatchEngine) directly; not a
 /// stable API for fabric consumers.
 #[derive(Debug)]

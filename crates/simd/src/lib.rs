@@ -15,7 +15,7 @@
 //! A [`Tier`] is selected **once** per process ([`active`]) by runtime CPU
 //! feature detection: AVX2 then SSE2 on x86-64, NEON on aarch64, scalar
 //! everywhere else. Every kernel entry point also accepts an *explicit*
-//! tier so equivalence tests and the ablation bench can drive any tier
+//! tier so the equivalence tests (`tests/prop_kernels.rs`) can drive any tier
 //! that is runnable on the host ([`Tier::runnable`]) without touching
 //! process state.
 //!
@@ -122,7 +122,7 @@ impl Tier {
     }
 
     /// Every tier the host can execute, scalar first — the sweep the
-    /// equivalence tests and the ablation bench iterate.
+    /// equivalence tests iterate.
     pub fn all_runnable() -> Vec<Tier> {
         [Tier::Scalar, Tier::Sse2, Tier::Avx2, Tier::Neon]
             .into_iter()
